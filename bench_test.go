@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -441,6 +442,115 @@ func BenchmarkEBFSnapshot(b *testing.B) {
 			b.Fatal("nil snapshot")
 		}
 	}
+}
+
+// BenchmarkEBFReportRead measures one ReportRead against a partition that
+// already tracks `live` unexpired keys. The cost must not grow with live:
+// the TTL-table sweep is amortized (it ran on every call once a partition
+// held more than 1024 keys, making this O(live)).
+func BenchmarkEBFReportRead(b *testing.B) {
+	for _, live := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("live=%dk", live/1000), func(b *testing.B) {
+			p := ebf.NewPartitioned(nil)
+			keys := make([]string, live)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("posts/doc%06d", i)
+				p.ReportRead(keys[i], time.Hour)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.ReportRead(keys[i%live], time.Hour)
+			}
+		})
+	}
+}
+
+// BenchmarkActivationReplay measures the replay lookup of a query
+// activation against a full 4096-event per-table ring when the activation
+// gap is empty (the common case: nothing was written between evaluating
+// the query and activating it). B/op is the point: it was one ring-sized
+// slice per activation.
+func BenchmarkActivationReplay(b *testing.B) {
+	l := commitlog.NewLog(nil)
+	defer l.Close()
+	after := document.New("d1", map[string]any{"tag": "t001"})
+	const ring = 4096
+	for seq := uint64(1); seq <= ring; seq++ {
+		l.Append([]commitlog.Event{{Seq: seq, Table: "docs", Op: commitlog.OpUpdate, After: after}})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if evs := l.Replay("docs", ring); len(evs) != 0 {
+			b.Fatalf("replayed %d events past the newest", len(evs))
+		}
+	}
+}
+
+// legacyDoc encodes a document the way Document.MarshalJSON did before the
+// direct encoder: copy into a fresh map, reflect, sort keys.
+type legacyDoc document.Document
+
+func (d *legacyDoc) MarshalJSON() ([]byte, error) {
+	body := make(map[string]any, len(d.Fields)+2)
+	for k, v := range d.Fields {
+		body[k] = v
+	}
+	body["_id"] = d.ID
+	body["_version"] = d.Version
+	return json.Marshal(body)
+}
+
+// BenchmarkQueryResponseEncode compares the two encoders of a 20-document
+// object-list query response (the benchmark dataset's document shape):
+// "old" is the reflective encoding/json path behind writeJSON, "new" the
+// append-style encoder into a reused buffer that the HTTP layer now uses.
+// Both produce the same bytes.
+func BenchmarkQueryResponseEncode(b *testing.B) {
+	const n = 20
+	docs := workload.GenerateDataset(&workload.DatasetConfig{Tables: 1, DocsPerTable: n, Seed: 1}).Docs[workload.TableName(0)]
+	resp := server.QueryResponse{Representation: "object-list", Docs: docs, Count: n}
+	var old struct {
+		Representation string       `json:"rep"`
+		IDs            []string     `json:"ids"`
+		Docs           []*legacyDoc `json:"docs,omitempty"`
+		Count          int          `json:"count"`
+	}
+	old.Representation, old.Count = resp.Representation, resp.Count
+	for _, d := range docs {
+		resp.IDs = append(resp.IDs, d.ID)
+		old.Docs = append(old.Docs, (*legacyDoc)(d))
+	}
+	old.IDs = resp.IDs
+
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(&old); err != nil {
+		b.Fatal(err)
+	}
+	direct, err := resp.AppendJSON(nil)
+	if err != nil || !bytes.Equal(append(direct, '\n'), buf.Bytes()) {
+		b.Fatalf("encoders disagree (%v):\n%s\n%s", err, direct, buf.Bytes())
+	}
+
+	b.Run("docs=20/old", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := json.NewEncoder(&buf).Encode(&old); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("docs=20/new", func(b *testing.B) {
+		b.ReportAllocs()
+		out := direct
+		for i := 0; i < b.N; i++ {
+			if out, err = resp.AppendJSON(out[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkSimulatorEventRate measures raw simulator speed (events/s) —

@@ -609,15 +609,29 @@ func (r *ring) push(ev Event) {
 	r.size++
 }
 
+// after returns the events with Seq > seq, oldest first. Seq never
+// decreases along the ring (synthetic events repeat their floor), so the
+// answer is a suffix: walk back from the newest event to find where it
+// starts, and copy exactly that many. An activation that replays a gap of
+// zero or a few events costs that, not the ring's capacity.
 func (r *ring) after(seq uint64) []Event {
-	out := make([]Event, 0, r.size)
-	for i := 0; i < r.size; i++ {
-		ev := r.events[(r.head+i)%len(r.events)]
-		if ev.Seq > seq {
-			out = append(out, ev)
-		}
+	n := 0
+	for n < r.size && r.at(r.size-1-n).Seq > seq {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = *r.at(r.size - n + i)
 	}
 	return out
+}
+
+// at returns the i-th oldest buffered event.
+func (r *ring) at(i int) *Event {
+	return &r.events[(r.head+i)%len(r.events)]
 }
 
 // latBounds are the publish→deliver histogram bucket upper bounds in

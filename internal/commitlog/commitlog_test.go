@@ -400,3 +400,59 @@ func TestConcurrentPublishersObserveTotalOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRingAfter pins the activation-replay lookup: the events newer than
+// seq, oldest first, in a slice sized to exactly that many — an
+// activation with nothing to replay must not pay for the ring's capacity.
+func TestRingAfter(t *testing.T) {
+	fill := func(capacity int, seqs ...uint64) *ring {
+		r := newRing(capacity)
+		for _, s := range seqs {
+			r.push(ev(s))
+		}
+		return r
+	}
+	synthetic := fill(8, 1, 2)
+	for i := 0; i < 3; i++ { // a snapshot import's diff shares its floor
+		e := ev(7)
+		e.Synthetic = true
+		e.After = document.New(fmt.Sprintf("s%d", i), nil)
+		synthetic.push(e)
+	}
+	synthetic.push(ev(8))
+
+	cases := []struct {
+		name string
+		r    *ring
+		seq  uint64
+		want []uint64
+	}{
+		{"empty ring", fill(4), 0, nil},
+		{"zero-capacity ring", fill(0, 1, 2), 0, nil},
+		{"partly filled", fill(8, 1, 2, 3), 1, []uint64{2, 3}},
+		{"wrapped ring", fill(4, 1, 2, 3, 4, 5, 6), 4, []uint64{5, 6}},
+		{"wrapped ring, seq older than the ring", fill(4, 1, 2, 3, 4, 5, 6), 1, []uint64{3, 4, 5, 6}},
+		{"seq equals newest", fill(4, 1, 2, 3, 4, 5, 6), 6, nil},
+		{"seq beyond newest", fill(4, 1, 2, 3), 99, nil},
+		{"shared seq, floor below", synthetic, 2, []uint64{7, 7, 7, 8}},
+		{"shared seq, floor at it", synthetic, 7, []uint64{8}},
+	}
+	for _, tc := range cases {
+		got := tc.r.after(tc.seq)
+		if cap(got) != len(got) {
+			t.Errorf("%s: cap %d != len %d", tc.name, cap(got), len(got))
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: got %d events, want %d", tc.name, len(got), len(tc.want))
+			continue
+		}
+		for i, e := range got {
+			if e.Seq != tc.want[i] {
+				t.Errorf("%s: event %d has seq %d, want %d", tc.name, i, e.Seq, tc.want[i])
+			}
+		}
+	}
+	if got := synthetic.after(2); got[0].After.ID != "s0" || got[2].After.ID != "s2" {
+		t.Errorf("events sharing a seq out of order: %s … %s", got[0].After.ID, got[2].After.ID)
+	}
+}

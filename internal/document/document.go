@@ -9,6 +9,7 @@
 package document
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -79,21 +80,11 @@ func (d *Document) Equal(other *Document) bool {
 	return d.ID == other.ID && DeepEqual(d.Fields, other.Fields)
 }
 
-// MarshalJSON encodes the document in its wire representation.
-func (d *Document) MarshalJSON() ([]byte, error) {
-	body := make(map[string]any, len(d.Fields)+2)
-	for k, v := range d.Fields {
-		body[k] = v
-	}
-	body["_id"] = d.ID
-	body["_version"] = d.Version
-	return json.Marshal(body)
-}
-
-// UnmarshalJSON decodes the wire representation produced by MarshalJSON.
+// UnmarshalJSON decodes the wire representation produced by MarshalJSON
+// (see json.go).
 func (d *Document) UnmarshalJSON(data []byte) error {
 	var body map[string]any
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 	if err := dec.Decode(&body); err != nil {
 		return err

@@ -71,6 +71,12 @@ func (d *Distributed) bitIndexes(key string) []uint32 {
 
 // ReportRead records the highest issued expiration for key.
 func (d *Distributed) ReportRead(key string, ttl time.Duration) {
+	d.ReportReads(ttl, key)
+}
+
+// ReportReads records the highest issued expiration for every key of one
+// response under one critical section and one expiry pass.
+func (d *Distributed) ReportReads(ttl time.Duration, keys ...string) {
 	if ttl <= 0 {
 		return
 	}
@@ -79,13 +85,15 @@ func (d *Distributed) ReportRead(key string, ttl time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.expireLocked(now)
-	cur, ok, _ := d.kv.HGet(d.key("exp"), key)
-	if ok {
-		if prev, err := strconv.ParseInt(cur, 10, 64); err == nil && prev >= until {
-			return
+	for _, key := range keys {
+		cur, ok, _ := d.kv.HGet(d.key("exp"), key)
+		if ok {
+			if prev, err := strconv.ParseInt(cur, 10, 64); err == nil && prev >= until {
+				continue
+			}
 		}
+		_, _ = d.kv.HSet(d.key("exp"), key, strconv.FormatInt(until, 10))
 	}
-	_, _ = d.kv.HSet(d.key("exp"), key, strconv.FormatInt(until, 10))
 }
 
 // ReportWrite flags key as stale if a cached copy may still live, returning
@@ -225,6 +233,16 @@ func (d *Distributed) StaleCount() int {
 	d.expireLocked(now)
 	n, _ := d.kv.HLen(d.key("stale"))
 	return n
+}
+
+// Stats reports the sizes of the shared structures; the activity counters
+// stay zero (no frontend sees the other frontends' calls).
+func (d *Distributed) Stats() Stats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	entries, _ := d.kv.HLen(d.key("stale"))
+	tracked, _ := d.kv.HLen(d.key("exp"))
+	return Stats{CurrentEntries: entries, TrackedKeys: tracked}
 }
 
 // String implements fmt.Stringer for diagnostics.

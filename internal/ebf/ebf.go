@@ -13,10 +13,27 @@
 //
 // Request-path protocol:
 //
-//	ReportRead(key, ttl)  — on every cacheable read/query response
-//	ReportWrite(key)      — on every invalidation detected by InvaliDB; the
-//	                        return value says whether caches must be purged
-//	Snapshot()            — flat copy piggybacked to clients
+//	ReportRead(key, ttl)      — on every cacheable record response
+//	ReportReads(ttl, keys...) — on every cacheable query response: the query
+//	                            key and its record keys in ONE batch (one
+//	                            partition lookup, one lock, one clock read,
+//	                            one expiry pass); ReportRead is the batch of
+//	                            one
+//	ReportWrite(key)          — on every invalidation detected by InvaliDB;
+//	                            the return value says whether caches must be
+//	                            purged
+//	Snapshot()                — flat copy piggybacked to clients
+//
+// Every call costs O(1) per key, whatever the server's history. The one
+// structure that grows with history is the expiration table, and its
+// sweep policy is amortized: expired entries are swept only once the
+// table has doubled since the previous sweep left it (never below
+// minSweep entries), so a sweep of n entries is paid for by the ≥ n/2
+// insertions since the last one, a table of only-live keys is never
+// re-swept, and the table stays within 2× the live keys + minSweep.
+// Expiry semantics do not depend on when a sweep runs: an expired entry
+// that is still in the table is ignored exactly like a missing one.
+// Stats.TrackedKeys and Stats.SweptEntries make both visible.
 //
 // The package also provides the client-side view with differential
 // whitelisting (Section 3.3) and a per-table partitioned variant whose
@@ -76,6 +93,9 @@ type EBF struct {
 	exp   map[string]time.Time
 	stale map[string]time.Time // key -> time it leaves the filter
 	heap  expHeap
+	// sweepAt is the len(exp) at which the next sweep of expired TTL-table
+	// entries runs (see the package comment for the policy).
+	sweepAt int
 
 	// Stats counts EBF activity for the evaluation harness.
 	stats Stats
@@ -83,23 +103,29 @@ type EBF struct {
 
 // Stats aggregates EBF activity counters.
 type Stats struct {
-	Reads          uint64 // ReportRead calls
+	Reads          uint64 // keys reported by ReportRead/ReportReads
 	Invalidations  uint64 // ReportWrite calls that found a live TTL
 	IgnoredWrites  uint64 // ReportWrite calls with no cached copy to protect
 	Expirations    uint64 // keys aged out of the filter
 	Snapshots      uint64
+	SweptEntries   uint64 // TTL-table entries visited by sweeps
 	CurrentEntries int
+	TrackedKeys    int // size of the TTL table (live keys + not yet swept)
 }
+
+// minSweep is the TTL-table size below which no sweep runs.
+const minSweep = 1024
 
 // New creates a server-side EBF.
 func New(opts *Options) *EBF {
 	o := opts.withDefaults()
 	return &EBF{
-		opts:  o,
-		cbf:   bloom.NewCounting(o.Bits, o.Hashes),
-		flat:  bloom.New(o.Bits, o.Hashes),
-		exp:   map[string]time.Time{},
-		stale: map[string]time.Time{},
+		opts:    o,
+		cbf:     bloom.NewCounting(o.Bits, o.Hashes),
+		flat:    bloom.New(o.Bits, o.Hashes),
+		exp:     map[string]time.Time{},
+		stale:   map[string]time.Time{},
+		sweepAt: minSweep,
 	}
 }
 
@@ -129,6 +155,13 @@ func (h *expHeap) Pop() any {
 // highest TTL that the server previously issued for that query has
 // expired").
 func (e *EBF) ReportRead(key string, ttl time.Duration) {
+	e.ReportReads(ttl, key)
+}
+
+// ReportReads is ReportRead for all keys one response was served under —
+// a query key and the record keys of its object list — sharing one TTL,
+// one clock read, one lock acquisition and one expiry pass.
+func (e *EBF) ReportReads(ttl time.Duration, keys ...string) {
 	if ttl <= 0 {
 		return
 	}
@@ -137,10 +170,12 @@ func (e *EBF) ReportRead(key string, ttl time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.expireLocked(now)
-	if cur, ok := e.exp[key]; !ok || until.After(cur) {
-		e.exp[key] = until
+	for _, key := range keys {
+		if cur, ok := e.exp[key]; !ok || until.After(cur) {
+			e.exp[key] = until
+		}
 	}
-	e.stats.Reads++
+	e.stats.Reads += uint64(len(keys))
 }
 
 // ReportWrite marks key as invalidated. If some cache may still hold a
@@ -192,13 +227,14 @@ func (e *EBF) expireLocked(now time.Time) {
 		}
 		e.stats.Expirations++
 	}
-	// Garbage-collect the TTL table opportunistically.
-	if len(e.exp) > 4*len(e.stale)+1024 {
+	if len(e.exp) >= e.sweepAt {
+		e.stats.SweptEntries += uint64(len(e.exp))
 		for k, until := range e.exp {
 			if !until.After(now) {
 				delete(e.exp, k)
 			}
 		}
+		e.sweepAt = max(2*len(e.exp), minSweep)
 	}
 }
 
@@ -238,6 +274,7 @@ func (e *EBF) Stats() Stats {
 	defer e.mu.Unlock()
 	s := e.stats
 	s.CurrentEntries = len(e.stale)
+	s.TrackedKeys = len(e.exp)
 	return s
 }
 

@@ -318,3 +318,95 @@ func TestReplicatedConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepIsAmortized pins the TTL-table sweep policy: with 20 000 live
+// long-TTL keys in one partition a sweep can delete nothing, so further
+// reports must not re-walk the table (the old "opportunistic" sweep
+// visited all 20 000 entries on every call: 2×10⁸ visits here).
+func TestSweepIsAmortized(t *testing.T) {
+	c := newFakeClock()
+	p := NewPartitioned(&Options{Bits: 1 << 14, Hashes: 4, Clock: c.Now})
+	const live, further = 20000, 10000
+	for i := 0; i < live; i++ {
+		p.ReportRead(fmt.Sprintf("t/live%d", i), time.Hour)
+	}
+	before := p.Stats()
+	if before.TrackedKeys != live {
+		t.Fatalf("tracked keys = %d, want %d", before.TrackedKeys, live)
+	}
+	for i := 0; i < further; i++ {
+		c.Advance(time.Millisecond)
+		// Half re-reads of live keys, half new keys.
+		p.ReportRead(fmt.Sprintf("t/live%d", i), time.Hour)
+		p.ReportRead(fmt.Sprintf("t/new%d", i), time.Hour)
+	}
+	after := p.Stats()
+	if visited := after.SweptEntries - before.SweptEntries; visited > 2*further {
+		t.Errorf("%d further reports visited %d entries in sweeps, want O(reads)", 2*further, visited)
+	}
+	// Over the whole run the geometric schedule keeps sweep work within
+	// twice the keys ever inserted.
+	if after.SweptEntries > 2*uint64(after.TrackedKeys) {
+		t.Errorf("total sweep work %d for %d keys", after.SweptEntries, after.TrackedKeys)
+	}
+}
+
+// TestTTLTableFlatUnderKeyChurn is the "memory flat under key churn"
+// check: 200 000 distinct keys, each served once with a 1 s TTL at one key
+// per millisecond, so 1 000 keys are live at any time. The table must stay
+// within twice that window plus the sweep floor, with O(1) sweep work per
+// report.
+func TestTTLTableFlatUnderKeyChurn(t *testing.T) {
+	c := newFakeClock()
+	e := newTestEBF(c)
+	const keys, window = 200000, 1000
+	peak := 0
+	for i := 0; i < keys; i++ {
+		c.Advance(time.Second / window)
+		e.ReportRead(fmt.Sprintf("t/k%d", i), time.Second)
+		if i%97 == 0 {
+			peak = max(peak, e.Stats().TrackedKeys)
+		}
+	}
+	st := e.Stats()
+	peak = max(peak, st.TrackedKeys)
+	if limit := 2*window + minSweep; peak > limit {
+		t.Errorf("TTL table peaked at %d entries, want ≤ %d", peak, limit)
+	}
+	if st.SweptEntries > 4*keys {
+		t.Errorf("sweeps visited %d entries for %d reports", st.SweptEntries, keys)
+	}
+}
+
+// TestReportReadsMatchesSingleReports checks the batched report against
+// the per-key one, including keys of two tables in one batch.
+func TestReportReadsMatchesSingleReports(t *testing.T) {
+	keys := []string{"q:posts/tags~x", "posts/p1", "posts/p2", "users/u1", "posts/p3"}
+	c := newFakeClock()
+	opts := &Options{Bits: 1 << 14, Hashes: 4, Clock: c.Now}
+	batched, single := NewPartitioned(opts), NewPartitioned(opts)
+	batched.ReportReads(10*time.Second, keys...)
+	batched.ReportReads(0, "posts/never") // no TTL, nothing cached
+	for _, k := range keys {
+		single.ReportRead(k, 10*time.Second)
+	}
+	if b, s := batched.Stats(), single.Stats(); b != s {
+		t.Errorf("stats differ: batched %+v, single %+v", b, s)
+	}
+	if got := batched.Tables(); len(got) != 2 {
+		t.Errorf("partitions = %v, want posts and users", got)
+	}
+	c.Advance(time.Second)
+	for _, k := range append(keys, "posts/never") {
+		if b, s := batched.ReportWrite(k), single.ReportWrite(k); b != s {
+			t.Errorf("ReportWrite(%q): batched %v, single %v", k, b, s)
+		}
+		if b, s := batched.Contains(k), single.Contains(k); b != s {
+			t.Errorf("Contains(%q): batched %v, single %v", k, b, s)
+		}
+	}
+	c.Advance(10 * time.Second)
+	if n := batched.Snapshot().Entries; n != 0 {
+		t.Errorf("%d entries left after the batch's TTL expired", n)
+	}
+}

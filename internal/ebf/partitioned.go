@@ -38,7 +38,10 @@ func TableOf(key string) string {
 }
 
 func (p *Partitioned) partition(key string) *EBF {
-	table := TableOf(key)
+	return p.tablePartition(TableOf(key))
+}
+
+func (p *Partitioned) tablePartition(table string) *EBF {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	part, ok := p.parts[table]
@@ -52,7 +55,22 @@ func (p *Partitioned) partition(key string) *EBF {
 
 // ReportRead records a cacheable read on the key's table partition.
 func (p *Partitioned) ReportRead(key string, ttl time.Duration) {
-	p.partition(key).ReportRead(key, ttl)
+	p.ReportReads(ttl, key)
+}
+
+// ReportReads records one response's keys on their table partition in one
+// batch. The keys of a response share a table, so this is one partition
+// lookup; keys of several tables are split into per-table runs.
+func (p *Partitioned) ReportReads(ttl time.Duration, keys ...string) {
+	for len(keys) > 0 {
+		table := TableOf(keys[0])
+		n := 1
+		for n < len(keys) && TableOf(keys[n]) == table {
+			n++
+		}
+		p.tablePartition(table).ReportReads(ttl, keys[:n]...)
+		keys = keys[n:]
+	}
 }
 
 // ReportWrite flags an invalidated key on its table partition.
@@ -137,7 +155,9 @@ func (p *Partitioned) Stats() Stats {
 		total.IgnoredWrites += s.IgnoredWrites
 		total.Expirations += s.Expirations
 		total.Snapshots += s.Snapshots
+		total.SweptEntries += s.SweptEntries
 		total.CurrentEntries += s.CurrentEntries
+		total.TrackedKeys += s.TrackedKeys
 	}
 	return total
 }

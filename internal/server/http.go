@@ -10,9 +10,11 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 
 	"quaestor/internal/coordinator"
 	"quaestor/internal/document"
+	"quaestor/internal/ebf"
 	"quaestor/internal/query"
 	"quaestor/internal/replication"
 	"quaestor/internal/store"
@@ -32,7 +34,7 @@ import (
 //	GET    /v1/db/{table}?…&stream=1   — streamed query (NDJSON, uncacheable)
 //	POST   /v1/indexes/{table}         — create secondary index ({"path": …})
 //	GET    /v1/indexes/{table}         — list indexed field paths
-//	GET    /v1/stats                   — server statistics (plan counts, commit pipeline, WAL/recovery, replication)
+//	GET    /v1/stats                   — server statistics (plan counts, EBF, commit pipeline, WAL/recovery, replication)
 //	POST   /v1/admin/snapshot          — snapshot the durable store, truncate WAL
 //	POST   /v1/transaction             — BOCC transaction commit
 //	GET    /v1/subscribe?table=…&q=…   — SSE query change stream
@@ -72,6 +74,45 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// bodyPool recycles the buffers cacheable read and query responses are
+// encoded into.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody keeps one huge response from pinning its buffer forever.
+const maxPooledBody = 1 << 20
+
+// jsonAppender is a value with an append-style JSON encoder whose bytes
+// equal encoding/json's for it (*document.Document, *QueryResponse).
+type jsonAppender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// writeEncoded sends v the way writeJSON would — same bytes, trailing
+// newline included — but encoded into a pooled buffer and written once,
+// with Content-Length. An encoding failure is answered with an uncacheable
+// 500 rather than a truncated 200.
+func writeEncoded(w http.ResponseWriter, status int, v jsonAppender) {
+	bp := bodyPool.Get().(*[]byte)
+	body, err := v.AppendJSON((*bp)[:0])
+	if err != nil {
+		bodyPool.Put(bp)
+		w.Header().Set("Cache-Control", "no-store")
+		w.Header().Del("ETag")
+		writeError(w, err)
+		return
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+	if cap(body) <= maxPooledBody {
+		*bp = body
+		bodyPool.Put(bp)
+	}
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -228,6 +269,10 @@ type PipelineSection struct {
 // status.
 type StatsResponse struct {
 	Stats
+	// EBF is the coherence filter's activity: TrackedKeys is the size of
+	// its TTL table (the one per-key map on the read path) and
+	// SweptEntries the total work its amortized sweeps have done.
+	EBF         ebf.Stats              `json:"ebf"`
 	Pipeline    PipelineSection        `json:"pipeline"`
 	Durability  *store.DurabilityStats `json:"durability,omitempty"`
 	Replication *replication.Status    `json:"replication,omitempty"`
@@ -245,6 +290,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	resp := StatsResponse{
 		Stats: s.Stats(),
+		EBF:   s.coh.Stats(),
 		Pipeline: PipelineSection{
 			PipelineStats: s.db.PipelineStats(),
 			SSEDropped:    s.sseDropped.Load(),
@@ -347,7 +393,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		writeJSON(w, http.StatusOK, res.Doc)
+		writeEncoded(w, http.StatusOK, res.Doc)
 	case http.MethodPut:
 		var doc document.Document
 		if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
@@ -433,6 +479,43 @@ type QueryResponse struct {
 	IDs            []string             `json:"ids"`
 	Docs           []*document.Document `json:"docs,omitempty"`
 	Count          int                  `json:"count"`
+}
+
+// AppendJSON appends the response exactly as encoding/json would encode
+// the struct, walking ids and documents directly (document.AppendJSON)
+// instead of reflecting over them.
+func (r *QueryResponse) AppendJSON(dst []byte) ([]byte, error) {
+	out := append(dst, `{"rep":`...)
+	out = document.AppendJSONString(out, r.Representation)
+	out = append(out, `,"ids":`...)
+	if r.IDs == nil {
+		out = append(out, "null"...)
+	} else {
+		out = append(out, '[')
+		for i, id := range r.IDs {
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = document.AppendJSONString(out, id)
+		}
+		out = append(out, ']')
+	}
+	if len(r.Docs) > 0 {
+		out = append(out, `,"docs":[`...)
+		for i, d := range r.Docs {
+			if i > 0 {
+				out = append(out, ',')
+			}
+			var err error
+			if out, err = d.AppendJSON(out); err != nil {
+				return dst, err
+			}
+		}
+		out = append(out, ']')
+	}
+	out = append(out, `,"count":`...)
+	out = strconv.AppendInt(out, int64(r.Count), 10)
+	return append(out, '}'), nil
 }
 
 // ParseQueryRequest builds a query.Query from REST query parameters. The
@@ -523,7 +606,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, table strin
 	if res.Representation == ttl.ObjectList {
 		body.Docs = res.Docs
 	}
-	writeJSON(w, http.StatusOK, body)
+	writeEncoded(w, http.StatusOK, &body)
 }
 
 // streamRequested interprets the stream query parameter ("1", "true", …).

@@ -8,6 +8,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,8 +89,12 @@ func (f PurgerFunc) PurgeKey(path string) { f(path) }
 // and *ebf.Distributed all satisfy it.
 type Coherence interface {
 	ReportRead(key string, ttl time.Duration)
+	// ReportReads reports every key one response was served under (a query
+	// key and its record keys) in one batch.
+	ReportReads(ttl time.Duration, keys ...string)
 	ReportWrite(key string) bool
 	Snapshot() ebf.Snapshot
+	Stats() ebf.Stats
 }
 
 // Options configures a Server.
@@ -180,13 +185,14 @@ type Server struct {
 	active  *ttl.ActiveList
 	inv     *invalidb.Cluster
 
-	mu          sync.Mutex
+	mu          sync.RWMutex
 	purgers     []Purger
 	queryPaths  map[string]string // query key -> resource path for purging
 	registered  map[string]bool   // query key -> activated in InvaliDB
 	subscribers map[string]map[int]chan invalidb.Notification
 	nextSubID   int
-	closed      bool
+	// closed is set once by Close; the read path checks it without mu.
+	closed atomic.Bool
 
 	// txnMu serializes transaction validation+apply (single-node BOCC).
 	txnMu sync.Mutex
@@ -332,12 +338,10 @@ func newServer(db *store.Store, router *cluster.Router, opts *Options) *Server {
 // Close stops the invalidation pipeline. The store stays open (callers own
 // it).
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	s.closed = true
+	s.mu.Lock()
 	cohCancels := s.cohCancels
 	s.cohCancels = nil
 	s.mu.Unlock()
@@ -475,8 +479,12 @@ type ReadResult struct {
 
 // Read serves a record with its estimated TTL and reports the issued
 // expiration to the EBF.
+//
+// The returned document is the store's own copy-on-write document, not a
+// clone (store.GetShared): it is shared with concurrent readers and must
+// be treated as read-only. Callers that need to modify it Clone it first.
 func (s *Server) Read(table, id string) (ReadResult, error) {
-	doc, err := s.dbFor(id).Get(table, id)
+	doc, err := s.dbFor(id).GetShared(table, id)
 	if err != nil {
 		return ReadResult{}, err
 	}
@@ -498,7 +506,7 @@ func (s *Server) recordTTL(key string) time.Duration {
 
 func (s *Server) cacheable() bool { return s.opts.Mode != ModeUncached }
 
-func etagFor(version int64) string { return fmt.Sprintf("\"v%d\"", version) }
+func etagFor(version int64) string { return `"v` + strconv.FormatInt(version, 10) + `"` }
 
 // QueryResult carries a query response plus its caching metadata.
 type QueryResult struct {
@@ -520,19 +528,21 @@ var ErrClosed = errors.New("server: closed")
 // Query evaluates q, decides its representation and TTL, registers it for
 // invalidation detection and reports the issued TTL to the EBF — steps (2)
 // in the end-to-end example of Figure 7.
+//
+// The documents in the result are the store's own copy-on-write documents,
+// not clones (the Cursor.NextShared contract): they are shared with
+// concurrent readers and must be treated as read-only. Callers that need
+// to modify one Clone it first.
 func (s *Server) Query(q *query.Query) (QueryResult, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Load() {
 		return QueryResult{}, ErrClosed
 	}
-	s.mu.Unlock()
 
 	// Capture the change-stream position before evaluating so activation
 	// can replay the gap (a per-shard vector in sharded mode).
 	asOf, asOfs := s.seqPosition()
 	start := s.opts.Clock()
-	docs, plan, err := s.queryPlanned(q)
+	docs, plan, err := s.queryShared(q)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -552,8 +562,11 @@ func (s *Server) Query(q *query.Query) (QueryResult, error) {
 	}
 
 	// Per-record cache keys feed the TTL estimator, admission control and
-	// the EBF — work the non-cacheable early return above never needs.
-	recordKeys := make([]string, len(docs))
+	// the EBF — work the non-cacheable early return above never needs. The
+	// query key leads the same slice, so the EBF report below is one batch.
+	reported := make([]string, 1+len(docs))
+	reported[0] = key
+	recordKeys := reported[1:]
 	for i, d := range docs {
 		recordKeys[i] = RecordKey(q.Table, d.ID)
 	}
@@ -567,26 +580,39 @@ func (s *Server) Query(q *query.Query) (QueryResult, error) {
 		return res, nil
 	}
 
-	if err := s.activateIfNeeded(q, asOf, asOfs, rep); err != nil {
-		// Capacity exhausted in InvaliDB: serve uncached rather than risk
-		// stale results without invalidation detection.
+	if !s.activated(key) {
+		// InvaliDB needs the full predicate-level match set. Without window
+		// clauses that is the result just computed (a stateless registration
+		// keeps only the member ids, so sharing the store's documents is
+		// safe); a stateful query's order state retains and hands out the
+		// documents, so it gets its own unwindowed evaluation.
+		matches := docs
+		if q.Stateful() {
+			matches, err = s.unwindowedMatches(q)
+		}
+		if err == nil {
+			err = s.activate(q, matches, asOf, asOfs, rep)
+		}
 		if errors.Is(err, invalidb.ErrAtCapacity) {
+			// Capacity exhausted in InvaliDB: serve uncached rather than
+			// risk stale results without invalidation detection.
 			s.active.Remove(key)
 			s.rejected.Add(1)
 			res.Representation = rep
 			return res, nil
 		}
-		return QueryResult{}, err
-	}
-
-	s.coh.ReportRead(key, dur)
-	if rep == ttl.ObjectList {
-		// Per-record entries also land in caches; report their TTLs so the
-		// EBF can cover them (reads of members get hits "by side effect").
-		for _, rk := range recordKeys {
-			s.coh.ReportRead(rk, dur)
+		if err != nil {
+			return QueryResult{}, err
 		}
 	}
+
+	if rep != ttl.ObjectList {
+		// Only object lists put per-record entries into caches (reads of
+		// members get hits "by side effect"); an id list is covered by the
+		// query key alone.
+		reported = reported[:1]
+	}
+	s.coh.ReportReads(dur, reported...)
 	res.Representation = rep
 	res.TTL = dur
 	res.Cacheable = true
@@ -600,27 +626,27 @@ func (s *Server) Query(q *query.Query) (QueryResult, error) {
 // serves them no-store — because a response consumed as a stream never
 // lands in a cache whole. Plan and row counters are still recorded.
 func (s *Server) QueryStream(q *query.Query) (*store.Cursor, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	s.mu.Unlock()
 
 	start := s.opts.Clock()
-	var cur *store.Cursor
-	var err error
-	if s.cluster != nil {
-		cur, err = s.cluster.QueryStream(q)
-	} else {
-		cur, err = s.db.QueryStream(q)
-	}
+	cur, err := s.queryCursor(q)
 	if err != nil {
 		return nil, err
 	}
 	s.recordPlan(cur.Plan(), s.opts.Clock().Sub(start))
 	s.queries.Add(1)
 	return cur, nil
+}
+
+// queryCursor executes q on the backing data plane: the single store, or
+// scatter-gather across the cluster.
+func (s *Server) queryCursor(q *query.Query) (*store.Cursor, error) {
+	if s.cluster != nil {
+		return s.cluster.QueryStream(q)
+	}
+	return s.db.QueryStream(q)
 }
 
 // chooseRepresentation applies the configured policy.
@@ -645,39 +671,45 @@ func (s *Server) chooseRepresentation(recordKeys []string) ttl.Representation {
 	})
 }
 
-// queryPlanned evaluates q on the backing data plane: the single store,
-// or scatter-gather across the cluster.
-func (s *Server) queryPlanned(q *query.Query) ([]*document.Document, query.Plan, error) {
-	if s.cluster != nil {
-		return s.cluster.QueryPlanned(q)
+// queryShared evaluates q and returns the result window as shared store
+// documents (no clones) plus the executed plan.
+func (s *Server) queryShared(q *query.Query) ([]*document.Document, query.Plan, error) {
+	cur, err := s.queryCursor(q)
+	if err != nil {
+		return nil, query.Plan{}, err
 	}
-	return s.db.QueryPlanned(q)
+	var docs []*document.Document
+	if n := cur.Remaining(); n > 0 {
+		docs = make([]*document.Document, 0, n)
+		for d, ok := cur.NextShared(); ok; d, ok = cur.NextShared() {
+			docs = append(docs, d)
+		}
+	}
+	return docs, cur.Plan(), nil
 }
 
-// activateIfNeeded registers the query in InvaliDB exactly once. asOfs is
-// the per-shard sequence vector in sharded mode (nil unsharded).
-func (s *Server) activateIfNeeded(q *query.Query, asOf uint64, asOfs []uint64, rep ttl.Representation) error {
-	key := q.Key()
-	s.mu.Lock()
-	if s.registered[key] {
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
+// activated reports whether q is already registered in InvaliDB.
+func (s *Server) activated(queryKey string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.registered[queryKey]
+}
 
-	// InvaliDB needs the full predicate-level match set (for stateful
-	// queries the unwindowed set); evaluate without window clauses.
+// unwindowedMatches evaluates q's predicate without window clauses and
+// returns deep copies: the match set a registration may retain.
+func (s *Server) unwindowedMatches(q *query.Query) ([]*document.Document, error) {
 	unwindowed := query.New(q.Table, q.Predicate)
-	var matches []*document.Document
-	var err error
 	if s.cluster != nil {
-		matches, err = s.cluster.Query(unwindowed)
-	} else {
-		matches, err = s.db.Query(unwindowed)
+		return s.cluster.Query(unwindowed)
 	}
-	if err != nil {
-		return err
-	}
+	return s.db.Query(unwindowed)
+}
+
+// activate registers the not yet activated query in InvaliDB. matches is
+// the full predicate-level match set (for stateful queries the unwindowed
+// set, see unwindowedMatches); asOfs is the per-shard sequence vector in
+// sharded mode (nil unsharded).
+func (s *Server) activate(q *query.Query, matches []*document.Document, asOf uint64, asOfs []uint64, rep ttl.Representation) error {
 	mask := invalidb.MaskObjectList
 	if rep == ttl.IDList {
 		mask = invalidb.MaskIDList
@@ -696,7 +728,7 @@ func (s *Server) activateIfNeeded(q *query.Query, asOf uint64, asOfs []uint64, r
 	} else {
 		replay = s.db.Replay(q.Table, asOf)
 	}
-	err = s.inv.Activate(invalidb.Registration{
+	err := s.inv.Activate(invalidb.Registration{
 		Query:          q,
 		Mask:           mask,
 		InitialMatches: matches,
@@ -708,7 +740,7 @@ func (s *Server) activateIfNeeded(q *query.Query, asOf uint64, asOfs []uint64, r
 		return err
 	}
 	s.mu.Lock()
-	s.registered[key] = true
+	s.registered[q.Key()] = true
 	s.mu.Unlock()
 	s.queryActivations.Add(1)
 	return nil
@@ -717,9 +749,15 @@ func (s *Server) activateIfNeeded(q *query.Query, asOf uint64, asOfs []uint64, r
 // RegisterQueryPath remembers the REST path serving a query so purges can
 // reach the right CDN entry. The HTTP layer calls this on each query.
 func (s *Server) RegisterQueryPath(queryKey, path string) {
+	s.mu.RLock()
+	cur, ok := s.queryPaths[queryKey]
+	s.mu.RUnlock()
+	if ok && cur == path {
+		return // the common case: a repeated query; no write lock
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.queryPaths[queryKey] = path
+	s.mu.Unlock()
 }
 
 // Insert writes a new document (after schema validation) and runs
@@ -875,21 +913,24 @@ func (s *Server) schedulePurge(path string) {
 }
 
 // resultETag derives a deterministic version tag for a query result from
-// the member versions.
+// the member versions: FNV-1a over the query key, then each member's id
+// and "#<version>".
 func resultETag(q *query.Query, docs []*document.Document) string {
-	h := uint64(1469598103934665603) // FNV offset basis
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	mix(q.Key())
+	h := fnvMix(1469598103934665603, q.Key()) // FNV offset basis
+	var num [21]byte                          // '#' + the longest int64
 	for _, d := range docs {
-		mix(d.ID)
-		mix(fmt.Sprintf("#%d", d.Version))
+		h = fnvMix(h, d.ID)
+		h = fnvMix(h, strconv.AppendInt(append(num[:0], '#'), d.Version, 10))
 	}
-	return fmt.Sprintf("\"q%x\"", h)
+	return `"q` + strconv.FormatUint(h, 16) + `"`
+}
+
+func fnvMix[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // CacheControl renders the response caching headers for the server's mode:

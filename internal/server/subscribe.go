@@ -35,11 +35,17 @@ func (s *Subscription) Close() { s.cancel() }
 // active yet) and returns a live notification feed. Slow subscribers drop
 // events rather than stalling the pipeline.
 func (s *Server) Subscribe(q *query.Query) (*Subscription, error) {
-	asOf, asOfs := s.seqPosition()
-	if err := s.activateIfNeeded(q, asOf, asOfs, ttl.ObjectList); err != nil {
-		return nil, err
-	}
 	key := q.Key()
+	if !s.activated(key) {
+		asOf, asOfs := s.seqPosition()
+		matches, err := s.unwindowedMatches(q)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.activate(q, matches, asOf, asOfs, ttl.ObjectList); err != nil {
+			return nil, err
+		}
+	}
 	ch := make(chan invalidb.Notification, 256)
 	s.mu.Lock()
 	if s.subscribers == nil {

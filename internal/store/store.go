@@ -368,18 +368,32 @@ func (s *Store) Insert(tableName string, doc *document.Document) error {
 
 // Get returns a deep copy of the document, or ErrNotFound.
 func (s *Store) Get(tableName, id string) (*document.Document, error) {
+	doc, err := s.GetShared(tableName, id)
+	if err != nil {
+		return nil, err
+	}
+	return doc.Clone(), nil
+}
+
+// GetShared returns the stored document itself, without cloning, for
+// read-only consumers (the response encoder). It is shared store state
+// under the copy-on-write contract Cursor.NextShared documents: writers
+// replace stored documents, never mutate them, so the pointer stays
+// internally immutable after the shard lock is released — and the caller
+// must treat it as immutable too.
+func (s *Store) GetShared(tableName, id string) (*document.Document, error) {
 	t, err := s.table(tableName)
 	if err != nil {
 		return nil, err
 	}
 	sh := t.shardFor(id)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	doc, ok := sh.docs[id]
+	sh.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
 	}
-	return doc.Clone(), nil
+	return doc, nil
 }
 
 // Put replaces a document's fields wholesale, creating it if absent

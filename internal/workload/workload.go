@@ -214,6 +214,9 @@ func GenerateDataset(cfg *DatasetConfig) *Dataset {
 		for qi := 0; qi < c.QueriesPerTable; qi++ {
 			tag := fmt.Sprintf("tag%05d", qi%tagDomain)
 			q := query.New(table, query.Contains("tags", tag))
+			// Key memoizes on first use without synchronization; do it here,
+			// because generators on several goroutines share these queries.
+			q.Key()
 			queries = append(queries, q)
 		}
 		ds.ByTable[table] = queries
