@@ -19,9 +19,9 @@
 //	file-get <name>                      print file content
 //	ebf                                  show the current filter's metadata
 //	stats                                server statistics
-//	snapshot                             snapshot the durable store (truncates WAL)
+//	snapshot                             snapshot every durable shard store (truncates WAL)
 //	wal-info                             durability state: segments, batches, recovery
-//	repl-status                          replication role, lag and staleness bound
+//	repl-status                          primary role, or a replica's per-shard lag and staleness bound
 //	promote                              promote a replica to a writable primary
 //	cluster-map                          versioned shard map (consistent-hash topology)
 //
@@ -97,7 +97,7 @@ func main() {
 	case "wal-info":
 		err = c.walInfo()
 	case "repl-status":
-		err = c.replStatus()
+		err = c.simple(http.MethodGet, "/v1/replication/status", nil)
 	case "promote":
 		err = c.simple(http.MethodPost, "/v1/replication/promote", nil)
 	case "cluster-map":
@@ -278,61 +278,6 @@ func (c *cli) ebf() error {
 	fmt.Printf("stale entries: %d\n", body.Entries)
 	fmt.Printf("set bits: %d (%.2f%% load)\n", f.PopCount(), 100*float64(f.PopCount())/float64(f.M()))
 	fmt.Printf("estimated false positive rate: %.4f\n", f.EstimatedFalsePositiveRate())
-	return nil
-}
-
-// replStatus prints the node's replication role: a primary reports its
-// sequence, a replica its lag and staleness bound.
-func (c *cli) replStatus() error {
-	resp, err := c.request(http.MethodGet, "/v1/replication/status", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode >= 400 {
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(data)))
-	}
-	// A sharded replica answers with one status object per shard.
-	if len(data) > 0 && data[0] == '[' {
-		var pretty bytes.Buffer
-		if err := json.Indent(&pretty, data, "", "  "); err != nil {
-			return err
-		}
-		fmt.Println(pretty.String())
-		return nil
-	}
-	var st struct {
-		Role           string  `json:"role"`
-		State          string  `json:"state"`
-		Primary        string  `json:"primary"`
-		LastSeq        uint64  `json:"lastSeq"`
-		PrimaryLastSeq uint64  `json:"primaryLastSeq"`
-		LagSeq         uint64  `json:"lagSeq"`
-		StalenessMs    float64 `json:"stalenessMs"`
-		Bootstraps     uint64  `json:"bootstraps"`
-		Reconnects     uint64  `json:"reconnects"`
-		RecordsApplied uint64  `json:"recordsApplied"`
-	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	if st.Role == "primary" {
-		fmt.Printf("role: primary (last seq %d)\n", st.LastSeq)
-		return nil
-	}
-	fmt.Printf("role: replica of %s\n", st.Primary)
-	fmt.Printf("state: %s\n", st.State)
-	fmt.Printf("applied seq: %d (primary at %d, lag %d)\n", st.LastSeq, st.PrimaryLastSeq, st.LagSeq)
-	if st.StalenessMs >= 0 {
-		fmt.Printf("staleness bound: %.0fms\n", st.StalenessMs)
-	} else {
-		fmt.Println("staleness bound: not yet caught up")
-	}
-	fmt.Printf("bootstraps: %d, reconnects: %d, records applied: %d\n", st.Bootstraps, st.Reconnects, st.RecordsApplied)
 	return nil
 }
 

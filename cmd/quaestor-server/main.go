@@ -5,28 +5,28 @@
 // carry standard Cache-Control/ETag headers, and the server purges
 // registered reverse proxies on invalidation.
 //
-// With -shards N > 1 the node runs a single-process multi-primary
-// cluster: N independent shard stores (each with its own WAL, commit
-// pipeline and sequence space) behind a consistent-hash router. Writes
-// hash to exactly one shard's pipeline, point reads route directly, and
-// queries scatter-gather through the ordered merge. GET /v1/cluster/map
-// serves the versioned shard map for shard-aware clients.
+// The node is a single-process multi-primary cluster of -shards N ≥ 1
+// independent shard stores (each with its own WAL, commit pipeline and
+// sequence space) behind a consistent-hash router; the default is the
+// N=1 case of the same topology. Writes hash to exactly one shard's
+// pipeline, point reads route directly, and queries scatter-gather
+// through the ordered merge. GET /v1/cluster/map serves the versioned
+// shard map for shard-aware clients.
 //
 // With -data-dir the store is durable: writes go through a segmented
 // group-commit WAL before they are acknowledged, POST /v1/admin/snapshot
 // takes point-in-time snapshots (-auto-snapshot-mb takes them
 // automatically once the WAL grows past a threshold), and restart
 // recovers snapshot + log tail (see /v1/stats for the recovery and WAL
-// counters). Sharded, each shard keeps its own lineage under
-// data-dir/shard-i.
+// counters). Each shard keeps its own lineage under data-dir/shard-i.
 //
 // With -replica-of the node runs as a read-only log-shipping replica of
 // another server: it bootstraps from the primary's snapshot, follows its
 // ordered commit pipeline, serves reads with staleness headers, rejects
 // writes with 503, and can be promoted to a writable primary via
-// POST /v1/replication/promote (quaestor-cli promote). A sharded replica
-// (-replica-of with -shards N) runs one replication loop per shard
-// against the primary's per-shard streams (?shard=i).
+// POST /v1/replication/promote (quaestor-cli promote). A replica runs
+// one replication loop per shard against the primary's per-shard streams
+// (?shard=i), so -shards must match the primary's.
 //
 // With -advertise-replicas (and optionally -advertise-primary) the node
 // publishes its read topology at GET /v1/cluster/replicas; SDK clients
@@ -78,7 +78,7 @@ func main() {
 	objectParts := flag.Int("object-partitions", 2, "InvaliDB object partitions (rows)")
 	maxQueries := flag.Int("max-queries", 10000, "InvaliDB active query capacity (0 = unlimited)")
 	modeName := flag.String("mode", "quaestor", "cache mode: quaestor, cdn-only, client-only, uncached")
-	shards := flag.Int("shards", 1, "cluster shards: independent stores + commit pipelines, writes consistent-hashed across them (1 = single node)")
+	shards := flag.Int("shards", 1, "cluster shards: independent stores + commit pipelines, writes consistent-hashed across them")
 	tableShards := flag.Int("table-shards", 16, "store lock-striping shards per table within each node")
 	dataDir := flag.String("data-dir", "", "enable durability: WAL + snapshots under this directory (empty = in-memory)")
 	fsyncMode := flag.String("fsync", "always", "WAL fsync policy: always, interval, never")
@@ -147,12 +147,7 @@ func main() {
 			MaxQueries:       *maxQueries,
 		},
 	}
-	var srv *server.Server
-	if router.NumShards() > 1 {
-		srv = server.NewSharded(router, srvOpts)
-	} else {
-		srv = server.New(router.Store(0), srvOpts)
-	}
+	srv := server.NewCluster(router, srvOpts)
 	defer srv.Close()
 
 	if *advertisePrimary != "" || *advertiseReplicas != "" {
@@ -206,41 +201,39 @@ func main() {
 
 	if *replicaOf != "" {
 		// Tables, indexes and documents all arrive through replication;
-		// -tables/-indexes are for primaries and are ignored here. Sharded,
-		// each shard store follows the primary's matching shard stream.
+		// -tables/-indexes are for primaries and are ignored here. Each
+		// shard store follows the primary's matching shard stream.
 		name := *replicaName
 		if name == "" {
 			name = *addr
 		}
-		sharded := router.NumShards() > 1
 		repls := make([]*replication.Replica, router.NumShards())
 		for i, db := range router.Stores() {
-			rname := name
-			if sharded {
-				rname = fmt.Sprintf("%s/shard-%d", name, i)
-			}
 			repls[i] = replication.New(replication.Options{
 				Store:   db,
 				Primary: *replicaOf,
-				Name:    rname,
-				Sharded: sharded,
+				Name:    fmt.Sprintf("%s/shard-%d", name, i),
 				Shard:   i,
 				Logf:    log.Printf,
 			})
 			repls[i].Run()
 			defer repls[i].Stop()
 		}
-		if sharded {
-			srv.AttachReplicas(repls)
-		} else {
-			srv.AttachReplica(repls[0])
-		}
+		srv.AttachReplicas(repls...)
 		fmt.Printf("quaestor-server listening on %s as read-only replica of %s, %d shard(s) (promote via POST /v1/replication/promote)\n",
 			*addr, *replicaOf, router.NumShards())
-		log.Fatal(http.ListenAndServe(*addr, srv.Handler()))
+	} else {
+		createSchema(router, *tables, *indexes)
+		fmt.Printf("quaestor-server listening on %s (mode=%s, shards=%d, invalidb=%dx%d)\n",
+			*addr, mode, router.NumShards(), *objectParts, *queryParts)
 	}
+	log.Fatal(http.ListenAndServe(*addr, srv.Handler()))
+}
 
-	for _, t := range strings.Split(*tables, ",") {
+// createSchema creates a primary's startup tables and table:field.path
+// indexes on every shard.
+func createSchema(router *cluster.Router, tables, indexes string) {
+	for _, t := range strings.Split(tables, ",") {
 		t = strings.TrimSpace(t)
 		if t == "" {
 			continue
@@ -249,7 +242,7 @@ func main() {
 			log.Fatalf("creating table %q: %v", t, err)
 		}
 	}
-	for _, spec := range strings.Split(*indexes, ",") {
+	for _, spec := range strings.Split(indexes, ",") {
 		spec = strings.TrimSpace(spec)
 		if spec == "" {
 			continue
@@ -262,8 +255,4 @@ func main() {
 			log.Fatalf("creating index %q: %v", spec, err)
 		}
 	}
-
-	fmt.Printf("quaestor-server listening on %s (mode=%s, shards=%d, invalidb=%dx%d)\n",
-		*addr, mode, router.NumShards(), *objectParts, *queryParts)
-	log.Fatal(http.ListenAndServe(*addr, srv.Handler()))
 }

@@ -135,7 +135,7 @@ func replicaTier() {
 		defer repl.Stop()
 		rsrv := server.New(rdb, nil)
 		defer rsrv.Close()
-		rsrv.AttachReplica(repl)
+		rsrv.AttachReplicas(repl)
 		url := fmt.Sprintf("http://replica-%d", i)
 		handlers[url] = rsrv.Handler()
 		urls = append(urls, url)

@@ -76,14 +76,8 @@ func hashPair(key string) (uint64, uint64) {
 	return a, b
 }
 
-// Indexes returns the k (not necessarily distinct) bit positions for key in
-// a filter of m bits. Exposed for external filter representations such as
-// the kvstore-backed distributed EBF.
-func Indexes(key string, m, k uint32) []uint32 {
-	return indexes(key, m, k, make([]uint32, 0, k))
-}
-
-// indexes fills idx with the k bit positions for key in a filter of m bits.
+// indexes fills idx with the k (not necessarily distinct) bit positions for
+// key in a filter of m bits.
 func indexes(key string, m, k uint32, idx []uint32) []uint32 {
 	a, b := hashPair(key)
 	idx = idx[:0]

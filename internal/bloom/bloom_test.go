@@ -270,10 +270,10 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestIndexesStableAndBounded(t *testing.T) {
-	idx1 := Indexes("some-key", 1000, 7)
-	idx2 := Indexes("some-key", 1000, 7)
+	idx1 := indexes("some-key", 1000, 7, nil)
+	idx2 := indexes("some-key", 1000, 7, nil)
 	if !reflect.DeepEqual(idx1, idx2) {
-		t.Error("Indexes must be deterministic")
+		t.Error("indexes must be deterministic")
 	}
 	if len(idx1) != 7 {
 		t.Errorf("want 7 indexes, got %d", len(idx1))

@@ -151,7 +151,7 @@ type Stats struct {
 	ReplicaResponses uint64
 	MaxStalenessMs   float64
 	// ShardMapRefreshes counts /v1/cluster/map fetches (first contact with
-	// a sharded deployment, plus one per observed epoch change);
+	// a multi-shard node, plus one per observed epoch change);
 	// ShardRetries counts point ops re-sent because a refreshed map moved
 	// the record to a different node; PrimaryRedirects counts writes
 	// re-sent to the advertised primary after a replica bounced them 503.
@@ -211,7 +211,7 @@ type Client struct {
 	forcedReval map[string]struct{}           // keys whose next read must revalidate
 	lastRead    time.Time                     // newest read timestamp (causal)
 	lastReplica ReplicaMeta                   // newest replica annotation observed
-	smap        *cluster.ShardMap             // cached shard map (nil until a sharded server is seen)
+	smap        *cluster.ShardMap             // cached shard map (nil until a node stamps an epoch or a failover refresh)
 	// knownPrimary is the newest advertised primary base URL (from
 	// X-Quaestor-Primary headers or ReplicaSetResponse.Primary): the
 	// write-redirect target when the routed endpoint is gone.
@@ -359,8 +359,8 @@ func (c *Client) do(method, path string, body []byte, revalidate bool) (*http.Re
 
 // doRouted executes one exchange, routing point ops (docID != "") to the
 // owning shard's node when a multi-node shard map is cached — otherwise
-// any node works: in single-process sharded mode the server routes
-// internally. Two recovery paths ride on top of the plain exchange:
+// any node works: a single-process cluster routes internally. Three
+// recovery paths ride on top of the plain exchange:
 //
 //   - A response stamped with an unseen X-Quaestor-Shard-Epoch means the
 //     cached shard map is stale. The map is refetched, and if the new map
@@ -476,7 +476,7 @@ func (c *Client) nodeFor(docID string) string {
 // map. It reports true only when a previously cached map turned out
 // stale and the refetch succeeded — the signal that routing may have
 // been wrong and the op should be retried against the new owner. First
-// contact with a sharded deployment fetches the map but needs no retry:
+// contact with a multi-shard node fetches the map but needs no retry:
 // the server answered by proxying internally. The refetch prefers the
 // node that served the response: it provably holds the new epoch, while
 // the default endpoint may be mid-failover (or the node that just died).
@@ -506,7 +506,7 @@ func (c *Client) observeShardEpoch(h http.Header, base string) bool {
 }
 
 // RefreshShardMap fetches /v1/cluster/map and caches it. Called
-// automatically on first contact with a sharded server and on epoch
+// automatically on first contact with a multi-shard node and on epoch
 // changes; exported so deployments with per-shard endpoints can prime
 // client-side routing before the first point op. When the default
 // endpoint is unreachable (it may be the failed primary), every other
@@ -626,8 +626,9 @@ func (c *Client) failoverBase(dead, docID string) (string, bool) {
 	return live, true
 }
 
-// ShardMap returns the cached cluster topology (nil until a sharded
-// server has been contacted or RefreshShardMap called).
+// ShardMap returns the cached cluster topology (nil until a multi-shard
+// node has been contacted, a failover refreshed it, or RefreshShardMap
+// was called).
 func (c *Client) ShardMap() *cluster.ShardMap {
 	c.mu.Lock()
 	defer c.mu.Unlock()

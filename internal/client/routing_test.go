@@ -80,7 +80,7 @@ func newReadCluster(tb testing.TB, nReplicas int) *readCluster {
 		})
 		n.repl.Run()
 		n.srv = server.New(n.db, nil)
-		n.srv.AttachReplica(n.repl)
+		n.srv.AttachReplicas(n.repl)
 		tb.Cleanup(func() {
 			n.repl.Stop()
 			n.srv.Close()

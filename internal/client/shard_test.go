@@ -49,7 +49,7 @@ func (a *epochOverride) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func TestClientShardMapFirstContactAndEpochRefresh(t *testing.T) {
 	router := cluster.MustOpen(cluster.Options{Shards: 2})
-	srv := server.NewSharded(router, nil)
+	srv := server.NewCluster(router, nil)
 	t.Cleanup(func() {
 		srv.Close()
 		router.Close()

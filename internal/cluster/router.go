@@ -23,12 +23,14 @@ type Options struct {
 // Router owns the shard nodes of a single-process multi-shard cluster and
 // routes every operation: point ops to the owning shard's commit
 // pipeline, DDL to all shards, queries scatter-gather through the ordered
-// merge. The interface deliberately mirrors store.Store so the server can
-// front either; a multi-process router would keep the same surface and
-// swap the in-process store calls for shard-node RPCs.
+// merge. The interface deliberately mirrors store.Store; a multi-process
+// router would keep the same surface and swap the in-process store calls
+// for shard-node RPCs.
 type Router struct {
 	smap   *ShardMap
 	stores []*store.Store
+	// borrowed marks stores the caller opened (Wrap): Close leaves them.
+	borrowed bool
 }
 
 // Open opens (or recovers) every shard store. On error, already-opened
@@ -54,6 +56,12 @@ func Open(opts Options) (*Router, error) {
 	return r, nil
 }
 
+// Wrap fronts a store the caller opened and keeps owning as a 1-shard
+// router; Close does not close it.
+func Wrap(st *store.Store) *Router {
+	return &Router{smap: NewShardMap(1), stores: []*store.Store{st}, borrowed: true}
+}
+
 // MustOpen is Open for tests and in-memory setups; panics on error.
 func MustOpen(opts Options) *Router {
 	r, err := Open(opts)
@@ -63,8 +71,11 @@ func MustOpen(opts Options) *Router {
 	return r
 }
 
-// Close closes every shard store.
+// Close closes every shard store the router opened.
 func (r *Router) Close() {
+	if r.borrowed {
+		return
+	}
 	for _, st := range r.stores {
 		if st != nil {
 			st.Close()
@@ -88,8 +99,8 @@ func (r *Router) Store(i int) *store.Store { return r.stores[i] }
 // Stores returns all shard stores in shard order.
 func (r *Router) Stores() []*store.Store { return r.stores }
 
-// storeFor routes a document id to its owning shard's store.
-func (r *Router) storeFor(id string) *store.Store {
+// StoreFor routes a document id to its owning shard's store.
+func (r *Router) StoreFor(id string) *store.Store {
 	return r.stores[r.smap.Shard(id)]
 }
 
@@ -124,27 +135,27 @@ func (r *Router) Indexes(table string) ([]string, error) { return r.stores[0].In
 
 // Insert routes the document to its owning shard's commit pipeline.
 func (r *Router) Insert(table string, doc *document.Document) error {
-	return r.storeFor(doc.ID).Insert(table, doc)
+	return r.StoreFor(doc.ID).Insert(table, doc)
 }
 
 // Put routes the document to its owning shard.
 func (r *Router) Put(table string, doc *document.Document) error {
-	return r.storeFor(doc.ID).Put(table, doc)
+	return r.StoreFor(doc.ID).Put(table, doc)
 }
 
 // Update routes the partial update to the owning shard.
 func (r *Router) Update(table, id string, spec store.UpdateSpec) (*document.Document, error) {
-	return r.storeFor(id).Update(table, id, spec)
+	return r.StoreFor(id).Update(table, id, spec)
 }
 
 // Delete routes the delete to the owning shard.
 func (r *Router) Delete(table, id string) error {
-	return r.storeFor(id).Delete(table, id)
+	return r.StoreFor(id).Delete(table, id)
 }
 
 // Get reads the document directly from its owning shard.
 func (r *Router) Get(table, id string) (*document.Document, error) {
-	return r.storeFor(id).Get(table, id)
+	return r.StoreFor(id).Get(table, id)
 }
 
 // Count sums the table's document count across shards.

@@ -161,24 +161,6 @@ func (m *ShardMap) SetTopology(epoch uint64, nodes []string) bool {
 	return true
 }
 
-// RewriteNode points one shard at a new endpoint and bumps the epoch,
-// returning the new epoch. Used for single-shard cutovers; whole-topology
-// rewrites go through SetTopology.
-func (m *ShardMap) RewriteNode(shard int, url string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if shard >= 0 {
-		for len(m.Nodes) <= shard && len(m.Nodes) < m.Shards {
-			m.Nodes = append(m.Nodes, "")
-		}
-		if shard < len(m.Nodes) {
-			m.Nodes[shard] = url
-		}
-	}
-	m.Epoch++
-	return m.Epoch
-}
-
 // ParseShardMap decodes a wire-form map (e.g. the /v1/cluster/map
 // response) and validates it.
 func ParseShardMap(data []byte) (*ShardMap, error) {

@@ -92,9 +92,9 @@ type Options struct {
 
 // ShardOutcome reports one shard's election + promotion result.
 type ShardOutcome struct {
-	Shard    int     `json:"shard"`
-	Winner   string  `json:"winner"`
-	LastSeq  uint64  `json:"lastSeq"`
+	Shard     int     `json:"shard"`
+	Winner    string  `json:"winner"`
+	LastSeq   uint64  `json:"lastSeq"`
 	Staleness float64 `json:"stalenessMs"`
 	// Changed is false when the winner was already promoted — the
 	// idempotent re-run path after a crash mid-promote.
@@ -105,10 +105,9 @@ type ShardOutcome struct {
 
 // Report describes one completed failover.
 type Report struct {
-	OldPrimary string         `json:"oldPrimary"`
-	NewPrimary string         `json:"newPrimary"`
-	// Epoch is the rewritten shard map's epoch (0 when the deployment
-	// is unsharded and no map rewrite was needed).
+	OldPrimary string `json:"oldPrimary"`
+	NewPrimary string `json:"newPrimary"`
+	// Epoch is the rewritten shard map's epoch.
 	Epoch     uint64         `json:"epoch"`
 	Shards    []ShardOutcome `json:"shards"`
 	ElapsedMs float64        `json:"elapsedMs"`
@@ -125,12 +124,12 @@ type Status struct {
 	State   State  `json:"state"`
 	Primary string `json:"primary"`
 	// Candidates is the current replica candidate set.
-	Candidates []string `json:"candidates"`
-	Probes     uint64   `json:"probes"`
-	ProbeFailures uint64 `json:"probeFailures"`
+	Candidates    []string `json:"candidates"`
+	Probes        uint64   `json:"probes"`
+	ProbeFailures uint64   `json:"probeFailures"`
 	// ConsecutiveFailures is the current unbroken failed-probe run.
-	ConsecutiveFailures int    `json:"consecutiveFailures"`
-	Failovers           uint64 `json:"failovers"`
+	ConsecutiveFailures int     `json:"consecutiveFailures"`
+	Failovers           uint64  `json:"failovers"`
 	LastFailover        *Report `json:"lastFailover,omitempty"`
 }
 
@@ -140,12 +139,12 @@ type Coordinator struct {
 	hc   *http.Client
 	logf func(string, ...any)
 
-	mu     sync.Mutex
-	st     Status
-	rng    *rand.Rand
-	stop   chan struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup // background fencing retries
+	mu      sync.Mutex
+	st      Status
+	rng     *rand.Rand
+	stop    chan struct{}
+	done    chan struct{}
+	wg      sync.WaitGroup // background fencing retries
 	started bool
 	stopped bool
 }
@@ -333,16 +332,17 @@ func (c *Coordinator) jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// roleProbe is the part of /v1/replication/status the health probe needs:
-// a healthy supervised node answers role "primary" (or, just after a
-// failover, a promoted replica's state). A fenced node answering
-// "demoted" is not a healthy primary.
+// roleProbe is the part of a primary's /v1/replication/status the health
+// probe needs: a healthy supervised node answers role "primary". A fenced
+// node answering "demoted" is not a healthy primary.
 type roleProbe struct {
-	Role  string            `json:"role"`
-	State replication.State `json:"state"`
+	Role string `json:"role"`
 }
 
 // probePrimary performs one health probe against the supervised primary.
+// A node that never followed anyone answers the role object; a promoted
+// replica (the supervision target after a failover) keeps answering its
+// per-shard status vector.
 func (c *Coordinator) probePrimary(primary string) bool {
 	c.mu.Lock()
 	c.st.Probes++
@@ -350,35 +350,24 @@ func (c *Coordinator) probePrimary(primary string) bool {
 	body, err := c.get(primary + "/v1/replication/status")
 	ok := false
 	if err == nil {
-		trimmed := bytes.TrimSpace(body)
-		if len(trimmed) > 0 && trimmed[0] == '[' {
-			// A sharded replica's status vector: healthy as a supervision
-			// target when every shard this node owns (won in the last
-			// failover — or all of them, absent a report) is promoted.
-			// Shards it lost to a sibling stay followers and don't count
-			// against it.
-			var sts []replication.Status
-			if json.Unmarshal(trimmed, &sts) == nil && len(sts) > 0 {
-				owned := c.ownedShards(primary)
-				ok = true
-				for i, st := range sts {
-					idx := st.Shard
-					if idx < 0 {
-						idx = i
-					}
-					if owned != nil && !owned[idx] {
-						continue
-					}
-					if st.State != replication.StatePromoted {
-						ok = false
-						break
-					}
+		var rp roleProbe
+		if json.Unmarshal(body, &rp) == nil {
+			ok = rp.Role == "primary"
+		} else if sts, err := decodeStatuses(body); err == nil {
+			// A replica is healthy as a supervision target when every
+			// shard it owns (won in the last failover — or all of them,
+			// absent a report) is promoted. Shards it lost to a sibling
+			// stay followers and don't count against it.
+			owned := c.ownedShards(primary)
+			ok = true
+			for _, st := range sts {
+				if owned != nil && !owned[st.Shard] {
+					continue
 				}
-			}
-		} else {
-			var rp roleProbe
-			if json.Unmarshal(trimmed, &rp) == nil {
-				ok = rp.Role == "primary" || rp.State == replication.StatePromoted
+				if st.State != replication.StatePromoted {
+					ok = false
+					break
+				}
 			}
 		}
 	}
@@ -466,33 +455,31 @@ func (c *Coordinator) collectIntel() []candidate {
 	return cands
 }
 
-// fetchStatuses decodes a candidate's /v1/replication/status: a sharded
-// replica answers a vector (one Status per shard), an unsharded one a
-// single Status.
+// fetchStatuses fetches a candidate's /v1/replication/status vector.
 func (c *Coordinator) fetchStatuses(endpoint string) ([]replication.Status, error) {
 	body, err := c.get(endpoint + "/v1/replication/status")
 	if err != nil {
 		return nil, err
 	}
-	trimmed := bytes.TrimSpace(body)
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var sts []replication.Status
-		if err := json.Unmarshal(trimmed, &sts); err != nil {
-			return nil, err
+	return decodeStatuses(body)
+}
+
+// decodeStatuses decodes a replica's status body: one Status per shard,
+// in shard order. A primary's role object is rejected.
+func decodeStatuses(body []byte) ([]replication.Status, error) {
+	var sts []replication.Status
+	if err := json.Unmarshal(body, &sts); err != nil {
+		return nil, fmt.Errorf("not a replica status vector: %w", err)
+	}
+	if len(sts) == 0 {
+		return nil, fmt.Errorf("empty status vector")
+	}
+	for i, st := range sts {
+		if st.Shard != i {
+			return nil, fmt.Errorf("status %d reports shard %d", i, st.Shard)
 		}
-		if len(sts) == 0 {
-			return nil, fmt.Errorf("empty status vector")
-		}
-		return sts, nil
 	}
-	var st replication.Status
-	if err := json.Unmarshal(trimmed, &st); err != nil {
-		return nil, err
-	}
-	if st.State == "" {
-		return nil, fmt.Errorf("not a replica (role endpoint)")
-	}
-	return []replication.Status{st}, nil
+	return sts, nil
 }
 
 // eligible reports whether one shard-status can stand for election.
@@ -576,8 +563,7 @@ func (c *Coordinator) failover(oldPrimary string) bool {
 		return false
 	}
 
-	// Index intel per shard. A sharded replica reports Shard == i for
-	// each loop; unsharded reports a single status with Shard == -1.
+	// Index intel per shard: statuses[i] is the candidate's shard-i loop.
 	shards := 1
 	for _, cand := range cands {
 		if len(cand.statuses) > shards {
@@ -587,13 +573,7 @@ func (c *Coordinator) failover(oldPrimary string) bool {
 	perShard := make([][]entry, shards)
 	for order, cand := range cands {
 		for i, st := range cand.statuses {
-			idx := st.Shard
-			if idx < 0 {
-				idx = i
-			}
-			if idx >= 0 && idx < shards {
-				perShard[idx] = append(perShard[idx], entry{endpoint: cand.endpoint, st: st, order: order})
-			}
+			perShard[i] = append(perShard[i], entry{endpoint: cand.endpoint, st: st, order: order})
 		}
 	}
 
@@ -615,9 +595,8 @@ func (c *Coordinator) failover(oldPrimary string) bool {
 
 	// Promote each shard on its winner. Idempotent: a re-run after a
 	// crash mid-promote reports changed=false for shards already flipped.
-	sharded := shards > 1 || (len(cands) > 0 && len(cands[0].statuses) > 0 && cands[0].statuses[0].Shard >= 0)
 	for i := range outcomes {
-		changed, err := c.promote(outcomes[i].Winner, i, sharded)
+		changed, err := c.promote(outcomes[i].Winner, i)
 		if err != nil {
 			c.logf("coordinator: promoting shard %d on %s: %v; retrying", i, outcomes[i].Winner, err)
 			return false
@@ -635,29 +614,27 @@ func (c *Coordinator) failover(oldPrimary string) bool {
 		c.logf("coordinator: fetching shard map from %s: %v; retrying", newPrimary, err)
 		return false
 	}
-	if curMap.Shards > 1 {
-		nodes := make([]string, shards)
-		for i, o := range outcomes {
-			nodes[i] = o.Winner
+	nodes := make([]string, shards)
+	for i, o := range outcomes {
+		nodes[i] = o.Winner
+	}
+	if sameNodes(curMap.Nodes, nodes) {
+		// A retried attempt: the rewrite already landed — re-pushing
+		// under a fresh epoch would churn clients for nothing.
+		newEpoch = curMap.Epoch
+	} else {
+		newEpoch = curMap.Epoch + 1
+		rewritten := &cluster.ShardMap{Epoch: newEpoch, Shards: curMap.Shards, VNodes: curMap.VNodes, Nodes: nodes}
+		acked := 0
+		for _, cand := range cands {
+			if err := c.pushMap(cand.endpoint, rewritten); err != nil {
+				c.logf("coordinator: pushing map epoch %d to %s: %v", newEpoch, cand.endpoint, err)
+				continue
+			}
+			acked++
 		}
-		if sameNodes(curMap.Nodes, nodes) {
-			// A retried attempt: the rewrite already landed — re-pushing
-			// under a fresh epoch would churn clients for nothing.
-			newEpoch = curMap.Epoch
-		} else {
-			newEpoch = curMap.Epoch + 1
-			rewritten := &cluster.ShardMap{Epoch: newEpoch, Shards: curMap.Shards, VNodes: curMap.VNodes, Nodes: nodes}
-			acked := 0
-			for _, cand := range cands {
-				if err := c.pushMap(cand.endpoint, rewritten); err != nil {
-					c.logf("coordinator: pushing map epoch %d to %s: %v", newEpoch, cand.endpoint, err)
-					continue
-				}
-				acked++
-			}
-			if acked == 0 {
-				return false
-			}
+		if acked == 0 {
+			return false
 		}
 	}
 
@@ -742,12 +719,8 @@ func (c *Coordinator) fenceLoop(oldPrimary, newPrimary string, epoch uint64, rep
 
 // promote POSTs one shard's promote (idempotent server-side) and reports
 // whether this call performed the flip.
-func (c *Coordinator) promote(endpoint string, shard int, sharded bool) (changed bool, err error) {
-	url := endpoint + "/v1/replication/promote"
-	if sharded {
-		url = fmt.Sprintf("%s?shard=%d", url, shard)
-	}
-	body, err := c.post(url, nil)
+func (c *Coordinator) promote(endpoint string, shard int) (changed bool, err error) {
+	body, err := c.post(fmt.Sprintf("%s/v1/replication/promote?shard=%d", endpoint, shard), nil)
 	if err != nil {
 		return false, err
 	}

@@ -1,7 +1,7 @@
 package coordinator_test
 
-// End-to-end failover: a live sharded primary is killed mid-load with
-// the coordinator supervising, and the whole cutover — per-shard
+// End-to-end failover: a live primary (the default 1-shard node and a
+// 2-shard one) is killed mid-load with the coordinator supervising, and the whole cutover — per-shard
 // election, idempotent promotion, shard-map rewrite under a bumped
 // epoch, read-topology push — must complete automatically, with zero
 // acked-write loss proven two-sided against shadow event logs and a
@@ -102,8 +102,8 @@ func (sl *shadowLog) deletedAfter(table, id string, r uint64) bool {
 	return false
 }
 
-// candidateNode is one replica server: a sharded router following every
-// one of the primary's shard streams, fronted by a full server.
+// candidateNode is one replica server: a router following every one of
+// the primary's shard streams, fronted by a full server.
 type candidateNode struct {
 	router *cluster.Router
 	srv    *server.Server
@@ -120,7 +120,6 @@ func startCandidate(t *testing.T, primaryURL string, shards int, name string) *c
 			Store:      router.Store(i),
 			Primary:    primaryURL,
 			Name:       fmt.Sprintf("%s/shard-%d", name, i),
-			Sharded:    true,
 			Shard:      i,
 			MinBackoff: 5 * time.Millisecond,
 			MaxBackoff: 50 * time.Millisecond,
@@ -128,8 +127,8 @@ func startCandidate(t *testing.T, primaryURL string, shards int, name string) *c
 		})
 		repls[i].Run()
 	}
-	srv := server.NewSharded(router, &server.Options{})
-	srv.AttachReplicas(repls)
+	srv := server.NewCluster(router, &server.Options{})
+	srv.AttachReplicas(repls...)
 	ts := httptest.NewServer(srv.Handler())
 	srv.SetSelfURL(ts.URL)
 	t.Cleanup(func() {
@@ -144,22 +143,28 @@ func startCandidate(t *testing.T, primaryURL string, shards int, name string) *c
 	return &candidateNode{router: router, srv: srv, ts: ts, repls: repls}
 }
 
-// TestCoordinatorAutomaticFailover kills a 2-shard primary mid-load
-// while a coordinator supervises two candidate replica nodes. The
-// cutover must happen with no operator involvement, every write the
-// winners had applied must survive byte-equal, nothing unacknowledged
-// may be invented, and a live SDK client pointed at the dead primary
-// must follow the epoch bump and keep writing.
+// TestCoordinatorAutomaticFailover kills a primary mid-load while a
+// coordinator supervises two candidate replica nodes — once for the
+// default 1-shard deployment, once for a 2-shard one. The cutover must
+// happen with no operator involvement, every write the winners had
+// applied must survive byte-equal, nothing unacknowledged may be
+// invented, and a live SDK client pointed at the dead primary must
+// follow the epoch bump and keep writing.
 func TestCoordinatorAutomaticFailover(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testAutomaticFailover(t, shards) })
+	}
+}
+
+func testAutomaticFailover(t *testing.T, shards int) {
 	// Registered first so the leak check runs after every other cleanup:
 	// the coordinator's supervisor/fence goroutines, the shadow drains,
 	// and the replicas' pumps must all be gone once teardown completes.
 	testutil.VerifyNoGoroutineLeaks(t)
-	const shards = 2
 	const writers = 4
 
 	prouter := cluster.MustOpen(cluster.Options{Shards: shards})
-	psrv := server.NewSharded(prouter, &server.Options{})
+	psrv := server.NewCluster(prouter, &server.Options{})
 	pts := httptest.NewServer(psrv.Handler())
 	var killOnce sync.Once
 	killPrimary := func() {
@@ -191,6 +196,8 @@ func TestCoordinatorAutomaticFailover(t *testing.T) {
 
 	// A live SDK client dialed at the primary, replica set discovered
 	// pre-failover; one write primes its shard map at the initial epoch.
+	// (A 1-shard node stamps no epoch on its data plane, so there the
+	// client first holds a map when it fails over.)
 	cl, err := client.Dial(&client.Options{BaseURL: pts.URL, DiscoverReplicas: true})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +205,7 @@ func TestCoordinatorAutomaticFailover(t *testing.T) {
 	if err := cl.Insert("docs", document.New("client-pre", map[string]any{"v": int64(1)})); err != nil {
 		t.Fatal(err)
 	}
-	if m := cl.ShardMap(); m == nil || m.Epoch != 1 {
+	if m := cl.ShardMap(); shards > 1 && (m == nil || m.Epoch != 1) {
 		t.Fatalf("client shard map before failover: %+v", m)
 	}
 
@@ -429,7 +436,7 @@ func TestCoordinatorAutomaticFailover(t *testing.T) {
 func TestShardedPromotePerShardOutcomes(t *testing.T) {
 	const shards = 2
 	prouter := cluster.MustOpen(cluster.Options{Shards: shards})
-	psrv := server.NewSharded(prouter, &server.Options{})
+	psrv := server.NewCluster(prouter, &server.Options{})
 	pts := httptest.NewServer(psrv.Handler())
 	t.Cleanup(func() {
 		pts.CloseClientConnections()

@@ -160,7 +160,7 @@ func rrOpen(nReplicas, docs int) (*rrTopology, error) {
 		})
 		repl.Run()
 		rsrv := server.New(rdb, nil)
-		rsrv.AttachReplica(repl)
+		rsrv.AttachReplicas(repl)
 		t.closers = append(t.closers, rdb.Close, repl.Stop, rsrv.Close)
 		t.handlers[url] = newCapacityHandler(rsrv.Handler())
 		t.replicas = append(t.replicas, repl)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"quaestor/internal/document"
-	"quaestor/internal/kvstore"
 	"quaestor/internal/query"
 	"quaestor/internal/store"
 )
@@ -235,40 +234,5 @@ func TestStatefulWindowMatchesDirectEvaluation(t *testing.T) {
 		if got, ok := shadow[d.ID]; !ok || got != i {
 			t.Errorf("member %s: shadow index %d (present=%v), want %d", d.ID, got, ok, i)
 		}
-	}
-}
-
-func TestBridgeRoundTrip(t *testing.T) {
-	// No collector here: the bridge must be the sole notification consumer.
-	db := store.MustOpen(nil)
-	defer db.Close()
-	if err := db.CreateTable("posts"); err != nil {
-		t.Fatal(err)
-	}
-	cluster := NewCluster(nil)
-	defer cluster.Stop()
-	detach := cluster.AttachStore(db)
-	defer detach()
-
-	kv := kvstore.New()
-	defer kv.Close()
-	bridge := NewBridge(cluster, kv, "invalidations")
-	defer bridge.Close()
-
-	if err := cluster.Activate(Registration{Query: tagQuery("x"), Mask: MaskObjectList}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Insert("posts", post("p1", "x")); err != nil {
-		t.Fatal(err)
-	}
-	n, ok, err := Receive(kv, "invalidations", 5*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("Receive: %v %v", ok, err)
-	}
-	if n.Type != EventAdd || n.Doc.ID != "p1" || n.QueryKey != tagQuery("x").Key() {
-		t.Errorf("bridged notification = %+v", n)
-	}
-	if n.Doc.Fields == nil {
-		t.Error("bridged doc lost fields")
 	}
 }

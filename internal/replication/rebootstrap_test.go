@@ -86,7 +86,7 @@ func TestRebootstrapSyntheticEventsInvalidateStaleCaches(t *testing.T) {
 	rdir := t.TempDir()
 	repl := startReplica(t, p.ts.URL, rdir)
 	rsrv := server.New(repl.Store(), &server.Options{})
-	rsrv.AttachReplica(repl)
+	rsrv.AttachReplicas(repl)
 	rts := httptest.NewServer(rsrv.Handler())
 	t.Cleanup(func() {
 		rts.CloseClientConnections()
@@ -232,7 +232,12 @@ func TestRebootstrapSyntheticEventsInvalidateStaleCaches(t *testing.T) {
 	}
 	readerMu.Unlock()
 
+	// Converged does not yet mean counted: ImportSnapshot publishes the
+	// store's LastSeq before the replica's bootstrap accounting lands.
 	st := repl2.Status()
+	for deadline := time.Now().Add(15 * time.Second); st.Bootstraps == 0 && time.Now().Before(deadline); st = repl2.Status() {
+		time.Sleep(2 * time.Millisecond)
+	}
 	if st.Bootstraps == 0 {
 		t.Fatalf("status = %+v: rejoin should have required a snapshot bootstrap", st)
 	}

@@ -138,12 +138,10 @@ type Options struct {
 	Client *http.Client
 	// Token is a bearer token for primaries with authorization enabled.
 	Token string
-	// Sharded selects one shard of a sharded primary: every replication
+	// Shard is the primary shard this replica follows: every replication
 	// request carries shard=Shard, and the replica follows exactly that
-	// shard's WAL, snapshot lineage, and commit pipeline. A sharded
-	// primary runs one Replica loop per shard.
-	Sharded bool
-	// Shard is the shard index this replica follows (used when Sharded).
+	// shard's WAL, snapshot lineage, and commit pipeline. A node runs one
+	// Replica loop per shard of its primary (shard 0 of a 1-shard one).
 	Shard int
 	// MinBackoff/MaxBackoff bound the reconnect backoff (defaults
 	// 100ms/5s).
@@ -457,13 +455,11 @@ func (r *Replica) observe(primarySeq uint64) {
 }
 
 func (r *Replica) get(ctx context.Context, path string) (*http.Response, error) {
-	if r.opts.Sharded {
-		sep := "?"
-		if strings.Contains(path, "?") {
-			sep = "&"
-		}
-		path += sep + "shard=" + strconv.Itoa(r.opts.Shard)
+	sep := "?"
+	if strings.Contains(path, "?") {
+		sep = "&"
 	}
+	path += sep + "shard=" + strconv.Itoa(r.opts.Shard)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.opts.Primary+path, nil)
 	if err != nil {
 		return nil, err
@@ -549,12 +545,12 @@ func (r *Replica) Promote() bool {
 	return true
 }
 
-// Status is a point-in-time view of the replica, served by the replica's
-// /v1/replication/status endpoint and CLI repl-status.
+// Status is a point-in-time view of one shard's replica loop; a replica
+// node's /v1/replication/status (CLI repl-status) serves one per shard.
 type Status struct {
 	State   State  `json:"state"`
 	Primary string `json:"primary"`
-	// Shard is the primary shard this replica follows (-1 unsharded).
+	// Shard is the primary shard this replica follows.
 	Shard int `json:"shard"`
 	// LastSeq is the newest sequence applied locally; PrimaryLastSeq the
 	// newest the primary has reported; LagSeq their difference.
@@ -590,14 +586,10 @@ func (r *Replica) Status() Status {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	shard := -1
-	if r.opts.Sharded {
-		shard = r.opts.Shard
-	}
 	st := Status{
 		State:            r.state,
 		Primary:          r.opts.Primary,
-		Shard:            shard,
+		Shard:            r.opts.Shard,
 		LastSeq:          r.db.LastSeq(),
 		PrimaryLastSeq:   r.primarySeq,
 		StalenessMs:      -1,

@@ -583,7 +583,7 @@ func TestReplicaHTTPSurface(t *testing.T) {
 
 	repl := startReplica(t, p.ts.URL, "")
 	rsrv := server.New(repl.Store(), &server.Options{})
-	rsrv.AttachReplica(repl)
+	rsrv.AttachReplicas(repl)
 	rts := httptest.NewServer(rsrv.Handler())
 	t.Cleanup(func() {
 		rts.Close()
@@ -616,8 +616,12 @@ func TestReplicaHTTPSurface(t *testing.T) {
 	}
 
 	// Replica role status.
-	var st replication.Status
-	getJSON(t, rts.URL+"/v1/replication/status", &st)
+	var sts []replication.Status
+	getJSON(t, rts.URL+"/v1/replication/status", &sts)
+	if len(sts) != 1 {
+		t.Fatalf("replica status = %+v, want one status per shard", sts)
+	}
+	st := sts[0]
 	if st.State == "" || !st.ReadOnly {
 		t.Errorf("replica status = %+v", st)
 	}

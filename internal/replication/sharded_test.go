@@ -24,7 +24,7 @@ import (
 func TestShardedReplicationPerShardStreams(t *testing.T) {
 	const shards = 2
 	prouter := cluster.MustOpen(cluster.Options{Shards: shards})
-	psrv := server.NewSharded(prouter, &server.Options{})
+	psrv := server.NewCluster(prouter, &server.Options{})
 	pts := httptest.NewServer(psrv.Handler())
 	t.Cleanup(func() {
 		pts.CloseClientConnections()
@@ -50,7 +50,6 @@ func TestShardedReplicationPerShardStreams(t *testing.T) {
 			Store:      rrouter.Store(i),
 			Primary:    pts.URL,
 			Name:       fmt.Sprintf("r/shard-%d", i),
-			Sharded:    true,
 			Shard:      i,
 			MinBackoff: 5 * time.Millisecond,
 			MaxBackoff: 100 * time.Millisecond,
@@ -59,8 +58,8 @@ func TestShardedReplicationPerShardStreams(t *testing.T) {
 		repls[i].Run()
 		t.Cleanup(repls[i].Stop)
 	}
-	rsrv := server.NewSharded(rrouter, &server.Options{})
-	rsrv.AttachReplicas(repls)
+	rsrv := server.NewCluster(rrouter, &server.Options{})
+	rsrv.AttachReplicas(repls...)
 	rts := httptest.NewServer(rsrv.Handler())
 	t.Cleanup(func() {
 		rts.CloseClientConnections()

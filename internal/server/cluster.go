@@ -12,14 +12,14 @@ import (
 	"quaestor/internal/store"
 )
 
-// Sharded-mode glue: when the server fronts a cluster.Router instead of a
-// single store, point ops route to the owning shard's commit pipeline,
-// queries scatter-gather, replication endpoints select a shard with
-// ?shard=i, and InvaliDB cell placement is keyed off the same ShardMap
-// that routes writes.
+// Cluster surface: the server fronts a cluster.Router of N ≥ 1 shard
+// stores. Point ops route to the owning shard's commit pipeline, queries
+// scatter-gather, replication endpoints select a shard with ?shard=i, and
+// InvaliDB cell placement is keyed off the same ShardMap that routes
+// writes.
 
 // HeaderShardEpoch carries the server's shard-map epoch on every response
-// in sharded mode. Clients that cached an older map refetch
+// of a multi-shard node. Clients that cached an older map refetch
 // /v1/cluster/map and retry.
 const HeaderShardEpoch = "X-Quaestor-Shard-Epoch"
 
@@ -28,51 +28,19 @@ const HeaderShardEpoch = "X-Quaestor-Shard-Epoch"
 // replica) can redirect the write to the primary and retry once.
 const HeaderPrimary = "X-Quaestor-Primary"
 
-// NewSharded assembles a server fronting a sharded cluster: one InvaliDB
-// object-partition row per shard (placement = the cluster ShardMap), the
-// invalidation pipeline attached to every shard's ordered change stream.
-func NewSharded(r *cluster.Router, opts *Options) *Server {
-	return newServer(r.Store(0), r, opts)
-}
-
-// dbFor returns the store owning a document id: the single store, or the
-// id's shard in sharded mode.
-func (s *Server) dbFor(id string) *store.Store {
-	if s.cluster != nil {
-		return s.cluster.Store(s.cluster.ShardFor(id))
-	}
-	return s.db
-}
-
-// seqPosition captures the change-stream position before a query
-// evaluates: the single store's LastSeq, plus the per-shard vector in
-// sharded mode (shard Seq spaces are independent).
-func (s *Server) seqPosition() (uint64, []uint64) {
-	if s.cluster != nil {
-		seqs := s.cluster.LastSeqs()
-		max := uint64(0)
-		for _, q := range seqs {
-			if q > max {
-				max = q
-			}
-		}
-		return max, seqs
-	}
-	return s.db.LastSeq(), nil
-}
-
-// withShardEpoch stamps every response with the shard-map epoch in
-// sharded mode (so clients can detect a stale cached map) and, on a
-// node that cannot accept writes (following replica or fenced
-// ex-primary), with the primary's address (so bounced writes can
-// redirect). Both are resolved per request: replicas attach, epochs
-// bump (failover map rewrites), and fences land after the handler is
-// built — a cached value would advertise a dead primary or a stale map
-// for the rest of the process lifetime.
+// withShardEpoch stamps every response of a multi-shard node with the
+// shard-map epoch (so clients can detect a stale cached map; a 1-shard
+// node has no placement a client could have cached wrong, so its
+// responses carry no stamp) and, on a node that cannot accept writes
+// (following replica or fenced ex-primary), with the primary's address
+// (so bounced writes can redirect). Both are resolved per request:
+// replicas attach, epochs bump (failover map rewrites), and fences land
+// after the handler is built — a cached value would advertise a dead
+// primary or a stale map for the rest of the process lifetime.
 func (s *Server) withShardEpoch(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.cluster != nil {
-			w.Header().Set(HeaderShardEpoch, strconv.FormatUint(s.cluster.Map().CurrentEpoch(), 10))
+		if s.router.NumShards() > 1 {
+			w.Header().Set(HeaderShardEpoch, strconv.FormatUint(s.router.Map().CurrentEpoch(), 10))
 		}
 		if p := s.primaryHint(); p != "" {
 			w.Header().Set(HeaderPrimary, p)
@@ -82,18 +50,13 @@ func (s *Server) withShardEpoch(next http.Handler) http.Handler {
 }
 
 // handleClusterMap serves the versioned shard map. GET answers a
-// detached snapshot (unsharded servers answer a 1-shard map, so
-// shard-aware clients work against any topology); POST adopts a
-// rewritten topology pushed by the failover coordinator.
+// detached snapshot; POST adopts a rewritten topology pushed by the
+// failover coordinator.
 func (s *Server) handleClusterMap(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		w.Header().Set("Cache-Control", "no-store")
-		m := cluster.NewShardMap(1)
-		if s.cluster != nil {
-			m = s.cluster.Map().Snapshot()
-		}
-		writeJSON(w, http.StatusOK, m)
+		writeJSON(w, http.StatusOK, s.router.Map().Snapshot())
 	case http.MethodPost:
 		s.handleClusterMapAdopt(w, r)
 	default:
@@ -106,10 +69,6 @@ func (s *Server) handleClusterMap(w http.ResponseWriter, r *http.Request) {
 // a new node list, a higher epoch. Stale or already-adopted epochs are
 // acknowledged without applying, so coordinator retries are idempotent.
 func (s *Server) handleClusterMapAdopt(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil {
-		writeError(w, &httpError{http.StatusConflict, "server is unsharded; no shard map to rewrite"})
-		return
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		writeError(w, badRequest("reading shard map: %v", err))
@@ -120,7 +79,7 @@ func (s *Server) handleClusterMapAdopt(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("%v", err))
 		return
 	}
-	cur := s.cluster.Map()
+	cur := s.router.Map()
 	if nm.Shards != cur.Shards || (nm.VNodes != 0 && nm.VNodes != cur.VNodes) {
 		writeError(w, &httpError{http.StatusConflict,
 			fmt.Sprintf("placement mismatch: pushed map has %d shards, this node serves %d — map rewrite cannot move placement", nm.Shards, cur.Shards)})
@@ -134,53 +93,55 @@ func (s *Server) handleClusterMapAdopt(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"adopted": adopted, "epoch": cur.CurrentEpoch()})
 }
 
-// replStore resolves the store a replication request targets: ?shard=i in
-// sharded mode, the single store otherwise.
-func (s *Server) replStore(r *http.Request) (*store.Store, error) {
+// shardParam parses a request's ?shard=i selector against n shards; -1
+// means the parameter is absent.
+func shardParam(r *http.Request, n int) (int, error) {
 	v := r.URL.Query().Get("shard")
 	if v == "" {
-		return s.db, nil
+		return -1, nil
 	}
 	idx, err := strconv.Atoi(v)
-	if err != nil || idx < 0 {
-		return nil, badRequest("invalid shard %q", v)
+	if err != nil || idx < 0 || idx >= n {
+		return 0, badRequest("invalid shard %q (%d shards)", v, n)
 	}
-	if s.cluster == nil {
-		if idx != 0 {
-			return nil, badRequest("server is unsharded; shard %d does not exist", idx)
-		}
-		return s.db, nil
-	}
-	if idx >= s.cluster.NumShards() {
-		return nil, badRequest("shard %d out of range (%d shards)", idx, s.cluster.NumShards())
-	}
-	return s.cluster.Store(idx), nil
+	return idx, nil
 }
 
-// AttachReplicas hands a sharded server the per-shard replicas it fronts
-// (index = shard), and starts one coherence pump per shard store so the
-// TTL estimator and EBF see replicated writes (see AttachReplica).
-func (s *Server) AttachReplicas(rs []*replication.Replica) {
-	s.mu.Lock()
-	s.shardReplicas = rs
-	if len(rs) > 0 {
-		s.replica = rs[0]
+// replStore resolves the shard store a replication request targets
+// (?shard=i; shard 0 when absent).
+func (s *Server) replStore(r *http.Request) (*store.Store, error) {
+	idx, err := shardParam(r, s.router.NumShards())
+	if err != nil {
+		return nil, err
 	}
+	if idx < 0 {
+		idx = 0
+	}
+	return s.router.Store(idx), nil
+}
+
+// AttachReplicas hands the server the per-shard follower loops it fronts
+// (index = shard, one per shard store), enabling the status/promote
+// endpoints, the per-shard replication sections of /v1/stats and
+// staleness headers on reads. It also starts one coherence pump per
+// shard store feeding replicated writes into the TTL estimator and the
+// EBF — without it a replica's estimator would see no writes at all
+// (they arrive through replication, not the HTTP write path) and every
+// key would look cold.
+func (s *Server) AttachReplicas(rs ...*replication.Replica) {
+	s.mu.Lock()
+	s.replicas = rs
 	s.mu.Unlock()
-	if s.cluster != nil {
-		for i, st := range s.cluster.Stores() {
-			s.followCoherence(st, fmt.Sprintf("replica-coherence-%d", i))
-		}
-	} else {
-		s.followCoherence(s.db, "replica-coherence")
+	for i, st := range s.router.Stores() {
+		s.followCoherence(st, fmt.Sprintf("replica-coherence-%d", i))
 	}
 }
 
 // ReplicaSetResponse is the JSON body of GET /v1/cluster/replicas: the
 // deployment's read topology. Every advertised replica follows all of
-// the primary's shards (a sharded replica runs one replication loop per
-// shard), so any replica endpoint can serve any key — clients route
-// bounded reads across Replicas and everything else to Primary.
+// the primary's shards (one replication loop per shard), so any replica
+// endpoint can serve any key — clients route bounded reads across
+// Replicas and everything else to Primary.
 type ReplicaSetResponse struct {
 	Primary  string   `json:"primary"`
 	Replicas []string `json:"replicas"`
@@ -210,12 +171,12 @@ func (s *Server) handleClusterReplicas(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ShardReplicas returns the attached per-shard replicas (nil unless this
-// server is a sharded replica).
+// ShardReplicas returns the attached per-shard replicas (nil on a
+// primary).
 func (s *Server) ShardReplicas() []*replication.Replica {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.shardReplicas
+	return s.replicas
 }
 
 // ShardSection is one shard's slice of /v1/stats and
@@ -228,20 +189,17 @@ type ShardSection struct {
 	Replication *replication.Status    `json:"replication,omitempty"`
 }
 
-// ClusterSection is the sharded topology's slice of /v1/stats.
+// ClusterSection is the shard topology's slice of /v1/stats.
 type ClusterSection struct {
 	Epoch  uint64         `json:"epoch"`
 	Shards []ShardSection `json:"shards"`
 }
 
-// clusterSection builds the per-shard stats, or nil when unsharded.
+// clusterSection builds the per-shard stats.
 func (s *Server) clusterSection() *ClusterSection {
-	if s.cluster == nil {
-		return nil
-	}
 	reps := s.ShardReplicas()
-	sec := &ClusterSection{Epoch: s.cluster.Map().CurrentEpoch()}
-	for i, st := range s.cluster.Stores() {
+	sec := &ClusterSection{Epoch: s.router.Map().CurrentEpoch()}
+	for i, st := range s.router.Stores() {
 		sh := ShardSection{
 			Shard:    i,
 			LastSeq:  st.LastSeq(),

@@ -29,13 +29,6 @@ func (s *Server) SetSelfURL(u string) {
 	s.mu.Unlock()
 }
 
-// SelfURL returns the node's advertised base URL ("" when unknown).
-func (s *Server) SelfURL() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.selfURL
-}
-
 // AttachCoordinator hands the server a running failover coordinator so
 // its state is observable at GET /v1/failover/status and in the
 // /v1/stats failover section.
@@ -132,12 +125,8 @@ func (s *Server) handleReplDemote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &httpError{http.StatusConflict, "node is a following replica; demote targets a primary"})
 		return
 	}
-	if s.cluster != nil {
-		for _, db := range s.cluster.Stores() {
-			db.SetReadOnly(true)
-		}
-	} else {
-		s.db.SetReadOnly(true)
+	for _, db := range s.router.Stores() {
+		db.SetReadOnly(true)
 	}
 	s.mu.Lock()
 	s.fencedTo = req.Primary
@@ -176,18 +165,13 @@ func (s *Server) noteSelfPromoted(oldPrimary string) {
 }
 
 // allShardsPromoted reports whether every attached follower has been
-// promoted (single replica: just it).
+// promoted (false on a primary: nothing attached).
 func (s *Server) allShardsPromoted() bool {
-	if reps := s.ShardReplicas(); len(reps) > 0 {
-		for _, rep := range reps {
-			if rep.Status().State != replication.StatePromoted {
-				return false
-			}
+	reps := s.ShardReplicas()
+	for _, rep := range reps {
+		if rep.Status().State != replication.StatePromoted {
+			return false
 		}
-		return true
 	}
-	if repl := s.Replica(); repl != nil {
-		return repl.Status().State == replication.StatePromoted
-	}
-	return false
+	return len(reps) > 0
 }

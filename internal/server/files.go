@@ -22,9 +22,10 @@ import (
 // FilesTable is the reserved document table backing file storage.
 const FilesTable = "_files"
 
-// ensureFilesTable lazily creates the reserved table.
+// ensureFilesTable lazily creates the reserved table on every shard: file
+// names route by id like any other document.
 func (s *Server) ensureFilesTable() error {
-	return s.db.CreateTable(FilesTable)
+	return s.router.CreateTable(FilesTable)
 }
 
 // PutFile stores (or replaces) a file.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,115 +13,143 @@ import (
 )
 
 func TestFileLifecycle(t *testing.T) {
-	srv := newTestServer(t, nil)
-	content := []byte("<html>hello</html>")
-	if err := srv.PutFile("index.html", "text/html", content); err != nil {
-		t.Fatal(err)
-	}
-	got, ct, etag, ttl, err := srv.GetFile("index.html")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) || ct != "text/html" || etag == "" || ttl <= 0 {
-		t.Errorf("file = %q ct=%q etag=%q ttl=%v", got, ct, etag, ttl)
-	}
-	// Overwriting bumps the version (new ETag) and flags the EBF.
-	if err := srv.PutFile("index.html", "text/html", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	_, _, etag2, _, err := srv.GetFile("index.html")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if etag2 == etag {
-		t.Error("overwrite kept the old ETag")
-	}
-	if !srv.EBFSnapshot().Contains(RecordKey(FilesTable, "index.html")) {
-		t.Error("file overwrite not flagged in the EBF")
-	}
-	if err := srv.DeleteFile("index.html"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, _, err := srv.GetFile("index.html"); !errors.Is(err, store.ErrNotFound) {
-		t.Errorf("deleted file read: %v", err)
-	}
+	forShardCounts(t, func(t *testing.T, shards int) {
+		srv := newTestServer(t, shards, nil)
+		content := []byte("<html>hello</html>")
+		if err := srv.PutFile("index.html", "text/html", content); err != nil {
+			t.Fatal(err)
+		}
+		got, ct, etag, ttl, err := srv.GetFile("index.html")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, content) || ct != "text/html" || etag == "" || ttl <= 0 {
+			t.Errorf("file = %q ct=%q etag=%q ttl=%v", got, ct, etag, ttl)
+		}
+		// Overwriting bumps the version (new ETag) and flags the EBF.
+		if err := srv.PutFile("index.html", "text/html", []byte("v2")); err != nil {
+			t.Fatal(err)
+		}
+		_, _, etag2, _, err := srv.GetFile("index.html")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if etag2 == etag {
+			t.Error("overwrite kept the old ETag")
+		}
+		if !srv.EBFSnapshot().Contains(RecordKey(FilesTable, "index.html")) {
+			t.Error("file overwrite not flagged in the EBF")
+		}
+		if err := srv.DeleteFile("index.html"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, _, err := srv.GetFile("index.html"); !errors.Is(err, store.ErrNotFound) {
+			t.Errorf("deleted file read: %v", err)
+		}
+	})
 }
 
 func TestFileHTTP(t *testing.T) {
-	srv := newTestServer(t, nil)
-	h := srv.Handler()
+	forShardCounts(t, func(t *testing.T, shards int) {
+		srv := newTestServer(t, shards, nil)
+		h := srv.Handler()
 
-	put := httptest.NewRequest(http.MethodPut, "/v1/files/app.js", strings.NewReader("console.log(1)"))
-	put.Header.Set("Content-Type", "application/javascript")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, put)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("PUT = %d %s", rec.Code, rec.Body.String())
-	}
+		put := httptest.NewRequest(http.MethodPut, "/v1/files/app.js", strings.NewReader("console.log(1)"))
+		put.Header.Set("Content-Type", "application/javascript")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, put)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("PUT = %d %s", rec.Code, rec.Body.String())
+		}
 
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/files/app.js", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET = %d", rec.Code)
-	}
-	if rec.Body.String() != "console.log(1)" {
-		t.Errorf("body = %q", rec.Body.String())
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/javascript" {
-		t.Errorf("content type = %q", ct)
-	}
-	if cc := rec.Header().Get("Cache-Control"); !strings.Contains(cc, "max-age=") {
-		t.Errorf("files must be cacheable: %q", cc)
-	}
-	etag := rec.Header().Get("ETag")
-	// Conditional fetch -> 304.
-	cond := httptest.NewRequest(http.MethodGet, "/v1/files/app.js", nil)
-	cond.Header.Set("If-None-Match", etag)
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, cond)
-	if rec.Code != http.StatusNotModified {
-		t.Errorf("conditional GET = %d", rec.Code)
-	}
-	// Delete.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/files/app.js", nil))
-	if rec.Code != http.StatusNoContent {
-		t.Errorf("DELETE = %d", rec.Code)
-	}
-	// Missing file -> 404; bad names -> 400.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/files/app.js", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("missing GET = %d", rec.Code)
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/files/", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("empty name = %d", rec.Code)
-	}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/files/app.js", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET = %d", rec.Code)
+		}
+		if rec.Body.String() != "console.log(1)" {
+			t.Errorf("body = %q", rec.Body.String())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/javascript" {
+			t.Errorf("content type = %q", ct)
+		}
+		if cc := rec.Header().Get("Cache-Control"); !strings.Contains(cc, "max-age=") {
+			t.Errorf("files must be cacheable: %q", cc)
+		}
+		etag := rec.Header().Get("ETag")
+		// Conditional fetch -> 304.
+		cond := httptest.NewRequest(http.MethodGet, "/v1/files/app.js", nil)
+		cond.Header.Set("If-None-Match", etag)
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, cond)
+		if rec.Code != http.StatusNotModified {
+			t.Errorf("conditional GET = %d", rec.Code)
+		}
+		// Delete.
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/files/app.js", nil))
+		if rec.Code != http.StatusNoContent {
+			t.Errorf("DELETE = %d", rec.Code)
+		}
+		// Missing file -> 404; bad names -> 400.
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/files/app.js", nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("missing GET = %d", rec.Code)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/files/", nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("empty name = %d", rec.Code)
+		}
+	})
 }
 
 func TestFileThroughCDNTierPurge(t *testing.T) {
-	srv := newTestServer(t, nil)
-	if err := srv.PutFile("style.css", "text/css", []byte("body{}")); err != nil {
-		t.Fatal(err)
-	}
-	var purged []string
-	srv.AddPurger(PurgerFunc(func(path string) { purged = append(purged, path) }))
-	// A read issues a TTL; the overwrite must purge the file's path.
-	if _, _, _, _, err := srv.GetFile("style.css"); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.PutFile("style.css", "text/css", []byte("body{color:red}")); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, p := range purged {
-		if p == RecordPath(FilesTable, "style.css") {
-			found = true
+	forShardCounts(t, func(t *testing.T, shards int) {
+		srv := newTestServer(t, shards, nil)
+		if err := srv.PutFile("style.css", "text/css", []byte("body{}")); err != nil {
+			t.Fatal(err)
+		}
+		var purged []string
+		srv.AddPurger(PurgerFunc(func(path string) { purged = append(purged, path) }))
+		// A read issues a TTL; the overwrite must purge the file's path.
+		if _, _, _, _, err := srv.GetFile("style.css"); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.PutFile("style.css", "text/css", []byte("body{color:red}")); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, p := range purged {
+			if p == RecordPath(FilesTable, "style.css") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("file overwrite did not purge its path: %v", purged)
+		}
+	})
+}
+
+// TestFilesOnEveryShard stores 16 files on a 4-shard server: file names
+// route by id, so the reserved table must exist on every shard, not only
+// on shard 0.
+func TestFilesOnEveryShard(t *testing.T) {
+	srv := newTestServer(t, 4, nil)
+	owners := map[int]bool{}
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("asset-%02d.js", i)
+		owners[srv.router.ShardFor(name)] = true
+		if err := srv.PutFile(name, "text/javascript", []byte(name)); err != nil {
+			t.Fatalf("put %s: %v", name, err)
+		}
+		got, _, _, _, err := srv.GetFile(name)
+		if err != nil || string(got) != name {
+			t.Errorf("get %s = %q, %v", name, got, err)
 		}
 	}
-	if !found {
-		t.Errorf("file overwrite did not purge its path: %v", purged)
+	if len(owners) < 2 {
+		t.Fatalf("16 names landed on %d shard(s); the test needs a spread", len(owners))
 	}
 }

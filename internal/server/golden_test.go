@@ -43,7 +43,7 @@ func goldenExchange(h http.Handler, target string, header ...string) string {
 // validated by exactly these bytes.
 func TestReadAndQueryResponsesGolden(t *testing.T) {
 	now := time.Unix(1700000000, 0)
-	srv := newTestServer(t, &Options{Clock: func() time.Time { return now }})
+	srv := newTestServer(t, 1, &Options{Clock: func() time.Time { return now }})
 	for _, d := range []*document.Document{
 		document.New("p1", map[string]any{"tags": []any{"x", "y"}, "rating": int64(-3), "title": "a <b> & \"c\""}),
 		document.New("p2", map[string]any{"tags": []any{"x"}, "score": 1e21, "ratio": 2.5e-7, "meta": map[string]any{"z": nil, "a": []any{}, "é": true}}),
@@ -72,7 +72,7 @@ func TestReadAndQueryResponsesGolden(t *testing.T) {
 		}
 	}
 
-	ids := New(srv.Store(), &Options{Clock: func() time.Time { return now }, Representation: RepAlwaysIDs})
+	ids := NewCluster(srv.router, &Options{Clock: func() time.Time { return now }, Representation: RepAlwaysIDs})
 	defer ids.Close()
 	if got := goldenExchange(ids.Handler(), queryURL); got != goldenIDList {
 		t.Errorf("id-list response changed:\n--- got\n%s\n--- want\n%s", got, goldenIDList)
@@ -201,7 +201,7 @@ func TestQueryResponseAppendJSONMatchesEncodingJSON(t *testing.T) {
 // buffered body: a document encoding/json cannot represent used to end as
 // a truncated 200 under cacheable headers; now nothing cacheable leaves.
 func TestUnencodableDocumentIs500(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	if err := srv.Insert("posts", document.New("nan", map[string]any{"tags": []any{"x"}, "f": math.NaN()})); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestQueryReportsOneBatchToEBF(t *testing.T) {
 		rep  RepresentationPolicy
 		keys int
 	}{{RepAlwaysObjects, 1 + 3}, {RepAlwaysIDs, 1}} {
-		srv := newTestServer(t, &Options{Representation: tc.rep})
+		srv := newTestServer(t, 1, &Options{Representation: tc.rep})
 		for _, id := range []string{"p1", "p2", "p3"} {
 			insertPost(t, srv, id, "x")
 		}
@@ -253,7 +253,7 @@ func TestQueryReportsOneBatchToEBF(t *testing.T) {
 // response must be one consistent version (a == b), and the race detector
 // must stay quiet.
 func TestSharedDocumentsUnderConcurrentWrites(t *testing.T) {
-	srv := newTestServer(t, &Options{Representation: RepAlwaysObjects})
+	srv := newTestServer(t, 1, &Options{Representation: RepAlwaysObjects})
 	if err := srv.Insert("posts", document.New("p1", map[string]any{"tags": []any{"x"}, "a": int64(0), "b": int64(0), "log": []any{}})); err != nil {
 		t.Fatal(err)
 	}

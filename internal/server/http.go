@@ -16,7 +16,6 @@ import (
 	"quaestor/internal/document"
 	"quaestor/internal/ebf"
 	"quaestor/internal/query"
-	"quaestor/internal/replication"
 	"quaestor/internal/store"
 	"quaestor/internal/ttl"
 )
@@ -34,15 +33,15 @@ import (
 //	GET    /v1/db/{table}?…&stream=1   — streamed query (NDJSON, uncacheable)
 //	POST   /v1/indexes/{table}         — create secondary index ({"path": …})
 //	GET    /v1/indexes/{table}         — list indexed field paths
-//	GET    /v1/stats                   — server statistics (plan counts, EBF, commit pipeline, WAL/recovery, replication)
-//	POST   /v1/admin/snapshot          — snapshot the durable store, truncate WAL
+//	GET    /v1/stats                   — server statistics (plan counts, EBF, commit pipeline, WAL/recovery, per-shard cluster section)
+//	POST   /v1/admin/snapshot          — snapshot every durable shard store, truncate WAL
 //	POST   /v1/transaction             — BOCC transaction commit
 //	GET    /v1/subscribe?table=…&q=…   — SSE query change stream
 //	GET    /v1/replication/snapshot    — snapshot stream (replica bootstrap)
 //	GET    /v1/replication/stream      — ordered replication frames (from=seq)
 //	GET    /v1/replication/wal         — sealed WAL segment shipping
-//	GET    /v1/replication/status      — role, lag, staleness bound
-//	POST   /v1/replication/promote     — promote a replica to writable primary
+//	GET    /v1/replication/status      — primary role, or per-shard lag and staleness bound
+//	POST   /v1/replication/promote     — promote a replica to writable primary (per-shard outcomes)
 //
 // Cacheable responses carry Cache-Control, ETag and X-Quaestor-Key headers;
 // conditional requests with If-None-Match receive 304.
@@ -204,13 +203,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("invalid table name %q", table))
 		return
 	}
-	var err error
-	if s.cluster != nil {
-		err = s.cluster.CreateTable(table)
-	} else {
-		err = s.db.CreateTable(table)
-	}
-	if err != nil {
+	if err := s.router.CreateTable(table); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -263,24 +256,24 @@ type PipelineSection struct {
 }
 
 // StatsResponse is the JSON body of GET /v1/stats: the activity counters,
-// the commit-pipeline section (whose per-subscriber entries include each
-// attached replica's lag as "replica:<name>"), on durable stores the
-// WAL/snapshot/recovery section, and on replicas the replication
-// status.
+// shard 0's commit-pipeline section (whose per-subscriber entries include
+// each attached replica's lag as "replica:<name>") and, on durable
+// stores, its WAL/snapshot/recovery section, and the per-shard cluster
+// section.
 type StatsResponse struct {
 	Stats
 	// EBF is the coherence filter's activity: TrackedKeys is the size of
 	// its TTL table (the one per-key map on the read path) and
 	// SweptEntries the total work its amortized sweeps have done.
-	EBF         ebf.Stats              `json:"ebf"`
-	Pipeline    PipelineSection        `json:"pipeline"`
-	Durability  *store.DurabilityStats `json:"durability,omitempty"`
-	Replication *replication.Status    `json:"replication,omitempty"`
-	// Cluster carries the per-shard sections (pipeline, durability,
-	// replication, LastSeq) in sharded mode. Cluster-level query plan
-	// aggregation rides in the top-level Stats row counters: scattered
-	// queries sum per-shard RowsExamined/RowsReturned before recording.
-	Cluster *ClusterSection `json:"cluster,omitempty"`
+	EBF        ebf.Stats              `json:"ebf"`
+	Pipeline   PipelineSection        `json:"pipeline"`
+	Durability *store.DurabilityStats `json:"durability,omitempty"`
+	// Cluster carries every shard's section (LastSeq, pipeline,
+	// durability and — on a replica — replication status). Cluster-level
+	// query plan aggregation rides in the top-level Stats row counters:
+	// scattered queries sum per-shard RowsExamined/RowsReturned before
+	// recording.
+	Cluster *ClusterSection `json:"cluster"`
 	// Failover is the attached coordinator's supervision state (probe
 	// counters, election reports); present only on nodes running one.
 	Failover *coordinator.Status `json:"failover,omitempty"`
@@ -292,17 +285,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Stats: s.Stats(),
 		EBF:   s.coh.Stats(),
 		Pipeline: PipelineSection{
-			PipelineStats: s.db.PipelineStats(),
+			PipelineStats: s.router.Store(0).PipelineStats(),
 			SSEDropped:    s.sseDropped.Load(),
 		},
 		Cluster: s.clusterSection(),
 	}
-	if ds, ok := s.db.DurabilityStats(); ok {
+	if ds, ok := s.router.Store(0).DurabilityStats(); ok {
 		resp.Durability = &ds
-	}
-	if repl := s.Replica(); repl != nil {
-		st := repl.Status()
-		resp.Replication = &st
 	}
 	if co := s.Coordinator(); co != nil {
 		st := co.Status()
@@ -312,39 +301,27 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot serves POST /v1/admin/snapshot: take a point-in-time
-// snapshot and truncate the WAL segments it covers.
+// snapshot of every shard and truncate the WAL segments it covers. The
+// body is one store.SnapshotInfo per shard.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, &httpError{http.StatusMethodNotAllowed, "POST only"})
 		return
 	}
-	if s.cluster != nil {
-		infos := make([]store.SnapshotInfo, 0, s.cluster.NumShards())
-		for _, st := range s.cluster.Stores() {
-			info, err := st.Snapshot()
-			if err != nil {
-				if errors.Is(err, store.ErrNotDurable) {
-					writeError(w, &httpError{http.StatusConflict, "store is in-memory; start the server with -data-dir"})
-					return
-				}
-				writeError(w, err)
+	infos := make([]store.SnapshotInfo, 0, s.router.NumShards())
+	for _, st := range s.router.Stores() {
+		info, err := st.Snapshot()
+		if err != nil {
+			if errors.Is(err, store.ErrNotDurable) {
+				writeError(w, &httpError{http.StatusConflict, "store is in-memory; start the server with -data-dir"})
 				return
 			}
-			infos = append(infos, info)
-		}
-		writeJSON(w, http.StatusOK, infos)
-		return
-	}
-	info, err := s.db.Snapshot()
-	if err != nil {
-		if errors.Is(err, store.ErrNotDurable) {
-			writeError(w, &httpError{http.StatusConflict, "store is in-memory; start the server with -data-dir"})
+			writeError(w, err)
 			return
 		}
-		writeError(w, err)
-		return
+		infos = append(infos, info)
 	}
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(w, http.StatusOK, infos)
 }
 
 // handleDB routes /v1/db/{table}[/{id}].
@@ -451,7 +428,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, table stri
 // low-water mark. LastSeq is at or above the write's own sequence, the
 // conservative direction.
 func (s *Server) addWriteSeq(w http.ResponseWriter, id string) {
-	w.Header().Set(HeaderWriteSeq, strconv.FormatUint(s.dbFor(id).LastSeq(), 10))
+	w.Header().Set(HeaderWriteSeq, strconv.FormatUint(s.router.StoreFor(id).LastSeq(), 10))
 }
 
 // addEBFGeneration piggybacks the node's EBF generation on a read

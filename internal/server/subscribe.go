@@ -37,12 +37,12 @@ func (s *Subscription) Close() { s.cancel() }
 func (s *Server) Subscribe(q *query.Query) (*Subscription, error) {
 	key := q.Key()
 	if !s.activated(key) {
-		asOf, asOfs := s.seqPosition()
+		asOfs := s.router.LastSeqs()
 		matches, err := s.unwindowedMatches(q)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.activate(q, matches, asOf, asOfs, ttl.ObjectList); err != nil {
+		if err := s.activate(q, matches, asOfs, ttl.ObjectList); err != nil {
 			return nil, err
 		}
 	}

@@ -66,8 +66,8 @@ func (s *Server) Commit(req TxnRequest) (TxnResult, error) {
 		}
 		// Routed per record: validation reads hit the owning shard. The
 		// process-wide txnMu still excludes concurrent commits, so BOCC
-		// semantics are unchanged under sharding.
-		doc, err := s.dbFor(id).Get(table, id)
+		// semantics hold across shards.
+		doc, err := s.router.Get(table, id)
 		switch {
 		case errors.Is(err, store.ErrNotFound):
 			if readVersion != 0 {

@@ -11,8 +11,7 @@ import (
 // snapshot format exported over io.Reader/io.Writer instead of files.
 // Log-shipping replication moves both across the network — a replica
 // bootstraps from a streamed snapshot and catches up from shipped sealed
-// segments — and other subsystems (kvstore persistence) reuse the raw
-// framing for their own state.
+// segments.
 
 // AppendFrame appends one CRC-framed payload to buf — the WAL's on-disk
 // frame format (length + CRC-32C header). The counterpart of FrameReader.
