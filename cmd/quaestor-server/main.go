@@ -76,7 +76,7 @@ func main() {
 	indexes := flag.String("indexes", "", "comma-separated table:field.path secondary indexes to create at startup (e.g. posts:tags,posts:author)")
 	queryParts := flag.Int("query-partitions", 2, "InvaliDB query partitions (columns)")
 	objectParts := flag.Int("object-partitions", 2, "InvaliDB object partitions (rows)")
-	maxQueries := flag.Int("max-queries", 10000, "InvaliDB active query capacity (0 = unlimited)")
+	maxQueries := flag.Int("max-queries", 10000, "capacity of the active list: queries cached and matched by InvaliDB at once (0 = unlimited)")
 	modeName := flag.String("mode", "quaestor", "cache mode: quaestor, cdn-only, client-only, uncached")
 	shards := flag.Int("shards", 1, "cluster shards: independent stores + commit pipelines, writes consistent-hashed across them")
 	tableShards := flag.Int("table-shards", 16, "store lock-striping shards per table within each node")

@@ -261,10 +261,3 @@ func (c *Cache) Stats() Stats {
 	s.Size = c.lru.Len()
 	return s
 }
-
-// ResetStats zeroes the counters (entries are kept).
-func (c *Cache) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = Stats{}
-}

@@ -268,9 +268,6 @@ func (c *Client) Stats() Stats {
 	return c.stats
 }
 
-// LocalCache exposes the browser cache (for harness instrumentation).
-func (c *Client) LocalCache() *cache.Cache { return c.local }
-
 // EBFAge returns the current filter age (the achieved Δ bound); zero when
 // the EBF is disabled.
 func (c *Client) EBFAge() time.Duration {

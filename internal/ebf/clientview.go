@@ -17,9 +17,6 @@ type ClientView struct {
 	mu        sync.Mutex
 	snap      Snapshot
 	whitelist map[string]struct{}
-	refreshes uint64
-	lookups   uint64
-	staleHits uint64
 }
 
 // NewClientView wraps an initial snapshot (fetched at connect time).
@@ -37,7 +34,6 @@ func (v *ClientView) Refresh(snap Snapshot) {
 	}
 	v.snap = snap
 	v.whitelist = map[string]struct{}{}
-	v.refreshes++
 }
 
 // IsStale reports whether a read of key must be promoted to a revalidation:
@@ -46,15 +42,10 @@ func (v *ClientView) Refresh(snap Snapshot) {
 func (v *ClientView) IsStale(key string) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.lookups++
 	if _, ok := v.whitelist[key]; ok {
 		return false
 	}
-	if v.snap.Contains(key) {
-		v.staleHits++
-		return true
-	}
-	return false
+	return v.snap.Contains(key)
 }
 
 // MarkRevalidated whitelists a key after the client revalidated it.
@@ -77,74 +68,3 @@ func (v *ClientView) GeneratedAt() time.Time {
 	defer v.mu.Unlock()
 	return v.snap.GeneratedAt
 }
-
-// Counters reports (refreshes, lookups, staleHits) for instrumentation.
-func (v *ClientView) Counters() (refreshes, lookups, staleHits uint64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.refreshes, v.lookups, v.staleHits
-}
-
-// Replicated load-balances snapshot reads over n EBF replicas while fanning
-// writes to all of them (Section 3.3 "Read scalability is achieved by
-// replicating the complete EBF and balancing loads of the Bloom filter over
-// the replicas").
-type Replicated struct {
-	replicas []*EBF
-	next     uint64
-	mu       sync.Mutex
-}
-
-// NewReplicated creates n identical EBF replicas.
-func NewReplicated(n int, opts *Options) *Replicated {
-	if n < 1 {
-		n = 1
-	}
-	r := &Replicated{replicas: make([]*EBF, n)}
-	for i := range r.replicas {
-		o := opts.withDefaults()
-		r.replicas[i] = New(&o)
-	}
-	return r
-}
-
-// ReportRead fans the read report to every replica.
-func (r *Replicated) ReportRead(key string, ttl time.Duration) {
-	for _, e := range r.replicas {
-		e.ReportRead(key, ttl)
-	}
-}
-
-// ReportWrite fans the invalidation to every replica; the purge decision
-// comes from the first replica (they are deterministic and identical).
-func (r *Replicated) ReportWrite(key string) bool {
-	purge := false
-	for i, e := range r.replicas {
-		p := e.ReportWrite(key)
-		if i == 0 {
-			purge = p
-		}
-	}
-	return purge
-}
-
-// Snapshot reads from one replica, round-robin.
-func (r *Replicated) Snapshot() Snapshot {
-	r.mu.Lock()
-	idx := r.next % uint64(len(r.replicas))
-	r.next++
-	r.mu.Unlock()
-	return r.replicas[idx].Snapshot()
-}
-
-// Contains checks one replica, round-robin.
-func (r *Replicated) Contains(key string) bool {
-	r.mu.Lock()
-	idx := r.next % uint64(len(r.replicas))
-	r.next++
-	r.mu.Unlock()
-	return r.replicas[idx].Contains(key)
-}
-
-// Replicas returns the replica count.
-func (r *Replicated) Replicas() int { return len(r.replicas) }

@@ -233,10 +233,6 @@ func TestClientViewWhitelist(t *testing.T) {
 	if !v.IsStale("q1") {
 		t.Error("refresh should reset the whitelist")
 	}
-	refreshes, lookups, staleHits := v.Counters()
-	if refreshes != 1 || lookups != 3 || staleHits != 2 {
-		t.Errorf("counters = %d %d %d", refreshes, lookups, staleHits)
-	}
 }
 
 func TestClientViewRejectsOlderSnapshots(t *testing.T) {
@@ -292,29 +288,6 @@ func TestTableOf(t *testing.T) {
 	for key, want := range cases {
 		if got := TableOf(key); got != want {
 			t.Errorf("TableOf(%q) = %q, want %q", key, got, want)
-		}
-	}
-}
-
-func TestReplicatedConsistency(t *testing.T) {
-	c := newFakeClock()
-	r := NewReplicated(3, &Options{Bits: 1 << 12, Hashes: 4, Clock: c.Now})
-	if r.Replicas() != 3 {
-		t.Fatalf("replicas = %d", r.Replicas())
-	}
-	r.ReportRead("k", time.Minute)
-	if !r.ReportWrite("k") {
-		t.Fatal("replicated write should purge")
-	}
-	// Every replica must agree regardless of rotation.
-	for i := 0; i < 6; i++ {
-		if !r.Contains("k") {
-			t.Fatalf("replica rotation %d disagrees", i)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		if !r.Snapshot().Contains("k") {
-			t.Fatalf("snapshot rotation %d disagrees", i)
 		}
 	}
 }

@@ -550,14 +550,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, table strin
 		s.streamQuery(w, q)
 		return
 	}
-	res, err := s.Query(q)
+	// The path this request is served (and cached) under is what an
+	// invalidation of the query must purge.
+	res, err := s.query(q, r.URL.RequestURI())
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	s.countServed()
-	// Remember which path serves this query so invalidations can purge it.
-	s.RegisterQueryPath(q.Key(), r.URL.RequestURI())
 
 	if res.Cacheable {
 		browserTTL, cdnTTL := s.CacheControl(res.TTL)

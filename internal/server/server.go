@@ -94,33 +94,26 @@ type Options struct {
 	TTL *ttl.Config
 	// EBF tunes the filter. Nil uses defaults (14.6 KB, k=4).
 	EBF *ebf.Options
-	// InvaliDB sizes the invalidation cluster. Nil: 1×1 grid.
+	// InvaliDB sizes the invalidation cluster. Nil: 1×1 grid. Its MaxQueries
+	// is the capacity of the active list, the one bound on cached queries.
 	InvaliDB *invalidb.Config
-	// QueryCapacity caps the number of concurrently cached queries
-	// (admission control); 0 derives it from the InvaliDB capacity.
-	QueryCapacity int
-	// ActiveListPartitions shards the active list (default 16).
-	ActiveListPartitions int
 	// Clock supplies time (default time.Now).
 	Clock func() time.Time
-	// InvalidationDelay artificially defers cache purges — used to study
-	// Δ_invalidation effects. Zero purges synchronously on detection.
-	InvalidationDelay time.Duration
 }
 
 func (o *Options) withDefaults() Options {
-	out := Options{ActiveListPartitions: 16, Clock: time.Now}
+	var out Options
 	if o != nil {
 		out = *o
-		if out.ActiveListPartitions <= 0 {
-			out.ActiveListPartitions = 16
-		}
-		if out.Clock == nil {
-			out.Clock = time.Now
-		}
+	}
+	if out.Clock == nil {
+		out.Clock = time.Now
 	}
 	return out
 }
+
+// activeListPartitions shards the active list's locks.
+const activeListPartitions = 16
 
 // Stats aggregates server activity.
 type Stats struct {
@@ -132,6 +125,8 @@ type Stats struct {
 	Invalidations    uint64
 	Purges           uint64
 	RejectedQueries  uint64 // not admitted to caching
+	ActiveQueries    int    // active-list occupancy: queries cached and matched now
+	QueryEvictions   uint64 // entries displaced from the active list
 	// Access-plan choices made by the query planner, so Figure-8-style
 	// experiments can attribute query latency to the path taken.
 	PlanProbes uint64 // hash-index equality/IN/CONTAINS probes
@@ -166,13 +161,15 @@ type Server struct {
 	router *cluster.Router
 	coh    *ebf.Partitioned
 	est    *ttl.Estimator
+	// active is the only record of a cached query: an entry is resident
+	// exactly while the query is registered in inv (see Query and retire).
 	active *ttl.ActiveList
 	inv    *invalidb.Cluster
+	// purgers is copy-on-write (AddPurger is start-up time), so the write
+	// path reads it without a lock.
+	purgers atomic.Pointer[[]Purger]
 
-	mu          sync.RWMutex
-	purgers     []Purger
-	queryPaths  map[string]string // query key -> resource path for purging
-	registered  map[string]bool   // query key -> activated in InvaliDB
+	mu          sync.Mutex
 	subscribers map[string]map[int]chan invalidb.Notification
 	nextSubID   int
 	// closed is set once by Close; the read path checks it without mu.
@@ -218,6 +215,7 @@ type Server struct {
 	invalidations    atomic.Uint64
 	purges           atomic.Uint64
 	rejected         atomic.Uint64
+	evictions        atomic.Uint64
 	planProbes       atomic.Uint64
 	planRanges       atomic.Uint64
 	planScans        atomic.Uint64
@@ -277,23 +275,18 @@ func NewCluster(router *cluster.Router, opts *Options) *Server {
 		cp.Placement = router.Map().Shard
 		invCfg = &cp
 	}
-	capacity := o.QueryCapacity
-	if capacity == 0 {
-		capacity = invCfg.MaxQueries
-	}
 
 	s := &Server{
 		opts:       o,
 		router:     router,
 		coh:        ebf.NewPartitioned(ebfOpts),
 		est:        ttl.NewEstimator(ttlCfg),
-		active:     ttl.NewActiveList(o.ActiveListPartitions, capacity, o.Clock),
+		active:     ttl.NewActiveList(activeListPartitions, invCfg.MaxQueries, o.Clock),
 		inv:        invalidb.NewCluster(invCfg),
-		queryPaths: map[string]string{},
-		registered: map[string]bool{},
 		schemas:    newSchemaRegistry(),
 		notifyDone: make(chan struct{}),
 	}
+	s.active.OnEvict = s.retire
 	// Every shard's ordered stream feeds the grid; each pump tracks its
 	// own shard's Seq space, so per-shard order assertions hold.
 	cancels := make([]func(), 0, router.NumShards())
@@ -349,7 +342,12 @@ func (s *Server) InvaliDB() *invalidb.Cluster { return s.inv }
 func (s *Server) AddPurger(p Purger) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.purgers = append(s.purgers, p)
+	var next []Purger
+	if cur := s.purgers.Load(); cur != nil {
+		next = append(next, *cur...)
+	}
+	next = append(next, p)
+	s.purgers.Store(&next)
 }
 
 // Stats returns a snapshot of activity counters.
@@ -363,6 +361,8 @@ func (s *Server) Stats() Stats {
 		Invalidations:    s.invalidations.Load(),
 		Purges:           s.purges.Load(),
 		RejectedQueries:  s.rejected.Load(),
+		ActiveQueries:    s.active.Len(),
+		QueryEvictions:   s.evictions.Load(),
 		PlanProbes:       s.planProbes.Load(),
 		PlanRanges:       s.planRanges.Load(),
 		PlanScans:        s.planScans.Load(),
@@ -476,11 +476,25 @@ var ErrClosed = errors.New("server: closed")
 // invalidation detection and reports the issued TTL to the EBF — steps (2)
 // in the end-to-end example of Figure 7.
 //
+// The active list decides everything about the query's cached life in one
+// call: a resident entry is refreshed; a new query is admitted only if the
+// list has room or a lower-value resident to evict (retire), and is
+// activated in InvaliDB before its entry becomes visible. So the result is
+// Cacheable only while the query is registered in InvaliDB, and a query
+// that is not admitted — or any query in ModeUncached — leaves no state
+// behind.
+//
 // The documents in the result are the store's own copy-on-write documents,
 // not clones (the Cursor.NextShared contract): they are shared with
 // concurrent readers and must be treated as read-only. Callers that need
 // to modify one Clone it first.
 func (s *Server) Query(q *query.Query) (QueryResult, error) {
+	return s.query(q, "")
+}
+
+// query is Query for a request served under the resource path servedAs,
+// which the active list remembers as what an invalidation must purge.
+func (s *Server) query(q *query.Query, servedAs string) (QueryResult, error) {
 	if s.closed.Load() {
 		return QueryResult{}, ErrClosed
 	}
@@ -519,37 +533,34 @@ func (s *Server) Query(q *query.Query) (QueryResult, error) {
 
 	rep := s.chooseRepresentation(recordKeys)
 	dur := s.est.QueryTTL(key, recordKeys)
-	admitted := s.active.Admit(key, dur, recordKeys, rep)
-	if !admitted {
-		s.rejected.Add(1)
-		res.Representation = rep
-		return res, nil
-	}
-
-	if !s.activated(key) {
+	res.Representation = rep
+	admitted, err := s.active.Register(ttl.Entry{
+		QueryKey:       key,
+		Path:           servedAs,
+		TTL:            dur,
+		ResultKeys:     recordKeys,
+		Representation: rep,
+	}, func() error {
 		// InvaliDB needs the full predicate-level match set. Without window
 		// clauses that is the result just computed (a stateless registration
 		// keeps only the member ids, so sharing the store's documents is
 		// safe); a stateful query's order state retains and hands out the
 		// documents, so it gets its own unwindowed evaluation.
-		matches := docs
-		if q.Stateful() {
-			matches, err = s.unwindowedMatches(q)
+		if !q.Stateful() {
+			return s.activate(q, docs, asOfs, rep)
 		}
-		if err == nil {
-			err = s.activate(q, matches, asOfs, rep)
-		}
-		if errors.Is(err, invalidb.ErrAtCapacity) {
-			// Capacity exhausted in InvaliDB: serve uncached rather than
-			// risk stale results without invalidation detection.
-			s.active.Remove(key)
-			s.rejected.Add(1)
-			res.Representation = rep
-			return res, nil
-		}
+		matches, err := s.unwindowedMatches(q)
 		if err != nil {
-			return QueryResult{}, err
+			return err
 		}
+		return s.activate(q, matches, asOfs, rep)
+	})
+	if err != nil {
+		return QueryResult{}, err
+	}
+	if !admitted {
+		s.rejected.Add(1)
+		return res, nil
 	}
 
 	if rep != ttl.ObjectList {
@@ -559,7 +570,6 @@ func (s *Server) Query(q *query.Query) (QueryResult, error) {
 		reported = reported[:1]
 	}
 	s.coh.ReportReads(dur, reported...)
-	res.Representation = rep
 	res.TTL = dur
 	res.Cacheable = true
 	return res, nil
@@ -624,23 +634,17 @@ func (s *Server) queryShared(q *query.Query) ([]*document.Document, query.Plan, 
 	return docs, cur.Plan(), nil
 }
 
-// activated reports whether q is already registered in InvaliDB.
-func (s *Server) activated(queryKey string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.registered[queryKey]
-}
-
 // unwindowedMatches evaluates q's predicate without window clauses and
 // returns deep copies: the match set a registration may retain.
 func (s *Server) unwindowedMatches(q *query.Query) ([]*document.Document, error) {
 	return s.router.Query(query.New(q.Table, q.Predicate))
 }
 
-// activate registers the not yet activated query in InvaliDB. matches is
-// the full predicate-level match set (for stateful queries the unwindowed
-// set, see unwindowedMatches); asOfs is the per-shard sequence vector
-// captured before the evaluation.
+// activate registers the not yet activated query in InvaliDB; it runs as
+// the active list's activation step. matches is the full predicate-level
+// match set (for stateful queries the unwindowed set, see
+// unwindowedMatches); asOfs is the per-shard sequence vector captured
+// before the evaluation.
 func (s *Server) activate(q *query.Query, matches []*document.Document, asOfs []uint64, rep ttl.Representation) error {
 	mask := invalidb.MaskObjectList
 	if rep == ttl.IDList {
@@ -665,25 +669,27 @@ func (s *Server) activate(q *query.Query, matches []*document.Document, asOfs []
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.registered[q.Key()] = true
-	s.mu.Unlock()
 	s.queryActivations.Add(1)
 	return nil
 }
 
-// RegisterQueryPath remembers the REST path serving a query so purges can
-// reach the right CDN entry. The HTTP layer calls this on each query.
-func (s *Server) RegisterQueryPath(queryKey, path string) {
-	s.mu.RLock()
-	cur, ok := s.queryPaths[queryKey]
-	s.mu.RUnlock()
-	if ok && cur == path {
-		return // the common case: a repeated query; no write lock
+// retire ends the cached life of a query the active list evicted: out of
+// InvaliDB, its EWMA forgotten. The list calls it under its admission
+// lock, so it cannot land after a re-activation of the same key. Copies
+// served under a TTL that has not run out are now matched by nothing, so
+// they are invalidated like any stale result: flagged in the EBF for the
+// rest of that TTL and purged.
+func (s *Server) retire(e ttl.Entry) {
+	s.evictions.Add(1)
+	s.inv.Deactivate(e.QueryKey)
+	s.est.Forget(e.QueryKey)
+	remaining := e.LastReadAt.Add(e.TTL).Sub(s.opts.Clock())
+	// The evicted read's own EBF report may still be on its way (Query
+	// reports after Register); reporting for it first makes the flag cover it.
+	s.coh.ReportRead(e.QueryKey, remaining)
+	if s.coh.ReportWrite(e.QueryKey) && e.Path != "" {
+		s.schedulePurge(e.Path)
 	}
-	s.mu.Lock()
-	s.queryPaths[queryKey] = path
-	s.mu.Unlock()
 }
 
 // Insert writes a new document (after schema validation) and runs
@@ -803,39 +809,25 @@ func (s *Server) notificationLoop() {
 	defer close(s.notifyDone)
 	for n := range s.inv.Notifications() {
 		s.invalidations.Add(1)
-		if s.coh.ReportWrite(n.QueryKey) {
-			s.mu.Lock()
-			path := s.queryPaths[n.QueryKey]
-			s.mu.Unlock()
-			if path != "" {
-				s.schedulePurge(path)
-			}
-		}
-		if actual, active := s.active.Invalidated(n.QueryKey); active {
+		path := s.active.Invalidated(n.QueryKey, func(actual time.Duration) {
 			s.est.ObserveInvalidation(n.QueryKey, actual)
+		})
+		if s.coh.ReportWrite(n.QueryKey) && path != "" {
+			s.schedulePurge(path)
 		}
 		s.fanOutToSubscribers(n)
 	}
 }
 
 func (s *Server) schedulePurge(path string) {
-	s.mu.Lock()
-	purgers := append([]Purger(nil), s.purgers...)
-	s.mu.Unlock()
-	if len(purgers) == 0 {
+	purgers := s.purgers.Load()
+	if purgers == nil {
 		return
 	}
-	doPurge := func() {
-		for _, p := range purgers {
-			p.PurgeKey(path)
-		}
-		s.purges.Add(1)
+	for _, p := range *purgers {
+		p.PurgeKey(path)
 	}
-	if s.opts.InvalidationDelay > 0 {
-		time.AfterFunc(s.opts.InvalidationDelay, doPurge)
-		return
-	}
-	doPurge()
+	s.purges.Add(1)
 }
 
 // resultETag derives a deterministic version tag for a query result from

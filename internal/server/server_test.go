@@ -14,7 +14,6 @@ import (
 	"quaestor/internal/cluster"
 	"quaestor/internal/document"
 	"quaestor/internal/query"
-	"quaestor/internal/store"
 	"quaestor/internal/ttl"
 )
 
@@ -126,10 +125,9 @@ func TestInvalidationPurgesAndFeedsEWMA(t *testing.T) {
 	}))
 
 	q := query.New("posts", query.Contains("tags", "x"))
-	if _, err := srv.Query(q); err != nil {
+	if _, err := srv.query(q, "/v1/db/posts?q=x"); err != nil {
 		t.Fatal(err)
 	}
-	srv.RegisterQueryPath(q.Key(), "/v1/db/posts?q=x")
 
 	// A matching insert invalidates the cached query.
 	insertPost(t, srv, "p2", "x")
@@ -217,11 +215,8 @@ func TestRepresentationPolicies(t *testing.T) {
 	}
 }
 
-func TestQueryCapacityRejection(t *testing.T) {
-	srv := newTestServer(t, 1, &Options{
-		InvaliDB:      &invalidbCfg1,
-		QueryCapacity: 1,
-	})
+func TestAdmissionRejectsAtCapacity(t *testing.T) {
+	srv := newTestServer(t, 1, &Options{InvaliDB: &invalidbCfg1})
 	insertPost(t, srv, "p1", "x", "y")
 	q1 := query.New("posts", query.Contains("tags", "x"))
 	q2 := query.New("posts", query.Contains("tags", "y"))
@@ -390,34 +385,4 @@ func TestParseQueryRequest(t *testing.T) {
 	if _, err := ParseQueryRequest("posts", mustValues("limit=x")); err == nil {
 		t.Error("non-numeric limit accepted")
 	}
-}
-
-func TestDeferredPurge(t *testing.T) {
-	srv := newTestServer(t, 1, &Options{InvalidationDelay: 10 * time.Millisecond})
-	insertPost(t, srv, "p1", "x")
-	var mu sync.Mutex
-	var purges []string
-	srv.AddPurger(PurgerFunc(func(path string) {
-		mu.Lock()
-		purges = append(purges, path)
-		mu.Unlock()
-	}))
-	// Read gives the record a TTL; the next write purges after the delay.
-	if _, err := srv.Read("posts", "p1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Update("posts", "p1", store.UpdateSpec{Set: map[string]any{"rating": 1}}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	immediate := len(purges)
-	mu.Unlock()
-	if immediate != 0 {
-		t.Error("purge fired before the configured delay")
-	}
-	waitFor(t, 5*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(purges) == 1 && purges[0] == RecordPath("posts", "p1")
-	})
 }

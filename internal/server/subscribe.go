@@ -32,19 +32,26 @@ func (s *Subscription) Events() <-chan invalidb.Notification { return s.ch }
 func (s *Subscription) Close() { s.cancel() }
 
 // Subscribe registers the query for invalidation detection (if it is not
-// active yet) and returns a live notification feed. Slow subscribers drop
-// events rather than stalling the pipeline.
+// active yet) and returns a live notification feed. The subscription pins
+// the query's active-list entry, so admission pressure cannot evict it
+// while the feed is open; when the list is full of entries that cannot be
+// evicted, Subscribe fails with invalidb.ErrAtCapacity. Slow subscribers
+// drop events rather than stalling the pipeline.
 func (s *Server) Subscribe(q *query.Query) (*Subscription, error) {
 	key := q.Key()
-	if !s.activated(key) {
+	admitted, err := s.active.Pin(key, func() error {
 		asOfs := s.router.LastSeqs()
 		matches, err := s.unwindowedMatches(q)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := s.activate(q, matches, asOfs, ttl.ObjectList); err != nil {
-			return nil, err
-		}
+		return s.activate(q, matches, asOfs, ttl.ObjectList)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !admitted {
+		return nil, invalidb.ErrAtCapacity
 	}
 	ch := make(chan invalidb.Notification, 256)
 	s.mu.Lock()
@@ -66,6 +73,7 @@ func (s *Server) Subscribe(q *query.Query) (*Subscription, error) {
 			if c, ok := m[id]; ok {
 				delete(m, id)
 				close(c)
+				s.active.Unpin(key)
 			}
 			if len(m) == 0 {
 				delete(s.subscribers, key)

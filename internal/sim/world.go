@@ -239,10 +239,10 @@ func (w *world) applyUpdate(table, id, newTag string) {
 			if w.coh.ReportWrite(sq.key) {
 				w.cdn.Purge(sq.key)
 			}
-			if actual, wasActive := w.active.Invalidated(sq.key); wasActive {
+			w.active.Invalidated(sq.key, func(actual time.Duration) {
 				w.est.ObserveInvalidation(sq.key, actual)
 				w.s.met.TrueTTLs.Observe(actual)
-			}
+			})
 		}
 	})
 }

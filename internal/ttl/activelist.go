@@ -28,11 +28,16 @@ func (r Representation) String() string {
 	return "object-list"
 }
 
-// Entry is the active list's bookkeeping for one cached query ("the current
-// TTL estimate for a query is kept in a shared partitioned data structure
-// called the active list, which is accessed by all QUAESTOR nodes").
+// Entry is the active list's record of one cached query ("the current TTL
+// estimate for a query is kept in a shared partitioned data structure
+// called the active list, which is accessed by all QUAESTOR nodes"). At the
+// origin it is the only record: a query is registered in InvaliDB exactly
+// while its entry is resident.
 type Entry struct {
 	QueryKey string
+	// Path is the resource path the query was last served under — what an
+	// invalidation purges from invalidation-based caches ("" if unknown).
+	Path string
 	// LastReadAt is the timestamp of the most recent (re)read; the actual
 	// TTL at invalidation time is Invalidation − LastReadAt.
 	LastReadAt time.Time
@@ -45,20 +50,38 @@ type Entry struct {
 	// Reads and Invalidations count activity for capacity scoring.
 	Reads         uint64
 	Invalidations uint64
+	// Pins counts the live subscriptions holding the entry; a pinned entry
+	// is never evicted.
+	Pins int
 }
+
+// lapsed reports whether the entry's issued TTL has run out: no cache
+// holds the result any more, so dropping the entry costs nothing.
+func (e *Entry) lapsed(now time.Time) bool { return !e.LastReadAt.Add(e.TTL).After(now) }
 
 // ActiveList is the shared, hash-partitioned registry of currently cached
 // queries, combined with the capacity management model (Section 4.1: "only
 // queries that are sufficiently cachable are admitted and prioritized based
 // on the costs of maintaining them").
+//
+// Lifecycle of an entry: Register or Pin admits it (running the caller's
+// activation), re-reads refresh it, and it ends when a later admission at
+// capacity picks it as the victim — OnEvict then tears down whatever the
+// activation set up. Admission of a new key, its activation and the
+// victim's OnEvict all run under one admission lock, so for any one key
+// teardown and re-activation never overlap or reorder. There is no timer:
+// an entry whose TTL lapsed stays until an admission needs its slot.
 type ActiveList struct {
+	// OnEvict, if set before first use, is called with each evicted entry.
+	OnEvict func(Entry)
+
 	parts    []*alPart
 	capacity int // maximum admitted queries; 0 = unlimited
 	clock    func() time.Time
 
-	// admitMu serializes the admission decision so the capacity bound is
+	// admitMu serializes the admission of new keys so the capacity bound is
 	// strict even under concurrent admissions; total mirrors the summed
-	// partition sizes.
+	// partition sizes. Refreshing a resident entry never takes it.
 	admitMu sync.Mutex
 	total   int
 }
@@ -101,97 +124,156 @@ func (al *ActiveList) Len() int {
 	return n
 }
 
-// Admit registers (or refreshes) a query read, recording the issued TTL,
-// result keys and representation. It reports whether the query is admitted
-// to caching: when the list is at capacity, the query must beat the
-// lowest-value resident, which is then evicted.
+// Admit is Register for callers with nothing to activate.
+func (al *ActiveList) Admit(queryKey string, ttl time.Duration, resultKeys []string, rep Representation) bool {
+	admitted, _ := al.Register(Entry{QueryKey: queryKey, TTL: ttl, ResultKeys: resultKeys, Representation: rep}, nil)
+	return admitted
+}
+
+// Register records one read of a query: read carries the key, the issued
+// TTL, the result keys, the representation and the path served. A resident
+// entry is refreshed. A new key is admitted if the list has room or a
+// resident can be evicted for it (see evict); activate, if not nil, then
+// runs before the entry becomes visible, and its error aborts the
+// admission. It reports whether the query is admitted to caching.
 //
 // The value metric is reads per invalidation — a direct proxy for the
 // cache hit benefit versus the maintenance cost of matching the query in
 // InvaliDB and purging caches.
-func (al *ActiveList) Admit(queryKey string, ttl time.Duration, resultKeys []string, rep Representation) bool {
-	p := al.part(queryKey)
-	now := al.clock()
-	p.mu.Lock()
-	e, resident := p.entries[queryKey]
-	if resident {
-		e.LastReadAt = now
-		e.TTL = ttl
-		e.ResultKeys = resultKeys
-		e.Representation = rep
-		e.Reads++
-		p.mu.Unlock()
-		return true
-	}
-	p.mu.Unlock()
-
-	al.admitMu.Lock()
-	defer al.admitMu.Unlock()
-	// Re-check residency: a concurrent Admit may have inserted the key.
-	p.mu.Lock()
-	if e, resident := p.entries[queryKey]; resident {
-		e.Reads++
-		p.mu.Unlock()
-		return true
-	}
-	p.mu.Unlock()
-	if al.capacity > 0 && al.total >= al.capacity {
-		if !al.evictWorseThan(1.0) {
-			return false
-		}
-		al.total--
-	}
-	p.mu.Lock()
-	p.entries[queryKey] = &Entry{
-		QueryKey:       queryKey,
-		LastReadAt:     now,
-		TTL:            ttl,
-		ResultKeys:     resultKeys,
-		Representation: rep,
-		Reads:          1,
-	}
-	p.mu.Unlock()
-	al.total++
-	return true
+func (al *ActiveList) Register(read Entry, activate func() error) (bool, error) {
+	return al.admit(&read, false, activate)
 }
 
-// evictWorseThan removes the globally lowest-scoring entry if its score is
-// below threshold, returning whether an eviction happened.
-func (al *ActiveList) evictWorseThan(threshold float64) bool {
+// Pin is Register for a subscription: it admits queryKey if needed (with
+// no issued TTL, so the entry counts as lapsed once unpinned) and holds it
+// against eviction until the matching Unpin.
+func (al *ActiveList) Pin(queryKey string, activate func() error) (bool, error) {
+	return al.admit(&Entry{QueryKey: queryKey}, true, activate)
+}
+
+// Unpin releases one Pin.
+func (al *ActiveList) Unpin(queryKey string) {
+	p := al.part(queryKey)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e, ok := p.entries[queryKey]; ok && e.Pins > 0 {
+		e.Pins--
+	}
+}
+
+// touch applies one read (or, with pin, one subscription) to the entry.
+func (e *Entry) touch(in *Entry, pin bool) {
+	if pin {
+		e.Pins++
+		return
+	}
+	e.LastReadAt = in.LastReadAt
+	e.TTL = in.TTL
+	e.ResultKeys = in.ResultKeys
+	e.Representation = in.Representation
+	if in.Path != "" {
+		e.Path = in.Path
+	}
+	e.Reads++
+}
+
+// touch applies in to the partition's resident entry of the same key and
+// reports whether there is one.
+func (p *alPart) touch(in *Entry, pin bool) bool {
+	p.mu.Lock()
+	e, resident := p.entries[in.QueryKey]
+	if resident {
+		e.touch(in, pin)
+	}
+	p.mu.Unlock()
+	return resident
+}
+
+// admit is the one admission path behind Register and Pin.
+func (al *ActiveList) admit(in *Entry, pin bool, activate func() error) (bool, error) {
+	in.LastReadAt = al.clock()
+	p := al.part(in.QueryKey)
+	if p.touch(in, pin) {
+		return true, nil
+	}
+	al.admitMu.Lock()
+	defer al.admitMu.Unlock()
+	// Re-check residency: a concurrent admission may have inserted the key.
+	if p.touch(in, pin) {
+		return true, nil
+	}
+	if al.capacity > 0 && al.total >= al.capacity {
+		victim, ok := al.evict(in.LastReadAt)
+		if !ok {
+			return false, nil
+		}
+		al.total--
+		if al.OnEvict != nil {
+			al.OnEvict(victim)
+		}
+	}
+	if activate != nil {
+		if err := activate(); err != nil {
+			return false, err
+		}
+	}
+	fresh := &Entry{QueryKey: in.QueryKey}
+	fresh.touch(in, pin)
+	p.mu.Lock()
+	p.entries[in.QueryKey] = fresh
+	p.mu.Unlock()
+	al.total++
+	return true, nil
+}
+
+// newcomerScore is what a query scores on admission: one read, never
+// invalidated. A resident must score lower to be displaced.
+const newcomerScore = 1.0
+
+// score is the entry's value to the cache: reads per invalidation (a
+// never-invalidated query scores as its raw read count), or below every
+// live entry once the issued TTL has lapsed.
+func (e *Entry) score(now time.Time) float64 {
+	switch {
+	case e.lapsed(now):
+		return -1
+	case e.Invalidations == 0:
+		return float64(e.Reads)
+	}
+	return float64(e.Reads) / float64(e.Invalidations)
+}
+
+// evict removes and returns the lowest-scoring unpinned entry, provided it
+// scores below a newcomer. Lapsed entries go first: they are cached
+// nowhere, and without that rule a list full of read-once, never-
+// invalidated queries would reject every newcomer forever. Called with
+// admitMu held, so no entry appears or disappears during the scan.
+func (al *ActiveList) evict(now time.Time) (Entry, bool) {
 	var victimPart *alPart
 	var victimKey string
-	victimScore := threshold
+	victimScore := newcomerScore
 	for _, p := range al.parts {
 		p.mu.Lock()
 		for k, e := range p.entries {
-			s := score(e)
-			if victimKey == "" || s < victimScore {
-				victimScore = s
-				victimKey = k
-				victimPart = p
+			if s := e.score(now); e.Pins == 0 && s < victimScore {
+				victimPart, victimKey, victimScore = p, k, s
 			}
 		}
 		p.mu.Unlock()
 	}
-	if victimPart == nil || victimKey == "" {
-		return false
+	if victimPart == nil {
+		return Entry{}, false
 	}
 	victimPart.mu.Lock()
 	defer victimPart.mu.Unlock()
-	if _, ok := victimPart.entries[victimKey]; !ok {
-		return false
+	// Re-check under the lock: the victim may have been read or pinned
+	// since the scan looked at it.
+	e := victimPart.entries[victimKey]
+	if e.Pins > 0 || e.score(now) >= newcomerScore {
+		return Entry{}, false
 	}
 	delete(victimPart.entries, victimKey)
-	return true
-}
-
-// score is reads per invalidation (a never-invalidated query scores as its
-// raw read count).
-func score(e *Entry) float64 {
-	if e.Invalidations == 0 {
-		return float64(e.Reads)
-	}
-	return float64(e.Reads) / float64(e.Invalidations)
+	return *e, true
 }
 
 // Get returns a copy of an entry, and whether the query is active.
@@ -209,55 +291,24 @@ func (al *ActiveList) Get(queryKey string) (Entry, bool) {
 }
 
 // Invalidated records that a query's cached result just became stale and
-// returns the entry's actual TTL (invalidation − last read) for the EWMA
-// update, plus whether the query was active.
-func (al *ActiveList) Invalidated(queryKey string) (actual time.Duration, wasActive bool) {
+// returns the path to purge ("" for a query that is not active). For an
+// entry that has been read it calls observe with the entry's actual TTL
+// (invalidation − last read), the sample for the EWMA update; observe runs
+// under the entry's lock, so it cannot land after the entry's eviction.
+func (al *ActiveList) Invalidated(queryKey string, observe func(actual time.Duration)) (path string) {
 	p := al.part(queryKey)
 	now := al.clock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.entries[queryKey]
 	if !ok {
-		return 0, false
+		return ""
 	}
 	e.Invalidations++
-	return now.Sub(e.LastReadAt), true
-}
-
-// UpdateResult replaces the tracked result keys after a membership change.
-func (al *ActiveList) UpdateResult(queryKey string, resultKeys []string) {
-	p := al.part(queryKey)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e, ok := p.entries[queryKey]; ok {
-		e.ResultKeys = resultKeys
+	if e.Reads > 0 {
+		observe(now.Sub(e.LastReadAt))
 	}
-}
-
-// Remove deletes a query from the active list.
-func (al *ActiveList) Remove(queryKey string) {
-	al.admitMu.Lock()
-	defer al.admitMu.Unlock()
-	p := al.part(queryKey)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.entries[queryKey]; ok {
-		delete(p.entries, queryKey)
-		al.total--
-	}
-}
-
-// Keys returns all active query keys (unordered).
-func (al *ActiveList) Keys() []string {
-	var out []string
-	for _, p := range al.parts {
-		p.mu.Lock()
-		for k := range p.entries {
-			out = append(out, k)
-		}
-		p.mu.Unlock()
-	}
-	return out
+	return e.Path
 }
 
 // RepresentationCost captures the inputs to the id-list vs object-list

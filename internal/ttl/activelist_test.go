@@ -1,6 +1,7 @@
 package ttl
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -51,15 +52,12 @@ func TestInvalidatedReturnsActualTTL(t *testing.T) {
 	al := NewActiveList(4, 0, c.Now)
 	al.Admit("q1", 30*time.Second, nil, ObjectList)
 	c.Advance(7 * time.Second)
-	actual, active := al.Invalidated("q1")
-	if !active {
-		t.Fatal("query should be active")
-	}
-	if actual != 7*time.Second {
-		t.Errorf("actual TTL = %v, want 7s (invalidation − last read)", actual)
-	}
-	if _, active := al.Invalidated("missing"); active {
-		t.Error("missing query reported active")
+	var observed []time.Duration
+	observe := func(d time.Duration) { observed = append(observed, d) }
+	al.Invalidated("q1", observe)
+	al.Invalidated("missing", observe)
+	if len(observed) != 1 || observed[0] != 7*time.Second {
+		t.Errorf("observed actual TTLs = %v, want [7s] (invalidation − last read, active queries only)", observed)
 	}
 	e, _ := al.Get("q1")
 	if e.Invalidations != 1 {
@@ -77,7 +75,7 @@ func TestCapacityEvictsLowestValue(t *testing.T) {
 		al.Admit("good", time.Second, nil, ObjectList)
 	}
 	for i := 0; i < 10; i++ {
-		al.Invalidated("bad")
+		al.Invalidated("bad", func(time.Duration) {})
 	}
 	// A third query must displace "bad" (score 1/10), not "good" (score 11).
 	if !al.Admit("new", time.Second, nil, ObjectList) {
@@ -94,30 +92,104 @@ func TestCapacityEvictsLowestValue(t *testing.T) {
 	}
 }
 
-func TestUpdateResultAndRemove(t *testing.T) {
+// TestEvictionThresholdAndLapsedFirst pins the two victim rules: a newcomer
+// displaces a live resident only if the resident scores lower than a
+// newcomer does, and an entry whose issued TTL has lapsed goes first.
+func TestEvictionThresholdAndLapsedFirst(t *testing.T) {
 	c := newFakeClock()
-	al := NewActiveList(4, 0, c.Now)
-	al.Admit("q1", time.Second, []string{"a"}, ObjectList)
-	al.UpdateResult("q1", []string{"a", "b", "c"})
-	e, _ := al.Get("q1")
-	if len(e.ResultKeys) != 3 {
-		t.Errorf("ResultKeys = %v", e.ResultKeys)
+	al := NewActiveList(4, 1, c.Now)
+	var evicted []string
+	al.OnEvict = func(e Entry) { evicted = append(evicted, e.QueryKey) }
+
+	for i := 0; i < 6; i++ {
+		al.Admit("resident", time.Minute, nil, ObjectList)
 	}
-	al.Remove("q1")
-	if _, ok := al.Get("q1"); ok {
-		t.Error("removed query still present")
+	if al.Admit("newcomer", time.Minute, nil, ObjectList) {
+		t.Fatal("a 1-read newcomer displaced a live resident with 6 reads and no invalidation")
 	}
-	al.UpdateResult("missing", nil) // must not panic
+	// Equal score is not lower: a read-once resident holds its slot too.
+	al = NewActiveList(4, 1, c.Now)
+	al.Admit("once", time.Minute, nil, ObjectList)
+	if al.Admit("newcomer", time.Minute, nil, ObjectList) {
+		t.Fatal("a newcomer displaced a live resident of equal score")
+	}
+	// ... until its TTL lapses: nothing caches it any more.
+	c.Advance(time.Minute)
+	if !al.Admit("newcomer", time.Minute, nil, ObjectList) {
+		t.Fatal("a lapsed resident was not reclaimed")
+	}
+
+	// Lapsed goes before lower-scoring: "hot" is lapsed but valuable,
+	// "churny" is live and scores 1/3.
+	al = NewActiveList(4, 2, c.Now)
+	al.OnEvict = func(e Entry) { evicted = append(evicted, e.QueryKey) }
+	for i := 0; i < 5; i++ {
+		al.Admit("hot", time.Second, nil, ObjectList)
+	}
+	c.Advance(2 * time.Second)
+	al.Admit("churny", time.Minute, nil, ObjectList)
+	for i := 0; i < 3; i++ {
+		al.Invalidated("churny", func(time.Duration) {})
+	}
+	if !al.Admit("third", time.Minute, nil, ObjectList) {
+		t.Fatal("admission with a lapsed resident failed")
+	}
+	if !al.Admit("fourth", time.Minute, nil, ObjectList) {
+		t.Fatal("admission with a lower-scoring resident failed")
+	}
+	if got := fmt.Sprint(evicted); got != "[hot churny]" {
+		t.Errorf("evicted %s, want [hot churny]", got)
+	}
+	if al.Len() != 2 {
+		t.Errorf("Len = %d, want 2", al.Len())
+	}
 }
 
-func TestKeysEnumerates(t *testing.T) {
+// TestRegistryPinAndActivation covers the lifecycle hooks: a pinned entry
+// is not evictable, unpinning makes it reclaimable, activation runs once
+// per admission and its failure leaves no entry.
+func TestRegistryPinAndActivation(t *testing.T) {
 	c := newFakeClock()
-	al := NewActiveList(8, 0, c.Now)
-	for i := 0; i < 10; i++ {
-		al.Admit(fmt.Sprintf("q%d", i), time.Second, nil, ObjectList)
+	al := NewActiveList(4, 1, c.Now)
+	activations := 0
+	activate := func() error { activations++; return nil }
+
+	if ok, err := al.Pin("sub", activate); !ok || err != nil {
+		t.Fatalf("Pin = %v, %v", ok, err)
 	}
-	if got := len(al.Keys()); got != 10 {
-		t.Errorf("Keys = %d", got)
+	al.Pin("sub", activate) // second subscriber: same activation
+	if activations != 1 {
+		t.Errorf("activations = %d, want 1", activations)
+	}
+	al.Invalidated("sub", func(time.Duration) { t.Error("a subscription-only entry has no cached read to time") })
+	// A pinned entry has no issued TTL, yet it is not a victim.
+	if ok, _ := al.Register(Entry{QueryKey: "q", TTL: time.Minute}, activate); ok {
+		t.Fatal("a pinned entry was evicted")
+	}
+	al.Unpin("sub")
+	if ok, _ := al.Register(Entry{QueryKey: "q", TTL: time.Minute}, activate); ok {
+		t.Fatal("entry evicted while one subscriber is left")
+	}
+	al.Unpin("sub")
+	if ok, _ := al.Register(Entry{QueryKey: "q", TTL: time.Minute, Path: "/q"}, activate); !ok {
+		t.Fatal("unpinned entry not reclaimed")
+	}
+	if activations != 2 {
+		t.Errorf("activations = %d, want 2", activations)
+	}
+	// A re-read without a path keeps the one on record.
+	al.Register(Entry{QueryKey: "q", TTL: time.Minute}, activate)
+	if path := al.Invalidated("q", func(time.Duration) {}); path != "/q" || activations != 2 {
+		t.Errorf("path = %q, activations = %d", path, activations)
+	}
+
+	c.Advance(time.Hour)
+	failed := errors.New("activation failed")
+	if ok, err := al.Register(Entry{QueryKey: "r", TTL: time.Minute}, func() error { return failed }); ok || err != failed {
+		t.Fatalf("Register = %v, %v", ok, err)
+	}
+	if _, ok := al.Get("r"); ok || al.Len() != 0 {
+		t.Errorf("failed activation left state behind: Len = %d", al.Len())
 	}
 }
 
@@ -144,7 +216,7 @@ func TestActiveListConcurrency(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("q%d", (id*200+i)%100)
 				al.Admit(key, time.Second, nil, ObjectList)
-				al.Invalidated(key)
+				al.Invalidated(key, func(time.Duration) {})
 				al.Get(key)
 			}
 		}(w)

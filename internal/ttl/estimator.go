@@ -16,6 +16,15 @@
 //	TTL ← α·TTL_old + (1−α)·TTL_actual        (Equation 2)
 //
 // so estimates converge towards the true TTL with some lag.
+//
+// The active list (ActiveList) is the origin's one registry of cached
+// queries and owns their whole life: admission against a capacity, the
+// caller's activation (InvaliDB registration) on the way in, the purge
+// path and subscription pins while resident, and eviction — lapsed
+// entries first, else the lowest reads-per-invalidation score below a
+// newcomer's — with OnEvict as the caller's teardown on the way out.
+// Every other per-query structure (InvaliDB's registrations, the
+// estimator's EWMA map) is kept a subset of it by those two hooks.
 package ttl
 
 import (
