@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 )
 
 // ErrCorrupt is returned when deserializing malformed filter bytes.
@@ -222,37 +223,66 @@ func (f *Filter) EstimatedFalsePositiveRate() float64 {
 	return FalsePositiveRate(f.m, f.k, f.n)
 }
 
+// marshalHeader is the wire header: magic, m, k, n (4 bytes each).
+const marshalHeader = 16
+
 // Marshal serializes the filter for the HTTP wire: a 16-byte header
 // (magic, m, k, n) followed by the little-endian bit words. A sparse filter
 // compresses well under HTTP gzip, as the paper notes.
 func (f *Filter) Marshal() []byte {
-	out := make([]byte, 16+len(f.bits)*8)
-	copy(out[0:4], "QBF1")
-	binary.LittleEndian.PutUint32(out[4:8], f.m)
-	binary.LittleEndian.PutUint32(out[8:12], f.k)
-	binary.LittleEndian.PutUint32(out[12:16], uint32(f.n))
-	for i, w := range f.bits {
-		binary.LittleEndian.PutUint64(out[16+i*8:], w)
-	}
+	out := AppendEmptyMarshaled(make([]byte, 0, marshalHeader+len(f.bits)*8), f.m, f.k)
+	_ = f.UnionMarshaled(out) // same (m, k): cannot fail
 	return out
+}
+
+// AppendEmptyMarshaled appends the wire form of an empty filter of m bits
+// and k hashes to dst: the accumulator UnionMarshaled ORs filters into.
+func AppendEmptyMarshaled(dst []byte, m, k uint32) []byte {
+	words := int((m + 63) / 64)
+	dst = slices.Grow(dst, marshalHeader+words*8)
+	dst = append(dst, "QBF1"...)
+	dst = binary.LittleEndian.AppendUint32(dst, m)
+	dst = binary.LittleEndian.AppendUint32(dst, k)
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	return append(dst, make([]byte, words*8)...)
+}
+
+// UnionMarshaled is Union into a filter held in wire form: it ORs f's bits
+// into wire and adds f's element count to the header, so partitions
+// aggregate straight into the bytes that go on the wire with no
+// intermediate Filter. wire must be the wire form of a filter with f's m
+// and k.
+func (f *Filter) UnionMarshaled(wire []byte) error {
+	if len(wire) != marshalHeader+len(f.bits)*8 || string(wire[0:4]) != "QBF1" ||
+		binary.LittleEndian.Uint32(wire[4:8]) != f.m || binary.LittleEndian.Uint32(wire[8:12]) != f.k {
+		return fmt.Errorf("bloom: union into an incompatible marshaled filter (want m=%d,k=%d)", f.m, f.k)
+	}
+	binary.LittleEndian.PutUint32(wire[12:16], binary.LittleEndian.Uint32(wire[12:16])+uint32(f.n))
+	words := wire[marshalHeader:]
+	for i, w := range f.bits {
+		if w != 0 {
+			binary.LittleEndian.PutUint64(words[i*8:], binary.LittleEndian.Uint64(words[i*8:])|w)
+		}
+	}
+	return nil
 }
 
 // Unmarshal parses bytes produced by Marshal.
 func Unmarshal(data []byte) (*Filter, error) {
-	if len(data) < 16 || string(data[0:4]) != "QBF1" {
+	if len(data) < marshalHeader || string(data[0:4]) != "QBF1" {
 		return nil, ErrCorrupt
 	}
 	m := binary.LittleEndian.Uint32(data[4:8])
 	k := binary.LittleEndian.Uint32(data[8:12])
 	n := binary.LittleEndian.Uint32(data[12:16])
 	words := int((m + 63) / 64)
-	if len(data) != 16+words*8 || k == 0 || k > 32 {
+	if len(data) != marshalHeader+words*8 || k == 0 || k > 32 {
 		return nil, ErrCorrupt
 	}
 	f := New(m, k)
 	f.n = int(n)
 	for i := 0; i < words; i++ {
-		f.bits[i] = binary.LittleEndian.Uint64(data[16+i*8:])
+		f.bits[i] = binary.LittleEndian.Uint64(data[marshalHeader+i*8:])
 	}
 	return f, nil
 }

@@ -294,3 +294,36 @@ func TestFalsePositiveRateFormula(t *testing.T) {
 		t.Errorf("formula FPR = %f, want ~0.01", got)
 	}
 }
+
+// TestUnionMarshaledMatchesUnionThenMarshal checks aggregation in wire
+// form against the Filter path it replaces on the /v1/ebf response: OR-ing
+// filters into an empty marshaled accumulator yields the bytes of
+// Union-then-Marshal, element counts included.
+func TestUnionMarshaledMatchesUnionThenMarshal(t *testing.T) {
+	prop := func(groups [][]string) bool {
+		agg := New(4096, 5)
+		wire := AppendEmptyMarshaled([]byte("prefix"), 4096, 5)
+		for _, keys := range groups {
+			f := New(4096, 5)
+			for _, k := range keys {
+				f.Add(k)
+			}
+			if agg.Union(f) != nil || f.UnionMarshaled(wire[len("prefix"):]) != nil {
+				return false
+			}
+		}
+		return string(wire) == "prefix"+string(agg.Marshal())
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	wire := AppendEmptyMarshaled(nil, 4096, 5)
+	for _, f := range []*Filter{New(2048, 5), New(4096, 4)} {
+		if err := f.UnionMarshaled(wire); err == nil {
+			t.Errorf("union of (m=%d,k=%d) into a marshaled (4096,5) filter must fail", f.M(), f.K())
+		}
+	}
+	if err := New(4096, 5).UnionMarshaled(wire[:len(wire)-8]); err == nil {
+		t.Error("union into a truncated marshaled filter must fail")
+	}
+}

@@ -103,7 +103,9 @@ func New(kind Kind, capacity int, clock func() time.Time) *Cache {
 func (c *Cache) Kind() Kind { return c.kind }
 
 // Get returns the entry when present and fresh. Expired entries are
-// evicted lazily and count as Expired misses.
+// evicted lazily and count as Expired misses; the evicted entry is still
+// returned (with false), so the refetch that follows can revalidate it
+// with If-None-Match at no second lookup.
 func (c *Cache) Get(key string) (*Entry, bool) {
 	now := c.clock()
 	c.mu.Lock()
@@ -118,7 +120,7 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 		c.removeLocked(el)
 		c.stats.Misses++
 		c.stats.Expired++
-		return nil, false
+		return e, false
 	}
 	c.lru.MoveToFront(el)
 	c.stats.Hits++

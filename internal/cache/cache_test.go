@@ -35,8 +35,12 @@ func TestPutGetExpiry(t *testing.T) {
 		t.Fatalf("Get = %+v, %v", e, ok)
 	}
 	clk.Advance(11 * time.Second)
-	if _, ok := c.Get("k"); ok {
-		t.Error("expired entry served")
+	// The expired entry is evicted and handed back for revalidation.
+	if e, ok := c.Get("k"); ok || e == nil || e.ETag != `"e1"` {
+		t.Errorf("Get of an expired entry = %+v, %v; want the evicted entry and false", e, ok)
+	}
+	if e, ok := c.GetStale("k"); ok || e != nil {
+		t.Error("expired entry still stored after Get")
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Expired != 1 {

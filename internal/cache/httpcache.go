@@ -124,8 +124,10 @@ func (t *HTTPTier) serveGet(w http.ResponseWriter, r *http.Request) {
 	}
 	t.Upstream.ServeHTTP(rec, up)
 
-	if rec.status == http.StatusNotModified && staleETag != "" {
-		// Refresh the stored copy in place and serve it.
+	if rec.status == http.StatusNotModified && staleETag != "" && up.Header.Get("If-None-Match") == staleETag {
+		// The 304 validated OUR copy (not a different version the client
+		// asked about, which is relayed below): refresh it in place and
+		// serve it.
 		ttl := freshnessLifetime(rec.header, t.Cache.Kind())
 		if ttl > 0 {
 			t.Cache.Extend(key, ttl)

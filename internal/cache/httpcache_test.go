@@ -136,6 +136,28 @@ func TestClientConditionalRequestGets304(t *testing.T) {
 	}
 }
 
+// TestClientValidatorForAnotherVersionIsRelayed: the client revalidates a
+// version newer than the tier's stored one. The origin's 304 answers the
+// client's validator, not the tier's, so the tier must relay it and must
+// not take it as proof that its own older copy is current.
+func TestClientValidatorForAnotherVersionIsRelayed(t *testing.T) {
+	origin := &countingOrigin{cc: "public, max-age=60", etag: `"v1"`, payload: "body1"}
+	tier := NewHTTPTier("edge", InvalidationBased, origin, 0)
+	get(t, tier, "/r", nil) // fill with v1
+	origin.etag, origin.payload = `"v2"`, "body2"
+
+	r := get(t, tier, "/r", map[string]string{
+		"Cache-Control": "no-cache",
+		"If-None-Match": `"v2"`,
+	})
+	if r.Code != http.StatusNotModified || r.Header().Get("ETag") != `"v2"` {
+		t.Errorf("client holding v2 should get the origin's 304 for v2, got %d %q %q", r.Code, r.Header().Get("ETag"), r.Body.String())
+	}
+	if revalidated := tier.Cache.Stats().Revalidations; revalidated != 0 {
+		t.Errorf("the tier renewed its v1 copy on a 304 that validated v2 (%d revalidations)", revalidated)
+	}
+}
+
 func TestPurgeMethod(t *testing.T) {
 	origin := &countingOrigin{cc: "public, max-age=60", payload: "x"}
 	cdn := NewHTTPTier("cdn", InvalidationBased, origin, 0)

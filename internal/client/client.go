@@ -369,15 +369,16 @@ func (c *Client) do(method, path string, body []byte, revalidate bool) (*http.Re
 //     rewritten map or the advertised primary points — the client half
 //     of an automatic failover cutover.
 func (c *Client) doRouted(method, path string, body []byte, revalidate bool, docID string) (*http.Response, error) {
-	return c.doRoutedOn(c.http, method, path, body, revalidate, docID)
+	return c.doRoutedOn(c.http, method, path, body, revalidate, docID, nil)
 }
 
 // doRoutedOn is doRouted on an explicit http.Client — the bounded default
 // for request/response exchanges, or the timeout-free stream client for
-// long-lived NDJSON cursors.
-func (c *Client) doRoutedOn(hc *http.Client, method, path string, body []byte, revalidate bool, docID string) (*http.Response, error) {
+// long-lived NDJSON cursors — with extra request headers (a GET's
+// If-None-Match rides here).
+func (c *Client) doRoutedOn(hc *http.Client, method, path string, body []byte, revalidate bool, docID string, extra http.Header) (*http.Response, error) {
 	base := c.nodeFor(docID)
-	resp, err := c.send(hc, base, method, path, body, revalidate)
+	resp, err := c.send(hc, base, method, path, body, revalidate, extra)
 	if err != nil {
 		nb, ok := c.failoverBase(base, docID)
 		if !ok {
@@ -387,7 +388,7 @@ func (c *Client) doRoutedOn(hc *http.Client, method, path string, body []byte, r
 		c.stats.FailoverRetries++
 		c.mu.Unlock()
 		base = nb
-		if resp, err = c.send(hc, base, method, path, body, revalidate); err != nil {
+		if resp, err = c.send(hc, base, method, path, body, revalidate, extra); err != nil {
 			return nil, err
 		}
 	}
@@ -398,7 +399,7 @@ func (c *Client) doRoutedOn(hc *http.Client, method, path string, body []byte, r
 			c.stats.ShardRetries++
 			c.mu.Unlock()
 			base = nb
-			resp, err = c.send(hc, base, method, path, body, revalidate)
+			resp, err = c.send(hc, base, method, path, body, revalidate, extra)
 			if err != nil {
 				return nil, err
 			}
@@ -410,20 +411,15 @@ func (c *Client) doRoutedOn(hc *http.Client, method, path string, body []byte, r
 			c.mu.Lock()
 			c.stats.PrimaryRedirects++
 			c.mu.Unlock()
-			return c.send(hc, primary, method, path, body, revalidate)
+			return c.send(hc, primary, method, path, body, revalidate, extra)
 		}
 	}
 	return resp, nil
 }
 
-// send performs one raw exchange against an explicit base URL.
-func (c *Client) send(hc *http.Client, base, method, path string, body []byte, revalidate bool) (*http.Response, error) {
-	return c.sendHdr(hc, base, method, path, body, revalidate, nil)
-}
-
-// sendHdr is send with extra request headers (the bounded-read admission
-// headers ride here).
-func (c *Client) sendHdr(hc *http.Client, base, method, path string, body []byte, revalidate bool, extra http.Header) (*http.Response, error) {
+// send performs one raw exchange against an explicit base URL, with extra
+// request headers (conditional GETs, the bounded-read admission headers).
+func (c *Client) send(hc *http.Client, base, method, path string, body []byte, revalidate bool, extra http.Header) (*http.Response, error) {
 	var rdr io.Reader
 	if body != nil {
 		rdr = bytes.NewReader(body)
@@ -449,6 +445,32 @@ func (c *Client) sendHdr(hc *http.Client, base, method, path string, body []byte
 		c.observeReplicaHeaders(resp.Header)
 	}
 	return resp, err
+}
+
+// cached looks path up in the browser cache in one access. fresh reports
+// an entry the read may be served from; otherwise the entry, if any, is
+// the copy the refetch revalidates instead of downloading again — the
+// flagged one when revalidate is set (it stays cached), else the expired
+// one the lookup just evicted.
+func (c *Client) cached(path string, revalidate bool) (entry *cache.Entry, fresh bool) {
+	if c.opts.DisableCache {
+		return nil, false
+	}
+	if revalidate {
+		entry, _ = c.local.GetStale(path)
+		return entry, false
+	}
+	return c.local.Get(path)
+}
+
+// ifNoneMatch makes a GET conditional on prior: the origin answers 304
+// with fresh caching headers and no body while prior is still current.
+func ifNoneMatch(prior *cache.Entry) http.Header {
+	h := http.Header{}
+	if prior != nil && prior.ETag != "" {
+		h.Set("If-None-Match", prior.ETag)
+	}
+	return h
 }
 
 // nodeFor picks the endpoint for a point op: the owning shard's node when
@@ -729,31 +751,30 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 	// no cache tier may answer.
 	revalidate := opts.Consistency == Strong || c.isStale(key) ||
 		c.consumeForcedRevalidation(key) || (bounded && bound == 0)
-	if !revalidate && !c.opts.DisableCache {
-		if entry, ok := c.local.Get(path); ok {
-			doc := entry.Value.(*document.Document)
-			if c.monotonicOK(key, doc.Version) &&
-				(!bounded || c.cacheWithinBound(path, entry.StoredAt, bound)) {
-				c.mu.Lock()
-				c.stats.CacheHits++
-				c.stats.ReadsByTier.ClientCache++
-				c.mu.Unlock()
-				c.observeRead(key, doc.Version)
-				return doc.Clone(), nil
-			}
+	prior, fresh := c.cached(path, revalidate)
+	if fresh {
+		doc := prior.Value.(*document.Document)
+		if c.monotonicOK(key, doc.Version) &&
+			(!bounded || c.cacheWithinBound(path, prior.StoredAt, bound)) {
+			c.mu.Lock()
+			c.stats.CacheHits++
+			c.stats.ReadsByTier.ClientCache++
+			c.mu.Unlock()
+			c.observeRead(key, doc.Version)
+			return doc.Clone(), nil
 		}
 	}
 
 	// Finite bounds route across the replica tier; bound 0 and unbounded
 	// reads go to the primary path.
-	fetch := func(reval bool) (*document.Document, time.Duration, error) {
+	fetch := func(reval bool, prior *cache.Entry) (*document.Document, time.Duration, error) {
 		if bounded && bound > 0 {
-			return c.fetchRecordRouted(path, id, key, reval, bound)
+			return c.fetchRecordRouted(path, id, key, reval, bound, prior)
 		}
-		return c.fetchRecord(path, id, reval)
+		return c.fetchRecord(path, id, reval, prior)
 	}
 
-	doc, cacheTTL, err := fetch(revalidate)
+	doc, cacheTTL, err := fetch(revalidate, prior)
 	if err != nil {
 		return nil, err
 	}
@@ -776,7 +797,8 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 				return cached.Clone(), nil
 			}
 		}
-		doc, cacheTTL, err = fetch(true)
+		// Unconditional: a 304 would hand back the copy that just failed.
+		doc, cacheTTL, err = fetch(true, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -791,12 +813,14 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 
 func etag(version int64) string { return fmt.Sprintf("\"v%d\"", version) }
 
-func (c *Client) fetchRecord(path, id string, revalidate bool) (*document.Document, time.Duration, error) {
-	resp, err := c.doRouted(http.MethodGet, path, nil, revalidate, id)
+// fetchRecord reads a record from the primary path, conditionally on prior
+// (nil = unconditionally).
+func (c *Client) fetchRecord(path, id string, revalidate bool, prior *cache.Entry) (*document.Document, time.Duration, error) {
+	resp, err := c.doRoutedOn(c.http, http.MethodGet, path, nil, revalidate, id, ifNoneMatch(prior))
 	if err != nil {
 		return nil, 0, err
 	}
-	doc, cacheTTL, err := c.decodeRecord(resp, path)
+	doc, cacheTTL, err := c.decodeRecord(resp, prior)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -904,18 +928,15 @@ func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
 	key := q.Key()
 	path := QueryPath(q)
 	revalidate := opts.Consistency == Strong || c.isStale(key)
-
-	if !revalidate && !c.opts.DisableCache {
-		if entry, ok := c.local.Get(path); ok {
-			cached := entry.Value.(*Result)
-			c.mu.Lock()
-			c.stats.CacheHits++
-			c.mu.Unlock()
-			return cloneResult(cached), nil
-		}
+	prior, fresh := c.cached(path, revalidate)
+	if fresh {
+		c.mu.Lock()
+		c.stats.CacheHits++
+		c.mu.Unlock()
+		return cloneResult(prior.Value.(*Result)), nil
 	}
 
-	resp, err := c.do(http.MethodGet, path, nil, revalidate)
+	resp, err := c.doRoutedOn(c.http, http.MethodGet, path, nil, revalidate, "", ifNoneMatch(prior))
 	if err != nil {
 		return nil, err
 	}
@@ -924,58 +945,57 @@ func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
 	if readErr != nil {
 		return nil, readErr
 	}
-	if resp.StatusCode == http.StatusNotModified {
+	var res *Result
+	switch resp.StatusCode {
+	case http.StatusNotModified:
 		c.mu.Lock()
 		c.stats.NotModified++
 		c.mu.Unlock()
-		if entry, ok := c.local.GetStale(path); ok {
-			if revalidate {
-				c.markRevalidated(key)
-			}
-			return cloneResult(entry.Value.(*Result)), nil
+		if prior == nil {
+			return nil, errors.New("client: 304 without cached query result")
 		}
-		return nil, errors.New("client: 304 without cached query result")
-	}
-	if resp.StatusCode != http.StatusOK {
+		// The result ETag covers every member's version, so the cached
+		// documents are current too, whatever the representation.
+		res = cloneResult(prior.Value.(*Result))
+		res.RoundTrips = 1
+	case http.StatusOK:
+		var qr server.QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			return nil, err
+		}
+		res = &Result{IDs: qr.IDs, RoundTrips: 1, Representation: ttl.ObjectList, Docs: qr.Docs}
+		if qr.Representation == ttl.IDList.String() {
+			res.Representation, res.Docs = ttl.IDList, nil
+			for _, id := range qr.IDs {
+				doc, rerr := c.ReadWith(q.Table, id, opts)
+				if rerr != nil {
+					return nil, fmt.Errorf("client: assembling id-list member %s: %w", id, rerr)
+				}
+				res.Docs = append(res.Docs, doc)
+				res.RoundTrips++
+			}
+		}
+	default:
 		return nil, decodeErrorBytes(resp.StatusCode, body)
-	}
-	var qr server.QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		return nil, err
 	}
 	if revalidate {
 		c.markRevalidated(key)
 	}
 
-	res := &Result{IDs: qr.IDs, RoundTrips: 1}
-	if qr.Representation == ttl.IDList.String() {
-		res.Representation = ttl.IDList
-		for _, id := range qr.IDs {
-			doc, rerr := c.ReadWith(q.Table, id, opts)
-			if rerr != nil {
-				return nil, fmt.Errorf("client: assembling id-list member %s: %w", id, rerr)
-			}
-			res.Docs = append(res.Docs, doc)
-			res.RoundTrips++
-		}
-	} else {
-		res.Representation = ttl.ObjectList
-		res.Docs = qr.Docs
-		for _, d := range qr.Docs {
+	age := maxAge(resp.Header)
+	if res.Representation == ttl.ObjectList {
+		for _, d := range res.Docs {
 			c.observeRead(server.RecordKey(q.Table, d.ID), d.Version)
 			// Result members become individual browser-cache entries,
-			// giving record reads hits "by side effect".
-			if !c.opts.DisableCache {
-				if age := maxAge(resp.Header); age > 0 {
-					c.local.Put(server.RecordPath(q.Table, d.ID), d.Clone(), etag(d.Version), age)
-				}
+			// giving record reads hits "by side effect" — under the TTL of
+			// this response, a 304 included.
+			if !c.opts.DisableCache && age > 0 {
+				c.local.Put(server.RecordPath(q.Table, d.ID), d.Clone(), etag(d.Version), age)
 			}
 		}
 	}
-	if !c.opts.DisableCache {
-		if age := maxAge(resp.Header); age > 0 {
-			c.local.Put(path, cloneResult(res), resp.Header.Get("ETag"), age)
-		}
+	if !c.opts.DisableCache && age > 0 {
+		c.local.Put(path, cloneResult(res), resp.Header.Get("ETag"), age)
 	}
 	return res, nil
 }
@@ -1023,7 +1043,7 @@ func (c *Client) QueryStream(q *query.Query) (*DocStream, error) {
 	} else {
 		path += "?stream=1"
 	}
-	resp, err := c.doRoutedOn(c.stream, http.MethodGet, path, nil, false, "")
+	resp, err := c.doRoutedOn(c.stream, http.MethodGet, path, nil, false, "", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"quaestor/internal/cache"
 	"quaestor/internal/document"
 	"quaestor/internal/server"
 )
@@ -419,18 +420,19 @@ func (c *Client) bumpStalenessRetries() {
 }
 
 // decodeRecord turns one record-read response into a document plus its
-// cacheable lifetime (shared by the primary and routed fetch paths).
-func (c *Client) decodeRecord(resp *http.Response, path string) (*document.Document, time.Duration, error) {
+// cacheable lifetime (shared by the primary and routed fetch paths). A 304
+// answers the conditional request made for prior: its document, under the
+// response's fresh lifetime.
+func (c *Client) decodeRecord(resp *http.Response, prior *cache.Entry) (*document.Document, time.Duration, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified {
 		c.mu.Lock()
 		c.stats.NotModified++
 		c.mu.Unlock()
-		if entry, ok := c.local.GetStale(path); ok {
-			d := entry.Value.(*document.Document)
-			return d.Clone(), maxAge(resp.Header), nil
+		if prior == nil {
+			return nil, 0, errors.New("client: 304 without cached copy")
 		}
-		return nil, 0, errors.New("client: 304 without cached copy")
+		return prior.Value.(*document.Document).Clone(), maxAge(resp.Header), nil
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, decodeError(resp)
@@ -448,9 +450,9 @@ func (c *Client) decodeRecord(resp *http.Response, path string) (*document.Docum
 // the primary. A 412 rejection, transport error, or over-bound 200 from
 // an admission-unaware server re-routes; the primary fallback means a
 // bounded read never silently returns an over-bound response.
-func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound time.Duration) (*document.Document, time.Duration, error) {
+func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound time.Duration, prior *cache.Entry) (*document.Document, time.Duration, error) {
 	boundMs := float64(bound) / float64(time.Millisecond)
-	extra := http.Header{}
+	extra := ifNoneMatch(prior)
 	extra.Set(server.HeaderMaxStaleness, strconv.FormatFloat(boundMs, 'f', -1, 64))
 	if minSeq := c.minSeqFor(key); minSeq > 0 {
 		extra.Set(server.HeaderMinSeq, strconv.FormatUint(minSeq, 10))
@@ -463,7 +465,7 @@ func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound 
 		}
 		tried[ep.url] = true
 		start := c.opts.Clock()
-		resp, err := c.sendHdr(c.http, ep.url, http.MethodGet, path, nil, revalidate, extra)
+		resp, err := c.send(c.http, ep.url, http.MethodGet, path, nil, revalidate, extra)
 		c.releaseReplica(ep)
 		if err != nil {
 			c.noteConnFailure(ep)
@@ -489,7 +491,7 @@ func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound 
 			c.bumpStalenessRetries()
 			continue
 		}
-		doc, cacheTTL, err := c.decodeRecord(resp, path)
+		doc, cacheTTL, err := c.decodeRecord(resp, prior)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -498,5 +500,5 @@ func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound 
 		c.maybePiggybackEBF(ep.url, resp.Header)
 		return doc, cacheTTL, nil
 	}
-	return c.fetchRecord(path, id, revalidate)
+	return c.fetchRecord(path, id, revalidate, prior)
 }

@@ -22,7 +22,8 @@
 //	ReportWrite(key)          — on every invalidation detected by InvaliDB;
 //	                            the return value says whether caches must be
 //	                            purged
-//	Snapshot()                — flat copy piggybacked to clients
+//	Snapshot()                — flat copy piggybacked to clients (see
+//	                            "Serving a snapshot" below)
 //
 // Every call costs O(1) per key, whatever the server's history. The one
 // structure that grows with history is the expiration table, and its
@@ -34,6 +35,19 @@
 // Expiry semantics do not depend on when a sweep runs: an expired entry
 // that is still in the table is ignored exactly like a missing one.
 // Stats.TrackedKeys and Stats.SweptEntries make both visible.
+//
+// Serving a snapshot. The paper sizes the filter (DefaultBits, 14.6 KB) so
+// that every client can load it at connect and again every Δ; what a poll
+// costs the origin therefore scales with connected clients, not with
+// traffic, and has to be O(filter) with nothing left behind.
+// Partitioned.AppendSnapshot is that path: one clock read, then each table
+// partition's mirror is OR-ed under that partition's lock straight into
+// the caller's buffer in bloom.Filter wire form — no per-partition Clone,
+// no aggregate Filter, no Marshal copy — so with a reused buffer a poll
+// allocates nothing here and costs one pass over m/64 words per partition.
+// Snapshot and SnapshotTable hand in-process consumers (simulator, tests)
+// that wire image parsed back into a bloom.Filter: one aggregation path,
+// at the price of a second copy nobody on the request path pays.
 //
 // The package also provides the client-side view with differential
 // whitelisting (Section 3.3) and a per-table partitioned variant whose
@@ -252,11 +266,22 @@ func (e *EBF) Contains(key string) bool {
 // Δ-atomicity with Δ = t2 − t1 (Theorem 1).
 func (e *EBF) Snapshot() Snapshot {
 	now := e.opts.Clock()
+	var f *bloom.Filter
+	entries := e.snapshot(now, func(flat *bloom.Filter) { f = flat.Clone() })
+	return Snapshot{Filter: f, GeneratedAt: now, Entries: entries}
+}
+
+// snapshot is the one way the flat mirror is read out: under the lock,
+// with everything that expired by now removed, take hands the mirror to
+// the caller to copy or OR out of (it must not keep it). It returns the
+// number of keys flagged stale in that image.
+func (e *EBF) snapshot(now time.Time, take func(flat *bloom.Filter)) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.expireLocked(now)
 	e.stats.Snapshots++
-	return Snapshot{Filter: e.flat.Clone(), GeneratedAt: now, Entries: len(e.stale)}
+	take(e.flat)
+	return len(e.stale)
 }
 
 // StaleCount returns the number of keys currently flagged stale.

@@ -1,9 +1,13 @@
 package ebf
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
+
+	"quaestor/internal/testutil"
 )
 
 // fakeClock is a controllable time source.
@@ -381,5 +385,110 @@ func TestReportReadsMatchesSingleReports(t *testing.T) {
 	c.Advance(10 * time.Second)
 	if n := batched.Snapshot().Entries; n != 0 {
 		t.Errorf("%d entries left after the batch's TTL expired", n)
+	}
+}
+
+// randomPartitioned builds a filter over 1–3 tables with a random share of
+// the served keys invalidated, some of them already expired again.
+func randomPartitioned(rng *rand.Rand, c *fakeClock) *Partitioned {
+	p := NewPartitioned(&Options{Bits: 1 << 12, Hashes: 4, Clock: c.Now})
+	for t, tables := 0, 1+rng.Intn(3); t < tables; t++ {
+		for k, keys := 0, rng.Intn(200); k < keys; k++ {
+			key := fmt.Sprintf("t%d/k%d", t, k)
+			p.ReportRead(key, time.Duration(1+rng.Intn(20))*time.Second)
+			if rng.Intn(2) == 0 {
+				p.ReportWrite(key)
+			}
+		}
+	}
+	c.Advance(time.Duration(rng.Intn(10)) * time.Second)
+	return p
+}
+
+// TestSnapshotsMatchCloneAndUnion checks the one-pass snapshots — into a
+// Filter (Snapshot, SnapshotTable) and into wire form (AppendSnapshot) —
+// against the algorithm they replace: clone every partition's mirror, OR
+// the clones, marshal the aggregate.
+func TestSnapshotsMatchCloneAndUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		c := newFakeClock()
+		p := randomPartitioned(rng, c)
+		parts := *p.parts.Load()
+		for _, table := range append(p.Tables(), "", "never-reported") {
+			want := New(&p.opts).Snapshot()
+			if table == "" {
+				for _, part := range parts {
+					snap := part.Snapshot()
+					if err := want.Filter.Union(snap.Filter); err != nil {
+						t.Fatal(err)
+					}
+					want.Entries += snap.Entries
+				}
+			} else if part := parts[table]; part != nil {
+				want = part.Snapshot()
+			}
+
+			got := p.snapshotOf(table)
+			if !bytes.Equal(got.Filter.Marshal(), want.Filter.Marshal()) || got.Entries != want.Entries || !got.GeneratedAt.Equal(c.Now()) {
+				t.Fatalf("filter %d table %q: snapshot differs from clone-and-union (entries %d vs %d)", i, table, got.Entries, want.Entries)
+			}
+			wire, at, entries := p.AppendSnapshot([]byte("kept"), table)
+			if string(wire) != "kept"+string(want.Filter.Marshal()) || entries != want.Entries || !at.Equal(c.Now()) {
+				t.Fatalf("filter %d table %q: wire snapshot differs from clone-and-union (entries %d vs %d)", i, table, entries, want.Entries)
+			}
+		}
+		if tables := p.Tables(); len(tables) != len(parts) {
+			t.Fatalf("snapshot of an unreported table created a partition: %v", tables)
+		}
+	}
+}
+
+// TestRequestPathTakesNoFilterWideLock holds the lock that serializes
+// partition creation while reports and snapshots run against existing
+// partitions: none of them may wait for it.
+func TestRequestPathTakesNoFilterWideLock(t *testing.T) {
+	c := newFakeClock()
+	p := NewPartitioned(&Options{Bits: 1 << 12, Hashes: 4, Clock: c.Now})
+	p.ReportRead("posts/p1", time.Minute)
+	p.ReportRead("users/u1", time.Minute)
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.ReportReads(time.Minute, "q:posts/x", "posts/p1", "users/u1")
+		p.ReportWrite("posts/p1")
+		p.Contains("users/u1")
+		p.Snapshot()
+		p.SnapshotTable("posts")
+		p.AppendSnapshot(nil, "")
+		p.Stats()
+		p.Tables()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a report or snapshot on existing partitions waited for the partition-creation lock")
+	}
+}
+
+// TestAppendSnapshotAllocatesNothing pins what a poll costs here: with a
+// reused buffer, no partition clone, no aggregate filter, no marshal copy.
+func TestAppendSnapshotAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	p := NewPartitioned(nil)
+	for _, key := range []string{"posts/p1", "users/u1", "tags/t1"} {
+		p.ReportRead(key, time.Minute)
+		p.ReportWrite(key)
+	}
+	buf, _, _ := p.AppendSnapshot(nil, "")
+	for _, table := range []string{"", "posts"} {
+		if allocs := testing.AllocsPerRun(100, func() { buf, _, _ = p.AppendSnapshot(buf[:0], table) }); allocs != 0 {
+			t.Errorf("AppendSnapshot(table %q) into a reused buffer: %v allocs/op, want 0", table, allocs)
+		}
 	}
 }

@@ -1,10 +1,14 @@
 package ebf
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"quaestor/internal/bloom"
 )
 
 // Partitioned shards the EBF per table for write scalability (Section 3.3
@@ -16,15 +20,20 @@ import (
 // and query keys like "q:table/...", as produced by store.ChangeEvent.Key
 // and query.Query.Key.
 type Partitioned struct {
+	opts Options
+	// parts is copy-on-write: a partition is created by the first report
+	// for its table (in practice at start-up), so the request path finds
+	// its partition without a filter-wide lock. mu serializes creators.
 	mu    sync.Mutex
-	opts  Options
-	parts map[string]*EBF
+	parts atomic.Pointer[map[string]*EBF]
 }
 
 // NewPartitioned creates an empty per-table partitioned EBF. All partitions
 // share the same (m, k) so their bit vectors can be OR-ed.
 func NewPartitioned(opts *Options) *Partitioned {
-	return &Partitioned{opts: opts.withDefaults(), parts: map[string]*EBF{}}
+	p := &Partitioned{opts: opts.withDefaults()}
+	p.parts.Store(&map[string]*EBF{})
+	return p
 }
 
 // TableOf extracts the routing table from an EBF key. Record keys are
@@ -42,14 +51,21 @@ func (p *Partitioned) partition(key string) *EBF {
 }
 
 func (p *Partitioned) tablePartition(table string) *EBF {
+	if part := (*p.parts.Load())[table]; part != nil {
+		return part
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	part, ok := p.parts[table]
-	if !ok {
-		o := p.opts
-		part = New(&o)
-		p.parts[table] = part
+	cur := *p.parts.Load()
+	if part := cur[table]; part != nil {
+		return part
 	}
+	next := make(map[string]*EBF, len(cur)+1)
+	maps.Copy(next, cur)
+	o := p.opts
+	part := New(&o)
+	next[table] = part
+	p.parts.Store(&next)
 	return part
 }
 
@@ -86,69 +102,67 @@ func (p *Partitioned) Contains(key string) bool {
 	return p.partition(key).Contains(key)
 }
 
-// Snapshot returns the aggregated flat filter: the bitwise OR across all
-// table partitions.
-func (p *Partitioned) Snapshot() Snapshot {
-	p.mu.Lock()
-	parts := make([]*EBF, 0, len(p.parts))
-	for _, e := range p.parts {
-		parts = append(parts, e)
-	}
-	p.mu.Unlock()
-
-	if len(parts) == 0 {
-		o := p.opts
-		empty := New(&o)
-		return empty.Snapshot()
-	}
-	agg := parts[0].Snapshot()
-	for _, e := range parts[1:] {
-		snap := e.Snapshot()
-		// Same (m,k) by construction, so Union cannot fail.
-		_ = agg.Filter.Union(snap.Filter)
-		agg.Entries += snap.Entries
-		if snap.GeneratedAt.Before(agg.GeneratedAt) {
-			// The aggregate is only as fresh as its oldest partition.
-			agg.GeneratedAt = snap.GeneratedAt
+// each calls fn on the partitions a snapshot for table covers: every
+// partition for "" (the aggregate), else that table's alone — none if
+// nothing was ever reported for it.
+func (p *Partitioned) each(table string, fn func(*EBF)) {
+	parts := *p.parts.Load()
+	if table == "" {
+		for _, part := range parts {
+			fn(part)
 		}
+	} else if part := parts[table]; part != nil {
+		fn(part)
 	}
-	return agg
 }
 
+// AppendSnapshot appends to dst the flat filter clients load, in
+// bloom.Filter wire form (what Snapshot().Filter.Marshal() returns): for
+// table "" the aggregate — the bitwise OR across all table partitions —
+// else that table's partition alone. Each partition is OR-ed into dst
+// under its own lock, so the pass clones nothing and, given capacity in
+// dst, allocates nothing. generatedAt is read once, before the first
+// partition: the image is at least that fresh. entries counts the stale
+// keys in it.
+func (p *Partitioned) AppendSnapshot(dst []byte, table string) (wire []byte, generatedAt time.Time, entries int) {
+	generatedAt = p.opts.Clock()
+	start := len(dst)
+	dst = bloom.AppendEmptyMarshaled(dst, p.opts.Bits, p.opts.Hashes)
+	p.each(table, func(part *EBF) {
+		entries += part.snapshot(generatedAt, func(flat *bloom.Filter) {
+			_ = flat.UnionMarshaled(dst[start:]) // same (m, k) by construction
+		})
+	})
+	return dst, generatedAt, entries
+}
+
+// Snapshot returns the aggregated flat filter: the bitwise OR across all
+// table partitions.
+func (p *Partitioned) Snapshot() Snapshot { return p.snapshotOf("") }
+
 // SnapshotTable returns the flat filter of one table's partition.
-func (p *Partitioned) SnapshotTable(table string) Snapshot {
-	p.mu.Lock()
-	part, ok := p.parts[table]
-	p.mu.Unlock()
-	if !ok {
-		o := p.opts
-		return New(&o).Snapshot()
+func (p *Partitioned) SnapshotTable(table string) Snapshot { return p.snapshotOf(table) }
+
+// snapshotOf is AppendSnapshot parsed back into a bloom.Filter, so the
+// image in-process consumers see is the wire's by construction.
+func (p *Partitioned) snapshotOf(table string) Snapshot {
+	wire, generatedAt, entries := p.AppendSnapshot(nil, table)
+	filter, err := bloom.Unmarshal(wire)
+	if err != nil {
+		panic("ebf: AppendSnapshot produced an unparsable filter: " + err.Error())
 	}
-	return part.Snapshot()
+	return Snapshot{Filter: filter, Entries: entries, GeneratedAt: generatedAt}
 }
 
 // Tables lists partitions in sorted order.
 func (p *Partitioned) Tables() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.parts))
-	for t := range p.parts {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(*p.parts.Load()))
 }
 
 // Stats sums activity counters across partitions.
 func (p *Partitioned) Stats() Stats {
-	p.mu.Lock()
-	parts := make([]*EBF, 0, len(p.parts))
-	for _, e := range p.parts {
-		parts = append(parts, e)
-	}
-	p.mu.Unlock()
 	var total Stats
-	for _, e := range parts {
+	for _, e := range *p.parts.Load() {
 		s := e.Stats()
 		total.Reads += s.Reads
 		total.Invalidations += s.Invalidations

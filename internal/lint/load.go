@@ -97,6 +97,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
+		// Honour build constraints like the compiler does, so a
+		// race/!race file pair is one declaration, not two.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			continue
+		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err

@@ -129,9 +129,7 @@ func (s *Server) replStore(r *http.Request) (*store.Store, error) {
 // (they arrive through replication, not the HTTP write path) and every
 // key would look cold.
 func (s *Server) AttachReplicas(rs ...*replication.Replica) {
-	s.mu.Lock()
-	s.replicas = rs
-	s.mu.Unlock()
+	s.updateRole(func(r *nodeRole) { r.replicas = rs })
 	for i, st := range s.router.Stores() {
 		s.followCoherence(st, fmt.Sprintf("replica-coherence-%d", i))
 	}
@@ -173,11 +171,7 @@ func (s *Server) handleClusterReplicas(w http.ResponseWriter, r *http.Request) {
 
 // ShardReplicas returns the attached per-shard replicas (nil on a
 // primary).
-func (s *Server) ShardReplicas() []*replication.Replica {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replicas
-}
+func (s *Server) ShardReplicas() []*replication.Replica { return s.role.Load().replicas }
 
 // ShardSection is one shard's slice of /v1/stats and
 // /v1/replication/status.

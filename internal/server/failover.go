@@ -24,9 +24,7 @@ import (
 // (quaestor-server -advertise-self). A node that knows its own address
 // advertises itself as the primary when promoted.
 func (s *Server) SetSelfURL(u string) {
-	s.mu.Lock()
-	s.selfURL = u
-	s.mu.Unlock()
+	s.updateRole(func(r *nodeRole) { r.selfURL = u })
 }
 
 // AttachCoordinator hands the server a running failover coordinator so
@@ -47,11 +45,7 @@ func (s *Server) Coordinator() *coordinator.Coordinator {
 
 // fencedPrimary returns the successor primary this node was demoted in
 // favor of ("" when not fenced).
-func (s *Server) fencedPrimary() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fencedTo
-}
+func (s *Server) fencedPrimary() string { return s.role.Load().fencedTo }
 
 // primaryHint resolves the base URL writes should be redirected to when
 // this node cannot accept them: the fencing successor on a demoted
@@ -60,20 +54,16 @@ func (s *Server) fencedPrimary() string {
 // the dead node), or the primary the replica follows. "" on a writable
 // node: no hint is stamped.
 func (s *Server) primaryHint() string {
-	s.mu.Lock()
-	fenced := s.fencedTo
-	adv := s.advPrimary
-	self := s.selfURL
-	s.mu.Unlock()
-	if fenced != "" {
-		return fenced
+	role := s.role.Load()
+	if role.fencedTo != "" {
+		return role.fencedTo
 	}
 	st, ok := s.replicaStatus()
 	if !ok || st.State == replication.StatePromoted {
 		return ""
 	}
-	if adv != "" && adv != self {
-		return adv
+	if role.advPrimary != "" && role.advPrimary != role.selfURL {
+		return role.advPrimary
 	}
 	return st.Primary
 }
@@ -128,10 +118,10 @@ func (s *Server) handleReplDemote(w http.ResponseWriter, r *http.Request) {
 	for _, db := range s.router.Stores() {
 		db.SetReadOnly(true)
 	}
-	s.mu.Lock()
-	s.fencedTo = req.Primary
-	s.advPrimary = req.Primary
-	s.mu.Unlock()
+	s.updateRole(func(r *nodeRole) {
+		r.fencedTo = req.Primary
+		r.advPrimary = req.Primary
+	})
 	writeJSON(w, http.StatusOK, map[string]any{"demoted": true, "primary": req.Primary})
 }
 
@@ -144,24 +134,23 @@ func (s *Server) handleReplDemote(w http.ResponseWriter, r *http.Request) {
 // reads at a corpse. Promotion also clears any fence left from a
 // previous demotion.
 func (s *Server) noteSelfPromoted(oldPrimary string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fencedTo = ""
-	self := s.selfURL
-	if self != "" {
-		s.advPrimary = self
-	} else if s.advPrimary == oldPrimary {
-		s.advPrimary = ""
-	}
-	if self != "" {
-		keep := s.advReplicas[:0]
-		for _, u := range s.advReplicas {
-			if u != self {
+	s.updateRole(func(r *nodeRole) {
+		r.fencedTo = ""
+		if r.selfURL == "" {
+			if r.advPrimary == oldPrimary {
+				r.advPrimary = ""
+			}
+			return
+		}
+		r.advPrimary = r.selfURL
+		var keep []string
+		for _, u := range r.advReplicas {
+			if u != r.selfURL {
 				keep = append(keep, u)
 			}
 		}
-		s.advReplicas = keep
-	}
+		r.advReplicas = keep
+	})
 }
 
 // allShardsPromoted reports whether every attached follower has been

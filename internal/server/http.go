@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/base64"
 	"encoding/json"
@@ -75,8 +76,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// bodyPool recycles the buffers cacheable read and query responses are
-// encoded into.
+// bodyPool recycles the buffers document and query responses are encoded
+// into.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody keeps one huge response from pinning its buffer forever.
@@ -157,40 +158,82 @@ type EBFResponse struct {
 	Entries int `json:"entries"`
 }
 
+// ebfEncoder is the reusable state of one GET /v1/ebf response: the filter
+// in wire form, the JSON body around its base64, and the gzip stream with
+// its output. All three buffers settle at the filter's size after one use.
+type ebfEncoder struct {
+	wire []byte
+	body []byte
+	zbuf bytes.Buffer
+	zw   *gzip.Writer
+}
+
+var ebfEncoders = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a valid level: no error
+	return &ebfEncoder{zw: zw}
+}}
+
+// handleEBF serves the coherence signal. Every connected client polls it
+// once per Δ, so its cost scales with clients, not traffic, and the whole
+// response is one pooled pass: the partitions OR-ed straight into wire
+// form (ebf.Partitioned.AppendSnapshot), base64 and the JSON frame
+// appended around it — the bytes json.Encoder produced for EBFResponse —
+// and, for clients that accept it, a pooled gzip.Writer that is Reset,
+// never built, per poll. The writer runs at gzip.BestSpeed: on the default
+// 14.6 KB filter (a 19.5 KB body) level 6 bought 0–19 % fewer wire bytes
+// for 4–14× the CPU, and building its compressor per poll allocated
+// ≈ 890 KB (BenchmarkEBFEndpoint; before → after):
+//
+//	stale entries   fresh level 6       pooled level 1
+//	          200   0.99 ms   1 608 B   0.08 ms   1 920 B
+//	          900   2.16 ms   4 156 B   0.15 ms   5 014 B
+//	        5 000   1.10 ms  10 509 B   0.29 ms  10 814 B
+//	       20 000   0.88 ms  14 775 B   0.08 ms  14 755 B
+//
+// Every row is within a few hundred bytes of what it was, so the filter
+// fits the one congestion window the paper sizes it for exactly where it
+// did before (up to its 20 000-entry design point).
 func (s *Server) handleEBF(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, &httpError{http.StatusMethodNotAllowed, "GET only"})
 		return
 	}
+	enc := ebfEncoders.Get().(*ebfEncoder)
+	defer ebfEncoders.Put(enc)
 	// ?table=X serves that table's partition only — clients may trade
 	// extra fetches for a lower false positive rate (Section 3.3).
-	snap := s.EBFSnapshot()
-	if table := r.URL.Query().Get("table"); table != "" {
-		snap = s.EBFTableSnapshot(table)
-	}
+	wire, generatedAt, entries := s.coh.AppendSnapshot(enc.wire[:0], r.URL.Query().Get("table"))
+	enc.wire = wire
+	body := append(enc.body[:0], `{"filter":"`...)
+	body = base64.StdEncoding.AppendEncode(body, wire)
+	body = append(body, `","generatedAt":`...)
+	body = strconv.AppendInt(body, generatedAt.UnixNano(), 10)
+	body = append(body, `,"entries":`...)
+	body = strconv.AppendInt(body, int64(entries), 10)
+	body = append(body, "}\n"...)
+	enc.body = body
+
+	h := w.Header()
 	// The EBF itself must never be cached: it is the coherence signal.
-	w.Header().Set("Cache-Control", "no-store")
+	h.Set("Cache-Control", "no-store")
 	// On a replica the filter describes replica state: annotate it with
 	// the staleness bound like every other replica-served read, so
 	// clients can weigh the coherence signal's own age.
 	s.addReplicaHeaders(w)
-	body := EBFResponse{
-		Filter:      base64.StdEncoding.EncodeToString(snap.Filter.Marshal()),
-		GeneratedAt: snap.GeneratedAt.UnixNano(),
-		Entries:     snap.Entries,
-	}
+	h.Set("Content-Type", "application/json")
 	// A sparse Bloom filter is highly compressible; honour gzip so the
 	// piggybacked filter stays within one congestion window on the wire.
 	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		w.Header().Set("Content-Encoding", "gzip")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		gz := gzip.NewWriter(w)
-		_ = json.NewEncoder(gz).Encode(body)
-		_ = gz.Close()
-		return
+		enc.zbuf.Reset()
+		enc.zw.Reset(&enc.zbuf)
+		_, _ = enc.zw.Write(body) // into a bytes.Buffer: cannot fail
+		_ = enc.zw.Close()
+		body = enc.zbuf.Bytes()
+		h.Set("Content-Encoding", "gzip")
 	}
-	writeJSON(w, http.StatusOK, body)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
@@ -255,6 +298,11 @@ type PipelineSection struct {
 	SSEDropped uint64 `json:"sseDropped"`
 }
 
+// TTLSection is the TTL estimator's slice of /v1/stats.
+type TTLSection struct {
+	TrackedRecords int `json:"trackedRecords"`
+}
+
 // StatsResponse is the JSON body of GET /v1/stats: the activity counters,
 // shard 0's commit-pipeline section (whose per-subscriber entries include
 // each attached replica's lag as "replica:<name>") and, on durable
@@ -265,7 +313,11 @@ type StatsResponse struct {
 	// EBF is the coherence filter's activity: TrackedKeys is the size of
 	// its TTL table (the one per-key map on the read path) and
 	// SweptEntries the total work its amortized sweeps have done.
-	EBF        ebf.Stats              `json:"ebf"`
+	EBF ebf.Stats `json:"ebf"`
+	// TTL is the estimator's footprint: the rate windows it tracks, one per
+	// record written within the last two sampling windows plus what its
+	// amortized sweep has not reached yet.
+	TTL        TTLSection             `json:"ttl"`
 	Pipeline   PipelineSection        `json:"pipeline"`
 	Durability *store.DurabilityStats `json:"durability,omitempty"`
 	// Cluster carries every shard's section (LastSeq, pipeline,
@@ -284,6 +336,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		Stats: s.Stats(),
 		EBF:   s.coh.Stats(),
+		TTL:   TTLSection{TrackedRecords: s.est.TrackedRecords()},
 		Pipeline: PipelineSection{
 			PipelineStats: s.router.Store(0).PipelineStats(),
 			SSEDropped:    s.sseDropped.Load(),
@@ -396,7 +449,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 			return
 		}
 		s.addWriteSeq(w, id)
-		writeJSON(w, http.StatusOK, doc)
+		writeEncoded(w, http.StatusOK, doc)
 	case http.MethodDelete:
 		if err := s.Delete(table, id); err != nil {
 			writeError(w, err)

@@ -169,6 +169,9 @@ type Server struct {
 	// path reads it without a lock.
 	purgers atomic.Pointer[[]Purger]
 
+	// mu guards the control plane: subscribers, coherence pumps, the
+	// coordinator, and writers of purgers and role. No request on the data
+	// path (record and query GETs, writes, /v1/ebf) takes it.
 	mu          sync.Mutex
 	subscribers map[string]map[int]chan invalidb.Notification
 	nextSubID   int
@@ -181,25 +184,13 @@ type Server struct {
 	schemas *schemaRegistry
 	auth    authorizer
 
-	// replicas holds the per-shard follower loops of a log-shipping
-	// replica (index = shard; see AttachReplicas), nil on a primary.
-	// Guarded by mu.
-	replicas []*replication.Replica
+	// role is what every request asks about this node's place in the
+	// deployment, published copy-on-write (updateRole) so the data path
+	// reads it with one atomic load.
+	role atomic.Pointer[nodeRole]
 	// cohCancels stops the coherence pumps started by AttachReplicas
 	// (guarded by mu).
 	cohCancels []func()
-	// advPrimary/advReplicas is the read topology advertised on
-	// GET /v1/cluster/replicas (guarded by mu).
-	advPrimary  string
-	advReplicas []string
-	// selfURL is this node's own advertised base URL (SetSelfURL); it
-	// lets a promoted replica advertise itself as the new primary.
-	// Guarded by mu.
-	selfURL string
-	// fencedTo is non-empty once this node has been demoted
-	// (POST /v1/replication/demote): the successor primary every 503
-	// advertises. Guarded by mu.
-	fencedTo string
 	// coord is the attached failover coordinator (AttachCoordinator),
 	// nil on nodes that don't supervise. Guarded by mu.
 	coord *coordinator.Coordinator
@@ -230,6 +221,35 @@ type Server struct {
 	// mutation, piggybacked on read responses (HeaderEBFGenerated) so
 	// clients can warm their invalidation state from the serving tier.
 	ebfGen atomic.Int64
+}
+
+// nodeRole is one immutable snapshot of the node's replication role and
+// advertised topology. A change publishes a new snapshot; slices in a
+// published snapshot are never written again.
+type nodeRole struct {
+	// replicas holds the per-shard follower loops of a log-shipping
+	// replica (index = shard; see AttachReplicas), nil on a primary.
+	replicas []*replication.Replica
+	// advPrimary/advReplicas is the read topology advertised on
+	// GET /v1/cluster/replicas.
+	advPrimary  string
+	advReplicas []string
+	// selfURL is this node's own advertised base URL (SetSelfURL); it
+	// lets a promoted replica advertise itself as the new primary.
+	selfURL string
+	// fencedTo is non-empty once this node has been demoted
+	// (POST /v1/replication/demote): the successor primary every 503
+	// advertises.
+	fencedTo string
+}
+
+// updateRole publishes the current role with change applied.
+func (s *Server) updateRole(change func(*nodeRole)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next := *s.role.Load()
+	change(&next)
+	s.role.Store(&next)
 }
 
 // New assembles a server around an existing document store: the 1-shard
@@ -286,6 +306,7 @@ func NewCluster(router *cluster.Router, opts *Options) *Server {
 		schemas:    newSchemaRegistry(),
 		notifyDone: make(chan struct{}),
 	}
+	s.role.Store(&nodeRole{})
 	s.active.OnEvict = s.retire
 	// Every shard's ordered stream feeds the grid; each pump tracks its
 	// own shard's Seq space, so per-shard order assertions hold.
@@ -412,11 +433,6 @@ func (s *Server) EBFSnapshot() ebf.Snapshot {
 	return s.coh.Snapshot()
 }
 
-// EBFTableSnapshot returns one table's filter partition.
-func (s *Server) EBFTableSnapshot(table string) ebf.Snapshot {
-	return s.coh.SnapshotTable(table)
-}
-
 // ReadResult carries a record read plus its caching metadata.
 type ReadResult struct {
 	Doc  *document.Document
@@ -531,8 +547,8 @@ func (s *Server) query(q *query.Query, servedAs string) (QueryResult, error) {
 		recordKeys[i] = RecordKey(q.Table, d.ID)
 	}
 
-	rep := s.chooseRepresentation(recordKeys)
-	dur := s.est.QueryTTL(key, recordKeys)
+	changeRate, dur := s.est.QueryEstimate(key, recordKeys)
+	rep := s.chooseRepresentation(len(recordKeys), changeRate)
 	res.Representation = rep
 	admitted, err := s.active.Register(ttl.Entry{
 		QueryKey:       key,
@@ -595,20 +611,17 @@ func (s *Server) QueryStream(q *query.Query) (*store.Cursor, error) {
 	return cur, nil
 }
 
-// chooseRepresentation applies the configured policy.
-func (s *Server) chooseRepresentation(recordKeys []string) ttl.Representation {
+// chooseRepresentation applies the configured policy to a result of
+// resultSize records whose write rates sum to changeRate.
+func (s *Server) chooseRepresentation(resultSize int, changeRate float64) ttl.Representation {
 	switch s.opts.Representation {
 	case RepAlwaysObjects:
 		return ttl.ObjectList
 	case RepAlwaysIDs:
 		return ttl.IDList
 	}
-	var changeRate float64
-	for _, rk := range recordKeys {
-		changeRate += s.est.WriteRate(rk)
-	}
 	return ttl.ChooseRepresentation(ttl.RepresentationCost{
-		ResultSize: len(recordKeys),
+		ResultSize: resultSize,
 		ChangeRate: changeRate,
 		// Membership changes are a fraction of all writes; most updates
 		// modify contained objects in place (the paper's change events).
@@ -789,17 +802,17 @@ func (s *Server) followCoherence(st *store.Store, name string) {
 // bounded reads across. Served on GET /v1/cluster/replicas; the
 // quaestor-server binary populates it from -advertise-replicas.
 func (s *Server) SetReplicaEndpoints(primary string, replicas []string) {
-	s.mu.Lock()
-	s.advPrimary = primary
-	s.advReplicas = append([]string(nil), replicas...)
-	s.mu.Unlock()
+	replicas = append([]string(nil), replicas...)
+	s.updateRole(func(r *nodeRole) {
+		r.advPrimary = primary
+		r.advReplicas = replicas
+	})
 }
 
 // ReplicaEndpoints returns the advertised read topology.
 func (s *Server) ReplicaEndpoints() (primary string, replicas []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.advPrimary, append([]string(nil), s.advReplicas...)
+	r := s.role.Load()
+	return r.advPrimary, append([]string(nil), r.advReplicas...)
 }
 
 // notificationLoop consumes InvaliDB events: every notification marks the

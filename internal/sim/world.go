@@ -263,17 +263,14 @@ func (w *world) serveRecordAtOrigin(table, id string) (int64, time.Duration) {
 	return doc.version, dur
 }
 
-// chooseRep applies the configured representation policy to a query.
-func (w *world) chooseRep(sq *simQuery) ttl.Representation {
+// chooseRep applies the configured representation policy to a query whose
+// members change at changeRate (Σ λi) in total.
+func (w *world) chooseRep(sq *simQuery, changeRate float64) ttl.Representation {
 	switch w.cfg.Representation {
 	case server.RepAlwaysIDs:
 		return ttl.IDList
 	case server.RepAlwaysObjects:
 		return ttl.ObjectList
-	}
-	var changeRate float64
-	for id := range sq.members {
-		changeRate += w.est.WriteRate(recordKey(sq.table, id))
 	}
 	return ttl.ChooseRepresentation(ttl.RepresentationCost{
 		ResultSize:     len(sq.members),
@@ -294,8 +291,8 @@ func (w *world) serveQueryAtOrigin(sq *simQuery) time.Duration {
 	for id := range sq.members {
 		keys = append(keys, recordKey(sq.table, id))
 	}
-	sq.rep = w.chooseRep(sq)
-	dur := w.est.QueryTTL(sq.key, keys)
+	changeRate, dur := w.est.QueryEstimate(sq.key, keys)
+	sq.rep = w.chooseRep(sq, changeRate)
 	w.active.Admit(sq.key, dur, keys, sq.rep)
 	w.coh.ReportRead(sq.key, dur)
 	if sq.rep == ttl.ObjectList {

@@ -152,14 +152,14 @@ func TestInvalidationWaveFlagsEBFAfterDelay(t *testing.T) {
 func TestChooseRepPolicies(t *testing.T) {
 	_, w := newTestWorld(t, func(c *Config) { c.Representation = server.RepAlwaysIDs })
 	for _, sq := range w.queries {
-		if got := w.chooseRep(sq); got != ttl.IDList {
+		if got := w.chooseRep(sq, 0); got != ttl.IDList {
 			t.Fatalf("forced id-list, got %v", got)
 		}
 		break
 	}
 	_, w2 := newTestWorld(t, func(c *Config) { c.Representation = server.RepAlwaysObjects })
 	for _, sq := range w2.queries {
-		if got := w2.chooseRep(sq); got != ttl.ObjectList {
+		if got := w2.chooseRep(sq, 0); got != ttl.ObjectList {
 			t.Fatalf("forced object-list, got %v", got)
 		}
 		break

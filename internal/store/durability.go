@@ -96,6 +96,7 @@ func (s *Store) recover() error {
 				if _, err := s.createTable(tm.Name); err != nil {
 					return err
 				}
+				s.tables[tm.Name].raiseVersionFloor(tm.VersionFloor)
 				for _, p := range tm.Indexes {
 					addIndex(tm.Name, p)
 				}
@@ -149,7 +150,7 @@ func (s *Store) recover() error {
 		}
 		var err error
 		if r.Kind == wal.KindDelete {
-			err = s.applyDelete(r.Table, r.ID)
+			err = s.applyDelete(r.Table, r.ID, r.Version)
 		} else {
 			err = s.applyPut(r.Table, r.Doc)
 		}
@@ -244,15 +245,17 @@ func (s *Store) applyPut(tableName string, doc *document.Document) error {
 	if prev, ok := sh.docs[doc.ID]; ok {
 		sh.indexRemove(prev)
 	}
+	delete(sh.tombs, doc.ID)
 	sh.docs[doc.ID] = doc
 	sh.indexAdd(doc)
 	sh.mu.Unlock()
 	return nil
 }
 
-// applyDelete removes a document as recorded; deleting an already-absent
-// id is a no-op (the record may predate the snapshot's state). Recovery-only.
-func (s *Store) applyDelete(tableName, id string) error {
+// applyDelete removes a document as recorded and remembers its tombstone
+// version; deleting an already-absent id removes nothing (the record may
+// predate the snapshot's state). Recovery-only.
+func (s *Store) applyDelete(tableName, id string, tombVersion int64) error {
 	t, err := s.table(tableName)
 	if err != nil {
 		return err
@@ -263,6 +266,7 @@ func (s *Store) applyDelete(tableName, id string) error {
 		sh.indexRemove(prev)
 		delete(sh.docs, id)
 	}
+	sh.bury(id, tombVersion)
 	sh.mu.Unlock()
 	return nil
 }

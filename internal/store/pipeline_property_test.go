@@ -20,11 +20,14 @@ type seqCollector struct {
 	errs    []string
 	// perKey tracks the last observed after-image version per live key.
 	perKey map[string]int64
-	done   chan struct{}
+	// tombs holds the tombstone version per deleted key: a re-creation
+	// must continue from it.
+	tombs map[string]int64
+	done  chan struct{}
 }
 
 func collectSeqs(ch <-chan ChangeEvent) *seqCollector {
-	col := &seqCollector{perKey: map[string]int64{}, done: make(chan struct{})}
+	col := &seqCollector{perKey: map[string]int64{}, tombs: map[string]int64{}, done: make(chan struct{})}
 	go func() {
 		defer close(col.done)
 		for ev := range ch {
@@ -60,8 +63,8 @@ func (col *seqCollector) observe(ev ChangeEvent) {
 		if live {
 			col.failf("seq %d: insert of live key %s (v%d)", ev.Seq, key, prev)
 		}
-		if ev.After.Version != 1 {
-			col.failf("seq %d: insert version %d", ev.Seq, ev.After.Version)
+		if want := col.tombs[key] + 1; ev.After.Version != want {
+			col.failf("seq %d: insert version %d, want %d (one past the key's tombstone)", ev.Seq, ev.After.Version, want)
 		}
 		col.perKey[key] = ev.After.Version
 	case OpUpdate:
@@ -88,6 +91,10 @@ func (col *seqCollector) observe(ev ChangeEvent) {
 		} else if ev.Before.Version != prev {
 			col.failf("seq %d: delete pre-image v%d, last after-image was v%d", ev.Seq, ev.Before.Version, prev)
 		}
+		if ev.After.Version != ev.Before.Version+1 {
+			col.failf("seq %d: tombstone v%d after v%d", ev.Seq, ev.After.Version, ev.Before.Version)
+		}
+		col.tombs[key] = ev.After.Version
 		delete(col.perKey, key)
 	}
 }

@@ -13,10 +13,22 @@ import (
 	"quaestor/internal/wal"
 )
 
-// shadowDoc mirrors one key's expected recovered state.
+// shadowDoc mirrors one key's expected recovered state. A deleted key
+// keeps its tombstone's version (fields nil): a re-creation continues
+// from it.
 type shadowDoc struct {
 	fields  map[string]any
 	version int64
+}
+
+func (sd *shadowDoc) live() bool { return sd != nil && sd.fields != nil }
+
+// next is the version the key's next write (or tombstone) carries.
+func (sd *shadowDoc) next() int64 {
+	if sd == nil {
+		return 1
+	}
+	return sd.version + 1
 }
 
 // checkAgainstShadow asserts the store's contents, versions, indexes and
@@ -26,7 +38,7 @@ func checkAgainstShadow(t *testing.T, s *Store, tableName string, shadow map[str
 	live := 0
 	for id, sd := range shadow {
 		got, err := s.Get(tableName, id)
-		if sd == nil {
+		if !sd.live() {
 			if err == nil {
 				t.Errorf("key %s: deleted in shadow but present (v%d)", id, got.Version)
 			}
@@ -63,7 +75,7 @@ func checkAgainstShadow(t *testing.T, s *Store, tableName string, shadow map[str
 		}
 		wantN := 0
 		for _, sd := range shadow {
-			if sd != nil && document.DeepEqual(sd.fields["v"], v) {
+			if sd.live() && document.DeepEqual(sd.fields["v"], v) {
 				wantN++
 			}
 		}
@@ -100,16 +112,18 @@ func TestPropertyCrashRecoveryMatchesShadow(t *testing.T) {
 	if err := s.CreateTable(table); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateIndex(table, "v"); err != nil {
-		t.Fatal(err)
-	}
-
 	// The change stream must mirror the WAL exactly: every event the
 	// pipeline delivers corresponds to a write the log accepted, in
 	// strictly increasing dense Seq order, and no event is ever delivered
 	// for a write the WAL did not acknowledge (the post-commit hook only
-	// fires for written records).
+	// fires for written records). Subscribed before the first sequenced
+	// write (the index DDL is seq 1): under FsyncNever a write returns
+	// before the committer publishes it, so a later subscription may or
+	// may not see it.
 	streamCh, streamCancel := s.Subscribe()
+	if err := s.CreateIndex(table, "v"); err != nil {
+		t.Fatal(err)
+	}
 	var streamMu sync.Mutex
 	var streamSeqs []uint64
 	streamDone := make(chan struct{})
@@ -136,7 +150,7 @@ func TestPropertyCrashRecoveryMatchesShadow(t *testing.T) {
 				cur := shadow[id]
 				switch r.Intn(4) {
 				case 0: // insert (only when absent, so it must succeed)
-					if cur != nil {
+					if cur.live() {
 						continue
 					}
 					fields := map[string]any{"v": int64(r.Intn(10)), "w": int64(w)}
@@ -144,20 +158,16 @@ func TestPropertyCrashRecoveryMatchesShadow(t *testing.T) {
 						t.Errorf("insert %s: %v", id, err)
 						return
 					}
-					shadow[id] = &shadowDoc{fields: document.CloneValue(document.Normalize(fields)).(map[string]any), version: 1}
+					shadow[id] = &shadowDoc{fields: document.CloneValue(document.Normalize(fields)).(map[string]any), version: cur.next()}
 				case 1: // upsert
 					fields := map[string]any{"v": int64(r.Intn(10)), "p": fmt.Sprintf("x%d", op)}
 					if err := s.Put(table, document.New(id, fields)); err != nil {
 						t.Errorf("put %s: %v", id, err)
 						return
 					}
-					ver := int64(1)
-					if cur != nil {
-						ver = cur.version + 1
-					}
-					shadow[id] = &shadowDoc{fields: document.CloneValue(document.Normalize(fields)).(map[string]any), version: ver}
+					shadow[id] = &shadowDoc{fields: document.CloneValue(document.Normalize(fields)).(map[string]any), version: cur.next()}
 				case 2: // partial update
-					if cur == nil {
+					if !cur.live() {
 						continue
 					}
 					delta := float64(r.Intn(5))
@@ -171,14 +181,14 @@ func TestPropertyCrashRecoveryMatchesShadow(t *testing.T) {
 					}
 					shadow[id] = &shadowDoc{fields: document.CloneValue(after.Fields).(map[string]any), version: after.Version}
 				case 3: // delete
-					if cur == nil {
+					if !cur.live() {
 						continue
 					}
 					if err := s.Delete(table, id); err != nil {
 						t.Errorf("delete %s: %v", id, err)
 						return
 					}
-					shadow[id] = nil
+					shadow[id] = &shadowDoc{version: cur.next()}
 				}
 			}
 		}(w)
@@ -246,12 +256,12 @@ func TestPropertyCrashRecoveryMatchesShadow(t *testing.T) {
 	var tail []tailOp
 	for i := 0; i < tailOps; i++ {
 		id := fmt.Sprintf("tail-%02d", i%20)
-		if sd := shadow[id]; sd != nil && r.Intn(4) == 0 {
+		if sd := shadow[id]; sd.live() && r.Intn(4) == 0 {
 			if err := s.Delete(table, id); err != nil {
 				t.Fatal(err)
 			}
 			tail = append(tail, tailOp{id: id, del: true})
-			shadow[id] = nil
+			shadow[id] = &shadowDoc{version: sd.next()}
 			continue
 		}
 		fields := map[string]any{"v": int64(r.Intn(10)), "i": int64(i)}
@@ -261,11 +271,7 @@ func TestPropertyCrashRecoveryMatchesShadow(t *testing.T) {
 		tail = append(tail, tailOp{id: id, fields: fields})
 		// Maintain the shadow as if all tail ops committed; the surviving
 		// prefix is re-applied below once we know where the cut landed.
-		ver := int64(1)
-		if sd := shadow[id]; sd != nil {
-			ver = sd.version + 1
-		}
-		shadow[id] = &shadowDoc{fields: document.CloneValue(document.Normalize(fields)).(map[string]any), version: ver}
+		shadow[id] = &shadowDoc{fields: document.CloneValue(document.Normalize(fields)).(map[string]any), version: shadow[id].next()}
 	}
 	// Rebuild the shadow's tail-key state from scratch per surviving
 	// prefix, so start the tail keys from their phase-1 state.
@@ -302,14 +308,10 @@ func TestPropertyCrashRecoveryMatchesShadow(t *testing.T) {
 	for i := 0; i < survived; i++ {
 		op := tail[i]
 		if op.del {
-			shadow[op.id] = nil
+			shadow[op.id] = &shadowDoc{version: shadow[op.id].next()}
 			continue
 		}
-		ver := int64(1)
-		if sd := shadow[op.id]; sd != nil {
-			ver = sd.version + 1
-		}
-		shadow[op.id] = &shadowDoc{fields: document.CloneValue(document.Normalize(op.fields)).(map[string]any), version: ver}
+		shadow[op.id] = &shadowDoc{fields: document.CloneValue(document.Normalize(op.fields)).(map[string]any), version: shadow[op.id].next()}
 	}
 	st, _ := s.DurabilityStats()
 	t.Logf("cut at byte %d: %d/%d tail ops survived, torn tail: %v", cut, survived, tailOps, st.Recovery.TornTail)

@@ -169,6 +169,7 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 			meta = m
 			for _, tm := range m.Tables {
 				t := newTable(tm.Name, s.opts.ShardsPerTable)
+				t.raiseVersionFloor(tm.VersionFloor)
 				shadow[tm.Name] = t
 				for _, p := range tm.Indexes {
 					shadowIndex(t, p)
@@ -404,10 +405,11 @@ func (s *Store) publishImportDiff(old, imported map[string]*table, floor uint64)
 						Time:   now,
 					})
 					dels++
-				// Version equality alone cannot prove identity: versions
-				// restart at 1 on recreate, so a document deleted and
-				// re-created inside the collapsed range can land on the same
-				// version with different content. Equal versions fall
+				// Version equality alone cannot prove identity across
+				// lineages: versions are unique per id within one primary's
+				// history, but the snapshot may come from a primary that
+				// never saw this node's tail (failover), where the same
+				// version can carry different content. Equal versions fall
 				// through to a content comparison.
 				case ndoc.Version != odoc.Version || !document.DeepEqual(odoc.Fields, ndoc.Fields):
 					evs = append(evs, ChangeEvent{
@@ -460,7 +462,7 @@ func (s *Store) snapshotTablesMeta(floor uint64) ([]*table, wal.SnapshotMeta, er
 		t.idxMu.RLock()
 		paths := append([]string(nil), t.indexPaths...)
 		t.idxMu.RUnlock()
-		meta.Tables = append(meta.Tables, wal.TableMeta{Name: t.name, Indexes: paths})
+		meta.Tables = append(meta.Tables, wal.TableMeta{Name: t.name, Indexes: paths, VersionFloor: t.versionFloor()})
 	}
 	return tables, meta, nil
 }
@@ -644,6 +646,7 @@ func (s *Store) applyReplicatedDoc(rec *wal.Record, t *table, now time.Time, ev 
 			sh.indexRemove(prev)
 			delete(sh.docs, id)
 		}
+		sh.bury(id, rec.Version)
 		ev.Op = OpDelete
 		ev.Deleted = true
 		ev.After = &document.Document{ID: id, Version: rec.Version}
@@ -654,6 +657,7 @@ func (s *Store) applyReplicatedDoc(rec *wal.Record, t *table, now time.Time, ev 
 		} else {
 			ev.Op = OpInsert
 		}
+		delete(sh.tombs, id)
 		sh.docs[id] = rec.Doc
 		sh.indexAdd(rec.Doc)
 		ev.After = rec.Doc

@@ -175,10 +175,53 @@ type table struct {
 type shard struct {
 	mu   sync.RWMutex
 	docs map[string]*document.Document
+	// tombs remembers the tombstone version of each id deleted from this
+	// shard and not re-created since; a document created under such an id
+	// continues from it, so an id's versions never repeat across a delete
+	// and (id, version) — the record ETag, and what a query ETag hashes —
+	// names one content for the life of the table. The map is bounded:
+	// at maxTombstones it is folded into verFloor, the version every new
+	// document of this shard starts above, which trades the exact
+	// continuation for a jump and never the guarantee. Both are raised
+	// inside the deleting write's critical section, which orders them
+	// before any re-creation of the id.
+	tombs    map[string]int64
+	verFloor int64
 	// indexes maps field path → secondary index over this shard's
 	// documents. Maintained inside every write's critical section, so an
 	// index is always exactly consistent with docs under the shard lock.
 	indexes map[string]*index.Field
+}
+
+// maxTombstones bounds shard.tombs (per shard of a table).
+const maxTombstones = 4096
+
+// bury records id's tombstone version. Caller holds sh.mu.
+func (sh *shard) bury(id string, version int64) {
+	if len(sh.tombs) >= maxTombstones {
+		sh.verFloor = sh.maxTombstone()
+		clear(sh.tombs)
+	}
+	sh.tombs[id] = version
+}
+
+// firstVersion returns the version a document created under id starts
+// at — 1 for an id this shard never held — and forgets id's tombstone
+// (the live document carries the count from here). Caller holds sh.mu.
+func (sh *shard) firstVersion(id string) int64 {
+	v := max(sh.verFloor, sh.tombs[id])
+	delete(sh.tombs, id)
+	return v + 1
+}
+
+// maxTombstone returns the highest version verFloor and tombs hold.
+// Caller holds sh.mu.
+func (sh *shard) maxTombstone() int64 {
+	v := sh.verFloor
+	for _, t := range sh.tombs {
+		v = max(v, t)
+	}
+	return v
 }
 
 // indexAdd posts doc to every index. Caller holds sh.mu.
@@ -290,7 +333,7 @@ func (s *Store) createTable(name string) (created bool, err error) {
 func newTable(name string, shards int) *table {
 	t := &table{name: name, shards: make([]*shard, shards)}
 	for i := range t.shards {
-		t.shards[i] = &shard{docs: map[string]*document.Document{}, indexes: map[string]*index.Field{}}
+		t.shards[i] = &shard{docs: map[string]*document.Document{}, tombs: map[string]int64{}, indexes: map[string]*index.Field{}}
 	}
 	return t
 }
@@ -326,6 +369,27 @@ func (t *table) shardFor(id string) *shard {
 	return t.shards[h.Sum32()%uint32(len(t.shards))]
 }
 
+// versionFloor returns the highest tombstone version any delete in t has
+// produced (every shard's floor and remembered tombstones). A snapshot
+// carries this one number (wal.TableMeta) in place of the tombstones.
+func (t *table) versionFloor() int64 {
+	var floor int64
+	for _, sh := range t.shards {
+		sh.mu.RLock()
+		floor = max(floor, sh.maxTombstone())
+		sh.mu.RUnlock()
+	}
+	return floor
+}
+
+// raiseVersionFloor lifts every shard's floor to at least v. Only for
+// tables not yet shared (recovery, a snapshot import's shadow set).
+func (t *table) raiseVersionFloor(v int64) {
+	for _, sh := range t.shards {
+		sh.verFloor = max(sh.verFloor, v)
+	}
+}
+
 // lookupDoc returns the stored document (not a copy) or nil. Lock-free:
 // only valid on table sets with no concurrent doc writer, i.e. the
 // snapshot import's old/imported sets under the single-applier contract.
@@ -356,7 +420,7 @@ func (s *Store) Insert(tableName string, doc *document.Document) error {
 		return fmt.Errorf("%w: %s/%s", ErrExists, tableName, doc.ID)
 	}
 	stored := doc.Clone()
-	stored.Version = 1
+	stored.Version = sh.firstVersion(doc.ID)
 	sh.docs[doc.ID] = stored
 	sh.indexAdd(stored)
 	ev := &ChangeEvent{Table: tableName, Op: OpInsert, After: stored.Clone()}
@@ -425,7 +489,7 @@ func (s *Store) Put(tableName string, doc *document.Document) error {
 		op = OpUpdate
 		sh.indexRemove(prev)
 	} else {
-		stored.Version = 1
+		stored.Version = sh.firstVersion(doc.ID)
 	}
 	sh.docs[doc.ID] = stored
 	sh.indexAdd(stored)
@@ -583,6 +647,7 @@ func (s *Store) Delete(tableName, id string) error {
 	sh.indexRemove(prev)
 	before := prev.Clone()
 	tomb := &document.Document{ID: id, Version: before.Version + 1}
+	sh.bury(id, tomb.Version)
 	ev := &ChangeEvent{Table: tableName, Op: OpDelete, Deleted: true, Before: before, After: tomb}
 	w := s.stampLocked(ev)
 	sh.mu.Unlock()

@@ -130,10 +130,10 @@ func (r *rateWindow) roll(now time.Time, w time.Duration) {
 // rate estimates writes/second: current bucket plus the linearly decayed
 // fraction of the previous bucket.
 func (r *rateWindow) rate(now time.Time, w time.Duration) float64 {
-	r.roll(now, w)
-	if r.curStart.IsZero() {
+	if r.idle(now, w) {
 		return 0
 	}
+	r.roll(now, w)
 	frac := float64(now.Sub(r.curStart)) / float64(w)
 	if frac > 1 {
 		frac = 1
@@ -142,21 +142,42 @@ func (r *rateWindow) rate(now time.Time, w time.Duration) float64 {
 	return weighted / w.Seconds()
 }
 
+// idle reports whether the window saw no write for two window lengths:
+// both buckets have aged out, its rate is 0, and the next write restarts it
+// exactly like a window that never existed. Reading an idle window's rate
+// leaves it untouched, so dropping it (Estimator.sweepLocked) changes no
+// estimate, now or later.
+func (r *rateWindow) idle(now time.Time, w time.Duration) bool {
+	return now.Sub(r.curStart) >= 2*w
+}
+
 // Estimator derives TTLs for records and queries. Safe for concurrent use.
+//
+// Both maps are bounded: ewma holds only queries resident in the active
+// list (Forget on eviction), and rates drops idle windows by an amortized
+// sweep — run by the write that grows the table to sweepAt, which is then
+// set to twice what the sweep left (never below minSweep) — so it stays
+// within 2× the records written in the last two windows + minSweep,
+// whatever the server's history.
 type Estimator struct {
 	cfg Config
 
-	mu    sync.Mutex
-	rates map[string]*rateWindow // record key -> write-rate window
-	ewma  map[string]float64     // query key -> EWMA TTL estimate (seconds)
+	mu      sync.Mutex
+	rates   map[string]*rateWindow // record key -> write-rate window
+	sweepAt int                    // len(rates) at which the next sweep runs
+	ewma    map[string]float64     // query key -> EWMA TTL estimate (seconds)
 }
+
+// minSweep is the rate-table size below which no sweep runs.
+const minSweep = 1024
 
 // NewEstimator creates an estimator. A nil cfg uses defaults.
 func NewEstimator(cfg *Config) *Estimator {
 	return &Estimator{
-		cfg:   cfg.withDefaults(),
-		rates: map[string]*rateWindow{},
-		ewma:  map[string]float64{},
+		cfg:     cfg.withDefaults(),
+		rates:   map[string]*rateWindow{},
+		sweepAt: minSweep,
+		ewma:    map[string]float64{},
 	}
 }
 
@@ -172,10 +193,24 @@ func (e *Estimator) ObserveWrite(recordKey string) {
 	defer e.mu.Unlock()
 	r, ok := e.rates[recordKey]
 	if !ok {
+		if len(e.rates) >= e.sweepAt {
+			e.sweepLocked(now)
+		}
 		r = &rateWindow{}
 		e.rates[recordKey] = r
 	}
 	r.observe(now, e.cfg.Window)
+}
+
+// sweepLocked drops every idle window. A sweep of n windows is paid for by
+// the ≥ n/2 insertions since the previous one.
+func (e *Estimator) sweepLocked(now time.Time) {
+	for k, r := range e.rates {
+		if r.idle(now, e.cfg.Window) {
+			delete(e.rates, k)
+		}
+	}
+	e.sweepAt = max(2*len(e.rates), minSweep)
 }
 
 // WriteRate returns the estimated writes/second for a record.
@@ -217,27 +252,32 @@ func (e *Estimator) RecordTTL(recordKey string) time.Duration {
 	return e.quantileTTL(e.WriteRate(recordKey))
 }
 
-// QueryTTL estimates the expiration for a query result. If an EWMA estimate
-// exists from previous invalidations it wins; otherwise the initial Poisson
-// estimate over the result set's record keys applies (λmin = Σ λi).
+// QueryTTL estimates the expiration for a query result: QueryEstimate's
+// TTL, for callers that have no use for the change rate.
 func (e *Estimator) QueryTTL(queryKey string, resultRecordKeys []string) time.Duration {
-	e.mu.Lock()
-	if est, ok := e.ewma[queryKey]; ok {
-		e.mu.Unlock()
-		return e.clamp(time.Duration(est * float64(time.Second)))
-	}
-	e.mu.Unlock()
+	_, ttl := e.QueryEstimate(queryKey, resultRecordKeys)
+	return ttl
+}
 
+// QueryEstimate is everything one query response needs from the estimator,
+// in one pass — one clock read, one lock acquisition, one walk over the
+// result's rate windows. changeRate = Σ λi over the result's record keys is
+// the input of the representation cost model. For the TTL, an EWMA
+// estimate from previous invalidations wins if one exists; otherwise the
+// initial Poisson estimate applies (λmin = changeRate).
+func (e *Estimator) QueryEstimate(queryKey string, resultRecordKeys []string) (changeRate float64, ttl time.Duration) {
 	now := e.cfg.Clock()
-	var lambda float64
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	for _, k := range resultRecordKeys {
 		if r, ok := e.rates[k]; ok {
-			lambda += r.rate(now, e.cfg.Window)
+			changeRate += r.rate(now, e.cfg.Window)
 		}
 	}
-	e.mu.Unlock()
-	return e.quantileTTL(lambda)
+	if est, ok := e.ewma[queryKey]; ok {
+		return changeRate, e.clamp(time.Duration(est * float64(time.Second)))
+	}
+	return changeRate, e.quantileTTL(changeRate)
 }
 
 // ObserveInvalidation feeds the actual observed TTL of a query (time from

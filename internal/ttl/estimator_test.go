@@ -219,3 +219,126 @@ func TestEstimatorConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestQueryEstimateMatchesSeparateCalls checks the one-pass estimate
+// against the calls it replaces on the query path — Σ WriteRate over the
+// result for the representation model, then QueryTTL — with and without an
+// EWMA estimate, and that it reads the clock once whatever the result size.
+func TestQueryEstimateMatchesSeparateCalls(t *testing.T) {
+	c := newFakeClock()
+	reads := 0
+	e := NewEstimator(&Config{Window: 10 * time.Second, MinTTL: time.Millisecond, Clock: func() time.Time {
+		reads++
+		return c.Now()
+	}})
+	keys := make([]string, 20)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("t/r%d", i)
+		for w := 0; w < i%5; w++ { // every fifth record never written
+			e.ObserveWrite(keys[i])
+		}
+		c.Advance(700 * time.Millisecond)
+	}
+	e.ObserveInvalidation("q-ewma", 3*time.Second)
+
+	for _, q := range []string{"q-poisson", "q-ewma"} {
+		for n := 0; n <= len(keys); n += 5 {
+			var wantRate float64
+			for _, k := range keys[:n] {
+				wantRate += e.WriteRate(k)
+			}
+			wantTTL := e.QueryTTL(q, keys[:n])
+			reads = 0
+			rate, ttl := e.QueryEstimate(q, keys[:n])
+			if rate != wantRate || ttl != wantTTL {
+				t.Errorf("%s over %d records: QueryEstimate = (%v, %v), separate calls (%v, %v)", q, n, rate, ttl, wantRate, wantTTL)
+			}
+			if reads != 1 {
+				t.Errorf("%s over %d records: %d clock reads, want 1", q, n, reads)
+			}
+		}
+	}
+}
+
+// TestRateTableFlatUnderKeyChurn is the "memory flat under key churn" check
+// for the write-rate table (model: ebf's TestTTLTableFlatUnderKeyChurn):
+// 200 000 distinct records, each written once, one per millisecond, with a
+// 500 ms window — so 1 000 records were written within the last two
+// windows at any time. The table must stay within twice that plus the
+// sweep floor.
+func TestRateTableFlatUnderKeyChurn(t *testing.T) {
+	c := newFakeClock()
+	e := newTestEstimator(c, &Config{Window: 500 * time.Millisecond})
+	const keys, live = 200000, 1000
+	peak := 0
+	for i := 0; i < keys; i++ {
+		c.Advance(time.Millisecond)
+		e.ObserveWrite(fmt.Sprintf("t/k%d", i))
+		if i%97 == 0 {
+			peak = max(peak, e.TrackedRecords())
+		}
+	}
+	peak = max(peak, e.TrackedRecords())
+	if limit := 2*live + minSweep; peak > limit {
+		t.Errorf("rate table peaked at %d windows, want ≤ %d", peak, limit)
+	}
+}
+
+// TestIdleEvictionKeepsEstimates checks that dropping idle windows changes
+// no estimate: TTLs and rates of live and idle records are the same right
+// before and right after a sweep, and an evicted record that is written
+// again is estimated exactly like one whose window was never dropped.
+func TestIdleEvictionKeepsEstimates(t *testing.T) {
+	c := newFakeClock()
+	cfg := Config{Window: 10 * time.Second, MinTTL: time.Millisecond}
+	swept, kept := newTestEstimator(c, &cfg), newTestEstimator(c, &cfg)
+	kept.sweepAt = math.MaxInt // the reference never sweeps
+
+	both := func(key string) {
+		swept.ObserveWrite(key)
+		kept.ObserveWrite(key)
+	}
+	for i := 0; i < 3; i++ {
+		both("t/idle")
+		c.Advance(time.Second)
+	}
+	c.Advance(25 * time.Second) // t/idle: last write > 2 windows ago
+	for i := 0; i < 4; i++ {
+		both("t/live")
+		c.Advance(time.Second)
+	}
+	// Reading an idle window's rate must leave it as it is: a window that
+	// was read while idle restarts at its next write like a dropped one.
+	for _, e := range []*Estimator{swept, kept} {
+		if r := e.WriteRate("t/idle"); r != 0 {
+			t.Fatalf("idle rate = %v, want 0", r)
+		}
+	}
+
+	estimates := func(e *Estimator) [4]any {
+		rate, ttl := e.QueryEstimate("q", []string{"t/idle", "t/live"})
+		return [4]any{e.RecordTTL("t/idle"), e.RecordTTL("t/live"), rate, ttl}
+	}
+	before := estimates(swept)
+	swept.mu.Lock()
+	swept.sweepLocked(c.Now())
+	swept.mu.Unlock()
+	if n := swept.TrackedRecords(); n != 1 {
+		t.Fatalf("%d windows after the sweep, want only t/live", n)
+	}
+	if after := estimates(swept); after != before {
+		t.Errorf("estimates changed across the sweep: %v → %v", before, after)
+	}
+
+	// The evicted record comes back: same estimates as the never-swept
+	// reference from here on, across bucket rolls.
+	for i := 0; i < 30; i++ {
+		if i < 6 {
+			both("t/idle")
+		}
+		if got, want := estimates(swept), estimates(kept); got != want {
+			t.Fatalf("step %d after re-creation: swept %v, never swept %v", i, got, want)
+		}
+		c.Advance(1500 * time.Millisecond)
+	}
+}

@@ -18,11 +18,13 @@ import (
 // over this name, so a crash mid-snapshot leaves the previous one intact.
 const SnapshotName = "snapshot.db"
 
-// TableMeta records one table's identity and secondary-index paths in a
-// snapshot's meta frame.
+// TableMeta records one table's identity, secondary-index paths and
+// version floor (the highest tombstone version its deletes produced; new
+// documents start above it) in a snapshot's meta frame.
 type TableMeta struct {
-	Name    string   `json:"name"`
-	Indexes []string `json:"indexes,omitempty"`
+	Name         string   `json:"name"`
+	Indexes      []string `json:"indexes,omitempty"`
+	VersionFloor int64    `json:"versionFloor,omitempty"`
 }
 
 // SnapshotMeta is a snapshot's header.
