@@ -738,14 +738,13 @@ func BenchmarkWALAppendConcurrent(b *testing.B) {
 
 // BenchmarkCommitLogFanout measures the ordered commit pipeline's
 // publish path with 1, 8 and 64 blocking subscribers draining
-// concurrently: one Sequencer.Publish per iteration, every subscriber
+// concurrently: one Log.Append per iteration, every subscriber
 // receiving every event in Seq order. This is the fan-out cost the
 // store's write path pays per committed write.
 func BenchmarkCommitLogFanout(b *testing.B) {
 	for _, subs := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("subs-%d", subs), func(b *testing.B) {
 			l := commitlog.NewLog(&commitlog.Options{Ring: 1 << 12})
-			q := commitlog.NewSequencer(l, 0)
 			var delivered atomic.Uint64
 			var wg sync.WaitGroup
 			for i := 0; i < subs; i++ {
@@ -762,7 +761,7 @@ func BenchmarkCommitLogFanout(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q.Publish(commitlog.Event{Seq: uint64(i + 1), Table: "docs", Op: commitlog.OpUpdate, After: after})
+				l.Append([]commitlog.Event{{Seq: uint64(i + 1), Table: "docs", Op: commitlog.OpUpdate, After: after}})
 			}
 			l.Close()
 			wg.Wait() // drains the backlog: every subscriber saw every event

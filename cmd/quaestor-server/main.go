@@ -54,11 +54,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"quaestor/internal/cluster"
@@ -70,7 +75,11 @@ import (
 	"quaestor/internal/wal"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit status, so its deferred shutdown calls run
+// before the process ends.
+func run() int {
 	addr := flag.String("addr", ":8080", "listen address")
 	tables := flag.String("tables", "posts", "comma-separated tables to create at startup")
 	indexes := flag.String("indexes", "", "comma-separated table:field.path secondary indexes to create at startup (e.g. posts:tags,posts:author)")
@@ -227,7 +236,52 @@ func main() {
 		fmt.Printf("quaestor-server listening on %s (mode=%s, shards=%d, invalidb=%dx%d)\n",
 			*addr, mode, router.NumShards(), *objectParts, *queryParts)
 	}
-	log.Fatal(http.ListenAndServe(*addr, srv.Handler()))
+	if err := serve(*addr, srv.Handler()); err != nil {
+		// Not Fatal: the deferred Close/Stop calls still seal the WAL.
+		log.Printf("quaestor-server: %v", err)
+		return 1
+	}
+	return 0
+}
+
+// Connection limits. There is deliberately no ReadTimeout/WriteTimeout:
+// SSE subscriptions and replication streams are long-lived responses.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 10 * time.Second
+)
+
+// serve runs the HTTP server until SIGINT/SIGTERM, then drains it:
+// Shutdown stops accepting, ends the long-lived streams (their request
+// contexts hang off one base context it cancels) and waits up to
+// shutdownGrace for the requests in flight. It returns nil on a signalled
+// stop, so run's deferred calls follow — replication and failover loops
+// stop, the server closes, and the stores seal their WALs (flushing and
+// fsyncing whatever -fsync interval/never still held back).
+func serve(addr string, h http.Handler) error {
+	streams, endStreams := context.WithCancel(context.Background())
+	defer endStreams()
+	hs := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+		BaseContext: func(net.Listener) context.Context { return streams }}
+	hs.RegisterOnShutdown(endStreams)
+	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() { errc <- hs.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-sig.Done():
+	}
+	stop() // a second signal ends the process the default way
+	log.Printf("quaestor-server: shutting down")
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if hs.Shutdown(grace) != nil {
+		hs.Close()
+	}
+	return nil
 }
 
 // createSchema creates a primary's startup tables and table:field.path

@@ -28,8 +28,9 @@ type CachedResponse struct {
 //     lifetime is s-maxage (shared caches) falling back to max-age;
 //     no-store disables caching for the response.
 //   - A request carrying Cache-Control: no-cache (a client revalidation)
-//     bypasses the fresh entry and is forwarded conditionally with
-//     If-None-Match; a 304 refreshes the stored entry in place.
+//     bypasses the fresh entry, and a request that finds an expired one
+//     revalidates it: both are forwarded conditionally with
+//     If-None-Match, and a 304 renews the tier's copy in place.
 //   - The PURGE method removes an entry — only on invalidation-based tiers,
 //     mirroring CDN purge APIs. Expiration-based tiers answer 405.
 //   - UpstreamLatency simulates the network round-trip to the next tier and
@@ -93,26 +94,30 @@ func (t *HTTPTier) servePurge(w http.ResponseWriter, r *http.Request) {
 
 func (t *HTTPTier) serveGet(w http.ResponseWriter, r *http.Request) {
 	key := cacheKey(r)
-	revalidate := requestWantsRevalidation(r)
 
-	if !revalidate {
-		if entry, ok := t.Cache.Get(key); ok {
+	// held is our copy of the response when it cannot be served as is:
+	// the stored one on a client revalidation, or the expired one Get just
+	// evicted. Either way its ETag makes the upstream request conditional.
+	var held *Entry
+	if requestWantsRevalidation(r) {
+		held, _ = t.Cache.GetStale(key)
+	} else {
+		entry, fresh := t.Cache.Get(key)
+		if fresh {
 			t.writeCached(w, entry, true)
 			return
 		}
+		held = entry
 	}
-
-	// Miss or revalidation: forward upstream, conditionally if we hold a
-	// (possibly stale) body with an ETag.
-	var staleETag string
-	if stale, ok := t.Cache.GetStale(key); ok {
-		if cr, isResp := stale.Value.(*CachedResponse); isResp {
-			staleETag = cr.Header.Get("ETag")
+	var heldETag string
+	if held != nil {
+		if cr, isResp := held.Value.(*CachedResponse); isResp {
+			heldETag = cr.Header.Get("ETag")
 		}
 	}
 	up := r.Clone(r.Context())
-	if staleETag != "" && up.Header.Get("If-None-Match") == "" {
-		up.Header.Set("If-None-Match", staleETag)
+	if heldETag != "" && up.Header.Get("If-None-Match") == "" {
+		up.Header.Set("If-None-Match", heldETag)
 	}
 	rec := newRecorder()
 	if t.UpstreamLatency > 0 && t.Sleep != nil {
@@ -124,36 +129,22 @@ func (t *HTTPTier) serveGet(w http.ResponseWriter, r *http.Request) {
 	}
 	t.Upstream.ServeHTTP(rec, up)
 
-	if rec.status == http.StatusNotModified && staleETag != "" && up.Header.Get("If-None-Match") == staleETag {
+	if rec.status == http.StatusNotModified && heldETag != "" && up.Header.Get("If-None-Match") == heldETag {
 		// The 304 validated OUR copy (not a different version the client
-		// asked about, which is relayed below): refresh it in place and
-		// serve it.
-		ttl := freshnessLifetime(rec.header, t.Cache.Kind())
-		if ttl > 0 {
-			t.Cache.Extend(key, ttl)
+		// asked about, which is relayed below): renew it — storing it
+		// again if it is no longer there, as after an expiry — and serve
+		// it.
+		if ttl := freshnessLifetime(rec.header, t.Cache.Kind()); ttl > 0 && !t.Cache.Extend(key, ttl) {
+			t.Cache.Put(key, held.Value, held.ETag, ttl)
 		}
-		if entry, ok := t.Cache.GetStale(key); ok {
-			if r.Header.Get("If-None-Match") == staleETag {
-				// The client itself holds the same version.
-				copyCacheHeaders(w.Header(), rec.header)
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-			t.writeCached(w, entry, false)
+		if r.Header.Get("If-None-Match") == heldETag {
+			// The client itself holds the same version.
+			copyCacheHeaders(w.Header(), rec.header)
+			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		if r.Header.Get("If-None-Match") != staleETag {
-			// The 304 answered OUR conditional header, but the stored body
-			// vanished (e.g. a concurrent purge) and the client cannot use
-			// a 304 it never asked for: re-fetch unconditionally.
-			up2 := r.Clone(r.Context())
-			up2.Header.Del("If-None-Match")
-			rec = newRecorder()
-			if t.UpstreamLatency > 0 && t.Sleep != nil {
-				t.Sleep(t.UpstreamLatency)
-			}
-			t.Upstream.ServeHTTP(rec, up2)
-		}
+		t.writeCached(w, held, false)
+		return
 	}
 
 	ttl := freshnessLifetime(rec.header, t.Cache.Kind())

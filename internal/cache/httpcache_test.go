@@ -123,6 +123,41 @@ func TestRevalidationWith304RefreshesEntry(t *testing.T) {
 	}
 }
 
+// TestExpiredEntryRevalidatesConditionally: a plain request that finds
+// the tier's copy expired must revalidate it, not refetch it — one
+// conditional upstream request, a 304, and the stored body served again
+// with a renewed lifetime.
+func TestExpiredEntryRevalidatesConditionally(t *testing.T) {
+	origin := &countingOrigin{cc: "public, max-age=60", etag: `"v1"`, payload: "body1"}
+	var validators []string
+	upstream := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		validators = append(validators, r.Header.Get("If-None-Match"))
+		origin.ServeHTTP(w, r)
+	})
+	now := time.Unix(1_700_000_000, 0)
+	tier := NewHTTPTier("edge", InvalidationBased, upstream, 0)
+	tier.Cache = New(InvalidationBased, 0, func() time.Time { return now })
+	tier.Clock = func() time.Time { return now }
+
+	get(t, tier, "/r", nil) // fill
+	now = now.Add(61 * time.Second)
+
+	r := get(t, tier, "/r", nil)
+	if r.Code != http.StatusOK || r.Body.String() != "body1" {
+		t.Fatalf("response after expiry = %d %q", r.Code, r.Body.String())
+	}
+	if len(validators) != 2 || validators[1] != `"v1"` {
+		t.Fatalf("upstream saw validators %q, want one conditional request for \"v1\" after the fill", validators)
+	}
+	if x := r.Header().Get("X-Cache"); !strings.Contains(x, "REVALIDATED") {
+		t.Errorf("X-Cache = %q, want REVALIDATED (the upstream answered 304)", x)
+	}
+	// The 304 renewed the copy: the next request is a plain hit.
+	if r := get(t, tier, "/r", nil); !strings.Contains(r.Header().Get("X-Cache"), "HIT") || origin.hits.Load() != 2 {
+		t.Errorf("after revalidation: X-Cache = %q, origin hits = %d, want a HIT and 2", r.Header().Get("X-Cache"), origin.hits.Load())
+	}
+}
+
 func TestClientConditionalRequestGets304(t *testing.T) {
 	origin := &countingOrigin{cc: "public, max-age=60", etag: `"v1"`, payload: "body1"}
 	tier := NewHTTPTier("edge", InvalidationBased, origin, 0)

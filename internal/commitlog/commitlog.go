@@ -1,15 +1,15 @@
 // Package commitlog implements Quaestor's ordered commit pipeline: the
 // single place where committed writes become a change stream.
 //
-// Every write that commits — through the WAL's group committer on durable
-// stores, or straight from the write path on in-memory stores — is handed
-// to a Sequencer, which restores strict global Seq order (concurrent
-// writers release their shard locks before committing, so events can
-// arrive slightly out of order), and appended to a Log. The Log retains
-// recent events in a ring and fans them out to any number of subscribers,
-// each with its own delivery pump, so that every consumer — InvaliDB
-// ingestion, SSE change feeds, the per-table replay rings, and (next) a
-// log-shipping replica — observes exactly the same totally-ordered
+// The store decides write order once, in its stamp section: a write takes
+// its Seq and its place in a queue — the WAL's commit queue on durable
+// stores, an outbox on in-memory ones — under one lock, so the queue
+// drains in Seq order by construction and is appended to a Log as is.
+// Nothing here re-sorts, and nothing waits for a Seq that never commits.
+// The Log retains recent events in a ring and fans them out to any number
+// of subscribers, each with its own delivery pump, so that every consumer —
+// InvaliDB ingestion, SSE change feeds, the per-table replay rings and
+// log-shipping replicas — observes exactly the same totally-ordered
 // stream the WAL persists.
 //
 // Subscribers choose a delivery policy: Block applies backpressure to the
@@ -88,7 +88,8 @@ type Event struct {
 	Synthetic bool
 	// Before is the pre-image (nil for inserts). After is the after-image
 	// (content at Seq; for deletes only ID/Version are meaningful). Both
-	// are deep copies and safe to retain.
+	// are the store's own copy-on-write documents — never mutated after
+	// they were stored, so safe to retain, and read-only for consumers.
 	Before *document.Document
 	After  *document.Document
 	// Path is the indexed field path for OpCreateIndex events; empty on
@@ -173,9 +174,9 @@ type entry struct {
 }
 
 // Log is the ordered fan-out core. Append accepts events in strictly
-// increasing Seq order (the Sequencer enforces this) and never sends on
-// subscriber channels itself; per-subscriber pump goroutines deliver
-// batches, so one slow consumer cannot reorder or stall another.
+// increasing Seq order (the store's stamp section produces it) and never
+// sends on subscriber channels itself; per-subscriber pump goroutines
+// deliver batches, so one slow consumer cannot reorder or stall another.
 type Log struct {
 	opts Options
 
@@ -216,13 +217,6 @@ func NewLog(opts *Options) *Log {
 	return l
 }
 
-// LastSeq returns the sequence number of the newest appended event.
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastSeq
-}
-
 // ringFullLocked reports whether appending one more event would overwrite
 // an event a Block-policy subscriber has not consumed yet.
 func (l *Log) ringFullLocked() bool {
@@ -239,12 +233,13 @@ func (l *Log) ringFullLocked() bool {
 }
 
 // Append publishes a batch of events. The caller must deliver events in
-// strictly increasing Seq order across all Append calls — use a Sequencer
-// when commit acknowledgements can arrive out of order. (The one
-// exception is a Sequencer.PublishSynthetic batch, whose events share a
-// snapshot floor as their Seq and are flagged Synthetic.) Append blocks
-// only when a Block-policy subscriber is a full ring behind; on a closed
-// log it is a no-op.
+// strictly increasing Seq order across all Append calls and must not let
+// two calls overlap (a batch can yield the lock mid-way when the ring is
+// full) — the store serializes its appenders on one publish lock. (The
+// one exception to increasing Seqs is a snapshot import's diff, whose
+// events share the snapshot floor as their Seq and are flagged
+// Synthetic.) Append blocks only when a Block-policy subscriber is a full
+// ring behind; on a closed log it is a no-op.
 func (l *Log) Append(events []Event) {
 	if len(events) == 0 {
 		return
@@ -465,9 +460,6 @@ func (s *Subscription) Events() <-chan []Event { return s.ch }
 // Done is closed once the subscription has fully shut down.
 func (s *Subscription) Done() <-chan struct{} { return s.done }
 
-// Name returns the subscriber's name as reported in Stats.
-func (s *Subscription) Name() string { return s.name }
-
 // Cancel detaches the subscription; idempotent.
 func (s *Subscription) Cancel() {
 	s.log.mu.Lock()
@@ -510,24 +502,19 @@ func (s *Subscription) run() {
 		}
 		start := s.cursor
 		at := l.ring[start%n].at
-		var batch []Event
+		// A Block cursor gates the appender (ringFullLocked), so the slots
+		// in [cursor, cursor+count) cannot be overwritten until the cursor
+		// advances — copy them without the lock, keeping a large memcpy out
+		// of the appender's critical path. DropOldest slots can be
+		// overwritten at any time; copy those under the lock.
 		if s.policy == Block {
-			// A Block cursor gates the appender (ringFullLocked), so the
-			// slots in [cursor, cursor+count) cannot be overwritten until
-			// the cursor advances — copy them without holding the lock,
-			// keeping a large memcpy out of the appender's critical path.
 			l.mu.Unlock()
-			batch = make([]Event, count)
-			for i := uint64(0); i < count; i++ {
-				batch[i] = l.ring[(start+i)%n].ev
-			}
-		} else {
-			// DropOldest slots can be overwritten at any time; copy under
-			// the lock.
-			batch = make([]Event, count)
-			for i := uint64(0); i < count; i++ {
-				batch[i] = l.ring[(start+i)%n].ev
-			}
+		}
+		batch := make([]Event, count)
+		for i := uint64(0); i < count; i++ {
+			batch[i] = l.ring[(start+i)%n].ev
+		}
+		if s.policy != Block {
 			l.mu.Unlock()
 		}
 

@@ -61,54 +61,6 @@ func TestFanOutDeliversInOrderToAllSubscribers(t *testing.T) {
 	_ = cancels
 }
 
-func TestSequencerReordersOutOfOrderArrivals(t *testing.T) {
-	l := NewLog(&Options{Ring: 64})
-	q := NewSequencer(l, 0)
-	var mu sync.Mutex
-	var got []Event
-	done := make(chan struct{})
-	ch, _ := l.SubscribeTail("s", Block).Flatten(16)
-	go drainAll(ch, &got, &mu, done)
-
-	// Arrivals scrambled: 3, 1 (flushes 1), 2 (flushes 2,3), 5, 4 (flushes 4,5).
-	for _, s := range []uint64{3, 1, 2, 5, 4} {
-		q.Publish(ev(s))
-	}
-	l.Close()
-	<-done
-	if len(got) != 5 {
-		t.Fatalf("got %d events, want 5: %v", len(got), got)
-	}
-	for i, e := range got {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, i+1)
-		}
-	}
-	if st := q.Stats(); st.Held != 0 || st.NextSeq != 6 || st.MaxHeld == 0 {
-		t.Errorf("sequencer stats = %+v", st)
-	}
-}
-
-func TestSequencerSkipReleasesGap(t *testing.T) {
-	l := NewLog(&Options{Ring: 64})
-	q := NewSequencer(l, 0)
-	var mu sync.Mutex
-	var got []Event
-	done := make(chan struct{})
-	ch, _ := l.SubscribeTail("s", Block).Flatten(16)
-	go drainAll(ch, &got, &mu, done)
-
-	q.Publish(ev(2)) // held: waiting for 1
-	q.Publish(ev(3)) // held
-	q.Skip(1)        // 1 failed its WAL append: 2 and 3 flush
-	q.Skip(1)        // duplicate skip below the watermark is a no-op
-	l.Close()
-	<-done
-	if len(got) != 2 || got[0].Seq != 2 || got[1].Seq != 3 {
-		t.Fatalf("got %v, want seqs 2,3", got)
-	}
-}
-
 func TestSubscribeFromSeqCatchesUpThroughRing(t *testing.T) {
 	l := NewLog(&Options{Ring: 64})
 	for s := uint64(1); s <= 10; s++ {
@@ -181,33 +133,6 @@ func TestSubscribeTruncatedFloorReturnsTypedError(t *testing.T) {
 	}
 	if _, err := l2.Subscribe("replica", 100, Block); err != nil {
 		t.Fatalf("Subscribe at StartSeq: %v", err)
-	}
-}
-
-// TestSequencerAdvanceTo covers the snapshot-bootstrap jump: the watermark
-// moves forward without waiting for (or skipping) the covered range, and
-// pending events beyond the new watermark flush once contiguous.
-func TestSequencerAdvanceTo(t *testing.T) {
-	l := NewLog(&Options{Ring: 64})
-	q := NewSequencer(l, 0)
-	var mu sync.Mutex
-	var got []Event
-	done := make(chan struct{})
-	ch, _ := l.SubscribeTail("s", Block).Flatten(16)
-	go drainAll(ch, &got, &mu, done)
-
-	q.Publish(ev(1001)) // held: sequencer expects 1
-	q.AdvanceTo(1001)   // snapshot covered 1..1000
-	q.Publish(ev(1002))
-	q.AdvanceTo(500) // backwards advance is a no-op
-	q.Publish(ev(1003))
-	l.Close()
-	<-done
-	if len(got) != 3 || got[0].Seq != 1001 || got[2].Seq != 1003 {
-		t.Fatalf("got %v, want seqs 1001..1003", got)
-	}
-	if st := q.Stats(); st.NextSeq != 1004 || st.Held != 0 {
-		t.Fatalf("stats = %+v, want next 1004, held 0", st)
 	}
 }
 
@@ -353,51 +278,8 @@ func TestCloseOnSubscribedLogClosesChannels(t *testing.T) {
 	}
 	// Appending to a closed log is a no-op.
 	l.Append([]Event{ev(1)})
-	if l.LastSeq() != 0 {
+	if l.Stats().LastSeq != 0 {
 		t.Error("append after close changed state")
-	}
-}
-
-func TestConcurrentPublishersObserveTotalOrder(t *testing.T) {
-	l := NewLog(&Options{Ring: 1 << 12})
-	q := NewSequencer(l, 0)
-	var mu sync.Mutex
-	var got []Event
-	done := make(chan struct{})
-	ch, _ := l.SubscribeTail("s", Block).Flatten(1 << 12)
-	go drainAll(ch, &got, &mu, done)
-
-	const writers, each = 16, 200
-	var seq struct {
-		sync.Mutex
-		n uint64
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				// Take a seq then publish outside the allocation lock,
-				// exactly like writers racing past their shard unlock.
-				seq.Lock()
-				seq.n++
-				s := seq.n
-				seq.Unlock()
-				q.Publish(ev(s))
-			}
-		}()
-	}
-	wg.Wait()
-	l.Close()
-	<-done
-	if len(got) != writers*each {
-		t.Fatalf("got %d events, want %d", len(got), writers*each)
-	}
-	for i, e := range got {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d — total order violated", i, e.Seq)
-		}
 	}
 }
 

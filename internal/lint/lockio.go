@@ -3,35 +3,40 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 )
 
-// LockIO flags fsync, network I/O, sleeps, and blocking channel sends
-// performed while one of the hot-path mutexes is held: shard mutexes and
-// the store mutex (named "mu"), the snapshot mutex ("snapMu"), and the
-// sequencer/commit-log mutexes (also "mu"). This is the PR 3/PR 4 bug
-// class: an unlock-then-publish race was fixed by moving publication
-// under sequencer control, and a stalled replica once wedged the primary
-// write path by blocking a transfer while snapMu was held.
+// LockIO flags fsync, network I/O, sleeps, blocking channel sends and
+// the fan-out append (commitlog.Log.Append blocks while a Block
+// subscriber is a full ring behind) performed while a hot-path mutex is
+// held: shard, store and commit-log mutexes (all named "mu"), the
+// snapshot mutex ("snapMu") and the store's stamp section ("stampMu").
+// The publish lock ("pubMu") is not tracked: it exists to be held across
+// Log.Append. This is the PR 3/PR 4 bug class: an unlock-then-publish
+// race was fixed by moving publication out of the shard critical section,
+// and a stalled replica once wedged the primary write path by blocking a
+// transfer while snapMu was held.
 //
 // The analysis is intraprocedural and syntactic about lock regions: a
 // region opens at X.Lock()/X.RLock() and closes at the matching
 // X.Unlock()/X.RUnlock(); defer X.Unlock() holds the region to the end
 // of the function; an unlock inside a terminating guard clause (early
 // return) does not close the outer region. Calls into other functions
-// are opaque — the committer's fsync under the WAL mutex, for example,
-// lives in internal/wal, which owns its own locking discipline and is
-// deliberately out of scope.
+// are opaque — the WAL's queue send under the stamp lock and the
+// committer's fsync, for example, live in internal/wal, which owns its
+// own locking discipline and is deliberately out of scope.
 var LockIO = &Analyzer{
 	Name: "lockio",
-	Doc: "no fsync, network I/O, time.Sleep, or blocking channel send while a " +
-		"shard mutex, snapMu, or the sequencer mutex is held",
+	Doc: "no fsync, network I/O, time.Sleep, blocking channel send or commitlog.Log.Append " +
+		"while a shard mutex, snapMu, or the stamp lock is held",
 	Packages: []string{"internal/store", "internal/commitlog", "internal/cluster"},
 	Run:      runLockIO,
 }
 
 // lockIOMutexNames are the field names treated as hot-path mutexes.
-var lockIOMutexNames = map[string]bool{"mu": true, "snapMu": true}
+var lockIOMutexNames = map[string]bool{"mu": true, "snapMu": true, "stampMu": true}
 
 type lockRegion struct {
 	key      string // mutex expression text, e.g. "sh.mu"
@@ -41,13 +46,7 @@ type lockRegion struct {
 
 type lockState map[string]*lockRegion
 
-func (st lockState) clone() lockState {
-	out := make(lockState, len(st))
-	for k, v := range st {
-		out[k] = v
-	}
-	return out
-}
+func (st lockState) clone() lockState { return maps.Clone(st) }
 
 func runLockIO(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -191,12 +190,8 @@ func walkLockStmt(pass *Pass, stmt ast.Stmt, st lockState) bool {
 
 // adopt replaces dst's contents with src's.
 func adopt(dst, src lockState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
+	clear(dst)
+	maps.Copy(dst, src)
 }
 
 // selectCanBlockForever: a select with a default clause (or more than
@@ -224,52 +219,50 @@ func handleLockOp(pass *Pass, e ast.Expr, st lockState, deferred bool) bool {
 	if !ok {
 		return false
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	name, lock, ok := mutexOp(pass, call)
+	if !ok || !lockIOMutexNames[name] {
 		return false
 	}
-	op := sel.Sel.Name
-	if op != "Lock" && op != "RLock" && op != "Unlock" && op != "RUnlock" {
-		return false
-	}
-	if !isTrackedMutex(pass, sel.X) {
-		return false
-	}
+	sel := call.Fun.(*ast.SelectorExpr)
 	key := types.ExprString(sel.X)
-	switch op {
-	case "Lock", "RLock":
-		if !deferred {
-			st[key] = &lockRegion{key: key, rlock: op == "RLock"}
+	switch {
+	case lock && !deferred:
+		st[key] = &lockRegion{key: key, rlock: sel.Sel.Name == "RLock"}
+	case lock:
+	case deferred:
+		if r, ok := st[key]; ok {
+			r.deferred = true
 		}
-	case "Unlock", "RUnlock":
-		if deferred {
-			if r, ok := st[key]; ok {
-				r.deferred = true
-			}
-		} else {
-			delete(st, key)
-		}
+	default:
+		delete(st, key)
 	}
 	return true
 }
 
-// isTrackedMutex reports whether e names a sync.Mutex/RWMutex field or
-// variable with one of the tracked names.
-func isTrackedMutex(pass *Pass, e ast.Expr) bool {
-	var name string
-	switch x := ast.Unparen(e).(type) {
+// mutexOp recognizes X.Lock/RLock/Unlock/RUnlock on a sync.Mutex/RWMutex
+// field or variable and returns its name and whether the op acquires.
+func mutexOp(pass *Pass, call *ast.CallExpr) (name string, lock, ok bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return "", false, false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "RLock":
+		lock = true
+	case "Unlock", "RUnlock":
+	default:
+		return "", false, false
+	}
+	switch x := ast.Unparen(sel.X).(type) {
 	case *ast.Ident:
 		name = x.Name
 	case *ast.SelectorExpr:
 		name = x.Sel.Name
 	default:
-		return false
+		return "", false, false
 	}
-	if !lockIOMutexNames[name] {
-		return false
-	}
-	tn, tp := namedType(pass, e)
-	return tp == "sync" && (tn == "Mutex" || tn == "RWMutex")
+	tn, tp := namedType(pass, sel.X)
+	return name, lock, tp == "sync" && (tn == "Mutex" || tn == "RWMutex")
 }
 
 // checkLockSinks walks an expression (not descending into function
@@ -284,7 +277,7 @@ func checkLockSinks(pass *Pass, n ast.Node, st lockState) {
 			return true
 		}
 		if kind := sinkKind(resolveCallee(pass, call)); kind != "" {
-			pass.Reportf(call.Pos(), "%s while %s is held — no I/O or blocking calls under shard, snapshot, or sequencer locks", kind, heldList(st))
+			pass.Reportf(call.Pos(), "%s while %s is held — no I/O or blocking calls under shard, snapshot, or stamp locks", kind, heldList(st))
 		}
 		return true
 	})
@@ -297,21 +290,9 @@ func reportSend(pass *Pass, s *ast.SendStmt, st lockState) {
 	pass.Reportf(s.Arrow, "blocking channel send while %s is held — deliver via the pipeline's pump goroutines outside the lock", heldList(st))
 }
 
+// heldList names the held mutexes, sorted for stable diagnostics.
 func heldList(st lockState) string {
-	var keys []string
-	for k := range st {
-		keys = append(keys, k)
-	}
-	if len(keys) == 1 {
-		return "\"" + keys[0] + "\""
-	}
-	// Deterministic order for stable diagnostics.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return "\"" + strings.Join(keys, "\", \"") + "\""
+	return "\"" + strings.Join(slices.Sorted(maps.Keys(st)), "\", \"") + "\""
 }
 
 // sinkKind classifies a resolved callee as a deny-listed sink.
@@ -333,6 +314,8 @@ func sinkKind(ci calleeInfo) string {
 		return "network I/O (http.ResponseWriter.Write)"
 	case ci.pkgPath == "time" && ci.name == "Sleep":
 		return "time.Sleep"
+	case ci.recv == "Log" && commitlogPkg(ci.recvPkg) && ci.name == "Append":
+		return "blocking fan-out append (commitlog.Log.Append)"
 	}
 	return ""
 }

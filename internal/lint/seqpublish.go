@@ -7,25 +7,27 @@ import (
 	"strings"
 )
 
-// SeqPublish enforces the commit-pipeline publication contract in
-// internal/store and internal/cluster: committed events reach
-// subscribers only through the Sequencer's exported APIs (Publish,
-// PublishAll, PublishBatch, PublishSynthetic), which restore strict
-// global Seq order behind racing writers. Three shapes violate it:
+// SeqPublish enforces order by construction in internal/store and
+// internal/cluster: write order is decided once, in the store's stamp
+// section (stampMu), and the queues it orders are drained onto the
+// fan-out log under the publish lock (pubMu). Four shapes violate it:
 //
-//  1. a direct (*commitlog.Log).Append — the raw ring append the
-//     Sequencer exists to guard; racing writers reach it with their
-//     Seqs swapped (the pre-PR-3 ordering bug);
-//  2. a raw channel send of commitlog events — subscribers are fed by
+//  1. a (*commitlog.Log).Append outside a pubMu region — two appenders
+//     could interleave their batches;
+//  2. a write to the store's seq counter or to an event's Seq field
+//     outside a stampMu region — Seq order and queue order can diverge;
+//  3. a raw channel send of commitlog events — subscribers are fed by
 //     the Log's per-subscriber pump goroutines, never by producers;
-//  3. a publish/emit/notify-style call made after a shard or snapshot
-//     mutex was explicitly unlocked, unless it targets the Sequencer or
-//     Log — the PR 3 unlock-then-publish race, where two writers could
-//     release their shard locks and publish in swapped order.
+//  4. a publish/emit/notify-style call after a shard or snapshot mutex
+//     was explicitly unlocked — the PR 3 unlock-then-publish race.
+//
+// Lock regions are read positionally within one function scope: a mutex
+// is held at a node when the nearest preceding non-deferred Lock/Unlock
+// of a field with that name is a Lock.
 var SeqPublish = &Analyzer{
 	Name: "seqpublish",
-	Doc: "commit-pipeline events may only be published through Sequencer/commitlog " +
-		"exported APIs, never by direct ring append or post-unlock publish",
+	Doc: "Seq is assigned only in the stamp section (stampMu) and commitlog.Log.Append " +
+		"is called only under the publish lock (pubMu), never by raw send or post-unlock publish",
 	Packages: []string{"internal/store", "internal/cluster"},
 	Run:      runSeqPublish,
 }
@@ -39,7 +41,7 @@ func commitlogPkg(path string) bool {
 // isCommitlogEventType reports whether t is (a slice/pointer of) the
 // commitlog Event type, through aliases like store.ChangeEvent.
 func isCommitlogEventType(t types.Type) bool {
-	switch x := t.(type) {
+	switch x := types.Unalias(t).(type) {
 	case *types.Slice:
 		return isCommitlogEventType(x.Elem())
 	case *types.Pointer:
@@ -62,9 +64,11 @@ func runSeqPublish(pass *Pass) error {
 }
 
 func checkSeqPublishScope(pass *Pass, body *ast.BlockStmt) {
-	// unlockedAt records the position of the first explicit (non-defer)
-	// Unlock of a tracked mutex in this scope; publishes after it are
-	// suspect.
+	// held records, per mutex field name, whether the last explicit lock
+	// operation seen so far (the walk is in source order) acquired it;
+	// unlockedAt is the first explicit unlock of a shard/snapshot mutex,
+	// after which publishes are suspect.
+	held := map[string]bool{}
 	var unlockedAt token.Pos
 	inspectShallow(body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -73,59 +77,64 @@ func checkSeqPublishScope(pass *Pass, body *ast.BlockStmt) {
 		case *ast.SendStmt:
 			t := pass.TypeOf(x.Chan)
 			if ch, ok := t.(*types.Chan); ok && isCommitlogEventType(ch.Elem()) {
-				pass.Reportf(x.Arrow, "raw channel send of commit-pipeline events — subscribers are fed by the Log's pump goroutines; hand events to the Sequencer instead")
+				pass.Reportf(x.Arrow, "raw channel send of commit-pipeline events — subscribers are fed by the Log's pump goroutines; stamp the event and let the publish points append it")
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+				if ok && sel.Sel.Name == "Seq" && isCommitlogEventType(pass.TypeOf(sel.X)) && !held["stampMu"] {
+					pass.Reportf(x.Pos(), "event Seq assigned outside the stamp section — take stampMu around Seq assignment and the queue hand-off so queue order is Seq order")
+				}
 			}
 		case *ast.CallExpr:
+			if name, lock, ok := mutexOp(pass, x); ok {
+				held[name] = lock
+				if !lock && lockIOMutexNames[name] && name != "stampMu" && unlockedAt == token.NoPos {
+					unlockedAt = x.Pos()
+				}
+				return true
+			}
 			ci := resolveCallee(pass, x)
 			switch {
 			case ci.recv == "Log" && commitlogPkg(ci.recvPkg) && ci.name == "Append":
-				pass.Reportf(x.Pos(), "direct commitlog.Log.Append bypasses the Sequencer's ordering guarantee — publish through Sequencer.Publish/PublishAll/PublishBatch/PublishSynthetic")
-			case isUnlockOf(pass, x, lockIOMutexNames):
-				if unlockedAt == token.NoPos {
-					unlockedAt = x.Pos()
+				if !held["pubMu"] {
+					pass.Reportf(x.Pos(), "commitlog.Log.Append outside the publish lock — appenders must hold pubMu so their batches cannot interleave")
+				}
+			case isSeqCounterWrite(x, ci):
+				if !held["stampMu"] {
+					pass.Reportf(x.Pos(), "sequence counter written outside the stamp section — take stampMu around Seq assignment and the queue hand-off so queue order is Seq order")
 				}
 			case unlockedAt != token.NoPos && x.Pos() > unlockedAt && isPublishLike(ci):
-				if ci.recv == "Sequencer" && commitlogPkg(ci.recvPkg) {
-					break // the sanctioned path: the Sequencer restores order
-				}
-				if ci.recv == "Log" && commitlogPkg(ci.recvPkg) {
-					break // already reported above if it was Append
-				}
-				pass.Reportf(x.Pos(), "publish-style call after unlocking a shard/snapshot mutex — racing writers can publish in swapped order; stamp under the lock and hand the event to the Sequencer")
+				pass.Reportf(x.Pos(), "publish-style call after unlocking a shard/snapshot mutex — racing writers can publish in swapped order; stamp under the lock and let the publish points append it")
 			}
 		}
 		return true
 	})
 }
 
-// isUnlockOf recognizes X.Unlock()/X.RUnlock() on a tracked mutex.
-func isUnlockOf(pass *Pass, call *ast.CallExpr, names map[string]bool) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Unlock" && sel.Sel.Name != "RUnlock") {
+// isSeqCounterWrite matches a mutating call on an atomic field named seq
+// (the store's sequence counter): X.seq.Add/Store/Swap/CompareAndSwap.
+func isSeqCounterWrite(call *ast.CallExpr, ci calleeInfo) bool {
+	if ci.recvPkg != "sync/atomic" {
 		return false
 	}
-	var name string
-	switch x := ast.Unparen(sel.X).(type) {
-	case *ast.Ident:
-		name = x.Name
-	case *ast.SelectorExpr:
-		name = x.Sel.Name
+	switch ci.name {
+	case "Add", "Store", "Swap", "CompareAndSwap":
 	default:
 		return false
 	}
-	if !names[name] {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
 		return false
 	}
-	tn, tp := namedType(pass, sel.X)
-	return tp == "sync" && (tn == "Mutex" || tn == "RWMutex")
+	field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	return ok && field.Sel.Name == "seq"
 }
 
 // isPublishLike matches method names that smell like subscriber fan-out.
 func isPublishLike(ci calleeInfo) bool {
-	n := strings.ToLower(ci.name)
-	switch n {
-	case "publish", "publishall", "publishbatch", "publishsynthetic",
-		"emit", "notify", "fanout", "broadcastevent":
+	switch strings.ToLower(ci.name) {
+	case "publish", "emit", "notify", "fanout", "broadcastevent":
 		return true
 	}
 	return false

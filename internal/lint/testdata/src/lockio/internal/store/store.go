@@ -8,12 +8,17 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"internal/commitlog"
 )
 
 type shard struct {
-	mu     sync.RWMutex
-	snapMu sync.Mutex
-	f      *os.File
+	mu      sync.RWMutex
+	snapMu  sync.Mutex
+	stampMu sync.Mutex
+	pubMu   sync.Mutex
+	f       *os.File
+	log     *commitlog.Log
 }
 
 // fsyncUnderLock is the historical bug shape: the fsync rides inside the
@@ -66,6 +71,34 @@ func (s *shard) snapMuToo() {
 	time.Sleep(time.Millisecond) // want `time\.Sleep while "s\.snapMu" is held`
 }
 
+// appendUnderShardLock: the fan-out append blocks behind a slow Block
+// subscriber, and every writer of the shard with it.
+func (s *shard) appendUnderShardLock(evs []commitlog.Event) {
+	s.mu.Lock()
+	s.log.Append(evs) // want `blocking fan-out append \(commitlog\.Log\.Append\) while "s\.mu" is held`
+	s.mu.Unlock()
+}
+
+// appendInStampSection: the stamp section is Seq++ and a queue hand-off,
+// never the publish itself.
+func (s *shard) appendInStampSection(evs []commitlog.Event) {
+	s.stampMu.Lock()
+	defer s.stampMu.Unlock()
+	s.log.Append(evs) // want `blocking fan-out append \(commitlog\.Log\.Append\) while "s\.stampMu" is held`
+}
+
+// appendUnderPublishLock is the fixed form: stamped under the locks,
+// published after them under pubMu, which exists to be held across it.
+func (s *shard) appendUnderPublishLock(evs []commitlog.Event) {
+	s.mu.Lock()
+	s.stampMu.Lock()
+	s.stampMu.Unlock()
+	s.mu.Unlock()
+	s.pubMu.Lock()
+	s.log.Append(evs)
+	s.pubMu.Unlock()
+}
+
 // blockingSend: a bare channel send under the lock can block forever
 // behind a slow subscriber.
 func (s *shard) blockingSend(ch chan int) {
@@ -94,7 +127,7 @@ func (s *shard) goroutineIsSeparate() {
 	}()
 }
 
-// untrackedMutex: only the hot-path names (mu, snapMu) are tracked.
+// untrackedMutex: only the hot-path names (mu, snapMu, stampMu) are tracked.
 func untrackedMutex(statsMu *sync.Mutex) {
 	statsMu.Lock()
 	time.Sleep(time.Millisecond)

@@ -1,11 +1,12 @@
-// Fixture for the seqpublish analyzer: the commit-pipeline publication
-// contract. Committed events reach subscribers only through the
-// Sequencer's exported APIs; the violating shapes are the pre-PR-3
-// ordering bugs.
+// Fixture for the seqpublish analyzer: order by construction. Seq is
+// assigned only inside the stamp section and the fan-out log is appended
+// to only under the publish lock; the violating shapes are the pre-PR-3
+// ordering bugs and the ways the two locks can be bypassed.
 package store
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"internal/commitlog"
 )
@@ -15,16 +16,26 @@ import (
 type ChangeEvent = commitlog.Event
 
 type Store struct {
-	mu   sync.Mutex
-	log  *commitlog.Log
-	seqr *commitlog.Sequencer
-	subs chan commitlog.Event
+	mu      sync.Mutex
+	stampMu sync.Mutex
+	pubMu   sync.Mutex
+	seq     atomic.Uint64
+	outbox  []commitlog.Event
+	log     *commitlog.Log
+	subs    chan commitlog.Event
 }
 
-// directAppend is the raw ring append the Sequencer exists to guard:
-// racing writers reach it with their Seqs swapped.
-func (s *Store) directAppend(ev commitlog.Event) {
-	s.log.Append(ev) // want `direct commitlog\.Log\.Append bypasses the Sequencer`
+// appendOutsidePublishLock: a second appender that skips pubMu can
+// interleave its batch with the flusher's.
+func (s *Store) appendOutsidePublishLock(evs []commitlog.Event) {
+	s.log.Append(evs) // want `commitlog\.Log\.Append outside the publish lock`
+}
+
+// appendAfterPublishUnlock: the region closed before the append.
+func (s *Store) appendAfterPublishUnlock(evs []commitlog.Event) {
+	s.pubMu.Lock()
+	s.pubMu.Unlock()
+	s.log.Append(evs) // want `commitlog\.Log\.Append outside the publish lock`
 }
 
 // rawSend feeds a subscriber channel directly instead of letting the
@@ -33,31 +44,59 @@ func (s *Store) rawSend(ev ChangeEvent) {
 	s.subs <- ev // want `raw channel send of commit-pipeline events`
 }
 
+// stampUnderShardLockOnly is the race the reorder buffer used to repair:
+// Seq is drawn under the shard lock, but nothing ties it to the position
+// the event takes in the outbox.
+func (s *Store) stampUnderShardLockOnly(ev *ChangeEvent) {
+	s.mu.Lock()
+	ev.Seq = s.seq.Add(1) // want `event Seq assigned outside the stamp section` `sequence counter written outside the stamp section`
+	s.mu.Unlock()
+	s.stampMu.Lock()
+	s.outbox = append(s.outbox, *ev)
+	s.stampMu.Unlock()
+}
+
 // unlockThenPublish is the PR 3 race: two writers can release their
 // shard locks and fan out in swapped order.
 func (s *Store) unlockThenPublish(ev commitlog.Event) {
 	s.mu.Lock()
-	ev.Seq = 1
 	s.mu.Unlock()
 	s.publish(ev) // want `publish-style call after unlocking a shard/snapshot mutex`
 }
 
 func (s *Store) publish(ev commitlog.Event) {}
 
-// sequencerPublish is the sanctioned path: stamp under the lock, hand
-// the event to the Sequencer after — it restores global order.
-func (s *Store) sequencerPublish(ev commitlog.Event) {
+// stamp is the sanctioned ordering point: Seq and the queue position are
+// taken under one lock, inside the caller's shard critical section.
+func (s *Store) stamp(ev *ChangeEvent) {
 	s.mu.Lock()
-	ev.Seq = 2
+	s.stampMu.Lock()
+	ev.Seq = s.seq.Add(1)
+	s.outbox = append(s.outbox, *ev)
+	s.stampMu.Unlock()
 	s.mu.Unlock()
-	s.seqr.Publish(ev)
+	s.flush()
 }
 
-// batchViaSequencer: the batch variant is sanctioned too.
-func (s *Store) batchViaSequencer(evs []commitlog.Event) {
-	s.mu.Lock()
-	s.mu.Unlock()
-	s.seqr.PublishAll(evs)
+// flush is a sanctioned publish point: it holds pubMu (deferred unlock
+// keeps the region open) across taking the outbox and appending it.
+func (s *Store) flush() {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	s.stampMu.Lock()
+	batch := s.outbox
+	s.outbox = nil
+	s.stampMu.Unlock()
+	s.log.Append(batch)
+}
+
+// syntheticLiteral: building an event with its Seq in a literal (the
+// import diff's floor-sequenced events) assigns no slot of the order.
+func (s *Store) syntheticLiteral(floor uint64) {
+	evs := []commitlog.Event{{Seq: floor}}
+	s.pubMu.Lock()
+	s.log.Append(evs)
+	s.pubMu.Unlock()
 }
 
 // publishBeforeUnlock: a local fan-out before any unlock is not the

@@ -290,9 +290,8 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 
 // PipelineSection is the commit pipeline's slice of /v1/stats: ordered
 // fan-out counters with per-subscriber lag and drop accounting, the
-// publish→deliver latency histogram, the sequencer's reorder-buffer
-// occupancy, and how many notifications the SSE layer shed to slow
-// clients.
+// publish→deliver latency histogram, and how many notifications the SSE
+// layer shed to slow clients.
 type PipelineSection struct {
 	store.PipelineStats
 	SSEDropped uint64 `json:"sseDropped"`

@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -105,17 +107,18 @@ func (s *Store) recover() error {
 		},
 		func(tbl string, doc *document.Document) error {
 			snapDocs++
-			return s.applyPut(tbl, doc)
+			return s.restore(tbl, doc, false)
 		})
 	if err != nil {
 		return fmt.Errorf("store: loading snapshot: %w", err)
 	}
 
-	// Doc records can sit slightly out of sequence order across keys in
-	// the file (appends from different shards interleave), so collect the
-	// tail and sort by Seq before applying; per key, Seq order is the
-	// serialization order. DDL records apply in file order and replay
-	// unconditionally — they are idempotent and may predate the snapshot.
+	// Segments written before the stamp section made file order Seq order
+	// can hold doc records slightly out of sequence across keys, so
+	// collect the tail and sort by Seq before applying (a no-op pass on
+	// newer logs); per key, Seq order is the serialization order. DDL
+	// records apply in file order and replay unconditionally — they are
+	// idempotent and may predate the snapshot.
 	var docRecs []wal.Record
 	res, err := wal.Scan(walDir, func(r *wal.Record) error {
 		switch r.Kind {
@@ -148,13 +151,11 @@ func (s *Store) recover() error {
 		if _, err := s.createTable(r.Table); err != nil {
 			return fmt.Errorf("store: replaying wal record seq %d: %w", r.Seq, err)
 		}
-		var err error
+		doc, deleted := r.Doc, false
 		if r.Kind == wal.KindDelete {
-			err = s.applyDelete(r.Table, r.ID, r.Version)
-		} else {
-			err = s.applyPut(r.Table, r.Doc)
+			doc, deleted = &document.Document{ID: r.ID, Version: r.Version}, true
 		}
-		if err != nil {
+		if err := s.restore(r.Table, doc, deleted); err != nil {
 			return fmt.Errorf("store: replaying wal record seq %d: %w", r.Seq, err)
 		}
 	}
@@ -163,18 +164,14 @@ func (s *Store) recover() error {
 	if res.LastSeq > lastSeq {
 		lastSeq = res.LastSeq
 	}
+	//lint:quaestor seqpublish -- recovery restores the counter before the store is published; nothing is being stamped yet
 	s.seq.Store(lastSeq)
 
 	// Rebuild secondary indexes structurally (no re-logging, no
 	// re-sequencing — the DDL records replayed are already in the log).
 	nIdx := 0
 	for tbl, paths := range pendingIdx {
-		sorted := make([]string, 0, len(paths))
-		for p := range paths {
-			sorted = append(sorted, p)
-		}
-		sort.Strings(sorted)
-		for _, p := range sorted {
+		for _, p := range slices.Sorted(maps.Keys(paths)) {
 			if _, err := s.buildIndex(tbl, p); err != nil {
 				return fmt.Errorf("store: rebuilding index %s:%s: %w", tbl, p, err)
 			}
@@ -184,29 +181,23 @@ func (s *Store) recover() error {
 
 	// The pipeline tails from the recovered sequence; the WAL committer's
 	// post-commit hook feeds it, so events hit the change stream only
-	// after their record is written (never for one the log rejected) and
-	// the sequencer restores strict global Seq order across shards. The
-	// hook publishes each group with one sequencer call; its event
-	// buffer is committer-goroutine-owned scratch (Append copies events
-	// into the ring before returning).
+	// after their record is written (never for one the log rejected), in
+	// the commit queue's order — which the stamp section made Seq order.
+	// The hook's event buffer is committer-owned scratch (Append copies).
 	s.openPipeline(lastSeq)
 	var hookEvents []ChangeEvent
 	l, err := wal.Open(walDir, &wal.Options{
 		Fsync:         s.opts.Durability.Fsync,
 		FsyncInterval: s.opts.Durability.FsyncInterval,
 		SegmentBytes:  s.opts.Durability.SegmentBytes,
-		OnCommit: func(payloads []any, err error) {
-			if err != nil {
-				for _, p := range payloads {
-					s.seqr.Skip(p.(*ChangeEvent).Seq)
-				}
-				return
-			}
+		OnCommit: func(payloads []any) {
 			hookEvents = hookEvents[:0]
 			for _, p := range payloads {
 				hookEvents = append(hookEvents, *p.(*ChangeEvent))
 			}
-			s.seqr.PublishAll(hookEvents)
+			s.pubMu.Lock()
+			s.pipeline.Append(hookEvents)
+			s.pubMu.Unlock()
 			s.maybeAutoSnapshot()
 		},
 	})
@@ -233,41 +224,17 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// applyPut installs an after-image exactly as recorded, bypassing WAL,
-// versioning and the change stream. Recovery-only.
-func (s *Store) applyPut(tableName string, doc *document.Document) error {
+// restore installs one recovered record exactly as logged — an after-image,
+// or a tombstone {ID, Version} when deleted (removing an already-absent id
+// removes nothing: the record may predate the snapshot's state) —
+// bypassing WAL, versioning and the change stream. Recovery-only: the
+// store is not published yet, so the shard needs no lock.
+func (s *Store) restore(tableName string, doc *document.Document, deleted bool) error {
 	t, err := s.table(tableName)
 	if err != nil {
 		return err
 	}
-	sh := t.shardFor(doc.ID)
-	sh.mu.Lock()
-	if prev, ok := sh.docs[doc.ID]; ok {
-		sh.indexRemove(prev)
-	}
-	delete(sh.tombs, doc.ID)
-	sh.docs[doc.ID] = doc
-	sh.indexAdd(doc)
-	sh.mu.Unlock()
-	return nil
-}
-
-// applyDelete removes a document as recorded and remembers its tombstone
-// version; deleting an already-absent id removes nothing (the record may
-// predate the snapshot's state). Recovery-only.
-func (s *Store) applyDelete(tableName, id string, tombVersion int64) error {
-	t, err := s.table(tableName)
-	if err != nil {
-		return err
-	}
-	sh := t.shardFor(id)
-	sh.mu.Lock()
-	if prev, ok := sh.docs[id]; ok {
-		sh.indexRemove(prev)
-		delete(sh.docs, id)
-	}
-	sh.bury(id, tombVersion)
-	sh.mu.Unlock()
+	t.shardFor(doc.ID).swap(doc, deleted)
 	return nil
 }
 

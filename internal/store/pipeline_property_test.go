@@ -107,12 +107,16 @@ func (col *seqCollector) last() uint64 {
 
 // TestPropertyOrderedFanoutUnderConcurrentWriters is the commit
 // pipeline's core property: with 64 writers racing on a small key space
-// (many same-key races), every subscriber observes the complete change
-// stream in strictly increasing Seq order with exact per-key
-// before/after chaining — each event's pre-image is the previous event's
-// after-image. Under the old unlock-then-publish protocol two racing
-// same-key writes could reach a subscriber swapped; the ordered pipeline
-// makes this deterministic, in both in-memory and durable mode.
+// (many same-key races) and a sequenced CreateIndex landing among them,
+// every subscriber observes the complete change stream in strictly
+// increasing Seq order with exact per-key before/after chaining — each
+// event's pre-image is the previous event's after-image. Under the old
+// unlock-then-publish protocol two racing same-key writes could reach a
+// subscriber swapped; the stamp section makes the order deterministic in
+// in-memory and durable mode alike. The wal-closed mode seals the log
+// under the writers: writes past that point fail and publish nothing, and
+// what subscribers saw up to it must still be an ordered, chained prefix
+// that ends without anything waiting on the Seqs that never committed.
 func TestPropertyOrderedFanoutUnderConcurrentWriters(t *testing.T) {
 	const (
 		writers = 64
@@ -122,12 +126,16 @@ func TestPropertyOrderedFanoutUnderConcurrentWriters(t *testing.T) {
 	if testing.Short() {
 		opsEach = 25
 	}
-	for _, mode := range []string{"memory", "durable-never"} {
+	for _, mode := range []string{"memory", "durable-never", "durable-always", "wal-closed"} {
 		t.Run(mode, func(t *testing.T) {
 			opts := &Options{ChangeBuffer: 1 << 14}
-			if mode != "memory" {
+			switch mode {
+			case "durable-never", "wal-closed":
 				opts.DataDir = t.TempDir()
 				opts.Durability = Durability{Fsync: wal.FsyncNever}
+			case "durable-always":
+				opts.DataDir = t.TempDir()
+				opts.Durability = Durability{Fsync: wal.FsyncAlways}
 			}
 			s, err := Open(opts)
 			if err != nil {
@@ -145,7 +153,27 @@ func TestPropertyOrderedFanoutUnderConcurrentWriters(t *testing.T) {
 				cols[i] = collectSeqs(ch)
 			}
 
+			// afterWrites runs fn once a share of the writes has been
+			// stamped, i.e. in the thick of the race.
 			var wg sync.WaitGroup
+			afterWrites := func(n int, fn func()) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for s.LastSeq() < uint64(n) {
+						time.Sleep(50 * time.Microsecond)
+					}
+					fn()
+				}()
+			}
+			afterWrites(writers*opsEach/8, func() {
+				if err := s.CreateIndex("docs", "n"); err != nil && mode != "wal-closed" {
+					t.Errorf("CreateIndex: %v", err)
+				}
+			})
+			if mode == "wal-closed" {
+				afterWrites(writers*opsEach/4, func() { s.wal.Close() })
+			}
 			for w := 0; w < writers; w++ {
 				wg.Add(1)
 				go func(seed int64) {
@@ -168,9 +196,17 @@ func TestPropertyOrderedFanoutUnderConcurrentWriters(t *testing.T) {
 			}
 			wg.Wait()
 
-			// Every assigned Seq commits in these modes, so each subscriber
-			// must eventually deliver the full dense stream.
+			// Every stamped Seq commits unless the log was sealed, so each
+			// subscriber must eventually deliver the dense stream up to
+			// LastSeq; a sealed log has published the prefix it committed
+			// (Close drained the queue) and nothing after.
 			want := s.LastSeq()
+			if mode == "wal-closed" {
+				want = s.PipelineStats().Stream.LastSeq
+				if want == 0 || want >= s.LastSeq() {
+					t.Fatalf("stream at seq %d, store at %d: the log was not sealed under load", want, s.LastSeq())
+				}
+			}
 			deadline := time.Now().Add(10 * time.Second)
 			for _, col := range cols {
 				for col.last() < want && time.Now().Before(deadline) {
@@ -190,8 +226,8 @@ func TestPropertyOrderedFanoutUnderConcurrentWriters(t *testing.T) {
 				}
 				col.mu.Unlock()
 			}
-			if st := s.PipelineStats(); st.Sequencer.Held != 0 {
-				t.Errorf("sequencer still holding %d events after quiesce", st.Sequencer.Held)
+			if st := s.PipelineStats().Stream; st.LastSeq != want || st.Published != want {
+				t.Errorf("stream reached seq %d with %d events published, want %d", st.LastSeq, st.Published, want)
 			}
 		})
 	}

@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
-	"quaestor/internal/commitlog"
 	"quaestor/internal/document"
 	"quaestor/internal/index"
 	"quaestor/internal/wal"
@@ -70,10 +71,7 @@ func (s *Store) ExportSnapshot(w io.Writer) (wal.SnapshotMeta, int, error) {
 	for _, t := range tables {
 		for _, sh := range t.shards {
 			sh.mu.RLock()
-			docs := make([]*document.Document, 0, len(sh.docs))
-			for _, d := range sh.docs {
-				docs = append(docs, d)
-			}
+			docs := slices.Collect(maps.Values(sh.docs))
 			sh.mu.RUnlock()
 			for _, d := range docs {
 				if err := sw.Doc(t.name, d); err != nil {
@@ -183,12 +181,7 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 			if !ok {
 				return fmt.Errorf("store: snapshot doc for undeclared table %q", tbl)
 			}
-			sh := t.shardFor(doc.ID)
-			if prev, ok := sh.docs[doc.ID]; ok {
-				sh.indexRemove(prev)
-			}
-			sh.docs[doc.ID] = doc
-			sh.indexAdd(doc)
+			t.shardFor(doc.ID).swap(doc, false)
 			return nil
 		})
 	if err != nil {
@@ -212,10 +205,7 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 		s.mu.RUnlock()
 		return ImportInfo{}, ErrClosed
 	}
-	locals := make(map[string]*table, len(s.tables))
-	for name, t := range s.tables {
-		locals[name] = t
-	}
+	locals := maps.Clone(s.tables)
 	s.mu.RUnlock()
 	for name, lt := range locals {
 		lt.idxMu.RLock()
@@ -326,14 +316,17 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 		}
 	}
 
-	s.seq.Store(meta.Seq)
 	// The pipeline resumes at the floor: subscribers see a seq jump over
 	// the range the snapshot covers (they cannot observe the individual
 	// writes a snapshot collapsed anyway), and the fan-out ring's
 	// truncation horizon moves with it so a chained replica attaching
 	// from inside the collapsed range is refused (ErrSeqTruncated → it
-	// re-bootstraps) instead of silently skipping history.
-	s.seqr.AdvanceTo(meta.Seq + 1)
+	// re-bootstraps) instead of silently skipping history. Nothing below
+	// the floor is still in flight: the WAL rotation above ran behind it
+	// in the commit queue, and in-memory applies flush before returning.
+	s.stampMu.Lock()
+	s.seq.Store(meta.Seq)
+	s.stampMu.Unlock()
 	s.pipeline.Truncate(meta.Seq)
 
 	dels, puts := s.publishImportDiff(old, shadow, meta.Seq)
@@ -363,10 +356,8 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 // present. It reports whether the path was newly installed (false for
 // an existing one).
 func shadowIndex(t *table, path string) bool {
-	for _, p := range t.indexPaths {
-		if p == path {
-			return false
-		}
+	if slices.Contains(t.indexPaths, path) {
+		return false
 	}
 	t.indexPaths = append(t.indexPaths, path)
 	sort.Strings(t.indexPaths)
@@ -389,8 +380,15 @@ func shadowIndex(t *table, path string) bool {
 // snapshot supersedes. Doc lookups are lock-free: the import path is the
 // only writer of either table set.
 func (s *Store) publishImportDiff(old, imported map[string]*table, floor uint64) (dels, puts int) {
+	// Synthetic events share the floor as their Seq (subscribers tolerate
+	// the run of equal Seqs) and take no slot of the write order, so they
+	// bypass the stamp section and go straight onto the pipeline.
 	now := s.opts.Clock()
 	var evs []ChangeEvent
+	emit := func(table string, op OpType, before, after *document.Document) {
+		evs = append(evs, ChangeEvent{Seq: floor, Table: table, Op: op, Deleted: op == OpDelete,
+			Synthetic: true, Before: before, After: after, Time: now})
+	}
 	for name, ot := range old {
 		nt := imported[name] // never nil: the shadow set includes every local table
 		for _, osh := range ot.shards {
@@ -398,12 +396,7 @@ func (s *Store) publishImportDiff(old, imported map[string]*table, floor uint64)
 				ndoc := nt.lookupDoc(id)
 				switch {
 				case ndoc == nil:
-					evs = append(evs, ChangeEvent{
-						Seq: floor, Table: name, Op: OpDelete, Deleted: true,
-						Before: odoc,
-						After:  &document.Document{ID: id, Version: odoc.Version + 1},
-						Time:   now,
-					})
+					emit(name, OpDelete, odoc, &document.Document{ID: id, Version: odoc.Version + 1})
 					dels++
 				// Version equality alone cannot prove identity across
 				// lineages: versions are unique per id within one primary's
@@ -412,10 +405,7 @@ func (s *Store) publishImportDiff(old, imported map[string]*table, floor uint64)
 				// version can carry different content. Equal versions fall
 				// through to a content comparison.
 				case ndoc.Version != odoc.Version || !document.DeepEqual(odoc.Fields, ndoc.Fields):
-					evs = append(evs, ChangeEvent{
-						Seq: floor, Table: name, Op: OpUpdate,
-						Before: odoc, After: ndoc, Time: now,
-					})
+					emit(name, OpUpdate, odoc, ndoc)
 					puts++
 				}
 			}
@@ -428,15 +418,14 @@ func (s *Store) publishImportDiff(old, imported map[string]*table, floor uint64)
 				if ot != nil && ot.lookupDoc(id) != nil {
 					continue // pre-existing: handled (or unchanged) above
 				}
-				evs = append(evs, ChangeEvent{
-					Seq: floor, Table: name, Op: OpInsert,
-					After: ndoc, Time: now,
-				})
+				emit(name, OpInsert, nil, ndoc)
 				puts++
 			}
 		}
 	}
-	s.seqr.PublishSynthetic(evs)
+	s.pubMu.Lock()
+	s.pipeline.Append(evs)
+	s.pubMu.Unlock()
 	return dels, puts
 }
 
@@ -469,7 +458,8 @@ func (s *Store) snapshotTablesMeta(floor uint64) ([]*table, wal.SnapshotMeta, er
 
 // ApplyReplicated applies one ordered batch of replicated log records —
 // the stream a primary's commit pipeline (or its shipped WAL segments)
-// produces — through the recovery-style idempotent apply path:
+// produces — through the same mutation and stamp path as a local write,
+// at the primary's sequence numbers:
 //
 //   - records at or below the store's sequence are duplicates from a
 //     reconnect or overlapping catch-up channels and are skipped, so
@@ -481,42 +471,41 @@ func (s *Store) snapshotTablesMeta(floor uint64) ([]*table, wal.SnapshotMeta, er
 //   - every applied record is published on the replica's own commit
 //     pipeline, so local subscribers (InvaliDB, SSE feeds, chained
 //     replicas) observe the same totally-ordered stream as on the
-//     primary; sequence gaps the primary skipped are skipped here too.
+//     primary, gaps included: a Seq the primary never published is
+//     simply absent here too.
 //
 // Records must arrive in non-decreasing Seq order (sort shipped segment
 // records first). ApplyReplicated takes ownership of rec.Doc pointers.
 // The caller must be a single goroutine — the replication applier.
 func (s *Store) ApplyReplicated(recs []wal.Record) (applied int, err error) {
+	// One commit for the whole batch, on every return path: in-memory
+	// stores flush the outbox once; durable stores wait on the newest
+	// waiter — the batch shares the committer's group outcome, and a
+	// wedged WAL surfaces there (earlier failures latch).
 	var last *wal.Waiter
-	now := s.opts.Clock()
-	// In-memory stores collect the batch's events and publish them with
-	// one sequencer call after the shard mutations; durable stores
-	// publish from the WAL committer's post-commit hook instead. The
-	// collection buffer is store-owned scratch — safe because apply has
-	// a single caller and Log.Append copies events out before returning.
-	events := s.applyScratch[:0]
+	defer func() {
+		if cerr := s.commit(last); err == nil && cerr != nil {
+			err = fmt.Errorf("store: logging replicated batch: %w", cerr)
+		}
+	}()
 	// The apply path is hot — it carries the primary's whole write
 	// throughput on one goroutine — so the table lookup is cached across
 	// the batch (records overwhelmingly target one table in a row).
 	var tbl *table
-	tblName := ""
 	getTable := func(name string) (*table, error) {
-		if tbl != nil && tblName == name {
+		if tbl != nil && tbl.name == name {
 			return tbl, nil
 		}
 		t, err := s.table(name)
 		if errors.Is(err, ErrNoTable) {
-			if _, err := s.createTable(name); err != nil {
-				return nil, err
+			if _, err = s.createTable(name); err == nil {
+				t, err = s.table(name)
 			}
-			t, err = s.table(name)
-			if err != nil {
-				return nil, err
-			}
-		} else if err != nil {
+		}
+		if err != nil {
 			return nil, err
 		}
-		tbl, tblName = t, name
+		tbl = t
 		return t, nil
 	}
 	for i := range recs {
@@ -534,151 +523,55 @@ func (s *Store) ApplyReplicated(recs []wal.Record) (applied int, err error) {
 			if _, err := getTable(rec.Table); err != nil {
 				return applied, err
 			}
+			if rec.Seq != 0 && rec.Seq <= s.seq.Load() {
+				break // idempotent re-delivery (or already built locally)
+			}
+			added, err := s.buildIndex(rec.Table, rec.Path)
+			if err != nil {
+				return applied, err
+			}
 			if rec.Seq == 0 {
 				// Legacy unsequenced DDL (pre-sequencing segments,
-				// catch-up shipping): build idempotently and keep the
-				// unsequenced record in the local log.
-				added, err := s.buildIndex(rec.Table, rec.Path)
-				if err != nil {
-					return applied, err
-				}
+				// catch-up shipping): keep the unsequenced record in the
+				// local log.
 				if added && s.wal != nil {
 					last = s.wal.Enqueue(*rec)
 				}
 				break
 			}
 			// Sequenced DDL occupies a slot in the primary's write order:
-			// apply it exactly like a doc record — idempotent on
-			// re-delivery, advances the local sequence, re-logs at the
-			// primary's Seq, and publishes on the local pipeline.
-			prevSeq := s.seq.Load()
-			if rec.Seq <= prevSeq {
-				break // idempotent re-delivery (or already built locally)
-			}
-			if _, err := s.buildIndex(rec.Table, rec.Path); err != nil {
+			// stamp it at the primary's Seq like a doc record.
+			if last, err = s.stampIndex(rec.Table, rec.Path, rec.Seq); err != nil {
 				return applied, err
 			}
-			s.seq.Store(rec.Seq)
 			applied++
-			if s.wal != nil {
-				for q := prevSeq + 1; q < rec.Seq; q++ {
-					s.seqr.Skip(q)
-				}
-				ev := &ChangeEvent{Seq: rec.Seq, Table: rec.Table, Op: commitlog.OpCreateIndex, Path: rec.Path, Time: now}
-				last = s.wal.EnqueueWith(*rec, ev)
-			} else {
-				events = append(events, ChangeEvent{Seq: rec.Seq, Table: rec.Table, Op: commitlog.OpCreateIndex, Path: rec.Path, Time: now})
-			}
 		case wal.KindPut, wal.KindDelete:
+			if rec.Seq <= s.seq.Load() {
+				break // idempotent re-delivery
+			}
 			t, err := getTable(rec.Table)
 			if err != nil {
 				return applied, err
 			}
-			var ev *ChangeEvent
-			if s.wal != nil {
-				// The committer retains the event past this call; it
-				// needs its own allocation.
-				ev = &ChangeEvent{}
-			} else {
-				events = append(events, ChangeEvent{})
-				ev = &events[len(events)-1]
+			doc, deleted := rec.Doc, false
+			if rec.Kind == wal.KindDelete {
+				doc, deleted = &document.Document{ID: rec.ID, Version: rec.Version}, true
+			} else if doc == nil {
+				return applied, fmt.Errorf("store: replicated put seq %d has no document", rec.Seq)
 			}
-			ok, w, aerr := s.applyReplicatedDoc(rec, t, now, ev)
-			if aerr != nil {
-				return applied, aerr
+			_, w, err := s.mutate(t, doc.ID, rec.Seq, func(*shard, *document.Document) (*document.Document, bool, error) {
+				return doc, deleted, nil // exactly as recorded
+			})
+			if err != nil {
+				return applied, err
 			}
-			if ok {
-				applied++
-				if w != nil {
-					last = w
-				}
-			} else if s.wal == nil {
-				events = events[:len(events)-1] // duplicate: discard slot
-			}
+			last = w
+			applied++
 		default:
 			return applied, fmt.Errorf("store: unknown replicated record kind %q", rec.Kind)
 		}
 	}
-	if len(events) > 0 {
-		// One lock, one fan-out append for the whole batch; sequence
-		// numbers missing inside the batch were never published by the
-		// primary and are implicitly skipped.
-		s.seqr.PublishBatch(events)
-	}
-	s.applyScratch = events[:0]
-	if last != nil {
-		// The batch shares the committer's group outcome: a wedged WAL
-		// surfaces on the newest waiter (earlier failures latch).
-		if err := last.Wait(); err != nil {
-			return applied, fmt.Errorf("store: logging replicated batch: %w", err)
-		}
-	}
 	return applied, nil
-}
-
-// applyReplicatedDoc applies one doc record to its table, filling ev in
-// place. It reports false for duplicates (already-applied sequences);
-// the waiter is non-nil only on durable stores, whose committer hook
-// publishes the event.
-func (s *Store) applyReplicatedDoc(rec *wal.Record, t *table, now time.Time, ev *ChangeEvent) (bool, *wal.Waiter, error) {
-	prevSeq := s.seq.Load()
-	if rec.Seq <= prevSeq {
-		return false, nil, nil // idempotent re-delivery
-	}
-	id := rec.ID
-	if rec.Kind == wal.KindPut {
-		if rec.Doc == nil {
-			return false, nil, fmt.Errorf("store: replicated put seq %d has no document", rec.Seq)
-		}
-		id = rec.Doc.ID
-	}
-	sh := t.shardFor(id)
-	sh.mu.Lock()
-	prev, existed := sh.docs[id]
-	*ev = ChangeEvent{Seq: rec.Seq, Table: rec.Table, Time: now}
-	if existed {
-		// Stored documents are copy-on-write (writers replace, never
-		// mutate), so events share pointers instead of cloning.
-		ev.Before = prev
-	}
-	if rec.Kind == wal.KindDelete {
-		if existed {
-			sh.indexRemove(prev)
-			delete(sh.docs, id)
-		}
-		sh.bury(id, rec.Version)
-		ev.Op = OpDelete
-		ev.Deleted = true
-		ev.After = &document.Document{ID: id, Version: rec.Version}
-	} else {
-		if existed {
-			sh.indexRemove(prev)
-			ev.Op = OpUpdate
-		} else {
-			ev.Op = OpInsert
-		}
-		delete(sh.tombs, id)
-		sh.docs[id] = rec.Doc
-		sh.indexAdd(rec.Doc)
-		ev.After = rec.Doc
-	}
-	s.seq.Store(rec.Seq)
-	var w *wal.Waiter
-	if s.wal != nil {
-		// Release sequences the primary never published (skipped WAL
-		// failures) so the committer-fed sequencer doesn't stall waiting
-		// for them. (In-memory stores handle gaps in PublishBatch.)
-		for q := prevSeq + 1; q < rec.Seq; q++ {
-			s.seqr.Skip(q)
-		}
-		// Same contract as stampLocked: enqueue inside the shard critical
-		// section so per-key record order in the replica's log matches
-		// the apply order; the committer's post-commit hook publishes ev
-		// on the replica's pipeline.
-		w = s.wal.EnqueueWith(*rec, ev)
-	}
-	sh.mu.Unlock()
-	return true, w, nil
 }
 
 // WALExport is an in-progress sealed-segment export (replica catch-up

@@ -8,12 +8,22 @@
 // pipeline. Documents are sharded by hashed primary key, mirroring the
 // paper's evaluation setup ("documents were sharded through their hashed
 // primary key").
+//
+// There is one write path: every document change goes through one shard
+// mutation (shard.swap, via Store.mutate on a live store) and takes its
+// place in the write order in one stamp section (Store.stamp), which
+// makes queue order Seq order by construction — the WAL committer's hook
+// and the in-memory flush append their batches to the commit pipeline as
+// they are, and a write whose log group fails is simply never published.
+// Change events carry the stored copy-on-write documents themselves.
 package store
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -126,19 +136,27 @@ func (o *Options) withDefaults() Options {
 // Store is a sharded, thread-safe document database.
 type Store struct {
 	opts Options
-	seq  atomic.Uint64
 
 	mu     sync.RWMutex
 	tables map[string]*table
 	closed bool
 
-	// pipeline is the ordered commit pipeline: every committed write is
-	// fed through seqr (which restores strict global Seq order) into the
-	// fan-out log that all change-stream consumers subscribe to. On
-	// durable stores the WAL committer's post-commit hook feeds seqr; on
-	// in-memory stores commit() does.
+	// stampMu is the stamp section (see stamp): seq is only written under
+	// it (atomic so LastSeq reads it lock-free), together with the hand-off
+	// that fixes a write's position — the WAL's commit queue, or on
+	// in-memory stores the outbox of stamped, not yet published events.
+	stampMu sync.Mutex
+	seq     atomic.Uint64
+	outbox  []ChangeEvent
+
+	// pipeline is the fan-out log all change-stream consumers subscribe
+	// to. pubMu serializes its three appenders — the WAL committer's
+	// hook, flush and the snapshot import's synthetic diff — and is never
+	// taken with a shard lock or stampMu held. spare is flush's second
+	// outbox buffer.
+	pubMu    sync.Mutex
 	pipeline *commitlog.Log
-	seqr     *commitlog.Sequencer
+	spare    []ChangeEvent
 
 	// wal is non-nil for durable stores (Options.DataDir set).
 	wal *wal.Log
@@ -156,9 +174,6 @@ type Store struct {
 	// ErrReadOnly and state changes only through the replication apply
 	// path (see replication.go).
 	readOnly atomic.Bool
-	// applyScratch is ApplyReplicated's reusable event buffer (single
-	// applier by contract).
-	applyScratch []commitlog.Event
 }
 
 type table struct {
@@ -206,12 +221,9 @@ func (sh *shard) bury(id string, version int64) {
 }
 
 // firstVersion returns the version a document created under id starts
-// at — 1 for an id this shard never held — and forgets id's tombstone
-// (the live document carries the count from here). Caller holds sh.mu.
+// at — 1 for an id this shard never held. Caller holds sh.mu.
 func (sh *shard) firstVersion(id string) int64 {
-	v := max(sh.verFloor, sh.tombs[id])
-	delete(sh.tombs, id)
-	return v + 1
+	return max(sh.verFloor, sh.tombs[id]) + 1
 }
 
 // maxTombstone returns the highest version verFloor and tombs hold.
@@ -224,17 +236,29 @@ func (sh *shard) maxTombstone() int64 {
 	return v
 }
 
-// indexAdd posts doc to every index. Caller holds sh.mu.
-func (sh *shard) indexAdd(doc *document.Document) {
-	for _, ix := range sh.indexes {
-		ix.Add(doc)
+// swap is the one shard mutation: it replaces the document stored under
+// next.ID with next — or, when deleted, removes it and buries next.Version
+// as the id's tombstone — keeping every secondary index exact. Live
+// writes, recovery, replica apply and snapshot import all go through it.
+// next is stored as is (copy-on-write: never mutated again). Caller holds
+// sh.mu, or owns the shard outright.
+func (sh *shard) swap(next *document.Document, deleted bool) {
+	id := next.ID
+	if prev, ok := sh.docs[id]; ok {
+		for _, ix := range sh.indexes {
+			ix.Remove(prev)
+		}
 	}
-}
-
-// indexRemove drops doc's postings from every index. Caller holds sh.mu.
-func (sh *shard) indexRemove(doc *document.Document) {
+	if deleted {
+		delete(sh.docs, id)
+		sh.bury(id, next.Version)
+		return
+	}
+	// A live document carries the id's version count from here on.
+	delete(sh.tombs, id)
+	sh.docs[id] = next
 	for _, ix := range sh.indexes {
-		ix.Remove(doc)
+		ix.Add(next)
 	}
 }
 
@@ -268,7 +292,6 @@ func (s *Store) openPipeline(lastSeq uint64) {
 		StartSeq:       lastSeq,
 		Clock:          s.opts.Clock,
 	})
-	s.seqr = commitlog.NewSequencer(s.pipeline, lastSeq)
 }
 
 // MustOpen is Open for callers without a useful error path (tests,
@@ -342,12 +365,7 @@ func newTable(name string, shards int) *table {
 func (s *Store) Tables() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(s.tables))
 }
 
 func (s *Store) table(name string) (*table, error) {
@@ -397,37 +415,64 @@ func (t *table) lookupDoc(id string) *document.Document {
 	return t.shardFor(id).docs[id]
 }
 
-// Insert stores a new document. It fails with ErrExists when the id is
-// already present. The stored copy is independent of the caller's value.
-func (s *Store) Insert(tableName string, doc *document.Document) error {
-	if doc == nil {
-		return ErrNilDocument
+// decideFunc is the part of a document write that differs between paths:
+// given the document stored under the id (nil when absent) it returns
+// what to store in its place — with deleted set, the tombstone {ID,
+// Version} to leave — or an error that leaves the shard untouched.
+type decideFunc func(sh *shard, prev *document.Document) (next *document.Document, deleted bool, err error)
+
+// mutate is the one way a document changes on an open store. Under the
+// id's shard lock it asks decide for the outcome, encodes the WAL record
+// (an unencodable document fails here, before anything changed), swaps
+// the stored document and stamps the event — at the next Seq, or at seq
+// when a replica replays its primary's. The event carries the stored
+// copy-on-write documents themselves; nothing is cloned for consumers.
+// Stamping inside the shard critical section makes the per-key order of
+// Seqs (and of log records) the order the shard lock serialized.
+func (s *Store) mutate(t *table, id string, seq uint64, decide decideFunc) (*document.Document, *wal.Waiter, error) {
+	sh := t.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	prev := sh.docs[id]
+	next, deleted, err := decide(sh, prev)
+	if err != nil {
+		return nil, nil, err
 	}
-	if doc.ID == "" {
-		return ErrEmptyID
+	ev := ChangeEvent{Table: t.name, Op: OpInsert, Deleted: deleted, Before: prev, After: next, Time: s.opts.Clock()}
+	if deleted {
+		ev.Op = OpDelete
+	} else if prev != nil {
+		ev.Op = OpUpdate
 	}
+	entry, pev, err := s.encode(&ev)
+	if err != nil {
+		return nil, nil, err
+	}
+	sh.swap(next, deleted)
+	return next, s.stamp(pev, seq, entry), nil
+}
+
+// write is mutate for the public write methods: primary-only, next Seq,
+// committed before it returns.
+func (s *Store) write(tableName, id string, decide decideFunc) (*document.Document, error) {
 	if s.readOnly.Load() {
-		return ErrReadOnly
+		return nil, ErrReadOnly
 	}
 	t, err := s.table(tableName)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sh := t.shardFor(doc.ID)
-	sh.mu.Lock()
-	if _, ok := sh.docs[doc.ID]; ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s/%s", ErrExists, tableName, doc.ID)
+	after, w, err := s.mutate(t, id, 0, decide)
+	if err != nil {
+		return nil, err
 	}
-	stored := doc.Clone()
-	stored.Version = sh.firstVersion(doc.ID)
-	sh.docs[doc.ID] = stored
-	sh.indexAdd(stored)
-	ev := &ChangeEvent{Table: tableName, Op: OpInsert, After: stored.Clone()}
-	w := s.stampLocked(ev)
-	sh.mu.Unlock()
+	return after, s.commit(w)
+}
 
-	return s.commit(ev, w)
+// Insert stores a new document. It fails with ErrExists when the id is
+// already present. The stored copy is independent of the caller's value.
+func (s *Store) Insert(tableName string, doc *document.Document) error {
+	return s.put(tableName, doc, true)
 }
 
 // Get returns a deep copy of the document, or ErrNotFound.
@@ -464,40 +509,29 @@ func (s *Store) GetShared(tableName, id string) (*document.Document, error) {
 // (upsert). The version increments; per-key monotonic writes follow from
 // the shard lock serializing writers.
 func (s *Store) Put(tableName string, doc *document.Document) error {
+	return s.put(tableName, doc, false)
+}
+
+func (s *Store) put(tableName string, doc *document.Document, mustBeNew bool) error {
 	if doc == nil {
 		return ErrNilDocument
 	}
 	if doc.ID == "" {
 		return ErrEmptyID
 	}
-	if s.readOnly.Load() {
-		return ErrReadOnly
-	}
-	t, err := s.table(tableName)
-	if err != nil {
-		return err
-	}
-	sh := t.shardFor(doc.ID)
-	sh.mu.Lock()
-	prev, existed := sh.docs[doc.ID]
 	stored := doc.Clone()
-	var before *document.Document
-	op := OpInsert
-	if existed {
-		before = prev.Clone()
-		stored.Version = prev.Version + 1
-		op = OpUpdate
-		sh.indexRemove(prev)
-	} else {
-		stored.Version = sh.firstVersion(doc.ID)
-	}
-	sh.docs[doc.ID] = stored
-	sh.indexAdd(stored)
-	ev := &ChangeEvent{Table: tableName, Op: op, Before: before, After: stored.Clone()}
-	w := s.stampLocked(ev)
-	sh.mu.Unlock()
-
-	return s.commit(ev, w)
+	_, err := s.write(tableName, doc.ID, func(sh *shard, prev *document.Document) (*document.Document, bool, error) {
+		switch {
+		case prev == nil:
+			stored.Version = sh.firstVersion(doc.ID)
+		case mustBeNew:
+			return nil, false, fmt.Errorf("%w: %s/%s", ErrExists, tableName, doc.ID)
+		default:
+			stored.Version = prev.Version + 1
+		}
+		return stored, false, nil
+	})
+	return err
 }
 
 // UpdateSpec describes a partial update.
@@ -517,42 +551,24 @@ type UpdateSpec struct {
 	IfVersion int64
 }
 
-// Update applies a partial update and returns the after-image.
+// Update applies a partial update and returns the after-image (the
+// caller's own copy).
 func (s *Store) Update(tableName, id string, spec UpdateSpec) (*document.Document, error) {
-	if s.readOnly.Load() {
-		return nil, ErrReadOnly
-	}
-	t, err := s.table(tableName)
+	after, err := s.write(tableName, id, func(_ *shard, prev *document.Document) (*document.Document, bool, error) {
+		if prev == nil {
+			return nil, false, fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
+		}
+		if spec.IfVersion != 0 && prev.Version != spec.IfVersion {
+			return nil, false, fmt.Errorf("%w: have %d, want %d", ErrVersionCheck, prev.Version, spec.IfVersion)
+		}
+		next := prev.Clone()
+		if err := applySpec(next, spec); err != nil {
+			return nil, false, err
+		}
+		next.Version = prev.Version + 1
+		return next, false, nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	sh := t.shardFor(id)
-	sh.mu.Lock()
-	prev, ok := sh.docs[id]
-	if !ok {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
-	}
-	if spec.IfVersion != 0 && prev.Version != spec.IfVersion {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: have %d, want %d", ErrVersionCheck, prev.Version, spec.IfVersion)
-	}
-	before := prev.Clone()
-	next := prev.Clone()
-	if err := applySpec(next, spec); err != nil {
-		sh.mu.Unlock()
-		return nil, err
-	}
-	next.Version = prev.Version + 1
-	sh.indexRemove(prev)
-	sh.docs[id] = next
-	sh.indexAdd(next)
-	after := next.Clone()
-	ev := &ChangeEvent{Table: tableName, Op: OpUpdate, Before: before, After: after}
-	w := s.stampLocked(ev)
-	sh.mu.Unlock()
-
-	if err := s.commit(ev, w); err != nil {
 		return nil, err
 	}
 	return after.Clone(), nil
@@ -629,30 +645,13 @@ func applySpec(doc *document.Document, spec UpdateSpec) error {
 
 // Delete removes a document, returning ErrNotFound if absent.
 func (s *Store) Delete(tableName, id string) error {
-	if s.readOnly.Load() {
-		return ErrReadOnly
-	}
-	t, err := s.table(tableName)
-	if err != nil {
-		return err
-	}
-	sh := t.shardFor(id)
-	sh.mu.Lock()
-	prev, ok := sh.docs[id]
-	if !ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
-	}
-	delete(sh.docs, id)
-	sh.indexRemove(prev)
-	before := prev.Clone()
-	tomb := &document.Document{ID: id, Version: before.Version + 1}
-	sh.bury(id, tomb.Version)
-	ev := &ChangeEvent{Table: tableName, Op: OpDelete, Deleted: true, Before: before, After: tomb}
-	w := s.stampLocked(ev)
-	sh.mu.Unlock()
-
-	return s.commit(ev, w)
+	_, err := s.write(tableName, id, func(_ *shard, prev *document.Document) (*document.Document, bool, error) {
+		if prev == nil {
+			return nil, false, fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
+		}
+		return &document.Document{ID: id, Version: prev.Version + 1}, true, nil
+	})
+	return err
 }
 
 // CreateIndex builds a secondary index over a dotted field path and keeps
@@ -664,11 +663,6 @@ func (s *Store) CreateIndex(tableName, path string) error {
 	added, err := s.buildIndex(tableName, path)
 	if err != nil || !added {
 		return err
-	}
-	if s.seqr == nil {
-		// Recovery rebuild: the original DDL record is already in the
-		// log (or snapshot meta); nothing to sequence or re-log.
-		return nil
 	}
 	if s.readOnly.Load() {
 		// Replica-local DDL builds the index but must not consume the
@@ -683,20 +677,27 @@ func (s *Store) CreateIndex(tableName, path string) error {
 	// Sequence the DDL through the commit pipeline like any write:
 	// replicas and all live subscribers learn the index in position,
 	// instead of only via shipped segments or re-bootstrap.
-	ev := &ChangeEvent{Table: tableName, Op: commitlog.OpCreateIndex, Path: path}
-	ev.Seq = s.seq.Add(1)
-	ev.Time = s.opts.Clock()
-	if s.wal != nil {
-		rec := wal.Record{Seq: ev.Seq, Kind: wal.KindCreateIndex, Table: tableName, Path: path}
-		return s.commit(ev, s.wal.EnqueueWith(rec, ev))
+	w, err := s.stampIndex(tableName, path, 0)
+	if err != nil {
+		return err
 	}
-	s.seqr.Publish(*ev)
-	return nil
+	return s.commit(w)
+}
+
+// stampIndex stamps an index creation as an event of the write order —
+// at the next Seq, or at seq on a replica.
+func (s *Store) stampIndex(tableName, path string, seq uint64) (*wal.Waiter, error) {
+	ev := ChangeEvent{Table: tableName, Op: commitlog.OpCreateIndex, Path: path, Time: s.opts.Clock()}
+	entry, pev, err := s.encode(&ev)
+	if err != nil {
+		return nil, err
+	}
+	return s.stamp(pev, seq, entry), nil
 }
 
 // buildIndex installs and backfills the index structure without logging
 // or sequencing; it reports whether the index was new. CreateIndex wraps
-// it with pipeline sequencing, recovery and the replication applier call
+// it with pipeline sequencing; recovery and the replication applier call
 // it directly.
 func (s *Store) buildIndex(tableName, path string) (bool, error) {
 	if path == "" {
@@ -707,11 +708,9 @@ func (s *Store) buildIndex(tableName, path string) (bool, error) {
 		return false, err
 	}
 	t.idxMu.Lock()
-	for _, p := range t.indexPaths {
-		if p == path {
-			t.idxMu.Unlock()
-			return false, nil
-		}
+	if slices.Contains(t.indexPaths, path) {
+		t.idxMu.Unlock()
+		return false, nil
 	}
 	t.indexPaths = append(t.indexPaths, path)
 	sort.Strings(t.indexPaths)
@@ -745,13 +744,7 @@ func (s *Store) Indexes(tableName string) ([]string, error) {
 // IndexStats implements query.Catalog by aggregating per-shard statistics.
 func (t *table) IndexStats(path string) (query.IndexStats, bool) {
 	t.idxMu.RLock()
-	known := false
-	for _, p := range t.indexPaths {
-		if p == path {
-			known = true
-			break
-		}
-	}
+	known := slices.Contains(t.indexPaths, path)
 	t.idxMu.RUnlock()
 	if !known {
 		return query.IndexStats{}, false
@@ -877,68 +870,93 @@ func (s *Store) Count(tableName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	for _, sh := range t.shards {
-		sh.mu.RLock()
-		n += len(sh.docs)
-		sh.mu.RUnlock()
-	}
-	return n, nil
+	return t.TableDocs(), nil
 }
 
-// stampLocked assigns ev its global sequence number and timestamp and,
-// on durable stores, enqueues its WAL record for group commit with ev
-// attached as the committer's post-commit payload. It MUST run inside
-// the caller's shard critical section: that is what makes the per-key
-// order of records in the log match the serialization order the shard
-// lock imposes (recovery sorts records by Seq, which is only meaningful
-// per key if Seq assignment and enqueue are atomic with the write).
-func (s *Store) stampLocked(ev *ChangeEvent) *wal.Waiter {
-	ev.Seq = s.seq.Add(1)
-	ev.Time = s.opts.Clock()
+// encode prepares ev's WAL record — everything but its Seq — on durable
+// stores, before the stamp section because its cost grows with the
+// document. It returns the event stamp has to fill in: a heap copy that
+// rides along as the committer's post-commit payload, or, on in-memory
+// stores, ev itself (which then never leaves the writer's stack).
+func (s *Store) encode(ev *ChangeEvent) (wal.Entry, *ChangeEvent, error) {
 	if s.wal == nil {
-		return nil
+		return wal.Entry{}, ev, nil
 	}
-	rec := wal.Record{Seq: ev.Seq, Table: ev.Table}
-	if ev.Op == OpDelete {
-		rec.Kind = wal.KindDelete
-		rec.ID = ev.After.ID
-		rec.Version = ev.After.Version
-	} else {
-		rec.Kind = wal.KindPut
-		rec.Doc = ev.After // a private clone; the committer reads it concurrently
+	payload := new(ChangeEvent)
+	*payload = *ev
+	rec := wal.Record{Table: ev.Table}
+	switch ev.Op {
+	case OpDelete:
+		rec.Kind, rec.ID, rec.Version = wal.KindDelete, ev.After.ID, ev.After.Version
+	case commitlog.OpCreateIndex:
+		rec.Kind, rec.Path = wal.KindCreateIndex, ev.Path
+	default:
+		rec.Kind, rec.Doc = wal.KindPut, ev.After
 	}
-	return s.wal.EnqueueWith(rec, ev)
+	entry, err := s.wal.Prepare(&rec, payload)
+	return entry, payload, err
 }
 
-// commit finishes a write's journey onto the ordered commit pipeline.
-//
-// Durable stores: the WAL committer's post-commit hook feeds every
-// written event into the sequencer, so commit only waits for the record
-// to become durable (per the fsync policy) — by the time an
-// fsync-acknowledged Wait returns, the event is already on the pipeline.
-// The log always leads the stream: an event whose record never committed
-// is never published; its Seq is skipped so the events serialized behind
-// it are released. A WAL failure is returned to the writer; the
-// in-memory mutation has already happened, so a wedged log makes the
-// store effectively read-only for durable correctness.
-//
-// In-memory stores publish directly; the sequencer still restores global
-// Seq order because writers release their shard locks before reaching
-// this point, so two racing same-key writes can arrive here swapped.
-// Every subscriber observes strictly increasing Seq either way.
-func (s *Store) commit(ev *ChangeEvent, w *wal.Waiter) error {
-	if w != nil {
-		if err := w.Wait(); err != nil {
-			// The record never committed: release its slot in the global
-			// order so later events are not held back behind the gap.
-			s.seqr.Skip(ev.Seq)
-			return fmt.Errorf("store: wal append: %w", err)
-		}
+// stamp is the store's one ordering point. Inside the stamp section ev
+// gets its Seq — the next one, or seq when a replica replays its
+// primary's — and is handed to the queue that fixes its position: the
+// WAL's commit queue (whose committer publishes each group that
+// committed, in queue order) or, on in-memory stores, the outbox flush
+// drains. Both queues hold events in Seq order by construction, and an
+// event whose record never commits is simply never published — no one
+// waits for its Seq. The section is Seq++, O(digits) of frame closing and
+// a queue send: no cloning, index maintenance or I/O.
+func (s *Store) stamp(ev *ChangeEvent, seq uint64, entry wal.Entry) *wal.Waiter {
+	s.stampMu.Lock()
+	defer s.stampMu.Unlock()
+	if seq == 0 {
+		seq = s.seq.Load() + 1
+	}
+	s.seq.Store(seq)
+	ev.Seq = seq
+	if s.wal == nil {
+		s.outbox = append(s.outbox, *ev)
 		return nil
 	}
-	s.seqr.Publish(*ev)
+	return s.wal.Submit(entry, seq)
+}
+
+// commit finishes a write's journey onto the commit pipeline. Durable
+// stores wait for the record to become durable per the fsync policy; the
+// committer's hook has published it by the time an fsync-acknowledged Wait
+// returns. A WAL failure is returned to the writer; the in-memory mutation
+// has already happened, so a wedged log makes the store effectively
+// read-only for durable correctness. In-memory stores flush the outbox:
+// on return the write's event (and every earlier one) is on the pipeline.
+// w is nil there, and for a replicated batch that stamped nothing.
+func (s *Store) commit(w *wal.Waiter) error {
+	if s.wal == nil {
+		s.flush()
+		return nil
+	}
+	if w == nil {
+		return nil
+	}
+	if err := w.Wait(); err != nil {
+		return fmt.Errorf("store: wal append: %w", err)
+	}
 	return nil
+}
+
+// flush publishes the outbox. Flushers serialize on pubMu and each takes
+// everything stamped so far, so batches reach the pipeline in Seq order.
+// Called with no shard lock held: Append blocks while a Block subscriber
+// is a full ring behind.
+func (s *Store) flush() {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	s.stampMu.Lock()
+	batch := s.outbox
+	s.outbox = s.spare[:0]
+	s.stampMu.Unlock()
+	s.pipeline.Append(batch)
+	clear(batch) // drop the document references
+	s.spare = batch
 }
 
 // Subscribe registers a change-stream consumer receiving every write's
@@ -978,16 +996,14 @@ func (s *Store) Replay(tableName string, afterSeq uint64) []ChangeEvent {
 }
 
 // PipelineStats describes the ordered commit pipeline: fan-out counters,
-// per-subscriber lag/drops, the publish→deliver latency histogram and
-// the sequencer's reorder-buffer occupancy.
+// per-subscriber lag/drops and the publish→deliver latency histogram.
 type PipelineStats struct {
-	Stream    commitlog.Stats          `json:"stream"`
-	Sequencer commitlog.SequencerStats `json:"sequencer"`
+	Stream commitlog.Stats `json:"stream"`
 }
 
 // PipelineStats reports the commit pipeline's counters.
 func (s *Store) PipelineStats() PipelineStats {
-	return PipelineStats{Stream: s.pipeline.Stats(), Sequencer: s.seqr.Stats()}
+	return PipelineStats{Stream: s.pipeline.Stats()}
 }
 
 // maybeAutoSnapshot triggers a background snapshot once the WAL's

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strconv"
 
 	"quaestor/internal/document"
@@ -85,8 +86,9 @@ var (
 	ErrClosed = errors.New("wal: log is closed")
 )
 
-// appendPayloadFrame frames payload with its length and CRC onto buf.
-func appendPayloadFrame(buf, payload []byte) []byte {
+// AppendFrame appends one CRC-framed payload to buf — the WAL's on-disk
+// frame format (length + CRC-32C header). The counterpart of FrameReader.
+func AppendFrame(buf, payload []byte) []byte {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
@@ -94,53 +96,84 @@ func appendPayloadFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// appendFrame encodes rec as one CRC-framed record onto buf.
-func appendFrame(buf []byte, rec *Record) ([]byte, error) {
-	var payload []byte
-	var err error
-	if rec.Kind == KindPut && rec.Doc != nil {
-		payload, err = encodePutPayload(rec)
-	} else {
-		payload, err = json.Marshal(rec)
+// seqSuffixMax bounds what closeFrame appends: `,"seq":` + 20 digits + `}`.
+const seqSuffixMax = 28
+
+// openFrame appends rec to buf as a frame that is complete except for its
+// sequence number: the header is reserved, and the payload stops before
+// the record's closing brace. closeFrame splices Seq in as the last key,
+// which lets the store assign Seq inside its stamp section (see
+// Log.Submit): the O(document) encoding runs outside it, closing costs
+// O(digits). Decoding is key-order agnostic, so segments written with
+// "seq" first (before the split) read back the same.
+func openFrame(buf []byte, rec *Record) ([]byte, error) {
+	start := len(buf)
+	doc := rec.Doc
+	// Splicing the raw field JSON after the _id/_version header would emit
+	// duplicate keys if the fields shadow them (and the decoder would keep
+	// the wrong one); those documents take the copying path below.
+	if rec.Kind == KindPut && doc != nil && !hasKey(doc.Fields, "_id") && !hasKey(doc.Fields, "_version") {
+		// Put records are the write hot path: marshal the field map directly
+		// instead of through document.MarshalJSON, which copies it first.
+		fields, err := json.Marshal(doc.Fields)
+		if err != nil {
+			return buf, fmt.Errorf("wal: encoding record: %w", err)
+		}
+		buf = slices.Grow(buf, frameHeaderSize+len(fields)+len(rec.Table)+len(doc.ID)+64+seqSuffixMax)
+		buf = append(buf[:start+frameHeaderSize], `{"kind":"put","table":`...)
+		buf = appendJSONString(buf, rec.Table)
+		buf = append(buf, `,"doc":{"_id":`...)
+		buf = appendJSONString(buf, doc.ID)
+		buf = append(buf, `,"_version":`...)
+		buf = strconv.AppendInt(buf, doc.Version, 10)
+		if len(fields) > 2 { // fields is at least "{}"
+			buf = append(buf, ',')
+			buf = append(buf, fields[1:len(fields)-1]...)
+		}
+		return append(buf, '}'), nil
 	}
+	r := *rec
+	r.Seq = 0 // omitted; closeFrame writes it
+	payload, err := json.Marshal(&r)
 	if err != nil {
 		return buf, fmt.Errorf("wal: encoding record: %w", err)
 	}
-	return appendPayloadFrame(buf, payload), nil
+	buf = slices.Grow(buf, frameHeaderSize+len(payload)+seqSuffixMax)
+	// "kind" is never omitted, so the object is non-empty and a trailing
+	// `,"seq":N` keeps it well-formed.
+	return append(buf[:start+frameHeaderSize], payload[:len(payload)-1]...), nil
 }
 
-// encodePutPayload hand-builds the JSON envelope of a put record. It is
-// byte-compatible with json.Marshal(rec) but marshals the document's
-// field map directly instead of going through document.MarshalJSON,
-// which would copy the map first — put records are the write hot path.
-func encodePutPayload(rec *Record) ([]byte, error) {
-	// Splicing the raw field JSON after the _id/_version header would
-	// emit duplicate keys if the fields shadow them (and the decoder
-	// would keep the wrong one); take the copying path for those docs.
-	if _, ok := rec.Doc.Fields["_id"]; ok {
-		return json.Marshal(rec)
+func hasKey(m map[string]any, k string) bool {
+	_, ok := m[k]
+	return ok
+}
+
+// closeFrame completes the open frame at buf[start:]: it appends seq
+// (omitted when zero, as DDL records carry none) and the closing brace,
+// extends crc — the checksum of the payload so far — over them, and fills
+// the header in.
+func closeFrame(buf []byte, start int, crc uint32, seq uint64) []byte {
+	tail := len(buf)
+	if seq != 0 {
+		buf = append(buf, `,"seq":`...)
+		buf = strconv.AppendUint(buf, seq, 10)
 	}
-	if _, ok := rec.Doc.Fields["_version"]; ok {
-		return json.Marshal(rec)
-	}
-	fields, err := json.Marshal(rec.Doc.Fields)
+	buf = append(buf, '}')
+	crc = crc32.Update(crc, castagnoli, buf[tail:])
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-frameHeaderSize))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc)
+	return buf
+}
+
+// appendFrame encodes rec as one CRC-framed record onto buf.
+func appendFrame(buf []byte, rec *Record) ([]byte, error) {
+	start := len(buf)
+	buf, err := openFrame(buf, rec)
 	if err != nil {
-		return nil, err
+		return buf[:start], err
 	}
-	buf := make([]byte, 0, len(fields)+len(rec.Table)+len(rec.Doc.ID)+64)
-	buf = append(buf, `{"seq":`...)
-	buf = strconv.AppendUint(buf, rec.Seq, 10)
-	buf = append(buf, `,"kind":"put","table":`...)
-	buf = appendJSONString(buf, rec.Table)
-	buf = append(buf, `,"doc":{"_id":`...)
-	buf = appendJSONString(buf, rec.Doc.ID)
-	buf = append(buf, `,"_version":`...)
-	buf = strconv.AppendInt(buf, rec.Doc.Version, 10)
-	if len(fields) > 2 { // fields is at least "{}"
-		buf = append(buf, ',')
-		buf = append(buf, fields[1:len(fields)-1]...)
-	}
-	return append(buf, '}', '}'), nil
+	return closeFrame(buf, start, crc32.Checksum(buf[start+frameHeaderSize:], castagnoli), rec.Seq), nil
 }
 
 // appendJSONString appends s as a JSON string. Plain ASCII (the common

@@ -13,12 +13,6 @@ import (
 // bootstraps from a streamed snapshot and catches up from shipped sealed
 // segments.
 
-// AppendFrame appends one CRC-framed payload to buf — the WAL's on-disk
-// frame format (length + CRC-32C header). The counterpart of FrameReader.
-func AppendFrame(buf, payload []byte) []byte {
-	return appendPayloadFrame(buf, payload)
-}
-
 // FrameReader iterates CRC-framed payloads from a byte stream. Next
 // returns io.EOF at a clean end of stream and ErrTorn for an incomplete
 // or corrupt frame.
@@ -38,10 +32,6 @@ func (r *FrameReader) Next() ([]byte, error) {
 	return r.fr.nextPayload()
 }
 
-// ValidLen returns how many bytes of fully-valid frames have been
-// consumed so far.
-func (r *FrameReader) ValidLen() int64 { return r.fr.validLen }
-
 // ScanReader decodes log records from a framed byte stream — the read
 // side of segment shipping, where a replica consumes sealed segments a
 // primary serves over the network. Unlike Scan, which tolerates a torn
@@ -49,20 +39,11 @@ func (r *FrameReader) ValidLen() int64 { return r.fr.validLen }
 // (sealed segments were fsynced whole before shipping); a torn frame
 // returns ErrTorn, typically a connection cut mid-transfer.
 func ScanReader(r io.Reader, fn func(*Record) error) error {
-	fr := &frameReader{r: r}
-	var rec Record
-	for {
-		switch err := fr.next(&rec); err {
-		case nil:
-			if err := fn(&rec); err != nil {
-				return err
-			}
-		case io.EOF:
-			return nil
-		default:
-			return err
-		}
+	_, torn, err := scanFrames(r, fn)
+	if err == nil && torn {
+		err = ErrTorn
 	}
+	return err
 }
 
 // SnapshotStreamWriter writes the snapshot frame sequence (meta, docs,
@@ -91,7 +72,7 @@ func (w *SnapshotStreamWriter) writeFrame(fr *snapFrame) error {
 		if err != nil {
 			return err
 		}
-		w.buf = appendPayloadFrame(w.buf[:0], payload)
+		w.buf = AppendFrame(w.buf[:0], payload)
 		n, err := w.w.Write(w.buf)
 		w.bytes += int64(n)
 		return err

@@ -3,6 +3,7 @@ package wal
 import (
 	"bufio"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -75,14 +76,15 @@ type Options struct {
 	// to writers (default 1024).
 	QueueDepth int
 	// OnCommit, when set, is invoked on the committer goroutine after
-	// every group commit with the payloads attached via EnqueueWith, in
-	// batch (enqueue) order, and the group's shared outcome — nil when
-	// the write (and, under FsyncAlways, the fsync) succeeded. It runs
-	// before the group's waiters are woken, so a successful Wait implies
-	// the hook already observed the record. The store's ordered
-	// change-stream fan-out hangs off this hook. The hook must not call
-	// back into the Log.
-	OnCommit func(payloads []any, err error)
+	// every group that committed — the write and, under FsyncAlways, the
+	// fsync succeeded — with the payloads attached via Prepare, in queue
+	// order, which is the order Submit was called in. A failed group is
+	// not reported: its waiters get the error and nothing else hears of
+	// it. The hook runs before the group's waiters are woken, so a
+	// successful Wait implies the hook already observed the record. The
+	// store's ordered change-stream fan-out hangs off this hook. The hook
+	// must not call back into the Log.
+	OnCommit func(payloads []any)
 }
 
 func (o *Options) withDefaults() Options {
@@ -178,16 +180,21 @@ const (
 )
 
 type request struct {
-	// frame is the record pre-encoded by Enqueue in the writer's
+	// frame is the record pre-encoded by Prepare in the writer's
 	// goroutine, so encoding parallelizes across writers instead of
-	// serializing in the committer.
+	// serializing in the committer. Until Submit closes it, the frame
+	// lacks its sequence number and crc is the checksum of its payload
+	// so far.
 	frame []byte
+	crc   uint32
 	// payload is an opaque value handed to Options.OnCommit once the
 	// record's group commits (nil payloads are not reported).
 	payload any
-	done    chan error // buffered(1); receives the commit outcome
-	ctl     ctl
-	reply   chan ctlReply
+	// w is the handle Submit returns; under FsyncAlways its channel
+	// (buffered, 1) receives the commit outcome.
+	w     Waiter
+	ctl   ctl
+	reply chan ctlReply
 }
 
 type ctlReply struct {
@@ -336,37 +343,45 @@ func (l *Log) createSegment() error {
 	return nil
 }
 
-// Enqueue submits one record for group commit and returns immediately;
-// the returned Waiter reports the outcome. Enqueue is cheap enough to
-// call inside a store shard's critical section, which is what guarantees
-// per-key record order in the log matches the serialization order.
+// Entry is a record encoded for the log whose sequence number is still
+// open; see Prepare and Submit.
+type Entry struct{ req *request }
+
+// Prepare encodes rec — all of it but rec.Seq, which Submit supplies — in
+// the caller's goroutine and attaches an opaque payload: once the record's
+// group commits, Options.OnCommit receives the payload before the record's
+// waiter resolves. Everything whose cost grows with the record happens
+// here, so Submit is cheap enough for the store's stamp section.
+func (l *Log) Prepare(rec *Record, payload any) (Entry, error) {
+	frame, err := openFrame(nil, rec)
+	if err != nil {
+		return Entry{}, err
+	}
+	req := &request{frame: frame, crc: crc32.Checksum(frame[frameHeaderSize:], castagnoli), payload: payload}
+	if l.opts.Fsync == FsyncAlways {
+		req.w.ch = make(chan error, 1)
+	}
+	return Entry{req}, nil
+}
+
+// Submit writes seq into e's frame and queues it for group commit. The
+// queue is FIFO and the committer writes it in order, so records sit in
+// the log — and reach OnCommit — in the order of the Submit calls: a
+// caller that assigns seq and calls Submit under one lock gets a log whose
+// file order is Seq order. An entry is submitted once.
 //
 // Under FsyncAlways the Waiter resolves after the record's batch is
 // fsynced; under FsyncInterval/FsyncNever it resolves as soon as the
 // record is in the committer's ordered queue (those policies already
 // accept losing an acknowledged tail on crash), with any later write
-// failure latched and returned by subsequent calls.
-func (l *Log) Enqueue(rec Record) *Waiter { return l.EnqueueWith(rec, nil) }
-
-// EnqueueWith is Enqueue with an opaque payload attached: once the
-// record's group commits, Options.OnCommit receives the payload (with the
-// group's outcome) before the record's waiter resolves. A caller that
-// received an error Waiter from EnqueueWith must assume the hook never
-// saw the payload — the record was rejected before it reached the queue.
-func (l *Log) EnqueueWith(rec Record, payload any) *Waiter {
+// failure latched and returned by subsequent calls. A Waiter that
+// resolves with an error means OnCommit never saw the payload.
+func (l *Log) Submit(e Entry, seq uint64) *Waiter {
 	if errp := l.failed.Load(); errp != nil {
 		return resolvedWaiter(*errp)
 	}
-	frame, err := appendFrame(nil, &rec)
-	if err != nil {
-		return resolvedWaiter(err)
-	}
-	req := &request{frame: frame, payload: payload}
-	var w *Waiter
-	if l.opts.Fsync == FsyncAlways {
-		w = &Waiter{ch: make(chan error, 1)}
-		req.done = w.ch
-	}
+	req := e.req
+	req.frame = closeFrame(req.frame, 0, req.crc, seq)
 	l.closeMu.RLock()
 	if l.closed {
 		l.closeMu.RUnlock()
@@ -374,10 +389,17 @@ func (l *Log) EnqueueWith(rec Record, payload any) *Waiter {
 	}
 	l.queue <- req
 	l.closeMu.RUnlock()
-	if w == nil {
-		return resolvedWaiter(nil)
+	return &req.w
+}
+
+// Enqueue is Prepare plus Submit at rec.Seq, for records whose position
+// nobody else depends on (DDL, tests).
+func (l *Log) Enqueue(rec Record) *Waiter {
+	e, err := l.Prepare(&rec, nil)
+	if err != nil {
+		return resolvedWaiter(err)
 	}
-	return w
+	return l.Submit(e, rec.Seq)
 }
 
 // Append submits one record and blocks until it commits.
@@ -607,7 +629,7 @@ func (l *Log) commitGroup(group []*request) {
 	// len(batchBuckets) is the open-ended overflow slot.
 	l.batchSizes[sort.SearchInts(batchBuckets, len(group))]++
 	l.statsMu.Unlock()
-	if l.opts.OnCommit != nil {
+	if l.opts.OnCommit != nil && err == nil {
 		l.pbuf = l.pbuf[:0]
 		for _, req := range group {
 			if req.payload != nil {
@@ -618,12 +640,12 @@ func (l *Log) commitGroup(group []*request) {
 			// Before waking the waiters: an acknowledged write is already
 			// past the hook (the change stream never trails a returned
 			// fsync=always ack).
-			l.opts.OnCommit(l.pbuf, err)
+			l.opts.OnCommit(l.pbuf)
 		}
 	}
 	for _, req := range group {
-		if req.done != nil {
-			req.done <- err
+		if req.w.ch != nil {
+			req.w.ch <- err
 		}
 	}
 }
@@ -719,7 +741,13 @@ func scanSegment(path string, fn func(*Record) error) (validLen int64, torn bool
 		return 0, false, err
 	}
 	defer f.Close()
-	fr := &frameReader{r: bufio.NewReaderSize(f, 1<<16)}
+	return scanFrames(bufio.NewReaderSize(f, 1<<16), fn)
+}
+
+// scanFrames decodes records from r up to a clean end of stream or the
+// first torn frame, whichever comes first.
+func scanFrames(r io.Reader, fn func(*Record) error) (validLen int64, torn bool, err error) {
+	fr := &frameReader{r: r}
 	var rec Record
 	for {
 		switch err := fr.next(&rec); err {
@@ -731,10 +759,9 @@ func scanSegment(path string, fn func(*Record) error) (validLen int64, torn bool
 			}
 		case ErrTorn:
 			return fr.validLen, true, nil
+		case io.EOF:
+			return fr.validLen, false, nil
 		default:
-			if err == io.EOF {
-				return fr.validLen, false, nil
-			}
 			return fr.validLen, false, err
 		}
 	}
