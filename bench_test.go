@@ -483,9 +483,16 @@ func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 // once per Δ. Before the pooled pass a poll cloned every partition,
 // marshaled, base64-encoded into a string, reflected through json.Encoder
 // and built a level-6 flate compressor: ≈ 0.8–2 ms and ≈ 650 KB per op.
+// The since=50 variant is the poll a renewing SDK sends: positioned 50
+// flaggings back, answered with their fingerprints in "recent" — for the
+// allocations of the plain poll.
 func BenchmarkEBFEndpoint(b *testing.B) {
-	for _, entries := range []int{200, 900, 5000} {
-		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+	for _, tc := range []struct{ entries, since int }{{200, 0}, {900, 0}, {900, 50}, {5000, 0}} {
+		name := fmt.Sprintf("entries=%d", tc.entries)
+		if tc.since > 0 {
+			name += fmt.Sprintf(",since=%d", tc.since)
+		}
+		b.Run(name, func(b *testing.B) {
 			db := store.MustOpen(nil)
 			defer db.Close()
 			srv := server.New(db, nil)
@@ -493,7 +500,12 @@ func BenchmarkEBFEndpoint(b *testing.B) {
 			if err := db.CreateTable("posts"); err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < entries; i++ {
+			target := "/v1/ebf"
+			for i := 0; i < tc.entries; i++ {
+				if tc.since > 0 && i == tc.entries-tc.since {
+					at := srv.EBFSnapshot().At
+					target = fmt.Sprintf("/v1/ebf?epoch=%d&since=%d", at.Epoch, at.Cursor)
+				}
 				id := fmt.Sprintf("doc%06d", i)
 				if err := srv.Insert("posts", document.New(id, map[string]any{"n": int64(i)})); err != nil {
 					b.Fatal(err)
@@ -505,11 +517,11 @@ func BenchmarkEBFEndpoint(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if got := srv.EBFSnapshot().Entries; got != entries {
-				b.Fatalf("filter holds %d entries, want %d", got, entries)
+			if got := srv.EBFSnapshot().Entries; got != tc.entries {
+				b.Fatalf("filter holds %d entries, want %d", got, tc.entries)
 			}
 			h := srv.Handler()
-			req := httptest.NewRequest(http.MethodGet, "/v1/ebf", nil)
+			req := httptest.NewRequest(http.MethodGet, target, nil)
 			req.Header.Set("Accept-Encoding", "gzip")
 			w := &discardResponse{h: http.Header{}}
 			b.ReportAllocs()
@@ -521,6 +533,9 @@ func BenchmarkEBFEndpoint(b *testing.B) {
 			b.StopTimer()
 			if w.h.Get("Content-Encoding") != "gzip" {
 				b.Fatalf("poll not gzip-encoded: %v", w.h)
+			}
+			if got := srv.EBFStats().UncoveredPolls; got != 0 {
+				b.Fatalf("%d polls went without recent", got)
 			}
 		})
 	}

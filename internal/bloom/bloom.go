@@ -275,7 +275,8 @@ func Unmarshal(data []byte) (*Filter, error) {
 	m := binary.LittleEndian.Uint32(data[4:8])
 	k := binary.LittleEndian.Uint32(data[8:12])
 	n := binary.LittleEndian.Uint32(data[12:16])
-	words := int((m + 63) / 64)
+	// In 64 bits: an m within 63 of 2³² must not wrap to "no words".
+	words := int((uint64(m) + 63) / 64)
 	if len(data) != marshalHeader+words*8 || k == 0 || k > 32 {
 		return nil, ErrCorrupt
 	}

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -147,6 +148,13 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	good[8] = 200
 	if _, err := Unmarshal(good); err == nil {
 		t.Error("k=200 accepted")
+	}
+	// A size whose word count wraps to 0 in 32 bits: accepted, the filter
+	// had 2³²−1 bits and no words, and the first lookup indexed past them.
+	wrapped := New(64, 2).Marshal()[:16]
+	binary.LittleEndian.PutUint32(wrapped[4:], 1<<32-1)
+	if _, err := Unmarshal(wrapped); err == nil {
+		t.Error("m=2³²−1 with no words accepted")
 	}
 }
 

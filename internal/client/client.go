@@ -174,6 +174,15 @@ type Stats struct {
 	// transport level — the client half of a primary-death cutover.
 	EndpointEvictions uint64
 	FailoverRetries   uint64
+	// WhitelistCarried counts reads and queries served from the local
+	// cache although the filter flags the key, on a revalidation made
+	// before the last EBF renewal and carried across it — each one a
+	// revalidation the paper's clear-on-renewal would have sent.
+	// RenewalsUncovered counts renewals that had to clear the whitelist
+	// instead (the origin's flag log did not cover the gap, or the filter
+	// came from another node or an origin that keeps no log).
+	WhitelistCarried  uint64
+	RenewalsUncovered uint64
 }
 
 // ReplicaMeta is the replica annotation parsed off one response's
@@ -280,26 +289,24 @@ func (c *Client) EBFAge() time.Duration {
 	return v.Age(c.opts.Clock())
 }
 
-// refreshEBF fetches a fresh aggregate filter snapshot.
+// refreshEBF renews the aggregate filter from the default endpoint.
 func (c *Client) refreshEBF() error {
-	snap, err := c.fetchEBF("")
+	c.mu.Lock()
+	v := c.view
+	c.mu.Unlock()
+	v, err := c.renewEBF(c.opts.BaseURL, "", v)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	if c.view == nil {
-		c.view = ebf.NewClientView(snap)
-	} else {
-		c.view.Refresh(snap)
-	}
-	c.stats.EBFRefreshes++
+	c.view = v
 	c.mu.Unlock()
 	return nil
 }
 
 // maybeRefreshEBF implements the freshness policy: the first operation
 // after Δ seconds refreshes the filter. Per-table views refresh lazily in
-// isStale instead.
+// checkEBF instead.
 func (c *Client) maybeRefreshEBF() {
 	if c.opts.DisableEBF || c.opts.PerTableEBF {
 		return
@@ -312,38 +319,42 @@ func (c *Client) maybeRefreshEBF() {
 	}
 }
 
-// isStale consults the EBF view responsible for the key.
-func (c *Client) isStale(key string) bool {
-	if c.opts.DisableEBF {
-		return false
-	}
-	if c.opts.PerTableEBF {
-		v := c.tableView(key)
-		return v != nil && v.IsStale(key)
-	}
-	c.mu.Lock()
-	v := c.view
-	c.mu.Unlock()
-	if v == nil {
-		return false
-	}
-	return v.IsStale(key)
+// ebfVerdict is what the EBF view responsible for a key said about it when
+// an operation began: the view, its answer and the generation of the
+// snapshot that gave it. The zero value (EBF off, no filter yet) is Clean.
+type ebfVerdict struct {
+	view  *ebf.ClientView
+	state ebf.State
+	gen   uint64
 }
 
-func (c *Client) markRevalidated(key string) {
+// checkEBF consults the EBF view responsible for the key.
+func (c *Client) checkEBF(key string) ebfVerdict {
 	if c.opts.DisableEBF {
-		return
+		return ebfVerdict{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	var v *ebf.ClientView
 	if c.opts.PerTableEBF {
-		if v := c.tableViews[ebf.TableOf(key)]; v != nil {
-			v.MarkRevalidated(key)
-		}
-		return
+		v = c.tableView(key)
+	} else {
+		c.mu.Lock()
+		v = c.view
+		c.mu.Unlock()
 	}
-	if c.view != nil {
-		c.view.MarkRevalidated(key)
+	if v == nil {
+		return ebfVerdict{}
+	}
+	state, gen := v.Lookup(key)
+	return ebfVerdict{view: v, state: state, gen: gen}
+}
+
+// revalidated whitelists key after a revalidation begun on this verdict
+// was answered under header h. The view drops it if its snapshot was
+// renewed meanwhile, and carries it across later renewals only when the
+// filter's own node answered: a replica may lag behind the filter.
+func (vd ebfVerdict) revalidated(key string, h http.Header) {
+	if vd.view != nil {
+		vd.view.Whitelist(key, vd.gen, h.Get("X-Quaestor-Replica") == "")
 	}
 }
 
@@ -749,7 +760,8 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 
 	// A bound of 0 is a primary-equivalent read: revalidate end to end so
 	// no cache tier may answer.
-	revalidate := opts.Consistency == Strong || c.isStale(key) ||
+	vd := c.checkEBF(key)
+	revalidate := opts.Consistency == Strong || vd.state == ebf.Stale ||
 		c.consumeForcedRevalidation(key) || (bounded && bound == 0)
 	prior, fresh := c.cached(path, revalidate)
 	if fresh {
@@ -759,6 +771,9 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 			c.mu.Lock()
 			c.stats.CacheHits++
 			c.stats.ReadsByTier.ClientCache++
+			if vd.state == ebf.Carried {
+				c.stats.WhitelistCarried++
+			}
 			c.mu.Unlock()
 			c.observeRead(key, doc.Version)
 			return doc.Clone(), nil
@@ -767,19 +782,19 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 
 	// Finite bounds route across the replica tier; bound 0 and unbounded
 	// reads go to the primary path.
-	fetch := func(reval bool, prior *cache.Entry) (*document.Document, time.Duration, error) {
+	fetch := func(reval bool, prior *cache.Entry) (*document.Document, time.Duration, http.Header, error) {
 		if bounded && bound > 0 {
 			return c.fetchRecordRouted(path, id, key, reval, bound, prior)
 		}
 		return c.fetchRecord(path, id, reval, prior)
 	}
 
-	doc, cacheTTL, err := fetch(revalidate, prior)
+	doc, cacheTTL, answer, err := fetch(revalidate, prior)
 	if err != nil {
 		return nil, err
 	}
 	if revalidate {
-		c.markRevalidated(key)
+		vd.revalidated(key, answer)
 	}
 	// Monotonic reads: a cache tier may have answered with an older
 	// version than this session has already seen; fall back to the newer
@@ -790,7 +805,7 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 		c.mu.Lock()
 		c.stats.MonotonicRetries++
 		c.mu.Unlock()
-		if entry, ok := c.local.GetStale(path); ok && !c.isStale(key) {
+		if entry, ok := c.local.GetStale(path); ok && c.checkEBF(key).state != ebf.Stale {
 			cached := entry.Value.(*document.Document)
 			if cached.Version >= c.highestSeen(key) &&
 				(!bounded || c.cacheWithinBound(path, entry.StoredAt, bound)) {
@@ -798,11 +813,11 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 			}
 		}
 		// Unconditional: a 304 would hand back the copy that just failed.
-		doc, cacheTTL, err = fetch(true, nil)
+		doc, cacheTTL, answer, err = fetch(true, nil)
 		if err != nil {
 			return nil, err
 		}
-		c.markRevalidated(key)
+		vd.revalidated(key, answer)
 	}
 	if !c.opts.DisableCache && cacheTTL > 0 {
 		c.local.Put(path, doc.Clone(), etag(doc.Version), cacheTTL)
@@ -814,19 +829,20 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 func etag(version int64) string { return fmt.Sprintf("\"v%d\"", version) }
 
 // fetchRecord reads a record from the primary path, conditionally on prior
-// (nil = unconditionally).
-func (c *Client) fetchRecord(path, id string, revalidate bool, prior *cache.Entry) (*document.Document, time.Duration, error) {
+// (nil = unconditionally). It returns the document, the lifetime the
+// browser cache may keep it for and the header it was answered under.
+func (c *Client) fetchRecord(path, id string, revalidate bool, prior *cache.Entry) (*document.Document, time.Duration, http.Header, error) {
 	resp, err := c.doRoutedOn(c.http, http.MethodGet, path, nil, revalidate, id, ifNoneMatch(prior))
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	doc, cacheTTL, err := c.decodeRecord(resp, prior)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	c.countTier(resp.Header)
 	c.noteCacheOrigin(path, resp.Header)
-	return doc, cacheTTL, nil
+	return doc, cacheTTL, resp.Header, nil
 }
 
 func (c *Client) highestSeen(key string) int64 {
@@ -927,11 +943,15 @@ func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
 
 	key := q.Key()
 	path := QueryPath(q)
-	revalidate := opts.Consistency == Strong || c.isStale(key)
+	vd := c.checkEBF(key)
+	revalidate := opts.Consistency == Strong || vd.state == ebf.Stale
 	prior, fresh := c.cached(path, revalidate)
 	if fresh {
 		c.mu.Lock()
 		c.stats.CacheHits++
+		if vd.state == ebf.Carried {
+			c.stats.WhitelistCarried++
+		}
 		c.mu.Unlock()
 		return cloneResult(prior.Value.(*Result)), nil
 	}
@@ -979,18 +999,24 @@ func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
 		return nil, decodeErrorBytes(resp.StatusCode, body)
 	}
 	if revalidate {
-		c.markRevalidated(key)
+		vd.revalidated(key, resp.Header)
 	}
 
 	age := maxAge(resp.Header)
 	if res.Representation == ttl.ObjectList {
+		expires := c.opts.Clock().Add(age)
 		for _, d := range res.Docs {
 			c.observeRead(server.RecordKey(q.Table, d.ID), d.Version)
 			// Result members become individual browser-cache entries,
 			// giving record reads hits "by side effect" — under the TTL of
-			// this response, a 304 included.
+			// this response, a 304 included — unless the same version is
+			// already held for longer: a record read with a 300 s TTL is
+			// not cut to the few seconds of a query that returns it.
 			if !c.opts.DisableCache && age > 0 {
-				c.local.Put(server.RecordPath(q.Table, d.ID), d.Clone(), etag(d.Version), age)
+				member, tag := server.RecordPath(q.Table, d.ID), etag(d.Version)
+				if held, ok := c.local.GetStale(member); !ok || held.ETag != tag || held.ExpiresAt.Before(expires) {
+					c.local.Put(member, d.Clone(), tag, age)
+				}
 			}
 		}
 	}

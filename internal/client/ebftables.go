@@ -7,33 +7,64 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"time"
 
-	"quaestor/internal/bloom"
 	"quaestor/internal/ebf"
 	"quaestor/internal/server"
 )
 
-// This file implements per-table EBF consumption (Section 3.3): "clients
-// can also exploit the table-specific EBFs to decrease the total false
-// positive rate at the expense of loading more individual EBFs". In
-// per-table mode the client lazily fetches one filter per table it touches
-// and refreshes each independently under the same Δ.
+// This file loads the coherence signal: the aggregate filter, and per-table
+// EBF consumption (Section 3.3): "clients can also exploit the
+// table-specific EBFs to decrease the total false positive rate at the
+// expense of loading more individual EBFs". In per-table mode the client
+// lazily fetches one filter per table it touches and refreshes each
+// independently under the same Δ.
 
-// fetchEBF retrieves a filter snapshot from the default endpoint;
-// table == "" means the aggregate.
-func (c *Client) fetchEBF(table string) (ebf.Snapshot, error) {
-	return c.fetchEBFFrom(c.opts.BaseURL, table)
+// renewEBF fetches a snapshot of table ("" = the aggregate) from base and
+// installs it in view, or in a new view on first contact (view == nil).
+// The poll echoes the position of the snapshot view holds, so the origin
+// can say what it flagged since and the view's whitelist can be carried
+// over; from any other node, or past what the origin's logs cover, the
+// answer says nothing and the renewal clears the whitelist.
+func (c *Client) renewEBF(base, table string, view *ebf.ClientView) (*ebf.ClientView, error) {
+	var since ebf.Position
+	if view != nil {
+		since = view.Position()
+	}
+	snap, err := c.fetchEBF(base, table, since)
+	if err != nil {
+		return view, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.EBFRefreshes++
+	if view == nil {
+		return ebf.NewClientView(snap), nil
+	}
+	if !view.Refresh(snap) {
+		c.stats.RenewalsUncovered++
+	}
+	return view, nil
 }
 
-// fetchEBFFrom retrieves a filter snapshot from an explicit base URL —
-// piggyback refreshes pull the filter from the replica that served the
-// read instead of the primary. Gzip transfer encoding is negotiated
+// fetchEBF retrieves a filter snapshot from base — the default endpoint,
+// or for piggyback refreshes the replica that served the read. since, when
+// set, is echoed as ?epoch=&since=. Gzip transfer encoding is negotiated
 // explicitly, as the sparse filter compresses well.
-func (c *Client) fetchEBFFrom(base, table string) (ebf.Snapshot, error) {
-	path := "/v1/ebf"
+func (c *Client) fetchEBF(base, table string, since ebf.Position) (ebf.Snapshot, error) {
+	params := url.Values{}
 	if table != "" {
-		path += "?table=" + table
+		params.Set("table", table)
+	}
+	if since.Epoch != 0 {
+		params.Set("epoch", strconv.FormatUint(since.Epoch, 10))
+		params.Set("since", strconv.FormatUint(since.Cursor, 10))
+	}
+	path := "/v1/ebf"
+	if len(params) > 0 {
+		path += "?" + params.Encode()
 	}
 	req, err := http.NewRequest(http.MethodGet, base+path, nil)
 	if err != nil {
@@ -65,19 +96,34 @@ func (c *Client) fetchEBFFrom(base, table string) (ebf.Snapshot, error) {
 		defer gz.Close()
 		rdr = gz
 	}
+	return decodeEBFResponse(rdr, since)
+}
+
+// decodeEBFResponse parses a /v1/ebf body that answered a poll positioned
+// at since. Whatever the body claims, it is Covered only from the position
+// that was sent, in the epoch that was sent.
+func decodeEBFResponse(r io.Reader, since ebf.Position) (ebf.Snapshot, error) {
 	var body server.EBFResponse
-	if err := json.NewDecoder(rdr).Decode(&body); err != nil {
+	if err := json.NewDecoder(r).Decode(&body); err != nil {
 		return ebf.Snapshot{}, err
 	}
-	raw, err := base64.StdEncoding.DecodeString(body.Filter)
-	if err != nil {
+	img := ebf.Image{
+		GeneratedAt: time.Unix(0, body.GeneratedAt),
+		Entries:     body.Entries,
+		At:          ebf.Position{Epoch: body.Epoch, Cursor: body.Cursor},
+		Since:       since.Cursor,
+	}
+	var err error
+	if img.Wire, err = base64.StdEncoding.DecodeString(body.Filter); err != nil {
 		return ebf.Snapshot{}, err
 	}
-	f, err := bloom.Unmarshal(raw)
-	if err != nil {
-		return ebf.Snapshot{}, err
+	if body.Recent != nil {
+		if img.Recent, err = base64.StdEncoding.DecodeString(*body.Recent); err != nil {
+			return ebf.Snapshot{}, err
+		}
+		img.Covered = since.Epoch != 0 && since.Epoch == body.Epoch
 	}
-	return ebf.Snapshot{Filter: f, GeneratedAt: time.Unix(0, body.GeneratedAt), Entries: body.Entries}, nil
+	return img.Snapshot()
 }
 
 // tableView returns (lazily creating and refreshing) the per-table filter
@@ -90,18 +136,12 @@ func (c *Client) tableView(key string) *ebf.ClientView {
 	if v != nil && v.Age(c.opts.Clock()) < c.opts.RefreshInterval {
 		return v
 	}
-	snap, err := c.fetchEBF(table)
-	if err != nil {
-		return v // keep serving the stale view rather than failing reads
+	// On error keep serving the stale view rather than failing reads.
+	if renewed, err := c.renewEBF(c.opts.BaseURL, table, v); err == nil && v == nil {
+		c.mu.Lock()
+		c.tableViews[table] = renewed
+		c.mu.Unlock()
+		return renewed
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v == nil {
-		v = ebf.NewClientView(snap)
-		c.tableViews[table] = v
-	} else {
-		v.Refresh(snap)
-	}
-	c.stats.EBFRefreshes++
 	return v
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"quaestor/internal/document"
+	"quaestor/internal/ebf"
 	"quaestor/internal/store"
 )
 
@@ -77,7 +78,7 @@ func TestEBFGzipNegotiation(t *testing.T) {
 	}
 	// The client decodes it transparently.
 	c := s.dial(t, nil)
-	if _, err := c.fetchEBF(""); err != nil {
+	if _, err := c.fetchEBF(c.opts.BaseURL, "", ebf.Position{}); err != nil {
 		t.Fatalf("client failed to decode gzip EBF: %v", err)
 	}
 	// And the compressed filter is much smaller than the 14.6KB raw form.

@@ -402,13 +402,12 @@ func (c *Client) maybePiggybackEBF(base string, h http.Header) {
 	c.mu.Lock()
 	c.lastPiggyback = now
 	c.mu.Unlock()
-	snap, err := c.fetchEBFFrom(base, "")
-	if err != nil {
+	// The replica keeps a flag log of its own: whichever node's snapshot
+	// is installed, the next renewal from the other one is uncovered.
+	if _, err := c.renewEBF(base, "", view); err != nil {
 		return
 	}
 	c.mu.Lock()
-	c.view.Refresh(snap)
-	c.stats.EBFRefreshes++
 	c.stats.EBFPiggybacks++
 	c.mu.Unlock()
 }
@@ -450,7 +449,7 @@ func (c *Client) decodeRecord(resp *http.Response, prior *cache.Entry) (*documen
 // the primary. A 412 rejection, transport error, or over-bound 200 from
 // an admission-unaware server re-routes; the primary fallback means a
 // bounded read never silently returns an over-bound response.
-func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound time.Duration, prior *cache.Entry) (*document.Document, time.Duration, error) {
+func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound time.Duration, prior *cache.Entry) (*document.Document, time.Duration, http.Header, error) {
 	boundMs := float64(bound) / float64(time.Millisecond)
 	extra := ifNoneMatch(prior)
 	extra.Set(server.HeaderMaxStaleness, strconv.FormatFloat(boundMs, 'f', -1, 64))
@@ -493,12 +492,12 @@ func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound 
 		}
 		doc, cacheTTL, err := c.decodeRecord(resp, prior)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
 		c.countTier(resp.Header)
 		c.noteCacheOrigin(path, resp.Header)
 		c.maybePiggybackEBF(ep.url, resp.Header)
-		return doc, cacheTTL, nil
+		return doc, cacheTTL, resp.Header, nil
 	}
 	return c.fetchRecord(path, id, revalidate, prior)
 }

@@ -129,14 +129,13 @@ func startCandidate(t *testing.T, primaryURL string, shards int, name string) *c
 	}
 	srv := server.NewCluster(router, &server.Options{})
 	srv.AttachReplicas(repls...)
-	ts := httptest.NewServer(srv.Handler())
+	ts, stopTS := testutil.StartServer(srv.Handler())
 	srv.SetSelfURL(ts.URL)
 	t.Cleanup(func() {
 		for _, r := range repls {
 			r.Stop()
 		}
-		ts.CloseClientConnections()
-		ts.Close()
+		stopTS()
 		srv.Close()
 		router.Close()
 	})
@@ -165,14 +164,9 @@ func testAutomaticFailover(t *testing.T, shards int) {
 
 	prouter := cluster.MustOpen(cluster.Options{Shards: shards})
 	psrv := server.NewCluster(prouter, &server.Options{})
-	pts := httptest.NewServer(psrv.Handler())
+	pts, stopPTS := testutil.StartServer(psrv.Handler())
 	var killOnce sync.Once
-	killPrimary := func() {
-		killOnce.Do(func() {
-			pts.CloseClientConnections()
-			pts.Close()
-		})
-	}
+	killPrimary := func() { killOnce.Do(stopPTS) }
 	var closeOnce sync.Once
 	closePrimaryStores := func() {
 		closeOnce.Do(func() {
@@ -437,10 +431,9 @@ func TestShardedPromotePerShardOutcomes(t *testing.T) {
 	const shards = 2
 	prouter := cluster.MustOpen(cluster.Options{Shards: shards})
 	psrv := server.NewCluster(prouter, &server.Options{})
-	pts := httptest.NewServer(psrv.Handler())
+	pts, stopPTS := testutil.StartServer(psrv.Handler())
 	t.Cleanup(func() {
-		pts.CloseClientConnections()
-		pts.Close()
+		stopPTS()
 		psrv.Close()
 		prouter.Close()
 	})

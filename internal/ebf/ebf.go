@@ -21,9 +21,10 @@
 //	                            one
 //	ReportWrite(key)          — on every invalidation detected by InvaliDB;
 //	                            the return value says whether caches must be
-//	                            purged
+//	                            purged, i.e. whether the key was flagged
 //	Snapshot()                — flat copy piggybacked to clients (see
-//	                            "Serving a snapshot" below)
+//	                            "Serving a snapshot" and "Renewing a
+//	                            snapshot" below)
 //
 // Every call costs O(1) per key, whatever the server's history. The one
 // structure that grows with history is the expiration table, and its
@@ -49,6 +50,70 @@
 // that wire image parsed back into a bloom.Filter: one aggregation path,
 // at the price of a second copy nobody on the request path pays.
 //
+// Renewing a snapshot. A written key stays in the filter until the highest
+// TTL issued for it has run out — minutes — and the paper lets a client skip
+// a key it has revalidated only until its next renewal (differential
+// whitelisting, Section 3.3; ClientView), one Δ later. So one write makes
+// every session that holds the key revalidate it once per Δ for minutes,
+// each time to learn what it learned a Δ before. What the client lacks is
+// not a fresher copy but the knowledge that nothing happened since, and the
+// origin has it:
+//
+//   - The flag log. Every ReportWrite that returns true takes the next
+//     position of one counter per Partitioned and appends (position,
+//     Fingerprint(key)) to a ring of FlagLogSize entries in its partition,
+//     in the critical section that sets the filter bits. The instance is
+//     named by an epoch drawn when it is built.
+//   - The position. AppendSnapshot reads the counter before it visits the
+//     first partition: every flagging up to that cursor is in the image
+//     (or has already aged out of the filter). /v1/ebf serves (epoch,
+//     cursor) with every body, and a renewing client echoes the pair of
+//     the snapshot it holds.
+//   - Coverage. A poll positioned at `since` is covered when the epoch is
+//     this instance's, since is not ahead of the cursor, no partition it
+//     covers has overwritten a flagging after since, and what was flagged
+//     after since fits FlagLogSize fingerprints. Only then is Recent
+//     served: the fingerprint of every flagging after since that the pass
+//     met under the partition locks, ones past the new cursor included
+//     (they are listed again next time). It is the whole list or none,
+//     never a part.
+//
+// ClientView.Refresh keeps a whitelisted key iff the new snapshot is
+// covered from exactly the cursor of the snapshot it replaces, in the same
+// epoch; the key's fingerprint is not in Recent; the new filter still flags
+// the key (so the whitelist is a subset of the flagged keys, bounded like
+// Entries); and the revalidation may be carried at all: it was sent under
+// the snapshot generation still installed when its answer arrived, and the
+// answer came from the filter's own node, not from a replica that may lag
+// behind it (such an entry lasts until the next renewal, as in the paper).
+//
+// Why this keeps Δ-atomicity, by induction over renewals. An entry recorded
+// under snapshot n was validated end to end (Cache-Control: no-cache) after
+// snapshot n was generated. Recent of snapshot n+1 lists every flagging
+// after cursor n, and a flagging not yet visible to the pass that read
+// cursor n takes a later position. So "not listed" means no flagged write
+// between the validation and snapshot n+1: the copy is as fresh as that of
+// a key the filter does not flag, which is all Theorem 1 asks of a read
+// under snapshot n+1 — and it is the premise again for n+2. A write the filter
+// does not flag happens only while no TTL is outstanding, that is, after
+// this client's own copy has expired, and an expired copy is refetched
+// whatever the whitelist says. (By a plain request, which a cache on the way
+// may answer: it relayed the validation, so it holds the validated version
+// or a newer one — or, where the client was answered 304 for a version it
+// got elsewhere, as a query's member, an older one, which the SDK's
+// monotonic-read check refuses and revalidates.) Fingerprints can collide;
+// a collision drops an entry that could have stayed, never the reverse.
+//
+// Everything else degrades to the paper's clear-on-renewal, in the same
+// Refresh: a ring that overflowed or a list over budget (Stats
+// .FlagLogDropped, .UncoveredPolls), an origin that restarted (new epoch)
+// or keeps no log (no epoch), a filter fetched from another node (its own
+// epoch — a replica's piggybacked filter, and the primary's next one after
+// it), a position from the future, and every in-process Snapshot, which is
+// taken from nowhere and so never covered (the simulator keeps the paper's
+// rule). The cost at the origin is 16 bytes per flagging in a fixed 6 KB
+// ring per table and at most 4 KB per poll, in the same pooled pass.
+//
 // The package also provides the client-side view with differential
 // whitelisting (Section 3.3) and a per-table partitioned variant whose
 // aggregated filter is the bitwise OR of the partitions.
@@ -57,6 +122,7 @@ package ebf
 import (
 	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"quaestor/internal/bloom"
@@ -110,6 +176,10 @@ type EBF struct {
 	// sweepAt is the len(exp) at which the next sweep of expired TTL-table
 	// entries runs (see the package comment for the policy).
 	sweepAt int
+	// log remembers the newest flaggings (see "Renewing a snapshot"); pos
+	// numbers them, and is shared by the partitions of one Partitioned.
+	log flagLog
+	pos *atomic.Uint64
 
 	// Stats counts EBF activity for the evaluation harness.
 	stats Stats
@@ -125,6 +195,11 @@ type Stats struct {
 	SweptEntries   uint64 // TTL-table entries visited by sweeps
 	CurrentEntries int
 	TrackedKeys    int // size of the TTL table (live keys + not yet swept)
+	// FlagLogDropped counts flaggings that fell out of a partition's flag
+	// log; UncoveredPolls counts positioned polls (Partitioned only) that
+	// were answered without "recent" — each clears one client's whitelist.
+	FlagLogDropped uint64 `json:"flagLogDropped"`
+	UncoveredPolls uint64 `json:"uncoveredPolls"`
 }
 
 // minSweep is the TTL-table size below which no sweep runs.
@@ -132,7 +207,11 @@ const minSweep = 1024
 
 // New creates a server-side EBF.
 func New(opts *Options) *EBF {
-	o := opts.withDefaults()
+	return newEBF(opts.withDefaults(), new(atomic.Uint64))
+}
+
+// newEBF creates an EBF whose flaggings take their positions from pos.
+func newEBF(o Options, pos *atomic.Uint64) *EBF {
 	return &EBF{
 		opts:    o,
 		cbf:     bloom.NewCounting(o.Bits, o.Hashes),
@@ -140,6 +219,7 @@ func New(opts *Options) *EBF {
 		exp:     map[string]time.Time{},
 		stale:   map[string]time.Time{},
 		sweepAt: minSweep,
+		pos:     pos,
 	}
 }
 
@@ -207,21 +287,21 @@ func (e *EBF) ReportWrite(key string) bool {
 		e.stats.IgnoredWrites++
 		return false
 	}
-	if cur, isStale := e.stale[key]; isStale {
-		// Already flagged; extend to the (possibly later) expiration.
-		if until.After(cur) {
-			e.stale[key] = until
-			heap.Push(&e.heap, expEntry{key: key, at: until})
+	cur, flagged := e.stale[key]
+	if !flagged {
+		for _, bit := range e.cbf.Add(key) {
+			e.flat.SetBit(bit)
 		}
-		e.stats.Invalidations++
-		return true
 	}
-	for _, bit := range e.cbf.Add(key) {
-		e.flat.SetBit(bit)
+	// Already flagged: extend to the (possibly later) expiration.
+	if !flagged || until.After(cur) {
+		e.stale[key] = until
+		heap.Push(&e.heap, expEntry{key: key, at: until})
 	}
-	e.stale[key] = until
-	heap.Push(&e.heap, expEntry{key: key, at: until})
 	e.stats.Invalidations++
+	// Position and bits change in one critical section: a poll that reads
+	// the counter and then takes this lock sees every flagging up to it.
+	e.log.add(e.pos.Add(1), Fingerprint(key))
 	return true
 }
 
@@ -300,6 +380,7 @@ func (e *EBF) Stats() Stats {
 	s := e.stats
 	s.CurrentEntries = len(e.stale)
 	s.TrackedKeys = len(e.exp)
+	s.FlagLogDropped = e.log.dropped()
 	return s
 }
 
@@ -308,6 +389,16 @@ type Snapshot struct {
 	Filter      *bloom.Filter
 	GeneratedAt time.Time
 	Entries     int
+	// At is the image's position in its origin's flag log: every flagging
+	// up to At.Cursor is in Filter. Zero when the origin does not say.
+	At Position
+	// Covered says the origin also told what it flagged since the poller's
+	// last image: Recent holds the Fingerprint of every key flagged after
+	// position Since of epoch At.Epoch. Only then can a ClientView carry
+	// its whitelist over (see "Renewing a snapshot").
+	Covered bool
+	Since   uint64
+	Recent  []uint64
 }
 
 // Contains reports whether key may be stale according to this snapshot.

@@ -216,27 +216,84 @@ func TestZeroTTLReadIgnored(t *testing.T) {
 	}
 }
 
+// TestClientViewWhitelist: a revalidated key is fresh until the next
+// renewal. A renewal that does not say what was flagged since — here the
+// in-process Snapshot, which never does — clears the whitelist as the paper
+// has it; one covered from the replaced snapshot's position carries the
+// entry while the key is not flagged again, and no longer.
 func TestClientViewWhitelist(t *testing.T) {
 	c := newFakeClock()
-	e := newTestEBF(c)
-	e.ReportRead("q1", time.Minute)
-	e.ReportWrite("q1")
+	p := NewPartitioned(&Options{Bits: 1 << 14, Hashes: 4, Clock: c.Now})
+	p.ReportReads(time.Minute, "t/q1", "t/q2")
+	p.ReportWrite("t/q1")
+	p.ReportWrite("t/q2")
 
-	v := NewClientView(e.Snapshot())
-	if !v.IsStale("q1") {
+	v := NewClientView(p.Snapshot())
+	if !v.IsStale("t/q1") {
 		t.Fatal("view should flag the invalidated key")
 	}
-	v.MarkRevalidated("q1")
-	if v.IsStale("q1") {
+	v.MarkRevalidated("t/q1")
+	if v.IsStale("t/q1") {
 		t.Error("revalidated key still stale (whitelist broken)")
 	}
-	// A refresh clears the whitelist; the (still flagged) key is stale
-	// again according to the new filter.
 	c.Advance(time.Second)
-	v.Refresh(e.Snapshot())
-	if !v.IsStale("q1") {
-		t.Error("refresh should reset the whitelist")
+	if v.Refresh(p.Snapshot()) {
+		t.Error("an unpositioned snapshot reported a covered renewal")
 	}
+	if !v.IsStale("t/q1") {
+		t.Error("an uncovered refresh should reset the whitelist")
+	}
+
+	// Revalidations answered by the filter's own node, then covered
+	// renewals: q1 stays whitelisted, q2 until it is flagged again.
+	v.Refresh(positioned(t, p, "", v.Position()))
+	_, gen := v.Lookup("t/q1")
+	v.Whitelist("t/q1", gen, true)
+	v.Whitelist("t/q2", gen, true)
+	v.Whitelist("t/never-flagged", gen, true)
+	if len(v.whitelist) != 2 {
+		t.Errorf("whitelist holds %d keys, want the 2 flagged ones", len(v.whitelist))
+	}
+	for round := 0; round < 3; round++ {
+		c.Advance(time.Second)
+		if round == 1 {
+			p.ReportWrite("t/q2")
+		}
+		if !v.Refresh(positioned(t, p, "", v.Position())) {
+			t.Fatalf("round %d: a renewal positioned at the installed snapshot was not covered", round)
+		}
+		if state, _ := v.Lookup("t/q1"); state != Carried {
+			t.Errorf("round %d: q1 is %v, want Carried (nothing was flagged)", round, state)
+		}
+		if got, want := v.IsStale("t/q2"), round >= 1; got != want {
+			t.Errorf("round %d: q2 stale = %v, want %v", round, got, want)
+		}
+	}
+	// A revalidation that may have been answered by a lagging node, or was
+	// sent under a replaced snapshot, is good for the current Δ at most.
+	_, gen = v.Lookup("t/q2")
+	v.Whitelist("t/q2", gen, false)
+	v.Refresh(positioned(t, p, "", v.Position()))
+	v.Whitelist("t/q1", gen, true) // straddled the renewal: dropped
+	if state, _ := v.Lookup("t/q2"); state != Stale {
+		t.Errorf("q2 is %v after a renewal, want Stale (its revalidation must not be carried)", state)
+	}
+	// The key leaves the filter: the entry goes with it.
+	c.Advance(2 * time.Minute)
+	v.Refresh(positioned(t, p, "", v.Position()))
+	if len(v.whitelist) != 0 {
+		t.Errorf("whitelist holds %d keys the filter no longer flags", len(v.whitelist))
+	}
+}
+
+// positioned takes the snapshot a poll positioned at since would get.
+func positioned(t testing.TB, p *Partitioned, table string, since Position) Snapshot {
+	t.Helper()
+	snap, err := p.AppendSnapshot(nil, nil, table, since).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 func TestClientViewRejectsOlderSnapshots(t *testing.T) {
@@ -433,9 +490,9 @@ func TestSnapshotsMatchCloneAndUnion(t *testing.T) {
 			if !bytes.Equal(got.Filter.Marshal(), want.Filter.Marshal()) || got.Entries != want.Entries || !got.GeneratedAt.Equal(c.Now()) {
 				t.Fatalf("filter %d table %q: snapshot differs from clone-and-union (entries %d vs %d)", i, table, got.Entries, want.Entries)
 			}
-			wire, at, entries := p.AppendSnapshot([]byte("kept"), table)
-			if string(wire) != "kept"+string(want.Filter.Marshal()) || entries != want.Entries || !at.Equal(c.Now()) {
-				t.Fatalf("filter %d table %q: wire snapshot differs from clone-and-union (entries %d vs %d)", i, table, entries, want.Entries)
+			img := p.AppendSnapshot([]byte("kept"), nil, table, Position{})
+			if string(img.Wire) != "kept"+string(want.Filter.Marshal()) || img.Entries != want.Entries || !img.GeneratedAt.Equal(c.Now()) {
+				t.Fatalf("filter %d table %q: wire snapshot differs from clone-and-union (entries %d vs %d)", i, table, img.Entries, want.Entries)
 			}
 		}
 		if tables := p.Tables(); len(tables) != len(parts) {
@@ -463,7 +520,7 @@ func TestRequestPathTakesNoFilterWideLock(t *testing.T) {
 		p.Contains("users/u1")
 		p.Snapshot()
 		p.SnapshotTable("posts")
-		p.AppendSnapshot(nil, "")
+		p.AppendSnapshot(nil, nil, "", Position{})
 		p.Stats()
 		p.Tables()
 	}()
@@ -474,21 +531,33 @@ func TestRequestPathTakesNoFilterWideLock(t *testing.T) {
 	}
 }
 
-// TestAppendSnapshotAllocatesNothing pins what a poll costs here: with a
-// reused buffer, no partition clone, no aggregate filter, no marshal copy.
+// TestAppendSnapshotAllocatesNothing pins what a poll costs here: with
+// reused buffers, no partition clone, no aggregate filter, no marshal copy —
+// and nothing more for a positioned poll that lists what was flagged since.
 func TestAppendSnapshotAllocatesNothing(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	p := NewPartitioned(nil)
-	for _, key := range []string{"posts/p1", "users/u1", "tags/t1"} {
-		p.ReportRead(key, time.Minute)
-		p.ReportWrite(key)
+	flag := func() {
+		for _, key := range []string{"posts/p1", "users/u1", "tags/t1"} {
+			p.ReportRead(key, time.Minute)
+			p.ReportWrite(key)
+		}
 	}
-	buf, _, _ := p.AppendSnapshot(nil, "")
-	for _, table := range []string{"", "posts"} {
-		if allocs := testing.AllocsPerRun(100, func() { buf, _, _ = p.AppendSnapshot(buf[:0], table) }); allocs != 0 {
-			t.Errorf("AppendSnapshot(table %q) into a reused buffer: %v allocs/op, want 0", table, allocs)
+	flag()
+	img := p.AppendSnapshot(nil, nil, "", Position{})
+	since := img.At
+	flag()
+	for _, from := range []Position{{}, since} {
+		for _, table := range []string{"", "posts"} {
+			allocs := testing.AllocsPerRun(100, func() { img = p.AppendSnapshot(img.Wire[:0], img.Recent[:0], table, from) })
+			if allocs != 0 {
+				t.Errorf("AppendSnapshot(table %q, since %+v) into reused buffers: %v allocs/op, want 0", table, from, allocs)
+			}
+			if want := from == since; img.Covered != want || (want && len(img.Recent) == 0) {
+				t.Errorf("AppendSnapshot(table %q, since %+v): covered %v with %d bytes of recent", table, from, img.Covered, len(img.Recent))
+			}
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package ebf
 
 import (
+	"encoding/binary"
+	"errors"
 	"maps"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"sync"
@@ -21,6 +24,11 @@ import (
 // and query.Query.Key.
 type Partitioned struct {
 	opts Options
+	// epoch names this instance's flag log and pos numbers its flaggings,
+	// one sequence across all partitions (see "Renewing a snapshot").
+	epoch     uint64
+	pos       atomic.Uint64
+	uncovered atomic.Uint64 // positioned polls answered without Recent
 	// parts is copy-on-write: a partition is created by the first report
 	// for its table (in practice at start-up), so the request path finds
 	// its partition without a filter-wide lock. mu serializes creators.
@@ -31,7 +39,10 @@ type Partitioned struct {
 // NewPartitioned creates an empty per-table partitioned EBF. All partitions
 // share the same (m, k) so their bit vectors can be OR-ed.
 func NewPartitioned(opts *Options) *Partitioned {
-	p := &Partitioned{opts: opts.withDefaults()}
+	// The epoch only has to differ from that of any instance a client may
+	// have polled before, and never be 0; 53 bits keep it exact in every
+	// JSON reader.
+	p := &Partitioned{opts: opts.withDefaults(), epoch: 1 + rand.Uint64N(1<<53-1)}
 	p.parts.Store(&map[string]*EBF{})
 	return p
 }
@@ -62,8 +73,7 @@ func (p *Partitioned) tablePartition(table string) *EBF {
 	}
 	next := make(map[string]*EBF, len(cur)+1)
 	maps.Copy(next, cur)
-	o := p.opts
-	part := New(&o)
+	part := newEBF(p.opts, &p.pos)
 	next[table] = part
 	p.parts.Store(&next)
 	return part
@@ -116,24 +126,79 @@ func (p *Partitioned) each(table string, fn func(*EBF)) {
 	}
 }
 
-// AppendSnapshot appends to dst the flat filter clients load, in
-// bloom.Filter wire form (what Snapshot().Filter.Marshal() returns): for
-// table "" the aggregate — the bitwise OR across all table partitions —
-// else that table's partition alone. Each partition is OR-ed into dst
-// under its own lock, so the pass clones nothing and, given capacity in
-// dst, allocates nothing. generatedAt is read once, before the first
-// partition: the image is at least that fresh. entries counts the stale
-// keys in it.
-func (p *Partitioned) AppendSnapshot(dst []byte, table string) (wire []byte, generatedAt time.Time, entries int) {
-	generatedAt = p.opts.Clock()
-	start := len(dst)
+// Image is one pass over the partitions in the form /v1/ebf serves it.
+type Image struct {
+	// Wire is the flat filter clients load, in bloom.Filter wire form (what
+	// Snapshot().Filter.Marshal() returns), appended to dst.
+	Wire        []byte
+	GeneratedAt time.Time
+	Entries     int // stale keys in the image
+	// At.Cursor is read before the first partition: every flagging up to
+	// it is in Wire.
+	At Position
+	// Covered says the flag logs reached back to Since; Recent is then the
+	// recent argument plus 8 little-endian bytes of Fingerprint per
+	// flagging after it.
+	Covered bool
+	Since   uint64
+	Recent  []byte
+}
+
+// AppendSnapshot appends to dst the flat filter of table: for "" the
+// aggregate — the bitwise OR across all table partitions — else that
+// table's partition alone. Each partition is OR-ed into dst under its own
+// lock, so the pass clones nothing and, given capacity in dst and recent,
+// allocates nothing. GeneratedAt is read once, before the first partition:
+// the image is at least that fresh.
+//
+// since is the position of the image the poller holds. When it is of this
+// instance, not ahead of it, every covered partition's flag log still
+// reaches back to it and the list fits FlagLogSize fingerprints, the image
+// is Covered and lists what was flagged after it — under the same locks,
+// so nothing flagged between the two images is missing from both.
+func (p *Partitioned) AppendSnapshot(dst, recent []byte, table string, since Position) Image {
+	img := Image{
+		GeneratedAt: p.opts.Clock(),
+		At:          Position{Epoch: p.epoch, Cursor: p.pos.Load()},
+		Since:       since.Cursor,
+	}
+	img.Covered = since.Epoch == p.epoch && since.Cursor <= img.At.Cursor
+	start, limit := len(dst), len(recent)+8*FlagLogSize
 	dst = bloom.AppendEmptyMarshaled(dst, p.opts.Bits, p.opts.Hashes)
 	p.each(table, func(part *EBF) {
-		entries += part.snapshot(generatedAt, func(flat *bloom.Filter) {
+		img.Entries += part.snapshot(img.GeneratedAt, func(flat *bloom.Filter) {
 			_ = flat.UnionMarshaled(dst[start:]) // same (m, k) by construction
+			if img.Covered {
+				recent, img.Covered = part.log.appendSince(recent, since.Cursor, limit)
+			}
 		})
 	})
-	return dst, generatedAt, entries
+	if !img.Covered && since != (Position{}) {
+		p.uncovered.Add(1)
+	}
+	img.Wire, img.Recent = dst, recent
+	return img
+}
+
+// Snapshot parses an image (one appended to empty buffers) into the form
+// in-process consumers and the SDK's ClientView take.
+func (img Image) Snapshot() (Snapshot, error) {
+	filter, err := bloom.Unmarshal(img.Wire)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	if len(img.Recent)%8 != 0 {
+		return Snapshot{}, errors.New("ebf: recent is not a list of 8-byte fingerprints")
+	}
+	snap := Snapshot{Filter: filter, GeneratedAt: img.GeneratedAt, Entries: img.Entries, At: img.At}
+	if img.Covered {
+		snap.Covered, snap.Since = true, img.Since
+		snap.Recent = make([]uint64, len(img.Recent)/8)
+		for i := range snap.Recent {
+			snap.Recent[i] = binary.LittleEndian.Uint64(img.Recent[8*i:])
+		}
+	}
+	return snap, nil
 }
 
 // Snapshot returns the aggregated flat filter: the bitwise OR across all
@@ -144,14 +209,15 @@ func (p *Partitioned) Snapshot() Snapshot { return p.snapshotOf("") }
 func (p *Partitioned) SnapshotTable(table string) Snapshot { return p.snapshotOf(table) }
 
 // snapshotOf is AppendSnapshot parsed back into a bloom.Filter, so the
-// image in-process consumers see is the wire's by construction.
+// image in-process consumers see is the wire's by construction. It is
+// taken from nowhere (the zero Position), hence never Covered: a ClientView
+// renewed with it clears its whitelist as the paper has it.
 func (p *Partitioned) snapshotOf(table string) Snapshot {
-	wire, generatedAt, entries := p.AppendSnapshot(nil, table)
-	filter, err := bloom.Unmarshal(wire)
+	snap, err := p.AppendSnapshot(nil, nil, table, Position{}).Snapshot()
 	if err != nil {
-		panic("ebf: AppendSnapshot produced an unparsable filter: " + err.Error())
+		panic("ebf: AppendSnapshot produced an unparsable image: " + err.Error())
 	}
-	return Snapshot{Filter: filter, Entries: entries, GeneratedAt: generatedAt}
+	return snap
 }
 
 // Tables lists partitions in sorted order.
@@ -172,6 +238,8 @@ func (p *Partitioned) Stats() Stats {
 		total.SweptEntries += s.SweptEntries
 		total.CurrentEntries += s.CurrentEntries
 		total.TrackedKeys += s.TrackedKeys
+		total.FlagLogDropped += s.FlagLogDropped
 	}
+	total.UncoveredPolls = p.uncovered.Load()
 	return total
 }

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +24,7 @@ import (
 	"quaestor/internal/replication"
 	"quaestor/internal/server"
 	"quaestor/internal/store"
+	"quaestor/internal/testutil"
 )
 
 // docSet reads a table's id→version map off a store.
@@ -87,10 +87,9 @@ func TestRebootstrapSyntheticEventsInvalidateStaleCaches(t *testing.T) {
 	repl := startReplica(t, p.ts.URL, rdir)
 	rsrv := server.New(repl.Store(), &server.Options{})
 	rsrv.AttachReplicas(repl)
-	rts := httptest.NewServer(rsrv.Handler())
+	rts, stopRTS := testutil.StartServer(rsrv.Handler())
 	t.Cleanup(func() {
-		rts.CloseClientConnections()
-		rts.Close()
+		stopRTS()
 		rsrv.Close()
 	})
 	waitConverged(t, repl, p.db, 15*time.Second)

@@ -28,9 +28,10 @@ import (
 
 // primary bundles a store with the HTTP surface replicas talk to.
 type primary struct {
-	db  *store.Store
-	srv *server.Server
-	ts  *httptest.Server
+	db   *store.Store
+	srv  *server.Server
+	ts   *httptest.Server
+	stop func() // ends ts's streams, then closes it
 }
 
 // startPrimary opens a store (durable when dir != "") behind a full
@@ -48,18 +49,18 @@ func startPrimary(t *testing.T, dir string, ringSize int) *primary {
 		t.Fatal(err)
 	}
 	srv := server.New(db, &server.Options{})
-	ts := httptest.NewServer(srv.Handler())
-	p := &primary{db: db, srv: srv, ts: ts}
+	ts, stop := testutil.StartServer(srv.Handler())
+	p := &primary{db: db, srv: srv, ts: ts, stop: stop}
 	t.Cleanup(p.close)
 	return p
 }
 
 func (p *primary) close() {
 	if p.ts != nil {
-		// Kill live replication streams first: Close waits for handlers,
-		// and the stream handler only exits on disconnect or store close.
-		p.ts.CloseClientConnections()
-		p.ts.Close()
+		// Close waits for handlers, and a replica that reconnects while
+		// the server goes down gets a new long-lived stream: stop ends
+		// them through their base context first.
+		p.stop()
 		p.ts = nil
 	}
 	if p.srv != nil {
@@ -584,9 +585,9 @@ func TestReplicaHTTPSurface(t *testing.T) {
 	repl := startReplica(t, p.ts.URL, "")
 	rsrv := server.New(repl.Store(), &server.Options{})
 	rsrv.AttachReplicas(repl)
-	rts := httptest.NewServer(rsrv.Handler())
+	rts, stopRTS := testutil.StartServer(rsrv.Handler())
 	t.Cleanup(func() {
-		rts.Close()
+		stopRTS()
 		rsrv.Close()
 	})
 	waitConverged(t, repl, p.db, 10*time.Second)

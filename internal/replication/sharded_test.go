@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -19,16 +18,16 @@ import (
 	"quaestor/internal/document"
 	"quaestor/internal/replication"
 	"quaestor/internal/server"
+	"quaestor/internal/testutil"
 )
 
 func TestShardedReplicationPerShardStreams(t *testing.T) {
 	const shards = 2
 	prouter := cluster.MustOpen(cluster.Options{Shards: shards})
 	psrv := server.NewCluster(prouter, &server.Options{})
-	pts := httptest.NewServer(psrv.Handler())
+	pts, stopPTS := testutil.StartServer(psrv.Handler())
 	t.Cleanup(func() {
-		pts.CloseClientConnections()
-		pts.Close()
+		stopPTS()
 		psrv.Close()
 		prouter.Close()
 	})
@@ -60,10 +59,9 @@ func TestShardedReplicationPerShardStreams(t *testing.T) {
 	}
 	rsrv := server.NewCluster(rrouter, &server.Options{})
 	rsrv.AttachReplicas(repls...)
-	rts := httptest.NewServer(rsrv.Handler())
+	rts, stopRTS := testutil.StartServer(rsrv.Handler())
 	t.Cleanup(func() {
-		rts.CloseClientConnections()
-		rts.Close()
+		stopRTS()
 		rsrv.Close()
 	})
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +12,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,73 +38,154 @@ func serve(h http.Handler, method, target, body string, header ...string) *httpt
 
 // reflectiveEBFBody is the /v1/ebf body as the handler built it before the
 // pooled pass: the snapshot as a Filter, marshaled, base64-encoded into a
-// string and encoded by encoding/json.
+// string and encoded by encoding/json. Fingerprints are listed in ascending
+// order (see sortRecent).
 func reflectiveEBFBody(t *testing.T, snap ebf.Snapshot) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(EBFResponse{
+	slices.Sort(snap.Recent)
+	resp := EBFResponse{
 		Filter:      base64.StdEncoding.EncodeToString(snap.Filter.Marshal()),
 		GeneratedAt: snap.GeneratedAt.UnixNano(),
 		Entries:     snap.Entries,
-	}); err != nil {
+		Epoch:       snap.At.Epoch,
+		Cursor:      snap.At.Cursor,
+	}
+	if snap.Covered {
+		var raw []byte
+		for _, fp := range snap.Recent {
+			raw = binary.LittleEndian.AppendUint64(raw, fp)
+		}
+		recent := base64.StdEncoding.EncodeToString(raw)
+		resp.Recent = &recent
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
 }
 
+// sortRecent returns a /v1/ebf body with the fingerprints of "recent" in
+// ascending order. The list is a set: an aggregate poll visits the
+// partitions in map order, so two polls of one state may order it
+// differently. The body must survive the decode → sort → reflective
+// re-encode unchanged but for that order, which pins every other byte.
+func sortRecent(t *testing.T, body string) string {
+	t.Helper()
+	var resp EBFResponse
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Recent == nil {
+		return body
+	}
+	raw, err := base64.StdEncoding.DecodeString(*resp.Recent)
+	if err != nil || len(raw)%8 != 0 {
+		t.Fatalf("recent is %d bytes, %v", len(raw), err)
+	}
+	fps := make([]uint64, len(raw)/8)
+	for i := range fps {
+		fps[i] = binary.LittleEndian.Uint64(raw[8*i:])
+	}
+	slices.Sort(fps)
+	raw = raw[:0]
+	for _, fp := range fps {
+		raw = binary.LittleEndian.AppendUint64(raw, fp)
+	}
+	sorted := base64.StdEncoding.EncodeToString(raw)
+	if len(sorted) != len(*resp.Recent) {
+		t.Fatalf("recent re-encodes to %d characters, was %d", len(sorted), len(*resp.Recent))
+	}
+	return strings.Replace(body, *resp.Recent, sorted, 1)
+}
+
 // TestEBFBodyMatchesReflectiveEncoding pins the wire form of the coherence
-// signal over 100 random filters: aggregate and ?table=, identity and gzip
-// (after inflating), every body is byte-identical to the reflective
-// encoding of the same snapshot, and carries its exact Content-Length.
+// signal over 100 random filters: aggregate and ?table=, unpositioned,
+// positioned (?epoch=&since=) where the flag logs cover the gap and where
+// they cannot (another instance's epoch), identity and gzip (after
+// inflating), every body is byte-identical to the reflective encoding of
+// the same snapshot, and carries its exact Content-Length. An unpositioned
+// poll gets, byte for byte, the body servers without a flag log sent plus
+// "epoch" and "cursor".
 func TestEBFBodyMatchesReflectiveEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	now := time.Unix(1700000000, 0)
 	for i := 0; i < 100; i++ {
 		srv := newTestServer(t, 1, &Options{Clock: func() time.Time { return now }, EBF: &ebf.Options{Bits: 1 << uint(10+rng.Intn(8))}})
 		tables := []string{"posts", "users", "tags"}[:1+rng.Intn(3)]
-		for _, table := range tables {
-			for k, keys := 0, rng.Intn(300); k < keys; k++ {
-				key := RecordKey(table, "k"+strconv.Itoa(k))
-				srv.coh.ReportRead(key, time.Minute)
-				if rng.Intn(3) > 0 {
-					srv.coh.ReportWrite(key)
+		flag := func(most int) {
+			for _, table := range tables {
+				for k, keys := 0, rng.Intn(most); k < keys; k++ {
+					key := RecordKey(table, "k"+strconv.Itoa(k))
+					srv.coh.ReportRead(key, time.Minute)
+					if rng.Intn(3) > 0 {
+						srv.coh.ReportWrite(key)
+					}
 				}
 			}
 		}
+		flag(300)
+		held := srv.coh.Snapshot().At // the position a client polled at
+		flag(60)
 		h := srv.Handler()
 		for _, table := range append(tables, "", "never-reported") {
-			target, snap := "/v1/ebf", srv.coh.Snapshot()
+			query := url.Values{}
 			if table != "" {
-				target, snap = "/v1/ebf?table="+table, srv.coh.SnapshotTable(table)
+				query.Set("table", table)
 			}
-			want := reflectiveEBFBody(t, snap)
+			for _, since := range []ebf.Position{{}, held, {Epoch: held.Epoch + 1, Cursor: held.Cursor}} {
+				if since != (ebf.Position{}) {
+					query.Set("epoch", strconv.FormatUint(since.Epoch, 10))
+					query.Set("since", strconv.FormatUint(since.Cursor, 10))
+				}
+				target := "/v1/ebf?" + query.Encode()
+				snap, err := srv.coh.AppendSnapshot(nil, nil, table, since).Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snap.Covered != (since == held) || (snap.Covered && table == "" && len(snap.Recent) == 0 && snap.At.Cursor > held.Cursor) {
+					t.Fatalf("filter %d %s: covered = %v with %d fingerprints (cursor %d → %d)", i, target, snap.Covered, len(snap.Recent), held.Cursor, snap.At.Cursor)
+				}
+				want := reflectiveEBFBody(t, snap)
+				if since == (ebf.Position{}) {
+					var old bytes.Buffer
+					_ = json.NewEncoder(&old).Encode(struct {
+						Filter      string `json:"filter"`
+						GeneratedAt int64  `json:"generatedAt"`
+						Entries     int    `json:"entries"`
+					}{base64.StdEncoding.EncodeToString(snap.Filter.Marshal()), snap.GeneratedAt.UnixNano(), snap.Entries})
+					if plus := fmt.Sprintf(`,"epoch":%d,"cursor":%d}`+"\n", snap.At.Epoch, snap.At.Cursor); want != strings.TrimSuffix(old.String(), "}\n")+plus {
+						t.Fatalf("filter %d %s: an unpositioned body is not the old body plus epoch and cursor:\n%.60s…%s", i, target, want, want[max(0, len(want)-80):])
+					}
+				}
 
-			plain := serve(h, http.MethodGet, target, "")
-			if got := plain.Body.String(); got != want {
-				t.Fatalf("filter %d %s: identity body differs from the reflective encoding\n got %.80s…\nwant %.80s…", i, target, got, want)
-			}
-			zipped := serve(h, http.MethodGet, target, "", "Accept-Encoding", "gzip")
-			if enc := zipped.Header().Get("Content-Encoding"); enc != "gzip" {
-				t.Fatalf("filter %d %s: Content-Encoding = %q", i, target, enc)
-			}
-			for name, rec := range map[string]*httptest.ResponseRecorder{"identity": plain, "gzip": zipped} {
-				if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
-					t.Errorf("filter %d %s %s: Content-Length %q for %d bytes", i, target, name, cl, rec.Body.Len())
+				plain := serve(h, http.MethodGet, target, "")
+				if got := sortRecent(t, plain.Body.String()); got != want {
+					t.Fatalf("filter %d %s: identity body differs from the reflective encoding\n got %.80s…\nwant %.80s…", i, target, got, want)
 				}
-				if rec.Code != http.StatusOK || rec.Header().Get("Cache-Control") != "no-store" || rec.Header().Get("Content-Type") != "application/json" {
-					t.Errorf("filter %d %s %s: status %d, headers %v", i, target, name, rec.Code, rec.Header())
+				zipped := serve(h, http.MethodGet, target, "", "Accept-Encoding", "gzip")
+				if enc := zipped.Header().Get("Content-Encoding"); enc != "gzip" {
+					t.Fatalf("filter %d %s: Content-Encoding = %q", i, target, enc)
 				}
-			}
-			zr, err := gzip.NewReader(zipped.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inflated, err := io.ReadAll(zr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(inflated) != want {
-				t.Fatalf("filter %d %s: inflated gzip body differs from the reflective encoding", i, target)
+				for name, rec := range map[string]*httptest.ResponseRecorder{"identity": plain, "gzip": zipped} {
+					if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+						t.Errorf("filter %d %s %s: Content-Length %q for %d bytes", i, target, name, cl, rec.Body.Len())
+					}
+					if rec.Code != http.StatusOK || rec.Header().Get("Cache-Control") != "no-store" || rec.Header().Get("Content-Type") != "application/json" {
+						t.Errorf("filter %d %s %s: status %d, headers %v", i, target, name, rec.Code, rec.Header())
+					}
+				}
+				zr, err := gzip.NewReader(zipped.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inflated, err := io.ReadAll(zr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sortRecent(t, string(inflated)) != want {
+					t.Fatalf("filter %d %s: inflated gzip body differs from the reflective encoding", i, target)
+				}
 			}
 		}
 	}

@@ -23,7 +23,7 @@ import (
 
 // Handler returns the REST API as an http.Handler:
 //
-//	GET    /v1/ebf                     — flat EBF snapshot (base64 in JSON)
+//	GET    /v1/ebf[?table=…][&epoch=…&since=…] — flat EBF snapshot (base64 in JSON), its position, and what was flagged since the poller's
 //	POST   /v1/tables/{table}          — create table
 //	GET    /v1/db/{table}/{id}         — read record (cacheable)
 //	PUT    /v1/db/{table}/{id}         — upsert record
@@ -156,16 +156,28 @@ type EBFResponse struct {
 	GeneratedAt int64 `json:"generatedAt"`
 	// Entries is the number of currently stale keys.
 	Entries int `json:"entries"`
+	// Epoch and Cursor are the snapshot's position in this node's flag log
+	// (ebf.Position): a client echoes them as ?epoch=&since= on its next
+	// poll. A body without them comes from a server that keeps no log.
+	Epoch  uint64 `json:"epoch"`
+	Cursor uint64 `json:"cursor"`
+	// Recent answers a positioned poll the log still covers: base64 of the
+	// 8-byte little-endian ebf.Fingerprint of every key flagged after the
+	// echoed position (possibly none: ""). Absent, the client must assume
+	// anything was flagged.
+	Recent *string `json:"recent,omitempty"`
 }
 
 // ebfEncoder is the reusable state of one GET /v1/ebf response: the filter
-// in wire form, the JSON body around its base64, and the gzip stream with
-// its output. All three buffers settle at the filter's size after one use.
+// in wire form, the fingerprints flagged since the poller's position, the
+// JSON body around their base64, and the gzip stream with its output. The
+// buffers settle at the filter's size (recent: ≤ 3 KB) after one use.
 type ebfEncoder struct {
-	wire []byte
-	body []byte
-	zbuf bytes.Buffer
-	zw   *gzip.Writer
+	wire   []byte
+	recent []byte
+	body   []byte
+	zbuf   bytes.Buffer
+	zw     *gzip.Writer
 }
 
 var ebfEncoders = sync.Pool{New: func() any {
@@ -193,6 +205,14 @@ var ebfEncoders = sync.Pool{New: func() any {
 // Every row is within a few hundred bytes of what it was, so the filter
 // fits the one congestion window the paper sizes it for exactly where it
 // did before (up to its 20 000-entry design point).
+//
+// The same pass tells a renewing client what was flagged since its last
+// poll (internal/ebf, "Renewing a snapshot"): every body names the image's
+// position (epoch, cursor); a poll that echoes the previous one as
+// ?epoch=&since= and is still covered by the flag logs also gets "recent",
+// at most 4 KB of fingerprints, omitted — never cut short — beyond that. A
+// poll without a position gets the body it always got plus the two
+// integers.
 func (s *Server) handleEBF(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, &httpError{http.StatusMethodNotAllowed, "GET only"})
@@ -202,14 +222,24 @@ func (s *Server) handleEBF(w http.ResponseWriter, r *http.Request) {
 	defer ebfEncoders.Put(enc)
 	// ?table=X serves that table's partition only — clients may trade
 	// extra fetches for a lower false positive rate (Section 3.3).
-	wire, generatedAt, entries := s.coh.AppendSnapshot(enc.wire[:0], r.URL.Query().Get("table"))
-	enc.wire = wire
+	table, since := parseEBFPoll(r.URL.RawQuery)
+	img := s.coh.AppendSnapshot(enc.wire[:0], enc.recent[:0], table, since)
+	enc.wire, enc.recent = img.Wire, img.Recent
 	body := append(enc.body[:0], `{"filter":"`...)
-	body = base64.StdEncoding.AppendEncode(body, wire)
+	body = base64.StdEncoding.AppendEncode(body, img.Wire)
 	body = append(body, `","generatedAt":`...)
-	body = strconv.AppendInt(body, generatedAt.UnixNano(), 10)
+	body = strconv.AppendInt(body, img.GeneratedAt.UnixNano(), 10)
 	body = append(body, `,"entries":`...)
-	body = strconv.AppendInt(body, int64(entries), 10)
+	body = strconv.AppendInt(body, int64(img.Entries), 10)
+	body = append(body, `,"epoch":`...)
+	body = strconv.AppendUint(body, img.At.Epoch, 10)
+	body = append(body, `,"cursor":`...)
+	body = strconv.AppendUint(body, img.At.Cursor, 10)
+	if img.Covered {
+		body = append(body, `,"recent":"`...)
+		body = base64.StdEncoding.AppendEncode(body, img.Recent)
+		body = append(body, '"')
+	}
 	body = append(body, "}\n"...)
 	enc.body = body
 
@@ -234,6 +264,33 @@ func (s *Server) handleEBF(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
+}
+
+// parseEBFPoll reads table, epoch and since out of a /v1/ebf query string
+// without building url.Values, so a positioned poll allocates what a plain
+// one does. A position that does not parse is no position.
+func parseEBFPoll(rawQuery string) (table string, since ebf.Position) {
+	positioned := true
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		switch name, value, _ := strings.Cut(pair, "="); name {
+		case "table":
+			table, _ = url.QueryUnescape(value) // "" if malformed, as url.Values has it
+		case "epoch":
+			var err error
+			since.Epoch, err = strconv.ParseUint(value, 10, 64)
+			positioned = positioned && err == nil
+		case "since":
+			var err error
+			since.Cursor, err = strconv.ParseUint(value, 10, 64)
+			positioned = positioned && err == nil
+		}
+	}
+	if !positioned {
+		since = ebf.Position{}
+	}
+	return table, since
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
@@ -334,7 +391,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	resp := StatsResponse{
 		Stats: s.Stats(),
-		EBF:   s.coh.Stats(),
+		EBF:   s.EBFStats(),
 		TTL:   TTLSection{TrackedRecords: s.est.TrackedRecords()},
 		Pipeline: PipelineSection{
 			PipelineStats: s.router.Store(0).PipelineStats(),

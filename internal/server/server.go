@@ -433,6 +433,10 @@ func (s *Server) EBFSnapshot() ebf.Snapshot {
 	return s.coh.Snapshot()
 }
 
+// EBFStats returns the filter's activity counters (the "ebf" section of
+// /v1/stats).
+func (s *Server) EBFStats() ebf.Stats { return s.coh.Stats() }
+
 // ReadResult carries a record read plus its caching metadata.
 type ReadResult struct {
 	Doc  *document.Document
