@@ -88,7 +88,6 @@ func run() int {
 	maxQueries := flag.Int("max-queries", 10000, "capacity of the active list: queries cached and matched by InvaliDB at once (0 = unlimited)")
 	modeName := flag.String("mode", "quaestor", "cache mode: quaestor, cdn-only, client-only, uncached")
 	shards := flag.Int("shards", 1, "cluster shards: independent stores + commit pipelines, writes consistent-hashed across them")
-	tableShards := flag.Int("table-shards", 16, "store lock-striping shards per table within each node")
 	dataDir := flag.String("data-dir", "", "enable durability: WAL + snapshots under this directory (empty = in-memory)")
 	fsyncMode := flag.String("fsync", "always", "WAL fsync policy: always, interval, never")
 	fsyncInterval := flag.Duration("fsync-interval", 25*time.Millisecond, "max sync lag under -fsync interval")
@@ -126,8 +125,7 @@ func run() int {
 		log.Fatal(err)
 	}
 	storeOpts := store.Options{
-		ShardsPerTable: *tableShards,
-		DataDir:        *dataDir,
+		DataDir: *dataDir,
 		Durability: store.Durability{
 			Fsync:         fsync,
 			FsyncInterval: *fsyncInterval,

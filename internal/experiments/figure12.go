@@ -48,7 +48,7 @@ func matchingGrid(nodes int) (rows, cols int) {
 // throughput at one load point.
 func runInvalidbStep(nodes, queries, inserts int) (p99 time.Duration, evalsPerSec float64) {
 	rows, cols := matchingGrid(nodes)
-	db := store.MustOpen(&store.Options{ShardsPerTable: 8})
+	db := store.MustOpen(nil)
 	defer db.Close()
 	const table = "posts"
 	if err := db.CreateTable(table); err != nil {

@@ -1,7 +1,7 @@
 // Streaming execution primitives: the pieces of the iterator-composed
 // executor that are pure query logic — strategy selection, residual
 // predicate pushdown and the bounded top-K heap. The storage layer wires
-// them onto its shards and indexes (it owns the locks and the document
+// them onto its tables and indexes (it owns the locks and the document
 // pointers); everything here is independent of storage.
 package query
 
@@ -21,7 +21,7 @@ const (
 	StrategyTopK = "top-k"
 	// StrategyOrdered streams an ordered-index range scan that already
 	// satisfies the ORDER BY, so no sort happens at all and the scan stops
-	// after offset+limit rows per shard.
+	// after offset+limit matching rows.
 	StrategyOrdered = "ordered"
 )
 
@@ -50,8 +50,8 @@ func ChooseStrategy(q *Query, plan Plan) string {
 // value, or contain it as an array element), and range scans visit only
 // whole scalar values inside the plan window restricted to the window's
 // type class. A conjunct is dropped only when every such candidate provably
-// satisfies it. The elision is valid for index candidates ONLY — degraded
-// shard scans (index vanished mid-query) must evaluate the full predicate.
+// satisfies it, so the elision is valid for index candidates only; a scan
+// plan's residual is the whole predicate.
 func Residual(p Predicate, plan Plan) (Predicate, int) {
 	if plan.Kind == PlanScan || plan.Path == "" {
 		return p, 0

@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"quaestor/internal/document"
@@ -86,21 +87,28 @@ func parseFieldCondition(path string, raw any) (Predicate, error) {
 	opDoc, isDoc := raw.(map[string]any)
 	if !isDoc || !hasOperatorKey(opDoc) {
 		// Plain value: equality.
-		return &Field{Path: path, Op: OpEq, Value: document.Normalize(raw)}, nil
+		return field(path, OpEq, document.Normalize(raw))
 	}
 	var children []Predicate
 	for opName, val := range opDoc {
 		op := Op(opName)
 		switch op {
 		case OpEq, OpNe, OpGt, OpGte, OpLt, OpLte, OpContains, OpPrefix, OpSize:
-			children = append(children, &Field{Path: path, Op: op, Value: document.Normalize(val)})
+			f, err := field(path, op, document.Normalize(val))
+			if err != nil {
+				return nil, err
+			}
+			children = append(children, f)
 		case OpIn, OpNin:
 			norm := document.Normalize(val)
-			list, ok := norm.([]any)
-			if !ok {
+			if _, ok := norm.([]any); !ok {
 				return nil, fmt.Errorf("query: %s on %q expects an array, got %T", op, path, val)
 			}
-			children = append(children, &Field{Path: path, Op: op, Value: list})
+			f, err := field(path, op, norm)
+			if err != nil {
+				return nil, err
+			}
+			children = append(children, f)
 		case OpExists:
 			b, ok := val.(bool)
 			if !ok {
@@ -115,6 +123,38 @@ func parseFieldCondition(path string, raw any) (Predicate, error) {
 		return children[0], nil
 	}
 	return &And{Children: children}, nil
+}
+
+// field builds one condition on a normalized value. It refuses numbers
+// JSON cannot spell: a literal beyond float64's range decodes to ±Inf,
+// which json.Marshal rejects, so no client could render the filter back
+// into the query URL — and the query key — it came from.
+func field(path string, op Op, v any) (Predicate, error) {
+	if !finite(v) {
+		return nil, fmt.Errorf("query: number out of range in %s on %q", op, path)
+	}
+	return &Field{Path: path, Op: op, Value: v}, nil
+}
+
+// finite reports whether a normalized value holds no ±Inf or NaN.
+func finite(v any) bool {
+	switch t := v.(type) {
+	case float64:
+		return !math.IsInf(t, 0) && !math.IsNaN(t)
+	case []any:
+		for _, e := range t {
+			if !finite(e) {
+				return false
+			}
+		}
+	case map[string]any:
+		for _, e := range t {
+			if !finite(e) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func hasOperatorKey(m map[string]any) bool {

@@ -91,7 +91,8 @@ type IndexStats struct {
 }
 
 // Catalog is the planner's view of a table's indexes. The storage layer
-// implements it; the planner stays free of storage dependencies.
+// implements it and calls BuildPlan with the table's lock already held;
+// the planner stays free of storage dependencies.
 type Catalog interface {
 	// IndexStats returns statistics for the index on a field path, with
 	// ok=false when the path is not indexed.

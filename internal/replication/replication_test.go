@@ -136,7 +136,10 @@ func waitConverged(t *testing.T, repl *replication.Replica, p *store.Store, time
 	t.Helper()
 	want := p.LastSeq()
 	deadline := time.Now().Add(timeout)
-	for repl.Store().LastSeq() < want {
+	// A snapshot import moves LastSeq to the floor before it returns and
+	// the replica counts the bootstrap; the state leaves bootstrapping
+	// only after that, so waiting it out keeps Status consistent.
+	for repl.Store().LastSeq() < want || repl.Status().State == replication.StateBootstrapping {
 		if time.Now().After(deadline) {
 			st := repl.Status()
 			t.Fatalf("replica stalled: applied %d, primary at %d (state=%s, status=%+v)",

@@ -98,7 +98,8 @@ func (s *Store) recover() error {
 				if _, err := s.createTable(tm.Name); err != nil {
 					return err
 				}
-				s.tables[tm.Name].raiseVersionFloor(tm.VersionFloor)
+				t := s.tables[tm.Name]
+				t.verFloor = max(t.verFloor, tm.VersionFloor)
 				for _, p := range tm.Indexes {
 					addIndex(tm.Name, p)
 				}
@@ -228,13 +229,13 @@ func (s *Store) recover() error {
 // or a tombstone {ID, Version} when deleted (removing an already-absent id
 // removes nothing: the record may predate the snapshot's state) —
 // bypassing WAL, versioning and the change stream. Recovery-only: the
-// store is not published yet, so the shard needs no lock.
+// store is not published yet, so the table needs no lock.
 func (s *Store) restore(tableName string, doc *document.Document, deleted bool) error {
 	t, err := s.table(tableName)
 	if err != nil {
 		return err
 	}
-	t.shardFor(doc.ID).swap(doc, deleted)
+	t.swap(doc, deleted)
 	return nil
 }
 
@@ -245,9 +246,11 @@ func (s *Store) restore(tableName string, doc *document.Document, deleted bool) 
 //  1. capture the sequence floor S,
 //  2. rotate the WAL (every record enqueued so far is in a sealed
 //     segment, and its write is therefore visible to the scan below),
-//  3. scan the shards under their read locks — every write with seq ≤ S
-//     is guaranteed visible, later ones are harmless because replay
-//     re-applies after-images idempotently in sequence order,
+//  3. collect each table's document pointers under its read lock and
+//     write them out after releasing it (documents are copy-on-write) —
+//     every write with seq ≤ S is guaranteed visible, later ones are
+//     harmless because replay re-applies after-images idempotently in
+//     sequence order,
 //  4. commit the snapshot atomically (tmp file, fsync, rename),
 //  5. delete the sealed segments.
 //
@@ -280,18 +283,9 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 		w.Abort()
 		return SnapshotInfo{}, err
 	}
-	for _, t := range tables {
-		for _, sh := range t.shards {
-			sh.mu.RLock()
-			for _, d := range sh.docs {
-				if err := w.Doc(t.name, d); err != nil {
-					sh.mu.RUnlock()
-					w.Abort()
-					return SnapshotInfo{}, fmt.Errorf("store: writing snapshot: %w", err)
-				}
-			}
-			sh.mu.RUnlock()
-		}
+	if err := writeDocs(tables, w.Doc); err != nil {
+		w.Abort()
+		return SnapshotInfo{}, fmt.Errorf("store: writing snapshot: %w", err)
 	}
 	if err := w.Commit(); err != nil {
 		return SnapshotInfo{}, fmt.Errorf("store: committing snapshot: %w", err)

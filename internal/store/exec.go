@@ -1,14 +1,14 @@
 // Streaming query execution: the store-side iterator executor behind
 // QueryPlanned and QueryStream. Source iterators (index probe, ordered
-// range scan, shard scan) feed one of three emission strategies — full
-// sort, bounded top-K, or order-preserving merge — chosen by the query
+// range scan, table scan) feed one of three emission strategies — full
+// sort, bounded top-K, or an ordered index walk — chosen by the query
 // layer (query.ChooseStrategy). Conjuncts the index access already
 // guarantees are elided from the per-document predicate
 // (query.Residual).
 //
 // The executor collects stored document POINTERS, not clones: stored
 // documents are copy-on-write (writers replace, never mutate, them — see
-// replication.go), so pointers gathered under a shard's read lock stay
+// replication.go), so pointers gathered under the table's read lock stay
 // internally immutable after the lock is released. Cloning happens only
 // at emission (Cursor.Next), and only for the offset+limit window — a
 // LIMIT 10 over 100k matches clones 10 documents where the materializing
@@ -68,43 +68,36 @@ func NewCursor(plan query.Plan, docs []*document.Document) *Cursor {
 	return &Cursor{plan: plan, docs: docs}
 }
 
-// MergeOrdered merges per-source lists that are each sorted by q.Less
-// into the query's global OFFSET/LIMIT window. Exported for the
-// cross-shard gather path, which merges per-shard cursor outputs exactly
-// like the executor merges per-shard range emissions.
-func MergeOrdered(q *query.Query, lists [][]*document.Document) []*document.Document {
-	return mergeOrdered(q, lists)
-}
-
 // QueryStream plans and executes q, returning a cursor over the result
-// window. Execution touches each shard once under its read lock; the
-// cursor itself is lock-free and single-consumer.
+// window. Planning and execution share one read lock of the table, so the
+// index the plan names is there and exactly consistent with the
+// documents; the cursor itself is lock-free and single-consumer.
 func (s *Store) QueryStream(q *query.Query) (*Cursor, error) {
 	t, err := s.table(q.Table)
 	if err != nil {
 		return nil, err
 	}
-	plan := query.BuildPlan(q, t)
-	residual, elided := query.Residual(q.Predicate, plan)
-	plan.Strategy = query.ChooseStrategy(q, plan)
-	plan.ElidedConjuncts = elided
-
-	e := &executor{q: q, residual: residual, plan: &plan}
+	t.mu.RLock()
+	plan, residual := t.plan(q)
+	e := &executor{t: t, q: q, residual: residual, plan: &plan}
 	switch plan.Strategy {
 	case query.StrategyOrdered:
-		e.runOrdered(t)
+		e.runOrdered()
 	case query.StrategyTopK:
-		e.runTopK(t)
+		e.runTopK()
 	default:
-		e.runSortAll(t)
+		e.runSortAll()
 	}
+	t.mu.RUnlock()
 	plan.RowsExamined = e.examined
 	plan.RowsReturned = len(e.out)
 	return &Cursor{plan: plan, docs: e.out}, nil
 }
 
-// executor carries one execution's state across shards.
+// executor carries one execution's state. Its methods run under t.mu's
+// read lock.
 type executor struct {
+	t        *table
 	q        *query.Query
 	residual query.Predicate
 	plan     *query.Plan
@@ -114,16 +107,12 @@ type executor struct {
 
 // runSortAll materializes every matching pointer and sorts the full set —
 // the strategy of last resort, still pointer-level (no clones).
-func (e *executor) runSortAll(t *table) {
+func (e *executor) runSortAll() {
 	var matches []*document.Document
-	for _, sh := range t.shards {
-		sh.mu.RLock()
-		e.visitShard(sh, func(d *document.Document) bool {
-			matches = append(matches, d)
-			return true
-		})
-		sh.mu.RUnlock()
-	}
+	e.visit(func(d *document.Document) bool {
+		matches = append(matches, d)
+		return true
+	})
 	q := e.q
 	sort.Slice(matches, func(i, j int) bool { return q.Less(matches[i], matches[j]) })
 	e.out = resultWindow(matches, q.Offset, q.Limit)
@@ -132,100 +121,63 @@ func (e *executor) runSortAll(t *table) {
 // runTopK pushes every match through a bounded heap retaining only the
 // best offset+limit candidates: O(n log k) instead of a full sort, and at
 // most k pointers held.
-func (e *executor) runTopK(t *table) {
+func (e *executor) runTopK() {
 	q := e.q
 	top := query.NewTopK(q, q.Offset+q.Limit)
-	for _, sh := range t.shards {
-		sh.mu.RLock()
-		e.visitShard(sh, func(d *document.Document) bool {
-			top.Offer(d)
-			return true
-		})
-		sh.mu.RUnlock()
-	}
+	e.visit(func(d *document.Document) bool {
+		top.Offer(d)
+		return true
+	})
 	e.out = resultWindow(top.Sorted(), q.Offset, q.Limit)
 }
 
 // runOrdered exploits a range plan whose index order IS the query order:
-// each shard contributes an already-ordered candidate list (walked
-// backwards for descending sorts) truncated at offset+limit rows, and a
-// k-way merge of at most ShardsPerTable lists produces the window with no
-// sort. Shards whose index vanished mid-query (concurrent CreateIndex)
-// degrade to a local scan + sort, preserving the merge invariant.
-func (e *executor) runOrdered(t *table) {
+// the index walk (backwards for descending sorts) yields candidates
+// already in query order, and stops once offset+limit rows matched —
+// no sort at all.
+func (e *executor) runOrdered() {
 	q := e.q
-	k := 0 // per-shard row cap; 0 = unbounded (no LIMIT)
+	k := 0 // row cap; 0 = unbounded (no LIMIT)
 	if q.Limit > 0 {
 		k = q.Offset + q.Limit
 	}
-	desc := q.OrderBy[0].Desc
-	plan := e.plan
-	lists := make([][]*document.Document, 0, len(t.shards))
-	for _, sh := range t.shards {
-		var list []*document.Document
-		sh.mu.RLock()
-		ix, ok := sh.indexes[plan.Path]
-		if !ok {
-			e.scanShard(sh, e.q.Predicate, func(d *document.Document) bool {
+	var list []*document.Document
+	ix := e.t.indexes[e.plan.Path]
+	ix.RangeRuns(toIndexBound(e.plan.Lo), toIndexBound(e.plan.Hi), q.OrderBy[0].Desc, func(ids []string) bool {
+		for _, id := range ids {
+			d := e.t.docs[id]
+			e.examined++
+			if e.residual.Matches(d.Fields) {
 				list = append(list, d)
-				return true
-			})
-			sort.Slice(list, func(i, j int) bool { return q.Less(list[i], list[j]) })
-			if k > 0 && len(list) > k {
-				list = list[:k]
-			}
-		} else {
-			ix.RangeRuns(toIndexBound(plan.Lo), toIndexBound(plan.Hi), desc, func(ids []string) bool {
-				for _, id := range ids {
-					d, ok := sh.docs[id]
-					if !ok {
-						continue
-					}
-					e.examined++
-					if e.residual.Matches(d.Fields) {
-						list = append(list, d)
-						if k > 0 && len(list) == k {
-							// Early termination: everything later in the
-							// scan sorts after these k rows, and the merge
-							// needs at most k per shard.
-							return false
-						}
-					}
+				if k > 0 && len(list) == k {
+					// Early termination: everything later in the scan
+					// sorts after these k rows.
+					return false
 				}
-				return true
-			})
+			}
 		}
-		sh.mu.RUnlock()
-		if len(list) > 0 {
-			lists = append(lists, list)
-		}
-	}
-	e.out = mergeOrdered(q, lists)
+		return true
+	})
+	e.out = resultWindow(list, q.Offset, q.Limit)
 }
 
-// visitShard streams the shard's candidate documents for the plan through
-// yield (stop by returning false). The caller holds sh.mu.RLock. Index
-// candidates are checked against the residual predicate only; degraded
-// scans use the full predicate, since residual elision is sound only for
-// documents the index vouches for.
-func (e *executor) visitShard(sh *shard, yield func(*document.Document) bool) {
-	plan := e.plan
+// visit streams the plan's candidate documents that pass the residual
+// predicate through yield (stop by returning false). For a scan plan the
+// residual is the whole predicate.
+func (e *executor) visit(yield func(*document.Document) bool) {
+	t, plan := e.t, e.plan
 	if plan.Kind == query.PlanScan {
-		e.scanShard(sh, e.q.Predicate, yield)
-		return
-	}
-	ix, ok := sh.indexes[plan.Path]
-	if !ok {
-		// The index vanished between planning and execution (possible only
-		// around concurrent CreateIndex); degrade to scanning this shard.
-		e.scanShard(sh, e.q.Predicate, yield)
-		return
-	}
-	emitID := func(id string) bool {
-		d, ok := sh.docs[id]
-		if !ok {
-			return true
+		for _, d := range t.docs {
+			e.examined++
+			if e.residual.Matches(d.Fields) && !yield(d) {
+				return
+			}
 		}
+		return
+	}
+	ix := t.indexes[plan.Path]
+	emitID := func(id string) bool {
+		d := t.docs[id]
 		e.examined++
 		return !e.residual.Matches(d.Fields) || yield(d)
 	}
@@ -274,18 +226,6 @@ func (e *executor) visitShard(sh *shard, yield func(*document.Document) bool) {
 	}
 }
 
-// scanShard streams the shard's documents through pred directly off the
-// docs map — no intermediate id slice. The caller holds sh.mu (read or
-// write).
-func (e *executor) scanShard(sh *shard, pred query.Predicate, yield func(*document.Document) bool) {
-	for _, d := range sh.docs {
-		e.examined++
-		if pred.Matches(d.Fields) && !yield(d) {
-			return
-		}
-	}
-}
-
 // resultWindow applies OFFSET/LIMIT to an ordered result, returning nil
 // for an empty window.
 func resultWindow(docs []*document.Document, offset, limit int) []*document.Document {
@@ -304,10 +244,11 @@ func resultWindow(docs []*document.Document, offset, limit int) []*document.Docu
 	return docs
 }
 
-// mergeOrdered merges per-shard lists that are each sorted by q.Less into
-// the query's OFFSET/LIMIT window. With at most ShardsPerTable lists a
-// linear min-pick beats a heap.
-func mergeOrdered(q *query.Query, lists [][]*document.Document) []*document.Document {
+// MergeOrdered merges per-source lists that are each sorted by q.Less
+// into the query's global OFFSET/LIMIT window — the cross-shard gather
+// path (internal/cluster) merging per-shard cursor outputs. With one list
+// per shard a linear min-pick beats a heap.
+func MergeOrdered(q *query.Query, lists [][]*document.Document) []*document.Document {
 	total := 0
 	for _, l := range lists {
 		total += len(l)

@@ -80,40 +80,6 @@ func TestStreamingMatchesScanBaseline(t *testing.T) {
 	}
 }
 
-// TestStreamingDegradedShard pins the degrade path: when a shard's index
-// vanished between planning and execution (possible around a concurrent
-// CreateIndex), the executor must scan that shard with the FULL predicate —
-// residual elision is only sound for index-vouched candidates.
-func TestStreamingDegradedShard(t *testing.T) {
-	s := execStore(t, 300)
-	tab, err := s.table("docs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Strip the rank index from a few shards; the planner (table stats) still
-	// sees it and plans a range.
-	for _, sh := range tab.shards[:5] {
-		sh.mu.Lock()
-		delete(sh.indexes, "rank")
-		sh.mu.Unlock()
-	}
-	queries := []*query.Query{
-		query.New("docs", query.Gt("rank", int64(100))).Sorted(query.Asc("rank")).Sliced(0, 20),
-		query.New("docs", query.Gt("rank", int64(100))).Sorted(query.Desc("rank")),
-		query.New("docs", query.AndOf(query.Gte("rank", int64(50)), query.NotOf(query.Eq("color", "red")))).Sorted(query.Asc("rank")).Sliced(2, 10),
-	}
-	for _, q := range queries {
-		plan, err := s.Explain(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan.Kind != query.PlanRange {
-			t.Fatalf("%s: plan = %+v, want range (test setup broken)", q.Key(), plan)
-		}
-		queriesAgree(t, s, q)
-	}
-}
-
 func TestCursorSemantics(t *testing.T) {
 	s := execStore(t, 50)
 	q := query.New("docs", query.Eq("color", "red")).Sorted(query.Asc("rank")).Sliced(0, 3)
@@ -170,7 +136,7 @@ func TestMergeOrderedWindow(t *testing.T) {
 		return out
 	}
 	lists := [][]*document.Document{mk(1, 4, 7), mk(2, 5), mk(3)}
-	got := mergeOrdered(q, lists)
+	got := MergeOrdered(q, lists)
 	if len(got) != 3 {
 		t.Fatalf("merged %d docs, want 3", len(got))
 	}
@@ -180,7 +146,7 @@ func TestMergeOrderedWindow(t *testing.T) {
 		}
 	}
 	// Offset past the merged total yields nil.
-	if out := mergeOrdered(query.New("docs", nil).Sliced(10, 5), lists); out != nil {
+	if out := MergeOrdered(query.New("docs", nil).Sliced(10, 5), lists); out != nil {
 		t.Fatalf("offset past total = %v, want nil", out)
 	}
 }

@@ -126,17 +126,21 @@ func tombstoneOf(t *testing.T, s *Store, table, id string) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := tb.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return max(sh.verFloor, sh.tombs[id])
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	return max(tb.verFloor, tb.tombs[id])
 }
 
 // TestTombstonesAreBounded: id churn must not grow the store. Past
-// maxTombstones per shard the tombstones fold into the shard's floor —
+// maxTombstones per table the tombstones fold into the table's floor —
 // the exact continuation becomes a jump, and versions still never repeat.
+// The bound is what 16 lock stripes of 4 096 held before a table became
+// one lock: no table folds earlier than it used to.
 func TestTombstonesAreBounded(t *testing.T) {
-	s := MustOpen(&Options{ShardsPerTable: 1})
+	if maxTombstones != 65536 {
+		t.Fatalf("maxTombstones = %d, want 65536 per table", maxTombstones)
+	}
+	s := MustOpen(nil)
 	defer s.Close()
 	if err := s.CreateTable("docs"); err != nil {
 		t.Fatal(err)
@@ -158,12 +162,11 @@ func TestTombstonesAreBounded(t *testing.T) {
 		churn(fmt.Sprintf("k%05d", i))
 	}
 	tb, _ := s.table("docs")
-	sh := tb.shards[0]
-	sh.mu.RLock()
-	held, floor := len(sh.tombs), sh.verFloor
-	sh.mu.RUnlock()
+	tb.mu.RLock()
+	held, floor := len(tb.tombs), tb.verFloor
+	tb.mu.RUnlock()
 	if held > maxTombstones {
-		t.Errorf("shard holds %d tombstones, bound is %d", held, maxTombstones)
+		t.Errorf("table holds %d tombstones, bound is %d", held, maxTombstones)
 	}
 	if floor < 3 {
 		t.Errorf("floor = %d: the folded tombstones (v3) are forgotten", floor)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"quaestor/internal/document"
-	"quaestor/internal/index"
 	"quaestor/internal/wal"
 )
 
@@ -54,7 +53,7 @@ func (s *Store) IsReadOnly() bool { return s.readOnly.Load() }
 // because the replica re-applies the stream from the floor through the
 // idempotent apply path.
 //
-// Shard locks are held only while collecting document pointers (stored
+// Table locks are held only while collecting document pointers (stored
 // documents are copy-on-write: writers replace, never mutate, them), so
 // a slow receiver never blocks the write path.
 func (s *Store) ExportSnapshot(w io.Writer) (wal.SnapshotMeta, int, error) {
@@ -68,17 +67,8 @@ func (s *Store) ExportSnapshot(w io.Writer) (wal.SnapshotMeta, int, error) {
 	if err := sw.Meta(meta); err != nil {
 		return meta, 0, fmt.Errorf("store: exporting snapshot meta: %w", err)
 	}
-	for _, t := range tables {
-		for _, sh := range t.shards {
-			sh.mu.RLock()
-			docs := slices.Collect(maps.Values(sh.docs))
-			sh.mu.RUnlock()
-			for _, d := range docs {
-				if err := sw.Doc(t.name, d); err != nil {
-					return meta, sw.Docs(), fmt.Errorf("store: exporting snapshot: %w", err)
-				}
-			}
-		}
+	if err := writeDocs(tables, sw.Doc); err != nil {
+		return meta, sw.Docs(), fmt.Errorf("store: exporting snapshot: %w", err)
 	}
 	if err := sw.End(); err != nil {
 		return meta, sw.Docs(), fmt.Errorf("store: exporting snapshot: %w", err)
@@ -102,7 +92,7 @@ type ImportInfo struct {
 // the stream is applied into a shadow table set (indexes included) while
 // the old state keeps serving reads untouched, and only after the end
 // frame validates the transfer is the new state swapped in atomically
-// under the table lock. Concurrent readers therefore observe either the
+// under the store lock. Concurrent readers therefore observe either the
 // complete old state or the complete new state, never a mix; a
 // mid-stream error, a truncated transfer or a stale floor leaves the old
 // state fully intact. The sequence counter jumps to the snapshot's
@@ -166,11 +156,11 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 			}
 			meta = m
 			for _, tm := range m.Tables {
-				t := newTable(tm.Name, s.opts.ShardsPerTable)
-				t.raiseVersionFloor(tm.VersionFloor)
+				t := newTable(tm.Name)
+				t.verFloor = tm.VersionFloor
 				shadow[tm.Name] = t
 				for _, p := range tm.Indexes {
-					shadowIndex(t, p)
+					t.addIndex(p)
 				}
 			}
 			return nil
@@ -181,7 +171,7 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 			if !ok {
 				return fmt.Errorf("store: snapshot doc for undeclared table %q", tbl)
 			}
-			t.shardFor(doc.ID).swap(doc, false)
+			t.swap(doc, false)
 			return nil
 		})
 	if err != nil {
@@ -208,19 +198,16 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 	locals := maps.Clone(s.tables)
 	s.mu.RUnlock()
 	for name, lt := range locals {
-		lt.idxMu.RLock()
-		paths := append([]string(nil), lt.indexPaths...)
-		lt.idxMu.RUnlock()
 		nt, ok := shadow[name]
 		if !ok {
-			nt = newTable(name, s.opts.ShardsPerTable)
+			nt = newTable(name)
 			shadow[name] = nt
 		}
 		if !inMeta[name] {
 			localDDL = append(localDDL, wal.Record{Kind: wal.KindCreateTable, Table: name})
 		}
-		for _, p := range paths {
-			if shadowIndex(nt, p) {
+		for _, p := range lt.indexPaths() {
+			if nt.addIndex(p) {
 				localDDL = append(localDDL, wal.Record{Kind: wal.KindCreateIndex, Table: name, Path: p})
 			}
 		}
@@ -306,10 +293,7 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 	// instant can lose its in-memory postings until restart, but its DDL
 	// record lands in the fresh log either way.
 	for name, ot := range old {
-		ot.idxMu.RLock()
-		paths := append([]string(nil), ot.indexPaths...)
-		ot.idxMu.RUnlock()
-		for _, p := range paths {
+		for _, p := range ot.indexPaths() {
 			if err := s.CreateIndex(name, p); err != nil {
 				return ImportInfo{}, fmt.Errorf("store: re-installing index %s:%s after import: %w", name, p, err)
 			}
@@ -351,26 +335,6 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 	return info, nil
 }
 
-// shadowIndex installs a secondary index on a shadow table (private to
-// the import, so no locking), building it over any documents already
-// present. It reports whether the path was newly installed (false for
-// an existing one).
-func shadowIndex(t *table, path string) bool {
-	if slices.Contains(t.indexPaths, path) {
-		return false
-	}
-	t.indexPaths = append(t.indexPaths, path)
-	sort.Strings(t.indexPaths)
-	for _, sh := range t.shards {
-		ix := index.NewField(path)
-		for _, d := range sh.docs {
-			ix.Add(d)
-		}
-		sh.indexes[path] = ix
-	}
-	return true
-}
-
 // publishImportDiff diffs the replaced state against the imported one
 // and publishes the difference as synthetic events sequenced at the
 // snapshot floor: a Delete for every document that vanished inside the
@@ -391,36 +355,32 @@ func (s *Store) publishImportDiff(old, imported map[string]*table, floor uint64)
 	}
 	for name, ot := range old {
 		nt := imported[name] // never nil: the shadow set includes every local table
-		for _, osh := range ot.shards {
-			for id, odoc := range osh.docs {
-				ndoc := nt.lookupDoc(id)
-				switch {
-				case ndoc == nil:
-					emit(name, OpDelete, odoc, &document.Document{ID: id, Version: odoc.Version + 1})
-					dels++
-				// Version equality alone cannot prove identity across
-				// lineages: versions are unique per id within one primary's
-				// history, but the snapshot may come from a primary that
-				// never saw this node's tail (failover), where the same
-				// version can carry different content. Equal versions fall
-				// through to a content comparison.
-				case ndoc.Version != odoc.Version || !document.DeepEqual(odoc.Fields, ndoc.Fields):
-					emit(name, OpUpdate, odoc, ndoc)
-					puts++
-				}
+		for id, odoc := range ot.docs {
+			ndoc := nt.docs[id]
+			switch {
+			case ndoc == nil:
+				emit(name, OpDelete, odoc, &document.Document{ID: id, Version: odoc.Version + 1})
+				dels++
+			// Version equality alone cannot prove identity across
+			// lineages: versions are unique per id within one primary's
+			// history, but the snapshot may come from a primary that
+			// never saw this node's tail (failover), where the same
+			// version can carry different content. Equal versions fall
+			// through to a content comparison.
+			case ndoc.Version != odoc.Version || !document.DeepEqual(odoc.Fields, ndoc.Fields):
+				emit(name, OpUpdate, odoc, ndoc)
+				puts++
 			}
 		}
 	}
 	for name, nt := range imported {
 		ot := old[name]
-		for _, nsh := range nt.shards {
-			for id, ndoc := range nsh.docs {
-				if ot != nil && ot.lookupDoc(id) != nil {
-					continue // pre-existing: handled (or unchanged) above
-				}
-				emit(name, OpInsert, nil, ndoc)
-				puts++
+		for id, ndoc := range nt.docs {
+			if ot != nil && ot.docs[id] != nil {
+				continue // pre-existing: handled (or unchanged) above
 			}
+			emit(name, OpInsert, nil, ndoc)
+			puts++
 		}
 	}
 	s.pubMu.Lock()
@@ -448,12 +408,29 @@ func (s *Store) snapshotTablesMeta(floor uint64) ([]*table, wal.SnapshotMeta, er
 
 	meta := wal.SnapshotMeta{Seq: floor, CreatedAt: s.opts.Clock()}
 	for _, t := range tables {
-		t.idxMu.RLock()
-		paths := append([]string(nil), t.indexPaths...)
-		t.idxMu.RUnlock()
-		meta.Tables = append(meta.Tables, wal.TableMeta{Name: t.name, Indexes: paths, VersionFloor: t.versionFloor()})
+		t.mu.RLock()
+		meta.Tables = append(meta.Tables, wal.TableMeta{Name: t.name, Indexes: slices.Sorted(maps.Keys(t.indexes)), VersionFloor: t.maxTombstone()})
+		t.mu.RUnlock()
 	}
 	return tables, meta, nil
+}
+
+// writeDocs hands every document of tables to doc (a snapshot writer's
+// Doc). A table's read lock is held only while collecting its document
+// pointers: stored documents are copy-on-write, so they are written out
+// after releasing it and a slow disk or receiver never stalls writers.
+func writeDocs(tables []*table, doc func(table string, d *document.Document) error) error {
+	for _, t := range tables {
+		t.mu.RLock()
+		docs := slices.Collect(maps.Values(t.docs))
+		t.mu.RUnlock()
+		for _, d := range docs {
+			if err := doc(t.name, d); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // ApplyReplicated applies one ordered batch of replicated log records —
@@ -559,7 +536,7 @@ func (s *Store) ApplyReplicated(recs []wal.Record) (applied int, err error) {
 			} else if doc == nil {
 				return applied, fmt.Errorf("store: replicated put seq %d has no document", rec.Seq)
 			}
-			_, w, err := s.mutate(t, doc.ID, rec.Seq, func(*shard, *document.Document) (*document.Document, bool, error) {
+			_, w, err := s.mutate(t, doc.ID, rec.Seq, func(*table, *document.Document) (*document.Document, bool, error) {
 				return doc, deleted, nil // exactly as recorded
 			})
 			if err != nil {

@@ -1,16 +1,18 @@
-// Package store implements Quaestor's underlying database: an in-memory,
-// hash-sharded document store standing in for the paper's MongoDB cluster.
+// Package store implements Quaestor's underlying database: an in-memory
+// document store standing in for one node of the paper's MongoDB cluster.
 //
 // The store provides exactly the substrate surface Quaestor needs from its
 // database (Section 2 "Application model"): CRUD on rich nested documents,
 // evaluation of MongoDB-style queries, per-key monotonic writes, and a
 // change stream of write after-images that feeds the InvaliDB invalidation
-// pipeline. Documents are sharded by hashed primary key, mirroring the
-// paper's evaluation setup ("documents were sharded through their hashed
-// primary key").
+// pipeline. A table is one lock, one document map and one index per
+// indexed path. Partitioning by hashed primary key — the paper's
+// evaluation setup ("documents were sharded through their hashed primary
+// key") — happens one level up: internal/cluster routes across -shards N
+// stores, each with its own WAL and pipeline.
 //
-// There is one write path: every document change goes through one shard
-// mutation (shard.swap, via Store.mutate on a live store) and takes its
+// There is one write path: every document change goes through one table
+// mutation (table.swap, via Store.mutate on a live store) and takes its
 // place in the write order in one stamp section (Store.stamp), which
 // makes queue order Seq order by construction — the WAL committer's hook
 // and the in-memory flush append their batches to the commit pipeline as
@@ -21,10 +23,8 @@ package store
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,8 +68,6 @@ const (
 // Deleted is true.
 type ChangeEvent = commitlog.Event
 
-const defaultShards = 16
-
 // Durability tunes the write-ahead log of a store opened with a DataDir.
 type Durability struct {
 	// Fsync selects the fsync policy (default wal.FsyncAlways).
@@ -83,9 +81,6 @@ type Durability struct {
 
 // Options configures a Store.
 type Options struct {
-	// ShardsPerTable is the number of hash partitions per table
-	// (default 16). More shards reduce write contention.
-	ShardsPerTable int
 	// ChangeBuffer sizes the commit pipeline's fan-out ring (the events
 	// retained for subscriber catch-up) and each flat subscription's
 	// channel buffer (default 1024).
@@ -111,12 +106,9 @@ type Options struct {
 }
 
 func (o *Options) withDefaults() Options {
-	out := Options{ShardsPerTable: defaultShards, ChangeBuffer: 1024, ReplayBuffer: 4096, Clock: time.Now}
+	out := Options{ChangeBuffer: 1024, ReplayBuffer: 4096, Clock: time.Now}
 	if o == nil {
 		return out
-	}
-	if o.ShardsPerTable > 0 {
-		out.ShardsPerTable = o.ShardsPerTable
 	}
 	if o.ChangeBuffer > 0 {
 		out.ChangeBuffer = o.ChangeBuffer
@@ -133,7 +125,8 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Store is a sharded, thread-safe document database.
+// Store is a thread-safe document database: one node's tables, write
+// order and change stream.
 type Store struct {
 	opts Options
 
@@ -152,7 +145,7 @@ type Store struct {
 	// pipeline is the fan-out log all change-stream consumers subscribe
 	// to. pubMu serializes its three appenders — the WAL committer's
 	// hook, flush and the snapshot import's synthetic diff — and is never
-	// taken with a shard lock or stampMu held. spare is flush's second
+	// taken with a table lock or stampMu held. spare is flush's second
 	// outbox buffer.
 	pubMu    sync.Mutex
 	pipeline *commitlog.Log
@@ -176,90 +169,111 @@ type Store struct {
 	readOnly atomic.Bool
 }
 
+// table is one lock over one document map, its tombstones and one
+// secondary index per indexed path.
 type table struct {
-	name   string
-	shards []*shard
+	name string
 
-	// idxMu guards indexPaths, the list of secondary-indexed field paths.
-	// The per-shard index structures themselves live in the shards and are
-	// guarded by the shard locks.
-	idxMu      sync.RWMutex
-	indexPaths []string
-}
-
-type shard struct {
+	// mu guards every field below. Writes hold it for one swap; a query
+	// holds the read lock from planning to its last emitted candidate, so
+	// the index a plan names exists and is exactly consistent with docs.
 	mu   sync.RWMutex
 	docs map[string]*document.Document
 	// tombs remembers the tombstone version of each id deleted from this
-	// shard and not re-created since; a document created under such an id
+	// table and not re-created since; a document created under such an id
 	// continues from it, so an id's versions never repeat across a delete
 	// and (id, version) — the record ETag, and what a query ETag hashes —
 	// names one content for the life of the table. The map is bounded:
 	// at maxTombstones it is folded into verFloor, the version every new
-	// document of this shard starts above, which trades the exact
+	// document of this table starts above, which trades the exact
 	// continuation for a jump and never the guarantee. Both are raised
 	// inside the deleting write's critical section, which orders them
 	// before any re-creation of the id.
 	tombs    map[string]int64
 	verFloor int64
-	// indexes maps field path → secondary index over this shard's
-	// documents. Maintained inside every write's critical section, so an
-	// index is always exactly consistent with docs under the shard lock.
+	// indexes maps field path → secondary index over docs, maintained
+	// inside every write's critical section.
 	indexes map[string]*index.Field
 }
 
-// maxTombstones bounds shard.tombs (per shard of a table).
-const maxTombstones = 4096
+// maxTombstones bounds table.tombs.
+const maxTombstones = 65536
 
-// bury records id's tombstone version. Caller holds sh.mu.
-func (sh *shard) bury(id string, version int64) {
-	if len(sh.tombs) >= maxTombstones {
-		sh.verFloor = sh.maxTombstone()
-		clear(sh.tombs)
+func newTable(name string) *table {
+	return &table{name: name, docs: map[string]*document.Document{}, tombs: map[string]int64{}, indexes: map[string]*index.Field{}}
+}
+
+// bury records id's tombstone version. Caller holds t.mu.
+func (t *table) bury(id string, version int64) {
+	if len(t.tombs) >= maxTombstones {
+		t.verFloor = t.maxTombstone()
+		clear(t.tombs)
 	}
-	sh.tombs[id] = version
+	t.tombs[id] = version
 }
 
 // firstVersion returns the version a document created under id starts
-// at — 1 for an id this shard never held. Caller holds sh.mu.
-func (sh *shard) firstVersion(id string) int64 {
-	return max(sh.verFloor, sh.tombs[id]) + 1
+// at — 1 for an id this table never held. Caller holds t.mu.
+func (t *table) firstVersion(id string) int64 {
+	return max(t.verFloor, t.tombs[id]) + 1
 }
 
-// maxTombstone returns the highest version verFloor and tombs hold.
-// Caller holds sh.mu.
-func (sh *shard) maxTombstone() int64 {
-	v := sh.verFloor
-	for _, t := range sh.tombs {
-		v = max(v, t)
+// maxTombstone returns the highest version verFloor and tombs hold — the
+// one number a snapshot carries (wal.TableMeta) in place of the
+// tombstones. Caller holds t.mu.
+func (t *table) maxTombstone() int64 {
+	v := t.verFloor
+	for _, tomb := range t.tombs {
+		v = max(v, tomb)
 	}
 	return v
 }
 
-// swap is the one shard mutation: it replaces the document stored under
+// swap is the one table mutation: it replaces the document stored under
 // next.ID with next — or, when deleted, removes it and buries next.Version
 // as the id's tombstone — keeping every secondary index exact. Live
 // writes, recovery, replica apply and snapshot import all go through it.
 // next is stored as is (copy-on-write: never mutated again). Caller holds
-// sh.mu, or owns the shard outright.
-func (sh *shard) swap(next *document.Document, deleted bool) {
+// t.mu, or owns the table outright.
+func (t *table) swap(next *document.Document, deleted bool) {
 	id := next.ID
-	if prev, ok := sh.docs[id]; ok {
-		for _, ix := range sh.indexes {
+	if prev, ok := t.docs[id]; ok {
+		for _, ix := range t.indexes {
 			ix.Remove(prev)
 		}
 	}
 	if deleted {
-		delete(sh.docs, id)
-		sh.bury(id, next.Version)
+		delete(t.docs, id)
+		t.bury(id, next.Version)
 		return
 	}
 	// A live document carries the id's version count from here on.
-	delete(sh.tombs, id)
-	sh.docs[id] = next
-	for _, ix := range sh.indexes {
+	delete(t.tombs, id)
+	t.docs[id] = next
+	for _, ix := range t.indexes {
 		ix.Add(next)
 	}
+}
+
+// addIndex installs an index on path built over the current documents and
+// reports whether it is new. Caller holds t.mu, or owns the table.
+func (t *table) addIndex(path string) bool {
+	if _, ok := t.indexes[path]; ok {
+		return false
+	}
+	ix := index.NewField(path)
+	for _, d := range t.docs {
+		ix.Add(d)
+	}
+	t.indexes[path] = ix
+	return true
+}
+
+// indexPaths returns the sorted indexed field paths.
+func (t *table) indexPaths() []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return slices.Sorted(maps.Keys(t.indexes))
 }
 
 // Open creates a store. A nil opts uses defaults (in-memory). When
@@ -347,18 +361,8 @@ func (s *Store) createTable(name string) (created bool, err error) {
 	if _, ok := s.tables[name]; ok {
 		return false, nil
 	}
-	s.tables[name] = newTable(name, s.opts.ShardsPerTable)
+	s.tables[name] = newTable(name)
 	return true, nil
-}
-
-// newTable builds an empty table with the given shard count — shared by
-// createTable and the snapshot import's shadow table set.
-func newTable(name string, shards int) *table {
-	t := &table{name: name, shards: make([]*shard, shards)}
-	for i := range t.shards {
-		t.shards[i] = &shard{docs: map[string]*document.Document{}, tombs: map[string]int64{}, indexes: map[string]*index.Field{}}
-	}
-	return t
 }
 
 // Tables returns the sorted table names.
@@ -381,60 +385,25 @@ func (s *Store) table(name string) (*table, error) {
 	return t, nil
 }
 
-func (t *table) shardFor(id string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return t.shards[h.Sum32()%uint32(len(t.shards))]
-}
-
-// versionFloor returns the highest tombstone version any delete in t has
-// produced (every shard's floor and remembered tombstones). A snapshot
-// carries this one number (wal.TableMeta) in place of the tombstones.
-func (t *table) versionFloor() int64 {
-	var floor int64
-	for _, sh := range t.shards {
-		sh.mu.RLock()
-		floor = max(floor, sh.maxTombstone())
-		sh.mu.RUnlock()
-	}
-	return floor
-}
-
-// raiseVersionFloor lifts every shard's floor to at least v. Only for
-// tables not yet shared (recovery, a snapshot import's shadow set).
-func (t *table) raiseVersionFloor(v int64) {
-	for _, sh := range t.shards {
-		sh.verFloor = max(sh.verFloor, v)
-	}
-}
-
-// lookupDoc returns the stored document (not a copy) or nil. Lock-free:
-// only valid on table sets with no concurrent doc writer, i.e. the
-// snapshot import's old/imported sets under the single-applier contract.
-func (t *table) lookupDoc(id string) *document.Document {
-	return t.shardFor(id).docs[id]
-}
-
 // decideFunc is the part of a document write that differs between paths:
 // given the document stored under the id (nil when absent) it returns
 // what to store in its place — with deleted set, the tombstone {ID,
-// Version} to leave — or an error that leaves the shard untouched.
-type decideFunc func(sh *shard, prev *document.Document) (next *document.Document, deleted bool, err error)
+// Version} to leave — or an error that leaves the table untouched.
+type decideFunc func(t *table, prev *document.Document) (next *document.Document, deleted bool, err error)
 
 // mutate is the one way a document changes on an open store. Under the
-// id's shard lock it asks decide for the outcome, encodes the WAL record
-// (an unencodable document fails here, before anything changed), swaps
-// the stored document and stamps the event — at the next Seq, or at seq
-// when a replica replays its primary's. The event carries the stored
+// table lock it asks decide for the outcome, encodes the WAL record (an
+// unencodable document fails here, before anything changed), swaps the
+// stored document and stamps the event — at the next Seq, or at seq when
+// a replica replays its primary's. The event carries the stored
 // copy-on-write documents themselves; nothing is cloned for consumers.
-// Stamping inside the shard critical section makes the per-key order of
-// Seqs (and of log records) the order the shard lock serialized.
+// Stamping inside the table's critical section makes the per-key order of
+// Seqs (and of log records) the order the table lock serialized.
 func (s *Store) mutate(t *table, id string, seq uint64, decide decideFunc) (*document.Document, *wal.Waiter, error) {
-	sh := t.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	prev := sh.docs[id]
-	next, deleted, err := decide(sh, prev)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	prev := t.docs[id]
+	next, deleted, err := decide(t, prev)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -448,7 +417,7 @@ func (s *Store) mutate(t *table, id string, seq uint64, decide decideFunc) (*doc
 	if err != nil {
 		return nil, nil, err
 	}
-	sh.swap(next, deleted)
+	t.swap(next, deleted)
 	return next, s.stamp(pev, seq, entry), nil
 }
 
@@ -488,17 +457,16 @@ func (s *Store) Get(tableName, id string) (*document.Document, error) {
 // read-only consumers (the response encoder). It is shared store state
 // under the copy-on-write contract Cursor.NextShared documents: writers
 // replace stored documents, never mutate them, so the pointer stays
-// internally immutable after the shard lock is released — and the caller
+// internally immutable after the table lock is released — and the caller
 // must treat it as immutable too.
 func (s *Store) GetShared(tableName, id string) (*document.Document, error) {
 	t, err := s.table(tableName)
 	if err != nil {
 		return nil, err
 	}
-	sh := t.shardFor(id)
-	sh.mu.RLock()
-	doc, ok := sh.docs[id]
-	sh.mu.RUnlock()
+	t.mu.RLock()
+	doc, ok := t.docs[id]
+	t.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
 	}
@@ -507,7 +475,7 @@ func (s *Store) GetShared(tableName, id string) (*document.Document, error) {
 
 // Put replaces a document's fields wholesale, creating it if absent
 // (upsert). The version increments; per-key monotonic writes follow from
-// the shard lock serializing writers.
+// the table lock serializing writers.
 func (s *Store) Put(tableName string, doc *document.Document) error {
 	return s.put(tableName, doc, false)
 }
@@ -520,10 +488,10 @@ func (s *Store) put(tableName string, doc *document.Document, mustBeNew bool) er
 		return ErrEmptyID
 	}
 	stored := doc.Clone()
-	_, err := s.write(tableName, doc.ID, func(sh *shard, prev *document.Document) (*document.Document, bool, error) {
+	_, err := s.write(tableName, doc.ID, func(t *table, prev *document.Document) (*document.Document, bool, error) {
 		switch {
 		case prev == nil:
-			stored.Version = sh.firstVersion(doc.ID)
+			stored.Version = t.firstVersion(doc.ID)
 		case mustBeNew:
 			return nil, false, fmt.Errorf("%w: %s/%s", ErrExists, tableName, doc.ID)
 		default:
@@ -554,7 +522,7 @@ type UpdateSpec struct {
 // Update applies a partial update and returns the after-image (the
 // caller's own copy).
 func (s *Store) Update(tableName, id string, spec UpdateSpec) (*document.Document, error) {
-	after, err := s.write(tableName, id, func(_ *shard, prev *document.Document) (*document.Document, bool, error) {
+	after, err := s.write(tableName, id, func(_ *table, prev *document.Document) (*document.Document, bool, error) {
 		if prev == nil {
 			return nil, false, fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
 		}
@@ -645,7 +613,7 @@ func applySpec(doc *document.Document, spec UpdateSpec) error {
 
 // Delete removes a document, returning ErrNotFound if absent.
 func (s *Store) Delete(tableName, id string) error {
-	_, err := s.write(tableName, id, func(_ *shard, prev *document.Document) (*document.Document, bool, error) {
+	_, err := s.write(tableName, id, func(_ *table, prev *document.Document) (*document.Document, bool, error) {
 		if prev == nil {
 			return nil, false, fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
 		}
@@ -656,9 +624,10 @@ func (s *Store) Delete(tableName, id string) error {
 
 // CreateIndex builds a secondary index over a dotted field path and keeps
 // it maintained by every subsequent write. Creating an existing index is a
-// no-op. The build takes each shard's write lock in turn, so it is exactly
-// consistent with concurrent writes without stopping the world. On durable
-// stores the index definition is logged, so restart rebuilds it.
+// no-op. The build holds the table's write lock, so the index is exactly
+// consistent with concurrent writes and a query sees either no index or
+// the finished one. On durable stores the index definition is logged, so
+// restart rebuilds it.
 func (s *Store) CreateIndex(tableName, path string) error {
 	added, err := s.buildIndex(tableName, path)
 	if err != nil || !added {
@@ -707,27 +676,9 @@ func (s *Store) buildIndex(tableName, path string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	t.idxMu.Lock()
-	if slices.Contains(t.indexPaths, path) {
-		t.idxMu.Unlock()
-		return false, nil
-	}
-	t.indexPaths = append(t.indexPaths, path)
-	sort.Strings(t.indexPaths)
-	t.idxMu.Unlock()
-
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		if _, ok := sh.indexes[path]; !ok {
-			ix := index.NewField(path)
-			for _, d := range sh.docs {
-				ix.Add(d)
-			}
-			sh.indexes[path] = ix
-		}
-		sh.mu.Unlock()
-	}
-	return true, nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.addIndex(path), nil
 }
 
 // Indexes returns the sorted indexed field paths of a table.
@@ -736,58 +687,21 @@ func (s *Store) Indexes(tableName string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.idxMu.RLock()
-	defer t.idxMu.RUnlock()
-	return append([]string(nil), t.indexPaths...), nil
+	return t.indexPaths(), nil
 }
 
-// IndexStats implements query.Catalog by aggregating per-shard statistics.
+// IndexStats implements query.Catalog. Caller holds t.mu.
 func (t *table) IndexStats(path string) (query.IndexStats, bool) {
-	t.idxMu.RLock()
-	known := slices.Contains(t.indexPaths, path)
-	t.idxMu.RUnlock()
-	if !known {
+	ix, ok := t.indexes[path]
+	if !ok {
 		return query.IndexStats{}, false
 	}
-	// Distinct counts are not additive across shards: a value present in k
-	// shards would be counted k times, deflating the bucket estimate. Sum
-	// the per-shard expected bucket sizes instead (a value present in a
-	// shard contributes that shard's docs/distinct on average) and derive a
-	// global distinct count consistent with it.
-	var docs int
-	var estRows float64
-	for _, sh := range t.shards {
-		sh.mu.RLock()
-		if ix, ok := sh.indexes[path]; ok {
-			s := ix.Stats()
-			docs += s.Docs
-			if s.Distinct > 0 {
-				estRows += float64(s.Docs) / float64(s.Distinct)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	st := query.IndexStats{Docs: docs, Distinct: docs}
-	if estRows >= 1 {
-		if d := int(float64(docs) / estRows); d >= 1 {
-			st.Distinct = d
-		} else {
-			st.Distinct = 1
-		}
-	}
-	return st, true
+	st := ix.Stats()
+	return query.IndexStats{Docs: st.Docs, Distinct: st.Distinct}, true
 }
 
-// TableDocs implements query.Catalog.
-func (t *table) TableDocs() int {
-	n := 0
-	for _, sh := range t.shards {
-		sh.mu.RLock()
-		n += len(sh.docs)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+// TableDocs implements query.Catalog. Caller holds t.mu.
+func (t *table) TableDocs() int { return len(t.docs) }
 
 // Query evaluates q against its table and returns deep copies of the
 // matching documents in the query's order. Reads route through the
@@ -836,15 +750,13 @@ func (s *Store) ScanQuery(q *query.Query) ([]*document.Document, error) {
 		return nil, err
 	}
 	var candidates []*document.Document
-	for _, sh := range t.shards {
-		sh.mu.RLock()
-		for _, d := range sh.docs {
-			if q.Matches(d) {
-				candidates = append(candidates, d.Clone())
-			}
+	t.mu.RLock()
+	for _, d := range t.docs {
+		if q.Matches(d) {
+			candidates = append(candidates, d.Clone())
 		}
-		sh.mu.RUnlock()
 	}
+	t.mu.RUnlock()
 	return q.Apply(candidates), nil
 }
 
@@ -857,11 +769,20 @@ func (s *Store) Explain(q *query.Query) (query.Plan, error) {
 	if err != nil {
 		return query.Plan{}, err
 	}
+	t.mu.RLock()
+	plan, _ := t.plan(q)
+	t.mu.RUnlock()
+	return plan, nil
+}
+
+// plan chooses q's access plan, execution strategy and residual
+// predicate. Caller holds t.mu.
+func (t *table) plan(q *query.Query) (query.Plan, query.Predicate) {
 	plan := query.BuildPlan(q, t)
-	_, elided := query.Residual(q.Predicate, plan)
+	residual, elided := query.Residual(q.Predicate, plan)
 	plan.Strategy = query.ChooseStrategy(q, plan)
 	plan.ElidedConjuncts = elided
-	return plan, nil
+	return plan, residual
 }
 
 // Count returns the number of documents in a table.
@@ -870,7 +791,9 @@ func (s *Store) Count(tableName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return t.TableDocs(), nil
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.docs), nil
 }
 
 // encode prepares ev's WAL record — everything but its Seq — on durable
@@ -945,7 +868,7 @@ func (s *Store) commit(w *wal.Waiter) error {
 
 // flush publishes the outbox. Flushers serialize on pubMu and each takes
 // everything stamped so far, so batches reach the pipeline in Seq order.
-// Called with no shard lock held: Append blocks while a Block subscriber
+// Called with no table lock held: Append blocks while a Block subscriber
 // is a full ring behind.
 func (s *Store) flush() {
 	s.pubMu.Lock()

@@ -2,7 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
+
+	"quaestor/internal/document"
 )
 
 // sameRecord compares two decoded records field by field (documents by
@@ -21,9 +26,10 @@ func sameRecord(a, b *Record) bool {
 // recovery does with whatever a crash left on disk. It must never panic,
 // never claim a valid prefix longer than its input, and every record it
 // does return must survive the writer: re-encoded with appendFrame it
-// scans back as the same record. Seeded from the torn-tail tests, plus a
-// put frame in the pre-PR-16 layout ("seq" first) so segments written
-// before Seq moved to the end of the payload keep recovering.
+// scans back as the same record. Seeded from the torn-tail tests, a put
+// frame in the pre-PR-16 layout ("seq" first) so segments written before
+// Seq moved to the end of the payload keep recovering, and a header that
+// claims far more bytes than follow.
 func FuzzScanSegment(f *testing.F) {
 	var seg []byte
 	for _, rec := range []Record{
@@ -43,6 +49,7 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add(seg[:len(seg)-3])                                                                // crash mid-append
 	f.Add(append(seg[:len(seg):len(seg)], "\x10\x00\x00\x00garbage-without-valid-crc"...)) // garbage tail
 	f.Add(oldLayout)
+	f.Add(lyingFrame())
 	f.Add([]byte{})
 
 	f.Add([]byte(`{"seq":9,"kind":"put","table":"t","doc":{"_id":"a","_version":1,"x":[1,2.5,"s",null,{"y":true}]}}`))
@@ -54,6 +61,50 @@ func FuzzScanSegment(f *testing.F) {
 		// that is what reaches the record decoder.
 		checkScan(t, AppendFrame(nil, data))
 	})
+}
+
+// lyingFrame is a frame header claiming 200 MiB followed by 1 KiB — what
+// a corrupt or cut-short transfer hands a replica.
+func lyingFrame() []byte {
+	frame := make([]byte, frameHeaderSize+1<<10)
+	binary.LittleEndian.PutUint32(frame, 200<<20)
+	return frame
+}
+
+// TestFrameHeaderDoesNotSetAllocation: the length in a frame header is a
+// claim the bytes that follow have to back. Every reader of a framed
+// stream — the frame iterator segment export uses, the record scanner
+// replicas catch up through, the snapshot decoder a replica bootstraps
+// from — reports the short frame as torn without allocating what the
+// header claimed.
+func TestFrameHeaderDoesNotSetAllocation(t *testing.T) {
+	readers := map[string]func([]byte) error{
+		"FrameReader": func(b []byte) error {
+			_, err := NewFrameReader(bytes.NewReader(b)).Next()
+			return err
+		},
+		"ScanReader": func(b []byte) error {
+			return ScanReader(bytes.NewReader(b), func(*Record) error { return nil })
+		},
+		"ReadSnapshotStream": func(b []byte) error {
+			return ReadSnapshotStream(bytes.NewReader(b),
+				func(SnapshotMeta) error { return nil },
+				func(string, *document.Document) error { return nil })
+		},
+	}
+	frame := lyingFrame()
+	for name, read := range readers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read(frame)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTorn) {
+			t.Errorf("%s: err = %v, want ErrTorn", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+			t.Errorf("%s allocated %d bytes for a 1 KiB frame body", name, alloc)
+		}
+	}
 }
 
 func checkScan(t *testing.T, data []byte) {

@@ -78,6 +78,11 @@ const frameHeaderSize = 8
 // headers; no single document approaches this.
 const maxFrameSize = 256 << 20
 
+// frameChunk is what a frame's payload buffer starts at: a header's
+// length is a claim, not a fact, so the reader allocates at most this much
+// before bytes arrive and grows only as they do.
+const frameChunk = 64 << 10
+
 // Framing errors. ErrTorn marks a frame that is incomplete or fails its
 // checksum — expected at the tail of the last segment after a crash,
 // corruption anywhere else.
@@ -200,7 +205,11 @@ type frameReader struct {
 }
 
 // nextPayload reads one frame's payload. It returns ErrTorn for an
-// incomplete or corrupt frame and io.EOF at a clean end of stream.
+// incomplete or corrupt frame and io.EOF at a clean end of stream. A
+// frame up to frameChunk costs one allocation; a longer one doubles its
+// buffer as bytes arrive, so a corrupt or truncated stream (a replica's
+// snapshot or segment transfer cut short) holds a buffer of at most
+// frameChunk or twice what it delivered, never what its header claimed.
 func (fr *frameReader) nextPayload() ([]byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
@@ -209,14 +218,22 @@ func (fr *frameReader) nextPayload() ([]byte, error) {
 		}
 		return nil, ErrTorn // header cut mid-write
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	sum := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > maxFrameSize {
 		return nil, ErrTorn
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return nil, ErrTorn
+	payload := make([]byte, min(n, frameChunk))
+	for have := 0; ; {
+		if _, err := io.ReadFull(fr.r, payload[have:]); err != nil {
+			return nil, ErrTorn
+		}
+		if len(payload) == n {
+			break
+		}
+		have = len(payload)
+		next := min(n, 2*have)
+		payload = slices.Grow(payload, next-have)[:next]
 	}
 	if crc32.Checksum(payload, castagnoli) != sum {
 		return nil, ErrTorn
