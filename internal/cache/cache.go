@@ -208,8 +208,8 @@ func (c *Cache) Purge(key string) bool {
 }
 
 // Invalidate removes an entry regardless of kind. Clients use this on their
-// *own* browser cache (e.g. after their own writes for read-your-writes);
-// it is not a server-side purge.
+// *own* browser cache (after their own writes, whose next read goes to the
+// origin); it is not a server-side purge.
 func (c *Cache) Invalidate(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

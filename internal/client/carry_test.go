@@ -20,9 +20,7 @@ import (
 )
 
 // Safety tests for the whitelist carried across EBF renewals: a fake clock
-// shared by a real httptest origin and the SDK sessions, writes applied at
-// the origin directly (a session's own writes are served from its
-// read-your-writes buffer and would prove nothing).
+// shared by a real httptest origin and the SDK sessions.
 
 func (w *wire) setFront(front func(rw http.ResponseWriter, r *http.Request) bool) {
 	w.mu.Lock()
@@ -93,10 +91,12 @@ func (w *wire) settle(t *testing.T) {
 }
 
 // deltaBoundRun drives 3 sessions over 6 records in 2 tables through a
-// random schedule of reads (and, with queries, one query per table), origin
-// writes and clock steps, and checks Δ-atomicity on every answer: a read at
-// time t returns at least the version that was current at t − Δ. It returns
-// the number of /v1/db exchanges the sessions needed.
+// random schedule of reads (and, with queries, one query per table), writes
+// and clock steps, and checks Δ-atomicity on every answer: a read at time t
+// returns at least the version that was current at t − Δ. About a third of
+// the writes are a session's own Update; no record read of that session
+// may return less than its newest acknowledged write (read-your-writes). It
+// returns the number of /v1/db exchanges the sessions needed.
 func deltaBoundRun(t *testing.T, seed int64, queries, oldServer bool) int {
 	const (
 		delta    = time.Second
@@ -125,8 +125,10 @@ func deltaBoundRun(t *testing.T, seed int64, queries, oldServer bool) int {
 		}
 	}
 	var clients []*Client
+	own := make([]map[record]int64, sessions) // newest acked write per session
 	for i := 0; i < sessions; i++ {
 		clients = append(clients, w.dial(t))
+		own[i] = map[record]int64{}
 	}
 	check := func(step int, what string, r record, got int64) {
 		t.Helper()
@@ -146,7 +148,17 @@ func deltaBoundRun(t *testing.T, seed int64, queries, oldServer bool) int {
 		r := records[rng.Intn(len(records))]
 		switch p := rng.Intn(100); {
 		case p < 10:
-			version := w.update(t, r.table, r.id, step)
+			var version int64
+			if s := rng.Intn(3 * sessions); s < sessions {
+				doc, err := clients[s].Update(r.table, r.id, store.UpdateSpec{Set: map[string]any{"n": step}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				version = doc.Version
+				own[s][r] = version
+			} else {
+				version = w.update(t, r.table, r.id, step)
+			}
 			history[r] = append(history[r], written{w.clk.Now().Sub(start), version})
 			if queries {
 				w.settle(t)
@@ -165,11 +177,15 @@ func deltaBoundRun(t *testing.T, seed int64, queries, oldServer bool) int {
 				check(step, "a query", record{r.table, d.ID}, d.Version)
 			}
 		default:
-			doc, err := clients[rng.Intn(sessions)].Read(r.table, r.id)
+			s := rng.Intn(sessions)
+			doc, err := clients[s].Read(r.table, r.id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check(step, "a read", r, doc.Version)
+			if doc.Version < own[s][r] {
+				t.Fatalf("seed %d step %d: session %d read %s/%s v%d below its own acked write v%d", seed, step, s, r.table, r.id, doc.Version, own[s][r])
+			}
 		}
 	}
 	var carried, uncovered uint64
@@ -185,9 +201,11 @@ func deltaBoundRun(t *testing.T, seed int64, queries, oldServer bool) int {
 
 // TestDeltaBoundProperty is the referee of the carried whitelist: over 30
 // random schedules, with records alone and with one query per table, every
-// answer is within Δ. The first five schedules also run against an origin
-// that does not say what it flagged since the last poll, so that every
-// renewal clears (the paper's rule): within Δ as well, at more exchanges.
+// answer is within Δ and every record read at or above the reading
+// session's own acknowledged writes. The first five schedules also run
+// against an origin that does not say what it flagged since the last poll,
+// so that every renewal clears (the paper's rule): within Δ as well, at
+// more exchanges.
 func TestDeltaBoundProperty(t *testing.T) {
 	seeds, twins := int64(30), int64(5)
 	if testing.Short() {
@@ -210,6 +228,34 @@ func TestDeltaBoundProperty(t *testing.T) {
 				t.Errorf("carrying the whitelist cost %d exchanges, clearing it %d: want fewer", carry, clearing)
 			}
 		})
+	}
+}
+
+// TestOwnWriteDoesNotOutliveDelta: session A writes p1 and reads it back,
+// session B overwrites it, and ten Δ later A reads B's write — a session's
+// own write is bounded by Δ like any other cached copy.
+func TestOwnWriteDoesNotOutliveDelta(t *testing.T) {
+	w := newWire(t)
+	a, b := w.dial(t), w.dial(t)
+	if err := a.Put("posts", document.New("p1", map[string]any{"by": "a"})); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := a.Read("posts", "p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if by, _ := doc.Get("by"); by != "a" || doc.Version != 1 {
+		t.Fatalf("A read its own write as by=%v v%d, want by=a v1", by, doc.Version)
+	}
+	if err := b.Put("posts", document.New("p1", map[string]any{"by": "b"})); err != nil {
+		t.Fatal(err)
+	}
+	w.clk.Advance(10 * time.Second)
+	if doc, err = a.Read("posts", "p1"); err != nil {
+		t.Fatal(err)
+	}
+	if by, _ := doc.Get("by"); by != "b" || doc.Version != 2 {
+		t.Errorf("10 Δ after B's write A read by=%v v%d, want by=b v2", by, doc.Version)
 	}
 }
 

@@ -79,22 +79,55 @@ func TestInsertReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadYourWrites: a session's read of its own write is answered by the
+// origin, once, with the stored document; the copy it caches then serves
+// the next read.
 func TestReadYourWrites(t *testing.T) {
 	s := newStack(t, nil)
-	c := s.dial(t, nil)
+	c := s.dial(t, &Options{RefreshInterval: time.Hour})
 	if err := c.Insert("posts", document.New("p1", map[string]any{"v": 1})); err != nil {
 		t.Fatal(err)
 	}
-	before := c.Stats().NetworkRequests
+	stored, err := s.db.Get("posts", "p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
 	got, err := c.Read("posts", "p1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := got.Get("v"); v != int64(1) {
-		t.Errorf("v = %v", v)
+	if v, _ := got.Get("v"); v != int64(1) || got.Version != stored.Version {
+		t.Errorf("read v=%v at version %d, want v=1 at the stored version %d", v, got.Version, stored.Version)
 	}
-	if c.Stats().NetworkRequests != before {
-		t.Error("read-your-writes should not hit the network")
+	st := c.Stats()
+	if n := st.NetworkRequests - before.NetworkRequests; n != 1 || st.Revalidations-before.Revalidations != 1 {
+		t.Errorf("the read of the session's own write cost %d exchanges (%d revalidations), want one revalidation", n, st.Revalidations-before.Revalidations)
+	}
+	if _, err := c.Read("posts", "p1"); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().NetworkRequests != st.NetworkRequests {
+		t.Error("the second read went to the network: the first did not cache the write")
+	}
+}
+
+// TestReadAfterPutReturnsStoredVersion: a record put twice reads back as
+// the version the store holds, not as the document the session sent.
+func TestReadAfterPutReturnsStoredVersion(t *testing.T) {
+	s := newStack(t, nil)
+	c := s.dial(t, nil)
+	for i := 1; i <= 2; i++ {
+		if err := c.Put("posts", document.New("p1", map[string]any{"v": i})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := c.Read("posts", "p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := got.Get("v"); v != int64(2) || got.Version != 2 {
+		t.Errorf("read v=%v at version %d, want v=2 at the stored version 2", v, got.Version)
 	}
 }
 
@@ -215,9 +248,9 @@ func TestQueryObjectListCachesMembers(t *testing.T) {
 	if res.Representation != ttl.ObjectList || len(res.Docs) != 3 || res.RoundTrips != 1 {
 		t.Fatalf("result = %+v", res)
 	}
-	// Members are individually cached: reading one is a local hit. (Reads
-	// of own writes are served from the session buffer, so read as a
-	// different doc owner: clear own-writes via a fresh client.)
+	// Members are individually cached: reading one is a local hit. (The
+	// first read of a session's own write revalidates at the origin, so
+	// read from a fresh client that wrote nothing.)
 	c2 := s.dial(t, &Options{RefreshInterval: time.Hour})
 	if _, err := c2.Query(q); err != nil {
 		t.Fatal(err)

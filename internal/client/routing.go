@@ -85,9 +85,8 @@ func (e *endpointState) score() float64 {
 }
 
 // TierCounts attributes served record reads to the tier that answered:
-// the primary, a replica, or the client's own cache (including the
-// read-your-writes buffer). The measured basis for "absorbed by the
-// cache hierarchy" claims.
+// the primary, a replica, or the client's own browser cache. The measured
+// basis for "absorbed by the cache hierarchy" claims.
 type TierCounts struct {
 	Primary     uint64
 	Replica     uint64
@@ -289,25 +288,6 @@ func (c *Client) noteConnFailure(ep *endpointState) {
 		}
 	}
 	ep.penaltyUntil = now.Add(d)
-}
-
-// observeWriteSeq records a write acknowledgement's sequence as the
-// key's read-your-writes low-water mark: a later bounded read of the
-// key demands a replica whose applied sequence has reached it.
-func (c *Client) observeWriteSeq(key string, h http.Header) {
-	v := h.Get(server.HeaderWriteSeq)
-	if v == "" {
-		return
-	}
-	seq, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	if seq > c.minSeqs[key] {
-		c.minSeqs[key] = seq
-	}
-	c.mu.Unlock()
 }
 
 func (c *Client) minSeqFor(key string) uint64 {

@@ -373,11 +373,13 @@ func TestNoResponseExceedsItsBound(t *testing.T) {
 // wrote a record always reads back at least its own write — while the
 // replica is still catching up (the min-seq floor forces a 412 and a
 // primary fallback), once it has caught up, and after it is promoted.
+// The reads are plain bounded reads: the write's forced revalidation and
+// min-seq floor are what keep them at or above it.
 func TestReadYourWritesAcrossPromote(t *testing.T) {
 	rc := newReadCluster(t, 1)
 	c := rc.dial(t, nil)
 
-	strongBounded := ReadOptions{Consistency: Strong, MaxStaleness: 10 * time.Second, BoundStaleness: true}
+	bounded := WithMaxStaleness(10 * time.Second)
 	var version int64
 	for i := 0; i < 20; i++ {
 		doc, err := c.Update("posts", "p1", store.UpdateSpec{Set: map[string]any{"n": int64(i)}})
@@ -392,9 +394,7 @@ func TestReadYourWritesAcrossPromote(t *testing.T) {
 			t.Fatal(err)
 		}
 		version = doc.Version
-		// Strong consistency skips the read-your-writes buffer, so this
-		// read exercises the min-seq admission floor on the wire.
-		got, err := c.ReadWith("posts", "p1", strongBounded)
+		got, err := c.ReadWith("posts", "p1", bounded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,11 +402,14 @@ func TestReadYourWritesAcrossPromote(t *testing.T) {
 			t.Fatalf("iteration %d: read version %d < own write %d", i, got.Version, version)
 		}
 	}
+	if st := c.Stats(); st.ReadsByTier.Replica+st.StalenessRetries == 0 {
+		t.Errorf("no bounded read reached the replica tier: %+v", st.ReadsByTier)
+	}
 
 	rc.waitCaughtUp(t)
 	rc.replicas[0].repl.Stop()
 	rc.replicas[0].repl.Promote()
-	got, err := c.ReadWith("posts", "p1", strongBounded)
+	got, err := c.ReadWith("posts", "p1", bounded)
 	if err != nil {
 		t.Fatal(err)
 	}

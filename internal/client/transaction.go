@@ -150,62 +150,25 @@ func (c *Client) TransactionWith(fn func(tx *Tx) error, opts TxnOptions) error {
 			return err
 		}
 		if res.Committed {
-			// Committed writes must be re-read authoritatively: the session
-			// drops any buffered/cached copies (whose versions are now
-			// stale) and forces the next read of each written key to
-			// revalidate, which preserves read-your-writes through the
-			// origin rather than the local buffer.
+			// Committed writes are read back through the origin, like every
+			// other write of the session's.
 			for key := range tx.local {
-				table, id, ok := splitKey(key)
-				if !ok {
-					continue
+				if table, id, ok := splitKey(key); ok {
+					c.wrote(table, id, 0, nil)
 				}
-				c.mu.Lock()
-				delete(c.ownWrites, key)
-				c.mu.Unlock()
-				c.local.Invalidate(server.RecordPath(table, id))
-				c.markForcedRevalidation(key)
 			}
 			return nil
 		}
-		// Conflict: drop stale cached copies of the conflicting records and
-		// force their next read to revalidate.
+		// Conflict: the cached copies of the conflicting records are stale,
+		// and their next reads revalidate.
 		lastConflicts = res.Conflicts
 		for _, key := range res.Conflicts {
 			if table, id, ok := splitKey(key); ok {
-				c.local.Invalidate(server.RecordPath(table, id))
+				c.wrote(table, id, 0, nil)
 			}
-			c.mu.Lock()
-			delete(c.ownWrites, key)
-			c.mu.Unlock()
-			c.markForcedRevalidation(key)
 		}
 	}
 	return fmt.Errorf("%w (conflicts: %v)", ErrTxnAborted, lastConflicts)
-}
-
-// markForcedRevalidation makes the next read of key bypass caches even if
-// the EBF does not flag it — the transaction has direct evidence the
-// cached copy is stale.
-func (c *Client) markForcedRevalidation(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.forcedReval == nil {
-		c.forcedReval = map[string]struct{}{}
-	}
-	c.forcedReval[key] = struct{}{}
-}
-
-// consumeForcedRevalidation reports and clears a pending forced
-// revalidation for key.
-func (c *Client) consumeForcedRevalidation(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.forcedReval[key]; ok {
-		delete(c.forcedReval, key)
-		return true
-	}
-	return false
 }
 
 func (c *Client) commit(req server.TxnRequest) (server.TxnResult, error) {

@@ -106,8 +106,53 @@ func (d *Document) UnmarshalJSON(data []byte) error {
 	}
 	delete(body, "_id")
 	delete(body, "_version")
-	d.Fields = normalizeMap(body)
+	if body == nil { // the input was null
+		body = map[string]any{}
+	}
+	if _, err := fromJSON(body); err != nil {
+		return err
+	}
+	d.Fields = body
 	return nil
+}
+
+// fromJSON converts a value encoding/json decoded with UseNumber into the
+// canonical type set, in place: a number becomes an int64 when it is one,
+// else a float64. Like encoding/json, it refuses a number beyond float64's
+// range instead of decoding it as ±Inf, which no encoder writes back. A
+// zero float loses its sign: -0 would encode as "-0", and that decodes as
+// the integer 0.
+func fromJSON(v any) (any, error) {
+	switch t := v.(type) {
+	case json.Number:
+		if iv, err := t.Int64(); err == nil {
+			return iv, nil
+		}
+		fv, err := t.Float64()
+		if err != nil {
+			return nil, fmt.Errorf("document: number %s out of range", t)
+		}
+		if fv == 0 {
+			fv = 0 // +0, whatever the sign was
+		}
+		return fv, nil
+	case []any:
+		for i, e := range t {
+			var err error
+			if t[i], err = fromJSON(e); err != nil {
+				return nil, err
+			}
+		}
+	case map[string]any:
+		for k, e := range t {
+			c, err := fromJSON(e)
+			if err != nil {
+				return nil, err
+			}
+			t[k] = c
+		}
+	}
+	return v, nil
 }
 
 // Normalize coerces a value into the canonical type set:

@@ -214,3 +214,40 @@ func TestAppendJSONNilDocument(t *testing.T) {
 		t.Errorf("nil document = %q, %v", out, err)
 	}
 }
+
+// FuzzDocumentJSON: no input makes UnmarshalJSON panic; whatever it decodes
+// AppendJSON encodes without error, to encoding/json's bytes for the same
+// document, and those bytes decode and encode back to themselves.
+func FuzzDocumentJSON(f *testing.F) {
+	g := &jsonGen{r: rand.New(rand.NewSource(12))}
+	for i := 0; i < 64; i++ {
+		if data, err := legacyMarshal(g.document()); err == nil {
+			f.Add(data)
+		}
+	}
+	// Regressions: a number beyond float64's range decoded as +Inf, which
+	// AppendJSON refuses (found by this target); a negative zero float
+	// encoded as "-0" and came back as the integer 0.
+	f.Add([]byte(`{"0":[200000000000000e297]}`))
+	f.Add([]byte(`{"a":-0.0,"b":-1e-400,"c":{"d":[-0]}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d Document
+		if d.UnmarshalJSON(data) != nil {
+			return
+		}
+		got, err := d.AppendJSON(nil)
+		if err != nil {
+			t.Fatalf("%q decoded to a document AppendJSON refuses: %v", data, err)
+		}
+		if want, err := legacyMarshal(&d); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%q: AppendJSON differs from encoding/json (%v)\n got %s\nwant %s", data, err, got, want)
+		}
+		var again Document
+		if err := again.UnmarshalJSON(got); err != nil {
+			t.Fatalf("%q: its encoding %s does not decode: %v", data, got, err)
+		}
+		if back, err := again.AppendJSON(nil); err != nil || !bytes.Equal(back, got) {
+			t.Fatalf("%q: the round trip is not stable (%v)\n first %s\nsecond %s", data, err, got, back)
+		}
+	})
+}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/base64"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -95,9 +94,9 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(content)
 	case http.MethodPut:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+		body, err := readBody(w, r)
 		if err != nil {
-			writeError(w, badRequest("reading body: %v", err))
+			writeError(w, err)
 			return
 		}
 		ct := r.Header.Get("Content-Type")

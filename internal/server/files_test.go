@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -151,5 +152,53 @@ func TestFilesOnEveryShard(t *testing.T) {
 	}
 	if len(owners) < 2 {
 		t.Fatalf("16 names landed on %d shard(s); the test needs a spread", len(owners))
+	}
+}
+
+// filler streams n copies of one byte without holding them.
+type filler struct {
+	n int64
+	b byte
+}
+
+func (f *filler) Read(p []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > f.n {
+		p = p[:f.n]
+	}
+	for i := range p {
+		p[i] = f.b
+	}
+	f.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestRequestBodyOverLimitIsRefused: a body past the limit is answered 413
+// and nothing of it is applied: a file is not stored cut short, a document
+// is not inserted.
+func TestRequestBodyOverLimitIsRefused(t *testing.T) {
+	h := newTestServer(t, 1, nil).Handler()
+	for _, tc := range []struct {
+		name, method, path, readBack string
+		body                         io.Reader
+	}{
+		{"file", http.MethodPut, "/v1/files/x", "/v1/files/x", &filler{maxRequestBody + 1, 'a'}},
+		{"document", http.MethodPost, "/v1/db/posts", "/v1/db/posts/big", io.MultiReader(
+			strings.NewReader(`{"_id":"big","s":"`), &filler{maxRequestBody, 'a'}, strings.NewReader(`"}`))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, tc.body))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s past %d bytes = %d, want 413", tc.method, tc.path, maxRequestBody, rec.Code)
+			}
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.readBack, nil))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("GET %s after the refused write = %d, want 404", tc.readBack, rec.Code)
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -144,6 +145,35 @@ func (e *httpError) Error() string { return e.msg }
 
 func badRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+}
+
+// maxRequestBody bounds every request body the data API reads: a file, a
+// document, an update spec, an index or schema definition, a transaction.
+const maxRequestBody = 64 << 20
+
+// readBody reads r's body whole. A body over maxRequestBody is refused
+// with 413, never cut short and applied.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	return body, bodyError(err, "body")
+}
+
+// decodeBody decodes r's JSON body into v under readBody's bound; what
+// names the body in a 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) error {
+	return bodyError(json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v), what)
+}
+
+// bodyError answers a failed body read: 413 past maxRequestBody, else 400.
+func bodyError(err error, what string) error {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooLarge):
+		return &httpError{http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxRequestBody)}
+	}
+	return badRequest("invalid %s: %v", what, err)
 }
 
 // EBFResponse is the JSON body of GET /v1/ebf.
@@ -323,7 +353,11 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 		var body struct {
 			Path string `json:"path"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Path == "" {
+		if err := decodeBody(w, r, &body, "index"); err != nil {
+			writeError(w, err)
+			return
+		}
+		if body.Path == "" {
 			writeError(w, badRequest("body must be {\"path\": \"field.path\"}"))
 			return
 		}
@@ -482,8 +516,8 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 		writeEncoded(w, http.StatusOK, res.Doc)
 	case http.MethodPut:
 		var doc document.Document
-		if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-			writeError(w, badRequest("invalid document: %v", err))
+		if err := decodeBody(w, r, &doc, "document"); err != nil {
+			writeError(w, err)
 			return
 		}
 		doc.ID = id
@@ -495,8 +529,8 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 		writeJSON(w, http.StatusOK, map[string]string{"id": id})
 	case http.MethodPatch:
 		var spec store.UpdateSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeError(w, badRequest("invalid update spec: %v", err))
+		if err := decodeBody(w, r, &spec, "update spec"); err != nil {
+			writeError(w, err)
 			return
 		}
 		doc, err := s.Update(table, id, spec)
@@ -520,8 +554,8 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, table string) {
 	var doc document.Document
-	if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-		writeError(w, badRequest("invalid document: %v", err))
+	if err := decodeBody(w, r, &doc, "document"); err != nil {
+		writeError(w, err)
 		return
 	}
 	if err := s.Insert(table, &doc); err != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -168,8 +167,8 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, sc)
 	case http.MethodPut:
 		var sc Schema
-		if err := json.NewDecoder(r.Body).Decode(&sc); err != nil {
-			writeError(w, badRequest("invalid schema: %v", err))
+		if err := decodeBody(w, r, &sc, "schema"); err != nil {
+			writeError(w, err)
 			return
 		}
 		if err := s.SetSchema(table, &sc); err != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -134,8 +133,8 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TxnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest("invalid transaction: %v", err))
+	if err := decodeBody(w, r, &req, "transaction"); err != nil {
+		writeError(w, err)
 		return
 	}
 	res, err := s.Commit(req)
