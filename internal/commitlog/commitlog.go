@@ -6,18 +6,18 @@
 // stores, an outbox on in-memory ones — under one lock, so the queue
 // drains in Seq order by construction and is appended to a Log as is.
 // Nothing here re-sorts, and nothing waits for a Seq that never commits.
-// The Log retains recent events in a ring and fans them out to any number
-// of subscribers, each with its own delivery pump, so that every consumer —
-// InvaliDB ingestion, SSE change feeds, the per-table replay rings and
-// log-shipping replicas — observes exactly the same totally-ordered
-// stream the WAL persists.
+// The Log retains recent events in one ring and fans them out to any
+// number of subscribers, each with its own delivery pump, so that every
+// consumer — InvaliDB ingestion, SSE change feeds and log-shipping
+// replicas — observes exactly the same totally-ordered stream the WAL
+// persists. The same ring is the history query activation replays
+// (Replay), and it has one truncation horizon: a floor it no longer
+// covers is refused with ErrSeqTruncated, never served with a gap.
 //
-// Subscribers choose a delivery policy: Block applies backpressure to the
-// appender once the subscriber is a full ring behind (the default for
-// correctness-critical consumers like InvaliDB), while DropOldest lets
-// the ring overwrite unread events and counts the gap (for best-effort
-// consumers). Per-subscriber lag, drop counters and a publish→deliver
-// latency histogram are exported through Stats.
+// A subscriber that falls a full ring behind holds the appender back
+// until it catches up, so no subscriber ever misses an event.
+// Per-subscriber lag and a publish→deliver latency histogram are
+// exported through Stats.
 package commitlog
 
 import (
@@ -31,12 +31,13 @@ import (
 	"quaestor/internal/document"
 )
 
-// ErrSeqTruncated is returned by Subscribe when the requested floor
-// predates the fan-out ring's retention: events between fromSeq and the
-// oldest retained event have been overwritten (or were published before
-// this log opened), so a subscription could not be gapless. A replica
-// receiving it must fall back to a coarser catch-up channel — shipped WAL
-// segments, or a fresh snapshot bootstrap.
+// ErrSeqTruncated is returned by Subscribe and Replay when the requested
+// floor predates the fan-out ring's retention: events between the floor
+// and the oldest retained event have been overwritten (or were published
+// before this log opened), so neither a subscription nor a replay could
+// be gapless. A replica receiving it must fall back to a coarser catch-up
+// channel — shipped WAL segments, or a fresh snapshot bootstrap; a query
+// activation receiving it does not cache the query.
 var ErrSeqTruncated = errors.New("commitlog: sequence truncated from fan-out ring")
 
 // OpType identifies the kind of write that produced a change event.
@@ -81,8 +82,8 @@ type Event struct {
 	// Synthetic marks an event that does not correspond to a single
 	// logged write: a snapshot import publishes the diff between the old
 	// and imported state as synthetic events so local subscribers
-	// (InvaliDB, SSE, replay rings) converge without waiting for organic
-	// writes. Synthetic events share the snapshot floor as their Seq —
+	// (InvaliDB, SSE) converge without waiting for organic writes.
+	// Synthetic events share the snapshot floor as their Seq —
 	// the one sanctioned exception to the strictly-increasing contract —
 	// and are never re-logged to the WAL.
 	Synthetic bool
@@ -107,27 +108,6 @@ func (e *Event) Key() string {
 	return e.Table + "/" + e.After.ID
 }
 
-// Policy selects how a subscriber behaves when it cannot keep up.
-type Policy int
-
-const (
-	// Block applies backpressure: the appender stalls once this subscriber
-	// is a full ring behind, so the subscriber never misses an event.
-	Block Policy = iota
-	// DropOldest lets the ring overwrite unread events; the subscriber
-	// skips ahead to the oldest retained event and the gap is counted in
-	// its Dropped statistic.
-	DropOldest
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	if p == DropOldest {
-		return "drop-oldest"
-	}
-	return "block"
-}
-
 // batchMax bounds how many events one delivery batch carries.
 const batchMax = 256
 
@@ -136,12 +116,9 @@ const batchChanDepth = 8
 
 // Options configures a Log. The zero value is usable.
 type Options struct {
-	// Ring is the number of recent events retained for fan-out and
-	// Subscribe(fromSeq) catch-up (default 4096).
+	// Ring is the number of recent events retained for fan-out,
+	// Subscribe(fromSeq) catch-up and activation Replay (default 4096).
 	Ring int
-	// ReplayPerTable sizes the per-table replay rings used for query
-	// activation (default 4096).
-	ReplayPerTable int
 	// StartSeq is the sequence number of the last write already applied
 	// before the log opened (recovery); subscribers tail from here.
 	StartSeq uint64
@@ -150,15 +127,12 @@ type Options struct {
 }
 
 func (o *Options) withDefaults() Options {
-	out := Options{Ring: 4096, ReplayPerTable: 4096, Clock: time.Now}
+	out := Options{Ring: 4096, Clock: time.Now}
 	if o == nil {
 		return out
 	}
 	if o.Ring > 0 {
 		out.Ring = o.Ring
-	}
-	if o.ReplayPerTable > 0 {
-		out.ReplayPerTable = o.ReplayPerTable
 	}
 	out.StartSeq = o.StartSeq
 	if o.Clock != nil {
@@ -190,13 +164,12 @@ type Log struct {
 	published uint64
 	// truncSeq is the newest Seq no longer retained: StartSeq at open
 	// (events up to it predate this log), then the Seq of each event the
-	// ring overwrites. Subscribe can serve any floor >= truncSeq gaplessly.
+	// ring overwrites. Subscribe and Replay serve any floor >= truncSeq
+	// gaplessly.
 	truncSeq uint64
 	subs     map[int]*Subscription
 	nextID   int
 	closed   bool
-
-	replays map[string]*ring
 
 	lat latencyHist
 }
@@ -210,7 +183,6 @@ func NewLog(opts *Options) *Log {
 		lastSeq:  o.StartSeq,
 		truncSeq: o.StartSeq,
 		subs:     map[int]*Subscription{},
-		replays:  map[string]*ring{},
 	}
 	l.data = sync.NewCond(&l.mu)
 	l.space = sync.NewCond(&l.mu)
@@ -218,14 +190,14 @@ func NewLog(opts *Options) *Log {
 }
 
 // ringFullLocked reports whether appending one more event would overwrite
-// an event a Block-policy subscriber has not consumed yet.
+// an event a subscriber has not consumed yet.
 func (l *Log) ringFullLocked() bool {
 	n := uint64(len(l.ring))
 	if l.pos < n {
 		return false
 	}
 	for _, s := range l.subs {
-		if s.policy == Block && l.pos-s.cursor >= n {
+		if l.pos-s.cursor >= n {
 			return true
 		}
 	}
@@ -238,8 +210,8 @@ func (l *Log) ringFullLocked() bool {
 // full) — the store serializes its appenders on one publish lock. (The
 // one exception to increasing Seqs is a snapshot import's diff, whose
 // events share the snapshot floor as their Seq and are flagged
-// Synthetic.) Append blocks only when a Block-policy subscriber is a full
-// ring behind; on a closed log it is a no-op.
+// Synthetic.) Append blocks only when a subscriber is a full ring behind;
+// on a closed log it is a no-op.
 func (l *Log) Append(events []Event) {
 	if len(events) == 0 {
 		return
@@ -267,12 +239,6 @@ func (l *Log) Append(events []Event) {
 		l.pos++
 		l.lastSeq = ev.Seq
 		l.published++
-		r, ok := l.replays[ev.Table]
-		if !ok {
-			r = newRing(l.opts.ReplayPerTable)
-			l.replays[ev.Table] = r
-		}
-		r.push(ev)
 	}
 	l.mu.Unlock()
 	l.data.Broadcast()
@@ -292,23 +258,62 @@ func (l *Log) Truncate(seq uint64) {
 	l.mu.Unlock()
 }
 
-// Replay returns the buffered recent events for a table with
-// Seq > afterSeq, oldest first.
-func (l *Log) Replay(table string, afterSeq uint64) []Event {
+// suffixLocked returns the ring position of the oldest retained event
+// with Seq > afterSeq (l.pos when there is none), or ErrSeqTruncated when
+// afterSeq predates the ring's retention. Seq never decreases along the
+// ring (synthetic events repeat their floor), so the answer is a suffix:
+// it walks back from the newest event, and a recent floor costs the
+// events after it, not the ring's capacity. Caller holds l.mu.
+func (l *Log) suffixLocked(afterSeq uint64) (uint64, error) {
+	if afterSeq < l.truncSeq {
+		return 0, fmt.Errorf("%w: from %d, oldest gapless floor is %d", ErrSeqTruncated, afterSeq, l.truncSeq)
+	}
+	n := uint64(len(l.ring))
+	oldest := l.pos - min(l.pos, n)
+	p := l.pos
+	for p > oldest && l.ring[(p-1)%n].ev.Seq > afterSeq {
+		p--
+	}
+	return p, nil
+}
+
+// Replay returns the retained events of table with Seq > afterSeq, oldest
+// first — the history a query activation replays to close the gap between
+// evaluating the query and installing it. An empty gap returns nil and
+// allocates nothing. When afterSeq predates the ring's retention the gap
+// cannot be replayed whole, and Replay returns ErrSeqTruncated instead of
+// the part it still holds.
+func (l *Log) Replay(table string, afterSeq uint64) ([]Event, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	r, ok := l.replays[table]
-	if !ok {
-		return nil
+	start, err := l.suffixLocked(afterSeq)
+	if err != nil {
+		return nil, err
 	}
-	return r.after(afterSeq)
+	n := uint64(len(l.ring))
+	count := 0
+	for p := start; p < l.pos; p++ {
+		if l.ring[p%n].ev.Table == table {
+			count++
+		}
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	out := make([]Event, 0, count)
+	for p := start; p < l.pos; p++ {
+		if e := &l.ring[p%n].ev; e.Table == table {
+			out = append(out, *e)
+		}
+	}
+	return out, nil
 }
 
 // SubscribeTail registers a subscriber that receives only events appended
 // after this call.
-func (l *Log) SubscribeTail(name string, policy Policy) *Subscription {
+func (l *Log) SubscribeTail(name string) *Subscription {
 	l.mu.Lock()
-	return l.subscribeLocked(name, l.pos, policy)
+	return l.subscribeLocked(name, l.pos)
 }
 
 // Subscribe registers a subscriber that first receives every retained
@@ -316,35 +321,22 @@ func (l *Log) SubscribeTail(name string, policy Policy) *Subscription {
 // tail. When fromSeq predates the ring's retention the subscription would
 // have a gap, so Subscribe refuses with ErrSeqTruncated — the caller must
 // catch up through shipped WAL segments or a snapshot bootstrap first.
-func (l *Log) Subscribe(name string, fromSeq uint64, policy Policy) (*Subscription, error) {
+func (l *Log) Subscribe(name string, fromSeq uint64) (*Subscription, error) {
 	l.mu.Lock()
-	if fromSeq < l.truncSeq {
-		oldest := l.truncSeq
+	cursor, err := l.suffixLocked(fromSeq)
+	if err != nil {
 		l.mu.Unlock()
-		return nil, fmt.Errorf("%w: from %d, oldest gapless floor is %d", ErrSeqTruncated, fromSeq, oldest)
+		return nil, err
 	}
-	n := uint64(len(l.ring))
-	start := uint64(0)
-	if l.pos > n {
-		start = l.pos - n
-	}
-	cursor := l.pos
-	for p := start; p < l.pos; p++ {
-		if l.ring[p%n].ev.Seq > fromSeq {
-			cursor = p
-			break
-		}
-	}
-	return l.subscribeLocked(name, cursor, policy), nil
+	return l.subscribeLocked(name, cursor), nil
 }
 
 // subscribeLocked installs the subscription and starts its pump. The
 // caller holds l.mu; subscribeLocked releases it.
-func (l *Log) subscribeLocked(name string, cursor uint64, policy Policy) *Subscription {
+func (l *Log) subscribeLocked(name string, cursor uint64) *Subscription {
 	s := &Subscription{
 		log:    l,
 		name:   name,
-		policy: policy,
 		ch:     make(chan []Event, batchChanDepth),
 		abort:  make(chan struct{}),
 		done:   make(chan struct{}),
@@ -383,9 +375,11 @@ func (l *Log) Close() {
 // SubscriberStats describes one subscriber's progress.
 type SubscriberStats struct {
 	Name      string `json:"name"`
-	Policy    string `json:"policy"`
 	Delivered uint64 `json:"delivered"`
-	Dropped   uint64 `json:"dropped"`
+	// Dropped is always 0: a subscriber a full ring behind holds the
+	// appender back instead of losing events. The field stays for the
+	// consumers of the stats schema.
+	Dropped uint64 `json:"dropped"`
 	// LagEvents is how many published events the subscriber has not yet
 	// received; LagSeq is the Seq delta between the newest published
 	// event and the subscriber's newest delivered one.
@@ -414,9 +408,7 @@ func (l *Log) Stats() Stats {
 	for _, s := range l.subs {
 		sub := SubscriberStats{
 			Name:      s.name,
-			Policy:    s.policy.String(),
 			Delivered: s.delivered,
-			Dropped:   s.dropped,
 			LagEvents: l.pos - s.cursor,
 		}
 		if s.lastSeq > 0 && l.lastSeq > s.lastSeq {
@@ -437,18 +429,16 @@ func (l *Log) Stats() Stats {
 // delivery shape a log-shipping replica wants — and Flatten adapts the
 // stream to a per-event channel for simpler consumers.
 type Subscription struct {
-	log    *Log
-	id     int
-	name   string
-	policy Policy
-	ch     chan []Event
-	abort  chan struct{} // closed by Cancel to interrupt a blocked send
-	done   chan struct{} // closed when the pump exits (cancel or log close)
+	log   *Log
+	id    int
+	name  string
+	ch    chan []Event
+	abort chan struct{} // closed by Cancel to interrupt a blocked send
+	done  chan struct{} // closed when the pump exits (cancel or log close)
 
 	// Guarded by log.mu.
 	cursor    uint64
 	delivered uint64
-	dropped   uint64
 	lastSeq   uint64
 	cancelled bool
 }
@@ -475,8 +465,8 @@ func (s *Subscription) Cancel() {
 
 // run is the delivery pump: it copies contiguous event runs out of the
 // ring and hands them to the subscriber channel. The cursor only advances
-// after a batch is handed off, which is what lets Block-policy
-// subscribers hold back the appender instead of losing events.
+// after a batch is handed off, which is what lets a subscriber hold back
+// the appender instead of losing events.
 func (s *Subscription) run() {
 	l := s.log
 	for {
@@ -489,33 +479,17 @@ func (s *Subscription) run() {
 			return
 		}
 		n := uint64(len(l.ring))
-		if l.pos-s.cursor > n {
-			// Only DropOldest subscribers can be lapped: Block cursors
-			// gate the appender via ringFullLocked.
-			d := l.pos - n - s.cursor
-			s.dropped += d
-			s.cursor += d
-		}
-		count := l.pos - s.cursor
-		if count > batchMax {
-			count = batchMax
-		}
+		count := min(l.pos-s.cursor, batchMax)
 		start := s.cursor
 		at := l.ring[start%n].at
-		// A Block cursor gates the appender (ringFullLocked), so the slots
-		// in [cursor, cursor+count) cannot be overwritten until the cursor
-		// advances — copy them without the lock, keeping a large memcpy out
-		// of the appender's critical path. DropOldest slots can be
-		// overwritten at any time; copy those under the lock.
-		if s.policy == Block {
-			l.mu.Unlock()
-		}
+		// The cursor gates the appender (ringFullLocked), so the slots in
+		// [cursor, cursor+count) cannot be overwritten until it advances —
+		// copy them without the lock, keeping a large memcpy out of the
+		// appender's critical path.
+		l.mu.Unlock()
 		batch := make([]Event, count)
 		for i := uint64(0); i < count; i++ {
 			batch[i] = l.ring[(start+i)%n].ev
-		}
-		if s.policy != Block {
-			l.mu.Unlock()
 		}
 
 		select {
@@ -567,58 +541,6 @@ func (s *Subscription) Flatten(buf int) (<-chan Event, func()) {
 		}
 	}()
 	return ch, s.Cancel
-}
-
-// ring is a bounded FIFO of recent events, used per table for query
-// activation replay.
-type ring struct {
-	events []Event
-	head   int // index of oldest
-	size   int
-}
-
-func newRing(capacity int) *ring {
-	return &ring{events: make([]Event, capacity)}
-}
-
-func (r *ring) push(ev Event) {
-	if len(r.events) == 0 {
-		return
-	}
-	idx := (r.head + r.size) % len(r.events)
-	if r.size == len(r.events) {
-		// Overwrite oldest.
-		r.events[r.head] = ev
-		r.head = (r.head + 1) % len(r.events)
-		return
-	}
-	r.events[idx] = ev
-	r.size++
-}
-
-// after returns the events with Seq > seq, oldest first. Seq never
-// decreases along the ring (synthetic events repeat their floor), so the
-// answer is a suffix: walk back from the newest event to find where it
-// starts, and copy exactly that many. An activation that replays a gap of
-// zero or a few events costs that, not the ring's capacity.
-func (r *ring) after(seq uint64) []Event {
-	n := 0
-	for n < r.size && r.at(r.size-1-n).Seq > seq {
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Event, n)
-	for i := range out {
-		out[i] = *r.at(r.size - n + i)
-	}
-	return out
-}
-
-// at returns the i-th oldest buffered event.
-func (r *ring) at(i int) *Event {
-	return &r.events[(r.head+i)%len(r.events)]
 }
 
 // latBounds are the publish→deliver histogram bucket upper bounds in

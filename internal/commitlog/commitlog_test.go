@@ -3,6 +3,7 @@ package commitlog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestFanOutDeliversInOrderToAllSubscribers(t *testing.T) {
 	dones := make([]chan struct{}, subs)
 	cancels := make([]func(), subs)
 	for i := 0; i < subs; i++ {
-		ch, cancel := l.SubscribeTail(fmt.Sprintf("s%d", i), Block).Flatten(16)
+		ch, cancel := l.SubscribeTail(fmt.Sprintf("s%d", i)).Flatten(16)
 		dones[i] = make(chan struct{})
 		cancels[i] = cancel
 		go drainAll(ch, &got[i], &mu, dones[i])
@@ -66,7 +67,7 @@ func TestSubscribeFromSeqCatchesUpThroughRing(t *testing.T) {
 	for s := uint64(1); s <= 10; s++ {
 		l.Append([]Event{ev(s)})
 	}
-	sub, err := l.Subscribe("replica", 4, Block)
+	sub, err := l.Subscribe("replica", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +110,12 @@ func TestSubscribeTruncatedFloorReturnsTypedError(t *testing.T) {
 		t.Fatalf("TruncSeq = %d, want 12", st.TruncSeq)
 	}
 	for _, from := range []uint64{0, 5, 11} {
-		if _, err := l.Subscribe("replica", from, Block); !errors.Is(err, ErrSeqTruncated) {
+		if _, err := l.Subscribe("replica", from); !errors.Is(err, ErrSeqTruncated) {
 			t.Fatalf("Subscribe(from=%d) err = %v, want ErrSeqTruncated", from, err)
 		}
 	}
 	// The oldest gapless floor itself (and anything newer) still works.
-	sub, err := l.Subscribe("replica", 12, Block)
+	sub, err := l.Subscribe("replica", 12)
 	if err != nil {
 		t.Fatalf("Subscribe(from=12): %v", err)
 	}
@@ -128,57 +129,22 @@ func TestSubscribeTruncatedFloorReturnsTypedError(t *testing.T) {
 	// floors below its start even before anything is evicted: those events
 	// predate the log and were never retained.
 	l2 := NewLog(&Options{Ring: 64, StartSeq: 100})
-	if _, err := l2.Subscribe("replica", 50, Block); !errors.Is(err, ErrSeqTruncated) {
+	if _, err := l2.Subscribe("replica", 50); !errors.Is(err, ErrSeqTruncated) {
 		t.Fatalf("StartSeq floor err = %v, want ErrSeqTruncated", err)
 	}
-	if _, err := l2.Subscribe("replica", 100, Block); err != nil {
+	if _, err := l2.Subscribe("replica", 100); err != nil {
 		t.Fatalf("Subscribe at StartSeq: %v", err)
 	}
 }
 
-func TestDropOldestCountsGapAndKeepsOrder(t *testing.T) {
-	l := NewLog(&Options{Ring: 8})
-	sub := l.SubscribeTail("slow", DropOldest)
-	// Do not read: the ring laps the subscriber.
-	for s := uint64(1); s <= 100; s++ {
-		l.Append([]Event{ev(s)})
-	}
-	var got []Event
-	deadline := time.After(5 * time.Second)
-	for len(got) == 0 || got[len(got)-1].Seq < 100 {
-		select {
-		case batch := <-sub.Events():
-			got = append(got, batch...)
-		case <-deadline:
-			t.Fatalf("timed out; got %d events", len(got))
-		}
-	}
-	last := uint64(0)
-	for _, e := range got {
-		if e.Seq <= last {
-			t.Fatalf("drop subscriber saw non-increasing seq %d after %d", e.Seq, last)
-		}
-		last = e.Seq
-	}
-	st := l.Stats()
-	if len(st.Subscribers) != 1 {
-		t.Fatalf("stats subscribers = %+v", st.Subscribers)
-	}
-	ss := st.Subscribers[0]
-	if ss.Dropped == 0 {
-		t.Errorf("expected drops, got %+v", ss)
-	}
-	if ss.Dropped+ss.Delivered != 100 {
-		t.Errorf("dropped %d + delivered %d != 100", ss.Dropped, ss.Delivered)
-	}
-}
-
+// TestBlockPolicyNeverDrops: a subscriber that falls a full ring behind
+// holds the appender back; it never loses an event.
 func TestBlockPolicyNeverDrops(t *testing.T) {
 	l := NewLog(&Options{Ring: 4})
 	var mu sync.Mutex
 	var got []Event
 	done := make(chan struct{})
-	ch, _ := l.SubscribeTail("s", Block).Flatten(2)
+	ch, _ := l.SubscribeTail("s").Flatten(2)
 	go func() {
 		defer close(done)
 		for e := range ch {
@@ -215,26 +181,66 @@ func TestBlockPolicyNeverDrops(t *testing.T) {
 	}
 }
 
+// TestReplayRing pins activation replay on the fan-out ring: a covered
+// floor returns exactly that table's events after it, in order; a floor
+// the ring overwrote is refused with ErrSeqTruncated rather than answered
+// with the newest events it still holds.
 func TestReplayRing(t *testing.T) {
-	l := NewLog(&Options{Ring: 64, ReplayPerTable: 4})
+	l := NewLog(&Options{Ring: 8})
 	for s := uint64(1); s <= 10; s++ {
+		e := ev(s)
+		if s%2 == 0 {
+			e.Table = "u"
+		}
+		l.Append([]Event{e})
+	}
+	// The ring retains seqs 3..10; the newest overwritten seq is 2.
+	got, err := l.Replay("t", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{5, 7, 9}; !slices.Equal(seqs(got), want) {
+		t.Fatalf("Replay(t, 4) = %v, want seqs %v", seqs(got), want)
+	}
+	for _, e := range got {
+		if e.Table != "t" {
+			t.Fatalf("replay of t carries an event of %q", e.Table)
+		}
+	}
+	if got, err := l.Replay("u", 2); err != nil || !slices.Equal(seqs(got), []uint64{4, 6, 8, 10}) {
+		t.Fatalf("Replay(u, 2) = %v, %v; want seqs 4 6 8 10", seqs(got), err)
+	}
+	for _, floor := range []uint64{0, 1} {
+		if got, err := l.Replay("t", floor); !errors.Is(err, ErrSeqTruncated) || got != nil {
+			t.Fatalf("Replay(t, %d) = %v, %v; want ErrSeqTruncated", floor, seqs(got), err)
+		}
+	}
+	if got, err := l.Replay("nope", 2); got != nil || err != nil {
+		t.Errorf("unknown table replay = %v, %v; want nil, nil", got, err)
+	}
+}
+
+// TestReplayEmptyGapAllocatesNothing: the common activation — nothing
+// written between evaluating the query and installing it — costs no
+// allocation, however full the ring is.
+func TestReplayEmptyGapAllocatesNothing(t *testing.T) {
+	l := NewLog(&Options{Ring: 64})
+	for s := uint64(1); s <= 100; s++ {
 		l.Append([]Event{ev(s)})
 	}
-	replay := l.Replay("t", 0)
-	if len(replay) != 4 || replay[0].Seq != 7 || replay[3].Seq != 10 {
-		t.Fatalf("replay = %v", replay)
-	}
-	if got := l.Replay("t", 8); len(got) != 2 {
-		t.Fatalf("replay after 8 = %v", got)
-	}
-	if got := l.Replay("nope", 0); got != nil {
-		t.Error("unknown table replay should be nil")
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := l.Replay("t", 100); got != nil || err != nil {
+			t.Fatalf("empty gap replay = %v, %v", got, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("empty gap replay allocates %v times, want 0", allocs)
 	}
 }
 
 func TestStatsLagAndLatency(t *testing.T) {
 	l := NewLog(&Options{Ring: 64})
-	sub := l.SubscribeTail("s", Block)
+	sub := l.SubscribeTail("s")
 	for s := uint64(1); s <= 3; s++ {
 		l.Append([]Event{ev(s)})
 	}
@@ -265,14 +271,14 @@ func TestStatsLagAndLatency(t *testing.T) {
 
 func TestCloseOnSubscribedLogClosesChannels(t *testing.T) {
 	l := NewLog(nil)
-	sub := l.SubscribeTail("s", Block)
+	sub := l.SubscribeTail("s")
 	l.Close()
 	if _, ok := <-sub.Events(); ok {
 		t.Error("subscription channel open after log close")
 	}
 	<-sub.Done()
 	// Subscribing to a closed log yields a closed subscription.
-	sub2 := l.SubscribeTail("late", Block)
+	sub2 := l.SubscribeTail("late")
 	if _, ok := <-sub2.Events(); ok {
 		t.Error("subscription on closed log should be closed")
 	}
@@ -283,58 +289,76 @@ func TestCloseOnSubscribedLogClosesChannels(t *testing.T) {
 	}
 }
 
-// TestRingAfter pins the activation-replay lookup: the events newer than
-// seq, oldest first, in a slice sized to exactly that many — an
-// activation with nothing to replay must not pay for the ring's capacity.
+// TestRingAfter pins the activation-replay lookup on the fan-out ring:
+// the events newer than the floor, oldest first, in a slice sized to
+// exactly that many — or ErrSeqTruncated when the ring no longer covers
+// the floor.
 func TestRingAfter(t *testing.T) {
-	fill := func(capacity int, seqs ...uint64) *ring {
-		r := newRing(capacity)
+	fill := func(capacity int, seqs ...uint64) *Log {
+		l := NewLog(&Options{Ring: capacity})
 		for _, s := range seqs {
-			r.push(ev(s))
+			l.Append([]Event{ev(s)})
 		}
-		return r
+		return l
 	}
-	synthetic := fill(8, 1, 2)
-	for i := 0; i < 3; i++ { // a snapshot import's diff shares its floor
-		e := ev(7)
-		e.Synthetic = true
-		e.After = document.New(fmt.Sprintf("s%d", i), nil)
-		synthetic.push(e)
+	// A snapshot import's diff shares its floor: synthetic events at 7.
+	synthetic := func(truncate bool) *Log {
+		l := fill(8, 1, 2)
+		if truncate {
+			l.Truncate(7)
+		}
+		for i := 0; i < 3; i++ {
+			e := ev(7)
+			e.Synthetic = true
+			e.After = document.New(fmt.Sprintf("s%d", i), nil)
+			l.Append([]Event{e})
+		}
+		l.Append([]Event{ev(8)})
+		return l
 	}
-	synthetic.push(ev(8))
 
 	cases := []struct {
-		name string
-		r    *ring
-		seq  uint64
-		want []uint64
+		name      string
+		l         *Log
+		floor     uint64
+		want      []uint64
+		truncated bool
 	}{
-		{"empty ring", fill(4), 0, nil},
-		{"zero-capacity ring", fill(0, 1, 2), 0, nil},
-		{"partly filled", fill(8, 1, 2, 3), 1, []uint64{2, 3}},
-		{"wrapped ring", fill(4, 1, 2, 3, 4, 5, 6), 4, []uint64{5, 6}},
-		{"wrapped ring, seq older than the ring", fill(4, 1, 2, 3, 4, 5, 6), 1, []uint64{3, 4, 5, 6}},
-		{"seq equals newest", fill(4, 1, 2, 3, 4, 5, 6), 6, nil},
-		{"seq beyond newest", fill(4, 1, 2, 3), 99, nil},
-		{"shared seq, floor below", synthetic, 2, []uint64{7, 7, 7, 8}},
-		{"shared seq, floor at it", synthetic, 7, []uint64{8}},
+		{"empty ring", fill(4), 0, nil, false},
+		{"partly filled", fill(8, 1, 2, 3), 1, []uint64{2, 3}, false},
+		{"wrapped ring", fill(4, 1, 2, 3, 4, 5, 6), 4, []uint64{5, 6}, false},
+		{"wrapped ring, floor at the horizon", fill(4, 1, 2, 3, 4, 5, 6), 2, []uint64{3, 4, 5, 6}, false},
+		{"wrapped ring, floor older than the ring", fill(4, 1, 2, 3, 4, 5, 6), 1, nil, true},
+		{"floor equals newest", fill(4, 1, 2, 3, 4, 5, 6), 6, nil, false},
+		{"floor beyond newest", fill(4, 1, 2, 3), 99, nil, false},
+		{"log opened after recovery, floor before it", NewLog(&Options{Ring: 4, StartSeq: 10}), 9, nil, true},
+		{"shared seq, floor below", synthetic(false), 2, []uint64{7, 7, 7, 8}, false},
+		{"shared seq, floor at it", synthetic(false), 7, []uint64{8}, false},
+		{"import truncated below the floor", synthetic(true), 2, nil, true},
+		{"import truncated, floor at it", synthetic(true), 7, []uint64{8}, false},
 	}
 	for _, tc := range cases {
-		got := tc.r.after(tc.seq)
+		got, err := tc.l.Replay("t", tc.floor)
+		if tc.truncated != errors.Is(err, ErrSeqTruncated) {
+			t.Errorf("%s: err = %v, want truncated %v", tc.name, err, tc.truncated)
+			continue
+		}
 		if cap(got) != len(got) {
 			t.Errorf("%s: cap %d != len %d", tc.name, cap(got), len(got))
 		}
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: got %d events, want %d", tc.name, len(got), len(tc.want))
-			continue
-		}
-		for i, e := range got {
-			if e.Seq != tc.want[i] {
-				t.Errorf("%s: event %d has seq %d, want %d", tc.name, i, e.Seq, tc.want[i])
-			}
+		if !slices.Equal(seqs(got), tc.want) {
+			t.Errorf("%s: got seqs %v, want %v", tc.name, seqs(got), tc.want)
 		}
 	}
-	if got := synthetic.after(2); got[0].After.ID != "s0" || got[2].After.ID != "s2" {
+	if got, _ := synthetic(false).Replay("t", 2); got[0].After.ID != "s0" || got[2].After.ID != "s2" {
 		t.Errorf("events sharing a seq out of order: %s … %s", got[0].After.ID, got[2].After.ID)
 	}
+}
+
+func seqs(evs []Event) []uint64 {
+	var out []uint64
+	for _, e := range evs {
+		out = append(out, e.Seq)
+	}
+	return out
 }

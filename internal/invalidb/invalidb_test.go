@@ -204,13 +204,17 @@ func TestReplayClosesActivationGap(t *testing.T) {
 	if err := db.Insert("posts", post("p1", "example")); err != nil {
 		t.Fatal(err)
 	}
+	replay, err := db.Replay("posts", asOf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Initial evaluation happened BEFORE the insert: empty result.
 	if err := cluster.Activate(Registration{
 		Query:          tagQuery("example"),
 		Mask:           MaskObjectList,
 		InitialMatches: nil,
 		AsOfSeq:        asOf,
-		Replay:         db.Replay("posts", asOf),
+		Replay:         replay,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -673,6 +674,11 @@ func ParseQueryRequest(table string, params url.Values) (*query.Query, error) {
 		if err != nil || limit < 0 {
 			return nil, badRequest("invalid limit %q", v)
 		}
+	}
+	// The executor keeps offset+limit candidates; a pair whose sum
+	// overflows int names no window it could hold.
+	if offset > math.MaxInt-limit {
+		return nil, badRequest("offset %d + limit %d overflows", offset, limit)
 	}
 	if offset > 0 || limit > 0 {
 		q = q.Sliced(offset, limit)

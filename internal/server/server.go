@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"quaestor/internal/cluster"
+	"quaestor/internal/commitlog"
 	"quaestor/internal/coordinator"
 	"quaestor/internal/document"
 	"quaestor/internal/ebf"
@@ -575,6 +576,12 @@ func (s *Server) query(q *query.Query, servedAs string) (QueryResult, error) {
 		}
 		return s.activate(q, matches, asOfs, rep)
 	})
+	if errors.Is(err, commitlog.ErrSeqTruncated) {
+		// More was written between evaluation and activation than the
+		// change ring holds: InvaliDB could not be brought up to date with
+		// this result, so it is served but not cached.
+		admitted, err = false, nil
+	}
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -668,10 +675,15 @@ func (s *Server) activate(q *query.Query, matches []*document.Document, asOfs []
 		mask = invalidb.MaskIDList
 	}
 	// Each shard's replay closes that shard's activation gap; the per-row
-	// floors in AsOfSeqs gate replay per shard.
+	// floors in AsOfSeqs gate replay per shard. A gap a shard's ring no
+	// longer covers fails the activation with commitlog.ErrSeqTruncated.
 	var replay []store.ChangeEvent
 	for i, st := range s.router.Stores() {
-		replay = append(replay, st.Replay(q.Table, asOfs[i])...)
+		evs, err := st.Replay(q.Table, asOfs[i])
+		if err != nil {
+			return err
+		}
+		replay = append(replay, evs...)
 	}
 	err := s.inv.Activate(invalidb.Registration{
 		Query:          q,

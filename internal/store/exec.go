@@ -71,13 +71,16 @@ func NewCursor(plan query.Plan, docs []*document.Document) *Cursor {
 // QueryStream plans and executes q, returning a cursor over the result
 // window. Planning and execution share one read lock of the table, so the
 // index the plan names is there and exactly consistent with the
-// documents; the cursor itself is lock-free and single-consumer.
+// documents; the cursor itself is lock-free and single-consumer. The read
+// lock is released by defer, so a panicking execution cannot leave the
+// table locked against every later write.
 func (s *Store) QueryStream(q *query.Query) (*Cursor, error) {
 	t, err := s.table(q.Table)
 	if err != nil {
 		return nil, err
 	}
 	t.mu.RLock()
+	defer t.mu.RUnlock()
 	plan, residual := t.plan(q)
 	e := &executor{t: t, q: q, residual: residual, plan: &plan}
 	switch plan.Strategy {
@@ -88,7 +91,6 @@ func (s *Store) QueryStream(q *query.Query) (*Cursor, error) {
 	default:
 		e.runSortAll()
 	}
-	t.mu.RUnlock()
 	plan.RowsExamined = e.examined
 	plan.RowsReturned = len(e.out)
 	return &Cursor{plan: plan, docs: e.out}, nil

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"quaestor/internal/commitlog"
 	"quaestor/internal/document"
 	"quaestor/internal/query"
 	"quaestor/internal/wal"
@@ -398,9 +399,14 @@ func TestImportSnapshotAtomicSwapAndSyntheticEvents(t *testing.T) {
 	if dels != 50 || puts != 151 {
 		t.Errorf("synthetic events: %d deletes, %d puts; want 50, 151", dels, puts)
 	}
-	// The replay ring retains them for query activation.
-	if got := len(s.Replay("docs", info.Seq-1)); got < 201 {
-		t.Errorf("replay after floor-1 returned %d events, want >= 201", got)
+	// The import collapsed the range below its floor: an activation
+	// evaluated inside it cannot be replayed gaplessly and is refused; one
+	// evaluated at the floor already saw the imported state.
+	if got, err := s.Replay("docs", info.Seq-1); !errors.Is(err, commitlog.ErrSeqTruncated) {
+		t.Errorf("replay after floor-1 = %d events, %v; want ErrSeqTruncated", len(got), err)
+	}
+	if got, err := s.Replay("docs", info.Seq); got != nil || err != nil {
+		t.Errorf("replay after the floor = %d events, %v; want none", len(got), err)
 	}
 }
 

@@ -30,7 +30,7 @@ func TestPropertyStreamingEqualsScanUnderConcurrentWrites(t *testing.T) {
 	colors := []string{"red", "green", "blue", "cyan"}
 	tags := []string{"a", "b", "c", "d", "e"}
 
-	s := MustOpen(&Options{ChangeBuffer: 1 << 14, ReplayBuffer: 16})
+	s := MustOpen(&Options{ChangeBuffer: 1 << 14})
 	defer s.Close()
 	if err := s.CreateTable("docs"); err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestPropertyIndexedEqualsScanUnderConcurrentWrites(t *testing.T) {
 	colors := []string{"red", "green", "blue", "cyan"}
 	tags := []string{"a", "b", "c", "d", "e"}
 
-	s := MustOpen(&Options{ChangeBuffer: 1 << 14, ReplayBuffer: 16})
+	s := MustOpen(&Options{ChangeBuffer: 1 << 14})
 	defer s.Close()
 	if err := s.CreateTable("docs"); err != nil {
 		t.Fatal(err)

@@ -105,9 +105,9 @@ type ImportInfo struct {
 // difference is published as synthetic events sequenced at the floor —
 // Deletes for documents that vanished inside the collapsed range, Puts
 // for documents created or re-versioned there — delivered to local
-// subscribers (InvaliDB, SSE, replay rings) but never re-logged to the
-// WAL, which the teed snapshot file already supersedes. Every local
-// cache layer converges without waiting for the next organic write.
+// subscribers (InvaliDB, SSE) but never re-logged to the WAL, which the
+// teed snapshot file already supersedes. Every local cache layer
+// converges without waiting for the next organic write.
 //
 // Tables and secondary indexes the snapshot does not carry survive:
 // local tables stay (emptied — the import supersedes all replicated
@@ -339,10 +339,10 @@ func (s *Store) ImportSnapshot(r io.Reader) (ImportInfo, error) {
 // and publishes the difference as synthetic events sequenced at the
 // snapshot floor: a Delete for every document that vanished inside the
 // collapsed range, a Put for every document created or re-versioned
-// there. The events reach local subscribers only (InvaliDB, SSE, replay
-// rings) — they are never re-logged to the WAL, which the imported
-// snapshot supersedes. Doc lookups are lock-free: the import path is the
-// only writer of either table set.
+// there. The events reach local subscribers only (InvaliDB, SSE) — they
+// are never re-logged to the WAL, which the imported snapshot
+// supersedes. Doc lookups are lock-free: the import path is the only
+// writer of either table set.
 func (s *Store) publishImportDiff(old, imported map[string]*table, floor uint64) (dels, puts int) {
 	// Synthetic events share the floor as their Seq (subscribers tolerate
 	// the run of equal Seqs) and take no slot of the write order, so they

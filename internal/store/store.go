@@ -81,13 +81,12 @@ type Durability struct {
 
 // Options configures a Store.
 type Options struct {
-	// ChangeBuffer sizes the commit pipeline's fan-out ring (the events
-	// retained for subscriber catch-up) and each flat subscription's
-	// channel buffer (default 1024).
+	// ChangeBuffer sizes the commit pipeline's fan-out ring — the one
+	// history of recent change events, retained for subscriber catch-up
+	// and for the replay that closes a query's activation gap — and each
+	// flat subscription's channel buffer (default 4096). A query activated
+	// across more events than the ring holds is not cached (see Replay).
 	ChangeBuffer int
-	// ReplayBuffer is how many recent change events are retained per table
-	// for replay when a query is activated in InvaliDB (default 4096).
-	ReplayBuffer int
 	// Clock supplies timestamps; defaults to time.Now. The Monte Carlo
 	// simulator injects a virtual clock here.
 	Clock func() time.Time
@@ -106,15 +105,12 @@ type Options struct {
 }
 
 func (o *Options) withDefaults() Options {
-	out := Options{ChangeBuffer: 1024, ReplayBuffer: 4096, Clock: time.Now}
+	out := Options{ChangeBuffer: 4096, Clock: time.Now}
 	if o == nil {
 		return out
 	}
 	if o.ChangeBuffer > 0 {
 		out.ChangeBuffer = o.ChangeBuffer
-	}
-	if o.ReplayBuffer > 0 {
-		out.ReplayBuffer = o.ReplayBuffer
 	}
 	if o.Clock != nil {
 		out.Clock = o.Clock
@@ -301,10 +297,9 @@ func Open(opts *Options) (*Store, error) {
 // (non-zero after recovery).
 func (s *Store) openPipeline(lastSeq uint64) {
 	s.pipeline = commitlog.NewLog(&commitlog.Options{
-		Ring:           s.opts.ChangeBuffer,
-		ReplayPerTable: s.opts.ReplayBuffer,
-		StartSeq:       lastSeq,
-		Clock:          s.opts.Clock,
+		Ring:     s.opts.ChangeBuffer,
+		StartSeq: lastSeq,
+		Clock:    s.opts.Clock,
 	})
 }
 
@@ -868,8 +863,8 @@ func (s *Store) commit(w *wal.Waiter) error {
 
 // flush publishes the outbox. Flushers serialize on pubMu and each takes
 // everything stamped so far, so batches reach the pipeline in Seq order.
-// Called with no table lock held: Append blocks while a Block subscriber
-// is a full ring behind.
+// Called with no table lock held: Append blocks while a subscriber is a
+// full ring behind.
 func (s *Store) flush() {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
@@ -893,7 +888,7 @@ func (s *Store) Subscribe() (<-chan ChangeEvent, func()) {
 
 // SubscribeNamed is Subscribe with a name reported in PipelineStats.
 func (s *Store) SubscribeNamed(name string) (<-chan ChangeEvent, func()) {
-	return s.pipeline.SubscribeTail(name, commitlog.Block).Flatten(s.opts.ChangeBuffer)
+	return s.pipeline.SubscribeTail(name).Flatten(s.opts.ChangeBuffer)
 }
 
 // SubscribeFrom registers an ordered batch consumer starting after
@@ -906,15 +901,19 @@ func (s *Store) SubscribeNamed(name string) (<-chan ChangeEvent, func()) {
 // and the replica must catch up through shipped WAL segments (or a fresh
 // snapshot) first.
 func (s *Store) SubscribeFrom(name string, fromSeq uint64) (*commitlog.Subscription, error) {
-	return s.pipeline.Subscribe(name, fromSeq, commitlog.Block)
+	return s.pipeline.Subscribe(name, fromSeq)
 }
 
-// Replay returns the buffered recent change events for a table with
-// Seq > afterSeq, oldest first. InvaliDB replays these when activating a
+// Replay returns the change events of a table with Seq > afterSeq, oldest
+// first, from the fan-out ring. InvaliDB replays these when activating a
 // query to close the gap between initial evaluation and activation
 // (Section 4.1: "all recently received objects are replayed for a query
-// when it is installed").
-func (s *Store) Replay(tableName string, afterSeq uint64) []ChangeEvent {
+// when it is installed"). When the ring no longer covers afterSeq — more
+// than ChangeBuffer events were published since, or a snapshot import
+// collapsed the range — Replay returns commitlog.ErrSeqTruncated instead
+// of part of the gap: a query installed on a partial replay could miss
+// its invalidations, so the server serves it uncached.
+func (s *Store) Replay(tableName string, afterSeq uint64) ([]ChangeEvent, error) {
 	return s.pipeline.Replay(tableName, afterSeq)
 }
 

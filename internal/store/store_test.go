@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"quaestor/internal/commitlog"
 	"quaestor/internal/document"
 	"quaestor/internal/query"
 )
@@ -314,8 +315,13 @@ func TestAfterImageIsImmutable(t *testing.T) {
 	}
 }
 
-func TestReplayBuffer(t *testing.T) {
+// TestReplayCoveredGap: a gap the change ring covers replays exactly the
+// table's events after the floor, oldest first.
+func TestReplayCoveredGap(t *testing.T) {
 	s := openWithTable(t, "posts")
+	if err := s.CreateTable("other"); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
 		if err := s.Insert("posts", document.New(fmt.Sprintf("p%d", i), nil)); err != nil {
 			t.Fatal(err)
@@ -326,23 +332,33 @@ func TestReplayBuffer(t *testing.T) {
 		if err := s.Insert("posts", document.New(fmt.Sprintf("p%d", i), nil)); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.Insert("other", document.New(fmt.Sprintf("o%d", i), nil)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	replay := s.Replay("posts", mid)
+	replay, err := s.Replay("posts", mid)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(replay) != 3 {
 		t.Fatalf("want 3 replay events, got %d", len(replay))
 	}
 	for i, ev := range replay {
-		if ev.Seq <= mid {
-			t.Errorf("replay[%d].Seq = %d <= %d", i, ev.Seq, mid)
+		if ev.Seq <= mid || ev.Table != "posts" || (i > 0 && ev.Seq <= replay[i-1].Seq) {
+			t.Errorf("replay[%d] = seq %d of %q after floor %d", i, ev.Seq, ev.Table, mid)
 		}
 	}
-	if got := s.Replay("nope", 0); got != nil {
-		t.Error("unknown table replay should be nil")
+	if got, err := s.Replay("nope", 0); got != nil || err != nil {
+		t.Errorf("unknown table replay = %v, %v; want nil, nil", got, err)
 	}
 }
 
+// TestReplayRingOverflow: once the change ring overwrote part of the gap,
+// Replay refuses it with ErrSeqTruncated instead of returning the newest
+// events alone — an activation on that partial history would miss the
+// invalidations of the lost ones.
 func TestReplayRingOverflow(t *testing.T) {
-	s := MustOpen(&Options{ReplayBuffer: 4})
+	s := MustOpen(&Options{ChangeBuffer: 4})
 	defer s.Close()
 	if err := s.CreateTable("t"); err != nil {
 		t.Fatal(err)
@@ -352,12 +368,18 @@ func TestReplayRingOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	replay := s.Replay("t", 0)
-	if len(replay) != 4 {
-		t.Fatalf("ring should cap at 4, got %d", len(replay))
+	// The ring retains seqs 7..10.
+	for _, floor := range []uint64{0, 5} {
+		if got, err := s.Replay("t", floor); !errors.Is(err, commitlog.ErrSeqTruncated) || got != nil {
+			t.Errorf("Replay(t, %d) = %d events, %v; want ErrSeqTruncated", floor, len(got), err)
+		}
 	}
-	if replay[0].Seq != 7 || replay[3].Seq != 10 {
-		t.Errorf("ring should keep newest events: %d..%d", replay[0].Seq, replay[3].Seq)
+	replay, err := s.Replay("t", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replay) != 4 || replay[0].Seq != 7 || replay[3].Seq != 10 {
+		t.Errorf("Replay(t, 6) = %d events, want seqs 7..10", len(replay))
 	}
 }
 
