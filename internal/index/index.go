@@ -3,6 +3,14 @@
 // containment probes plus an ordered index (sorted by document.Compare) for
 // range and prefix scans, both over one dotted field path.
 //
+// A document is posted under the value it carries at the path, except that
+// a non-empty array is posted under each of its elements only: the whole
+// array gets no posting of its own. Scalars and the empty array are posted
+// whole. An array-valued equality probe is therefore answered from the
+// element postings of the array's first element, a superset of the
+// documents whose field deep-equals the array, and the caller's residual
+// re-check narrows it to the exact matches.
+//
 // An index is a candidate generator, not an oracle: probes and scans return
 // a superset of the matching document ids and callers re-verify each
 // candidate against the full predicate. That contract keeps the index
@@ -23,11 +31,13 @@ import (
 	"quaestor/internal/document"
 )
 
-// ValueKeys returns the canonical hash keys a stored field value is indexed
-// under: the whole value's canonical encoding plus, for arrays, each
-// element's encoding. The element keys implement multikey semantics: they
-// serve both Mongo equality-as-membership ({tags: "a"} matching
-// tags:["a","b"]) and $contains probes.
+// ValueKeys returns the canonical hash keys of a stored field value: the
+// whole value's canonical encoding plus, for arrays, each element's
+// encoding. The element keys implement multikey semantics: they serve both
+// Mongo equality-as-membership ({tags: "a"} matching tags:["a","b"]) and
+// $contains probes. InvaliDB's inverted query index posts after-images
+// under all of them; a Field posts a non-empty array under its elements
+// only.
 func ValueKeys(v any) (whole string, elems []string) {
 	whole = document.MatchKey(v)
 	if arr, ok := v.([]any); ok {
@@ -43,10 +53,11 @@ func ValueKeys(v any) (whole string, elems []string) {
 type entry struct {
 	val any    // the value itself, for ordered scans
 	key string // MatchKey encoding, the hash key
-	// whole holds ids whose field deep-equals val; elem holds ids whose
-	// array field contains val. They are kept apart because range scans
-	// must see only whole values and array-valued equality probes must not
-	// see element postings.
+	// whole holds ids whose field deep-equals val, which is a scalar or
+	// the empty array; elem holds ids whose non-empty array field contains
+	// val. They are kept apart because range scans must see only whole
+	// values and containment probes only elements. Each map is allocated
+	// by the first posting of its kind: most entries only ever get one.
 	whole map[string]struct{}
 	elem  map[string]struct{}
 }
@@ -82,8 +93,8 @@ type Stats struct {
 	// Docs is the number of indexed documents (those with the field
 	// present).
 	Docs int
-	// Distinct is the number of distinct indexed values, counting array
-	// elements as values in their own right.
+	// Distinct is the number of distinct indexed values: scalars, empty
+	// arrays and the elements of non-empty arrays.
 	Distinct int
 }
 
@@ -98,13 +109,21 @@ func (f *Field) Add(doc *document.Document) {
 		return
 	}
 	f.docs++
-	whole, elems := ValueKeys(v)
-	f.entryFor(whole, v).whole[doc.ID] = struct{}{}
-	if arr, isArr := v.([]any); isArr {
-		for i, el := range arr {
-			f.entryFor(elems[i], el).elem[doc.ID] = struct{}{}
+	if arr, isArr := v.([]any); isArr && len(arr) > 0 {
+		for _, el := range arr {
+			post(&f.entryFor(document.MatchKey(el), el).elem, doc.ID)
 		}
+		return
 	}
+	post(&f.entryFor(document.MatchKey(v), v).whole, doc.ID)
+}
+
+// post adds id to a posting map, allocating the map on its first posting.
+func post(postings *map[string]struct{}, id string) {
+	if *postings == nil {
+		*postings = map[string]struct{}{}
+	}
+	(*postings)[id] = struct{}{}
 }
 
 // Remove drops the document's postings. It must be called with the same
@@ -116,24 +135,19 @@ func (f *Field) Remove(doc *document.Document) {
 		return
 	}
 	f.docs--
-	whole, elems := ValueKeys(v)
-	f.dropPosting(whole, doc.ID, false)
-	if arr, isArr := v.([]any); isArr {
-		for i := range arr {
-			f.dropPosting(elems[i], doc.ID, true)
+	if arr, isArr := v.([]any); isArr && len(arr) > 0 {
+		for _, el := range arr {
+			f.dropPosting(document.MatchKey(el), doc.ID, true)
 		}
+		return
 	}
+	f.dropPosting(document.MatchKey(v), doc.ID, false)
 }
 
 func (f *Field) entryFor(key string, val any) *entry {
 	e, ok := f.byKey[key]
 	if !ok {
-		e = &entry{
-			val:   document.CloneValue(val),
-			key:   key,
-			whole: map[string]struct{}{},
-			elem:  map[string]struct{}{},
-		}
+		e = &entry{val: document.CloneValue(val), key: key}
 		f.byKey[key] = e
 		i := f.searchEntry(e.val, e.key)
 		f.sorted = append(f.sorted, nil)
@@ -179,25 +193,31 @@ func (f *Field) searchEntry(val any, key string) int {
 	})
 }
 
-// ProbeEq returns candidate ids for {path: {$eq: value}}: exact-value
-// postings plus — when the probe value is a scalar — element postings, so
-// array membership equality is covered.
+// ProbeEq returns candidate ids for {path: {$eq: value}}. A scalar gets
+// its exact-value postings plus its element postings, so array membership
+// equality is covered. The empty array gets its exact-value postings only:
+// an array value never matches by membership. A non-empty array value gets
+// the element postings of its first element: every document whose field
+// deep-equals the array carries that element, and the caller's residual
+// re-check drops the rest.
 func (f *Field) ProbeEq(value any) []string {
-	key := document.MatchKey(value)
-	e, ok := f.byKey[key]
+	arr, isArr := value.([]any)
+	if isArr && len(arr) > 0 {
+		return f.ProbeContains(arr[0])
+	}
+	e, ok := f.byKey[document.MatchKey(value)]
 	if !ok {
 		return nil
 	}
-	_, probeIsArr := value.([]any)
 	ids := make([]string, 0, len(e.whole)+len(e.elem))
 	for id := range e.whole {
 		ids = append(ids, id)
 	}
-	if !probeIsArr {
+	if !isArr {
+		// A document is posted whole or by its elements, never both, so
+		// the two sets are disjoint.
 		for id := range e.elem {
-			if _, dup := e.whole[id]; !dup {
-				ids = append(ids, id)
-			}
+			ids = append(ids, id)
 		}
 	}
 	return ids

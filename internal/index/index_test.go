@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -66,11 +68,150 @@ func TestMultikeyArrayMembership(t *testing.T) {
 	// Scalar equality probes see both exact values and array members.
 	wantIDs(t, f.ProbeEq("x"), "a", "b")
 	wantIDs(t, f.ProbeEq("y"), "a", "c")
-	// Array equality probes must not see element postings.
+	// An array equality probe is a superset of the exact matches: the
+	// array documents carrying its first element. The scalar "x" of b is
+	// posted whole and stays out; the caller re-checks the candidates.
 	wantIDs(t, f.ProbeEq([]any{"x", "y"}), "a")
+	wantIDs(t, f.ProbeEq([]any{"y"}), "a", "c")
 	// Containment sees only element postings.
 	wantIDs(t, f.ProbeContains("x"), "a")
 	wantIDs(t, f.ProbeContains("y"), "a", "c")
+	// The values are x and y; the arrays have no entries of their own.
+	if st := f.Stats(); st.Docs != 3 || st.Distinct != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestArrayEqProbeIsSuperset: a non-empty array is posted under its
+// elements only, so an equality probe for one returns every array document
+// carrying its first element, and that set holds every exact match —
+// including arrays with repeated elements and in another order.
+func TestArrayEqProbeIsSuperset(t *testing.T) {
+	f := NewField("tags")
+	docs := map[string]any{
+		"exact":    []any{"x", "y"},
+		"twice":    []any{"x", "y"},
+		"reversed": []any{"y", "x"},
+		"longer":   []any{"x", "y", "z"},
+		"other":    []any{"x", "z"},
+		"repeated": []any{"x", "x"},
+		"scalar":   "x",
+		"nested":   []any{[]any{"x", "y"}},
+		"empty":    []any{},
+	}
+	for id, v := range docs {
+		f.Add(doc(id, map[string]any{"tags": v}))
+	}
+	probe := []any{"x", "y"}
+	got := f.ProbeEq(probe)
+	wantIDs(t, got, "exact", "twice", "reversed", "longer", "other", "repeated")
+	candidates := map[string]bool{}
+	for _, id := range got {
+		candidates[id] = true
+	}
+	for id, v := range docs {
+		if document.DeepEqual(v, probe) && !candidates[id] {
+			t.Errorf("%s deep-equals the probe but is not a candidate", id)
+		}
+	}
+	// The first element decides: a probe led by "z" sees no x-only array.
+	wantIDs(t, f.ProbeEq([]any{"z", "x"}), "longer", "other")
+	wantIDs(t, f.ProbeEq([]any{"w"}))
+}
+
+// TestEmptyArrayPostedWhole: the empty array has no elements to be found
+// by, so it keeps a whole-value posting, found by an equality probe for []
+// and by nothing else. The probe is exact, which lets the planner elide the
+// conjunct.
+func TestEmptyArrayPostedWhole(t *testing.T) {
+	f := NewField("tags")
+	f.Add(doc("e", map[string]any{"tags": []any{}}))
+	f.Add(doc("n", map[string]any{"tags": []any{[]any{}}}))
+	f.Add(doc("s", map[string]any{"tags": "x"}))
+	// n carries [] as an element, and an array value never matches by
+	// membership: not a candidate.
+	wantIDs(t, f.ProbeEq([]any{}), "e")
+	wantIDs(t, f.ProbeContains([]any{}), "n")
+	e := f.byKey[document.MatchKey([]any{})]
+	if e == nil || len(e.whole) != 1 {
+		t.Fatalf("[] entry = %+v, want one whole posting", e)
+	}
+	wantIDs(t, f.RangeScan(Bound{Value: "", Inclusive: true}, Bound{Unbounded: true}), "s")
+	f.Remove(doc("e", map[string]any{"tags": []any{}}))
+	wantIDs(t, f.ProbeEq([]any{}))
+}
+
+// TestPostingMapsAllocatedOnFirstPosting: an entry gets a posting map of a
+// kind only when a document is first posted under it that way, so an
+// element-only value (every tag of an array-tagged table) carries no empty
+// whole map, and a scalar-only value no empty elem map.
+func TestPostingMapsAllocatedOnFirstPosting(t *testing.T) {
+	f := NewField("tags")
+	f.Add(doc("a", map[string]any{"tags": []any{"x", "y"}}))
+	f.Add(doc("b", map[string]any{"tags": "s"}))
+	for key, kind := range map[string]string{"x": "elem", "y": "elem", "s": "whole"} {
+		e := f.byKey[document.MatchKey(key)]
+		if e == nil {
+			t.Fatalf("no entry for %q", key)
+		}
+		if kind == "elem" && e.whole != nil {
+			t.Errorf("%q: whole map allocated for an element-only value", key)
+		}
+		if kind == "whole" && e.elem != nil {
+			t.Errorf("%q: elem map allocated for a whole-only value", key)
+		}
+	}
+	// A value posted both ways gets both maps.
+	f.Add(doc("c", map[string]any{"tags": "x"}))
+	if e := f.byKey[document.MatchKey("x")]; e.whole == nil || e.elem == nil {
+		t.Errorf("x posted whole and by element: maps %v / %v", e.whole, e.elem)
+	}
+}
+
+// TestIndexBytesPerDocument bounds what a tags index costs per document,
+// in the manner of ebf's TestTTLTableFlatUnderKeyChurn: 5 000 documents,
+// each tagged with 2 distinct tags of 500, the benchmark tables' shape.
+// Element postings cost ≈ 100 B and ≈ 8 allocations per document; a
+// posting of each whole array on top, a unique entry per document, costs
+// ≈ 590 B and ≈ 21, and the ceiling keeps it out.
+func TestIndexBytesPerDocument(t *testing.T) {
+	const n, tags = 5000, 500
+	const maxBytes, maxAllocs = 160, 10
+	rng := rand.New(rand.NewSource(1))
+	docs := make([]*document.Document, n)
+	for i := range docs {
+		a, b := rng.Intn(tags), rng.Intn(tags-1)
+		if b >= a {
+			b++
+		}
+		docs[i] = doc(fmt.Sprintf("p%05d", i), map[string]any{
+			"tags": []any{fmt.Sprintf("tag%03d", a), fmt.Sprintf("tag%03d", b)},
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f := NewField("tags")
+	for _, d := range docs {
+		f.Add(d)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(f)
+	runtime.KeepAlive(docs) // measure the index, not the documents' release
+
+	perDoc := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("index: %.0f B and %.1f allocs per document, %d distinct values", perDoc, allocs, f.Stats().Distinct)
+	if perDoc > maxBytes {
+		t.Errorf("index holds %.0f B per document, want ≤ %d", perDoc, maxBytes)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("Add allocates %.1f times per document, want ≤ %d", allocs, maxAllocs)
+	}
+	if st := f.Stats(); st.Docs != n || st.Distinct != tags {
+		t.Errorf("stats = %+v, want %d docs over %d distinct values", st, n, tags)
+	}
 }
 
 func TestRemoveMaintainsPostings(t *testing.T) {

@@ -46,12 +46,16 @@ func ChooseStrategy(q *Query, plan Plan) string {
 // many conjuncts were elided.
 //
 // Soundness rests on documented index/model invariants: MatchKey equality
-// coincides with Compare equality (probe candidates deep-equal the probed
-// value, or contain it as an array element), and range scans visit only
-// whole scalar values inside the plan window restricted to the window's
-// type class. A conjunct is dropped only when every such candidate provably
-// satisfies it, so the elision is valid for index candidates only; a scan
-// plan's residual is the whole predicate.
+// coincides with Compare equality (a probe for a scalar or an empty array
+// returns documents that deep-equal the probed value or contain it as an
+// array element), and range scans visit only whole scalar values inside
+// the plan window restricted to the window's type class. A probe for a
+// non-empty array is only a superset: the index posts such an array under
+// its elements, not whole, so the probe returns every document carrying
+// the array's first element, and an $eq on a non-empty array, or an $in
+// listing one, always stays in the residual. A conjunct is dropped only
+// when every candidate provably satisfies it, so the elision is valid for
+// index candidates only; a scan plan's residual is the whole predicate.
 func Residual(p Predicate, plan Plan) (Predicate, int) {
 	if plan.Kind == PlanScan || plan.Path == "" {
 		return p, 0
@@ -110,19 +114,25 @@ func conjunctImplied(f *Field, plan *Plan) bool {
 			return false
 		}
 		switch f.Op {
-		case OpEq, OpContains:
-			// Probe candidates either deep-equal the probed value or carry
-			// it as an array element — exactly the operator's semantics.
+		case OpContains:
+			// Candidates carry the probed value as an array element —
+			// exactly the operator's semantics.
 			return len(plan.Values) == 1 && document.DeepEqual(f.Value, plan.Values[0])
+		case OpEq:
+			// Candidates deep-equal the probed value or carry it as an
+			// array element, unless it is a non-empty array.
+			return len(plan.Values) == 1 && !nonEmptyArray(f.Value) &&
+				document.DeepEqual(f.Value, plan.Values[0])
 		case OpIn:
 			// Every candidate matched one of the probed values; the $in
-			// holds iff the probed list is the conjunct's list.
+			// holds iff the probed list is the conjunct's list and no value
+			// is a non-empty array.
 			list, _ := f.Value.([]any)
 			if len(list) != len(plan.Values) {
 				return false
 			}
 			for i := range list {
-				if !document.DeepEqual(list[i], plan.Values[i]) {
+				if nonEmptyArray(list[i]) || !document.DeepEqual(list[i], plan.Values[i]) {
 					return false
 				}
 			}
@@ -151,6 +161,13 @@ func conjunctImplied(f *Field, plan *Plan) bool {
 		}
 	}
 	return false
+}
+
+// nonEmptyArray reports whether v is an array with elements: the index
+// answers an equality probe for one with a superset (see Residual).
+func nonEmptyArray(v any) bool {
+	arr, ok := v.([]any)
+	return ok && len(arr) > 0
 }
 
 // sameClassWindow reports whether the plan window's type class (the class

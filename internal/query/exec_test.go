@@ -94,6 +94,22 @@ func TestResidualProbe(t *testing.T) {
 	if _, n := Residual(In("tag", "a"), in); n != 0 {
 		t.Fatal("shorter $in wrongly elided")
 	}
+
+	// A probe for a non-empty array returns a superset (the documents
+	// carrying its first element), so the conjunct stays; the empty array
+	// is posted whole and its probe is exact.
+	arr := []any{"x", "y"}
+	if _, n := Residual(Eq("tags", arr), Plan{Kind: PlanProbe, Path: "tags", Op: OpEq, Values: []any{arr}}); n != 0 {
+		t.Fatal("array $eq wrongly elided")
+	}
+	inArr := Plan{Kind: PlanProbe, Path: "tags", Op: OpIn, Values: []any{"a", arr}}
+	if _, n := Residual(In("tags", "a", arr), inArr); n != 0 {
+		t.Fatal("$in holding an array wrongly elided")
+	}
+	empty := []any{}
+	if _, n := Residual(Eq("tags", empty), Plan{Kind: PlanProbe, Path: "tags", Op: OpEq, Values: []any{empty}}); n != 1 {
+		t.Fatal("empty-array $eq not elided by its exact probe")
+	}
 }
 
 func TestResidualRange(t *testing.T) {

@@ -36,6 +36,11 @@ func FuzzParseJSON(f *testing.F) {
 		`{"x": {"$exists": "yes"}}`,
 		`{"x": 1e400}`,
 		`{"n": 993900771992171992.47409400}`,
+		// The $in width and nesting depth limits, at and one past each.
+		inListJSON("$in", MaxInValues),
+		inListJSON("$nin", MaxInValues+1),
+		nestedJSON("$and", MaxPredicateDepth, `{"a": 1}`),
+		nestedJSON("$not", MaxPredicateDepth+1, `{"a": 1, "b": 2}`),
 	} {
 		f.Add([]byte(seed))
 	}

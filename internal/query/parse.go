@@ -9,6 +9,18 @@ import (
 	"quaestor/internal/document"
 )
 
+// Limits on what a filter may ask of the executor. Each $in/$nin value
+// costs one index probe, and each combinator level one recursion of
+// planning, matching and key rendering.
+const (
+	// MaxInValues is the longest $in or $nin list a filter may hold.
+	MaxInValues = 1000
+	// MaxPredicateDepth is the deepest nesting of $and, $or and $not a
+	// filter may have. The implicit $and of sibling fields or operators
+	// counts as a level, as it does once the filter is rendered back.
+	MaxPredicateDepth = 32
+)
+
 // ParseFilter converts a MongoDB-style filter document into a Predicate.
 //
 // Supported forms:
@@ -19,8 +31,41 @@ import (
 //	{"$and": [f1, f2]}, {"$or": [...]}       — boolean combinators
 //	{"$not": f}                              — negation
 //
-// Top-level sibling fields combine with AND, matching MongoDB.
+// Top-level sibling fields combine with AND, matching MongoDB. A filter
+// nested deeper than MaxPredicateDepth, or with a $in/$nin list longer
+// than MaxInValues, is refused.
 func ParseFilter(filter map[string]any) (Predicate, error) {
+	p, err := parseFilter(filter)
+	if err != nil {
+		return nil, err
+	}
+	if d := depth(p); d > MaxPredicateDepth {
+		return nil, fmt.Errorf("query: filter nests $and/$or/$not %d deep; the limit is %d", d, MaxPredicateDepth)
+	}
+	return p, nil
+}
+
+// depth counts the combinator levels above p's deepest condition.
+func depth(p Predicate) int {
+	d := 0
+	switch t := p.(type) {
+	case *And:
+		for _, c := range t.Children {
+			d = max(d, depth(c))
+		}
+	case *Or:
+		for _, c := range t.Children {
+			d = max(d, depth(c))
+		}
+	case *Not:
+		d = depth(t.Child)
+	default:
+		return 0
+	}
+	return d + 1
+}
+
+func parseFilter(filter map[string]any) (Predicate, error) {
 	if len(filter) == 0 {
 		return True{}, nil
 	}
@@ -45,7 +90,7 @@ func ParseFilter(filter map[string]any) (Predicate, error) {
 				if !ok {
 					return nil, fmt.Errorf("query: %s element must be a filter document, got %T", key, el)
 				}
-				p, err := ParseFilter(sub)
+				p, err := parseFilter(sub)
 				if err != nil {
 					return nil, err
 				}
@@ -61,7 +106,7 @@ func ParseFilter(filter map[string]any) (Predicate, error) {
 			if !ok {
 				return nil, fmt.Errorf("query: $not expects a filter document, got %T", raw)
 			}
-			p, err := ParseFilter(sub)
+			p, err := parseFilter(sub)
 			if err != nil {
 				return nil, err
 			}
@@ -101,8 +146,12 @@ func parseFieldCondition(path string, raw any) (Predicate, error) {
 			children = append(children, f)
 		case OpIn, OpNin:
 			norm := document.Normalize(val)
-			if _, ok := norm.([]any); !ok {
+			list, ok := norm.([]any)
+			if !ok {
 				return nil, fmt.Errorf("query: %s on %q expects an array, got %T", op, path, val)
+			}
+			if len(list) > MaxInValues {
+				return nil, fmt.Errorf("query: %s on %q lists %d values; the limit is %d", op, path, len(list), MaxInValues)
 			}
 			f, err := field(path, op, norm)
 			if err != nil {

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -85,6 +87,53 @@ func TestParseFilterErrors(t *testing.T) {
 	for _, f := range bad {
 		if _, err := ParseFilter(f); err == nil {
 			t.Errorf("filter %v should fail to parse", f)
+		}
+	}
+}
+
+// inListJSON renders {"x": {op: [0, 1, …, n-1]}}.
+func inListJSON(op string, n int) string {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = fmt.Sprint(i)
+	}
+	return fmt.Sprintf(`{"x": {%q: [%s]}}`, op, strings.Join(vals, ","))
+}
+
+// nestedJSON renders n levels of combinator op around the filter inner:
+// $not takes a filter document, $and and $or a one-element list.
+func nestedJSON(op string, n int, inner string) string {
+	open, close := `{"`+op+`": [`, `]}`
+	if op == "$not" {
+		open, close = `{"$not": `, `}`
+	}
+	return strings.Repeat(open, n) + inner + strings.Repeat(close, n)
+}
+
+// TestParseLimits: a $in/$nin list of MaxInValues values and a filter
+// nested MaxPredicateDepth deep parse; one more value or level is refused
+// with an error naming the limit.
+func TestParseLimits(t *testing.T) {
+	const leaf, siblings = `{"a": 1}`, `{"a": 1, "b": 2}`
+	for _, c := range []struct {
+		name     string
+		at, over string
+		limit    int
+	}{
+		{"$in", inListJSON("$in", MaxInValues), inListJSON("$in", MaxInValues+1), MaxInValues},
+		{"$nin", inListJSON("$nin", MaxInValues), inListJSON("$nin", MaxInValues+1), MaxInValues},
+		{"$not", nestedJSON("$not", MaxPredicateDepth, leaf), nestedJSON("$not", MaxPredicateDepth+1, leaf), MaxPredicateDepth},
+		{"$and", nestedJSON("$and", MaxPredicateDepth, leaf), nestedJSON("$and", MaxPredicateDepth+1, leaf), MaxPredicateDepth},
+		{"$or", nestedJSON("$or", MaxPredicateDepth, leaf), nestedJSON("$or", MaxPredicateDepth+1, leaf), MaxPredicateDepth},
+		// Sibling fields are an implicit $and: one level, as rendered.
+		{"siblings", nestedJSON("$not", MaxPredicateDepth-1, siblings), nestedJSON("$not", MaxPredicateDepth, siblings), MaxPredicateDepth},
+	} {
+		if _, err := ParseJSON([]byte(c.at)); err != nil {
+			t.Errorf("%s at the limit: %v", c.name, err)
+		}
+		_, err := ParseJSON([]byte(c.over))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("the limit is %d", c.limit)) {
+			t.Errorf("%s past the limit: err = %v, want one naming the limit %d", c.name, err, c.limit)
 		}
 	}
 }

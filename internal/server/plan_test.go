@@ -57,9 +57,10 @@ func TestQueryPlanMetrics(t *testing.T) {
 func TestHTTPIndexEndpoint(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, shards int) {
 		srv := newTestServer(t, shards, nil)
-		// Enough docs that the probe estimate beats the scan estimate.
+		// Enough docs, over enough tags, that the probe estimate (docs per
+		// distinct tag) beats the scan estimate on every shard.
 		for i := 0; i < 10; i++ {
-			insertPost(t, srv, fmt.Sprintf("p%d", i), "a")
+			insertPost(t, srv, fmt.Sprintf("p%d", i), fmt.Sprintf("t%d", i%5))
 		}
 		h := srv.Handler()
 
@@ -95,7 +96,7 @@ func TestHTTPIndexEndpoint(t *testing.T) {
 		}
 
 		// A sargable query now routes through the probe path, visible in stats.
-		if rec := do(http.MethodGet, `/v1/db/posts?q={"tags":{"$contains":"a"}}`, ""); rec.Code != http.StatusOK {
+		if rec := do(http.MethodGet, `/v1/db/posts?q={"tags":{"$contains":"t1"}}`, ""); rec.Code != http.StatusOK {
 			t.Fatalf("query: %d %s", rec.Code, rec.Body)
 		}
 		rec = do(http.MethodGet, "/v1/stats", "")

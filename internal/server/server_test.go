@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -384,5 +385,46 @@ func TestParseQueryRequest(t *testing.T) {
 	}
 	if _, err := ParseQueryRequest("posts", mustValues("limit=x")); err == nil {
 		t.Error("non-numeric limit accepted")
+	}
+}
+
+// TestQueryFilterLimitsAre400: a $in list of query.MaxInValues values and
+// a filter nested query.MaxPredicateDepth deep are served; one more value
+// or level is a 400 whose message names the limit.
+func TestQueryFilterLimitsAre400(t *testing.T) {
+	srv := newTestServer(t, 1, nil)
+	insertPost(t, srv, "p1", "x")
+	h := srv.Handler()
+	inList := func(n int) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprint(i)
+		}
+		return `{"rating": {"$in": [` + strings.Join(vals, ",") + `]}}`
+	}
+	nested := func(n int) string {
+		return strings.Repeat(`{"$not": `, n) + `{"rating": 1}` + strings.Repeat(`}`, n)
+	}
+	for _, c := range []struct {
+		name     string
+		at, over string
+		limit    int
+	}{
+		{"$in", inList(query.MaxInValues), inList(query.MaxInValues + 1), query.MaxInValues},
+		{"depth", nested(query.MaxPredicateDepth), nested(query.MaxPredicateDepth + 1), query.MaxPredicateDepth},
+	} {
+		for _, f := range []struct {
+			filter string
+			code   int
+		}{{c.at, http.StatusOK}, {c.over, http.StatusBadRequest}} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/db/posts?"+url.Values{"q": {f.filter}}.Encode(), nil))
+			if rec.Code != f.code {
+				t.Errorf("%s: status %d, want %d (%s)", c.name, rec.Code, f.code, rec.Body)
+			}
+			if f.code == http.StatusBadRequest && !strings.Contains(rec.Body.String(), fmt.Sprintf("the limit is %d", c.limit)) {
+				t.Errorf("%s: 400 body %q does not name the limit %d", c.name, rec.Body, c.limit)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -171,8 +172,28 @@ func TestPropertyOrderedFanoutUnderConcurrentWriters(t *testing.T) {
 					t.Errorf("CreateIndex: %v", err)
 				}
 			})
+			// In wal-closed mode each writer parks after its first quarter
+			// of ops until the log is sealed, and the seal waits for half of
+			// them to park: it lands mid-stream, racing the other half's
+			// writes, and every writer has writes left to fail after it,
+			// however the scheduler orders the goroutines.
+			hold := func() {}
 			if mode == "wal-closed" {
-				afterWrites(writers*opsEach/4, func() { s.wal.Close() })
+				sealed := make(chan struct{})
+				var parked atomic.Int32
+				hold = func() {
+					parked.Add(1)
+					<-sealed
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for parked.Load() < writers/2 {
+						time.Sleep(50 * time.Microsecond)
+					}
+					s.wal.Close()
+					close(sealed)
+				}()
 			}
 			for w := 0; w < writers; w++ {
 				wg.Add(1)
@@ -180,6 +201,9 @@ func TestPropertyOrderedFanoutUnderConcurrentWriters(t *testing.T) {
 					defer wg.Done()
 					r := rand.New(rand.NewSource(seed))
 					for op := 0; op < opsEach; op++ {
+						if op == opsEach/4 {
+							hold()
+						}
 						id := fmt.Sprintf("k%02d", r.Intn(keys))
 						switch r.Intn(4) {
 						case 0:

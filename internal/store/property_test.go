@@ -242,6 +242,9 @@ func TestPropertyIndexedEqualsScanUnderConcurrentWrites(t *testing.T) {
 		if r.Intn(10) == 0 {
 			delete(fields, "color") // sometimes the indexed field is absent
 		}
+		if r.Intn(8) == 0 {
+			fields["tags"] = []any{} // posted whole, unlike non-empty arrays
+		}
 		return document.New(id, fields)
 	}
 
@@ -255,6 +258,11 @@ func TestPropertyIndexedEqualsScanUnderConcurrentWrites(t *testing.T) {
 		query.New("docs", query.Prefix("name", "blue-")),
 		query.New("docs", query.AndOf(query.Eq("color", "blue"), query.Gt("n", int64(20)))),
 		query.New("docs", query.Eq("color", "red")).Sorted(query.Desc("n")).Sliced(1, 7),
+		// Array values: the probe returns a superset and the residual
+		// re-checks it.
+		query.New("docs", query.Eq("tags", []any{"a", "b"})),
+		query.New("docs", query.In("tags", "e", []any{"c", "d"})),
+		query.New("docs", query.Eq("tags", []any{})),
 	}
 
 	for round := 0; round < rounds; round++ {
@@ -310,5 +318,79 @@ func TestPropertyIndexedEqualsScanUnderConcurrentWrites(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestArrayEqMatchesScan: a non-empty array is indexed under its elements
+// only, so an array equality probe returns every document carrying the
+// array's first element and the executor re-checks each candidate. The
+// answer must equal the scan's, the plan must still be a probe, and the
+// conjunct must not be elided.
+func TestArrayEqMatchesScan(t *testing.T) {
+	s := MustOpen(nil)
+	defer s.Close()
+	if err := s.CreateTable("docs"); err != nil {
+		t.Fatal(err)
+	}
+	for id, tags := range map[string]any{
+		"exact":    []any{"x", "y"},
+		"reversed": []any{"y", "x"},
+		"longer":   []any{"x", "y", "z"},
+		"other":    []any{"x", "z"},
+		"repeated": []any{"x", "x"},
+		"scalar":   "x",
+		"nested":   []any{[]any{"x", "y"}},
+		"holder":   []any{[]any{}},
+		"empty":    []any{},
+		"w1":       []any{"w"},
+		"w2":       []any{"w", "v"},
+		"w3":       []any{"v"},
+	} {
+		if err := s.Insert("docs", document.New(id, map[string]any{"tags": tags})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.CreateIndex("docs", "tags"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    *query.Query
+		want []string
+	}{
+		{query.New("docs", query.Eq("tags", []any{"x", "y"})), []string{"exact"}},
+		{query.New("docs", query.Eq("tags", []any{"x", "x"})), []string{"repeated"}},
+		{query.New("docs", query.Eq("tags", []any{[]any{"x", "y"}})), []string{"nested"}},
+		{query.New("docs", query.In("tags", []any{"y", "x"}, "v")), []string{"reversed", "w2", "w3"}},
+		{query.New("docs", query.Eq("tags", []any{})), []string{"empty"}},
+	} {
+		got, plan, err := s.QueryPlanned(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanned, err := s.ScanQuery(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := func(docs []*document.Document) []string {
+			out := make([]string, len(docs))
+			for i, d := range docs {
+				out[i] = d.ID
+			}
+			return out
+		}
+		if g, sc := fmt.Sprint(ids(got)), fmt.Sprint(ids(scanned)); g != sc || g != fmt.Sprint(c.want) {
+			t.Errorf("%s: planned %s, scan %s, want %v", c.q.Key(), g, sc, c.want)
+		}
+		if plan.Kind != query.PlanProbe {
+			t.Errorf("%s: plan %s, want a probe", c.q.Key(), plan.Kind)
+		}
+	}
+	_, plan, err := s.QueryPlanned(query.New("docs", query.Eq("tags", []any{"x", "y"})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.ElidedConjuncts != 0 || plan.RowsExamined != 5 || plan.RowsReturned != 1 {
+		t.Errorf("array probe: elided %d, examined %d, returned %d; want 0, 5 (the x arrays), 1",
+			plan.ElidedConjuncts, plan.RowsExamined, plan.RowsReturned)
 	}
 }
