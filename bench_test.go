@@ -697,6 +697,166 @@ func BenchmarkQueryResponseEncode(b *testing.B) {
 	})
 }
 
+// legacyDecodedDoc decodes a document the way Document.UnmarshalJSON did
+// before the single-pass decoder: encoding/json with UseNumber into a map,
+// then a walk converting each json.Number.
+type legacyDecodedDoc document.Document
+
+func (d *legacyDecodedDoc) UnmarshalJSON(data []byte) error {
+	var body map[string]any
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	if err := dec.Decode(&body); err != nil {
+		return err
+	}
+	if id, ok := body["_id"].(string); ok {
+		d.ID = id
+	}
+	if n, ok := body["_version"].(json.Number); ok {
+		v, err := n.Int64()
+		if err != nil {
+			return err
+		}
+		d.Version = v
+	}
+	delete(body, "_id")
+	delete(body, "_version")
+	var convert func(v any) (any, error)
+	convert = func(v any) (any, error) {
+		switch t := v.(type) {
+		case json.Number:
+			if iv, err := t.Int64(); err == nil {
+				return iv, nil
+			}
+			return t.Float64()
+		case []any:
+			for i, e := range t {
+				var err error
+				if t[i], err = convert(e); err != nil {
+					return nil, err
+				}
+			}
+		case map[string]any:
+			for k, e := range t {
+				c, err := convert(e)
+				if err != nil {
+					return nil, err
+				}
+				t[k] = c
+			}
+		}
+		return v, nil
+	}
+	if body == nil {
+		body = map[string]any{}
+	}
+	if _, err := convert(body); err != nil {
+		return err
+	}
+	d.Fields = body
+	return nil
+}
+
+// legacyTxnRequest is server.TxnRequest as the handler decoded it before:
+// one encoding/json pass over the body that hands each document's bytes
+// to the legacy decoder.
+type legacyTxnRequest struct {
+	Reads  map[string]int64 `json:"reads"`
+	Writes []struct {
+		Op    string            `json:"op"`
+		Table string            `json:"table"`
+		ID    string            `json:"id"`
+		Doc   *legacyDecodedDoc `json:"doc,omitempty"`
+		Spec  *store.UpdateSpec `json:"spec,omitempty"`
+	} `json:"writes"`
+}
+
+// BenchmarkDocumentDecode compares the two decoders of a request body:
+// one benchmark dataset document (a PUT/POST body, a WAL record's
+// document, one member of a query result the SDK decodes) and one
+// 100-document /v1/transaction body (the benchmark's in-memory load
+// batch). "legacy" is encoding/json with UseNumber plus the number walk,
+// "direct" the single-pass decoder the server uses. Both yield the same
+// documents.
+func BenchmarkDocumentDecode(b *testing.B) {
+	const batch = 100
+	docs := workload.GenerateDataset(&workload.DatasetConfig{Tables: 1, DocsPerTable: batch, Seed: 1}).Docs[workload.TableName(0)]
+	one, err := json.Marshal(docs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	var txn server.TxnRequest
+	for _, d := range docs {
+		txn.Writes = append(txn.Writes, server.TxnWriteOp{Op: "put", Table: workload.TableName(0), ID: d.ID, Doc: d})
+	}
+	body, err := json.Marshal(txn)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	var legacy legacyDecodedDoc
+	var direct document.Document
+	if err := json.Unmarshal(one, &legacy); err != nil {
+		b.Fatal(err)
+	}
+	if err := direct.UnmarshalJSON(one); err != nil || !direct.Equal((*document.Document)(&legacy)) || direct.Version != legacy.Version {
+		b.Fatalf("decoders disagree (%v): %+v vs %+v", err, direct, legacy)
+	}
+	var legacyTxn legacyTxnRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&legacyTxn); err != nil {
+		b.Fatal(err)
+	}
+	directTxn, err := server.DecodeTxnRequest(body)
+	if err != nil || len(directTxn.Writes) != batch || len(legacyTxn.Writes) != batch {
+		b.Fatalf("transaction decoders disagree (%v): %d vs %d writes", err, len(directTxn.Writes), len(legacyTxn.Writes))
+	}
+	for i, w := range directTxn.Writes {
+		if !w.Doc.Equal((*document.Document)(legacyTxn.Writes[i].Doc)) || !w.Doc.Equal(docs[i]) {
+			b.Fatalf("write %d: decoders disagree: %+v vs %+v", i, w.Doc, legacyTxn.Writes[i].Doc)
+		}
+	}
+
+	b.Run("doc/legacy", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(one)))
+		for i := 0; i < b.N; i++ {
+			var d legacyDecodedDoc
+			if err := json.Unmarshal(one, &d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("doc/direct", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(one)))
+		for i := 0; i < b.N; i++ {
+			var d document.Document
+			if err := d.UnmarshalJSON(one); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("txn100/legacy", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var req legacyTxnRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("txn100/direct", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if _, err := server.DecodeTxnRequest(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkSimulatorEventRate measures raw simulator speed (events/s) —
 // the Monte Carlo substrate's own performance.
 func BenchmarkSimulatorEventRate(b *testing.B) {

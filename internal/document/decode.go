@@ -1,0 +1,612 @@
+package document
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strconv"
+	"unicode/utf16"
+	"unicode/utf8"
+)
+
+// maxDepth is how deeply arrays and objects may nest in one JSON text:
+// encoding/json's limit.
+const maxDepth = 10000
+
+// Decoder reads one JSON text in a single pass, straight into the
+// canonical type set (see Document): the counterpart of AppendJSON. It
+// accepts what encoding/json accepts and yields what encoding/json with
+// UseNumber, followed by a conversion of each json.Number, yielded:
+//
+//   - an integer literal that fits in int64 is an int64 and every other
+//     number a float64, so 1.0 and 1e2 are floats; a number beyond
+//     float64's range is refused, and -0 is 0;
+//   - strings are unquoted as encoding/json unquotes them: a valid
+//     surrogate pair is one rune, a lone or invalid surrogate and each
+//     invalid UTF-8 byte become U+FFFD, and a raw byte below 0x20 is
+//     refused;
+//   - of duplicate object keys the last wins, and [] is a non-nil empty
+//     slice;
+//   - whitespace is space, \t, \n and \r, and nesting deeper than 10 000
+//     is refused.
+//
+// Besides whole values (Value, Document) it hands a text out piece by
+// piece (Object, Array, String, Int64, Float64, Null, Skip), so a caller
+// can bind a request struct while the documents inside it decode in the
+// same pass. Every method decodes the next value; End checks that nothing
+// but whitespace follows the last one.
+type Decoder struct {
+	data  []byte
+	off   int
+	depth int
+	stack []any  // elements of the arrays being read, innermost last
+	buf   []byte // an escaped string's unquoted bytes
+
+	// deferRange defers the refusal of a number beyond float64's range.
+	// Document refuses only the ones left in the fields it returns: the
+	// reference kept numbers as text until the document was whole, so
+	// one a duplicate key overwrote, or one inside "_id", was never
+	// refused. Skip refuses none, as encoding/json skips an unknown
+	// field's value. bad counts the deferred numbers.
+	deferRange bool
+	bad        int
+}
+
+// outOfRange stands in for a deferred number beyond float64's range.
+type outOfRange string
+
+// NewDecoder returns a decoder reading data.
+func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
+
+// UnmarshalJSON decodes the wire representation produced by MarshalJSON:
+// see Decoder.Document.
+func (d *Document) UnmarshalJSON(data []byte) error {
+	dec := Decoder{data: data}
+	if err := dec.Document(d); err != nil {
+		return err
+	}
+	return dec.End()
+}
+
+// Document decodes a document's wire form into doc: an object, or null
+// for empty fields. "_id" sets doc.ID only when it is a string and
+// "_version" sets doc.Version only when it is an integer (any other
+// number is an error); neither stays in Fields, which is replaced. An
+// absent "_id" or "_version" leaves doc's own.
+func (d *Decoder) Document(doc *Document) error {
+	outer := d.deferRange
+	d.deferRange, d.bad = true, 0
+	err := d.document(doc)
+	d.deferRange = outer
+	return err
+}
+
+func (d *Decoder) document(doc *Document) error {
+	if d.Null() {
+		doc.Fields = map[string]any{}
+		return nil
+	}
+	fields := map[string]any{}
+	var id, version any
+	err := d.Object(func(key string) error {
+		v, err := d.value()
+		switch key {
+		case "_id":
+			id = v
+		case "_version":
+			version = v
+		default:
+			fields[key] = v
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if s, ok := id.(string); ok {
+		doc.ID = s
+	}
+	switch n := version.(type) {
+	case int64:
+		doc.Version = n
+	case float64, outOfRange:
+		return fmt.Errorf("document: bad _version %v", n)
+	}
+	if d.bad > 0 {
+		if lit, ok := findOutOfRange(fields); ok {
+			return fmt.Errorf("document: number %s out of range", lit)
+		}
+	}
+	doc.Fields = fields
+	return nil
+}
+
+// findOutOfRange returns a deferred out-of-range number left in v.
+func findOutOfRange(v any) (outOfRange, bool) {
+	switch t := v.(type) {
+	case outOfRange:
+		return t, true
+	case []any:
+		for _, e := range t {
+			if lit, ok := findOutOfRange(e); ok {
+				return lit, true
+			}
+		}
+	case map[string]any:
+		for _, e := range t {
+			if lit, ok := findOutOfRange(e); ok {
+				return lit, true
+			}
+		}
+	}
+	return "", false
+}
+
+// Value decodes the next value of any type.
+func (d *Decoder) Value() (any, error) { return d.value() }
+
+// Skip decodes the next value and drops it.
+func (d *Decoder) Skip() error {
+	outer, bad := d.deferRange, d.bad
+	d.deferRange = true
+	_, err := d.value()
+	d.deferRange, d.bad = outer, bad
+	return err
+}
+
+// Null consumes the next value if it is null and reports whether it was.
+func (d *Decoder) Null() bool {
+	return d.next() == 'n' && d.literal("null") == nil
+}
+
+// String decodes the next value, which must be a string.
+func (d *Decoder) String() (string, error) {
+	if d.next() != '"' {
+		return "", d.typeError("a string")
+	}
+	return d.str()
+}
+
+// Int64 decodes the next value, which must be an integer literal in
+// int64's range.
+func (d *Decoder) Int64() (int64, error) {
+	if !d.atNumber() {
+		return 0, d.typeError("an integer")
+	}
+	start := d.off
+	n, _, isInt, err := d.number()
+	if err == errOutOfRange || err == nil && !isInt {
+		err = fmt.Errorf("document: number %s is not an int64", d.data[start:d.off])
+	}
+	return n, err
+}
+
+// Float64 decodes the next value, which must be a number.
+func (d *Decoder) Float64() (float64, error) {
+	if !d.atNumber() {
+		return 0, d.typeError("a number")
+	}
+	start := d.off
+	n, f, isInt, err := d.number()
+	if err == errOutOfRange {
+		err = fmt.Errorf("document: number %s out of range", d.data[start:d.off])
+	}
+	if isInt {
+		f = float64(n)
+	}
+	return f, err
+}
+
+// Object decodes the next value, which must be an object, calling member
+// with each key in order; member must decode exactly the key's value.
+func (d *Decoder) Object(member func(key string) error) error {
+	if d.next() != '{' {
+		return d.typeError("an object")
+	}
+	if err := d.open(); err != nil {
+		return err
+	}
+	for first := true; ; first = false {
+		key, ok, err := d.member(first)
+		if err != nil || !ok {
+			return err
+		}
+		if err := member(key); err != nil {
+			return err
+		}
+	}
+}
+
+// Array decodes the next value, which must be an array, calling elem for
+// each element in order; elem must decode exactly that element.
+func (d *Decoder) Array(elem func() error) error {
+	if d.next() != '[' {
+		return d.typeError("an array")
+	}
+	if err := d.open(); err != nil {
+		return err
+	}
+	for first := true; ; first = false {
+		ok, err := d.element(first)
+		if err != nil || !ok {
+			return err
+		}
+		if err := elem(); err != nil {
+			return err
+		}
+	}
+}
+
+// End reports an error unless only whitespace follows the values decoded.
+func (d *Decoder) End() error {
+	d.next()
+	if d.off < len(d.data) {
+		return d.syntaxError("after top-level value")
+	}
+	return nil
+}
+
+// next skips whitespace and returns the byte after it, 0 at the end.
+func (d *Decoder) next() byte {
+	for ; d.off < len(d.data); d.off++ {
+		switch c := d.data[d.off]; c {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+func (d *Decoder) atNumber() bool {
+	c := d.next()
+	return c == '-' || isDigit(c)
+}
+
+func (d *Decoder) syntaxError(context string) error {
+	if d.off >= len(d.data) {
+		return fmt.Errorf("document: unexpected end of JSON input")
+	}
+	return fmt.Errorf("document: invalid character %q %s at offset %d", d.data[d.off], context, d.off)
+}
+
+func (d *Decoder) typeError(want string) error {
+	if d.off >= len(d.data) {
+		return fmt.Errorf("document: unexpected end of JSON input")
+	}
+	return fmt.Errorf("document: %q at offset %d does not begin %s", d.data[d.off], d.off, want)
+}
+
+// open consumes the opening byte of an array or object.
+func (d *Decoder) open() error {
+	d.off++
+	if d.depth++; d.depth > maxDepth {
+		return fmt.Errorf("document: JSON nested deeper than %d at offset %d", maxDepth, d.off)
+	}
+	return nil
+}
+
+// member steps to the next member of the object being read: it consumes
+// the comma before it (none before the first), its key and the colon, and
+// returns the key, or ok false once it consumed the closing brace.
+func (d *Decoder) member(first bool) (key string, ok bool, err error) {
+	c := d.next()
+	if c == '}' {
+		d.off++
+		d.depth--
+		return "", false, nil
+	}
+	if !first {
+		if c != ',' {
+			return "", false, d.syntaxError("after object key:value pair")
+		}
+		d.off++
+		c = d.next()
+	}
+	if c != '"' {
+		return "", false, d.syntaxError("looking for beginning of object key string")
+	}
+	if key, err = d.str(); err != nil {
+		return "", false, err
+	}
+	if d.next() != ':' {
+		return "", false, d.syntaxError("after object key")
+	}
+	d.off++
+	return key, true, nil
+}
+
+// element steps to the next element of the array being read: it consumes
+// the comma before it (none before the first), or reports ok false once it
+// consumed the closing bracket. "[1,]" fails at the value after the comma.
+func (d *Decoder) element(first bool) (ok bool, err error) {
+	c := d.next()
+	if c == ']' {
+		d.off++
+		d.depth--
+		return false, nil
+	}
+	if !first {
+		if c != ',' {
+			return false, d.syntaxError("after array element")
+		}
+		d.off++
+	}
+	return true, nil
+}
+
+func (d *Decoder) value() (any, error) {
+	switch c := d.next(); c {
+	case '{':
+		return d.object()
+	case '[':
+		return d.array()
+	case '"':
+		return d.str()
+	case 't':
+		return true, d.literal("true")
+	case 'f':
+		return false, d.literal("false")
+	case 'n':
+		return nil, d.literal("null")
+	default:
+		if c == '-' || isDigit(c) {
+			start := d.off
+			n, f, isInt, err := d.number()
+			switch {
+			case isInt:
+				return n, err
+			case err == errOutOfRange && d.deferRange:
+				d.bad++
+				return outOfRange(d.data[start:d.off]), nil
+			case err == errOutOfRange:
+				return nil, fmt.Errorf("document: number %s out of range", d.data[start:d.off])
+			}
+			return f, err
+		}
+		return nil, d.syntaxError("looking for beginning of value")
+	}
+}
+
+func (d *Decoder) object() (map[string]any, error) {
+	m := map[string]any{}
+	err := d.Object(func(key string) (err error) {
+		m[key], err = d.value()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// array collects the elements on the decoder's stack, so the slice it
+// returns is allocated once, at its final length.
+func (d *Decoder) array() ([]any, error) {
+	base := len(d.stack)
+	err := d.Array(func() error {
+		v, err := d.value()
+		d.stack = append(d.stack, v)
+		return err
+	})
+	var out []any
+	if err == nil {
+		out = append(make([]any, 0, len(d.stack)-base), d.stack[base:]...)
+	}
+	clear(d.stack[base:])
+	d.stack = d.stack[:base]
+	return out, err
+}
+
+func (d *Decoder) literal(lit string) error {
+	if len(d.data)-d.off < len(lit) || string(d.data[d.off:d.off+len(lit)]) != lit {
+		return d.syntaxError("in literal " + lit)
+	}
+	d.off += len(lit)
+	return nil
+}
+
+// number decodes the number literal at the decoder's offset: as n when it
+// is an integer literal in int64's range, else as f.
+func (d *Decoder) number() (n int64, f float64, isInt bool, err error) {
+	data, start := d.data, d.off
+	i := start
+	neg := data[i] == '-'
+	if neg {
+		i++
+	}
+	switch {
+	case i < len(data) && data[i] == '0':
+		i++
+	case i < len(data) && isDigit(data[i]):
+		for i++; i < len(data) && isDigit(data[i]); i++ {
+		}
+	default:
+		d.off = i
+		return 0, 0, false, d.syntaxError("in numeric literal")
+	}
+	isInt = true
+	if i < len(data) && data[i] == '.' {
+		isInt = false
+		if i++; i >= len(data) || !isDigit(data[i]) {
+			d.off = i
+			return 0, 0, false, d.syntaxError("after decimal point in numeric literal")
+		}
+		for i++; i < len(data) && isDigit(data[i]); i++ {
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		isInt = false
+		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if i >= len(data) || !isDigit(data[i]) {
+			d.off = i
+			return 0, 0, false, d.syntaxError("in exponent of numeric literal")
+		}
+		for i++; i < len(data) && isDigit(data[i]); i++ {
+		}
+	}
+	d.off = i
+	lit := data[start:i]
+	if isInt {
+		if n, ok := parseInt64(lit, neg); ok {
+			return n, 0, true, nil
+		}
+	}
+	f, perr := strconv.ParseFloat(string(lit), 64)
+	if perr != nil {
+		return 0, 0, false, errOutOfRange
+	}
+	if f == 0 {
+		f = 0 // +0, whatever the sign was
+	}
+	return 0, f, false, nil
+}
+
+// errOutOfRange is number's answer to a literal beyond float64's range.
+var errOutOfRange = errors.New("document: number out of range")
+
+// parseInt64 parses a grammatical integer literal, reporting whether it
+// fits in int64.
+func parseInt64(lit []byte, neg bool) (int64, bool) {
+	if neg {
+		lit = lit[1:]
+	}
+	if len(lit) > 19 {
+		return 0, false
+	}
+	var u uint64
+	for _, c := range lit {
+		u = u*10 + uint64(c-'0') // 19 digits cannot overflow uint64
+	}
+	switch {
+	case neg && u <= 1<<63:
+		return int64(-u), true
+	case !neg && u <= math.MaxInt64:
+		return int64(u), true
+	}
+	return 0, false
+}
+
+// str decodes the string literal whose opening quote is at the offset.
+// One without escapes or invalid UTF-8 is copied out as it stands.
+func (d *Decoder) str() (string, error) {
+	data := d.data
+	start := d.off + 1
+	for i := start; i < len(data); {
+		c := data[i]
+		if c >= ' ' && c != '"' && c != '\\' && c < utf8.RuneSelf {
+			i++
+			continue
+		}
+		if c == '"' {
+			d.off = i + 1
+			return string(data[start:i]), nil
+		}
+		if c >= utf8.RuneSelf {
+			if r, size := utf8.DecodeRune(data[i:]); r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+		}
+		return d.unquote(start, i)
+	}
+	d.off = len(data)
+	return "", d.syntaxError("in string literal")
+}
+
+// unquote finishes a string literal that needs rewriting: data[start:i]
+// is plain, data[i] the first escape, control byte or invalid UTF-8.
+func (d *Decoder) unquote(start, i int) (string, error) {
+	data := d.data
+	b := append(d.buf[:0], data[start:i]...)
+	defer func() { d.buf = b }()
+	for i < len(data) {
+		switch c := data[i]; {
+		case c == '"':
+			d.off = i + 1
+			return string(b), nil
+		case c < ' ':
+			d.off = i
+			return "", d.syntaxError("in string literal")
+		case c == '\\':
+			if i+1 >= len(data) {
+				d.off = len(data)
+				return "", d.syntaxError("in string escape code")
+			}
+			switch e := data[i+1]; e {
+			case '"', '\\', '/':
+				b = append(b, e)
+			case 'b':
+				b = append(b, '\b')
+			case 'f':
+				b = append(b, '\f')
+			case 'n':
+				b = append(b, '\n')
+			case 'r':
+				b = append(b, '\r')
+			case 't':
+				b = append(b, '\t')
+			case 'u':
+				r := hex4(data[i:])
+				if r < 0 {
+					d.off = i
+					return "", d.syntaxError("in \\u hexadecimal character escape")
+				}
+				i += 6
+				if utf16.IsSurrogate(r) {
+					if dec := utf16.DecodeRune(r, hex4(data[i:])); dec != utf8.RuneError {
+						b = utf8.AppendRune(b, dec)
+						i += 6
+						continue
+					}
+					r = utf8.RuneError
+				}
+				b = utf8.AppendRune(b, r)
+				continue
+			default:
+				d.off = i + 1
+				return "", d.syntaxError("in string escape code")
+			}
+			i += 2
+		case c < utf8.RuneSelf:
+			b = append(b, c)
+			i++
+		default:
+			r, size := utf8.DecodeRune(data[i:])
+			if r == utf8.RuneError && size == 1 {
+				b = append(b, "\uFFFD"...)
+			} else {
+				b = append(b, data[i:i+size]...)
+			}
+			i += size
+		}
+	}
+	d.off = len(data)
+	return "", d.syntaxError("in string literal")
+}
+
+// hex4 decodes the \uXXXX escape s begins with, or returns -1.
+func hex4(s []byte) rune {
+	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
+		return -1
+	}
+	var r rune
+	for _, c := range s[2:6] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }

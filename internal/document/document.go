@@ -9,7 +9,6 @@
 package document
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -78,81 +77,6 @@ func (d *Document) Equal(other *Document) bool {
 		return d == other
 	}
 	return d.ID == other.ID && DeepEqual(d.Fields, other.Fields)
-}
-
-// UnmarshalJSON decodes the wire representation produced by MarshalJSON
-// (see json.go).
-func (d *Document) UnmarshalJSON(data []byte) error {
-	var body map[string]any
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	if err := dec.Decode(&body); err != nil {
-		return err
-	}
-	if id, ok := body["_id"].(string); ok {
-		d.ID = id
-	}
-	if v, ok := body["_version"]; ok {
-		switch n := v.(type) {
-		case json.Number:
-			iv, err := n.Int64()
-			if err != nil {
-				return fmt.Errorf("document: bad _version %q", n.String())
-			}
-			d.Version = iv
-		case float64:
-			d.Version = int64(n)
-		}
-	}
-	delete(body, "_id")
-	delete(body, "_version")
-	if body == nil { // the input was null
-		body = map[string]any{}
-	}
-	if _, err := fromJSON(body); err != nil {
-		return err
-	}
-	d.Fields = body
-	return nil
-}
-
-// fromJSON converts a value encoding/json decoded with UseNumber into the
-// canonical type set, in place: a number becomes an int64 when it is one,
-// else a float64. Like encoding/json, it refuses a number beyond float64's
-// range instead of decoding it as ±Inf, which no encoder writes back. A
-// zero float loses its sign: -0 would encode as "-0", and that decodes as
-// the integer 0.
-func fromJSON(v any) (any, error) {
-	switch t := v.(type) {
-	case json.Number:
-		if iv, err := t.Int64(); err == nil {
-			return iv, nil
-		}
-		fv, err := t.Float64()
-		if err != nil {
-			return nil, fmt.Errorf("document: number %s out of range", t)
-		}
-		if fv == 0 {
-			fv = 0 // +0, whatever the sign was
-		}
-		return fv, nil
-	case []any:
-		for i, e := range t {
-			var err error
-			if t[i], err = fromJSON(e); err != nil {
-				return nil, err
-			}
-		}
-	case map[string]any:
-		for k, e := range t {
-			c, err := fromJSON(e)
-			if err != nil {
-				return nil, err
-			}
-			t[k] = c
-		}
-	}
-	return v, nil
 }
 
 // Normalize coerces a value into the canonical type set:

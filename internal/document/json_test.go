@@ -3,8 +3,11 @@ package document
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +23,92 @@ func legacyMarshal(d *Document) ([]byte, error) {
 	body["_id"] = d.ID
 	body["_version"] = d.Version
 	return json.Marshal(body)
+}
+
+// legacyDocument carries the decoder Decoder.Document replaced:
+// encoding/json with UseNumber, then a walk converting each json.Number.
+// legacyUnmarshal reaches it the way every caller did, through
+// encoding/json, which refuses anything but one JSON value first. It stays
+// here as the reference the direct decoder must match.
+type legacyDocument Document
+
+func legacyUnmarshal(data []byte) (*Document, error) {
+	var d legacyDocument
+	if err := json.Unmarshal(data, &d); err != nil {
+		return nil, err
+	}
+	return (*Document)(&d), nil
+}
+
+func (d *legacyDocument) UnmarshalJSON(data []byte) error {
+	var body map[string]any
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	if err := dec.Decode(&body); err != nil {
+		return err
+	}
+	if id, ok := body["_id"].(string); ok {
+		d.ID = id
+	}
+	if v, ok := body["_version"]; ok {
+		switch n := v.(type) {
+		case json.Number:
+			iv, err := n.Int64()
+			if err != nil {
+				return fmt.Errorf("document: bad _version %q", n.String())
+			}
+			d.Version = iv
+		case float64:
+			d.Version = int64(n)
+		}
+	}
+	delete(body, "_id")
+	delete(body, "_version")
+	if body == nil { // the input was null
+		body = map[string]any{}
+	}
+	if _, err := legacyFromJSON(body); err != nil {
+		return err
+	}
+	d.Fields = body
+	return nil
+}
+
+// legacyFromJSON converts a value encoding/json decoded with UseNumber
+// into the canonical type set, in place: a number becomes an int64 when it
+// is one, else a float64; a number beyond float64's range is refused, and
+// a zero float loses its sign.
+func legacyFromJSON(v any) (any, error) {
+	switch t := v.(type) {
+	case json.Number:
+		if iv, err := t.Int64(); err == nil {
+			return iv, nil
+		}
+		fv, err := t.Float64()
+		if err != nil {
+			return nil, fmt.Errorf("document: number %s out of range", t)
+		}
+		if fv == 0 {
+			fv = 0 // +0, whatever the sign was
+		}
+		return fv, nil
+	case []any:
+		for i, e := range t {
+			var err error
+			if t[i], err = legacyFromJSON(e); err != nil {
+				return nil, err
+			}
+		}
+	case map[string]any:
+		for k, e := range t {
+			c, err := legacyFromJSON(e)
+			if err != nil {
+				return nil, err
+			}
+			t[k] = c
+		}
+	}
+	return v, nil
 }
 
 var jsonTestStrings = []string{
@@ -250,4 +339,98 @@ func FuzzDocumentJSON(f *testing.F) {
 			t.Fatalf("%q: the round trip is not stable (%v)\n first %s\nsecond %s", data, err, got, back)
 		}
 	})
+}
+
+// decodeSeeds are inputs on every rule of the decoder's contract: escapes,
+// surrogates, invalid UTF-8, the number grammar and its range, duplicate
+// keys, nesting at and past the limit, top-level shapes and trailing
+// bytes.
+func decodeSeeds() []string {
+	nest := func(depth int) string { // depth counts the outer object
+		return `{"a":` + strings.Repeat("[", depth-1) + strings.Repeat("]", depth-1) + `}`
+	}
+	return []string{
+		``, ` `, `null`, ` null `, `nul`, `nullx`, `{}`, `[]`, `"s"`, `1`, `true`, `{"a":[]}`, `{"a":{}}`,
+		`{"a":"\"\\\/\b\f\n\r\t\u0000\u00e9\u00E9\u2028"}`, `{"a":"\x"}`, `{"a":"\u12"}`, `{"a":"\u12G4"}`,
+		`{"a":"\ud83d\ude00"}`, `{"a":"\ud800"}`, `{"a":"\udc00\ud800"}`, `{"a":"\ud800\u0041"}`, `{"a":"\ud800\uZZZZ"}`,
+		`{"a":"\ud800\ud800\udc00"}`, `{"\ud800":1,"\udbff":2}`,
+		"{\"a\":\"bad\xffutf8\xc3\"}", "{\"a\":\"\xed\xa0\x80\xc0\xaf\"}", "{\"\xff\":1,\"\xfe\":2}", "{\"a\":\"\xef\xbf\xbd\"}",
+		"{\"a\":\"tab\tin\"}", "{\"a\":\"nul\x00\"}", "{\"a\":\"del\x7f\"}",
+		`{"a":1e400}`, `{"a":-1e400}`, `{"a":1e-400}`, `{"a":-0}`, `{"a":-0.0}`, `{"a":1.0}`, `{"a":1e2}`, `{"a":1E+2}`, `{"a":1e-2}`,
+		`{"a":9223372036854775807}`, `{"a":9223372036854775808}`, `{"a":-9223372036854775808}`, `{"a":-9223372036854775809}`,
+		`{"a":12345678901234567890123}`, `{"a":9007199254740993}`, `{"a":01}`, `{"a":-}`, `{"a":1.}`, `{"a":.5}`, `{"a":1e}`,
+		`{"a":1e+}`, `{"a":+1}`, `{"a":-a}`, `{"a":tru}`, `{"a":nulll}`, `{"a":falsey}`,
+		`{"a":1,"a":2}`, `{"a":{"x":1},"a":{"y":2}}`, `{"a":[1e400],"a":0}`, `{"a":{"b":1e400},"a":{"b":1}}`, `{"_id":1e400}`,
+		`{"_version":1e400}`, `{"_version":[1e400]}`, `{"a":1e400,"b":1e400,"a":1}`, `{"_id":"a","_id":5}`, `{"_id":5}`, `{"_version":1.5}`, `{"_version":1.0}`,
+		`{"_version":"7"}`, `{"_version":null}`, `{"_version":9223372036854775808}`, `{"_version":-0}`, `{"_id":"x","_version":3,"n":[1,2.5,"s",null,{"y":true}]}`,
+		`{"a" 1}`, `{"a":1,}`, `{,}`, `{"a":[1,]}`, `{"a":[,1]}`, `{"a":[1 2]}`, `{"a":1 "b":2}`, `{1:2}`, `{"a":}`, `{"a"`, `{"a":"x`,
+		" \t\n\r{ \"a\" : [ 1 , 2 ] } \r\n", "\f{}", "{\"a\":\u00a01}", "\xef\xbb\xbf{}",
+		nest(maxDepth), nest(maxDepth + 1), `{"a":1} x`, `{"a":1}{}`, `{} []`, `{}}`, `{"a":1}` + "\n",
+	}
+}
+
+// FuzzDecodeDocument: the single-pass decoder against the one it
+// replaced. Both accept or both refuse; when they accept, the documents
+// agree on ID and Version, their fields are DeepEqual (which tells an
+// int64 from a float64), and they encode to the same bytes.
+func FuzzDecodeDocument(f *testing.F) {
+	g := &jsonGen{r: rand.New(rand.NewSource(12))}
+	for i := 0; i < 64; i++ {
+		if data, err := legacyMarshal(g.document()); err == nil {
+			f.Add(data)
+		}
+	}
+	f.Add([]byte(`{"0":[200000000000000e297]}`))
+	f.Add([]byte(`{"a":-0.0,"b":-1e-400,"c":{"d":[-0]}}`))
+	for _, s := range decodeSeeds() {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got Document
+		gotErr := got.UnmarshalJSON(data)
+		want, wantErr := legacyUnmarshal(data)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%q: decoder err = %v, reference err = %v", data, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if got.ID != want.ID || got.Version != want.Version || !reflect.DeepEqual(got.Fields, want.Fields) {
+			t.Fatalf("%q:\n got %q v%d %#v\nwant %q v%d %#v", data, got.ID, got.Version, got.Fields, want.ID, want.Version, want.Fields)
+		}
+		gb, gerr := got.AppendJSON(nil)
+		wb, werr := want.AppendJSON(nil)
+		if gerr != nil || werr != nil || !bytes.Equal(gb, wb) {
+			t.Fatalf("%q: encodings differ (%v, %v)\n got %s\nwant %s", data, gerr, werr, gb, wb)
+		}
+	})
+}
+
+// TestDecodeIntoExistingDocument: like the UnmarshalJSON it replaced,
+// decoding keeps the target's ID and Version unless the input sets them,
+// and replaces its fields.
+func TestDecodeIntoExistingDocument(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		id   string
+		ver  int64
+		keys int
+	}{
+		{`{"x":1}`, "keep", 7, 1},
+		{`null`, "keep", 7, 0},
+		{`{"_id":"new","_version":9}`, "new", 9, 0},
+		{`{"_id":1,"_version":"9","y":[]}`, "keep", 7, 1},
+	} {
+		d := &Document{ID: "keep", Version: 7, Fields: map[string]any{"old": true, "x": 0}}
+		if err := d.UnmarshalJSON([]byte(tc.in)); err != nil {
+			t.Fatalf("%s: %v", tc.in, err)
+		}
+		if d.ID != tc.id || d.Version != tc.ver || len(d.Fields) != tc.keys || d.Fields["old"] != nil {
+			t.Errorf("%s: got %q v%d %v", tc.in, d.ID, d.Version, d.Fields)
+		}
+	}
+	var empty Document
+	if err := empty.UnmarshalJSON([]byte(`{"a":[]}`)); err != nil || empty.Fields["a"] == nil || len(empty.Fields["a"].([]any)) != 0 {
+		t.Errorf("[] decoded to %#v (%v), want a non-nil empty slice", empty.Fields["a"], err)
+	}
 }

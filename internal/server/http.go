@@ -517,7 +517,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 		writeEncoded(w, http.StatusOK, res.Doc)
 	case http.MethodPut:
 		var doc document.Document
-		if err := decodeBody(w, r, &doc, "document"); err != nil {
+		if err := decodeRequest(w, r, "document", func(dec *document.Decoder) error { return dec.Document(&doc) }); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -530,7 +530,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 		writeJSON(w, http.StatusOK, map[string]string{"id": id})
 	case http.MethodPatch:
 		var spec store.UpdateSpec
-		if err := decodeBody(w, r, &spec, "update spec"); err != nil {
+		if err := decodeRequest(w, r, "update spec", func(dec *document.Decoder) error { return bindUpdateSpec(dec, &spec) }); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -555,7 +555,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, table string) {
 	var doc document.Document
-	if err := decodeBody(w, r, &doc, "document"); err != nil {
+	if err := decodeRequest(w, r, "document", func(dec *document.Decoder) error { return dec.Document(&doc) }); err != nil {
 		writeError(w, err)
 		return
 	}

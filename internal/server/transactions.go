@@ -132,9 +132,14 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &httpError{http.StatusMethodNotAllowed, "POST only"})
 		return
 	}
-	var req TxnRequest
-	if err := decodeBody(w, r, &req, "transaction"); err != nil {
+	body, err := readBody(w, r)
+	if err != nil {
 		writeError(w, err)
+		return
+	}
+	req, err := DecodeTxnRequest(body)
+	if err != nil {
+		writeError(w, bodyError(err, "transaction"))
 		return
 	}
 	res, err := s.Commit(req)

@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"quaestor/internal/document"
 )
@@ -26,10 +32,9 @@ func sameRecord(a, b *Record) bool {
 // recovery does with whatever a crash left on disk. It must never panic,
 // never claim a valid prefix longer than its input, and every record it
 // does return must survive the writer: re-encoded with appendFrame it
-// scans back as the same record. Seeded from the torn-tail tests, a put
-// frame in the pre-PR-16 layout ("seq" first) so segments written before
-// Seq moved to the end of the payload keep recovering, and a header that
-// claims far more bytes than follow.
+// scans back as the same record. Seeded from the torn-tail tests, put
+// frames in all three layouts (see TestPutFrameLayoutsReplayTheSame), and
+// a header that claims far more bytes than follow.
 func FuzzScanSegment(f *testing.F) {
 	var seg []byte
 	for _, rec := range []Record{
@@ -45,6 +50,16 @@ func FuzzScanSegment(f *testing.F) {
 		}
 	}
 	oldLayout := AppendFrame(nil, []byte(`{"seq":7,"kind":"put","table":"posts","doc":{"_id":"p7","_version":3,"n":7}}`))
+	for _, rec := range layoutRecords() {
+		frame, err := appendFrame(nil, &rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame) // the current put layout: the document as AppendJSON writes it
+	}
+	for _, frame := range idFirstGoldenFrames {
+		f.Add([]byte(frame))
+	}
 	f.Add(seg)
 	f.Add(seg[:len(seg)-3])                                                                // crash mid-append
 	f.Add(append(seg[:len(seg):len(seg)], "\x10\x00\x00\x00garbage-without-valid-crc"...)) // garbage tail
@@ -162,6 +177,193 @@ func TestOldFrameLayoutStillScans(t *testing.T) {
 		}
 		if !sameRecord(&got[0], &want) {
 			t.Errorf("%s layout decoded to %+v (doc %+v), want %+v", name, got[0], got[0].Doc, want)
+		}
+	}
+}
+
+// layoutRecords are put records whose documents exercise key order: a
+// field sorting before "_id", escapes, nested values, an empty document,
+// and a field shadowing "_id", which no layout writes.
+func layoutRecords() []Record {
+	return []Record{
+		{Seq: 7, Kind: KindPut, Table: "posts", Doc: &document.Document{ID: "p7", Version: 3, Fields: map[string]any{
+			"Title": "x <y>", "n": int64(7), "f": 2.5, "tags": []any{"a", "b"}, "o": map[string]any{"z": nil, "b": true}}}},
+		{Seq: 8, Kind: KindPut, Table: "posts", Doc: &document.Document{ID: "p\"8é", Version: 1, Fields: map[string]any{}}},
+		{Seq: 9, Kind: KindPut, Table: "posts", Doc: &document.Document{ID: "p9", Version: 2, Fields: map[string]any{"_id": "shadow", "a": int64(1)}}},
+		{Seq: 10, Kind: KindDelete, Table: "posts", ID: "p7", Version: 4},
+	}
+}
+
+// idFirstGoldenFrames are layoutRecords as the encoder before this layout
+// framed them, byte for byte: a put document with "_id" and "_version"
+// first, then its fields.
+var idFirstGoldenFrames = []string{
+	"\x97\x00\x00\x00\xb5%\by{\"kind\":\"put\",\"table\":\"posts\",\"doc\":{\"_id\":\"p7\",\"_version\":3,\"Title\":\"x \\u003cy\\u003e\",\"f\":2.5,\"n\":7,\"o\":{\"b\":true,\"z\":null},\"tags\":[\"a\",\"b\"]},\"seq\":7}",
+	"J\x00\x00\x00ςX\xa7{\"kind\":\"put\",\"table\":\"posts\",\"doc\":{\"_id\":\"p\\\"8é\",\"_version\":1},\"seq\":8}",
+	"L\x00\x00\x00v\xb2\xbc/{\"kind\":\"put\",\"table\":\"posts\",\"doc\":{\"_id\":\"p9\",\"_version\":2,\"a\":1},\"seq\":9}",
+	"@\x00\x00\x00\xc7rb\xac{\"kind\":\"delete\",\"table\":\"posts\",\"id\":\"p7\",\"version\":4,\"seq\":10}",
+}
+
+// seqFirst moves a frame's trailing "seq" to the front of its payload:
+// the layout segments had before Seq was spliced in last.
+func seqFirst(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	payload := string(frame[frameHeaderSize:])
+	i := strings.LastIndex(payload, `,"seq":`)
+	if i < 0 {
+		t.Fatalf("no seq in %s", payload)
+	}
+	return AppendFrame(nil, []byte(`{`+payload[i+1:len(payload)-1]+`,`+payload[1:i]+`}`))
+}
+
+// TestPutFrameLayoutsReplayTheSame: segments in both earlier put layouts
+// ("seq" first; "_id" and "_version" ahead of the fields) replay to the
+// records the current encoder writes, and a current frame is exactly as
+// long as the one it replaces: only the key order moved.
+func TestPutFrameLayoutsReplayTheSame(t *testing.T) {
+	want := layoutRecords()
+	var current, idFirst, seqFirstSeg []byte
+	for i := range want {
+		frame, err := appendFrame(nil, &want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != len(idFirstGoldenFrames[i]) {
+			t.Errorf("record %d: frame is %d bytes, %d before", i, len(frame), len(idFirstGoldenFrames[i]))
+		}
+		current = append(current, frame...)
+		idFirst = append(idFirst, idFirstGoldenFrames[i]...)
+		seqFirstSeg = append(seqFirstSeg, seqFirst(t, []byte(idFirstGoldenFrames[i]))...)
+	}
+	delete(want[2].Doc.Fields, "_id") // shadowing: never written
+	for name, seg := range map[string][]byte{"current": current, "id-first": idFirst, "seq-first": seqFirstSeg} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, res := collect(t, dir)
+		if res.TornTail || len(got) != len(want) {
+			t.Fatalf("%s layout: %d records (torn %v), want %d", name, len(got), res.TornTail, len(want))
+		}
+		for i := range want {
+			if !sameRecord(&got[i], &want[i]) || got[i].Doc != nil && !reflect.DeepEqual(got[i].Doc.Fields, want[i].Doc.Fields) {
+				t.Errorf("%s layout, record %d: %+v (doc %+v), want %+v (doc %+v)", name, i, got[i], got[i].Doc, want[i], want[i].Doc)
+			}
+		}
+	}
+}
+
+// snapEvent is one callback of ReadSnapshotStream: a meta or a document.
+type snapEvent struct {
+	meta  *SnapshotMeta
+	table string
+	doc   *document.Document
+}
+
+func readSnapEvents(data []byte) ([]snapEvent, error) {
+	var evs []snapEvent
+	err := ReadSnapshotStream(bytes.NewReader(data),
+		func(m SnapshotMeta) error { evs = append(evs, snapEvent{meta: &m}); return nil },
+		func(table string, doc *document.Document) error {
+			evs = append(evs, snapEvent{table: table, doc: doc})
+			return nil
+		})
+	return evs, err
+}
+
+func sameMeta(a, b *SnapshotMeta) bool {
+	if a.Seq != b.Seq || !a.CreatedAt.Equal(b.CreatedAt) || len(a.Tables) != len(b.Tables) || (a.Tables == nil) != (b.Tables == nil) {
+		return false
+	}
+	for i := range a.Tables {
+		ta, tb := a.Tables[i], b.Tables[i]
+		if ta.Name != tb.Name || ta.VersionFloor != tb.VersionFloor || !slices.Equal(ta.Indexes, tb.Indexes) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzReadSnapshotStream feeds arbitrary bytes to the snapshot decoder a
+// replica bootstraps from. It must never panic, and whatever stream it
+// accepts, SnapshotStreamWriter re-encodes to a stream that reads back
+// to the same meta and documents. Seeded from the snapshot tests, a
+// truncated stream, a header claiming far more bytes than follow, and a
+// document frame with escapes and surrogates. A meta frame without its
+// meta (found by this target) panicked the reader, and a doc frame
+// without its document would have reached the store as nil.
+func FuzzReadSnapshotStream(f *testing.F) {
+	var stream bytes.Buffer
+	w := NewSnapshotStreamWriter(&stream)
+	w.Meta(SnapshotMeta{Seq: 42, Tables: []TableMeta{{Name: "posts", Indexes: []string{"author", "tags"}, VersionFloor: 3}}, CreatedAt: time.Unix(1700000000, 5).UTC()})
+	w.Doc("posts", document.New("p1", map[string]any{"title": "hello", "n": 1, "f": 2.5}))
+	w.Doc("posts", document.New("p2", map[string]any{"tags": []any{"a", "b"}, "o": map[string]any{"x": nil}}))
+	w.End()
+	full := stream.Bytes()
+	f.Add(full)
+	f.Add(full[:len(full)-4])
+	f.Add(lyingFrame())
+	f.Add([]byte{})
+	meta := `{"kind":"meta","meta":{"seq":1,"tables":[{"name":"t"}],"createdAt":"2024-01-02T03:04:05+01:00"}}`
+	doc := `{"kind":"doc","table":"t","doc":{"_id":"😀 é","s":"\ud800A tab\t \"q\" <","n":-0,"big":12345678901234567890,"a":[1.5e300,true,null]}}`
+	end := `{"kind":"end","docs":1}`
+	for _, payloads := range [][]string{{meta, doc, end}, {meta, doc}, {doc, meta, end}, {`{"kind":"meta"}`}, {meta, `{"kind":"doc","table":"t"}`, end}} {
+		joined := []byte(strings.Join(payloads, "\n"))
+		f.Add(frameLines(joined))
+		f.Add(joined)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSnapshotStream(t, data)
+		// A checksum stops almost every mutation at the frame boundary, so
+		// also frame each line of the input: that is what reaches the
+		// frame decoder.
+		checkSnapshotStream(t, frameLines(data))
+	})
+}
+
+// frameLines frames each newline-separated line of data as one payload.
+func frameLines(data []byte) []byte {
+	var out []byte
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		out = AppendFrame(out, line)
+	}
+	return out
+}
+
+func checkSnapshotStream(t *testing.T, data []byte) {
+	evs, err := readSnapEvents(data)
+	if err != nil {
+		return
+	}
+	var again bytes.Buffer
+	w := NewSnapshotStreamWriter(&again)
+	for _, ev := range evs {
+		if ev.meta != nil {
+			err = w.Meta(*ev.meta)
+		} else {
+			err = w.Doc(ev.table, ev.doc)
+		}
+		if err != nil {
+			t.Fatalf("%q: an accepted stream does not re-encode: %v", data, err)
+		}
+	}
+	if err := w.End(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := readSnapEvents(again.Bytes())
+	if err != nil || len(back) != len(evs) {
+		t.Fatalf("%q: re-encoded stream reads back %d of %d events: %v", data, len(back), len(evs), err)
+	}
+	for i, ev := range evs {
+		b := back[i]
+		switch {
+		case (ev.meta == nil) != (b.meta == nil):
+			t.Fatalf("%q: event %d changed kind", data, i)
+		case ev.meta != nil && !sameMeta(ev.meta, b.meta):
+			t.Fatalf("%q: meta %+v read back as %+v", data, *ev.meta, *b.meta)
+		case ev.meta == nil && (ev.table != b.table || ev.doc.ID != b.doc.ID || ev.doc.Version != b.doc.Version ||
+			!reflect.DeepEqual(ev.doc.Fields, b.doc.Fields)):
+			t.Fatalf("%q: doc %s/%+v read back as %s/%+v", data, ev.table, ev.doc, b.table, b.doc)
 		}
 	}
 }

@@ -104,38 +104,34 @@ func AppendFrame(buf, payload []byte) []byte {
 // seqSuffixMax bounds what closeFrame appends: `,"seq":` + 20 digits + `}`.
 const seqSuffixMax = 28
 
+// putFrameGuess is what a put frame's buffer starts at before its
+// document is encoded: a benchmark dataset document's frame is ≈ 300
+// bytes, so most frames never grow it.
+const putFrameGuess = 512
+
 // openFrame appends rec to buf as a frame that is complete except for its
 // sequence number: the header is reserved, and the payload stops before
 // the record's closing brace. closeFrame splices Seq in as the last key,
 // which lets the store assign Seq inside its stamp section (see
 // Log.Submit): the O(document) encoding runs outside it, closing costs
 // O(digits). Decoding is key-order agnostic, so segments written with
-// "seq" first (before the split) read back the same.
+// "seq" first (before the split), or with "_id" and "_version" ahead of
+// the document's fields (before puts embedded AppendJSON), read back the
+// same.
 func openFrame(buf []byte, rec *Record) ([]byte, error) {
 	start := len(buf)
-	doc := rec.Doc
-	// Splicing the raw field JSON after the _id/_version header would emit
-	// duplicate keys if the fields shadow them (and the decoder would keep
-	// the wrong one); those documents take the copying path below.
-	if rec.Kind == KindPut && doc != nil && !hasKey(doc.Fields, "_id") && !hasKey(doc.Fields, "_version") {
-		// Put records are the write hot path: marshal the field map directly
-		// instead of through document.MarshalJSON, which copies it first.
-		fields, err := json.Marshal(doc.Fields)
-		if err != nil {
-			return buf, fmt.Errorf("wal: encoding record: %w", err)
-		}
-		buf = slices.Grow(buf, frameHeaderSize+len(fields)+len(rec.Table)+len(doc.ID)+64+seqSuffixMax)
+	if rec.Kind == KindPut && rec.Doc != nil {
+		// Put records are the write hot path: the document goes in as
+		// AppendJSON writes it, which is what encoding/json would embed.
+		buf = slices.Grow(buf, frameHeaderSize+putFrameGuess+seqSuffixMax)
 		buf = append(buf[:start+frameHeaderSize], `{"kind":"put","table":`...)
-		buf = appendJSONString(buf, rec.Table)
-		buf = append(buf, `,"doc":{"_id":`...)
-		buf = appendJSONString(buf, doc.ID)
-		buf = append(buf, `,"_version":`...)
-		buf = strconv.AppendInt(buf, doc.Version, 10)
-		if len(fields) > 2 { // fields is at least "{}"
-			buf = append(buf, ',')
-			buf = append(buf, fields[1:len(fields)-1]...)
+		buf = document.AppendJSONString(buf, rec.Table)
+		buf = append(buf, `,"doc":`...)
+		var err error
+		if buf, err = rec.Doc.AppendJSON(buf); err != nil {
+			return buf[:start], fmt.Errorf("wal: encoding record: %w", err)
 		}
-		return append(buf, '}'), nil
+		return buf, nil
 	}
 	r := *rec
 	r.Seq = 0 // omitted; closeFrame writes it
@@ -147,11 +143,6 @@ func openFrame(buf []byte, rec *Record) ([]byte, error) {
 	// "kind" is never omitted, so the object is non-empty and a trailing
 	// `,"seq":N` keeps it well-formed.
 	return append(buf[:start+frameHeaderSize], payload[:len(payload)-1]...), nil
-}
-
-func hasKey(m map[string]any, k string) bool {
-	_, ok := m[k]
-	return ok
 }
 
 // closeFrame completes the open frame at buf[start:]: it appends seq
@@ -179,21 +170,6 @@ func appendFrame(buf []byte, rec *Record) ([]byte, error) {
 		return buf[:start], err
 	}
 	return closeFrame(buf, start, crc32.Checksum(buf[start+frameHeaderSize:], castagnoli), rec.Seq), nil
-}
-
-// appendJSONString appends s as a JSON string. Plain ASCII (the common
-// case for table names and ids) takes the fast path; anything needing
-// escapes goes through encoding/json.
-func appendJSONString(buf []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			enc, _ := json.Marshal(s) // cannot fail for a string
-			return append(buf, enc...)
-		}
-	}
-	buf = append(buf, '"')
-	buf = append(buf, s...)
-	return append(buf, '"')
 }
 
 // frameReader decodes CRC-framed payloads from a byte stream, tracking

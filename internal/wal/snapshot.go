@@ -144,6 +144,9 @@ func ReadSnapshotStream(r io.Reader, onMeta func(SnapshotMeta) error, onDoc func
 		}
 		switch sf.Kind {
 		case kindSnapMeta:
+			if sf.Meta == nil {
+				return errors.New("snapshot: meta frame without a meta")
+			}
 			sawMeta = true
 			if err := onMeta(*sf.Meta); err != nil {
 				return err
@@ -151,6 +154,9 @@ func ReadSnapshotStream(r io.Reader, onMeta func(SnapshotMeta) error, onDoc func
 		case kindSnapDoc:
 			if !sawMeta {
 				return errors.New("snapshot: doc before meta")
+			}
+			if sf.Doc == nil {
+				return errors.New("snapshot: doc frame without a document")
 			}
 			docs++
 			if err := onDoc(sf.Table, sf.Doc); err != nil {
