@@ -48,10 +48,18 @@ type Entry struct {
 	ETag      string
 	StoredAt  time.Time
 	ExpiresAt time.Time
+	// InitialAge is how stale the response already was when it was stored:
+	// the staleness bound the replica that served it reported, zero from a
+	// primary (RFC 9111's initial age).
+	InitialAge time.Duration
 }
 
 // Fresh reports whether the entry is still within its TTL at time now.
 func (e *Entry) Fresh(now time.Time) bool { return now.Before(e.ExpiresAt) }
+
+// Age is how stale the entry is at time now: its initial age plus the time
+// it has been stored.
+func (e *Entry) Age(now time.Time) time.Duration { return e.InitialAge + now.Sub(e.StoredAt) }
 
 // Stats counts cache activity.
 type Stats struct {
@@ -145,6 +153,12 @@ func (c *Cache) GetStale(key string) (*Entry, bool) {
 // Put stores (or replaces) an entry with the given TTL. A non-positive TTL
 // makes the object uncacheable and removes any stored copy.
 func (c *Cache) Put(key string, value any, etag string, ttl time.Duration) {
+	c.PutAged(key, value, etag, ttl, 0)
+}
+
+// PutAged is Put for a response that was already initialAge stale when it
+// arrived.
+func (c *Cache) PutAged(key string, value any, etag string, ttl, initialAge time.Duration) {
 	now := c.clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -154,7 +168,7 @@ func (c *Cache) Put(key string, value any, etag string, ttl time.Duration) {
 		}
 		return
 	}
-	e := &Entry{Key: key, Value: value, ETag: etag, StoredAt: now, ExpiresAt: now.Add(ttl)}
+	e := &Entry{Key: key, Value: value, ETag: etag, StoredAt: now, ExpiresAt: now.Add(ttl), InitialAge: initialAge}
 	if el, ok := c.entries[key]; ok {
 		el.Value = e
 		c.lru.MoveToFront(el)

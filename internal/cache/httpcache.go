@@ -2,7 +2,6 @@ package cache
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -134,7 +133,7 @@ func (t *HTTPTier) serveGet(w http.ResponseWriter, r *http.Request) {
 		// asked about, which is relayed below): renew it — storing it
 		// again if it is no longer there, as after an expiry — and serve
 		// it.
-		if ttl := freshnessLifetime(rec.header, t.Cache.Kind()); ttl > 0 && !t.Cache.Extend(key, ttl) {
+		if ttl := FreshnessLifetime(rec.header, t.Cache.Kind()); ttl > 0 && !t.Cache.Extend(key, ttl) {
 			t.Cache.Put(key, held.Value, held.ETag, ttl)
 		}
 		if r.Header.Get("If-None-Match") == heldETag {
@@ -147,7 +146,7 @@ func (t *HTTPTier) serveGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ttl := freshnessLifetime(rec.header, t.Cache.Kind())
+	ttl := FreshnessLifetime(rec.header, t.Cache.Kind())
 	if rec.status == http.StatusOK && ttl > 0 && r.Method == http.MethodGet {
 		t.Cache.Put(key, &CachedResponse{
 			Status: rec.status,
@@ -226,10 +225,11 @@ func requestWantsRevalidation(r *http.Request) bool {
 	return r.Header.Get("Pragma") == "no-cache"
 }
 
-// freshnessLifetime derives the TTL from Cache-Control. Shared
-// (invalidation-based) caches prefer s-maxage; private caches use max-age.
-// no-store (and, for shared caches, private) yields zero.
-func freshnessLifetime(h http.Header, kind Kind) time.Duration {
+// FreshnessLifetime derives the TTL a cache of the given kind may keep a
+// response for from its Cache-Control header. Shared (invalidation-based)
+// caches prefer s-maxage; private caches use max-age. no-store (and, for
+// shared caches, private) yields zero.
+func FreshnessLifetime(h http.Header, kind Kind) time.Duration {
 	cc := h.Get("Cache-Control")
 	if cc == "" {
 		return 0
@@ -284,18 +284,20 @@ func (r *recorder) Write(p []byte) (int, error) { return r.body.Write(p) }
 var _ http.ResponseWriter = (*recorder)(nil)
 var _ io.Writer = (*recorder)(nil)
 
-// FormatCacheControl renders a Cache-Control value for a response served
-// with the given TTLs. Zero sharedTTL omits s-maxage.
+// FormatCacheControl renders the Cache-Control value of a response that
+// private caches may keep for ttl and shared caches for sharedTTL. Both
+// count in whole seconds, so a lifetime under one second is none at all:
+// with neither left the response is no-store, and with only a shared one
+// private caches get max-age=0.
 func FormatCacheControl(ttl, sharedTTL time.Duration) string {
-	if ttl <= 0 && sharedTTL <= 0 {
+	b := int64(ttl / time.Second)
+	c := int64(sharedTTL / time.Second)
+	if b <= 0 && c <= 0 {
 		return "no-store"
 	}
-	parts := []string{"public"}
-	if ttl > 0 {
-		parts = append(parts, fmt.Sprintf("max-age=%d", int(ttl.Seconds())))
+	out := "public, max-age=" + strconv.FormatInt(max(b, 0), 10)
+	if c > 0 {
+		out += ", s-maxage=" + strconv.FormatInt(c, 10)
 	}
-	if sharedTTL > 0 {
-		parts = append(parts, fmt.Sprintf("s-maxage=%d", int(sharedTTL.Seconds())))
-	}
-	return strings.Join(parts, ", ")
+	return out
 }

@@ -300,23 +300,64 @@ func TestFreshnessLifetimeParsing(t *testing.T) {
 		{"max-age=oops", ExpirationBased, 0},
 	}
 	for _, tc := range cases {
-		if got := freshnessLifetime(mk(tc.cc), tc.kind); got != tc.want {
-			t.Errorf("freshnessLifetime(%q, %v) = %v, want %v", tc.cc, tc.kind, got, tc.want)
+		if got := FreshnessLifetime(mk(tc.cc), tc.kind); got != tc.want {
+			t.Errorf("FreshnessLifetime(%q, %v) = %v, want %v", tc.cc, tc.kind, got, tc.want)
 		}
 	}
-	if freshnessLifetime(http.Header{}, ExpirationBased) != 0 {
+	if FreshnessLifetime(http.Header{}, ExpirationBased) != 0 {
 		t.Error("missing header should be uncacheable")
 	}
 }
 
 func TestFormatCacheControl(t *testing.T) {
-	if got := FormatCacheControl(0, 0); got != "no-store" {
-		t.Errorf("zero TTLs = %q", got)
+	cases := []struct {
+		ttl, shared time.Duration
+		want        string
+	}{
+		{0, 0, "no-store"},
+		{30 * time.Second, 90 * time.Second, "public, max-age=30, s-maxage=90"},
+		{30 * time.Second, 0, "public, max-age=30"},
+		// Whole seconds: what is left of a sub-second lifetime is none.
+		{500 * time.Millisecond, 500 * time.Millisecond, "no-store"},
+		{1500 * time.Millisecond, 0, "public, max-age=1"},
+		// Shared caches only: private caches are told so explicitly.
+		{0, 90 * time.Second, "public, max-age=0, s-maxage=90"},
+		{-time.Second, time.Second, "public, max-age=0, s-maxage=1"},
 	}
-	if got := FormatCacheControl(30*time.Second, 90*time.Second); got != "public, max-age=30, s-maxage=90" {
-		t.Errorf("both TTLs = %q", got)
+	for _, tc := range cases {
+		if got := FormatCacheControl(tc.ttl, tc.shared); got != tc.want {
+			t.Errorf("FormatCacheControl(%v, %v) = %q, want %q", tc.ttl, tc.shared, got, tc.want)
+		}
 	}
-	if got := FormatCacheControl(30*time.Second, 0); got != "public, max-age=30" {
-		t.Errorf("browser only = %q", got)
-	}
+}
+
+// FuzzCacheControl holds the freshness codec to its one contract: parsing
+// any header never panics, and a header rendered from (ttl, shared) reads
+// back as the whole-second ttl in a private cache and as shared-or-ttl in
+// a shared one.
+func FuzzCacheControl(f *testing.F) {
+	f.Add(int64(0), int64(0), "no-store")
+	f.Add(int64(90*time.Second), int64(90*time.Second), "public, max-age=30, s-maxage=90")
+	f.Add(int64(500*time.Millisecond), int64(0), "max-age=oops, private")
+	f.Add(int64(0), int64(time.Second), "s-maxage=-1,max-age=")
+	f.Fuzz(func(t *testing.T, ttl, shared int64, raw string) {
+		h := http.Header{}
+		h.Set("Cache-Control", raw)
+		FreshnessLifetime(h, ExpirationBased)
+		FreshnessLifetime(h, InvalidationBased)
+
+		d, s := time.Duration(ttl), time.Duration(shared)
+		h.Set("Cache-Control", FormatCacheControl(d, s))
+		whole := func(x time.Duration) time.Duration { return max(x/time.Second, 0) * time.Second }
+		if got, want := FreshnessLifetime(h, ExpirationBased), whole(d); got != want {
+			t.Errorf("%q: private lifetime %v, want %v", h.Get("Cache-Control"), got, want)
+		}
+		want := whole(s)
+		if want == 0 {
+			want = whole(d)
+		}
+		if got := FreshnessLifetime(h, InvalidationBased); got != want {
+			t.Errorf("%q: shared lifetime %v, want %v", h.Get("Cache-Control"), got, want)
+		}
+	})
 }

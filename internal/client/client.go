@@ -236,11 +236,10 @@ type Client struct {
 	stats        Stats
 
 	// Staleness-bounded read routing state (routing.go).
-	replicas      []*endpointState   // replica endpoints, with observed health
-	minSeqs       map[string]uint64  // per-key read-your-writes low-water marks
-	cacheStale    map[string]float64 // origin staleness (ms) cache entries were stored with
-	rng           *rand.Rand         // power-of-two-choices source
-	lastPiggyback time.Time          // last piggyback-triggered EBF refresh
+	replicas      []*endpointState  // replica endpoints, with observed health
+	minSeqs       map[string]uint64 // per-key read-your-writes low-water marks
+	rng           *rand.Rand        // power-of-two-choices source
+	lastPiggyback time.Time         // last piggyback-triggered EBF refresh
 }
 
 // Dial connects to a Quaestor deployment and fetches the initial EBF
@@ -259,7 +258,6 @@ func Dial(opts *Options) (*Client, error) {
 		highest:     map[string]int64{},
 		forcedReval: map[string]struct{}{},
 		minSeqs:     map[string]uint64{},
-		cacheStale:  map[string]float64{},
 		rng:         rand.New(rand.NewSource(o.Clock().UnixNano())),
 	}
 	c.SetReplicaEndpoints(o.ReplicaEndpoints...)
@@ -366,17 +364,14 @@ func (vd ebfVerdict) revalidated(key string, h http.Header) {
 	}
 }
 
-// do executes one HTTP exchange against the default endpoint. revalidate
-// adds Cache-Control: no-cache so every intermediary bypasses (and
-// refreshes) its cached copy.
-func (c *Client) do(method, path string, body []byte, revalidate bool) (*http.Response, error) {
-	return c.doRouted(method, path, body, revalidate, "")
-}
-
-// doRouted executes one exchange, routing point ops (docID != "") to the
-// owning shard's node when a multi-node shard map is cached — otherwise
-// any node works: a single-process cluster routes internally. Three
-// recovery paths ride on top of the plain exchange:
+// do executes one exchange on hc — the bounded default for
+// request/response exchanges, or the timeout-free stream client for
+// long-lived NDJSON cursors — with extra request headers (a GET's
+// If-None-Match rides here). revalidate adds Cache-Control: no-cache so
+// every intermediary bypasses (and refreshes) its cached copy. Point ops
+// (docID != "") go to the owning shard's node when a multi-node shard map
+// is cached — otherwise any node works: a single-process cluster routes
+// internally. Three recovery paths ride on top of the plain exchange:
 //
 //   - A response stamped with an unseen X-Quaestor-Shard-Epoch means the
 //     cached shard map is stale. The map is refetched, and if the new map
@@ -387,15 +382,7 @@ func (c *Client) do(method, path string, body []byte, revalidate bool) (*http.Re
 //     topology from a surviving endpoint and retries once wherever the
 //     rewritten map or the advertised primary points — the client half
 //     of an automatic failover cutover.
-func (c *Client) doRouted(method, path string, body []byte, revalidate bool, docID string) (*http.Response, error) {
-	return c.doRoutedOn(c.http, method, path, body, revalidate, docID, nil)
-}
-
-// doRoutedOn is doRouted on an explicit http.Client — the bounded default
-// for request/response exchanges, or the timeout-free stream client for
-// long-lived NDJSON cursors — with extra request headers (a GET's
-// If-None-Match rides here).
-func (c *Client) doRoutedOn(hc *http.Client, method, path string, body []byte, revalidate bool, docID string, extra http.Header) (*http.Response, error) {
+func (c *Client) do(hc *http.Client, method, path string, body []byte, revalidate bool, docID string, extra http.Header) (*http.Response, error) {
 	base := c.nodeFor(docID)
 	resp, err := c.send(hc, base, method, path, body, revalidate, extra)
 	if err != nil {
@@ -438,6 +425,8 @@ func (c *Client) doRoutedOn(hc *http.Client, method, path string, body []byte, r
 
 // send performs one raw exchange against an explicit base URL, with extra
 // request headers (conditional GETs, the bounded-read admission headers).
+// Every exchange the client makes goes through here, so each is counted
+// in NetworkRequests once and its replica headers are observed.
 func (c *Client) send(hc *http.Client, base, method, path string, body []byte, revalidate bool, extra http.Header) (*http.Response, error) {
 	var rdr io.Reader
 	if body != nil {
@@ -598,11 +587,7 @@ func (c *Client) mapSources(preferred string) []string {
 }
 
 func (c *Client) refreshShardMapFrom(base string) error {
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/cluster/map", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.send(c.http, base, http.MethodGet, "/v1/cluster/map", nil, false, nil)
 	if err != nil {
 		return err
 	}
@@ -620,7 +605,6 @@ func (c *Client) refreshShardMapFrom(base string) error {
 	}
 	c.mu.Lock()
 	c.smap = m
-	c.stats.NetworkRequests++
 	c.stats.ShardMapRefreshes++
 	c.mu.Unlock()
 	return nil
@@ -691,12 +675,8 @@ func (c *Client) observeReplicaHeaders(h http.Header) {
 	if state == "" {
 		return
 	}
-	meta := ReplicaMeta{Replica: true, State: state, StalenessMs: -1}
-	if v := h.Get("X-Quaestor-Staleness-Ms"); v != "" {
-		if ms, err := strconv.ParseFloat(v, 64); err == nil {
-			meta.StalenessMs = ms
-		}
-	}
+	ms, _ := responseStaleness(h)
+	meta := ReplicaMeta{Replica: true, State: state, StalenessMs: ms}
 	if v := h.Get("X-Quaestor-Replica-Lag"); v != "" {
 		if lag, err := strconv.ParseUint(v, 10, 64); err == nil {
 			meta.LagSeq = lag
@@ -763,7 +743,7 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 	if fresh {
 		doc := prior.Value.(*document.Document)
 		if c.monotonicOK(key, doc.Version) &&
-			(!bounded || c.cacheWithinBound(path, prior.StoredAt, bound)) {
+			(!bounded || c.withinBound(prior, bound)) {
 			c.mu.Lock()
 			c.stats.CacheHits++
 			c.stats.ReadsByTier.ClientCache++
@@ -804,7 +784,7 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 		if entry, ok := c.local.GetStale(path); ok && c.checkEBF(key).state != ebf.Stale {
 			cached := entry.Value.(*document.Document)
 			if cached.Version >= c.highestSeen(key) &&
-				(!bounded || c.cacheWithinBound(path, entry.StoredAt, bound)) {
+				(!bounded || c.withinBound(entry, bound)) {
 				return cached.Clone(), nil
 			}
 		}
@@ -816,19 +796,17 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 		vd.revalidated(key, answer)
 	}
 	if !c.opts.DisableCache && cacheTTL > 0 {
-		c.local.Put(path, doc.Clone(), etag(doc.Version), cacheTTL)
+		c.local.PutAged(path, doc.Clone(), server.ETagFor(doc.Version), cacheTTL, initialAge(answer))
 	}
 	c.observeRead(key, doc.Version)
 	return doc, nil
 }
 
-func etag(version int64) string { return fmt.Sprintf("\"v%d\"", version) }
-
 // fetchRecord reads a record from the primary path, conditionally on prior
 // (nil = unconditionally). It returns the document, the lifetime the
 // browser cache may keep it for and the header it was answered under.
 func (c *Client) fetchRecord(path, id string, revalidate bool, prior *cache.Entry) (*document.Document, time.Duration, http.Header, error) {
-	resp, err := c.doRoutedOn(c.http, http.MethodGet, path, nil, revalidate, id, ifNoneMatch(prior))
+	resp, err := c.do(c.http, http.MethodGet, path, nil, revalidate, id, ifNoneMatch(prior))
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -837,7 +815,6 @@ func (c *Client) fetchRecord(path, id string, revalidate bool, prior *cache.Entr
 		return nil, 0, nil, err
 	}
 	c.countTier(resp.Header)
-	c.noteCacheOrigin(path, resp.Header)
 	return doc, cacheTTL, resp.Header, nil
 }
 
@@ -952,7 +929,7 @@ func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
 		return cloneResult(prior.Value.(*Result)), nil
 	}
 
-	resp, err := c.doRoutedOn(c.http, http.MethodGet, path, nil, revalidate, "", ifNoneMatch(prior))
+	resp, err := c.do(c.http, http.MethodGet, path, nil, revalidate, "", ifNoneMatch(prior))
 	if err != nil {
 		return nil, err
 	}
@@ -998,7 +975,8 @@ func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
 		vd.revalidated(key, resp.Header)
 	}
 
-	age := maxAge(resp.Header)
+	age := cache.FreshnessLifetime(resp.Header, cache.ExpirationBased)
+	stale := initialAge(resp.Header)
 	if res.Representation == ttl.ObjectList {
 		expires := c.opts.Clock().Add(age)
 		for _, d := range res.Docs {
@@ -1009,15 +987,15 @@ func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
 			// already held for longer: a record read with a 300 s TTL is
 			// not cut to the few seconds of a query that returns it.
 			if !c.opts.DisableCache && age > 0 {
-				member, tag := server.RecordPath(q.Table, d.ID), etag(d.Version)
+				member, tag := server.RecordPath(q.Table, d.ID), server.ETagFor(d.Version)
 				if held, ok := c.local.GetStale(member); !ok || held.ETag != tag || held.ExpiresAt.Before(expires) {
-					c.local.Put(member, d.Clone(), tag, age)
+					c.local.PutAged(member, d.Clone(), tag, age, stale)
 				}
 			}
 		}
 	}
 	if !c.opts.DisableCache && age > 0 {
-		c.local.Put(path, cloneResult(res), resp.Header.Get("ETag"), age)
+		c.local.PutAged(path, cloneResult(res), resp.Header.Get("ETag"), age, stale)
 	}
 	return res, nil
 }
@@ -1065,7 +1043,7 @@ func (c *Client) QueryStream(q *query.Query) (*DocStream, error) {
 	} else {
 		path += "?stream=1"
 	}
-	resp, err := c.doRoutedOn(c.stream, http.MethodGet, path, nil, false, "", nil)
+	resp, err := c.do(c.stream, http.MethodGet, path, nil, false, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1124,7 +1102,7 @@ func (c *Client) write(method, path, table, id string, body any, want int, after
 			return err
 		}
 	}
-	resp, err := c.doRouted(method, path, data, false, id)
+	resp, err := c.do(c.http, method, path, data, false, id, nil)
 	if err != nil {
 		return err
 	}
@@ -1188,7 +1166,7 @@ func (c *Client) consumeForcedRevalidation(key string) bool {
 
 // CreateTable provisions a table.
 func (c *Client) CreateTable(table string) error {
-	resp, err := c.do(http.MethodPost, "/v1/tables/"+table, nil, false)
+	resp, err := c.do(c.http, http.MethodPost, "/v1/tables/"+table, nil, false, "", nil)
 	if err != nil {
 		return err
 	}
@@ -1204,34 +1182,28 @@ func decodeError(resp *http.Response) error {
 	return decodeErrorBytes(resp.StatusCode, body)
 }
 
+// StatusError is the server answering a request with an error status:
+// the status code and the message of its {"error": …} body, if it had one.
+type StatusError struct {
+	Status  int
+	Message string
+}
+
+func (e *StatusError) Error() string {
+	if e.Message != "" {
+		return fmt.Sprintf("client: server returned %d: %s", e.Status, e.Message)
+	}
+	return fmt.Sprintf("client: server returned %d", e.Status)
+}
+
 func decodeErrorBytes(status int, body []byte) error {
 	var payload struct {
 		Error string `json:"error"`
 	}
-	if err := json.Unmarshal(body, &payload); err == nil && payload.Error != "" {
-		return fmt.Errorf("client: server returned %d: %s", status, payload.Error)
+	if json.Unmarshal(body, &payload) != nil {
+		payload.Error = ""
 	}
-	return fmt.Errorf("client: server returned %d", status)
-}
-
-// maxAge extracts the browser-usable freshness lifetime from Cache-Control.
-func maxAge(h http.Header) time.Duration {
-	cc := h.Get("Cache-Control")
-	if cc == "" {
-		return 0
-	}
-	for _, d := range strings.Split(cc, ",") {
-		d = strings.TrimSpace(d)
-		if d == "no-store" {
-			return 0
-		}
-		if strings.HasPrefix(d, "max-age=") {
-			if secs, err := strconv.Atoi(strings.TrimPrefix(d, "max-age=")); err == nil {
-				return time.Duration(secs) * time.Second
-			}
-		}
-	}
-	return 0
+	return &StatusError{Status: status, Message: payload.Error}
 }
 
 // predicateJSON renders a Predicate back into filter-document JSON for URL

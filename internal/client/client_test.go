@@ -1,6 +1,8 @@
 package client
 
 import (
+	"errors"
+	"net/http"
 	"net/url"
 	"strings"
 	"testing"
@@ -398,4 +400,37 @@ func mustParseQuery(t *testing.T, raw string) url.Values {
 		t.Fatal(err)
 	}
 	return vals
+}
+
+// TestStatusErrorCarriesStatus: an error answer reaches the caller as a
+// StatusError whose status can be tested, and whose text is unchanged.
+func TestStatusErrorCarriesStatus(t *testing.T) {
+	cases := []struct {
+		status int
+		body   string
+		want   string
+	}{
+		{404, `{"error":"store: document not found: posts/x"}`, "client: server returned 404: store: document not found: posts/x"},
+		{400, `{"error":""}`, "client: server returned 400"},
+		{502, `bad gateway`, "client: server returned 502"},
+		{500, `{"error":5}`, "client: server returned 500"},
+	}
+	for _, tc := range cases {
+		err := decodeErrorBytes(tc.status, []byte(tc.body))
+		if err.Error() != tc.want {
+			t.Errorf("decodeErrorBytes(%d, %s) = %q, want %q", tc.status, tc.body, err, tc.want)
+		}
+		var se *StatusError
+		if !errors.As(err, &se) || se.Status != tc.status {
+			t.Errorf("decodeErrorBytes(%d, %s) = %#v, want a StatusError with that status", tc.status, tc.body, err)
+		}
+	}
+
+	s := newStack(t, nil)
+	c := s.dial(t, nil)
+	_, err := c.Read("posts", "missing")
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusNotFound {
+		t.Errorf("missing record = %v, want a 404 StatusError", err)
+	}
 }

@@ -66,20 +66,11 @@ func (c *Client) fetchEBF(base, table string, since ebf.Position) (ebf.Snapshot,
 	if len(params) > 0 {
 		path += "?" + params.Encode()
 	}
-	req, err := http.NewRequest(http.MethodGet, base+path, nil)
-	if err != nil {
-		return ebf.Snapshot{}, err
-	}
-	req.Header.Set("Accept-Encoding", "gzip")
-	c.mu.Lock()
-	c.stats.NetworkRequests++
-	c.mu.Unlock()
-	resp, err := c.http.Do(req)
+	resp, err := c.send(c.http, base, http.MethodGet, path, nil, false, http.Header{"Accept-Encoding": {"gzip"}})
 	if err != nil {
 		return ebf.Snapshot{}, err
 	}
 	defer resp.Body.Close()
-	c.observeReplicaHeaders(resp.Header)
 	// First contact with a sharded server may happen here (Dial fetches
 	// the EBF before any data op): cache the shard map for point-op
 	// routing. No retry — the EBF is shard-agnostic.

@@ -158,14 +158,7 @@ func (c *Client) RefreshReplicaSet() error {
 // advertised primary is remembered as the write-redirect target of last
 // resort.
 func (c *Client) refreshReplicaSetFrom(base string) error {
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/cluster/replicas", nil)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.stats.NetworkRequests++
-	c.mu.Unlock()
-	resp, err := c.http.Do(req)
+	resp, err := c.send(c.http, base, http.MethodGet, "/v1/cluster/replicas", nil, false, nil)
 	if err != nil {
 		return err
 	}
@@ -327,27 +320,19 @@ func (c *Client) countTier(h http.Header) {
 	c.mu.Unlock()
 }
 
-// noteCacheOrigin remembers the origin staleness a path's cache entry
-// was stored with, so a later bounded read can admit the entry only when
-// entry age + origin staleness stays within its bound.
-func (c *Client) noteCacheOrigin(path string, h http.Header) {
+// initialAge is how stale a response under header h already was when it
+// arrived: the staleness the serving replica reported, zero from a primary
+// or a replica that could not bound it. The browser cache keeps it with
+// the copy.
+func initialAge(h http.Header) time.Duration {
 	ms, _ := responseStaleness(h)
-	if ms < 0 {
-		ms = 0
-	}
-	c.mu.Lock()
-	c.cacheStale[path] = ms
-	c.mu.Unlock()
+	return time.Duration(max(ms, 0) * float64(time.Millisecond))
 }
 
-// cacheWithinBound reports whether a cached entry provably satisfies a
-// staleness bound: its age plus the staleness it was served with.
-func (c *Client) cacheWithinBound(path string, storedAt time.Time, bound time.Duration) bool {
-	age := c.opts.Clock().Sub(storedAt)
-	c.mu.Lock()
-	origin := c.cacheStale[path]
-	c.mu.Unlock()
-	return age+time.Duration(origin*float64(time.Millisecond)) <= bound
+// withinBound reports whether a cached copy provably satisfies a staleness
+// bound: the staleness it arrived with plus the time it has been held.
+func (c *Client) withinBound(e *cache.Entry, bound time.Duration) bool {
+	return e.Age(c.opts.Clock()) <= bound
 }
 
 // maybePiggybackEBF refreshes the client's invalidation state from the
@@ -404,6 +389,7 @@ func (c *Client) bumpStalenessRetries() {
 // response's fresh lifetime.
 func (c *Client) decodeRecord(resp *http.Response, prior *cache.Entry) (*document.Document, time.Duration, error) {
 	defer resp.Body.Close()
+	lifetime := cache.FreshnessLifetime(resp.Header, cache.ExpirationBased)
 	if resp.StatusCode == http.StatusNotModified {
 		c.mu.Lock()
 		c.stats.NotModified++
@@ -411,7 +397,7 @@ func (c *Client) decodeRecord(resp *http.Response, prior *cache.Entry) (*documen
 		if prior == nil {
 			return nil, 0, errors.New("client: 304 without cached copy")
 		}
-		return prior.Value.(*document.Document).Clone(), maxAge(resp.Header), nil
+		return prior.Value.(*document.Document).Clone(), lifetime, nil
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, decodeError(resp)
@@ -420,7 +406,7 @@ func (c *Client) decodeRecord(resp *http.Response, prior *cache.Entry) (*documen
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return nil, 0, err
 	}
-	return &doc, maxAge(resp.Header), nil
+	return &doc, lifetime, nil
 }
 
 // fetchRecordRouted serves one bounded record read from the replica
@@ -475,7 +461,6 @@ func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound 
 			return nil, 0, nil, err
 		}
 		c.countTier(resp.Header)
-		c.noteCacheOrigin(path, resp.Header)
 		c.maybePiggybackEBF(ep.url, resp.Header)
 		return doc, cacheTTL, resp.Header, nil
 	}

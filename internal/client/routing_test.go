@@ -18,15 +18,19 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"quaestor/internal/document"
+	"quaestor/internal/query"
 	"quaestor/internal/replication"
 	"quaestor/internal/server"
 	"quaestor/internal/store"
+	"quaestor/internal/ttl"
 )
 
 // replicaNode is one replica: its own store, serving stack, and the
@@ -444,4 +448,83 @@ func BenchmarkReplicaRead(b *testing.B) {
 	})
 	st := reader.Stats()
 	b.ReportMetric(float64(st.ReadsByTier.Replica)/float64(b.N), "replica-share")
+}
+
+// TestBoundedReadRefusesMemberCopyOverBound: a copy keeps the staleness it
+// arrived with however it was cached. A record cached as a member of a
+// query answered 800 ms behind the primary must not serve a read bounded
+// at 500 ms, exactly like one read directly from that tier.
+func TestBoundedReadRefusesMemberCopyOverBound(t *testing.T) {
+	s := newStack(t, &server.Options{Representation: server.RepAlwaysObjects})
+	surface := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Quaestor-Replica", "streaming")
+		w.Header().Set("X-Quaestor-Staleness-Ms", "800")
+		s.cdn.ServeHTTP(w, r)
+	})
+	c := s.dial(t, &Options{Transport: NewHandlerTransport(surface)})
+	for id, tag := range map[string]string{"p1": "member", "p2": "direct"} {
+		if err := s.srv.Insert("posts", document.New(id, map[string]any{"tags": []any{tag}})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Read("posts", "p2"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Query(query.New("posts", query.Contains("tags", "member")))
+	if err != nil || len(res.Docs) != 1 || res.Representation != ttl.ObjectList {
+		t.Fatalf("member query = %+v, %v", res, err)
+	}
+
+	hits := func() uint64 { return c.Stats().ReadsByTier.ClientCache }
+	for _, id := range []string{"p2", "p1"} {
+		before := hits()
+		if _, err := c.ReadWith("posts", id, WithMaxStaleness(500*time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if hits() != before {
+			t.Errorf("%s: a copy 800 ms stale served a read bounded at 500 ms", id)
+		}
+	}
+	before := hits()
+	if _, err := c.ReadWith("posts", "p1", WithMaxStaleness(5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if hits() != before+1 {
+		t.Error("a read bounded at 5 s was not served from the 800 ms copy")
+	}
+}
+
+// TestDisableCacheKeepsNoPerPathState: with the browser cache off, reads
+// and queries leave nothing behind keyed by resource path.
+func TestDisableCacheKeepsNoPerPathState(t *testing.T) {
+	s := newStack(t, nil)
+	c := s.dial(t, &Options{DisableCache: true})
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("p%d", i)
+		if err := s.srv.Insert("posts", document.New(id, map[string]any{"tags": []any{"x"}})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Read("posts", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Query(query.New("posts", query.Contains("tags", "x"))); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.local.Len(); n != 0 {
+		t.Errorf("browser cache holds %d entries with the cache disabled", n)
+	}
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Map || f.Type().Key().Kind() != reflect.String {
+			continue
+		}
+		for _, k := range f.MapKeys() {
+			if strings.HasPrefix(k.String(), "/v1/") {
+				t.Errorf("Client.%s holds %d entries keyed by path (%q) with the cache disabled", v.Type().Field(i).Name, f.Len(), k.String())
+				break
+			}
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"quaestor/internal/document"
 	"quaestor/internal/server"
@@ -49,7 +48,8 @@ func (tx *Tx) Read(table, id string) (*document.Document, error) {
 	}
 	doc, err := tx.c.Read(table, id)
 	if err != nil {
-		if isNotFound(err) {
+		var se *StatusError
+		if errors.As(err, &se) && se.Status == http.StatusNotFound {
 			// Record the observed absence: version 0.
 			if _, seen := tx.reads[key]; !seen {
 				tx.reads[key] = 0
@@ -86,16 +86,11 @@ func (tx *Tx) Update(table, id string, spec store.UpdateSpec) error {
 	} else if base == nil {
 		return fmt.Errorf("client: update of %s deleted in this transaction", key)
 	}
-	// Apply the spec locally for read-your-uncommitted-writes. The server
-	// re-applies it authoritatively at commit.
+	// Apply the spec locally for read-your-uncommitted-writes, by the
+	// store's own rules. The server re-applies it authoritatively at commit.
 	next := base.Clone()
-	for path, v := range spec.Set {
-		if err := next.Set(path, v); err != nil {
-			return err
-		}
-	}
-	for _, path := range spec.Unset {
-		next.Delete(path)
+	if err := store.ApplySpec(next, spec); err != nil {
+		return err
 	}
 	specCopy := spec
 	tx.writes = append(tx.writes, server.TxnWriteOp{Op: "patch", Table: table, ID: id, Spec: &specCopy})
@@ -153,7 +148,7 @@ func (c *Client) TransactionWith(fn func(tx *Tx) error, opts TxnOptions) error {
 			// Committed writes are read back through the origin, like every
 			// other write of the session's.
 			for key := range tx.local {
-				if table, id, ok := splitKey(key); ok {
+				if table, id, ok := server.SplitRecordKey(key); ok {
 					c.wrote(table, id, 0, nil)
 				}
 			}
@@ -163,7 +158,7 @@ func (c *Client) TransactionWith(fn func(tx *Tx) error, opts TxnOptions) error {
 		// and their next reads revalidate.
 		lastConflicts = res.Conflicts
 		for _, key := range res.Conflicts {
-			if table, id, ok := splitKey(key); ok {
+			if table, id, ok := server.SplitRecordKey(key); ok {
 				c.wrote(table, id, 0, nil)
 			}
 		}
@@ -176,7 +171,7 @@ func (c *Client) commit(req server.TxnRequest) (server.TxnResult, error) {
 	if err != nil {
 		return server.TxnResult{}, err
 	}
-	resp, err := c.do(http.MethodPost, "/v1/transaction", body, false)
+	resp, err := c.do(c.http, http.MethodPost, "/v1/transaction", body, false, "", nil)
 	if err != nil {
 		return server.TxnResult{}, err
 	}
@@ -189,28 +184,4 @@ func (c *Client) commit(req server.TxnRequest) (server.TxnResult, error) {
 		return server.TxnResult{}, err
 	}
 	return res, nil
-}
-
-func splitKey(key string) (table, id string, ok bool) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '/' {
-			if i == 0 || i == len(key)-1 {
-				return "", "", false
-			}
-			return key[:i], key[i+1:], true
-		}
-	}
-	return "", "", false
-}
-
-func isNotFound(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, store.ErrNotFound) {
-		return true
-	}
-	// HTTP-mapped not-found errors carry the status in the message.
-	msg := err.Error()
-	return strings.Contains(msg, "404") || strings.Contains(msg, "not found")
 }

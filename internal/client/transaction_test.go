@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -235,3 +236,88 @@ func TestSubscriptionStreams(t *testing.T) {
 		t.Fatal("no subscription event")
 	}
 }
+
+// TestTransactionOverlayAppliesEveryUpdateOp reads a transaction's own
+// patch back under the store's update rules — Inc, Push and Pull included,
+// not just Set and Unset — so the overlay agrees with what the commit
+// stores.
+func TestTransactionOverlayAppliesEveryUpdateOp(t *testing.T) {
+	s := newStack(t, nil)
+	c := s.dial(t, nil)
+	if err := c.Insert("posts", document.New("doc", map[string]any{"n": 1, "tags": []any{"a", "z"}})); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{"n": int64(5), "tags": []any{"a", "b"}}
+	err := c.Transaction(func(tx *Tx) error {
+		if err := tx.Update("posts", "doc", store.UpdateSpec{
+			Inc:  map[string]float64{"n": 4},
+			Push: map[string]any{"tags": "b"},
+			Pull: map[string]any{"tags": "z"},
+		}); err != nil {
+			return err
+		}
+		doc, err := tx.Read("posts", "doc")
+		if err != nil {
+			return err
+		}
+		for path, w := range want {
+			if got, _ := doc.Get(path); !document.DeepEqual(got, w) {
+				return fmt.Errorf("overlay %s = %v, want %v", path, got, w)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := c.ReadWith("posts", "doc", ReadOptions{Consistency: Strong})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, w := range want {
+		if got, _ := doc.Get(path); !document.DeepEqual(got, w) {
+			t.Errorf("committed %s = %v, want %v", path, got, w)
+		}
+	}
+	// A spec the record cannot take fails in the overlay, before commit.
+	err = c.Transaction(func(tx *Tx) error {
+		return tx.Update("posts", "doc", store.UpdateSpec{Push: map[string]any{"n": 1}})
+	})
+	if !errors.Is(err, store.ErrBadUpdateSpec) {
+		t.Errorf("push onto a number = %v, want ErrBadUpdateSpec", err)
+	}
+}
+
+// TestTransactionTransportErrorIsNotAnAbsence keeps a failed exchange out
+// of the read set: only the origin answering 404 proves a record absent,
+// whatever the transport error's text says.
+func TestTransactionTransportErrorIsNotAnAbsence(t *testing.T) {
+	refused := errors.New("connection refused")
+	c, err := Dial(&Options{DisableEBF: true, Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
+		return nil, refused
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := &Tx{c: c, reads: map[string]int64{}, local: map[string]*document.Document{}}
+	if _, err := tx.Read("orders", "o-404"); !errors.Is(err, refused) {
+		t.Fatalf("read over a dead transport = %v", err)
+	}
+	if len(tx.reads) != 0 {
+		t.Errorf("transport error recorded in the read set: %v", tx.reads)
+	}
+
+	// The origin's own 404 is an observed absence.
+	s := newStack(t, nil)
+	tx = &Tx{c: s.dial(t, nil), reads: map[string]int64{}, local: map[string]*document.Document{}}
+	if _, err := tx.Read("posts", "missing"); err == nil {
+		t.Fatal("read of a missing record succeeded")
+	}
+	if v, ok := tx.reads["posts/missing"]; !ok || v != 0 {
+		t.Errorf("404 not recorded as absence: %v", tx.reads)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

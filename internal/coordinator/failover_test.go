@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +27,15 @@ import (
 	"quaestor/internal/store"
 	"quaestor/internal/testutil"
 )
+
+// countingTransport counts the exchanges a client puts on the wire,
+// failed ones included.
+type countingTransport struct{ n atomic.Uint64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
 
 // shadowLog drains one shard store's change subscription into an
 // ordered event log, so the test can reconstruct "the primary's
@@ -192,7 +202,8 @@ func testAutomaticFailover(t *testing.T, shards int) {
 	// pre-failover; one write primes its shard map at the initial epoch.
 	// (A 1-shard node stamps no epoch on its data plane, so there the
 	// client first holds a map when it fails over.)
-	cl, err := client.Dial(&client.Options{BaseURL: pts.URL, DiscoverReplicas: true})
+	var exchanges countingTransport
+	cl, err := client.Dial(&client.Options{BaseURL: pts.URL, DiscoverReplicas: true, Transport: &exchanges})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,6 +379,15 @@ func testAutomaticFailover(t *testing.T, shards int) {
 	}
 	if doc, err := cl.Read("docs", "client-post"); err != nil || doc == nil {
 		t.Errorf("client read after failover: %v", err)
+	}
+	// Every exchange the client made — the failed ones at the dead
+	// primary and the topology fetches of the cutover included — is
+	// counted once. A map refresh tries the dead default endpoint first.
+	if err := cl.RefreshShardMap(); err != nil {
+		t.Errorf("shard map refresh after failover: %v", err)
+	}
+	if got, want := cl.Stats().NetworkRequests, exchanges.n.Load(); got != want {
+		t.Errorf("client counted %d network requests, the transport saw %d", got, want)
 	}
 
 	// Every survivor advertises the new read topology: the winner as

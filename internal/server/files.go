@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"quaestor/internal/cache"
 	"quaestor/internal/document"
 )
 
@@ -80,8 +81,7 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		browserTTL, cdnTTL := s.CacheControl(ttl)
-		w.Header().Set("Cache-Control", cacheControlValue(browserTTL, cdnTTL))
+		w.Header().Set("Cache-Control", cache.FormatCacheControl(s.CacheControl(ttl)))
 		w.Header().Set("ETag", etag)
 		w.Header().Set("Content-Type", contentType)
 		w.Header().Set("X-Quaestor-Key", RecordKey(FilesTable, name))

@@ -105,8 +105,8 @@ func TestETagsPinned(t *testing.T) {
 		if got, want := resultETag(q, docs), legacy(q, docs); got != want {
 			t.Errorf("resultETag over %d docs = %s, want %s", len(docs), got, want)
 		}
-		if got, want := etagFor(v), fmt.Sprintf("\"v%d\"", v); got != want {
-			t.Errorf("etagFor(%d) = %s, want %s", v, got, want)
+		if got, want := ETagFor(v), fmt.Sprintf("\"v%d\"", v); got != want {
+			t.Errorf("ETagFor(%d) = %s, want %s", v, got, want)
 		}
 	}
 	if got := resultETag(q, nil); got != `"qcba178ab42a7a3c6"` {

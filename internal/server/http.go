@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"quaestor/internal/cache"
 	"quaestor/internal/coordinator"
 	"quaestor/internal/document"
 	"quaestor/internal/ebf"
@@ -503,8 +504,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 			return
 		}
 		s.countServed()
-		browserTTL, cdnTTL := s.CacheControl(res.TTL)
-		w.Header().Set("Cache-Control", cacheControlValue(browserTTL, cdnTTL))
+		w.Header().Set("Cache-Control", cache.FormatCacheControl(s.CacheControl(res.TTL)))
 		w.Header().Set("ETag", res.ETag)
 		w.Header().Set("X-Quaestor-Key", RecordKey(table, id))
 		s.addReplicaHeadersFor(w, id)
@@ -709,8 +709,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, table strin
 	s.countServed()
 
 	if res.Cacheable {
-		browserTTL, cdnTTL := s.CacheControl(res.TTL)
-		w.Header().Set("Cache-Control", cacheControlValue(browserTTL, cdnTTL))
+		w.Header().Set("Cache-Control", cache.FormatCacheControl(s.CacheControl(res.TTL)))
 	} else {
 		w.Header().Set("Cache-Control", "no-store")
 	}
@@ -782,22 +781,4 @@ func (s *Server) streamQuery(w http.ResponseWriter, q *query.Query) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-}
-
-func cacheControlValue(browserTTL, cdnTTL interface{ Seconds() float64 }) string {
-	b := int(browserTTL.Seconds())
-	c := int(cdnTTL.Seconds())
-	if b <= 0 && c <= 0 {
-		return "no-store"
-	}
-	parts := []string{"public"}
-	if b > 0 {
-		parts = append(parts, fmt.Sprintf("max-age=%d", b))
-	} else {
-		parts = append(parts, "max-age=0")
-	}
-	if c > 0 {
-		parts = append(parts, fmt.Sprintf("s-maxage=%d", c))
-	}
-	return strings.Join(parts, ", ")
 }

@@ -33,10 +33,10 @@ const (
 	// ModeFull emits both max-age (browser/ISP) and s-maxage (CDN) — full
 	// Quaestor.
 	ModeFull CacheMode = iota
-	// ModeCDNOnly emits only s-maxage: results cache in invalidation-based
-	// tiers but not in clients ("CDN only" baseline).
+	// ModeCDNOnly emits s-maxage with max-age=0: results cache in
+	// invalidation-based tiers but not in clients ("CDN only" baseline).
 	ModeCDNOnly
-	// ModeClientOnly emits only a private max-age: results cache in the
+	// ModeClientOnly emits max-age without s-maxage: results cache in the
 	// browser, nothing shared ("EBF only" baseline).
 	ModeClientOnly
 	// ModeUncached emits no-store everywhere (the uncached Orestes
@@ -462,7 +462,7 @@ func (s *Server) Read(table, id string) (ReadResult, error) {
 	if s.cacheable() && dur > 0 {
 		s.coh.ReportRead(key, dur)
 	}
-	return ReadResult{Doc: doc, TTL: dur, ETag: etagFor(doc.Version)}, nil
+	return ReadResult{Doc: doc, TTL: dur, ETag: ETagFor(doc.Version)}, nil
 }
 
 func (s *Server) recordTTL(key string) time.Duration {
@@ -474,7 +474,9 @@ func (s *Server) recordTTL(key string) time.Duration {
 
 func (s *Server) cacheable() bool { return s.opts.Mode != ModeUncached }
 
-func etagFor(version int64) string { return `"v` + strconv.FormatInt(version, 10) + `"` }
+// ETagFor is the validator of a record at version: the one rule every
+// cache holding a copy of the record revalidates it by.
+func ETagFor(version int64) string { return `"v` + strconv.FormatInt(version, 10) + `"` }
 
 // QueryResult carries a query response plus its caching metadata.
 type QueryResult struct {
@@ -553,7 +555,7 @@ func (s *Server) query(q *query.Query, servedAs string) (QueryResult, error) {
 	}
 
 	changeRate, dur := s.est.QueryEstimate(key, recordKeys)
-	rep := s.chooseRepresentation(len(recordKeys), changeRate)
+	rep := s.opts.Representation.Choose(len(recordKeys), changeRate)
 	res.Representation = rep
 	admitted, err := s.active.Register(ttl.Entry{
 		QueryKey:       key,
@@ -622,10 +624,10 @@ func (s *Server) QueryStream(q *query.Query) (*store.Cursor, error) {
 	return cur, nil
 }
 
-// chooseRepresentation applies the configured policy to a result of
-// resultSize records whose write rates sum to changeRate.
-func (s *Server) chooseRepresentation(resultSize int, changeRate float64) ttl.Representation {
-	switch s.opts.Representation {
+// Choose applies the policy to a result of resultSize records whose write
+// rates sum to changeRate.
+func (p RepresentationPolicy) Choose(resultSize int, changeRate float64) ttl.Representation {
+	switch p {
 	case RepAlwaysObjects:
 		return ttl.ObjectList
 	case RepAlwaysIDs:
@@ -740,6 +742,11 @@ func (s *Server) Put(table string, doc *document.Document) error {
 	if err := s.validateDoc(table, doc); err != nil {
 		return err
 	}
+	return s.putValidated(table, doc)
+}
+
+// putValidated is Put for a document the table's schema already accepted.
+func (s *Server) putValidated(table string, doc *document.Document) error {
 	if err := s.router.Put(table, doc); err != nil {
 		return err
 	}

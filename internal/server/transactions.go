@@ -52,14 +52,19 @@ type TxnResult struct {
 // Commit validates and applies a transaction. On success every buffered
 // write is applied (each triggering normal record- and query-level
 // invalidation); on conflict nothing is applied and the conflicting keys
-// are reported so clients can retry.
+// are reported so clients can retry. A write the server would refuse on
+// its own refuses the whole transaction before anything is written (see
+// dryRun). What can still leave a partial commit is an error while
+// writing, such as a storage failure or a put into a table that does not
+// exist, or a non-transactional write that changes a record between the
+// dry run and the apply so that a patch no longer fits it.
 func (s *Server) Commit(req TxnRequest) (TxnResult, error) {
 	s.txnMu.Lock()
 	defer s.txnMu.Unlock()
 
 	var conflicts []string
 	for key, readVersion := range req.Reads {
-		table, id, ok := splitRecordKey(key)
+		table, id, ok := SplitRecordKey(key)
 		if !ok {
 			return TxnResult{}, fmt.Errorf("server: malformed read-set key %q", key)
 		}
@@ -83,38 +88,86 @@ func (s *Server) Commit(req TxnRequest) (TxnResult, error) {
 	if len(conflicts) > 0 {
 		return TxnResult{Conflicts: conflicts}, nil
 	}
+	if err := s.dryRun(req.Writes); err != nil {
+		return TxnResult{}, err
+	}
 	for _, w := range req.Writes {
 		var err error
 		switch w.Op {
 		case "put":
-			if w.Doc == nil {
-				return TxnResult{}, fmt.Errorf("server: put without document for %s/%s", w.Table, w.ID)
-			}
-			w.Doc.ID = w.ID
-			err = s.Put(w.Table, w.Doc)
+			err = s.putValidated(w.Table, w.Doc)
 		case "patch":
-			if w.Spec == nil {
-				return TxnResult{}, fmt.Errorf("server: patch without spec for %s/%s", w.Table, w.ID)
-			}
 			_, err = s.Update(w.Table, w.ID, *w.Spec)
 		case "delete":
 			err = s.Delete(w.Table, w.ID)
 			if errors.Is(err, store.ErrNotFound) {
 				err = nil // deleting an absent record is a no-op inside a txn
 			}
-		default:
-			return TxnResult{}, fmt.Errorf("server: unknown transactional op %q", w.Op)
 		}
 		if err != nil {
-			// Partial application cannot happen through validation races
-			// (txnMu), only through infrastructure errors; surface them.
 			return TxnResult{}, fmt.Errorf("server: applying %s %s/%s: %w", w.Op, w.Table, w.ID, err)
 		}
 	}
 	return TxnResult{Committed: true}, nil
 }
 
-func splitRecordKey(key string) (table, id string, ok bool) {
+// dryRun refuses, before anything is written, every write the server
+// would refuse on its own: an unknown op (400), a put without a document
+// (400) or that the table's schema rejects (422), a patch without a spec
+// (400), of a record that is not there (404), whose IfVersion the stored
+// record fails (412), or whose spec does not fit the record (400). A
+// patch is tried on a copy of the record as the transaction's earlier
+// writes leave it; a conditional patch of a record the transaction itself
+// wrote is checked only when it is applied. Each put's document gets its
+// id here and is validated only here.
+func (s *Server) dryRun(writes []TxnWriteOp) error {
+	type record struct{ table, id string }
+	after := make(map[record]*document.Document, len(writes)) // the transaction's writes so far; nil: deleted
+	for _, w := range writes {
+		rec := record{w.Table, w.ID}
+		switch w.Op {
+		case "put":
+			if w.Doc == nil {
+				return badRequest("server: put without document for %s/%s", w.Table, w.ID)
+			}
+			w.Doc.ID = w.ID
+			if err := s.validateDoc(w.Table, w.Doc); err != nil {
+				return err
+			}
+			after[rec] = w.Doc
+		case "patch":
+			if w.Spec == nil {
+				return badRequest("server: patch without spec for %s/%s", w.Table, w.ID)
+			}
+			prev, written := after[rec]
+			if !written {
+				var err error
+				if prev, err = s.router.StoreFor(w.ID).GetShared(w.Table, w.ID); err != nil {
+					return err
+				}
+				if v := w.Spec.IfVersion; v != 0 && prev.Version != v {
+					return fmt.Errorf("%w: %s/%s: have %d, want %d", store.ErrVersionCheck, w.Table, w.ID, prev.Version, v)
+				}
+			}
+			if prev == nil {
+				return fmt.Errorf("%w: %s/%s", store.ErrNotFound, w.Table, w.ID)
+			}
+			next := prev.Clone()
+			if err := store.ApplySpec(next, *w.Spec); err != nil {
+				return fmt.Errorf("server: patch %s/%s: %w", w.Table, w.ID, err)
+			}
+			after[rec] = next
+		case "delete":
+			after[rec] = nil
+		default:
+			return badRequest("server: unknown transactional op %q", w.Op)
+		}
+	}
+	return nil
+}
+
+// SplitRecordKey splits a RecordKey back into its table and id.
+func SplitRecordKey(key string) (table, id string, ok bool) {
 	for i := 0; i < len(key); i++ {
 		if key[i] == '/' {
 			if i == 0 || i == len(key)-1 {

@@ -263,23 +263,6 @@ func (w *world) serveRecordAtOrigin(table, id string) (int64, time.Duration) {
 	return doc.version, dur
 }
 
-// chooseRep applies the configured representation policy to a query whose
-// members change at changeRate (Σ λi) in total.
-func (w *world) chooseRep(sq *simQuery, changeRate float64) ttl.Representation {
-	switch w.cfg.Representation {
-	case server.RepAlwaysIDs:
-		return ttl.IDList
-	case server.RepAlwaysObjects:
-		return ttl.ObjectList
-	}
-	return ttl.ChooseRepresentation(ttl.RepresentationCost{
-		ResultSize:     len(sq.members),
-		ChangeRate:     changeRate,
-		MembershipRate: changeRate * 0.3,
-		RecordHitRate:  0.8,
-	})
-}
-
 // serveQueryAtOrigin produces a fresh query response: choose the
 // representation, estimate the TTL via the Poisson/EWMA model, admit to
 // the active list, report to the EBF.
@@ -292,7 +275,7 @@ func (w *world) serveQueryAtOrigin(sq *simQuery) time.Duration {
 		keys = append(keys, recordKey(sq.table, id))
 	}
 	changeRate, dur := w.est.QueryEstimate(sq.key, keys)
-	sq.rep = w.chooseRep(sq, changeRate)
+	sq.rep = w.cfg.Representation.Choose(len(sq.members), changeRate)
 	w.active.Admit(sq.key, dur, keys, sq.rep)
 	w.coh.ReportRead(sq.key, dur)
 	if sq.rep == ttl.ObjectList {

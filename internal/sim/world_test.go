@@ -149,20 +149,24 @@ func TestInvalidationWaveFlagsEBFAfterDelay(t *testing.T) {
 	}
 }
 
+// TestChooseRepPolicies checks that the origin model materializes results
+// under the configured policy: the server's, with no copy of its own.
 func TestChooseRepPolicies(t *testing.T) {
-	_, w := newTestWorld(t, func(c *Config) { c.Representation = server.RepAlwaysIDs })
-	for _, sq := range w.queries {
-		if got := w.chooseRep(sq, 0); got != ttl.IDList {
-			t.Fatalf("forced id-list, got %v", got)
+	for _, tc := range []struct {
+		policy server.RepresentationPolicy
+		want   ttl.Representation
+	}{
+		{server.RepAlwaysIDs, ttl.IDList},
+		{server.RepAlwaysObjects, ttl.ObjectList},
+	} {
+		_, w := newTestWorld(t, func(c *Config) { c.Representation = tc.policy })
+		for _, sq := range w.queries {
+			w.serveQueryAtOrigin(sq)
+			if sq.rep != tc.want {
+				t.Fatalf("policy %v served %v, want %v", tc.policy, sq.rep, tc.want)
+			}
+			break
 		}
-		break
-	}
-	_, w2 := newTestWorld(t, func(c *Config) { c.Representation = server.RepAlwaysObjects })
-	for _, sq := range w2.queries {
-		if got := w2.chooseRep(sq, 0); got != ttl.ObjectList {
-			t.Fatalf("forced object-list, got %v", got)
-		}
-		break
 	}
 }
 

@@ -525,7 +525,7 @@ func (s *Store) Update(tableName, id string, spec UpdateSpec) (*document.Documen
 			return nil, false, fmt.Errorf("%w: have %d, want %d", ErrVersionCheck, prev.Version, spec.IfVersion)
 		}
 		next := prev.Clone()
-		if err := applySpec(next, spec); err != nil {
+		if err := ApplySpec(next, spec); err != nil {
 			return nil, false, err
 		}
 		next.Version = prev.Version + 1
@@ -537,7 +537,12 @@ func (s *Store) Update(tableName, id string, spec UpdateSpec) (*document.Documen
 	return after.Clone(), nil
 }
 
-func applySpec(doc *document.Document, spec UpdateSpec) error {
+// ApplySpec applies spec's Set, Unset, Inc, Push and Pull to doc in place,
+// in that order: the one definition of what an update does to a document.
+// IfVersion is the caller's to check. A spec that does not fit the
+// document returns an error and may leave doc half-updated, so callers
+// apply it to a copy.
+func ApplySpec(doc *document.Document, spec UpdateSpec) error {
 	for path, v := range spec.Set {
 		if err := doc.Set(path, v); err != nil {
 			return fmt.Errorf("%w: set %q: %v", ErrBadUpdateSpec, path, err)
