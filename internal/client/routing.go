@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -320,13 +321,23 @@ func (c *Client) countTier(h http.Header) {
 	c.mu.Unlock()
 }
 
+// unknownAge is the initial age of a copy from a replica that reported
+// no staleness bound: older than any bound a read asks for, and far
+// enough below the largest Duration that cache.Entry.Age cannot overflow
+// adding the time the copy has been held.
+const unknownAge = time.Duration(math.MaxInt64 / 2)
+
 // initialAge is how stale a response under header h already was when it
-// arrived: the staleness the serving replica reported, zero from a primary
-// or a replica that could not bound it. The browser cache keeps it with
-// the copy.
+// arrived: the staleness the serving replica reported, zero from a
+// primary, unknownAge from a replica that could not bound it. The browser
+// cache keeps it with the copy, so unbounded reads still use such a copy
+// and bounded ones never do.
 func initialAge(h http.Header) time.Duration {
 	ms, _ := responseStaleness(h)
-	return time.Duration(max(ms, 0) * float64(time.Millisecond))
+	if ms < 0 {
+		return unknownAge
+	}
+	return time.Duration(ms * float64(time.Millisecond))
 }
 
 // withinBound reports whether a cached copy provably satisfies a staleness

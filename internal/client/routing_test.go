@@ -494,6 +494,43 @@ func TestBoundedReadRefusesMemberCopyOverBound(t *testing.T) {
 	}
 }
 
+// TestBoundedReadRefusesCopyOfUnknownStaleness: a replica that has not
+// bounded its staleness (bootstrapping, no X-Quaestor-Staleness-Ms) hands
+// out copies of unknown age. Unbounded reads may reuse such a copy; a
+// read with any staleness bound must go to the network instead.
+func TestBoundedReadRefusesCopyOfUnknownStaleness(t *testing.T) {
+	s := newStack(t, nil)
+	surface := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Quaestor-Replica", "bootstrapping")
+		s.cdn.ServeHTTP(w, r)
+	})
+	c := s.dial(t, &Options{Transport: NewHandlerTransport(surface)})
+	if err := s.srv.Insert("posts", document.New("p1", map[string]any{"v": int64(1)})); err != nil {
+		t.Fatal(err)
+	}
+	hits := func() uint64 { return c.Stats().ReadsByTier.ClientCache }
+	for i := 0; i < 2; i++ {
+		if _, err := c.Read("posts", "p1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits() != 1 {
+		t.Fatalf("client-cache hits = %d after two unbounded reads, want 1 (the copy is cached)", hits())
+	}
+	if _, err := c.ReadWith("posts", "p1", WithMaxStaleness(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if hits() != 1 {
+		t.Error("a copy of unknown staleness served a read bounded at 1 h")
+	}
+	if _, err := c.Read("posts", "p1"); err != nil {
+		t.Fatal(err)
+	}
+	if hits() != 2 {
+		t.Error("an unbounded read was not served from the cached copy")
+	}
+}
+
 // TestDisableCacheKeepsNoPerPathState: with the browser cache off, reads
 // and queries leave nothing behind keyed by resource path.
 func TestDisableCacheKeepsNoPerPathState(t *testing.T) {

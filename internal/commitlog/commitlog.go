@@ -391,8 +391,8 @@ type SubscriberStats struct {
 type Stats struct {
 	LastSeq uint64 `json:"lastSeq"`
 	// TruncSeq is the newest Seq evicted from the fan-out ring; Subscribe
-	// floors below it return ErrSeqTruncated (replicas fall back to WAL
-	// segment shipping).
+	// floors below it return ErrSeqTruncated (replicas re-bootstrap from
+	// a snapshot).
 	TruncSeq    uint64            `json:"truncSeq"`
 	Published   uint64            `json:"published"`
 	Subscribers []SubscriberStats `json:"subscribers,omitempty"`

@@ -495,7 +495,7 @@ func eligible(st replication.Status) bool {
 		return false
 	}
 	switch st.State {
-	case replication.StateStreaming, replication.StateCatchingUp, replication.StateConnecting:
+	case replication.StateStreaming, replication.StateConnecting:
 		return true
 	default:
 		return false

@@ -273,9 +273,9 @@ func TestFailoverPromote(t *testing.T) {
 // TestChaosRandomDisconnects hammers the primary while a chaos goroutine
 // keeps cutting the replication connection at random intervals. With a
 // small fan-out ring the reconnects constantly fall off the ring,
-// exercising the whole escalation ladder (ring → sealed segments →
-// snapshot) under fire; after quiesce the replica must still converge to
-// a byte-equal state. Skipped under -short (CI runs the deterministic
+// exercising both catch-up channels (ring → snapshot re-bootstrap) under
+// fire; after quiesce the replica must still converge to a byte-equal
+// state. Skipped under -short (CI runs the deterministic
 // variants).
 func TestChaosRandomDisconnects(t *testing.T) {
 	if testing.Short() {
@@ -322,6 +322,6 @@ func TestChaosRandomDisconnects(t *testing.T) {
 	if st.Reconnects == 0 {
 		t.Errorf("chaos run had no reconnects: %+v", st)
 	}
-	t.Logf("chaos survived: %d reconnects, %d segment catch-ups, %d bootstraps, %d records applied",
-		st.Reconnects, st.SegmentCatchups, st.Bootstraps, st.RecordsApplied)
+	t.Logf("chaos survived: %d reconnects, %d bootstraps, %d records applied",
+		st.Reconnects, st.Bootstraps, st.RecordsApplied)
 }

@@ -11,14 +11,19 @@
 // (store.SubscribeFrom), which is exactly the replica feed, and the WAL's
 // record format is the wire format.
 //
-// A replica escalates through three catch-up channels, coarsest last:
+// A replica catches up through two channels:
 //
 //  1. the fan-out ring — SubscribeFrom(lastSeq) streams retained events
 //     plus the live tail (GET /v1/replication/stream);
-//  2. sealed WAL segments — history older than the ring but newer than
-//     the primary's snapshot floor (GET /v1/replication/wal);
-//  3. a full snapshot bootstrap — when even the log has been truncated
-//     past the replica's position (GET /v1/replication/snapshot).
+//  2. a snapshot bootstrap — when the ring no longer covers the
+//     replica's position, the stream answers 410 Gone and the replica
+//     re-imports a point-in-time snapshot (GET /v1/replication/snapshot),
+//     then resumes the stream from its floor.
+//
+// Neither channel reads, rotates or locks the primary's WAL: the ring is
+// memory, and the snapshot export collects document pointers under the
+// table locks and streams them without touching disk state. A replica
+// that keeps disconnecting therefore costs the primary nothing durable.
 //
 // Re-delivery across channel switches and reconnects is harmless: the
 // apply path skips records at or below the replica's sequence, so a
@@ -35,7 +40,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,19 +64,10 @@ type Frame struct {
 	At int64 `json:"at"`
 }
 
-// Stream endpoint headers.
-const (
-	// HeaderSnapshotSeq carries the primary's snapshot floor on WAL
-	// exports: records at or below it are gone from the log.
-	HeaderSnapshotSeq = "X-Quaestor-Snapshot-Seq"
-	// HeaderLastSeq carries the primary's newest sequence.
-	HeaderLastSeq = "X-Quaestor-Last-Seq"
-)
-
 // EventsToRecords converts a commit-pipeline batch to shippable log
 // records — the same Event→Record mapping the primary's write path uses
-// when logging, so stream delivery and segment shipping are
-// interchangeable on the replica.
+// when logging, so the replica applies the stream through the same
+// recovery-style path that replays its own WAL.
 func EventsToRecords(events []commitlog.Event) []wal.Record {
 	return AppendRecords(nil, events)
 }
@@ -111,7 +106,6 @@ type State string
 const (
 	StateConnecting    State = "connecting"
 	StateBootstrapping State = "bootstrapping"
-	StateCatchingUp    State = "catching-up"
 	StateStreaming     State = "streaming"
 	StateStopped       State = "stopped"
 	StatePromoted      State = "promoted"
@@ -187,11 +181,10 @@ type Replica struct {
 	lastContact time.Time // last frame (or successful transfer) received
 	freshAsOf   time.Time // last moment applied == primary's LastSeq
 
-	bootstraps  uint64
-	segCatchups uint64
-	reconnects  uint64
-	frames      uint64
-	applied     uint64
+	bootstraps uint64
+	reconnects uint64
+	frames     uint64
+	applied    uint64
 	// synthDeletes/synthPuts accumulate the synthetic events re-bootstrap
 	// imports published (the old-vs-imported state diff).
 	synthDeletes uint64
@@ -268,8 +261,15 @@ func (r *Replica) loop() {
 	}
 }
 
-// syncOnce runs one connection lifecycle: escalate through the catch-up
-// channels until the live stream attaches, then apply it until it drops.
+// maxRebootstraps bounds the 410 → bootstrap rounds of one connection
+// lifecycle: under heavy writes a fresh snapshot's floor can fall out of
+// the ring again before the stream attaches, and the loop then backs off
+// instead of re-bootstrapping forever.
+const maxRebootstraps = 8
+
+// syncOnce runs one connection lifecycle: bootstrap when the ring no
+// longer covers our position, attach the live stream, and apply it until
+// it drops.
 func (r *Replica) syncOnce() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	r.mu.Lock()
@@ -316,13 +316,13 @@ func (r *Replica) syncOnce() error {
 			resp.Body.Close()
 			return err
 		case http.StatusGone:
-			// The ring no longer covers our position: catch up through
-			// sealed WAL segments, or bootstrap when even those are gone.
+			// The ring no longer covers our position: re-bootstrap from a
+			// snapshot, then resume the stream from its floor.
 			drain(resp)
-			if attempt >= 8 {
-				return fmt.Errorf("replication: no progress after %d catch-up rounds (position %d)", attempt, from)
+			if attempt >= maxRebootstraps {
+				return fmt.Errorf("replication: no progress after %d re-bootstraps (position %d)", attempt, from)
 			}
-			if err := r.catchUp(ctx, from); err != nil {
+			if err := r.bootstrap(ctx); err != nil {
 				return err
 			}
 		default:
@@ -355,60 +355,6 @@ func (r *Replica) applyStream(body io.Reader) error {
 			r.mu.Unlock()
 		}
 		r.observe(f.LastSeq)
-	}
-}
-
-// catchUp fetches the primary's sealed WAL segments and applies every
-// record past our position; when the primary's snapshot floor has moved
-// beyond us (or it has no WAL at all), it falls back to a full snapshot
-// bootstrap.
-func (r *Replica) catchUp(ctx context.Context, from uint64) error {
-	r.setState(StateCatchingUp)
-	resp, err := r.get(ctx, "/v1/replication/wal?after="+strconv.FormatUint(from, 10))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		floor, _ := strconv.ParseUint(resp.Header.Get(HeaderSnapshotSeq), 10, 64)
-		if floor > from {
-			// Records (from, floor] were truncated by a primary snapshot:
-			// the log cannot reconstruct our gap.
-			drain(resp)
-			return r.bootstrap(ctx)
-		}
-		// Collect DDL plus doc records past our position, restore global
-		// Seq order (appends from different shards interleave in the
-		// file), and apply. Segment catch-up is rare enough that holding
-		// the decoded batch in memory is fine.
-		var recs []wal.Record
-		err := wal.ScanReader(resp.Body, func(rec *wal.Record) error {
-			if rec.Seq > from || rec.Kind == wal.KindCreateTable || rec.Kind == wal.KindCreateIndex {
-				recs = append(recs, *rec)
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("replication: scanning shipped segments: %w", err)
-		}
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-		n, err := r.db.ApplyReplicated(recs)
-		if err != nil {
-			return err
-		}
-		r.mu.Lock()
-		r.segCatchups++
-		r.applied += uint64(n)
-		r.lastContact = time.Now()
-		r.mu.Unlock()
-		return nil
-	case http.StatusConflict, http.StatusNotFound:
-		// In-memory primary: no log to ship, bootstrap instead.
-		drain(resp)
-		return r.bootstrap(ctx)
-	default:
-		return fmt.Errorf("replication: wal export: %s", httpStatus(resp))
 	}
 }
 
@@ -567,11 +513,10 @@ type Status struct {
 	LastContactMs float64 `json:"lastContactMs"`
 	ReadOnly      bool    `json:"readOnly"`
 
-	Bootstraps      uint64 `json:"bootstraps"`
-	SegmentCatchups uint64 `json:"segmentCatchups"`
-	Reconnects      uint64 `json:"reconnects"`
-	Frames          uint64 `json:"frames"`
-	RecordsApplied  uint64 `json:"recordsApplied"`
+	Bootstraps     uint64 `json:"bootstraps"`
+	Reconnects     uint64 `json:"reconnects"`
+	Frames         uint64 `json:"frames"`
+	RecordsApplied uint64 `json:"recordsApplied"`
 	// SyntheticDeletes/SyntheticPuts count the synthetic events
 	// re-bootstrap imports published for documents deleted (resp. created
 	// or re-versioned) inside collapsed snapshot ranges — the signal that
@@ -596,7 +541,6 @@ func (r *Replica) Status() Status {
 		LastContactMs:    -1,
 		ReadOnly:         r.db.IsReadOnly(),
 		Bootstraps:       r.bootstraps,
-		SegmentCatchups:  r.segCatchups,
 		Reconnects:       r.reconnects,
 		Frames:           r.frames,
 		RecordsApplied:   r.applied,

@@ -433,12 +433,15 @@ func TestReplicaCrashRestartResumes(t *testing.T) {
 	}
 }
 
-// TestReplicaSegmentShippingFallback forces a rejoining replica's
+// TestReplicaRejoinPastRingRebootstraps forces a rejoining replica's
 // position out of the fan-out ring: the replica goes offline, the
 // primary takes far more writes than the ring retains, and on rejoin the
 // stream refuses with 410 (commitlog.ErrSeqTruncated), so the replica
-// must catch up through shipped sealed WAL segments before streaming.
-func TestReplicaSegmentShippingFallback(t *testing.T) {
+// must re-bootstrap from a snapshot exactly once before streaming. The
+// catch-up leaves the primary's durable state alone: its WAL keeps the
+// same segment files.
+func TestReplicaRejoinPastRingRebootstraps(t *testing.T) {
+	testutil.VerifyNoGoroutineLeaks(t)
 	p := startPrimary(t, t.TempDir(), 64) // tiny ring
 	if err := p.db.CreateTable("docs"); err != nil {
 		t.Fatal(err)
@@ -453,13 +456,20 @@ func TestReplicaSegmentShippingFallback(t *testing.T) {
 	waitConverged(t, repl, p.db, 15*time.Second)
 	repl.Stop() // replica goes offline with state at seq 100
 
-	// The primary moves on far past the ring's retention (no snapshot:
-	// the sealed segments still hold the whole gap).
+	// The primary moves on far past the ring's retention.
 	for i := 0; i < 1000; i++ {
 		if err := p.db.Put("docs", document.New(fmt.Sprintf("k%04d", i%300), map[string]any{"i": int64(i), "r": true})); err != nil {
 			t.Fatal(err)
 		}
 	}
+	segments := func() int {
+		st, ok := p.db.DurabilityStats()
+		if !ok {
+			t.Fatal("primary is not durable")
+		}
+		return st.WAL.Segments
+	}
+	before := segments()
 
 	// Rejoin: same store, new replication loop.
 	repl2 := replication.New(replication.Options{
@@ -474,21 +484,19 @@ func TestReplicaSegmentShippingFallback(t *testing.T) {
 	t.Cleanup(repl2.Stop)
 	waitConverged(t, repl2, p.db, 15*time.Second)
 	assertStateEqual(t, p.db, repl2.Store())
-	st := repl2.Status()
-	if st.SegmentCatchups == 0 {
-		t.Errorf("status = %+v: expected at least one WAL segment catch-up", st)
+	if st := repl2.Status(); st.Bootstraps != 1 {
+		t.Errorf("status = %+v: want exactly one re-bootstrap on rejoin", st)
 	}
-	if st.Bootstraps != 0 {
-		t.Errorf("status = %+v: segment shipping should have avoided a re-bootstrap", st)
+	if after := segments(); after != before {
+		t.Errorf("primary WAL segments %d -> %d across the rejoin: a catch-up must not rotate the primary's log", before, after)
 	}
 }
 
-// TestReplicaRebootstrapsPastSnapshotTruncation covers the coarsest
-// escalation: the primary snapshotted (truncating its WAL) beyond the
-// history a late replica needs, so neither the ring nor the sealed
-// segments can cover the gap and the replica must take a fresh snapshot
-// bootstrap. The in-memory-primary variant has no WAL at all and must
-// bootstrap directly.
+// TestReplicaRebootstrapsPastSnapshotTruncation: the primary snapshotted
+// (truncating its WAL) and then took more writes than the ring retains,
+// so a late replica can only start from a snapshot bootstrap. The
+// in-memory-primary variant has no WAL at all and bootstraps the same
+// way.
 func TestReplicaRebootstrapsPastSnapshotTruncation(t *testing.T) {
 	t.Run("durable-primary", func(t *testing.T) {
 		p := startPrimary(t, t.TempDir(), 64)

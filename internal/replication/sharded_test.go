@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -21,8 +22,18 @@ import (
 	"quaestor/internal/testutil"
 )
 
-func TestShardedReplicationPerShardStreams(t *testing.T) {
-	const shards = 2
+// shardedPair is a sharded primary and a sharded replica node following
+// it, one follower loop per shard, both behind real HTTP servers.
+type shardedPair struct {
+	prouter, rrouter *cluster.Router
+	repls            []*replication.Replica
+	pts, rts         *httptest.Server
+}
+
+// startShardedPair starts a primary with the given shard count, seeds
+// docs d000..d119, and attaches a replica node following every shard.
+func startShardedPair(t *testing.T, shards int) *shardedPair {
+	t.Helper()
 	prouter := cluster.MustOpen(cluster.Options{Shards: shards})
 	psrv := server.NewCluster(prouter, &server.Options{})
 	pts, stopPTS := testutil.StartServer(psrv.Handler())
@@ -64,6 +75,13 @@ func TestShardedReplicationPerShardStreams(t *testing.T) {
 		stopRTS()
 		rsrv.Close()
 	})
+	return &shardedPair{prouter: prouter, rrouter: rrouter, repls: repls, pts: pts, rts: rts}
+}
+
+func TestShardedReplicationPerShardStreams(t *testing.T) {
+	const shards = 2
+	sp := startShardedPair(t, shards)
+	prouter, rrouter, repls, pts, rts := sp.prouter, sp.rrouter, sp.repls, sp.pts, sp.rts
 
 	// DDL after attach: the fan-out sequences one create-index per shard
 	// pipeline and every follower learns it live.
@@ -133,5 +151,72 @@ func TestShardedReplicationPerShardStreams(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("write after sharded promote: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestPromotedNodeStampsNoReplicaHeaders: a promoted shard is a primary
+// again, so no response it answers may carry the replica annotation —
+// record reads, queries and the EBF alike. A client would otherwise cache
+// the new primary's answers as replica copies, pre-aged by the time since
+// the failover. While one shard still follows, node-wide responses keep
+// the annotation.
+func TestPromotedNodeStampsNoReplicaHeaders(t *testing.T) {
+	sp := startShardedPair(t, 2)
+	for i, repl := range sp.repls {
+		waitConverged(t, repl, sp.prouter.Store(i), 15*time.Second)
+	}
+	var onShard0 string
+	for i := 0; i < 120 && onShard0 == ""; i++ {
+		if id := fmt.Sprintf("d%03d", i); sp.rrouter.ShardFor(id) == 0 {
+			onShard0 = id
+		}
+	}
+	replicaHeader := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(sp.rts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if resp.Header.Get("X-Quaestor-Replica") == "" && resp.Header.Get("X-Quaestor-Staleness-Ms") != "" {
+			t.Errorf("GET %s: staleness header without a replica state", path)
+		}
+		return resp.Header.Get("X-Quaestor-Replica")
+	}
+	promote := func(query string) {
+		t.Helper()
+		resp, err := http.Post(sp.rts.URL+"/v1/replication/promote"+query, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("promote%s: status %d", query, resp.StatusCode)
+		}
+	}
+	record := "/v1/db/docs/" + onShard0
+
+	for _, path := range []string{"/v1/db/docs", "/v1/ebf", record} {
+		if got := replicaHeader(path); got != string(replication.StateStreaming) {
+			t.Errorf("following: GET %s: X-Quaestor-Replica = %q, want %q", path, got, replication.StateStreaming)
+		}
+	}
+
+	promote("?shard=0")
+	if got := replicaHeader(record); got != "" {
+		t.Errorf("shard 0 promoted: GET %s: X-Quaestor-Replica = %q, want none", record, got)
+	}
+	if got := replicaHeader("/v1/db/docs"); got != string(replication.StateStreaming) {
+		t.Errorf("shard 1 still follows: query X-Quaestor-Replica = %q, want %q", got, replication.StateStreaming)
+	}
+
+	promote("")
+	for _, path := range []string{"/v1/db/docs", "/v1/ebf", record} {
+		if got := replicaHeader(path); got != "" {
+			t.Errorf("all shards promoted: GET %s: X-Quaestor-Replica = %q, want none", path, got)
+		}
 	}
 }

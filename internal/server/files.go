@@ -85,7 +85,7 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("ETag", etag)
 		w.Header().Set("Content-Type", contentType)
 		w.Header().Set("X-Quaestor-Key", RecordKey(FilesTable, name))
-		s.addReplicaHeaders(w)
+		s.addReplicaHeaders(w, "")
 		if r.Header.Get("If-None-Match") == etag {
 			s.revalidations.Add(1)
 			w.WriteHeader(http.StatusNotModified)

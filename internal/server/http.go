@@ -43,7 +43,6 @@ import (
 //	GET    /v1/subscribe?table=…&q=…   — SSE query change stream
 //	GET    /v1/replication/snapshot    — snapshot stream (replica bootstrap)
 //	GET    /v1/replication/stream      — ordered replication frames (from=seq)
-//	GET    /v1/replication/wal         — sealed WAL segment shipping
 //	GET    /v1/replication/status      — primary role, or per-shard lag and staleness bound
 //	POST   /v1/replication/promote     — promote a replica to writable primary (per-shard outcomes)
 //
@@ -281,7 +280,7 @@ func (s *Server) handleEBF(w http.ResponseWriter, r *http.Request) {
 	// On a replica the filter describes replica state: annotate it with
 	// the staleness bound like every other replica-served read, so
 	// clients can weigh the coherence signal's own age.
-	s.addReplicaHeaders(w)
+	s.addReplicaHeaders(w, "")
 	h.Set("Content-Type", "application/json")
 	// A sparse Bloom filter is highly compressible; honour gzip so the
 	// piggybacked filter stays within one congestion window on the wire.
@@ -374,7 +373,7 @@ func (s *Server) handleIndexes(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		s.addReplicaHeaders(w)
+		s.addReplicaHeaders(w, "")
 		writeJSON(w, http.StatusOK, map[string]any{"table": table, "paths": paths})
 	default:
 		writeError(w, &httpError{http.StatusMethodNotAllowed, "GET or POST only"})
@@ -507,7 +506,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 		w.Header().Set("Cache-Control", cache.FormatCacheControl(s.CacheControl(res.TTL)))
 		w.Header().Set("ETag", res.ETag)
 		w.Header().Set("X-Quaestor-Key", RecordKey(table, id))
-		s.addReplicaHeadersFor(w, id)
+		s.addReplicaHeaders(w, id)
 		s.addEBFGeneration(w)
 		if r.Header.Get("If-None-Match") == res.ETag {
 			s.revalidations.Add(1)
@@ -716,7 +715,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, table strin
 	w.Header().Set("ETag", res.ETag)
 	w.Header().Set("X-Quaestor-Key", q.Key())
 	w.Header().Set("X-Quaestor-Rep", res.Representation.String())
-	s.addReplicaHeaders(w)
+	s.addReplicaHeaders(w, "")
 	s.addEBFGeneration(w)
 	if r.Header.Get("If-None-Match") == res.ETag {
 		s.revalidations.Add(1)
@@ -761,7 +760,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, q *query.Query) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Quaestor-Key", q.Key())
-	s.addReplicaHeaders(w)
+	s.addReplicaHeaders(w, "")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)

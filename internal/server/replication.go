@@ -12,7 +12,6 @@ import (
 
 	"quaestor/internal/commitlog"
 	"quaestor/internal/replication"
-	"quaestor/internal/store"
 	"quaestor/internal/wal"
 )
 
@@ -24,7 +23,6 @@ import (
 //
 //	GET  /v1/replication/snapshot — snapshot stream (replica bootstrap)
 //	GET  /v1/replication/stream   — ordered record frames from SubscribeFrom
-//	GET  /v1/replication/wal      — sealed WAL segments (ring-truncated catch-up)
 //	GET  /v1/replication/status   — primary role, or one replica status per shard
 //	POST /v1/replication/promote  — stop following, accept writes
 
@@ -70,10 +68,10 @@ const (
 // what protects the primary from a stalled-but-open replica connection:
 // the stream feeds a Block-policy subscription, so a consumer that
 // stops reading would otherwise fill the fan-out ring and wedge the
-// entire write path; a WAL export additionally holds the snapshot lock
-// for the duration of the transfer. A frozen peer errors out within
-// this bound and the handler's cleanup (Cancel / Close) releases
-// whatever it held.
+// entire write path. A snapshot export holds no lock while it writes,
+// so there the bound only frees the handler. A frozen peer errors out
+// within this bound and the handler's cleanup (Cancel) releases its
+// subscription.
 const replWriteTimeout = 10 * time.Second
 
 // deadlineWriter arms a fresh write deadline before every Write, so a
@@ -99,8 +97,6 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
 		s.handleReplSnapshot(w, r)
 	case "/v1/replication/stream":
 		s.handleReplStream(w, r)
-	case "/v1/replication/wal":
-		s.handleReplWAL(w, r)
 	case "/v1/replication/status":
 		s.handleReplStatus(w, r)
 	case "/v1/replication/promote":
@@ -127,7 +123,6 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set(replication.HeaderLastSeq, strconv.FormatUint(db.LastSeq(), 10))
 	// Errors past this point cut the stream; the replica detects the
 	// truncation through the missing end frame.
 	dw := &deadlineWriter{w: w, rc: http.NewResponseController(w)}
@@ -139,8 +134,8 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleReplStream serves the live ordered feed: a SubscribeFrom
 // subscription rendered as JSON frames, heartbeating the primary's
 // LastSeq while idle. A floor older than the fan-out ring answers 410
-// Gone — the replica must catch up through /v1/replication/wal (or a
-// fresh snapshot) first.
+// Gone — the replica must re-bootstrap from /v1/replication/snapshot
+// first.
 func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, &httpError{http.StatusMethodNotAllowed, "GET only"})
@@ -219,46 +214,6 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// handleReplWAL ships the primary's sealed WAL segments: the catch-up
-// channel for replicas whose position fell out of the fan-out ring but
-// is still covered by the log. The snapshot floor rides in a header so
-// the replica can detect an uncoverable gap before applying anything.
-func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, &httpError{http.StatusMethodNotAllowed, "GET only"})
-		return
-	}
-	after, err := strconv.ParseUint(r.URL.Query().Get("after"), 10, 64)
-	if err != nil {
-		writeError(w, badRequest("invalid after sequence %q", r.URL.Query().Get("after")))
-		return
-	}
-	db, err := s.replStore(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	exp, err := db.BeginWALExport(after)
-	if err != nil {
-		if errors.Is(err, store.ErrNotDurable) {
-			writeError(w, &httpError{http.StatusConflict, "primary is in-memory; bootstrap from a snapshot instead"})
-			return
-		}
-		writeError(w, err)
-		return
-	}
-	defer exp.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set(replication.HeaderSnapshotSeq, strconv.FormatUint(exp.SnapshotSeq, 10))
-	w.Header().Set(replication.HeaderLastSeq, strconv.FormatUint(exp.LastSeq, 10))
-	// The export holds the store's snapshot lock; the per-write deadline
-	// guarantees a stalled client cannot hold it (and block snapshots)
-	// for more than replWriteTimeout.
-	dw := &deadlineWriter{w: w, rc: http.NewResponseController(w)}
-	_, _ = exp.WriteTo(dw) // a cut transfer surfaces as a torn frame replica-side
 }
 
 // ReplicationRole is the /v1/replication/status body for a primary (a
@@ -359,8 +314,10 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // replicaStatus reports the node's replica view: the worst bound across
-// all shard followers (a read may have touched any of them). ok is false
-// on a primary (no replicas attached).
+// the shard followers still following (a read may have touched any of
+// them). A promoted shard is a primary again and bounds nothing; its
+// status stands for the node only when every shard is promoted. ok is
+// false on a primary (no replicas attached).
 func (s *Server) replicaStatus() (st replication.Status, ok bool) {
 	reps := s.ShardReplicas()
 	if len(reps) == 0 {
@@ -369,6 +326,13 @@ func (s *Server) replicaStatus() (st replication.Status, ok bool) {
 	st = reps[0].Status()
 	for _, rep := range reps[1:] {
 		cur := rep.Status()
+		if cur.State == replication.StatePromoted {
+			continue
+		}
+		if st.State == replication.StatePromoted {
+			st = cur
+			continue
+		}
 		// -1 (unknown) dominates any numeric bound: the node can only
 		// prove what its least-proven shard can — unknown must never
 		// aggregate as "fresher than 0".
@@ -387,24 +351,19 @@ func (s *Server) replicaStatus() (st replication.Status, ok bool) {
 	return st, true
 }
 
-// stateRank orders replica states from most to least caught up, so a
-// mixed-state node (mid-failover: one shard promoted, another still
-// following) collapses to the conservative one for admission and
-// headers.
+// stateRank orders follower states from most to least caught up, so a
+// mixed-state node (one shard streaming, another re-bootstrapping)
+// collapses to the conservative one for admission and headers.
 func stateRank(st replication.State) int {
 	switch st {
-	case replication.StatePromoted:
-		return 0
 	case replication.StateStreaming:
-		return 1
-	case replication.StateCatchingUp:
-		return 2
+		return 0
 	case replication.StateBootstrapping:
-		return 3
+		return 1
 	case replication.StateConnecting:
-		return 4
+		return 2
 	default: // stopped, demoted, unknown
-		return 5
+		return 3
 	}
 }
 
@@ -432,42 +391,31 @@ func (s *Server) servingAsReplica() bool {
 	return ok && st.State != replication.StatePromoted
 }
 
-// addReplicaHeaders stamps read responses with the staleness bound, so
-// clients of a replica know how far behind the primary their read may
-// be (the paper's Δ-atomicity reporting, extended to replica reads).
-func (s *Server) addReplicaHeaders(w http.ResponseWriter) {
-	st, ok := s.replicaStatus()
-	if !ok {
-		return
-	}
-	w.Header().Set("X-Quaestor-Replica", string(st.State))
-	if st.StalenessMs >= 0 {
-		w.Header().Set("X-Quaestor-Staleness-Ms", fmt.Sprintf("%.0f", st.StalenessMs))
-	}
-	if st.LagSeq > 0 {
-		w.Header().Set("X-Quaestor-Replica-Lag", strconv.FormatUint(st.LagSeq, 10))
-	}
-}
-
-// addReplicaHeadersFor is addReplicaHeaders plus the record's
-// applied-sequence annotation: the owning store's newest applied
-// sequence, the value a client compares its read-your-writes floor
-// against. The staleness headers come from the owning shard's follower,
-// not the node-wide worst case — per-record reads are admitted per
-// shard, so they must be annotated per shard too.
-func (s *Server) addReplicaHeadersFor(w http.ResponseWriter, id string) {
+// addReplicaHeaders stamps a read response with the serving follower's
+// staleness bound, so clients of a replica know how far behind the
+// primary their read may be (the paper's Δ-atomicity reporting, extended
+// to replica reads). A record read (id != "") is annotated by the shard
+// owning the record — it was admitted per shard — and also carries that
+// store's applied sequence, the value a client compares its
+// read-your-writes floor against; every other response carries the
+// node-wide worst case. A promoted shard is a primary again and stamps
+// nothing, and so does a node whose shards are all promoted.
+func (s *Server) addReplicaHeaders(w http.ResponseWriter, id string) {
 	st, ok := s.replicaStatusFor(id)
 	if !ok || st.State == replication.StatePromoted {
 		return
 	}
-	w.Header().Set("X-Quaestor-Replica", string(st.State))
+	h := w.Header()
+	h.Set("X-Quaestor-Replica", string(st.State))
 	if st.StalenessMs >= 0 {
-		w.Header().Set("X-Quaestor-Staleness-Ms", fmt.Sprintf("%.0f", st.StalenessMs))
+		h.Set("X-Quaestor-Staleness-Ms", fmt.Sprintf("%.0f", st.StalenessMs))
 	}
 	if st.LagSeq > 0 {
-		w.Header().Set("X-Quaestor-Replica-Lag", strconv.FormatUint(st.LagSeq, 10))
+		h.Set("X-Quaestor-Replica-Lag", strconv.FormatUint(st.LagSeq, 10))
 	}
-	w.Header().Set(HeaderAppliedSeq, strconv.FormatUint(s.router.StoreFor(id).LastSeq(), 10))
+	if id != "" {
+		h.Set(HeaderAppliedSeq, strconv.FormatUint(s.router.StoreFor(id).LastSeq(), 10))
+	}
 }
 
 // admitRead enforces the read-routing admission protocol on a
@@ -500,7 +448,7 @@ func (s *Server) admitRead(w http.ResponseWriter, r *http.Request, id string) bo
 	}
 	reject := func(reason string) bool {
 		s.stalenessRejects.Add(1)
-		s.addReplicaHeadersFor(w, id)
+		s.addReplicaHeaders(w, id)
 		writeJSON(w, http.StatusPreconditionFailed, map[string]string{"error": reason})
 		return false
 	}

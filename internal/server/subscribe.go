@@ -141,7 +141,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Quaestor-Key", q.Key())
 	// Replica-served streams are annotated like any other read: the
 	// staleness bound at attach time.
-	s.addReplicaHeaders(w)
+	s.addReplicaHeaders(w, "")
 	w.WriteHeader(http.StatusOK)
 	if canFlush {
 		flusher.Flush()

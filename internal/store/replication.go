@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,11 +17,10 @@ import (
 )
 
 // This file is the store's log-shipping surface: what a primary exports
-// (point-in-time snapshot stream, sealed WAL segments) and what a
-// replica applies (snapshot import, replicated record batches through
-// the recovery-style idempotent apply path). The commit pipeline's
-// SubscribeFrom is the third leg — the live ordered feed — and lives in
-// store.go.
+// (a point-in-time snapshot stream) and what a replica applies (snapshot
+// import, replicated record batches through the recovery-style
+// idempotent apply path). The commit pipeline's SubscribeFrom is the
+// other leg — the live ordered feed — and lives in store.go.
 
 // Replication errors.
 var (
@@ -550,95 +548,3 @@ func (s *Store) ApplyReplicated(recs []wal.Record) (applied int, err error) {
 	}
 	return applied, nil
 }
-
-// WALExport is an in-progress sealed-segment export (replica catch-up
-// older than the fan-out ring). It holds the store's snapshot lock until
-// Close so a concurrent snapshot cannot truncate the segments out from
-// under the transfer.
-type WALExport struct {
-	s     *Store
-	after uint64
-	// SnapshotSeq is the store's current snapshot floor: records with
-	// Seq <= SnapshotSeq are no longer in the log, so a consumer whose
-	// position is below the floor must re-bootstrap from a snapshot.
-	SnapshotSeq uint64
-	// LastSeq is the newest assigned sequence at export time.
-	LastSeq uint64
-	paths   []string
-}
-
-// BeginWALExport rotates the WAL (sealing the active segment, so every
-// record enqueued so far becomes shippable) and returns an export of
-// every sealed record past the consumer's position (DDL records always
-// ship — they carry no sequence and replay idempotently). ErrNotDurable
-// on in-memory stores — they have no log to ship, consumers must
-// re-bootstrap from a snapshot instead. The caller must Close the
-// export.
-func (s *Store) BeginWALExport(after uint64) (*WALExport, error) {
-	if s.wal == nil {
-		return nil, ErrNotDurable
-	}
-	s.snapMu.Lock()
-	sealed, err := s.wal.Rotate()
-	if err != nil {
-		s.snapMu.Unlock()
-		return nil, fmt.Errorf("store: rotating wal for export: %w", err)
-	}
-	e := &WALExport{s: s, after: after, LastSeq: s.seq.Load(), paths: sealed}
-	if s.lastSnap != nil {
-		e.SnapshotSeq = s.lastSnap.Seq
-	}
-	return e, nil
-}
-
-// WriteTo streams the sealed segments' relevant records to w in log
-// order; the output is a valid record stream for wal.ScanReader. Frames
-// are filtered by peeking at each record's sequence and re-framed from
-// the raw payload bytes — never JSON re-encoded — so a consumer a few
-// records behind does not download the whole log since the last
-// snapshot.
-func (e *WALExport) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	var buf []byte
-	for _, p := range e.paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return total, err
-		}
-		fr := wal.NewFrameReader(bufio.NewReaderSize(f, 1<<16))
-		for {
-			payload, err := fr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				f.Close()
-				return total, err
-			}
-			// Sealed segments contain only complete records; a frame
-			// that does not decode is corruption and aborts the export.
-			var hdr struct {
-				Seq uint64 `json:"seq"`
-			}
-			if err := json.Unmarshal(payload, &hdr); err != nil {
-				f.Close()
-				return total, fmt.Errorf("store: wal export: corrupt record in %s: %w", p, err)
-			}
-			if hdr.Seq != 0 && hdr.Seq <= e.after {
-				continue // the consumer already has it
-			}
-			buf = wal.AppendFrame(buf[:0], payload)
-			n, err := w.Write(buf)
-			total += int64(n)
-			if err != nil {
-				f.Close()
-				return total, err
-			}
-		}
-		f.Close()
-	}
-	return total, nil
-}
-
-// Close releases the snapshot lock taken by BeginWALExport.
-func (e *WALExport) Close() { e.s.snapMu.Unlock() }

@@ -903,8 +903,8 @@ func (s *Store) SubscribeNamed(name string) (<-chan ChangeEvent, func()) {
 // log-shipping replication: a replica bootstraps from a snapshot, then
 // subscribes from the snapshot's sequence floor. When fromSeq predates
 // the ring's retention SubscribeFrom fails with commitlog.ErrSeqTruncated
-// and the replica must catch up through shipped WAL segments (or a fresh
-// snapshot) first.
+// and the replica must re-bootstrap from a fresh snapshot first; nothing
+// on this path reads the WAL.
 func (s *Store) SubscribeFrom(name string, fromSeq uint64) (*commitlog.Subscription, error) {
 	return s.pipeline.Subscribe(name, fromSeq)
 }

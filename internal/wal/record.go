@@ -92,7 +92,7 @@ var (
 )
 
 // AppendFrame appends one CRC-framed payload to buf — the WAL's on-disk
-// frame format (length + CRC-32C header). The counterpart of FrameReader.
+// frame format (length + CRC-32C header). The counterpart of frameReader.
 func AppendFrame(buf, payload []byte) []byte {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -183,9 +183,10 @@ type frameReader struct {
 // nextPayload reads one frame's payload. It returns ErrTorn for an
 // incomplete or corrupt frame and io.EOF at a clean end of stream. A
 // frame up to frameChunk costs one allocation; a longer one doubles its
-// buffer as bytes arrive, so a corrupt or truncated stream (a replica's
-// snapshot or segment transfer cut short) holds a buffer of at most
-// frameChunk or twice what it delivered, never what its header claimed.
+// buffer as bytes arrive, so a corrupt or truncated stream (a torn
+// segment tail, or a replica's snapshot transfer cut short) holds a
+// buffer of at most frameChunk or twice what it delivered, never what
+// its header claimed.
 func (fr *frameReader) nextPayload() ([]byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {

@@ -7,44 +7,10 @@ import (
 	"quaestor/internal/document"
 )
 
-// This file is the package's streaming surface: the CRC framing and the
-// snapshot format exported over io.Reader/io.Writer instead of files.
-// Log-shipping replication moves both across the network — a replica
-// bootstraps from a streamed snapshot and catches up from shipped sealed
-// segments.
-
-// FrameReader iterates CRC-framed payloads from a byte stream. Next
-// returns io.EOF at a clean end of stream and ErrTorn for an incomplete
-// or corrupt frame.
-type FrameReader struct {
-	fr frameReader
-}
-
-// NewFrameReader wraps r. Callers that care about read amplification
-// should pass a buffered reader.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{fr: frameReader{r: r}}
-}
-
-// Next returns the next frame's payload. The returned slice is freshly
-// allocated and safe to retain.
-func (r *FrameReader) Next() ([]byte, error) {
-	return r.fr.nextPayload()
-}
-
-// ScanReader decodes log records from a framed byte stream — the read
-// side of segment shipping, where a replica consumes sealed segments a
-// primary serves over the network. Unlike Scan, which tolerates a torn
-// tail in the last on-disk segment, every frame here must be intact
-// (sealed segments were fsynced whole before shipping); a torn frame
-// returns ErrTorn, typically a connection cut mid-transfer.
-func ScanReader(r io.Reader, fn func(*Record) error) error {
-	_, torn, err := scanFrames(r, fn)
-	if err == nil && torn {
-		err = ErrTorn
-	}
-	return err
-}
+// This file is the package's streaming surface: the snapshot format
+// written to an io.Writer instead of a file. Log-shipping replication
+// moves it across the network — a replica bootstraps from a streamed
+// snapshot.
 
 // SnapshotStreamWriter writes the snapshot frame sequence (meta, docs,
 // end) to an arbitrary writer. The file-based SnapshotWriter wraps it;
