@@ -161,11 +161,6 @@ func (f *Filter) ClearBit(i uint32) {
 	}
 }
 
-// Bit reports one raw bit position.
-func (f *Filter) Bit(i uint32) bool {
-	return i < f.m && f.bits[i/64]&(1<<(i%64)) != 0
-}
-
 // PopCount returns the number of set bits.
 func (f *Filter) PopCount() int {
 	n := 0

@@ -36,7 +36,6 @@ import (
 	"quaestor/internal/query"
 	"quaestor/internal/server"
 	"quaestor/internal/store"
-	"quaestor/internal/ttl"
 )
 
 // Consistency selects the per-operation guarantee (Figure 4). Δ-atomicity,
@@ -92,9 +91,9 @@ type Options struct {
 	// advertises nothing (or an older server without the endpoint) just
 	// leaves routing off.
 	DiscoverReplicas bool
-	// MaxStaleness, when > 0, bounds every read by default (overridable
-	// per read via ReadOptions/WithMaxStaleness). Zero keeps reads
-	// unbounded — the SDK's original Δ-atomic behavior.
+	// MaxStaleness, when > 0, bounds every record read and query by
+	// default (overridable per operation via ReadOptions/WithMaxStaleness).
+	// Zero keeps them unbounded — the SDK's original Δ-atomic behavior.
 	MaxStaleness time.Duration
 	// RequestTimeout bounds every request/response exchange end to end
 	// (connect through body close). Zero picks the 30s default; negative
@@ -224,8 +223,7 @@ type Client struct {
 	mu          sync.Mutex
 	view        *ebf.ClientView            // aggregate-filter mode
 	tableViews  map[string]*ebf.ClientView // per-table mode
-	highest     map[string]int64           // monotonic read versions
-	forcedReval map[string]struct{}        // keys whose next read must revalidate
+	floors      map[string]floor           // per-key session floors (read.go)
 	lastRead    time.Time                  // newest read timestamp (causal)
 	lastReplica ReplicaMeta                // newest replica annotation observed
 	smap        *cluster.ShardMap          // cached shard map (nil until a node stamps an epoch or a failover refresh)
@@ -236,10 +234,9 @@ type Client struct {
 	stats        Stats
 
 	// Staleness-bounded read routing state (routing.go).
-	replicas      []*endpointState  // replica endpoints, with observed health
-	minSeqs       map[string]uint64 // per-key read-your-writes low-water marks
-	rng           *rand.Rand        // power-of-two-choices source
-	lastPiggyback time.Time         // last piggyback-triggered EBF refresh
+	replicas      []*endpointState // replica endpoints, with observed health
+	rng           *rand.Rand       // power-of-two-choices source
+	lastPiggyback time.Time        // last piggyback-triggered EBF refresh
 }
 
 // Dial connects to a Quaestor deployment and fetches the initial EBF
@@ -253,12 +250,10 @@ func Dial(opts *Options) (*Client, error) {
 		// cursor is closed by the consumer, and a dead peer surfaces as a
 		// transport read error.
 		//lint:quaestor ctxdeadline -- QueryStream cursors are long-lived by design; lifetime is owned by DocStream.Close, not a deadline
-		stream:      &http.Client{Transport: o.Transport},
-		local:       cache.New(cache.ExpirationBased, o.CacheCapacity, o.Clock),
-		highest:     map[string]int64{},
-		forcedReval: map[string]struct{}{},
-		minSeqs:     map[string]uint64{},
-		rng:         rand.New(rand.NewSource(o.Clock().UnixNano())),
+		stream: &http.Client{Transport: o.Transport},
+		local:  cache.New(cache.ExpirationBased, o.CacheCapacity, o.Clock),
+		floors: map[string]floor{},
+		rng:    rand.New(rand.NewSource(o.Clock().UnixNano())),
 	}
 	c.SetReplicaEndpoints(o.ReplicaEndpoints...)
 	if o.DiscoverReplicas {
@@ -281,6 +276,13 @@ func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
+}
+
+// count increments one of the client's counters.
+func (c *Client) count(n *uint64) {
+	c.mu.Lock()
+	*n++
+	c.mu.Unlock()
 }
 
 // EBFAge returns the current filter age (the achieved Δ bound); zero when
@@ -325,45 +327,6 @@ func (c *Client) maybeRefreshEBF() {
 	}
 }
 
-// ebfVerdict is what the EBF view responsible for a key said about it when
-// an operation began: the view, its answer and the generation of the
-// snapshot that gave it. The zero value (EBF off, no filter yet) is Clean.
-type ebfVerdict struct {
-	view  *ebf.ClientView
-	state ebf.State
-	gen   uint64
-}
-
-// checkEBF consults the EBF view responsible for the key.
-func (c *Client) checkEBF(key string) ebfVerdict {
-	if c.opts.DisableEBF {
-		return ebfVerdict{}
-	}
-	var v *ebf.ClientView
-	if c.opts.PerTableEBF {
-		v = c.tableView(key)
-	} else {
-		c.mu.Lock()
-		v = c.view
-		c.mu.Unlock()
-	}
-	if v == nil {
-		return ebfVerdict{}
-	}
-	state, gen := v.Lookup(key)
-	return ebfVerdict{view: v, state: state, gen: gen}
-}
-
-// revalidated whitelists key after a revalidation begun on this verdict
-// was answered under header h. The view drops it if its snapshot was
-// renewed meanwhile, and carries it across later renewals only when the
-// filter's own node answered: a replica may lag behind the filter.
-func (vd ebfVerdict) revalidated(key string, h http.Header) {
-	if vd.view != nil {
-		vd.view.Whitelist(key, vd.gen, h.Get("X-Quaestor-Replica") == "")
-	}
-}
-
 // do executes one exchange on hc — the bounded default for
 // request/response exchanges, or the timeout-free stream client for
 // long-lived NDJSON cursors — with extra request headers (a GET's
@@ -390,9 +353,7 @@ func (c *Client) do(hc *http.Client, method, path string, body []byte, revalidat
 		if !ok {
 			return nil, err
 		}
-		c.mu.Lock()
-		c.stats.FailoverRetries++
-		c.mu.Unlock()
+		c.count(&c.stats.FailoverRetries)
 		base = nb
 		if resp, err = c.send(hc, base, method, path, body, revalidate, extra); err != nil {
 			return nil, err
@@ -401,9 +362,7 @@ func (c *Client) do(hc *http.Client, method, path string, body []byte, revalidat
 	if c.observeShardEpoch(resp.Header, base) && docID != "" {
 		if nb := c.nodeFor(docID); nb != base {
 			resp.Body.Close()
-			c.mu.Lock()
-			c.stats.ShardRetries++
-			c.mu.Unlock()
+			c.count(&c.stats.ShardRetries)
 			base = nb
 			resp, err = c.send(hc, base, method, path, body, revalidate, extra)
 			if err != nil {
@@ -414,9 +373,7 @@ func (c *Client) do(hc *http.Client, method, path string, body []byte, revalidat
 	if resp.StatusCode == http.StatusServiceUnavailable && method != http.MethodGet {
 		if primary := resp.Header.Get(server.HeaderPrimary); primary != "" && primary != base {
 			resp.Body.Close()
-			c.mu.Lock()
-			c.stats.PrimaryRedirects++
-			c.mu.Unlock()
+			c.count(&c.stats.PrimaryRedirects)
 			return c.send(hc, primary, method, path, body, revalidate, extra)
 		}
 	}
@@ -453,32 +410,6 @@ func (c *Client) send(hc *http.Client, base, method, path string, body []byte, r
 		c.observeReplicaHeaders(resp.Header)
 	}
 	return resp, err
-}
-
-// cached looks path up in the browser cache in one access. fresh reports
-// an entry the read may be served from; otherwise the entry, if any, is
-// the copy the refetch revalidates instead of downloading again — the
-// flagged one when revalidate is set (it stays cached), else the expired
-// one the lookup just evicted.
-func (c *Client) cached(path string, revalidate bool) (entry *cache.Entry, fresh bool) {
-	if c.opts.DisableCache {
-		return nil, false
-	}
-	if revalidate {
-		entry, _ = c.local.GetStale(path)
-		return entry, false
-	}
-	return c.local.Get(path)
-}
-
-// ifNoneMatch makes a GET conditional on prior: the origin answers 304
-// with fresh caching headers and no body while prior is still current.
-func ifNoneMatch(prior *cache.Entry) http.Header {
-	h := http.Header{}
-	if prior != nil && prior.ETag != "" {
-		h.Set("If-None-Match", prior.ETag)
-	}
-	return h
 }
 
 // nodeFor picks the endpoint for a point op: the owning shard's node when
@@ -703,176 +634,6 @@ func (c *Client) LastReplicaMeta() ReplicaMeta {
 	return c.lastReplica
 }
 
-// ReadOptions tunes one read.
-type ReadOptions struct {
-	Consistency Consistency
-	// MaxStaleness bounds this read's provable staleness when
-	// BoundStaleness is set (WithMaxStaleness builds the pair). A bound
-	// of 0 demands primary-equivalence: the read bypasses every cache
-	// tier and is served by the primary. A finite bound lets the read be
-	// served by the client cache or a replica that can prove it is
-	// within the bound.
-	MaxStaleness   time.Duration
-	BoundStaleness bool
-}
-
-// Read fetches a record with the session's consistency guarantees.
-func (c *Client) Read(table, id string) (*document.Document, error) {
-	return c.ReadWith(table, id, ReadOptions{})
-}
-
-// ReadWith fetches a record with per-operation consistency.
-func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Document, error) {
-	c.mu.Lock()
-	c.stats.Reads++
-	c.mu.Unlock()
-	c.applyConsistencyPre(opts.Consistency)
-	c.maybeRefreshEBF()
-
-	key := server.RecordKey(table, id)
-	path := server.RecordPath(table, id)
-	bound, bounded := c.effectiveBound(opts)
-
-	// A bound of 0 is a primary-equivalent read: revalidate end to end so
-	// no cache tier may answer. A pending forced revalidation (the
-	// session's own write) is consumed by whichever read revalidates first.
-	vd := c.checkEBF(key)
-	revalidate := c.consumeForcedRevalidation(key) || opts.Consistency == Strong ||
-		vd.state == ebf.Stale || (bounded && bound == 0)
-	prior, fresh := c.cached(path, revalidate)
-	if fresh {
-		doc := prior.Value.(*document.Document)
-		if c.monotonicOK(key, doc.Version) &&
-			(!bounded || c.withinBound(prior, bound)) {
-			c.mu.Lock()
-			c.stats.CacheHits++
-			c.stats.ReadsByTier.ClientCache++
-			if vd.state == ebf.Carried {
-				c.stats.WhitelistCarried++
-			}
-			c.mu.Unlock()
-			c.observeRead(key, doc.Version)
-			return doc.Clone(), nil
-		}
-	}
-
-	// Finite bounds route across the replica tier; bound 0 and unbounded
-	// reads go to the primary path.
-	fetch := func(reval bool, prior *cache.Entry) (*document.Document, time.Duration, http.Header, error) {
-		if bounded && bound > 0 {
-			return c.fetchRecordRouted(path, id, key, reval, bound, prior)
-		}
-		return c.fetchRecord(path, id, reval, prior)
-	}
-
-	doc, cacheTTL, answer, err := fetch(revalidate, prior)
-	if err != nil {
-		return nil, err
-	}
-	if revalidate {
-		vd.revalidated(key, answer)
-	}
-	// Monotonic reads: a cache tier may have answered with an older
-	// version than this session has already seen; fall back to the newer
-	// local copy or force a revalidation ("if a read returns an older
-	// version, the client resorts to the cached version if it is not
-	// contained in the EBF or triggers a revalidation otherwise").
-	if !c.monotonicOK(key, doc.Version) {
-		c.mu.Lock()
-		c.stats.MonotonicRetries++
-		c.mu.Unlock()
-		if entry, ok := c.local.GetStale(path); ok && c.checkEBF(key).state != ebf.Stale {
-			cached := entry.Value.(*document.Document)
-			if cached.Version >= c.highestSeen(key) &&
-				(!bounded || c.withinBound(entry, bound)) {
-				return cached.Clone(), nil
-			}
-		}
-		// Unconditional: a 304 would hand back the copy that just failed.
-		doc, cacheTTL, answer, err = fetch(true, nil)
-		if err != nil {
-			return nil, err
-		}
-		vd.revalidated(key, answer)
-	}
-	if !c.opts.DisableCache && cacheTTL > 0 {
-		c.local.PutAged(path, doc.Clone(), server.ETagFor(doc.Version), cacheTTL, initialAge(answer))
-	}
-	c.observeRead(key, doc.Version)
-	return doc, nil
-}
-
-// fetchRecord reads a record from the primary path, conditionally on prior
-// (nil = unconditionally). It returns the document, the lifetime the
-// browser cache may keep it for and the header it was answered under.
-func (c *Client) fetchRecord(path, id string, revalidate bool, prior *cache.Entry) (*document.Document, time.Duration, http.Header, error) {
-	resp, err := c.do(c.http, http.MethodGet, path, nil, revalidate, id, ifNoneMatch(prior))
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	doc, cacheTTL, err := c.decodeRecord(resp, prior)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	c.countTier(resp.Header)
-	return doc, cacheTTL, resp.Header, nil
-}
-
-func (c *Client) highestSeen(key string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.highest[key]
-}
-
-func (c *Client) monotonicOK(key string, version int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return version >= c.highest[key]
-}
-
-func (c *Client) observeRead(key string, version int64) {
-	now := c.opts.Clock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if version > c.highest[key] {
-		c.highest[key] = version
-	}
-	if now.After(c.lastRead) {
-		c.lastRead = now
-	}
-}
-
-// applyConsistencyPre enforces causal consistency: when the session has
-// observed a read newer than the EBF, later reads could violate causality —
-// refresh the filter first (the paper's option 1).
-func (c *Client) applyConsistencyPre(level Consistency) {
-	if level != Causal || c.opts.DisableEBF {
-		return
-	}
-	c.mu.Lock()
-	v := c.view
-	last := c.lastRead
-	c.mu.Unlock()
-	if v != nil && last.After(v.GeneratedAt()) {
-		_ = c.refreshEBF()
-	}
-}
-
-// Result is a query response assembled by the SDK.
-type Result struct {
-	Docs           []*document.Document
-	IDs            []string
-	Representation ttl.Representation
-	// RoundTrips counts HTTP exchanges used to assemble the result
-	// (id-lists may need per-record fetches).
-	RoundTrips int
-}
-
-// Query executes a query with default consistency.
-func (c *Client) Query(q *query.Query) (*Result, error) {
-	return c.QueryWith(q, ReadOptions{})
-}
-
 // QueryPath renders the deterministic REST path for a query; identical
 // queries from any client map to the same cache entry.
 func QueryPath(q *query.Query) string {
@@ -902,102 +663,6 @@ func QueryPath(q *query.Query) string {
 		path += "?" + enc
 	}
 	return path
-}
-
-// QueryWith executes a query with per-operation consistency. Object-list
-// results return documents directly; id-list results are assembled by
-// reading each record (which populates per-record cache entries).
-func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
-	c.mu.Lock()
-	c.stats.Queries++
-	c.mu.Unlock()
-	c.applyConsistencyPre(opts.Consistency)
-	c.maybeRefreshEBF()
-
-	key := q.Key()
-	path := QueryPath(q)
-	vd := c.checkEBF(key)
-	revalidate := opts.Consistency == Strong || vd.state == ebf.Stale
-	prior, fresh := c.cached(path, revalidate)
-	if fresh {
-		c.mu.Lock()
-		c.stats.CacheHits++
-		if vd.state == ebf.Carried {
-			c.stats.WhitelistCarried++
-		}
-		c.mu.Unlock()
-		return cloneResult(prior.Value.(*Result)), nil
-	}
-
-	resp, err := c.do(c.http, http.MethodGet, path, nil, revalidate, "", ifNoneMatch(prior))
-	if err != nil {
-		return nil, err
-	}
-	body, readErr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if readErr != nil {
-		return nil, readErr
-	}
-	var res *Result
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		c.mu.Lock()
-		c.stats.NotModified++
-		c.mu.Unlock()
-		if prior == nil {
-			return nil, errors.New("client: 304 without cached query result")
-		}
-		// The result ETag covers every member's version, so the cached
-		// documents are current too, whatever the representation.
-		res = cloneResult(prior.Value.(*Result))
-		res.RoundTrips = 1
-	case http.StatusOK:
-		var qr server.QueryResponse
-		if err := json.Unmarshal(body, &qr); err != nil {
-			return nil, err
-		}
-		res = &Result{IDs: qr.IDs, RoundTrips: 1, Representation: ttl.ObjectList, Docs: qr.Docs}
-		if qr.Representation == ttl.IDList.String() {
-			res.Representation, res.Docs = ttl.IDList, nil
-			for _, id := range qr.IDs {
-				doc, rerr := c.ReadWith(q.Table, id, opts)
-				if rerr != nil {
-					return nil, fmt.Errorf("client: assembling id-list member %s: %w", id, rerr)
-				}
-				res.Docs = append(res.Docs, doc)
-				res.RoundTrips++
-			}
-		}
-	default:
-		return nil, decodeErrorBytes(resp.StatusCode, body)
-	}
-	if revalidate {
-		vd.revalidated(key, resp.Header)
-	}
-
-	age := cache.FreshnessLifetime(resp.Header, cache.ExpirationBased)
-	stale := initialAge(resp.Header)
-	if res.Representation == ttl.ObjectList {
-		expires := c.opts.Clock().Add(age)
-		for _, d := range res.Docs {
-			c.observeRead(server.RecordKey(q.Table, d.ID), d.Version)
-			// Result members become individual browser-cache entries,
-			// giving record reads hits "by side effect" — under the TTL of
-			// this response, a 304 included — unless the same version is
-			// already held for longer: a record read with a 300 s TTL is
-			// not cut to the few seconds of a query that returns it.
-			if !c.opts.DisableCache && age > 0 {
-				member, tag := server.RecordPath(q.Table, d.ID), server.ETagFor(d.Version)
-				if held, ok := c.local.GetStale(member); !ok || held.ETag != tag || held.ExpiresAt.Before(expires) {
-					c.local.PutAged(member, d.Clone(), tag, age, stale)
-				}
-			}
-		}
-	}
-	if !c.opts.DisableCache && age > 0 {
-		c.local.PutAged(path, cloneResult(res), resp.Header.Get("ETag"), age, stale)
-	}
-	return res, nil
 }
 
 // DocStream iterates a streamed NDJSON query response, decoding one
@@ -1033,9 +698,7 @@ func (s *DocStream) Close() error { return s.body.Close() }
 // copy whose staleness could need checking. Use it for large result sets;
 // Query remains the cacheable path.
 func (c *Client) QueryStream(q *query.Query) (*DocStream, error) {
-	c.mu.Lock()
-	c.stats.Queries++
-	c.mu.Unlock()
+	c.count(&c.stats.Queries)
 
 	path := QueryPath(q)
 	if strings.Contains(path, "?") {
@@ -1052,18 +715,6 @@ func (c *Client) QueryStream(q *query.Query) (*DocStream, error) {
 		return nil, decodeError(resp)
 	}
 	return &DocStream{body: resp.Body, dec: json.NewDecoder(resp.Body)}, nil
-}
-
-func cloneResult(r *Result) *Result {
-	cp := &Result{
-		IDs:            append([]string(nil), r.IDs...),
-		Representation: r.Representation,
-		RoundTrips:     r.RoundTrips,
-	}
-	for _, d := range r.Docs {
-		cp.Docs = append(cp.Docs, d.Clone())
-	}
-	return cp
 }
 
 // Insert creates a record.
@@ -1117,51 +768,9 @@ func (c *Client) write(method, path, table, id string, body any, want int, after
 		}
 		version = after.Version
 	}
-	c.mu.Lock()
-	c.stats.Writes++
-	c.mu.Unlock()
+	c.count(&c.stats.Writes)
 	c.wrote(table, id, version, resp.Header)
 	return nil
-}
-
-// wrote is read-your-writes: the session wrote table/id (or a transaction
-// conflict proved its copy stale), acknowledged under header h (nil: no
-// header) with the record's new version (0: not known). Nothing serves the
-// write back from the session itself; instead it raises the floors every
-// read already enforces. The browser copy goes ("every time a client begins
-// an update operation it invalidates the corresponding record from its own
-// cache"), and the next read revalidates end to end, so no cache tier may
-// answer it. The version raises the monotonic floor against every tier,
-// X-Quaestor-Seq the floor a replica must have applied (X-Quaestor-Min-Seq),
-// and the write advances the causal frontier like a read: a later causal
-// operation must not consult an EBF older than it.
-func (c *Client) wrote(table, id string, version int64, h http.Header) {
-	key := server.RecordKey(table, id)
-	seq, _ := strconv.ParseUint(h.Get(server.HeaderWriteSeq), 10, 64)
-	now := c.opts.Clock()
-	c.local.Invalidate(server.RecordPath(table, id))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.forcedReval[key] = struct{}{}
-	if version > c.highest[key] {
-		c.highest[key] = version
-	}
-	if seq > c.minSeqs[key] {
-		c.minSeqs[key] = seq
-	}
-	if now.After(c.lastRead) {
-		c.lastRead = now
-	}
-}
-
-// consumeForcedRevalidation reports and clears a pending forced
-// revalidation for key.
-func (c *Client) consumeForcedRevalidation(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.forcedReval[key]
-	delete(c.forcedReval, key)
-	return ok
 }
 
 // CreateTable provisions a table.

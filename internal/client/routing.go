@@ -2,15 +2,12 @@ package client
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"quaestor/internal/cache"
-	"quaestor/internal/document"
 	"quaestor/internal/server"
 )
 
@@ -92,26 +89,6 @@ type TierCounts struct {
 	Primary     uint64
 	Replica     uint64
 	ClientCache uint64
-}
-
-// WithMaxStaleness bounds one read: the response's provable staleness
-// must not exceed d. d = 0 demands primary-equivalence — the read
-// bypasses every cache tier and is served by the primary.
-func WithMaxStaleness(d time.Duration) ReadOptions {
-	return ReadOptions{MaxStaleness: d, BoundStaleness: true}
-}
-
-// effectiveBound resolves a read's staleness bound: the per-read option
-// when set, else the session default (Options.MaxStaleness > 0). ok is
-// false for unbounded reads, which keep the SDK's original behavior.
-func (c *Client) effectiveBound(opts ReadOptions) (time.Duration, bool) {
-	if opts.BoundStaleness {
-		return opts.MaxStaleness, true
-	}
-	if c.opts.MaxStaleness > 0 {
-		return c.opts.MaxStaleness, true
-	}
-	return 0, false
 }
 
 // SetReplicaEndpoints installs the replica endpoints bounded reads are
@@ -284,12 +261,6 @@ func (c *Client) noteConnFailure(ep *endpointState) {
 	ep.penaltyUntil = now.Add(d)
 }
 
-func (c *Client) minSeqFor(key string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.minSeqs[key]
-}
-
 // responseStaleness extracts the replica-reported staleness of a
 // response; (0, false) for primary-served responses, which are fresh by
 // definition.
@@ -308,42 +279,21 @@ func responseStaleness(h http.Header) (float64, bool) {
 	return ms, true
 }
 
-// countTier attributes one network-served read to the responding tier.
-// A promoted replica is a primary again.
+// countTier attributes one served record read to the tier that answered it
+// under header h: nil is the browser cache. A promoted replica is a
+// primary again.
 func (c *Client) countTier(h http.Header) {
 	state := h.Get("X-Quaestor-Replica")
 	c.mu.Lock()
-	if state != "" && state != "promoted" {
+	switch {
+	case h == nil:
+		c.stats.ReadsByTier.ClientCache++
+	case state != "" && state != "promoted":
 		c.stats.ReadsByTier.Replica++
-	} else {
+	default:
 		c.stats.ReadsByTier.Primary++
 	}
 	c.mu.Unlock()
-}
-
-// unknownAge is the initial age of a copy from a replica that reported
-// no staleness bound: older than any bound a read asks for, and far
-// enough below the largest Duration that cache.Entry.Age cannot overflow
-// adding the time the copy has been held.
-const unknownAge = time.Duration(math.MaxInt64 / 2)
-
-// initialAge is how stale a response under header h already was when it
-// arrived: the staleness the serving replica reported, zero from a
-// primary, unknownAge from a replica that could not bound it. The browser
-// cache keeps it with the copy, so unbounded reads still use such a copy
-// and bounded ones never do.
-func initialAge(h http.Header) time.Duration {
-	ms, _ := responseStaleness(h)
-	if ms < 0 {
-		return unknownAge
-	}
-	return time.Duration(ms * float64(time.Millisecond))
-}
-
-// withinBound reports whether a cached copy provably satisfies a staleness
-// bound: the staleness it arrived with plus the time it has been held.
-func (c *Client) withinBound(e *cache.Entry, bound time.Duration) bool {
-	return e.Age(c.opts.Clock()) <= bound
 }
 
 // maybePiggybackEBF refreshes the client's invalidation state from the
@@ -383,54 +333,24 @@ func (c *Client) maybePiggybackEBF(base string, h http.Header) {
 	if _, err := c.renewEBF(base, "", view); err != nil {
 		return
 	}
-	c.mu.Lock()
-	c.stats.EBFPiggybacks++
-	c.mu.Unlock()
+	c.count(&c.stats.EBFPiggybacks)
 }
 
-func (c *Client) bumpStalenessRetries() {
-	c.mu.Lock()
-	c.stats.StalenessRetries++
-	c.mu.Unlock()
-}
-
-// decodeRecord turns one record-read response into a document plus its
-// cacheable lifetime (shared by the primary and routed fetch paths). A 304
-// answers the conditional request made for prior: its document, under the
-// response's fresh lifetime.
-func (c *Client) decodeRecord(resp *http.Response, prior *cache.Entry) (*document.Document, time.Duration, error) {
-	defer resp.Body.Close()
-	lifetime := cache.FreshnessLifetime(resp.Header, cache.ExpirationBased)
-	if resp.StatusCode == http.StatusNotModified {
-		c.mu.Lock()
-		c.stats.NotModified++
-		c.mu.Unlock()
-		if prior == nil {
-			return nil, 0, errors.New("client: 304 without cached copy")
-		}
-		return prior.Value.(*document.Document).Clone(), lifetime, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, decodeError(resp)
-	}
-	var doc document.Document
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, 0, err
-	}
-	return &doc, lifetime, nil
-}
-
-// fetchRecordRouted serves one bounded record read from the replica
-// tier: up to two replica attempts (power-of-two-choices, then the next
-// best), each carrying the bound and the read-your-writes floor, then
-// the primary. A 412 rejection, transport error, or over-bound 200 from
-// an admission-unaware server re-routes; the primary fallback means a
-// bounded read never silently returns an over-bound response.
-func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound time.Duration, prior *cache.Entry) (*document.Document, time.Duration, http.Header, error) {
+// fetchRecordRouted sends one bounded record read to the replica tier:
+// up to two replica attempts (power-of-two-choices, then the next best),
+// each carrying the bound and the read-your-writes floor. A 412
+// rejection, transport error, or over-bound 200 from an admission-unaware
+// server re-routes; nil means no replica answered, and the read falls
+// back to the primary, so a bounded read never silently returns an
+// over-bound response.
+func (c *Client) fetchRecordRouted(path, key string, revalidate bool, bound time.Duration, prior *cache.Entry) *http.Response {
 	boundMs := float64(bound) / float64(time.Millisecond)
 	extra := ifNoneMatch(prior)
 	extra.Set(server.HeaderMaxStaleness, strconv.FormatFloat(boundMs, 'f', -1, 64))
-	if minSeq := c.minSeqFor(key); minSeq > 0 {
+	c.mu.Lock()
+	minSeq := c.floors[key].seq
+	c.mu.Unlock()
+	if minSeq > 0 {
 		extra.Set(server.HeaderMinSeq, strconv.FormatUint(minSeq, 10))
 	}
 	tried := map[string]bool{}
@@ -451,7 +371,7 @@ func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound 
 		if resp.StatusCode == http.StatusPreconditionFailed {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			c.bumpStalenessRetries()
+			c.count(&c.stats.StalenessRetries)
 			// A rejection for a too-tight bound is not an unhealthy
 			// endpoint — the p2c score, just updated from the 412's own
 			// staleness header, already deprioritizes it. Only a replica
@@ -464,16 +384,13 @@ func (c *Client) fetchRecordRouted(path, id, key string, revalidate bool, bound 
 		}
 		if st, replica := responseStaleness(resp.Header); replica && resp.StatusCode == http.StatusOK && (st < 0 || st > boundMs) {
 			resp.Body.Close()
-			c.bumpStalenessRetries()
+			c.count(&c.stats.StalenessRetries)
 			continue
 		}
-		doc, cacheTTL, err := c.decodeRecord(resp, prior)
-		if err != nil {
-			return nil, 0, nil, err
+		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
+			c.maybePiggybackEBF(ep.url, resp.Header)
 		}
-		c.countTier(resp.Header)
-		c.maybePiggybackEBF(ep.url, resp.Header)
-		return doc, cacheTTL, resp.Header, nil
+		return resp
 	}
-	return c.fetchRecord(path, id, revalidate, prior)
+	return nil
 }

@@ -35,9 +35,8 @@ import (
 // floor predates the fan-out ring's retention: events between the floor
 // and the oldest retained event have been overwritten (or were published
 // before this log opened), so neither a subscription nor a replay could
-// be gapless. A replica receiving it must fall back to a coarser catch-up
-// channel — shipped WAL segments, or a fresh snapshot bootstrap; a query
-// activation receiving it does not cache the query.
+// be gapless. A replica receiving it must re-bootstrap from a snapshot;
+// a query activation receiving it does not cache the query.
 var ErrSeqTruncated = errors.New("commitlog: sequence truncated from fan-out ring")
 
 // OpType identifies the kind of write that produced a change event.
@@ -320,7 +319,7 @@ func (l *Log) SubscribeTail(name string) *Subscription {
 // event with Seq > fromSeq (catch-up through the ring), then the live
 // tail. When fromSeq predates the ring's retention the subscription would
 // have a gap, so Subscribe refuses with ErrSeqTruncated — the caller must
-// catch up through shipped WAL segments or a snapshot bootstrap first.
+// catch up through a snapshot bootstrap first.
 func (l *Log) Subscribe(name string, fromSeq uint64) (*Subscription, error) {
 	l.mu.Lock()
 	cursor, err := l.suffixLocked(fromSeq)

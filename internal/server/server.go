@@ -785,10 +785,6 @@ func (s *Server) afterWrite(table, id string) {
 	s.ebfGen.Store(s.opts.Clock().UnixNano())
 }
 
-// EBFGeneration returns the Unix-nanosecond timestamp of the EBF's
-// newest mutation (0 before the first write).
-func (s *Server) EBFGeneration() int64 { return s.ebfGen.Load() }
-
 // followCoherence subscribes to one store's ordered change stream and
 // feeds every replicated write into the TTL estimator and the EBF — the
 // same bookkeeping afterWrite does on the HTTP write path, which a

@@ -432,13 +432,13 @@ func writeDocs(tables []*table, doc func(table string, d *document.Document) err
 }
 
 // ApplyReplicated applies one ordered batch of replicated log records —
-// the stream a primary's commit pipeline (or its shipped WAL segments)
-// produces — through the same mutation and stamp path as a local write,
-// at the primary's sequence numbers:
+// the stream a primary's commit pipeline produces — through the same
+// mutation and stamp path as a local write, at the primary's sequence
+// numbers:
 //
 //   - records at or below the store's sequence are duplicates from a
-//     reconnect or overlapping catch-up channels and are skipped, so
-//     re-delivery is a no-op;
+//     reconnect or a stream overlapping a snapshot bootstrap and are
+//     skipped, so re-delivery is a no-op;
 //   - DDL records (Seq 0) replay unconditionally, they are idempotent;
 //   - doc records install the after-image exactly as recorded, advance
 //     the sequence counter, and are re-logged to the replica's own WAL
@@ -449,8 +449,8 @@ func writeDocs(tables []*table, doc func(table string, d *document.Document) err
 //     primary, gaps included: a Seq the primary never published is
 //     simply absent here too.
 //
-// Records must arrive in non-decreasing Seq order (sort shipped segment
-// records first). ApplyReplicated takes ownership of rec.Doc pointers.
+// Records must arrive in non-decreasing Seq order. ApplyReplicated takes
+// ownership of rec.Doc pointers.
 // The caller must be a single goroutine — the replication applier.
 func (s *Store) ApplyReplicated(recs []wal.Record) (applied int, err error) {
 	// One commit for the whole batch, on every return path: in-memory
