@@ -1,8 +1,8 @@
 // Top-level benchmarks: one testing.B benchmark per table and figure of the
-// paper's evaluation (Section 6), plus ablation benches for the design
-// choices called out in DESIGN.md and micro-benchmarks of the core data
-// structures. Each figure bench regenerates the corresponding series at a
-// reduced scale; `go run ./cmd/quaestor-bench -scale 1` reproduces the
+// paper's evaluation (Section 6), plus ablation benches (see the README's
+// Experiments section) and micro-benchmarks of the core data structures.
+// Each figure bench regenerates the corresponding series at a reduced
+// scale; `go run ./cmd/quaestor-bench -scale 1` reproduces the
 // full-parameter versions.
 package main
 

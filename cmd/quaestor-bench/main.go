@@ -1,5 +1,6 @@
 // Command quaestor-bench regenerates the paper's evaluation: every table
-// and figure of Section 6 (plus the ablations DESIGN.md calls out) as
+// and figure of Section 6 (plus ablations of the coherence mechanism, the
+// TTL estimator, the estimator family and the result representation) as
 // formatted text series.
 //
 // Usage:

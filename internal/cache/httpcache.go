@@ -34,7 +34,8 @@ type CachedResponse struct {
 //     mirroring CDN purge APIs. Expiration-based tiers answer 405.
 //   - UpstreamLatency simulates the network round-trip to the next tier and
 //     is slept once per forwarded request; cache hits skip it entirely.
-//     This is the substitution for real geographic RTTs (see DESIGN.md).
+//     It stands in for real geographic RTTs: in-process tests sleep it,
+//     the simulator charges it to its virtual clock through Sleep.
 type HTTPTier struct {
 	Name            string
 	Upstream        http.Handler

@@ -5,8 +5,8 @@
 //
 // Absolute numbers differ from the paper (our substrate is a simulator and
 // an in-process pipeline, not EC2), but the shapes — who wins, by what
-// factor, where the crossovers fall — are the reproduction target. See
-// EXPERIMENTS.md for a paper-vs-measured record.
+// factor, where the crossovers fall — are the reproduction target. The
+// README's Experiments section says how to run them.
 package experiments
 
 import (
@@ -333,7 +333,7 @@ func Table1(sc Scale) string {
 
 // AblationCoherence compares the EBF-based coherence against the static-TTL
 // straw man of Section 3 (no client staleness checks) and against serving
-// without client caches — the design-choice ablation DESIGN.md calls out.
+// without client caches: what the EBF buys over plain expiration.
 func AblationCoherence(sc Scale) string {
 	type variant struct {
 		label      string
@@ -390,11 +390,19 @@ func AblationRepresentation(sc Scale) string {
 
 // AblationTTL sweeps the estimator's quantile and EWMA α, the two knobs of
 // Section 4.2: "by varying the quantile, higher/lower TTLs and thus cache
-// hit rates can be traded off against more or fewer invalidations". The
-// MinTTL clamp is lowered so the quantile actually differentiates TTLs at
-// this write intensity, and the issued-TTL median makes the knob visible.
+// hit rates can be traded off against more or fewer invalidations". Each
+// knob sets TTLs of its own, and the sweep reports their medians. The
+// quantile sets the TTLs Equation 1 derives from sampled write rates: the
+// records'. A query is usually first served before any of its members'
+// writes has been sampled, so its first TTL is the default, not the
+// quantile's. α weights Equation 2's EWMA of observed TTLs, which sets a
+// query's TTL once the query has been invalidated. These runs cover a few
+// virtual seconds, so a record TTL of minutes never runs out inside one:
+// the quantile moves the TTLs issued, not the hit rate. The MinTTL clamp
+// is lowered so α differentiates the sub-second TTLs of this write
+// intensity.
 func AblationTTL(sc Scale) string {
-	tbl := metrics.NewTable("quantile", "alpha", "median-ttl-s", "query-hit-rate", "invalidations", "stale-query-rate")
+	tbl := metrics.NewTable("quantile", "alpha", "record-ttl-s", "revised-query-ttl-s", "query-hit-rate", "invalidations", "stale-query-rate")
 	for _, p := range []float64{0.3, 0.7, 0.95} {
 		for _, a := range []float64{0.3, 0.8} {
 			cfg := baseSimConfig(server.ModeFull, 1200, sc)
@@ -407,7 +415,8 @@ func AblationTTL(sc Scale) string {
 			cfg.Mix = workload.Mix{Read: 0.475, Query: 0.475, Update: 0.05}
 			m := sim.Run(cfg)
 			tbl.AddRow(fmt.Sprintf("%.2f", p), fmt.Sprintf("%.1f", a),
-				fmt.Sprintf("%.2f", m.EstimatedTTLs.Percentile(0.5)/1000),
+				fmt.Sprintf("%.2f", m.RecordTTLs.Percentile(0.5)/1000),
+				fmt.Sprintf("%.3f", m.RevisedTTLs.Percentile(0.5)/1000),
 				fmt.Sprintf("%.2f", m.ClientHitRate(true)),
 				fmt.Sprintf("%d", m.EBFStats.Invalidations),
 				fmt.Sprintf("%.4f", m.StaleRate(true)))

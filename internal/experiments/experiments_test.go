@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -135,4 +136,45 @@ func TestScaleHelpers(t *testing.T) {
 	if got := Scale(0.001).duration(1000e9); got.Seconds() != 2 {
 		t.Errorf("duration floor = %v", got)
 	}
+}
+
+// TestAblationTTLAxesMove: each knob the TTL ablation sweeps must move what
+// its rows print. Two rows that differ in one knob only may not print the
+// same measurements. The scale is the smallest whose runs outlast a filter
+// refresh, so that queries are revalidated and their EWMA is consulted.
+func TestAblationTTLAxesMove(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow simulator reproduction")
+	}
+	rows := tableRows(AblationTTL(Scale(0.05)))
+	if len(rows) != 6 {
+		t.Fatalf("%d rows, want 3 quantiles × 2 alphas", len(rows))
+	}
+	for i, a := range rows {
+		for _, b := range rows[i+1:] {
+			if (a[0] == b[0]) == (a[1] == b[1]) {
+				continue // both knobs apart
+			}
+			if slices.Equal(a[2:], b[2:]) {
+				t.Errorf("quantile %s α %s and quantile %s α %s print the same measurements %v", a[0], a[1], b[0], b[1], a[2:])
+			}
+		}
+	}
+}
+
+// tableRows returns the data rows of a section's table, split into cells.
+func tableRows(out string) [][]string {
+	var rows [][]string
+	body := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "--"):
+			body = true
+		case body && strings.TrimSpace(line) == "":
+			return rows
+		case body:
+			rows = append(rows, strings.Fields(line))
+		}
+	}
+	return rows
 }

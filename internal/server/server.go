@@ -8,6 +8,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -840,14 +841,40 @@ func (s *Server) ReplicaEndpoints() (primary string, replicas []string) {
 func (s *Server) notificationLoop() {
 	defer close(s.notifyDone)
 	for n := range s.inv.Notifications() {
-		s.invalidations.Add(1)
 		path := s.active.Invalidated(n.QueryKey, func(actual time.Duration) {
 			s.est.ObserveInvalidation(n.QueryKey, actual)
 		})
 		if s.coh.ReportWrite(n.QueryKey) && path != "" {
 			s.schedulePurge(path)
 		}
+		// Counted once the caches are told, so Settle can tell a handled
+		// notification from one still on its way.
+		s.invalidations.Add(1)
 		s.fanOutToSubscribers(n)
+	}
+}
+
+// Settle blocks until every write acknowledged so far has been matched
+// by InvaliDB and every notification it emitted has been handled — EBF
+// flagged, purges scheduled — or until timeout elapses, and reports
+// whether the pipeline settled. A caller that settles after each write
+// sees the invalidation pipeline as if it ran inline: the simulator does,
+// to stay deterministic.
+func (s *Server) Settle(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for {
+		// Quiesce reads the in-flight count before the pumps' positions, so
+		// one drained report can miss an event a pump was handing over
+		// meanwhile; a second report, begun after it, cannot.
+		if s.inv.Quiesce(0) && s.inv.Quiesce(0) {
+			if _, emitted := s.inv.Stats(); s.invalidations.Load() == emitted {
+				return true
+			}
+		}
+		if !time.Now().Before(deadline) {
+			return false
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -149,6 +149,39 @@ func TestInvalidationPurgesAndFeedsEWMA(t *testing.T) {
 	}
 }
 
+// TestSettleReturnsOnceInvalidationsAreHandled: when Settle returns after
+// a write, InvaliDB's notification for it has been handled — the query is
+// flagged in the EBF, its purge issued and the invalidation counted —
+// with no further waiting, write after write.
+func TestSettleReturnsOnceInvalidationsAreHandled(t *testing.T) {
+	srv := newTestServer(t, 1, nil)
+	var mu sync.Mutex
+	purged := map[string]bool{}
+	srv.AddPurger(PurgerFunc(func(path string) {
+		mu.Lock()
+		purged[path] = true
+		mu.Unlock()
+	}))
+	for i := 0; i < 200; i++ {
+		tag, path := fmt.Sprintf("t%d", i), fmt.Sprintf("/v1/db/posts?q=t%d", i)
+		q := query.New("posts", query.Contains("tags", tag))
+		if _, err := srv.query(q, path); err != nil {
+			t.Fatal(err)
+		}
+		insertPost(t, srv, fmt.Sprintf("p%d", i), tag)
+		if !srv.Settle(10 * time.Second) {
+			t.Fatalf("write %d: the pipeline did not settle", i)
+		}
+		mu.Lock()
+		done := purged[path]
+		mu.Unlock()
+		if !done || !srv.EBFSnapshot().Contains(q.Key()) || srv.Stats().Invalidations != uint64(i+1) {
+			t.Fatalf("write %d: settled before its invalidation was handled (purged %v, flagged %v, invalidations %d)",
+				i, done, srv.EBFSnapshot().Contains(q.Key()), srv.Stats().Invalidations)
+		}
+	}
+}
+
 func TestUncachedModeIssuesNoTTLs(t *testing.T) {
 	srv := newTestServer(t, 1, &Options{Mode: ModeUncached})
 	insertPost(t, srv, "p1", "x")

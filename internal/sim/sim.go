@@ -1,36 +1,53 @@
-// Package sim implements the Monte Carlo simulation framework the paper
-// uses to analyze staleness and cache behaviour (Section 6.1): "Simulation
-// is the most reliable method to analyze properties like staleness as it
-// provides globally ordered event time stamps for each operation and does
-// not rely on error-prone clock synchronization."
+// Package sim is the Monte Carlo simulator the paper uses to analyze
+// staleness and cache behaviour (Section 6.1): "Simulation is the most
+// reliable method to analyze properties like staleness as it provides
+// globally ordered event time stamps for each operation and does not rely
+// on error-prone clock synchronization."
 //
-// The simulator is a single-threaded discrete-event loop over a virtual
-// clock. It wires the *real* production components — the Expiring Bloom
-// Filter, client views with whitelisting, the TTL estimator, the active
-// list and the web-cache implementations — to simulated clients, a
-// simulated CDN and a capacity-constrained origin, with the paper's
-// measured latency constants (client↔server 145 ms, client↔CDN 4 ms,
-// client-cache hits free). Invalidation detection is performed
-// synchronously on each write with a configurable detection delay,
-// semantically equivalent to the InvaliDB pipeline whose notification
-// latencies are 1–5 orders of magnitude below the modelled RTTs.
+// It runs the shipped stack on a virtual clock: one server.Server over an
+// in-memory store.Store (TTL estimator, active list, EBF, InvaliDB), a
+// cache.HTTPTier as the CDN in the modes that have one, and one
+// client.Client session per simulated client, all speaking HTTP through
+// in-process handlers. A single-threaded discrete-event loop runs each
+// operation whole at its start time and charges it the latency it would
+// have taken; nothing sleeps.
 //
-// Approximations (documented in DESIGN.md): operations are evaluated
-// atomically at their start time and charged their end-to-end latency;
-// cache fills take effect at evaluation time. Staleness is measured
-// exactly: every response served from any cache is compared against the
-// globally current version at serve time.
+// What is modelled rather than shipped:
+//   - hop latencies: client↔origin ClientServerRTT (145 ms), client↔CDN
+//     ClientCDNRTT (4 ms), the CDN→origin leg their difference, and an
+//     operation that never reaches the network ClientHitCost;
+//   - capacity: the origin and the CDN are queues serving ServerRate and
+//     CDNRate requests/s (queueDelay);
+//   - the purge delay: a PURGE reaches the CDN InvalidationLatency after
+//     the server issues it. InvaliDB itself runs as shipped, on its own
+//     goroutines, but the loop settles it (server.Server.Settle) after
+//     every acknowledged write, so detection is immediate in virtual time;
+//   - the corpus keeps its size: inserts and deletes are driven as updates
+//     of existing records.
+//
+// Staleness is judged by the simulator from its own log of acknowledged
+// writes (truth.go), never from the system's headers or counters.
 package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"quaestor/internal/cache"
+	"quaestor/internal/client"
+	"quaestor/internal/document"
 	"quaestor/internal/ebf"
 	"quaestor/internal/metrics"
+	"quaestor/internal/query"
 	"quaestor/internal/server"
+	"quaestor/internal/store"
 	"quaestor/internal/ttl"
 	"quaestor/internal/workload"
 )
@@ -59,12 +76,13 @@ type Config struct {
 	// Latency constants. Defaults: server RTT 145ms, CDN RTT 4ms.
 	ClientServerRTT time.Duration
 	ClientCDNRTT    time.Duration
-	// InvalidationLatency is the delay between a write and the purge/EBF
-	// update it triggers (InvaliDB detection + purge propagation;
-	// default 30ms, which keeps CDN staleness below 0.1% as measured).
+	// InvalidationLatency is the delay between the server issuing a purge
+	// and the CDN dropping the entry (default 30ms, which keeps CDN
+	// staleness below 0.1% as measured).
 	InvalidationLatency time.Duration
-	// ClientHitCost is the local-cache lookup cost (browser processing;
-	// default 0.5ms). It keeps closed-loop throughput finite.
+	// ClientHitCost is the cost of an operation the browser cache answers
+	// without any network exchange (browser processing; default 0.5ms).
+	// It keeps closed-loop throughput finite.
 	ClientHitCost time.Duration
 	// ThinkTime is the mean exponentially distributed pause between a
 	// response and the connection's next request. Zero (the default) is
@@ -166,11 +184,20 @@ type Metrics struct {
 	StalenessSum    time.Duration
 	StalenessEvents uint64
 
-	// TTL estimation quality (Figure 11).
-	EstimatedTTLs *metrics.Histogram // issued TTLs, in ms
-	TrueTTLs      *metrics.Histogram // observed read→invalidation spans
+	// TTL estimation quality (Figure 11): the estimator's TTLs for the
+	// queries the origin served (Cache-Control carries them in whole
+	// seconds), and their true TTLs (origin serve → first write that
+	// changed the result).
+	EstimatedTTLs *metrics.Histogram
+	TrueTTLs      *metrics.Histogram
+	// The TTLs each estimator knob sets: RecordTTLs for the records the
+	// origin served that have a sampled write rate (Equation 1, the
+	// quantile; the others get the default), RevisedTTLs for the queries
+	// it served after their first invalidation (Equation 2's EWMA, α).
+	RecordTTLs  *metrics.Histogram
+	RevisedTTLs *metrics.Histogram
 
-	// AssemblyFetches counts id-list member fetches that left the browser
+	// AssemblyFetches counts id-list member reads that left the browser
 	// cache (the representation trade-off's round-trip cost).
 	AssemblyFetches uint64
 
@@ -243,48 +270,177 @@ func (h *eventHeap) Pop() any {
 	return x
 }
 
+// tier is where an operation's answer came from.
+type tier int
+
+const (
+	tierClient tier = iota // the browser cache, without any exchange
+	tierCDN                // a fresh CDN copy
+	tierOrigin             // the origin, directly or through the CDN
+)
+
+// exchange is one HTTP request a client sent during the current operation.
+type exchange struct {
+	uri    string
+	cdnHit bool
+}
+
+// simClient is one client instance: an SDK session and the workload
+// generator that drives its connections.
+type simClient struct {
+	gen *workload.Generator
+	sdk *client.Client
+}
+
+// settleTimeout bounds the wait for the invalidation pipeline after a
+// write; it only trips if the pipeline is wedged.
+const settleTimeout = time.Minute
+
 // Sim is one simulation instance.
 type Sim struct {
 	cfg  Config
 	rand *rand.Rand
 
 	now    time.Time
+	clock  atomic.Int64 // now in Unix nanoseconds, for the stack's goroutines
 	queue  eventHeap
 	seq    uint64
 	stopAt time.Time
 
-	world   *world
+	ds      *workload.Dataset
+	db      *store.Store
+	srv     *server.Server
+	cdn     *cache.HTTPTier // nil in the modes without a CDN
 	clients []*simClient
+	truth   *truth
 	met     *Metrics
-	ops     uint64
+
+	// The current operation's charged latency and exchanges, and the
+	// backlogs of the two queues. Only the loop goroutine touches them.
+	charge     time.Duration
+	exchanges  []exchange
+	serverBusy time.Time
+	cdnBusy    time.Time
+
+	// purges holds the paths the server purged and the loop has not yet
+	// scheduled; the server's notification goroutine appends to it.
+	purgeMu sync.Mutex
+	purges  []string
 }
 
-// New builds a simulation (without running it).
+// New builds a simulation (without running it): the dataset loaded into
+// the store, the server, the CDN and one dialled SDK session per client.
 func New(cfg *Config) *Sim {
 	c := cfg.withDefaults()
 	start := time.Unix(0, 0).UTC()
 	s := &Sim{
 		cfg:    c,
 		rand:   rand.New(rand.NewSource(c.Seed)),
-		now:    start,
 		stopAt: start.Add(c.Duration),
+		ds:     workload.GenerateDataset(c.Dataset),
 		met: &Metrics{
 			ReadLatency:   metrics.NewHistogram(),
 			QueryLatency:  metrics.NewHistogram(),
 			EstimatedTTLs: metrics.NewHistogram(),
 			TrueTTLs:      metrics.NewHistogram(),
+			RecordTTLs:    metrics.NewHistogram(),
+			RevisedTTLs:   metrics.NewHistogram(),
 		},
 	}
-	s.world = newWorld(s, &c)
+	s.setNow(start)
+	s.db = store.MustOpen(&store.Options{Clock: s.Clock()})
+	s.load()
+	s.truth = newTruth(s.db, s.met)
+	s.srv = server.New(s.db, &server.Options{
+		Mode:           c.Mode,
+		Representation: c.Representation,
+		TTL:            c.TTL,
+		EBF:            &ebf.Options{Bits: c.EBFBits, Hashes: c.EBFHashes},
+		Clock:          s.Clock(),
+	})
+
+	// The first tier a client request reaches, the hop to it and its queue.
+	var first http.Handler = s.srv.Handler()
+	hop, busy, capacity := c.ClientServerRTT, &s.serverBusy, c.ServerRate
+	if c.Mode == server.ModeFull || c.Mode == server.ModeCDNOnly {
+		s.cdn = cache.NewHTTPTier("cdn", cache.InvalidationBased, first, c.ClientServerRTT-c.ClientCDNRTT)
+		s.cdn.Cache = cache.New(cache.InvalidationBased, 0, s.Clock())
+		s.cdn.Clock = s.Clock()
+		s.cdn.Sleep = func(leg time.Duration) {
+			s.charge += leg + queueDelay(s.now, &s.serverBusy, c.ServerRate)
+		}
+		s.srv.AddPurger(server.PurgerFunc(func(path string) {
+			s.purgeMu.Lock()
+			s.purges = append(s.purges, path)
+			s.purgeMu.Unlock()
+		}))
+		first, hop, busy, capacity = s.cdn, c.ClientCDNRTT, &s.cdnBusy, c.CDNRate
+	}
+	inner := client.NewHandlerTransport(first)
+	transport := roundTripper(func(req *http.Request) (*http.Response, error) {
+		s.charge += hop + queueDelay(s.now, busy, capacity)
+		resp, err := inner.RoundTrip(req)
+		if err == nil {
+			s.exchanges = append(s.exchanges, exchange{
+				uri:    req.URL.RequestURI(),
+				cdnHit: resp.Header.Get("X-Cache") == "cdn: HIT",
+			})
+		}
+		return resp, err
+	})
 	for i := 0; i < c.Clients; i++ {
-		s.clients = append(s.clients, newSimClient(s, i))
+		sdk, err := client.Dial(&client.Options{
+			Transport:       transport,
+			Clock:           s.Clock(),
+			RefreshInterval: c.EBFRefresh,
+			DisableEBF:      c.DisableEBF,
+		})
+		must(err)
+		s.clients = append(s.clients, &simClient{
+			gen: workload.NewGenerator(s.ds, c.Mix, c.ZipfS, c.Seed+int64(i)*7919),
+			sdk: sdk,
+		})
 	}
 	return s
 }
 
+// load fills the store with the dataset and indexes the queried field.
+// The dataset keeps only the ids the generators draw from, so the store
+// holds the one full copy of the corpus; collecting after each table
+// keeps the two copies from coexisting whole (Table 1 loads 10^6
+// documents).
+func (s *Sim) load() {
+	for _, table := range s.ds.Tables {
+		must(s.db.CreateTable(table))
+		must(s.db.CreateIndex(table, "tags"))
+		docs := s.ds.Docs[table]
+		for i, d := range docs {
+			must(s.db.Insert(table, d))
+			docs[i] = &document.Document{ID: d.ID}
+		}
+		runtime.GC()
+	}
+}
+
+// roundTripper adapts a function to http.RoundTripper.
+type roundTripper func(*http.Request) (*http.Response, error)
+
+func (f roundTripper) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+func must(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("sim: %v", err))
+	}
+}
+
 // Clock returns the virtual time source shared by all components.
 func (s *Sim) Clock() func() time.Time {
-	return func() time.Time { return s.now }
+	return func() time.Time { return time.Unix(0, s.clock.Load()).UTC() }
+}
+
+func (s *Sim) setNow(t time.Time) {
+	s.now = t
+	s.clock.Store(t.UnixNano())
 }
 
 // schedule enqueues fn at the given virtual time.
@@ -305,15 +461,15 @@ func Run(cfg *Config) *Metrics {
 	return s.Run()
 }
 
-// Run executes the simulation.
+// Run executes the simulation and shuts the stack down.
 func (s *Sim) Run() *Metrics {
+	defer s.close()
 	// Kick off every connection's closed loop.
 	for _, cl := range s.clients {
 		for conn := 0; conn < s.cfg.ConnsPerClient; conn++ {
 			// Jitter start times so connections do not phase-lock.
 			delay := time.Duration(s.rand.Int63n(int64(10 * time.Millisecond)))
-			client := cl
-			s.after(delay, func() { client.step() })
+			s.after(delay, func() { s.step(cl) })
 		}
 	}
 	for s.queue.Len() > 0 {
@@ -321,9 +477,9 @@ func (s *Sim) Run() *Metrics {
 		if ev.at.After(s.stopAt) {
 			break
 		}
-		s.now = ev.at
+		s.setNow(ev.at)
 		ev.fn()
-		if s.cfg.MaxOps > 0 && s.ops >= s.cfg.MaxOps {
+		if s.cfg.MaxOps > 0 && s.met.Ops >= s.cfg.MaxOps {
 			break
 		}
 	}
@@ -333,11 +489,187 @@ func (s *Sim) Run() *Metrics {
 	}
 	s.met.SimulatedDuration = elapsed
 	s.met.Throughput = float64(s.met.Ops) / elapsed.Seconds()
-	s.met.EBFStats = s.world.coh.Stats()
+	s.met.EBFStats = s.srv.EBFStats()
 	return s.met
 }
 
-// queueServer charges one request against a rate-limited resource and
+func (s *Sim) close() {
+	s.srv.Close()
+	s.db.Close()
+}
+
+// step runs one operation of one of c's connections and schedules the
+// connection's next.
+func (s *Sim) step(c *simClient) {
+	latency := s.do(c, c.gen.Next())
+	s.met.Ops++
+	// Closed loop: the next request starts when this one completes, plus
+	// optional exponentially distributed think time.
+	if tt := s.cfg.ThinkTime; tt > 0 {
+		latency += time.Duration(s.rand.ExpFloat64() * float64(tt))
+	}
+	s.after(latency, func() { s.step(c) })
+}
+
+// do runs one operation whole and returns its latency: what its exchanges
+// were charged, or ClientHitCost if it made none.
+func (s *Sim) do(c *simClient, op workload.Op) time.Duration {
+	s.charge, s.exchanges = 0, s.exchanges[:0]
+	var hist *metrics.Histogram
+	switch op.Type {
+	case workload.OpRead:
+		s.read(c, op.Table, op.DocID)
+		hist = s.met.ReadLatency
+	case workload.OpQuery:
+		s.query(c, op.Query)
+		hist = s.met.QueryLatency
+	default:
+		s.write(c, op)
+	}
+	s.schedulePurges()
+	latency := s.charge
+	if len(s.exchanges) == 0 {
+		latency = s.cfg.ClientHitCost
+	}
+	if hist != nil {
+		hist.Observe(latency)
+	}
+	return latency
+}
+
+// answeredBy reports which tier answered the current operation's request
+// for uri: the last exchange for it.
+func (s *Sim) answeredBy(uri string) tier {
+	for i := len(s.exchanges) - 1; i >= 0; i-- {
+		if ex := s.exchanges[i]; ex.uri == uri {
+			if ex.cdnHit {
+				return tierCDN
+			}
+			return tierOrigin
+		}
+	}
+	return tierClient
+}
+
+func (s *Sim) read(c *simClient, table, id string) {
+	m := s.met
+	m.Reads++
+	doc, err := c.sdk.Read(table, id)
+	must(err)
+	t := s.answeredBy(server.RecordPath(table, id))
+	switch t {
+	case tierClient:
+		m.ClientHitsReads++
+	case tierCDN:
+		m.CDNHitsReads++
+	default:
+		m.MissReads++
+		key, est := server.RecordKey(table, id), s.srv.Estimator()
+		if s.cfg.Mode != server.ModeUncached && est.WriteRate(key) > 0 {
+			m.RecordTTLs.Observe(est.RecordTTL(key))
+		}
+	}
+	if since, stale := s.truth.staleRecord(table, id, doc.Version); stale {
+		s.stale(false, t == tierCDN, since)
+	}
+}
+
+func (s *Sim) query(c *simClient, q *query.Query) {
+	m := s.met
+	m.Queries++
+	res, err := c.sdk.Query(q)
+	must(err)
+	t := s.answeredBy(client.QueryPath(q))
+	members := server.RecordPath(q.Table, "")
+	for _, ex := range s.exchanges {
+		if strings.HasPrefix(ex.uri, members) {
+			m.AssemblyFetches++
+		}
+	}
+	switch t {
+	case tierClient:
+		m.ClientHitsQueries++
+	case tierCDN:
+		m.CDNHitsQueries++
+	default:
+		m.MissQueries++
+		if s.cfg.Mode != server.ModeUncached {
+			keys := make([]string, len(res.IDs))
+			for i, id := range res.IDs {
+				keys[i] = server.RecordKey(q.Table, id)
+			}
+			est := s.srv.Estimator()
+			issued := est.QueryTTL(q.Key(), keys)
+			m.EstimatedTTLs.Observe(issued)
+			if _, revised := est.EstimateSnapshot(q.Key()); revised {
+				m.RevisedTTLs.Observe(issued)
+			}
+			s.truth.servedAtOrigin(q, res.Representation, s.now)
+		}
+	}
+	if since, stale := s.truth.staleQuery(q, res); stale {
+		s.stale(true, t == tierCDN, since)
+	}
+}
+
+// write flips the primary tag of a record through the client's SDK, then
+// settles the invalidation pipeline before the loop moves on. Inserts and
+// deletes are driven as updates, keeping the corpus at its configured
+// size: a delete flips its record to tag00000, an insert flips a record
+// the simulator draws.
+func (s *Sim) write(c *simClient, op workload.Op) {
+	s.met.Writes++
+	id, tag := op.DocID, op.UpdateTag
+	if op.Type == workload.OpInsert {
+		docs := s.ds.Docs[op.Table]
+		id = docs[s.rand.Intn(len(docs))].ID
+	}
+	if tag == "" {
+		tag = "tag00000"
+	}
+	before, err := s.db.GetShared(op.Table, id)
+	must(err)
+	second := before.Fields["tags"].([]any)[1]
+	_, err = c.sdk.Update(op.Table, id, store.UpdateSpec{Set: map[string]any{"tags": []any{tag, second}}})
+	must(err)
+	if !s.srv.Settle(settleTimeout) {
+		panic("sim: the invalidation pipeline did not settle")
+	}
+	after, err := s.db.GetShared(op.Table, id)
+	must(err)
+	s.truth.wrote(op.Table, before, after, s.now)
+}
+
+// schedulePurges delivers the purges the server issued during the
+// operation to the CDN, InvalidationLatency from now.
+func (s *Sim) schedulePurges() {
+	s.purgeMu.Lock()
+	paths := s.purges
+	s.purges = nil
+	s.purgeMu.Unlock()
+	for _, path := range paths {
+		s.after(s.cfg.InvalidationLatency, func() { s.cdn.Cache.Purge(path) })
+	}
+}
+
+// stale accounts one stale response, stale since the first write it missed.
+func (s *Sim) stale(isQuery, fromCDN bool, since time.Time) {
+	m := s.met
+	if isQuery {
+		m.StaleQueries++
+	} else {
+		m.StaleReads++
+	}
+	if fromCDN {
+		m.StaleCDNServes++
+	}
+	staleness := max(s.now.Sub(since), 0)
+	m.StalenessEvents++
+	m.StalenessSum += staleness
+	m.MaxStaleness = max(m.MaxStaleness, staleness)
+}
+
+// queueDelay charges one request against a rate-limited resource and
 // returns the added queueing + service delay. busyUntil tracks the
 // resource's backlog; the M/D/1-style model saturates throughput exactly
 // when arrival rate exceeds the configured capacity.
@@ -351,5 +683,3 @@ func queueDelay(now time.Time, busyUntil *time.Time, rate float64) time.Duration
 	*busyUntil = end
 	return end.Sub(now)
 }
-
-var _ = cache.ExpirationBased // cache is used by other files of this package
