@@ -1,9 +1,9 @@
-// Top-level benchmarks: one testing.B benchmark per table and figure of the
-// paper's evaluation (Section 6), plus ablation benches (see the README's
-// Experiments section) and micro-benchmarks of the core data structures.
-// Each figure bench regenerates the corresponding series at a reduced
-// scale; `go run ./cmd/quaestor-bench -scale 1` reproduces the
-// full-parameter versions.
+// Top-level benchmarks: the in-process cost of the core data structures
+// and write, query, coherence and replication paths, plus the simulator's
+// own event rate. The paper's figures are not benchmarks: `go run
+// ./cmd/quaestor-bench` regenerates them and the TestFigure*/TestAblation*
+// tests in internal/experiments smoke every one. End-to-end numbers come
+// from benchmark/, which drives a real quaestor-server over the wire.
 package main
 
 import (
@@ -22,7 +22,6 @@ import (
 	"quaestor/internal/commitlog"
 	"quaestor/internal/document"
 	"quaestor/internal/ebf"
-	"quaestor/internal/experiments"
 	"quaestor/internal/index"
 	"quaestor/internal/invalidb"
 	"quaestor/internal/query"
@@ -34,115 +33,6 @@ import (
 	"quaestor/internal/wal"
 	"quaestor/internal/workload"
 )
-
-// benchScale keeps the per-iteration cost of figure benches tractable.
-const benchScale = experiments.Scale(0.05)
-
-func runExperiment(b *testing.B, fn func() string) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out := fn()
-		if len(out) == 0 {
-			b.Fatal("experiment produced no output")
-		}
-	}
-}
-
-// BenchmarkFigure1_PageLoad regenerates the provider × region page-load
-// comparison (Figure 1).
-func BenchmarkFigure1_PageLoad(b *testing.B) {
-	runExperiment(b, experiments.Figure1)
-}
-
-// BenchmarkFigure8a_Throughput regenerates the throughput-vs-connections
-// comparison across the four systems (Figure 8a).
-func BenchmarkFigure8a_Throughput(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Figure8a(benchScale) })
-}
-
-// BenchmarkFigure8b_ReadLatency regenerates read latency vs connections
-// (Figure 8b).
-func BenchmarkFigure8b_ReadLatency(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Figure8b(benchScale) })
-}
-
-// BenchmarkFigure8c_QueryLatency regenerates query latency vs connections
-// (Figure 8c).
-func BenchmarkFigure8c_QueryLatency(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Figure8c(benchScale) })
-}
-
-// BenchmarkFigure8d_QueryCount regenerates mean request latency vs query
-// count (Figure 8d).
-func BenchmarkFigure8d_QueryCount(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Figure8d(benchScale) })
-}
-
-// BenchmarkFigure8e_HitRates regenerates client/CDN hit rates vs query
-// count (Figure 8e).
-func BenchmarkFigure8e_HitRates(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Figure8e(benchScale) })
-}
-
-// BenchmarkFigure8f_Histogram regenerates the query latency histogram
-// (Figure 8f).
-func BenchmarkFigure8f_Histogram(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Figure8f(benchScale) })
-}
-
-// BenchmarkFigure9_UpdateRates regenerates hit-rate degradation under
-// growing update rates per EBF refresh interval (Figure 9).
-func BenchmarkFigure9_UpdateRates(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Figure9(benchScale) })
-}
-
-// BenchmarkFigure10_Staleness regenerates stale read/query rates vs EBF
-// refresh interval (Figure 10).
-func BenchmarkFigure10_Staleness(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Figure10(benchScale) })
-}
-
-// BenchmarkFigure11_TTLCDF regenerates the estimated-vs-true TTL CDF
-// comparison (Figure 11).
-func BenchmarkFigure11_TTLCDF(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Figure11(benchScale) })
-}
-
-// BenchmarkFigure12_InvaliDB regenerates InvaliDB's throughput scaling
-// under latency bounds (Figure 12) on the real pipeline.
-func BenchmarkFigure12_InvaliDB(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Figure12(benchScale) })
-}
-
-// BenchmarkTable1_DocumentCounts regenerates the document-count sweep
-// (Table 1).
-func BenchmarkTable1_DocumentCounts(b *testing.B) {
-	runExperiment(b, func() string { return experiments.Table1(benchScale) })
-}
-
-// BenchmarkAblationCoherence compares EBF coherence against static TTLs and
-// no client caching.
-func BenchmarkAblationCoherence(b *testing.B) {
-	runExperiment(b, func() string { return experiments.AblationCoherence(benchScale) })
-}
-
-// BenchmarkAblationTTLEstimator sweeps the estimator's quantile and EWMA α.
-func BenchmarkAblationTTLEstimator(b *testing.B) {
-	runExperiment(b, func() string { return experiments.AblationTTL(benchScale) })
-}
-
-// BenchmarkAblationRepresentation compares object-list, id-list and
-// cost-based query materializations end to end in the simulator.
-func BenchmarkAblationRepresentation(b *testing.B) {
-	runExperiment(b, func() string { return experiments.AblationRepresentation(benchScale) })
-}
-
-// BenchmarkAblationEstimators compares Quaestor's Poisson/EWMA TTL
-// estimation against the Alex protocol and fixed TTLs on synthetic Poisson
-// write streams.
-func BenchmarkAblationEstimators(b *testing.B) {
-	runExperiment(b, func() string { return experiments.AblationEstimators(benchScale) })
-}
 
 // BenchmarkRepresentationCostModel measures the decision function itself.
 func BenchmarkRepresentationCostModel(b *testing.B) {
@@ -278,11 +168,11 @@ func BenchmarkIndexAddArrayDocs(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Streaming-executor benchmarks: the iterator-composed execution paths
-// (bounded top-K, ordered range emission, NDJSON cursor) against the
-// materializing clone-everything-then-Apply baseline. The acceptance
-// target for the streaming executor is ≥5× latency and ≥10× allocation
-// reduction for ORDER BY + LIMIT 10 over 100k matching documents;
-// `go run ./cmd/quaestor-bench -exp querygrid` reproduces the full grid.
+// (index probe, ordered range emission, bounded top-K, NDJSON cursor)
+// against the materializing clone-everything-then-Apply baseline. The
+// acceptance target for the streaming executor is ≥5× latency and ≥10×
+// allocation reduction for ORDER BY + LIMIT 10 over 100k matching
+// documents (the scan/limit cell).
 
 const benchStreamDocs = 100_000
 
@@ -292,8 +182,9 @@ var (
 )
 
 // newStreamBenchStore builds (once per bench binary) a 100k-document table
-// with a rank index: large enough that the full-sort baseline's clone+sort
-// cost dominates.
+// with a sequential rank (range axis) and 100 documents per tag value
+// (probe axis), both indexed: large enough that the full-sort baseline's
+// clone+sort cost dominates.
 func newStreamBenchStore(b *testing.B) *store.Store {
 	b.Helper()
 	streamStoreOnce.Do(func() {
@@ -310,75 +201,79 @@ func newStreamBenchStore(b *testing.B) *store.Store {
 				panic(err)
 			}
 		}
-		if err := s.CreateIndex("docs", "rank"); err != nil {
-			panic(err)
+		for _, path := range []string{"tag", "rank"} {
+			if err := s.CreateIndex("docs", path); err != nil {
+				panic(err)
+			}
 		}
 		streamStore = s
 	})
 	return streamStore
 }
 
-// BenchmarkQueryTopK pits the bounded-heap strategy (clone 10 survivors)
-// against the materializing baseline (clone and sort all 100k matches) on
-// ORDER BY rank DESC LIMIT 10 with a match-all predicate.
-func BenchmarkQueryTopK(b *testing.B) {
-	s := newStreamBenchStore(b)
-	q := query.New("docs", nil).Sorted(query.Desc("rank")).Sliced(0, 10)
-	b.Run("streamed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			docs, _, err := s.QueryPlanned(q)
-			if err != nil || len(docs) != 10 {
-				b.Fatalf("docs=%d err=%v", len(docs), err)
-			}
-		}
-	})
-	b.Run("materialized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			docs, err := s.ScanQuery(q)
-			if err != nil || len(docs) != 10 {
-				b.Fatalf("docs=%d err=%v", len(docs), err)
-			}
-		}
-	})
-}
-
-// BenchmarkQueryStream measures the cursor path itself: ordered-index
-// emission (range plan whose order IS the query order) consumed without
-// clones via NextShared, as the NDJSON encoder does.
+// BenchmarkQueryStream runs each access path with and without a LIMIT
+// window three ways: "streamed" through the planner and streaming
+// executor (QueryPlanned), "cursor" through QueryStream consumed without
+// clones via NextShared, as the NDJSON encoder does, and "materialized"
+// through the clone-then-Apply baseline (ScanQuery). Scan cells use an
+// unsargable predicate, so the planner cannot pick an index; scan/limit
+// is the acceptance cell. Every variant must return the baseline's count.
 func BenchmarkQueryStream(b *testing.B) {
 	s := newStreamBenchStore(b)
-	q := query.New("docs", query.Gte("rank", int64(0))).
-		Sorted(query.Asc("rank")).Sliced(0, 100)
-	b.Run("cursor", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cur, err := s.QueryStream(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for {
-				if _, ok := cur.NextShared(); !ok {
-					break
+	half := int64(benchStreamDocs / 2)
+	cells := []struct {
+		name string
+		q    *query.Query
+	}{
+		{"probe/all", query.New("docs", query.Eq("tag", "tag042")).Sorted(query.Asc("rank"))},
+		{"probe/limit", query.New("docs", query.Eq("tag", "tag042")).Sorted(query.Desc("rank")).Sliced(0, 10)},
+		{"range/all", query.New("docs", query.Gte("rank", half)).Sorted(query.Asc("rank"))},
+		{"range/limit", query.New("docs", query.Gte("rank", half)).Sorted(query.Asc("rank")).Sliced(0, 10)},
+		{"scan/all", query.New("docs", query.Exists("tag", true)).Sorted(query.Asc("rank"))},
+		{"scan/limit", query.New("docs", nil).Sorted(query.Desc("rank")).Sliced(0, 10)},
+	}
+	for _, c := range cells {
+		want, err := s.ScanQuery(c.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		variants := []struct {
+			name string
+			run  func() (int, error)
+		}{
+			{"streamed", func() (int, error) {
+				docs, _, err := s.QueryPlanned(c.q)
+				return len(docs), err
+			}},
+			{"cursor", func() (int, error) {
+				cur, err := s.QueryStream(c.q)
+				if err != nil {
+					return 0, err
 				}
-				n++
-			}
-			if n != 100 {
-				b.Fatalf("streamed %d docs", n)
-			}
+				n := 0
+				for {
+					if _, ok := cur.NextShared(); !ok {
+						return n, nil
+					}
+					n++
+				}
+			}},
+			{"materialized", func() (int, error) {
+				docs, err := s.ScanQuery(c.q)
+				return len(docs), err
+			}},
 		}
-	})
-	b.Run("materialized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			docs, err := s.ScanQuery(q)
-			if err != nil || len(docs) != 100 {
-				b.Fatalf("docs=%d err=%v", len(docs), err)
-			}
+		for _, v := range variants {
+			b.Run(c.name+"/"+v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if n, err := v.run(); err != nil || n != len(want) {
+						b.Fatalf("docs=%d err=%v, want %d", n, err, len(want))
+					}
+				}
+			})
 		}
-	})
+	}
 }
 
 const benchRegisteredQueries = 1000
@@ -950,14 +845,21 @@ func BenchmarkCommitLogFanout(b *testing.B) {
 	for _, subs := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("subs-%d", subs), func(b *testing.B) {
 			l := commitlog.NewLog(&commitlog.Options{Ring: 1 << 12})
-			var delivered atomic.Uint64
+			var delivered, disordered atomic.Uint64
 			var wg sync.WaitGroup
 			for i := 0; i < subs; i++ {
 				sub := l.SubscribeTail(fmt.Sprintf("s%d", i))
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					var last uint64
 					for batch := range sub.Events() {
+						for _, ev := range batch {
+							if ev.Seq <= last {
+								disordered.Add(1)
+							}
+							last = ev.Seq
+						}
 						delivered.Add(uint64(len(batch)))
 					}
 				}()
@@ -973,6 +875,9 @@ func BenchmarkCommitLogFanout(b *testing.B) {
 			b.StopTimer()
 			if got, want := delivered.Load(), uint64(b.N)*uint64(subs); got != want {
 				b.Fatalf("delivered %d events, want %d", got, want)
+			}
+			if n := disordered.Load(); n != 0 {
+				b.Fatalf("%d events arrived out of Seq order", n)
 			}
 		})
 	}
@@ -1214,7 +1119,8 @@ func benchWriteStore(b *testing.B, mode string) *store.Store {
 
 // BenchmarkStoreWrite compares the store's end-to-end write path:
 // in-memory vs the WAL under each fsync policy, serial and with 64
-// concurrent writers.
+// concurrent writers, reporting the group committer's fsyncs per write
+// and mean batch: the batching that makes fsync=always affordable.
 func BenchmarkStoreWrite(b *testing.B) {
 	for _, mode := range []string{"memory", "never", "interval", "always"} {
 		walMode := mode
@@ -1230,6 +1136,8 @@ func BenchmarkStoreWrite(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			reportGroupCommit(b, s)
 		})
 		b.Run(mode+"/writers-64", func(b *testing.B) {
 			s := benchWriteStore(b, walMode)
@@ -1246,10 +1154,16 @@ func BenchmarkStoreWrite(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			if st, ok := s.DurabilityStats(); ok && st.WAL.Appends > 0 {
-				b.ReportMetric(float64(st.WAL.Fsyncs)/float64(st.WAL.Appends), "fsyncs/op")
-				b.ReportMetric(st.WAL.MeanBatch, "records/batch")
-			}
+			reportGroupCommit(b, s)
 		})
+	}
+}
+
+// reportGroupCommit reports a durable store's fsyncs per write and mean
+// group-commit batch; an in-memory store has neither.
+func reportGroupCommit(b *testing.B, s *store.Store) {
+	if st, ok := s.DurabilityStats(); ok && st.WAL.Appends > 0 {
+		b.ReportMetric(float64(st.WAL.Fsyncs)/float64(st.WAL.Appends), "fsyncs/op")
+		b.ReportMetric(st.WAL.MeanBatch, "records/batch")
 	}
 }

@@ -9,7 +9,8 @@
 //	quaestor-bench -exp fig8a -scale 1 # one experiment at paper scale
 //
 // Experiments: fig1 fig8a fig8b fig8c fig8d fig8e fig8f fig9 fig10 fig11
-// fig12 table1 ablation-coherence ablation-ttl all
+// fig12 table1 ablation-coherence ablation-ttl ablation-est ablation-rep
+// all
 package main
 
 import (
@@ -22,20 +23,21 @@ import (
 	"quaestor/internal/experiments"
 )
 
+// order lists the experiments in the sequence -exp all runs them.
+var order = []string{
+	"fig1", "fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "fig8f",
+	"fig9", "fig10", "fig11", "fig12", "table1",
+	"ablation-coherence", "ablation-ttl", "ablation-est", "ablation-rep",
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig1, fig8a..fig8f, fig9, fig10, fig11, fig12, table1, ablation-coherence, ablation-ttl, durability, pipeline, querygrid, topology, readrouting, all)")
+	known := strings.Join(order, ", ") + ", all"
+	exp := flag.String("exp", "all", "comma-separated experiment ids: "+known)
 	scale := flag.Float64("scale", 0.25, "experiment scale: 1.0 = paper parameters, smaller = shorter runs")
-	durable := flag.String("durable", "all", "durability experiment modes: all, memory, never, interval, always")
-	out := flag.String("out", "", "write the selected experiment's machine-readable record (BENCH JSON) to this path")
 	flag.Parse()
 
 	sc := experiments.Scale(*scale)
 	runners := map[string]func() string{
-		"durability":         func() string { return experiments.Durability(sc, *durable) },
-		"querygrid":          func() string { return experiments.QueryGridReport(sc, *out) },
-		"topology":           func() string { return experiments.TopologyReport(sc, *out) },
-		"readrouting":        func() string { return experiments.ReadRoutingReport(sc, *out) },
-		"pipeline":           func() string { return experiments.Pipeline(sc) },
 		"fig1":               func() string { return experiments.Figure1() },
 		"fig8a":              func() string { return experiments.Figure8a(sc) },
 		"fig8b":              func() string { return experiments.Figure8b(sc) },
@@ -53,12 +55,6 @@ func main() {
 		"ablation-est":       func() string { return experiments.AblationEstimators(sc) },
 		"ablation-rep":       func() string { return experiments.AblationRepresentation(sc) },
 	}
-	order := []string{
-		"fig1", "fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "fig8f",
-		"fig9", "fig10", "fig11", "fig12", "table1",
-		"ablation-coherence", "ablation-ttl", "ablation-est", "ablation-rep",
-		"durability", "pipeline", "querygrid", "topology", "readrouting",
-	}
 
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
@@ -68,7 +64,7 @@ func main() {
 		id = strings.TrimSpace(id)
 		run, ok := runners[id]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s, all\n", id, strings.Join(order, ", "))
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, known)
 			os.Exit(2)
 		}
 		start := time.Now()

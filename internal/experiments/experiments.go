@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6). Each function runs one experiment and returns the
-// formatted rows/series the paper reports; cmd/quaestor-bench and the
-// top-level benchmarks are thin wrappers around this package.
+// formatted rows/series the paper reports; cmd/quaestor-bench is a thin
+// wrapper around this package, and the package's tests smoke every one.
 //
 // Absolute numbers differ from the paper (our substrate is a simulator and
 // an in-process pipeline, not EC2), but the shapes — who wins, by what

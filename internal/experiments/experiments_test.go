@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,33 @@ func TestTable1(t *testing.T) {
 func TestAblations(t *testing.T) {
 	checkTable(t, AblationCoherence(tiny), "EBF coherence", "static TTLs")
 	checkTable(t, AblationTTL(tiny), "quantile", "alpha")
+
+	// Section 4.2's trade-off: an object list assembles without fetching
+	// its members but is invalidated by every member change; an id list
+	// is invalidated by membership changes only, and fetches its members.
+	out := AblationRepresentation(tiny)
+	checkTable(t, out, "representation", "member-fetches")
+	rows := map[string][]string{}
+	for _, row := range tableRows(out) {
+		rows[row[0]] = row
+	}
+	objects, ids := rows["object-list"], rows["id-list"]
+	if len(objects) != 5 || len(ids) != 5 {
+		t.Fatalf("missing object-list or id-list row:\n%s", out)
+	}
+	const invalidations, fetches = 3, 4
+	if objects[fetches] != "0" {
+		t.Errorf("object-list fetched %s members, want 0:\n%s", objects[fetches], out)
+	}
+	idFetches, _ := strconv.Atoi(ids[fetches])
+	idInv, _ := strconv.Atoi(ids[invalidations])
+	objInv, _ := strconv.Atoi(objects[invalidations])
+	if idFetches <= 0 {
+		t.Errorf("id-list fetched %s members, want > 0:\n%s", ids[fetches], out)
+	}
+	if idInv >= objInv {
+		t.Errorf("id-list invalidations %d, want fewer than object-list's %d:\n%s", idInv, objInv, out)
+	}
 }
 
 func TestMatchingGridShapes(t *testing.T) {

@@ -462,11 +462,11 @@ func (c *Cluster) AttachStore(s *store.Store) func() {
 }
 
 // drained reports whether no event is in flight anywhere: between attached
-// stores and Ingest, between stages, or inside a matching task.
+// stores and Ingest, between stages, or inside a matching task. A pump
+// stores its position only after Ingest has counted the event in flight,
+// so the positions are read first: an event handed over between the two
+// reads is then still counted by the in-flight read that follows.
 func (c *Cluster) drained() bool {
-	if c.inflight.Load() != 0 {
-		return false
-	}
 	c.mu.Lock()
 	attached := append([]*attachedStore(nil), c.attached...)
 	c.mu.Unlock()
@@ -475,7 +475,7 @@ func (c *Cluster) drained() bool {
 			return false
 		}
 	}
-	return true
+	return c.inflight.Load() == 0
 }
 
 // Quiesce blocks until every ingested event has been fully matched (or the

@@ -1,10 +1,9 @@
-// Package metrics provides the light-weight instrumentation used across the
-// evaluation harness: latency histograms with percentiles, counters and
-// windowed throughput tracking.
+// Package metrics provides what the paper's evaluation harness reports
+// with: a latency histogram with percentiles and buckets, and the aligned
+// text table the experiments print.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -27,14 +26,6 @@ func NewHistogram() *Histogram { return &Histogram{} }
 func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Lock()
 	h.samples = append(h.samples, float64(d)/float64(time.Millisecond))
-	h.sorted = false
-	h.mu.Unlock()
-}
-
-// ObserveMs records one latency sample in milliseconds.
-func (h *Histogram) ObserveMs(ms float64) {
-	h.mu.Lock()
-	h.samples = append(h.samples, ms)
 	h.sorted = false
 	h.mu.Unlock()
 }
@@ -80,17 +71,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.samples[rank]
 }
 
-// Max returns the largest sample in milliseconds.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	return h.samples[len(h.samples)-1]
-}
-
 func (h *Histogram) sortLocked() {
 	if !h.sorted {
 		sort.Float64s(h.samples)
@@ -119,110 +99,6 @@ func (h *Histogram) Buckets(bounds []float64) []int {
 		}
 	}
 	return counts
-}
-
-// CDF returns (sorted values, cumulative probabilities) for plotting
-// cumulative distribution functions (Figure 11).
-func (h *Histogram) CDF() ([]float64, []float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 {
-		return nil, nil
-	}
-	h.sortLocked()
-	xs := append([]float64(nil), h.samples...)
-	ps := make([]float64, n)
-	for i := range ps {
-		ps[i] = float64(i+1) / float64(n)
-	}
-	return xs, ps
-}
-
-// Reset drops all samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.samples = h.samples[:0]
-	h.sorted = false
-}
-
-// Summary renders "mean=… p50=… p99=… max=… (n=…)".
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("mean=%.2fms p50=%.2fms p99=%.2fms max=%.2fms (n=%d)",
-		h.Mean(), h.Percentile(0.50), h.Percentile(0.99), h.Max(), h.Count())
-}
-
-// Counter is a concurrent event counter.
-type Counter struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds delta.
-func (c *Counter) Add(delta uint64) {
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Throughput measures operations per second over a run.
-type Throughput struct {
-	mu    sync.Mutex
-	ops   uint64
-	start time.Time
-	end   time.Time
-}
-
-// NewThroughput starts a measurement at now.
-func NewThroughput(now time.Time) *Throughput {
-	return &Throughput{start: now}
-}
-
-// Record adds n completed operations.
-func (t *Throughput) Record(n uint64) {
-	t.mu.Lock()
-	t.ops += n
-	t.mu.Unlock()
-}
-
-// Finish marks the end of the measurement window.
-func (t *Throughput) Finish(now time.Time) {
-	t.mu.Lock()
-	t.end = now
-	t.mu.Unlock()
-}
-
-// OpsPerSecond returns the measured rate (using now when unfinished).
-func (t *Throughput) OpsPerSecond(now time.Time) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	end := t.end
-	if end.IsZero() {
-		end = now
-	}
-	d := end.Sub(t.start).Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return float64(t.ops) / d
-}
-
-// Ops returns the raw operation count.
-func (t *Throughput) Ops() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ops
 }
 
 // Table renders an aligned text table for the experiment harness output.

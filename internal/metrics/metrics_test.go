@@ -8,13 +8,18 @@ import (
 	"time"
 )
 
+// observeMs records a sample of ms milliseconds.
+func observeMs(h *Histogram, ms float64) {
+	h.Observe(time.Duration(ms * float64(time.Millisecond)))
+}
+
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
-	if h.Mean() != 0 || h.Percentile(0.5) != 0 || h.Max() != 0 || h.Count() != 0 {
+	if h.Mean() != 0 || h.Percentile(0.5) != 0 || h.Count() != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 	for _, ms := range []float64{1, 2, 3, 4, 5} {
-		h.ObserveMs(ms)
+		observeMs(h, ms)
 	}
 	if h.Mean() != 3 {
 		t.Errorf("mean = %f", h.Mean())
@@ -22,8 +27,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Percentile(0.5) != 3 {
 		t.Errorf("p50 = %f", h.Percentile(0.5))
 	}
-	if h.Percentile(1.0) != 5 || h.Max() != 5 {
-		t.Errorf("p100/max = %f/%f", h.Percentile(1.0), h.Max())
+	if h.Percentile(1.0) != 5 {
+		t.Errorf("p100 = %f", h.Percentile(1.0))
 	}
 	if h.Count() != 5 {
 		t.Errorf("count = %d", h.Count())
@@ -41,7 +46,7 @@ func TestHistogramObserveDuration(t *testing.T) {
 func TestPercentileNearestRank(t *testing.T) {
 	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
-		h.ObserveMs(float64(i))
+		observeMs(h, float64(i))
 	}
 	if got := h.Percentile(0.99); got != 99 {
 		t.Errorf("p99 = %f", got)
@@ -54,7 +59,7 @@ func TestPercentileNearestRank(t *testing.T) {
 func TestBuckets(t *testing.T) {
 	h := NewHistogram()
 	for _, ms := range []float64{0.1, 0.4, 3, 50, 500} {
-		h.ObserveMs(ms)
+		observeMs(h, ms)
 	}
 	counts := h.Buckets([]float64{0.5, 10, 100})
 	want := []int{2, 1, 1, 1}
@@ -62,36 +67,6 @@ func TestBuckets(t *testing.T) {
 		if counts[i] != want[i] {
 			t.Errorf("bucket %d = %d, want %d", i, counts[i], want[i])
 		}
-	}
-}
-
-func TestCDF(t *testing.T) {
-	h := NewHistogram()
-	for _, ms := range []float64{3, 1, 2} {
-		h.ObserveMs(ms)
-	}
-	xs, ps := h.CDF()
-	if len(xs) != 3 || xs[0] != 1 || xs[2] != 3 {
-		t.Errorf("CDF xs = %v", xs)
-	}
-	if ps[2] != 1.0 {
-		t.Errorf("CDF must end at 1: %v", ps)
-	}
-	empty := NewHistogram()
-	if xs, ps := empty.CDF(); xs != nil || ps != nil {
-		t.Error("empty CDF should be nil")
-	}
-}
-
-func TestResetAndSummary(t *testing.T) {
-	h := NewHistogram()
-	h.ObserveMs(5)
-	if !strings.Contains(h.Summary(), "n=1") {
-		t.Errorf("summary = %q", h.Summary())
-	}
-	h.Reset()
-	if h.Count() != 0 {
-		t.Error("reset incomplete")
 	}
 }
 
@@ -104,7 +79,7 @@ func TestHistogramConcurrent(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 500; i++ {
-				h.ObserveMs(r.Float64() * 100)
+				observeMs(h, r.Float64()*100)
 				_ = h.Percentile(0.9)
 			}
 		}(int64(w))
@@ -112,37 +87,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 4000 {
 		t.Errorf("count = %d", h.Count())
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("counter = %d", c.Value())
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	start := time.Unix(0, 0)
-	tp := NewThroughput(start)
-	tp.Record(500)
-	tp.Record(500)
-	if tp.Ops() != 1000 {
-		t.Errorf("ops = %d", tp.Ops())
-	}
-	// Unfinished: measured against "now".
-	if got := tp.OpsPerSecond(start.Add(2 * time.Second)); got != 500 {
-		t.Errorf("running rate = %f", got)
-	}
-	tp.Finish(start.Add(4 * time.Second))
-	if got := tp.OpsPerSecond(start.Add(100 * time.Second)); got != 250 {
-		t.Errorf("finished rate = %f", got)
-	}
-	zero := NewThroughput(start)
-	if zero.OpsPerSecond(start) != 0 {
-		t.Error("zero-duration rate should be 0")
 	}
 }
 

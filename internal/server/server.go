@@ -863,10 +863,7 @@ func (s *Server) notificationLoop() {
 func (s *Server) Settle(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
-		// Quiesce reads the in-flight count before the pumps' positions, so
-		// one drained report can miss an event a pump was handing over
-		// meanwhile; a second report, begun after it, cannot.
-		if s.inv.Quiesce(0) && s.inv.Quiesce(0) {
+		if s.inv.Quiesce(0) {
 			if _, emitted := s.inv.Stats(); s.invalidations.Load() == emitted {
 				return true
 			}
