@@ -302,8 +302,7 @@ func TestMonotonicFallbackRefetchesUnconditionally(t *testing.T) {
 	// query result); its cached copy is still v1.
 	c.observeRead(server.RecordKey("posts", "p1"), 2)
 
-	w.mu.Lock()
-	w.front = func(rw http.ResponseWriter, r *http.Request) bool {
+	w.setFront(func(rw http.ResponseWriter, r *http.Request) bool {
 		if r.Header.Get("Cache-Control") == "no-cache" || r.Header.Get("If-None-Match") != `"v1"` {
 			return false
 		}
@@ -311,8 +310,7 @@ func TestMonotonicFallbackRefetchesUnconditionally(t *testing.T) {
 		rw.Header().Set("Cache-Control", "public, max-age=60")
 		rw.WriteHeader(http.StatusNotModified)
 		return true
-	}
-	w.mu.Unlock()
+	})
 
 	doc, err := c.Read("posts", "p1")
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -203,8 +204,6 @@ type readKind[T any] struct {
 	fetch func(revalidate bool, prior *cache.Entry, bound time.Duration) (*http.Response, error)
 	// decode turns a 200's body into the value.
 	decode func(body []byte) (T, error)
-	// clone copies a value into or out of the browser cache.
-	clone func(T) T
 	// version is checked against the key's monotonic floor (nil: none).
 	version func(T) int64
 }
@@ -227,7 +226,7 @@ func readThrough[T any](c *Client, key, path string, opts ReadOptions, k readKin
 	atFloor := func(v T, f floor) bool { return k.version == nil || k.version(v) >= f.version }
 	served := func(e *cache.Entry) (T, http.Header, error) {
 		c.count(&c.stats.CacheHits)
-		return k.clone(e.Value.(T)), nil, nil
+		return e.Value.(T), nil, nil
 	}
 	// get sends the GET and turns its answer into a value and validator: a
 	// 200's body decoded under the ETag it carries, a 304 the prior copy it
@@ -251,7 +250,7 @@ func readThrough[T any](c *Client, key, path string, opts ReadOptions, k readKin
 			if prior == nil {
 				return v, "", nil, errors.New("client: 304 without cached copy")
 			}
-			return k.clone(prior.Value.(T)), prior.ETag, resp.Header, nil
+			return prior.Value.(T), prior.ETag, resp.Header, nil
 		}
 		return v, "", nil, decodeErrorBytes(resp.StatusCode, body)
 	}
@@ -305,7 +304,7 @@ func readThrough[T any](c *Client, key, path string, opts ReadOptions, k readKin
 		vd.revalidated(key, h)
 	}
 	if lifetime := cache.FreshnessLifetime(h, cache.ExpirationBased); lifetime > 0 && !c.opts.DisableCache {
-		c.local.PutAged(path, k.clone(v), etag, lifetime, initialAge(h))
+		c.local.PutAged(path, v, etag, lifetime, initialAge(h))
 	}
 	return v, h, nil
 }
@@ -332,7 +331,6 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 			var doc document.Document
 			return &doc, json.Unmarshal(body, &doc)
 		},
-		clone:   (*document.Document).Clone,
 		version: func(d *document.Document) int64 { return d.Version },
 	})
 	if err != nil {
@@ -346,7 +344,9 @@ func (c *Client) ReadWith(table, id string, opts ReadOptions) (*document.Documen
 // Result is a query response assembled by the SDK. The browser cache
 // holds an object list whole; an id list it holds as the list alone, and
 // every answer reads the members through their own entries, so a member
-// is never older than a read of that record would accept.
+// is never older than a read of that record would accept. Docs and IDs
+// are shared with the browser cache and read-only (document.Document's
+// ownership rule); appending to them leaves the cache alone.
 type Result struct {
 	Docs           []*document.Document
 	IDs            []string
@@ -373,13 +373,12 @@ func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
 			return c.do(c.http, http.MethodGet, path, nil, revalidate, "", ifNoneMatch(prior))
 		},
 		decode: decodeResult,
-		clone:  cloneResult,
 	}
-	res, h, err := readThrough(c, key, path, opts, kind)
+	cached, h, err := readThrough(c, key, path, opts, kind)
 	if err != nil {
 		return nil, err
 	}
-	err = c.complete(q.Table, res, h, opts)
+	res, err := c.complete(q.Table, cached, h, opts)
 	// A member of a list the browser cache answered is gone: the list is
 	// older than the delete. Fetch it once more end to end; the answer may
 	// come back in either representation.
@@ -387,10 +386,10 @@ func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
 	if h == nil && errors.As(err, &se) && se.Status == http.StatusNotFound {
 		again := opts
 		again.Consistency = Strong
-		if res, h, err = readThrough(c, key, path, again, kind); err != nil {
+		if cached, h, err = readThrough(c, key, path, again, kind); err != nil {
 			return nil, err
 		}
-		err = c.complete(q.Table, res, h, opts)
+		res, err = c.complete(q.Table, cached, h, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -400,15 +399,19 @@ func (c *Client) QueryWith(q *query.Query, opts ReadOptions) (*Result, error) {
 
 // complete finishes a query answer given under header h (nil: the browser
 // cache answered): an object list fills its members' entries when it came
-// over the network, an id list reads its members.
-func (c *Client) complete(table string, res *Result, h http.Header, opts ReadOptions) error {
+// over the network, an id list reads its members. It works on a shallow
+// copy of cached, which the browser cache may hold: assembling appends to
+// Docs and counts RoundTrips.
+func (c *Client) complete(table string, cached *Result, h http.Header, opts ReadOptions) (*Result, error) {
+	res := *cached
+	res.Docs = slices.Clip(res.Docs)
 	if res.Representation == ttl.IDList {
-		return c.assemble(table, res, opts)
+		return &res, c.assemble(table, &res, opts)
 	}
 	if h != nil {
 		c.fillMembers(table, res.Docs, h)
 	}
-	return nil
+	return &res, nil
 }
 
 // decodeResult decodes a 200 query response. An id list keeps no
@@ -454,19 +457,7 @@ func (c *Client) fillMembers(table string, docs []*document.Document, h http.Hea
 		}
 		member, tag := server.RecordPath(table, d.ID), server.ETagFor(d.Version)
 		if held, ok := c.local.GetStale(member); !ok || held.ETag != tag || held.ExpiresAt.Before(expires) {
-			c.local.PutAged(member, d.Clone(), tag, lifetime, age)
+			c.local.PutAged(member, d, tag, lifetime, age)
 		}
 	}
-}
-
-func cloneResult(r *Result) *Result {
-	cp := &Result{
-		IDs:            append([]string(nil), r.IDs...),
-		Representation: r.Representation,
-		RoundTrips:     r.RoundTrips,
-	}
-	for _, d := range r.Docs {
-		cp.Docs = append(cp.Docs, d.Clone())
-	}
-	return cp
 }

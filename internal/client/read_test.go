@@ -229,3 +229,94 @@ func TestIDListHitReassemblesMembers(t *testing.T) {
 		})
 	}
 }
+
+// cachedAnswer queries q twice through c, the second time answered from
+// the browser cache, and returns that second answer.
+func cachedAnswer(t *testing.T, c *Client, q *query.Query) *Result {
+	t.Helper()
+	if _, err := c.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	hits := c.Stats().CacheHits
+	res, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().CacheHits == hits {
+		t.Fatal("the repeated query was not answered from the browser cache")
+	}
+	return res
+}
+
+// TestIDListHitReturnsEachMemberOnce: assembling an id list appends its
+// members to the answer, never to the cached list, so every answer the
+// cache gives holds exactly one document per id.
+func TestIDListHitReturnsEachMemberOnce(t *testing.T) {
+	w := newWireWith(t, server.Options{Representation: server.RepAlwaysIDs})
+	for _, id := range []string{"p1", "p2", "p3"} {
+		w.insert(t, "posts", id, "x")
+	}
+	c := w.dial(t)
+	q := query.New("posts", query.Contains("tags", "x"))
+	for i := 0; i < 2; i++ {
+		res := cachedAnswer(t, c, q)
+		if res.Representation != ttl.IDList || len(res.IDs) != 3 || len(res.Docs) != len(res.IDs) {
+			t.Fatalf("answer %d: %v with %d ids and %d docs, want an id list of 3 with 3 docs",
+				i, res.Representation, len(res.IDs), len(res.Docs))
+		}
+	}
+}
+
+// TestObjectListHitSharesMemberDocuments: an object list and its
+// members' record entries hold one copy of each document, and a cached
+// answer hands that copy out.
+func TestObjectListHitSharesMemberDocuments(t *testing.T) {
+	w := newWireWith(t, server.Options{Representation: server.RepAlwaysObjects})
+	for _, id := range []string{"p1", "p2", "p3"} {
+		w.insert(t, "posts", id, "x")
+	}
+	c := w.dial(t)
+	res := cachedAnswer(t, c, query.New("posts", query.Contains("tags", "x")))
+	if res.Representation != ttl.ObjectList || len(res.Docs) != 3 {
+		t.Fatalf("answer: %v with %d docs, want an object list of 3", res.Representation, len(res.Docs))
+	}
+	for _, d := range res.Docs {
+		e, ok := c.local.GetStale(server.RecordPath("posts", d.ID))
+		if !ok || e.Value.(*document.Document) != d {
+			t.Errorf("%s: the record entry does not hold the list's document", d.ID)
+		}
+		if doc, err := c.Read("posts", d.ID); err != nil || doc != d {
+			t.Errorf("%s: a read returned %p (%v), want the list's document %p", d.ID, doc, err, d)
+		}
+	}
+}
+
+// TestSharedDocumentsAppendLeavesNextAnswerAlone: appending to one
+// answer's Docs neither changes the cached list nor an answer given after
+// it, though all of them share the documents.
+func TestSharedDocumentsAppendLeavesNextAnswerAlone(t *testing.T) {
+	w := newWireWith(t, server.Options{Representation: server.RepAlwaysObjects})
+	for _, id := range []string{"p1", "p2", "p3"} {
+		w.insert(t, "posts", id, "x")
+	}
+	c := w.dial(t)
+	q := query.New("posts", query.Contains("tags", "x"))
+	first := cachedAnswer(t, c, q)
+	first.Docs = append(first.Docs, document.New("mine", nil))
+	next, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next.Docs) != 3 {
+		t.Fatalf("the next answer has %d docs, want 3", len(next.Docs))
+	}
+	next.Docs = append(next.Docs, document.New("theirs", nil))
+	if got := first.Docs[3].ID; got != "mine" {
+		t.Errorf("appending to the next answer overwrote the first answer's own document with %s", got)
+	}
+	for i := range 3 {
+		if first.Docs[i] != next.Docs[i] {
+			t.Errorf("doc %d: two cached answers hold different copies", i)
+		}
+	}
+}

@@ -37,14 +37,15 @@ type Tx struct {
 
 // Read fetches a record through the cache hierarchy and records its
 // version in the read set. Reads of the transaction's own buffered writes
-// return the uncommitted value.
+// return the uncommitted value. The document is read-only
+// (document.Document's ownership rule).
 func (tx *Tx) Read(table, id string) (*document.Document, error) {
 	key := server.RecordKey(table, id)
 	if doc, ok := tx.local[key]; ok {
 		if doc == nil {
 			return nil, fmt.Errorf("client: %s deleted in this transaction", key)
 		}
-		return doc.Clone(), nil
+		return doc, nil
 	}
 	doc, err := tx.c.Read(table, id)
 	if err != nil {
@@ -65,11 +66,12 @@ func (tx *Tx) Read(table, id string) (*document.Document, error) {
 	return doc, nil
 }
 
-// Put buffers a full-document write.
+// Put buffers a full-document write. doc belongs to the transaction
+// from then on (document.Document's ownership rule).
 func (tx *Tx) Put(table string, doc *document.Document) {
 	key := server.RecordKey(table, doc.ID)
-	tx.writes = append(tx.writes, server.TxnWriteOp{Op: "put", Table: table, ID: doc.ID, Doc: doc.Clone()})
-	tx.local[key] = doc.Clone()
+	tx.writes = append(tx.writes, server.TxnWriteOp{Op: "put", Table: table, ID: doc.ID, Doc: doc})
+	tx.local[key] = doc
 }
 
 // Update buffers a partial update. The transaction's local view applies

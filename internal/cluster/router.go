@@ -252,7 +252,7 @@ func (r *Router) QueryStream(q *query.Query) (*store.Cursor, error) {
 			}
 			docs := make([]*document.Document, 0, cur.Remaining())
 			for {
-				d, ok := cur.NextShared()
+				d, ok := cur.Next()
 				if !ok {
 					break
 				}
@@ -306,8 +306,8 @@ func subLimit(q *query.Query) int {
 	return q.Offset + q.Limit
 }
 
-// QueryPlanned scatters q and returns cloned results plus the aggregated
-// cluster-level plan.
+// QueryPlanned scatters q and returns the stored documents, read-only,
+// plus the aggregated cluster-level plan.
 func (r *Router) QueryPlanned(q *query.Query) ([]*document.Document, query.Plan, error) {
 	cur, err := r.QueryStream(q)
 	if err != nil {
@@ -324,7 +324,7 @@ func (r *Router) QueryPlanned(q *query.Query) ([]*document.Document, query.Plan,
 	return docs, cur.Plan(), nil
 }
 
-// Query scatters q and returns cloned results.
+// Query scatters q and returns the stored documents, read-only.
 func (r *Router) Query(q *query.Query) ([]*document.Document, error) {
 	docs, _, err := r.QueryPlanned(q)
 	return docs, err

@@ -88,8 +88,8 @@ type Event struct {
 	Synthetic bool
 	// Before is the pre-image (nil for inserts). After is the after-image
 	// (content at Seq; for deletes only ID/Version are meaningful). Both
-	// are the store's own copy-on-write documents — never mutated after
-	// they were stored, so safe to retain, and read-only for consumers.
+	// are the store's own documents, read-only and safe to retain
+	// (document.Document's ownership rule).
 	Before *document.Document
 	After  *document.Document
 	// Path is the indexed field path for OpCreateIndex events; empty on

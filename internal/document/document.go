@@ -22,6 +22,17 @@ import (
 // Field values may be: nil, bool, int64, float64, string, []any and
 // map[string]any (arbitrarily nested). Use Normalize to coerce arbitrary
 // numeric types (int, float32, json.Number, ...) into this canonical set.
+//
+// Ownership: a document is mutable only until it is handed over. One
+// passed to a write (store.Store.Put/Insert, cluster.Router.Put/Insert,
+// server.Server.Put/Insert, client.Tx.Put) belongs to the callee from
+// then on; the caller neither mutates nor reuses it. Every document the
+// store, the server or the SDK returns (reads, query results, cursor
+// emissions, an update's after-image, change events, browser-cache
+// copies) is shared and read-only. Writers are copy-on-write: they
+// Clone, change the clone and store it in the original's place. So a
+// pointer once handed out never changes, and it may be retained,
+// encoded and compared without a lock.
 type Document struct {
 	// ID is the primary key, unique within a table.
 	ID string
@@ -38,8 +49,8 @@ func New(id string, fields map[string]any) *Document {
 }
 
 // Clone returns a deep copy of the document. Mutating the clone never
-// affects the original; this is what makes after-images safe to hand to
-// the invalidation pipeline concurrently with subsequent writes.
+// affects the original: it is how a writer derives a new version from a
+// read-only one (see Document's ownership rule).
 func (d *Document) Clone() *Document {
 	if d == nil {
 		return nil

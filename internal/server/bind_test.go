@@ -215,7 +215,7 @@ func checkExactSpecNumbers(t *testing.T, srv *Server, id string, version int64) 
 			t.Errorf("GET body %s lacks %s", rec.Body, want)
 		}
 	}
-	doc, err := srv.router.StoreFor(id).GetShared("posts", id)
+	doc, err := srv.router.Get("posts", id)
 	if err != nil {
 		t.Fatal(err)
 	}

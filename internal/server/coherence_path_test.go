@@ -378,7 +378,7 @@ func TestPatchBodyMatchesEncodingJSON(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("PATCH = %d: %s", rec.Code, rec.Body)
 	}
-	doc, err := srv.router.StoreFor("p/1 ü").GetShared("posts", "p/1 ü")
+	doc, err := srv.router.Get("posts", "p/1 ü")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -745,11 +745,10 @@ const ndjsonFlushEvery = 64
 
 // streamQuery serves a query as NDJSON: one document per line, written
 // straight off the executor's cursor, so the result set never materializes
-// server-side — no JSON buffer, and (by the store's copy-on-write
-// contract) not even per-document clones. Streamed responses are
-// inherently uncacheable: intermediaries would have to buffer the whole
-// body to cache it, defeating the point, so the server emits no-store and
-// skips the TTL/EBF/activation machinery.
+// server-side: no JSON buffer and no per-document copies. Streamed
+// responses are inherently uncacheable: intermediaries would have to
+// buffer the whole body to cache it, defeating the point, so the server
+// emits no-store and skips the TTL/EBF/activation machinery.
 func (s *Server) streamQuery(w http.ResponseWriter, q *query.Query) {
 	cur, err := s.QueryStream(q)
 	if err != nil {
@@ -765,7 +764,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, q *query.Query) {
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	for n := 0; ; {
-		d, ok := cur.NextShared()
+		d, ok := cur.Next()
 		if !ok {
 			break
 		}

@@ -447,13 +447,9 @@ type ReadResult struct {
 }
 
 // Read serves a record with its estimated TTL and reports the issued
-// expiration to the EBF.
-//
-// The returned document is the store's own copy-on-write document, not a
-// clone (store.GetShared): it is shared with concurrent readers and must
-// be treated as read-only. Callers that need to modify it Clone it first.
+// expiration to the EBF. The document is the stored one, read-only.
 func (s *Server) Read(table, id string) (ReadResult, error) {
-	doc, err := s.router.StoreFor(id).GetShared(table, id)
+	doc, err := s.router.Get(table, id)
 	if err != nil {
 		return ReadResult{}, err
 	}
@@ -506,12 +502,7 @@ var ErrClosed = errors.New("server: closed")
 // activated in InvaliDB before its entry becomes visible. So the result is
 // Cacheable only while the query is registered in InvaliDB, and a query
 // that is not admitted — or any query in ModeUncached — leaves no state
-// behind.
-//
-// The documents in the result are the store's own copy-on-write documents,
-// not clones (the Cursor.NextShared contract): they are shared with
-// concurrent readers and must be treated as read-only. Callers that need
-// to modify one Clone it first.
+// behind. The documents in the result are the stored ones, read-only.
 func (s *Server) Query(q *query.Query) (QueryResult, error) {
 	return s.query(q, "")
 }
@@ -526,7 +517,7 @@ func (s *Server) query(q *query.Query, servedAs string) (QueryResult, error) {
 	// Capture the change-stream position before evaluating so activation
 	// can replay the gap (one floor per shard: Seq spaces are independent).
 	asOfs := s.router.LastSeqs()
-	docs, plan, err := s.queryShared(q)
+	docs, plan, err := s.router.QueryPlanned(q)
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -566,10 +557,8 @@ func (s *Server) query(q *query.Query, servedAs string) (QueryResult, error) {
 		Representation: rep,
 	}, func() error {
 		// InvaliDB needs the full predicate-level match set. Without window
-		// clauses that is the result just computed (a stateless registration
-		// keeps only the member ids, so sharing the store's documents is
-		// safe); a stateful query's order state retains and hands out the
-		// documents, so it gets its own unwindowed evaluation.
+		// clauses that is the result just computed; a stateful query's
+		// window is not, so it gets its own unwindowed evaluation.
 		if !q.Stateful() {
 			return s.activate(q, docs, asOfs, rep)
 		}
@@ -644,25 +633,8 @@ func (p RepresentationPolicy) Choose(resultSize int, changeRate float64) ttl.Rep
 	})
 }
 
-// queryShared evaluates q and returns the result window as shared store
-// documents (no clones) plus the executed plan.
-func (s *Server) queryShared(q *query.Query) ([]*document.Document, query.Plan, error) {
-	cur, err := s.router.QueryStream(q)
-	if err != nil {
-		return nil, query.Plan{}, err
-	}
-	var docs []*document.Document
-	if n := cur.Remaining(); n > 0 {
-		docs = make([]*document.Document, 0, n)
-		for d, ok := cur.NextShared(); ok; d, ok = cur.NextShared() {
-			docs = append(docs, d)
-		}
-	}
-	return docs, cur.Plan(), nil
-}
-
-// unwindowedMatches evaluates q's predicate without window clauses and
-// returns deep copies: the match set a registration may retain.
+// unwindowedMatches evaluates q's predicate without window clauses: the
+// match set a stateful registration starts from.
 func (s *Server) unwindowedMatches(q *query.Query) ([]*document.Document, error) {
 	return s.router.Query(query.New(q.Table, q.Predicate))
 }
@@ -725,7 +697,8 @@ func (s *Server) retire(e ttl.Entry) {
 }
 
 // Insert writes a new document (after schema validation) and runs
-// record-level invalidation.
+// record-level invalidation. doc belongs to the store from then on
+// (document.Document's ownership rule).
 func (s *Server) Insert(table string, doc *document.Document) error {
 	if err := s.validateDoc(table, doc); err != nil {
 		return err
@@ -738,7 +711,8 @@ func (s *Server) Insert(table string, doc *document.Document) error {
 }
 
 // Put upserts a full document (after schema validation) and runs
-// record-level invalidation.
+// record-level invalidation. doc belongs to the store from then on, as
+// for Insert.
 func (s *Server) Put(table string, doc *document.Document) error {
 	if err := s.validateDoc(table, doc); err != nil {
 		return err

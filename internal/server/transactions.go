@@ -142,7 +142,7 @@ func (s *Server) dryRun(writes []TxnWriteOp) error {
 			prev, written := after[rec]
 			if !written {
 				var err error
-				if prev, err = s.router.StoreFor(w.ID).GetShared(w.Table, w.ID); err != nil {
+				if prev, err = s.router.Get(w.Table, w.ID); err != nil {
 					return err
 				}
 				if v := w.Spec.IfVersion; v != 0 && prev.Version != v {

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -405,10 +404,10 @@ func New(cfg *Config) *Sim {
 }
 
 // load fills the store with the dataset and indexes the queried field.
-// The dataset keeps only the ids the generators draw from, so the store
-// holds the one full copy of the corpus; collecting after each table
-// keeps the two copies from coexisting whole (Table 1 loads 10^6
-// documents).
+// The store keeps the dataset's own documents (document.Document's
+// ownership rule). The dataset keeps only the ids the generators draw
+// from, so once a document is updated its first version can be collected
+// (Table 1 loads 10^6 documents).
 func (s *Sim) load() {
 	for _, table := range s.ds.Tables {
 		must(s.db.CreateTable(table))
@@ -418,7 +417,6 @@ func (s *Sim) load() {
 			must(s.db.Insert(table, d))
 			docs[i] = &document.Document{ID: d.ID}
 		}
-		runtime.GC()
 	}
 }
 
@@ -627,7 +625,7 @@ func (s *Sim) write(c *simClient, op workload.Op) {
 	if tag == "" {
 		tag = "tag00000"
 	}
-	before, err := s.db.GetShared(op.Table, id)
+	before, err := s.db.Get(op.Table, id)
 	must(err)
 	second := before.Fields["tags"].([]any)[1]
 	_, err = c.sdk.Update(op.Table, id, store.UpdateSpec{Set: map[string]any{"tags": []any{tag, second}}})
@@ -635,7 +633,7 @@ func (s *Sim) write(c *simClient, op workload.Op) {
 	if !s.srv.Settle(settleTimeout) {
 		panic("sim: the invalidation pipeline did not settle")
 	}
-	after, err := s.db.GetShared(op.Table, id)
+	after, err := s.db.Get(op.Table, id)
 	must(err)
 	s.truth.wrote(op.Table, before, after, s.now)
 }

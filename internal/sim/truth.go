@@ -141,7 +141,7 @@ func (t *truth) staleQuery(q *query.Query, res *client.Result) (since time.Time,
 	cur, err := t.db.QueryStream(q)
 	must(err)
 	var docs []*document.Document
-	for d, ok := cur.NextShared(); ok; d, ok = cur.NextShared() {
+	for d, ok := cur.Next(); ok; d, ok = cur.Next() {
 		docs = append(docs, d)
 	}
 	log := t.writes[q.Table]

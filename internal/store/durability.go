@@ -247,7 +247,8 @@ func (s *Store) restore(tableName string, doc *document.Document, deleted bool) 
 //  2. rotate the WAL (every record enqueued so far is in a sealed
 //     segment, and its write is therefore visible to the scan below),
 //  3. collect each table's document pointers under its read lock and
-//     write them out after releasing it (documents are copy-on-write) —
+//     write them out after releasing it (stored documents are never
+//     mutated: document.Document's ownership rule) —
 //     every write with seq ≤ S is guaranteed visible, later ones are
 //     harmless because replay re-applies after-images idempotently in
 //     sequence order,

@@ -6,13 +6,11 @@
 // guarantees are elided from the per-document predicate
 // (query.Residual).
 //
-// The executor collects stored document POINTERS, not clones: stored
-// documents are copy-on-write (writers replace, never mutate, them — see
-// replication.go), so pointers gathered under the table's read lock stay
-// internally immutable after the lock is released. Cloning happens only
-// at emission (Cursor.Next), and only for the offset+limit window — a
-// LIMIT 10 over 100k matches clones 10 documents where the materializing
-// baseline cloned and sorted 100k.
+// The executor collects and emits stored document pointers, never
+// copies: under document.Document's ownership rule they are read-only,
+// so pointers gathered under the table's read lock stay valid after the
+// lock is released. A LIMIT 10 over 100k matches touches 10 documents
+// where the materializing baseline cloned and sorted 100k.
 package store
 
 import (
@@ -22,10 +20,8 @@ import (
 	"quaestor/internal/query"
 )
 
-// Cursor streams one query's results. It holds shared stored-document
-// pointers; Next clones at emission, NextShared hands the shared pointer
-// out directly for read-only consumers (the NDJSON encoder) that promise
-// not to mutate it.
+// Cursor streams one query's results: the stored documents themselves,
+// read-only (document.Document's ownership rule).
 type Cursor struct {
 	plan query.Plan
 	docs []*document.Document
@@ -39,19 +35,8 @@ func (c *Cursor) Plan() query.Plan { return c.plan }
 // Remaining returns how many documents are left to emit.
 func (c *Cursor) Remaining() int { return len(c.docs) - c.pos }
 
-// Next emits the next document as an independent deep copy.
+// Next emits the next document.
 func (c *Cursor) Next() (*document.Document, bool) {
-	d, ok := c.NextShared()
-	if !ok {
-		return nil, false
-	}
-	return d.Clone(), true
-}
-
-// NextShared emits the next document without cloning. The returned
-// document is shared store state under the copy-on-write contract: it must
-// be treated as immutable.
-func (c *Cursor) NextShared() (*document.Document, bool) {
 	if c.pos >= len(c.docs) {
 		return nil, false
 	}
@@ -62,8 +47,7 @@ func (c *Cursor) NextShared() (*document.Document, bool) {
 
 // NewCursor wraps an already-computed result window and its plan in a
 // cursor. The cross-shard gather path (internal/cluster) merges per-shard
-// cursors and re-wraps the merged window; the documents follow the same
-// copy-on-write contract as store-produced cursors.
+// cursors and re-wraps the merged window.
 func NewCursor(plan query.Plan, docs []*document.Document) *Cursor {
 	return &Cursor{plan: plan, docs: docs}
 }

@@ -94,19 +94,17 @@ func TestCursorSemantics(t *testing.T) {
 	if p.Strategy != query.StrategyTopK || p.RowsReturned != 3 || p.RowsExamined < 3 {
 		t.Fatalf("plan report = %+v", p)
 	}
-	// Next clones: mutating the emitted doc must not corrupt store state.
+	// Next emits the stored documents themselves, then reports done.
 	d, ok := cur.Next()
 	if !ok {
 		t.Fatal("cursor empty")
 	}
-	d.Fields["color"] = "mutated"
-	if got, _, _ := s.QueryPlanned(query.New("docs", query.Eq("color", "mutated"))); len(got) != 0 {
-		t.Fatal("cursor clone leaked into store")
+	if stored, _ := s.Get("docs", d.ID); stored != d {
+		t.Fatal("cursor emitted a copy, not the stored document")
 	}
-	// NextShared hands out remaining docs, then both emitters report done.
 	for cur.Remaining() > 0 {
-		if _, ok := cur.NextShared(); !ok {
-			t.Fatal("NextShared ended early")
+		if _, ok := cur.Next(); !ok {
+			t.Fatal("Next ended early")
 		}
 	}
 	if _, ok := cur.Next(); ok {

@@ -128,7 +128,7 @@ func TestPropertyStreamingEqualsScanUnderConcurrentWrites(t *testing.T) {
 					}
 					var prev *document.Document
 					for {
-						d, ok := cur.NextShared()
+						d, ok := cur.Next()
 						if !ok {
 							break
 						}

@@ -52,7 +52,7 @@ func (s *Store) IsReadOnly() bool { return s.readOnly.Load() }
 // idempotent apply path.
 //
 // Table locks are held only while collecting document pointers (stored
-// documents are copy-on-write: writers replace, never mutate, them), so
+// documents are never mutated: document.Document's ownership rule), so
 // a slow receiver never blocks the write path.
 func (s *Store) ExportSnapshot(w io.Writer) (wal.SnapshotMeta, int, error) {
 	floor := s.seq.Load()
@@ -415,7 +415,7 @@ func (s *Store) snapshotTablesMeta(floor uint64) ([]*table, wal.SnapshotMeta, er
 
 // writeDocs hands every document of tables to doc (a snapshot writer's
 // Doc). A table's read lock is held only while collecting its document
-// pointers: stored documents are copy-on-write, so they are written out
+// pointers: stored documents are never mutated, so they are written out
 // after releasing it and a slow disk or receiver never stalls writers.
 func writeDocs(tables []*table, doc func(table string, d *document.Document) error) error {
 	for _, t := range tables {

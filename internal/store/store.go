@@ -17,7 +17,8 @@
 // makes queue order Seq order by construction — the WAL committer's hook
 // and the in-memory flush append their batches to the commit pipeline as
 // they are, and a write whose log group fails is simply never published.
-// Change events carry the stored copy-on-write documents themselves.
+// Change events carry the stored documents themselves (read-only, under
+// document.Document's ownership rule).
 package store
 
 import (
@@ -229,7 +230,7 @@ func (t *table) maxTombstone() int64 {
 // next.ID with next — or, when deleted, removes it and buries next.Version
 // as the id's tombstone — keeping every secondary index exact. Live
 // writes, recovery, replica apply and snapshot import all go through it.
-// next is stored as is (copy-on-write: never mutated again). Caller holds
+// next is stored as is and never mutated again. Caller holds
 // t.mu, or owns the table outright.
 func (t *table) swap(next *document.Document, deleted bool) {
 	id := next.ID
@@ -391,7 +392,7 @@ type decideFunc func(t *table, prev *document.Document) (next *document.Document
 // unencodable document fails here, before anything changed), swaps the
 // stored document and stamps the event — at the next Seq, or at seq when
 // a replica replays its primary's. The event carries the stored
-// copy-on-write documents themselves; nothing is cloned for consumers.
+// documents themselves; nothing is cloned for consumers.
 // Stamping inside the table's critical section makes the per-key order of
 // Seqs (and of log records) the order the table lock serialized.
 func (s *Store) mutate(t *table, id string, seq uint64, decide decideFunc) (*document.Document, *wal.Waiter, error) {
@@ -433,28 +434,15 @@ func (s *Store) write(tableName, id string, decide decideFunc) (*document.Docume
 	return after, s.commit(w)
 }
 
-// Insert stores a new document. It fails with ErrExists when the id is
-// already present. The stored copy is independent of the caller's value.
+// Insert stores doc as a new document, stamping its version. It fails
+// with ErrExists when the id is already present. doc belongs to the store
+// from then on (document.Document's ownership rule).
 func (s *Store) Insert(tableName string, doc *document.Document) error {
 	return s.put(tableName, doc, true)
 }
 
-// Get returns a deep copy of the document, or ErrNotFound.
+// Get returns the stored document, read-only, or ErrNotFound.
 func (s *Store) Get(tableName, id string) (*document.Document, error) {
-	doc, err := s.GetShared(tableName, id)
-	if err != nil {
-		return nil, err
-	}
-	return doc.Clone(), nil
-}
-
-// GetShared returns the stored document itself, without cloning, for
-// read-only consumers (the response encoder). It is shared store state
-// under the copy-on-write contract Cursor.NextShared documents: writers
-// replace stored documents, never mutate them, so the pointer stays
-// internally immutable after the table lock is released — and the caller
-// must treat it as immutable too.
-func (s *Store) GetShared(tableName, id string) (*document.Document, error) {
 	t, err := s.table(tableName)
 	if err != nil {
 		return nil, err
@@ -470,7 +458,8 @@ func (s *Store) GetShared(tableName, id string) (*document.Document, error) {
 
 // Put replaces a document's fields wholesale, creating it if absent
 // (upsert). The version increments; per-key monotonic writes follow from
-// the table lock serializing writers.
+// the table lock serializing writers. doc belongs to the store from then
+// on, as for Insert.
 func (s *Store) Put(tableName string, doc *document.Document) error {
 	return s.put(tableName, doc, false)
 }
@@ -482,17 +471,16 @@ func (s *Store) put(tableName string, doc *document.Document, mustBeNew bool) er
 	if doc.ID == "" {
 		return ErrEmptyID
 	}
-	stored := doc.Clone()
 	_, err := s.write(tableName, doc.ID, func(t *table, prev *document.Document) (*document.Document, bool, error) {
 		switch {
 		case prev == nil:
-			stored.Version = t.firstVersion(doc.ID)
+			doc.Version = t.firstVersion(doc.ID)
 		case mustBeNew:
 			return nil, false, fmt.Errorf("%w: %s/%s", ErrExists, tableName, doc.ID)
 		default:
-			stored.Version = prev.Version + 1
+			doc.Version = prev.Version + 1
 		}
-		return stored, false, nil
+		return doc, false, nil
 	})
 	return err
 }
@@ -514,10 +502,10 @@ type UpdateSpec struct {
 	IfVersion int64
 }
 
-// Update applies a partial update and returns the after-image (the
-// caller's own copy).
+// Update applies a partial update to a clone of the stored document,
+// stores the clone in its place and returns it, read-only.
 func (s *Store) Update(tableName, id string, spec UpdateSpec) (*document.Document, error) {
-	after, err := s.write(tableName, id, func(_ *table, prev *document.Document) (*document.Document, bool, error) {
+	return s.write(tableName, id, func(_ *table, prev *document.Document) (*document.Document, bool, error) {
 		if prev == nil {
 			return nil, false, fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
 		}
@@ -531,10 +519,6 @@ func (s *Store) Update(tableName, id string, spec UpdateSpec) (*document.Documen
 		next.Version = prev.Version + 1
 		return next, false, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return after.Clone(), nil
 }
 
 // ApplySpec applies spec's Set, Unset, Inc, Push and Pull to doc in place,
@@ -703,8 +687,8 @@ func (t *table) IndexStats(path string) (query.IndexStats, bool) {
 // TableDocs implements query.Catalog. Caller holds t.mu.
 func (t *table) TableDocs() int { return len(t.docs) }
 
-// Query evaluates q against its table and returns deep copies of the
-// matching documents in the query's order. Reads route through the
+// Query evaluates q against its table and returns the matching stored
+// documents, read-only, in the query's order. Reads route through the
 // planner: when a usable index exists the executor probes or range-scans
 // it instead of scanning the table.
 func (s *Store) Query(q *query.Query) ([]*document.Document, error) {
@@ -715,8 +699,7 @@ func (s *Store) Query(q *query.Query) ([]*document.Document, error) {
 // QueryPlanned evaluates q and additionally reports the access plan the
 // planner chose — including its execution report (strategy, residual
 // pushdown, rows examined/returned) — so callers can attribute latency to
-// plan kinds. It drains the streaming executor (see exec.go), cloning only
-// the offset/limit window it returns.
+// plan kinds. It drains the streaming executor (see exec.go).
 func (s *Store) QueryPlanned(q *query.Query) ([]*document.Document, query.Plan, error) {
 	cur, err := s.QueryStream(q)
 	if err != nil {
