@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Document is a single database record. The zero value is an empty document.
@@ -32,7 +33,12 @@ import (
 // copies) is shared and read-only. Writers are copy-on-write: they
 // Clone, change the clone and store it in the original's place. So a
 // pointer once handed out never changes, and it may be retained,
-// encoded and compared without a lock.
+// encoded and compared without a lock. The store Seals every document
+// it keeps, so a stored document's wire form (AppendJSON) is built once
+// and then copied; a document that is not sealed still belongs to its
+// caller and is encoded afresh each time.
+//
+// A Document must not be copied by value: pass *Document, or Clone.
 type Document struct {
 	// ID is the primary key, unique within a table.
 	ID string
@@ -41,6 +47,10 @@ type Document struct {
 	Version int64
 	// Fields holds the document body.
 	Fields map[string]any
+
+	// wire is nil until Seal, then unencoded until the first AppendJSON
+	// installs the encoding (see json.go).
+	wire atomic.Pointer[wireForm]
 }
 
 // New returns a document with the given id and a normalized copy of fields.

@@ -9,14 +9,35 @@ import (
 	"unicode/utf8"
 )
 
+// wireForm is a sealed document's encoding at one Version.
+type wireForm struct {
+	version int64
+	bytes   []byte
+}
+
+// unencoded marks a sealed document not yet encoded.
+var unencoded = new(wireForm)
+
+// Seal declares d immutable from now on (Document's ownership
+// rule), so AppendJSON may build its wire form once and copy it after.
+// The store seals every document it keeps. Sealing twice is harmless: an
+// in-process replica seals the pointers it shares with its primary.
+func (d *Document) Seal() {
+	d.wire.CompareAndSwap(nil, unencoded)
+}
+
 // AppendJSON appends the document's wire representation to dst: the body
 // fields plus "_id" and "_version" as one JSON object. The bytes are exactly
 // what encoding/json produces for that object as a map[string]any (keys
 // sorted bytewise, HTML-safe string escaping, ES6 number formatting), so
 // ETags, caches and clients cannot tell the encoders apart — but the
-// document is walked directly: no copy into a scratch map, no reflection,
-// no second pass, and no allocation beyond dst's growth. The document is
-// only read, so shared copy-on-write store documents can be encoded as-is.
+// document is walked directly: no copy into a scratch map, no reflection
+// and no second pass. The document is only read, so shared store
+// documents can be encoded as-is, concurrently.
+//
+// A sealed document is walked once per Version; later calls copy the
+// bytes. The version is part of the key because a store stamps Version on
+// the document it is handed, which may have been sealed by another store.
 //
 // Like encoding/json, it fails on NaN and ±Inf; dst is then returned
 // unextended.
@@ -24,6 +45,21 @@ func (d *Document) AppendJSON(dst []byte) ([]byte, error) {
 	if d == nil {
 		return append(dst, "null"...), nil
 	}
+	w := d.wire.Load()
+	if w == nil {
+		return d.appendJSON(dst)
+	}
+	if w != unencoded && w.version == d.Version {
+		return append(dst, w.bytes...), nil
+	}
+	out, err := d.appendJSON(dst)
+	if err == nil {
+		d.wire.CompareAndSwap(w, &wireForm{version: d.Version, bytes: slices.Clone(out[len(dst):])})
+	}
+	return out, err
+}
+
+func (d *Document) appendJSON(dst []byte) ([]byte, error) {
 	var scratch [16]string
 	keys := scratch[:0]
 	for k := range d.Fields {

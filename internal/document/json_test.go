@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -273,7 +274,7 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 			continue
 		}
 		if orig := New(d.ID, d.Fields); back.ID != d.ID || back.Version != d.Version || !back.Equal(orig) {
-			t.Fatalf("doc %d: round trip lost content\n sent %s\n back %#v", i, want, back)
+			t.Fatalf("doc %d: round trip lost content\n sent %s\n back %s@%d %#v", i, want, back.ID, back.Version, back.Fields)
 		}
 	}
 }
@@ -302,6 +303,69 @@ func TestAppendJSONNilDocument(t *testing.T) {
 	if out, err := d.AppendJSON(nil); err != nil || string(out) != "null" {
 		t.Errorf("nil document = %q, %v", out, err)
 	}
+}
+
+// TestWireFormCallerOwnedReencodes: a document nobody sealed belongs to
+// its caller, who may encode it, change it and encode it again; the
+// second encoding is the new content's.
+func TestWireFormCallerOwnedReencodes(t *testing.T) {
+	d := New("a", map[string]any{"n": 1, "tags": []any{"x"}})
+	if _, err := d.AppendJSON(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Set("n", 2); err != nil {
+		t.Fatal(err)
+	}
+	d.Delete("tags")
+	got, err := d.AppendJSON(nil)
+	want, _ := legacyMarshal(d)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-encoded after a change as %s (%v); want %s", got, err, want)
+	}
+}
+
+// TestWireFormFollowsVersion: a sealed document encodes once per Version.
+// A store stamps Version on the document it is handed, so one inserted
+// into a second store is restamped after the first sealed and encoded it.
+func TestWireFormFollowsVersion(t *testing.T) {
+	d := New("a", map[string]any{"title": "<b>", "n": 2.5})
+	d.Seal()
+	for _, version := range []int64{1, 1, 7, 7, 1} {
+		d.Version = version
+		want, _ := legacyMarshal(d)
+		got, err := d.AppendJSON([]byte("prefix"))
+		if err != nil || string(got) != "prefix"+string(want) {
+			t.Fatalf("version %d encodes as %s (%v); want prefix%s", version, got, err, want)
+		}
+	}
+}
+
+// TestWireFormConcurrentEncoders: goroutines sharing one stored document
+// encode it at once, half of them sealing it again first as an
+// in-process replica does with its primary's pointers; every encoding is
+// the reference's bytes. Run under -race.
+func TestWireFormConcurrentEncoders(t *testing.T) {
+	d := New("a", map[string]any{"tags": []any{"x", "y"}, "doc": map[string]any{"k": true, "n": int64(3)}})
+	want, _ := legacyMarshal(d)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < 100; i++ {
+				if g%2 == 0 {
+					d.Seal()
+				}
+				var err error
+				if buf, err = d.AppendJSON(buf[:0]); err != nil || !bytes.Equal(buf, want) {
+					t.Errorf("goroutine %d encodes %s (%v); want %s", g, buf, err, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // FuzzDocumentJSON: no input makes UnmarshalJSON panic; whatever it decodes

@@ -2,16 +2,68 @@ package query
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
+// referenceParseJSON is the parser ParseJSON replaced: encoding/json with
+// UseNumber into a map, then ParseFilter. It stays here as the reference
+// the single-pass parser must match. It reads the first JSON value and
+// ignores whatever follows it.
+func referenceParseJSON(data []byte) (Predicate, error) {
+	if len(data) == 0 {
+		return True{}, nil
+	}
+	var m map[string]any
+	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec.UseNumber()
+	if err := dec.Decode(&m); err != nil {
+		return nil, fmt.Errorf("query: invalid filter JSON: %w", err)
+	}
+	return ParseFilter(m)
+}
+
+// rendering is p as the client renders it (FilterDocument, then
+// json.Marshal), except that the children of $and and $or are in sorted
+// order: the parsers walk a map, so their order varies between parses.
+func rendering(t *testing.T, p Predicate) string {
+	var op string
+	var children []Predicate
+	switch c := p.(type) {
+	case *And:
+		op, children = "$and", c.Children
+	case *Or:
+		op, children = "$or", c.Children
+	case *Not:
+		return `{"$not":` + rendering(t, c.Child) + `}`
+	default:
+		b, err := json.Marshal(FilterDocument(p))
+		if err != nil {
+			t.Fatalf("%v does not render: %v", p, err)
+		}
+		return string(b)
+	}
+	parts := make([]string, len(children))
+	for i, c := range children {
+		parts[i] = rendering(t, c)
+	}
+	slices.Sort(parts)
+	return `{"` + op + `":[` + strings.Join(parts, ",") + `]}`
+}
+
 // FuzzParseJSON feeds arbitrary bytes to the predicate parser — what
 // server.ParseQueryRequest does with a request's ?q=. It must never panic,
-// and whatever parses must survive the client's rendering of it
-// (client.QueryPath: FilterDocument, then json.Marshal) back through
-// ParseJSON to a predicate with the same Query.Key(): otherwise a client
-// checks a different EBF key than the server reports for the same query.
-// Seeded from the parser's table tests.
+// and it must decide as referenceParseJSON does and yield the same
+// predicate, with two differences: ParseJSON refuses bytes after the
+// filter's value, which the reference ignores, and a number beyond
+// float64's range, which the reference refuses only when a duplicate key
+// does not overwrite it. Whatever parses must survive the client's
+// rendering of it (client.QueryPath: FilterDocument, then json.Marshal)
+// back through ParseJSON to a predicate with the same Query.Key():
+// otherwise a client checks a different EBF key than the server reports
+// for the same query. Seeded from the parser's table tests.
 func FuzzParseJSON(f *testing.F) {
 	for _, seed := range []string{
 		``,
@@ -36,6 +88,10 @@ func FuzzParseJSON(f *testing.F) {
 		`{"x": {"$exists": "yes"}}`,
 		`{"x": 1e400}`,
 		`{"n": 993900771992171992.47409400}`,
+		`{"a": 1} {"b": 2}`,
+		`{"a": 1}x`,
+		`{"x": 1e400, "x": 1}`,
+		`[{"a": 1}]`,
 		// The $in width and nesting depth limits, at and one past each.
 		inListJSON("$in", MaxInValues),
 		inListJSON("$nin", MaxInValues+1),
@@ -46,8 +102,23 @@ func FuzzParseJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ParseJSON(data)
-		if err != nil {
+		ref, refErr := referenceParseJSON(data)
+		switch {
+		case err == nil && refErr != nil:
+			t.Fatalf("%q parses; the reference refuses it: %v", data, refErr)
+		case err != nil && refErr == nil:
+			// The reference accepted the first value, so an invalid
+			// text has bytes after it.
+			trailing := !json.Valid(data)
+			if !trailing && !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("%q is refused (%v); the reference parses it", data, err)
+			}
 			return
+		case err != nil:
+			return
+		}
+		if got, want := rendering(t, p), rendering(t, ref); got != want {
+			t.Fatalf("%q parses as %s; the reference parses it as %s", data, got, want)
 		}
 		rendered, err := json.Marshal(FilterDocument(p))
 		if err != nil {

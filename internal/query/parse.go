@@ -1,7 +1,6 @@
 package query
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -215,16 +214,27 @@ func hasOperatorKey(m map[string]any) bool {
 	return false
 }
 
-// ParseJSON parses a JSON-encoded filter document into a Predicate.
+// ParseJSON parses a JSON-encoded filter document into a Predicate: an
+// object, or null or nothing for the match-all filter. It decodes in one
+// pass (document.Decoder), so numbers read as the store reads them. Like
+// every request body, data holds one JSON value: bytes after it other
+// than whitespace are refused, and so is a number beyond float64's range
+// anywhere in it.
 func ParseJSON(data []byte) (Predicate, error) {
 	if len(data) == 0 {
 		return True{}, nil
 	}
-	var m map[string]any
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.UseNumber()
-	if err := dec.Decode(&m); err != nil {
+	dec := document.NewDecoder(data)
+	v, err := dec.Value()
+	if err == nil {
+		err = dec.End()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("query: invalid filter JSON: %w", err)
+	}
+	m, ok := v.(map[string]any)
+	if !ok && v != nil {
+		return nil, fmt.Errorf("query: filter must be a JSON object, got %T", v)
 	}
 	return ParseFilter(m)
 }

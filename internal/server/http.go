@@ -686,7 +686,8 @@ func ParseQueryRequest(table string, params url.Values) (*query.Query, error) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, table string) {
-	q, err := ParseQueryRequest(table, r.URL.Query())
+	params := r.URL.Query()
+	q, err := ParseQueryRequest(table, params)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -694,7 +695,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, table strin
 	if !s.admitRead(w, r, "") {
 		return
 	}
-	if streamRequested(r.URL.Query().Get("stream")) {
+	if streamRequested(params.Get("stream")) {
 		s.streamQuery(w, q)
 		return
 	}

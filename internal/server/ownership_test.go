@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -64,12 +65,31 @@ func (h *handOuts) follow(t *testing.T, name string, st *store.Store) (stop func
 	return func() { cancel(); <-done }
 }
 
+// referenceJSON is a document's wire form as encoding/json writes it:
+// the fields with "_id" and "_version" added, as one map.
+func referenceJSON(d *document.Document) ([]byte, error) {
+	body := make(map[string]any, len(d.Fields)+2)
+	for k, v := range d.Fields {
+		body[k] = v
+	}
+	body["_id"], body["_version"] = d.ID, d.Version
+	return json.Marshal(body)
+}
+
+// verify checks that no handed-out document changed, and that each one's
+// wire form, which the store builds once and keeps, is still the
+// reference encoding of its content.
 func (h *handOuts) verify(t *testing.T) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for d, fp := range h.seen {
 		if got := fingerprint(d); got != fp {
 			t.Errorf("handed out as %s, now encodes %s", fp, got)
+		}
+		got, err := d.AppendJSON(nil)
+		want, refErr := referenceJSON(d)
+		if err != nil || refErr != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s has the wire form %s (%v); want %s (%v)", fp, got, err, want, refErr)
 		}
 	}
 }
@@ -80,7 +100,8 @@ func (h *handOuts) verify(t *testing.T) {
 // them sorted and limited, so stateful) over HTTP to concurrent readers,
 // while an in-process replica per shard shares the primary's documents.
 // The node is then reopened from its WAL. Every document any of them
-// handed out must encode at the end as it did when handed out.
+// handed out must encode at the end as it did when handed out, and its
+// kept wire form must be the reference encoding.
 func TestStoredDocumentsAreNeverMutated(t *testing.T) {
 	dir := t.TempDir()
 	opts := cluster.Options{Shards: 2, Store: store.Options{DataDir: dir, Durability: store.Durability{Fsync: wal.FsyncNever}}}

@@ -230,8 +230,9 @@ func (t *table) maxTombstone() int64 {
 // next.ID with next — or, when deleted, removes it and buries next.Version
 // as the id's tombstone — keeping every secondary index exact. Live
 // writes, recovery, replica apply and snapshot import all go through it.
-// next is stored as is and never mutated again. Caller holds
-// t.mu, or owns the table outright.
+// next is stored as is and never mutated again, so swap seals it: its
+// wire form is built on its first read and kept. Caller holds t.mu, or
+// owns the table outright.
 func (t *table) swap(next *document.Document, deleted bool) {
 	id := next.ID
 	if prev, ok := t.docs[id]; ok {
@@ -246,6 +247,7 @@ func (t *table) swap(next *document.Document, deleted bool) {
 	}
 	// A live document carries the id's version count from here on.
 	delete(t.tombs, id)
+	next.Seal()
 	t.docs[id] = next
 	for _, ix := range t.indexes {
 		ix.Add(next)
