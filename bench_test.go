@@ -168,8 +168,7 @@ func BenchmarkIndexAddArrayDocs(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Streaming-executor benchmarks: the iterator-composed execution paths
-// (index probe, ordered range emission, bounded top-K, NDJSON cursor)
-// against the materializing clone-everything-then-Apply baseline. The
+// (index probe, ordered range emission, bounded top-K) against the materializing clone-everything-then-Apply baseline. The
 // acceptance target for the streaming executor is ≥5× latency and ≥10×
 // allocation reduction for ORDER BY + LIMIT 10 over 100k matching
 // documents (the scan/limit cell).
@@ -212,10 +211,10 @@ func newStreamBenchStore(b *testing.B) *store.Store {
 }
 
 // BenchmarkQueryStream runs each access path with and without a LIMIT
-// window two ways: "streamed" through the planner and streaming executor
-// (QueryPlanned, which hands out the stored documents, as the NDJSON
-// encoder's cursor does) and "materialized" through the clone-then-Apply
-// baseline (ScanQuery). Scan cells use an unsargable predicate, so the
+// window two ways: "streamed" through the planner and executor
+// (QueryPlanned, which hands back the executor's window of stored
+// documents, the window the NDJSON endpoint writes out) and
+// "materialized" through the clone-then-Apply baseline (ScanQuery). Scan cells use an unsargable predicate, so the
 // planner cannot pick an index; scan/limit is the acceptance cell. Both
 // variants must return the baseline's count.
 func BenchmarkQueryStream(b *testing.B) {

@@ -465,8 +465,8 @@ func TestCarryReplicaAnswerIsNeverCarried(t *testing.T) {
 		if r.URL.Path != "/v1/db/posts/p1" {
 			return false
 		}
-		rw.Header().Set("X-Quaestor-Replica", "streaming")
-		rw.Header().Set("X-Quaestor-Staleness-Ms", "1500")
+		rw.Header().Set(server.HeaderReplica, "streaming")
+		rw.Header().Set(server.HeaderStaleness, "1500")
 		rw.Header().Set("ETag", `"v1"`)
 		rw.Header().Set("Cache-Control", "public, max-age=60")
 		rw.WriteHeader(http.StatusNotModified)

@@ -602,13 +602,13 @@ func (c *Client) observeReplicaHeaders(h http.Header) {
 		c.knownPrimary = p
 		c.mu.Unlock()
 	}
-	state := h.Get("X-Quaestor-Replica")
+	state := h.Get(server.HeaderReplica)
 	if state == "" {
 		return
 	}
 	ms, _ := responseStaleness(h)
 	meta := ReplicaMeta{Replica: true, State: state, StalenessMs: ms}
-	if v := h.Get("X-Quaestor-Replica-Lag"); v != "" {
+	if v := h.Get(server.HeaderReplicaLag); v != "" {
 		if lag, err := strconv.ParseUint(v, 10, 64); err == nil {
 			meta.LagSeq = lag
 		}

@@ -86,3 +86,47 @@ func TestEBFGzipNegotiation(t *testing.T) {
 		t.Errorf("sparse filter compressed to %d bytes; expected well under 4KB", rec.Body.Len())
 	}
 }
+
+// TestPerTableCausalReadRenewsTableView: under PerTableEBF a Causal read
+// renews the table view that answers for its key when the session has
+// read anything newer than that view's snapshot, however long the
+// refresh interval.
+func TestPerTableCausalReadRenewsTableView(t *testing.T) {
+	s := newStack(t, nil)
+	if err := s.db.CreateTable("users"); err != nil {
+		t.Fatal(err)
+	}
+	writer := s.dial(t, nil)
+	if err := writer.Insert("posts", document.New("p1", map[string]any{"v": 1})); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Insert("users", document.New("u1", map[string]any{"v": 1})); err != nil {
+		t.Fatal(err)
+	}
+
+	reader := s.dial(t, &Options{PerTableEBF: true, RefreshInterval: time.Hour})
+	for range 2 {
+		if _, err := reader.Read("posts", "p1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits := reader.Stats().CacheHits; hits != 1 {
+		t.Fatalf("posts/p1 was not cached: %d cache hits", hits)
+	}
+	if _, err := writer.Update("posts", "p1", store.UpdateSpec{Set: map[string]any{"v": 2}}); err != nil {
+		t.Fatal(err)
+	}
+	s.srv.InvaliDB().Quiesce(5 * time.Second)
+	// A read of another table moves the session past the posts view.
+	if _, err := reader.Read("users", "u1"); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := reader.ReadWith("posts", "p1", ReadOptions{Consistency: Causal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := got.Get("v"); v != int64(2) {
+		t.Errorf("causal read of posts/p1 = v%v, want v2: the posts view was not renewed", v)
+	}
+}

@@ -166,23 +166,32 @@ func (c *Client) checkEBF(key string) ebfVerdict {
 // filter's own node answered: a replica may lag behind the filter.
 func (vd ebfVerdict) revalidated(key string, h http.Header) {
 	if vd.view != nil {
-		vd.view.Whitelist(key, vd.gen, h.Get("X-Quaestor-Replica") == "")
+		vd.view.Whitelist(key, vd.gen, h.Get(server.HeaderReplica) == "")
 	}
 }
 
-// applyConsistencyPre enforces causal consistency: when the session has
-// observed a read newer than the EBF, later reads could violate causality —
-// refresh the filter first (the paper's option 1).
-func (c *Client) applyConsistencyPre(level Consistency) {
+// applyConsistencyPre enforces causal consistency for a read of key: when
+// the session has observed a read newer than the filter that answers for
+// key (the aggregate, or key's table view under PerTableEBF), the read
+// could violate causality, so that filter is refreshed first (the paper's
+// option 1).
+func (c *Client) applyConsistencyPre(level Consistency, key string) {
 	if level != Causal || c.opts.DisableEBF {
 		return
 	}
+	table := ""
 	c.mu.Lock()
 	v := c.view
+	if c.opts.PerTableEBF {
+		table = ebf.TableOf(key)
+		v = c.tableViews[table]
+	}
 	last := c.lastRead
 	c.mu.Unlock()
 	if v != nil && last.After(v.GeneratedAt()) {
-		_ = c.refreshEBF()
+		// The view is renewed in place; on error the read goes on under
+		// the older snapshot rather than failing.
+		_, _ = c.renewEBF(c.opts.BaseURL, table, v)
 	}
 }
 
@@ -213,7 +222,7 @@ type readKind[T any] struct {
 // else over the network, filling the cache with the answer. h is the
 // header the answer came under, nil when the browser cache answered.
 func readThrough[T any](c *Client, key, path string, opts ReadOptions, k readKind[T]) (v T, h http.Header, err error) {
-	c.applyConsistencyPre(opts.Consistency)
+	c.applyConsistencyPre(opts.Consistency, key)
 	c.maybeRefreshEBF()
 	// The staleness bound is the read's own, else the session's (unbounded
 	// when not positive). A cached copy meets it if the staleness it

@@ -68,7 +68,7 @@ func TestBoundedQueryHonoursBound(t *testing.T) {
 	t.Run("unknown staleness", func(t *testing.T) {
 		s := newStack(t, nil)
 		surface := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("X-Quaestor-Replica", "bootstrapping")
+			w.Header().Set(server.HeaderReplica, "bootstrapping")
 			s.cdn.ServeHTTP(w, r)
 		})
 		c := s.dial(t, &Options{Transport: NewHandlerTransport(surface)})

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"quaestor/internal/document"
+	"quaestor/internal/server"
 )
 
 // replicaAnnotator wraps a handler, stamping every response with the
@@ -22,12 +23,12 @@ type replicaAnnotator struct {
 }
 
 func (a *replicaAnnotator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("X-Quaestor-Replica", "streaming")
+	w.Header().Set(server.HeaderReplica, "streaming")
 	if a.stalenessMs != "" {
-		w.Header().Set("X-Quaestor-Staleness-Ms", a.stalenessMs)
+		w.Header().Set(server.HeaderStaleness, a.stalenessMs)
 	}
 	if a.lagSeq != "" {
-		w.Header().Set("X-Quaestor-Replica-Lag", a.lagSeq)
+		w.Header().Set(server.HeaderReplicaLag, a.lagSeq)
 	}
 	a.inner.ServeHTTP(w, r)
 }

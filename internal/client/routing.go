@@ -216,7 +216,7 @@ func (c *Client) observeEndpoint(ep *endpointState, h http.Header, elapsed time.
 	} else {
 		ep.latencyMs = latencyEWMAAlpha*ms + (1-latencyEWMAAlpha)*ep.latencyMs
 	}
-	if v := h.Get("X-Quaestor-Staleness-Ms"); v != "" {
+	if v := h.Get(server.HeaderStaleness); v != "" {
 		if st, err := strconv.ParseFloat(v, 64); err == nil {
 			ep.stalenessMs = st
 		}
@@ -265,10 +265,10 @@ func (c *Client) noteConnFailure(ep *endpointState) {
 // response; (0, false) for primary-served responses, which are fresh by
 // definition.
 func responseStaleness(h http.Header) (float64, bool) {
-	if h.Get("X-Quaestor-Replica") == "" {
+	if h.Get(server.HeaderReplica) == "" {
 		return 0, false
 	}
-	v := h.Get("X-Quaestor-Staleness-Ms")
+	v := h.Get(server.HeaderStaleness)
 	if v == "" {
 		return -1, true // replica that has not bounded its staleness yet
 	}
@@ -283,7 +283,7 @@ func responseStaleness(h http.Header) (float64, bool) {
 // under header h: nil is the browser cache. A promoted replica is a
 // primary again.
 func (c *Client) countTier(h http.Header) {
-	state := h.Get("X-Quaestor-Replica")
+	state := h.Get(server.HeaderReplica)
 	c.mu.Lock()
 	switch {
 	case h == nil:
@@ -377,7 +377,7 @@ func (c *Client) fetchRecordRouted(path, key string, revalidate bool, bound time
 			// staleness header, already deprioritizes it. Only a replica
 			// that cannot bound its staleness at all (bootstrapping) is
 			// backed off.
-			if resp.Header.Get("X-Quaestor-Staleness-Ms") == "" {
+			if resp.Header.Get(server.HeaderStaleness) == "" {
 				c.penalize(ep)
 			}
 			continue

@@ -279,7 +279,7 @@ func (g *boundGuard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if bs := r.Header.Get(server.HeaderMaxStaleness); bs != "" && rec.Code == http.StatusOK {
 		g.mu.Lock()
 		g.bounded200++
-		if ss := rec.Header().Get("X-Quaestor-Staleness-Ms"); ss != "" {
+		if ss := rec.Header().Get(server.HeaderStaleness); ss != "" {
 			bound, _ := strconv.ParseFloat(bs, 64)
 			stale, _ := strconv.ParseFloat(ss, 64)
 			if stale < 0 || stale > bound {
@@ -457,8 +457,8 @@ func BenchmarkReplicaRead(b *testing.B) {
 func TestBoundedReadRefusesMemberCopyOverBound(t *testing.T) {
 	s := newStack(t, &server.Options{Representation: server.RepAlwaysObjects})
 	surface := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Quaestor-Replica", "streaming")
-		w.Header().Set("X-Quaestor-Staleness-Ms", "800")
+		w.Header().Set(server.HeaderReplica, "streaming")
+		w.Header().Set(server.HeaderStaleness, "800")
 		s.cdn.ServeHTTP(w, r)
 	})
 	c := s.dial(t, &Options{Transport: NewHandlerTransport(surface)})
@@ -501,7 +501,7 @@ func TestBoundedReadRefusesMemberCopyOverBound(t *testing.T) {
 func TestBoundedReadRefusesCopyOfUnknownStaleness(t *testing.T) {
 	s := newStack(t, nil)
 	surface := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Quaestor-Replica", "bootstrapping")
+		w.Header().Set(server.HeaderReplica, "bootstrapping")
 		s.cdn.ServeHTTP(w, r)
 	})
 	c := s.dial(t, &Options{Transport: NewHandlerTransport(surface)})

@@ -93,15 +93,8 @@ func shardedBenchOp(r *cluster.Router, rng *rand.Rand, writePct, queryPct int) e
 	case p < writePct+queryPct:
 		q := query.New("docs", query.Gte("rank", int64(rng.Intn(shardedBenchDocs)))).
 			Sorted(query.Desc("rank")).Sliced(0, 10)
-		cur, err := r.QueryStream(q)
-		if err != nil {
-			return err
-		}
-		for {
-			if _, ok := cur.Next(); !ok {
-				return nil
-			}
-		}
+		_, _, err := r.QueryPlanned(q)
+		return err
 	default:
 		_, err := r.Get("docs", id)
 		return err

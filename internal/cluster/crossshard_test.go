@@ -1,6 +1,6 @@
 package cluster_test
 
-// Cross-shard correctness property: a sharded scatter-gather QueryStream
+// Cross-shard correctness property: a sharded scatter-gather QueryPlanned
 // must be byte-identical — content AND order — to a single-node
 // ScanQuery over the same data, for randomized predicates, orderings and
 // windows, while concurrent writers hammer the shards. The per-shard
@@ -84,19 +84,11 @@ func renderDocs(t *testing.T, docs []*document.Document) string {
 	return out
 }
 
-func drainStream(t *testing.T, r *cluster.Router, q *query.Query) []*document.Document {
+func scattered(t *testing.T, r *cluster.Router, q *query.Query) []*document.Document {
 	t.Helper()
-	cur, err := r.QueryStream(q)
+	docs, _, err := r.QueryPlanned(q)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var docs []*document.Document
-	for {
-		d, ok := cur.Next()
-		if !ok {
-			break
-		}
-		docs = append(docs, d)
 	}
 	return docs
 }
@@ -149,7 +141,7 @@ func TestCrossShardQueryEquivalenceUnderConcurrentWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainStream(t, router, q)
+		got := scattered(t, router, q)
 		if g, w := renderDocs(t, got), renderDocs(t, want); g != w {
 			t.Fatalf("query %s diverged from single-node baseline:\n--- sharded ---\n%s--- single ---\n%s", q, g, w)
 		}
@@ -215,7 +207,7 @@ func TestCrossShardQueryEquivalenceUnderConcurrentWrites(t *testing.T) {
 				default:
 				}
 				q := genQuery(qrng)
-				docs := drainStream(t, router, q)
+				docs := scattered(t, router, q)
 				for i := 1; i < len(docs); i++ {
 					if q.Less(docs[i], docs[i-1]) {
 						t.Errorf("mid-storm stream for %s out of order at row %d", q, i)
@@ -237,7 +229,7 @@ func TestCrossShardQueryEquivalenceUnderConcurrentWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainStream(t, router, q)
+		got := scattered(t, router, q)
 		if g, w := renderDocs(t, got), renderDocs(t, want); g != w {
 			t.Fatalf("post-storm query %s diverged:\n--- sharded ---\n%s--- single ---\n%s", q, g, w)
 		}

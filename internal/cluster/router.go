@@ -182,12 +182,13 @@ func (r *Router) LastSeqs() []uint64 {
 	return seqs
 }
 
-// QueryStream scatters q to every shard as a streaming cursor and gathers
-// through the ordered k-way merge. Each shard executes a sub-query window
+// QueryPlanned scatters q to every shard and gathers through the ordered
+// k-way merge, returning the stored documents, read-only, plus the
+// aggregated cluster-level plan. Each shard executes a sub-query window
 // — per-shard early termination — and emits in q.Less order (the
 // executor's contract), so the merge plus the residual global
 // OFFSET/LIMIT window reproduces a single node's result byte for byte.
-// The returned cursor's plan aggregates per-shard execution stats.
+// The returned plan aggregates per-shard execution stats.
 //
 // OFFSET pushdown: with per-shard table counts c_i, shard i must place at
 // least p_i = max(0, offset − Σ_{j≠i} c_j) of its rows inside the global
@@ -199,9 +200,9 @@ func (r *Router) LastSeqs() []uint64 {
 // writes the window may shift by in-flight rows, the same non-snapshot
 // anomaly the scatter already has (shards execute at different instants);
 // order and duplicate-freedom are unaffected.
-func (r *Router) QueryStream(q *query.Query) (*store.Cursor, error) {
+func (r *Router) QueryPlanned(q *query.Query) ([]*document.Document, query.Plan, error) {
 	if len(r.stores) == 1 {
-		return r.stores[0].QueryStream(q)
+		return r.stores[0].QueryPlanned(q)
 	}
 	subs := make([]*query.Query, len(r.stores))
 	merge := q
@@ -245,27 +246,13 @@ func (r *Router) QueryStream(q *query.Query) (*store.Cursor, error) {
 		wg.Add(1)
 		go func(i int, st *store.Store) {
 			defer wg.Done()
-			cur, err := st.QueryStream(subs[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			docs := make([]*document.Document, 0, cur.Remaining())
-			for {
-				d, ok := cur.Next()
-				if !ok {
-					break
-				}
-				docs = append(docs, d)
-			}
-			lists[i] = docs
-			plans[i] = cur.Plan()
+			lists[i], plans[i], errs[i] = st.QueryPlanned(subs[i])
 		}(i, st)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, query.Plan{}, err
 		}
 	}
 	merged := store.MergeOrdered(merge, lists)
@@ -278,7 +265,7 @@ func (r *Router) QueryStream(q *query.Query) (*store.Cursor, error) {
 	if pruned > 0 {
 		plan.Reason += fmt.Sprintf("; offset pushdown skipped %d rows shard-side", pruned)
 	}
-	return store.NewCursor(plan, merged), nil
+	return merged, plan, nil
 }
 
 // shardCounts returns every shard's table count plus the total — the
@@ -306,47 +293,10 @@ func subLimit(q *query.Query) int {
 	return q.Offset + q.Limit
 }
 
-// QueryPlanned scatters q and returns the stored documents, read-only,
-// plus the aggregated cluster-level plan.
-func (r *Router) QueryPlanned(q *query.Query) ([]*document.Document, query.Plan, error) {
-	cur, err := r.QueryStream(q)
-	if err != nil {
-		return nil, query.Plan{}, err
-	}
-	docs := make([]*document.Document, 0, cur.Remaining())
-	for {
-		d, ok := cur.Next()
-		if !ok {
-			break
-		}
-		docs = append(docs, d)
-	}
-	return docs, cur.Plan(), nil
-}
-
 // Query scatters q and returns the stored documents, read-only.
 func (r *Router) Query(q *query.Query) ([]*document.Document, error) {
 	docs, _, err := r.QueryPlanned(q)
 	return docs, err
-}
-
-// ScanQuery is the materializing cross-shard baseline: gather every
-// shard's unwindowed candidates, then apply filter/sort/window globally.
-// Correctness oracle for the property tests and experiments.
-func (r *Router) ScanQuery(q *query.Query) ([]*document.Document, error) {
-	if len(r.stores) == 1 {
-		return r.stores[0].ScanQuery(q)
-	}
-	var all []*document.Document
-	unwindowed := query.New(q.Table, q.Predicate)
-	for _, st := range r.stores {
-		docs, err := st.ScanQuery(unwindowed)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, docs...)
-	}
-	return q.Apply(all), nil
 }
 
 // Explain plans q on shard 0 and annotates the scatter. Placement is

@@ -2,9 +2,9 @@
 // consistent-hash ShardMap over document ids and a Router that owns N
 // shard nodes, each an independent store.Store with its own WAL, commit
 // pipeline, and replica chain. Writes hash to exactly one shard's commit
-// pipeline; point reads route directly; queries scatter to all shards as
-// streaming cursors and gather through the ordered k-way merge, so
-// cross-shard results are byte-identical to a single node's.
+// pipeline; point reads route directly; queries scatter to all shards,
+// each returning its result window, and gather through the ordered k-way
+// merge, so cross-shard results are byte-identical to a single node's.
 //
 // This mirrors the paper's InvaliDB design — a matrix of query×object
 // partitions — and the same ShardMap drives InvaliDB cell placement

@@ -120,7 +120,7 @@ func TestRebootstrapSyntheticEventsInvalidateStaleCaches(t *testing.T) {
 	if sseResp.StatusCode != http.StatusOK {
 		t.Fatalf("SSE subscribe status %d", sseResp.StatusCode)
 	}
-	if sseResp.Header.Get("X-Quaestor-Replica") == "" {
+	if sseResp.Header.Get(server.HeaderReplica) == "" {
 		t.Error("replica SSE stream missing X-Quaestor-Replica header")
 	}
 	go func() {

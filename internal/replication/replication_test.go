@@ -612,7 +612,7 @@ func TestReplicaHTTPSurface(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("replica read status %d", resp.StatusCode)
 	}
-	if resp.Header.Get("X-Quaestor-Replica") == "" {
+	if resp.Header.Get(server.HeaderReplica) == "" {
 		t.Error("replica read missing X-Quaestor-Replica header")
 	}
 

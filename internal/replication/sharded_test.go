@@ -130,7 +130,7 @@ func TestShardedReplicationPerShardStreams(t *testing.T) {
 		t.Errorf("write on sharded replica: status %d, want 503", resp.StatusCode)
 	}
 	if got := resp.Header.Get(server.HeaderPrimary); got != pts.URL {
-		t.Errorf("X-Quaestor-Primary = %q, want %q", got, pts.URL)
+		t.Errorf("%s = %q, want %q", server.HeaderPrimary, got, pts.URL)
 	}
 
 	// Promote flips every shard follower; writes are accepted afterwards.
@@ -181,10 +181,10 @@ func TestPromotedNodeStampsNoReplicaHeaders(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 		}
-		if resp.Header.Get("X-Quaestor-Replica") == "" && resp.Header.Get("X-Quaestor-Staleness-Ms") != "" {
+		if resp.Header.Get(server.HeaderReplica) == "" && resp.Header.Get(server.HeaderStaleness) != "" {
 			t.Errorf("GET %s: staleness header without a replica state", path)
 		}
-		return resp.Header.Get("X-Quaestor-Replica")
+		return resp.Header.Get(server.HeaderReplica)
 	}
 	promote := func(query string) {
 		t.Helper()

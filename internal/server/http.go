@@ -505,7 +505,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 		s.countServed()
 		w.Header().Set("Cache-Control", cache.FormatCacheControl(s.CacheControl(res.TTL)))
 		w.Header().Set("ETag", res.ETag)
-		w.Header().Set("X-Quaestor-Key", RecordKey(table, id))
+		w.Header().Set(HeaderKey, RecordKey(table, id))
 		s.addReplicaHeaders(w, id)
 		s.addEBFGeneration(w)
 		if r.Header.Get("If-None-Match") == res.ETag {
@@ -714,8 +714,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, table strin
 		w.Header().Set("Cache-Control", "no-store")
 	}
 	w.Header().Set("ETag", res.ETag)
-	w.Header().Set("X-Quaestor-Key", q.Key())
-	w.Header().Set("X-Quaestor-Rep", res.Representation.String())
+	w.Header().Set(HeaderKey, q.Key())
+	w.Header().Set(HeaderRep, res.Representation.String())
 	s.addReplicaHeaders(w, "")
 	s.addEBFGeneration(w)
 	if r.Header.Get("If-None-Match") == res.ETag {
@@ -744,14 +744,17 @@ func streamRequested(v string) bool {
 // response writer's buffer before an explicit flush.
 const ndjsonFlushEvery = 64
 
-// streamQuery serves a query as NDJSON: one document per line, written
-// straight off the executor's cursor, so the result set never materializes
-// server-side: no JSON buffer and no per-document copies. Streamed
-// responses are inherently uncacheable: intermediaries would have to
-// buffer the whole body to cache it, defeating the point, so the server
-// emits no-store and skips the TTL/EBF/activation machinery.
+// streamQuery serves a query as NDJSON: one document per line. The
+// result window is evaluated whole under the table's read lock, like any
+// query's; what streaming saves is the response body, which is never
+// built: each document's wire form is appended into one reused line
+// buffer and written out, with a flush every ndjsonFlushEvery lines.
+// Streamed responses are inherently uncacheable: intermediaries would
+// have to buffer the whole body to cache it, defeating the point, so the
+// server emits no-store and skips the TTL/EBF/activation machinery. Plan
+// and row counters are still recorded.
 func (s *Server) streamQuery(w http.ResponseWriter, q *query.Query) {
-	cur, err := s.QueryStream(q)
+	docs, err := s.evaluate(q)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -759,21 +762,21 @@ func (s *Server) streamQuery(w http.ResponseWriter, q *query.Query) {
 	s.countServed()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Quaestor-Key", q.Key())
+	w.Header().Set(HeaderKey, q.Key())
 	s.addReplicaHeaders(w, "")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	for n := 0; ; {
-		d, ok := cur.Next()
-		if !ok {
-			break
+	var line []byte
+	for n, d := range docs {
+		line, err = d.AppendJSON(line[:0])
+		if err == nil {
+			line = append(line, '\n')
+			_, err = w.Write(line)
 		}
-		if err := enc.Encode(d); err != nil {
-			return // client went away mid-stream
+		if err != nil {
+			return // an unencodable document, or the client went away mid-stream
 		}
-		n++
-		if flusher != nil && n%ndjsonFlushEvery == 0 {
+		if flusher != nil && (n+1)%ndjsonFlushEvery == 0 {
 			flusher.Flush()
 		}
 	}

@@ -224,10 +224,8 @@ func TestStoredDocumentsAreNeverMutated(t *testing.T) {
 				if res, err := srv.Query(q); err == nil {
 					h.add(t, "Server.Query", res.Docs...)
 				}
-				if cur, err := router.QueryStream(q); err == nil {
-					for d, ok := cur.Next(); ok; d, ok = cur.Next() {
-						h.add(t, "Next", d)
-					}
+				if docs, _, err := router.QueryPlanned(q); err == nil {
+					h.add(t, "Router.QueryPlanned", docs...)
 				}
 				for _, path := range []string{"/v1/db/posts/" + id, "/v1/db/posts?q=" + url.QueryEscape(`{"tags":{"$contains":"t2"}}`) + "&sort=-rating&limit=3"} {
 					if resp, err := http.Get(ts.URL + path); err == nil {

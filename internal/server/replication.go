@@ -31,12 +31,29 @@ import (
 // reported staleness resolution.
 const replStreamHeartbeat = 500 * time.Millisecond
 
-// Read-routing protocol headers. A client spreading reads across the
-// replica tier bounds each read with HeaderMaxStaleness (and, for
+// Protocol headers the server stamps and the SDK reads (the shard-map
+// pair is in cluster.go). A client spreading reads across the replica
+// tier bounds each read with HeaderMaxStaleness (and, for
 // read-your-writes, HeaderMinSeq); a replica that cannot meet the bound
 // answers 412 Precondition Failed carrying its current staleness, so the
 // client re-routes without parsing a body.
 const (
+	// HeaderKey names the cache key a record, file or query response is
+	// served under: the key the EBF flags and invalidations purge.
+	HeaderKey = "X-Quaestor-Key"
+	// HeaderRep names a query response's representation ("object-list"
+	// or "id-list").
+	HeaderRep = "X-Quaestor-Rep"
+	// HeaderReplica marks every response a replica serves with its
+	// replication state ("streaming", "bootstrapping", …); a primary or a
+	// promoted node never sends it.
+	HeaderReplica = "X-Quaestor-Replica"
+	// HeaderStaleness carries a replica's provable staleness in
+	// milliseconds; absent while it is still unknown.
+	HeaderStaleness = "X-Quaestor-Staleness-Ms"
+	// HeaderReplicaLag carries how many sequence numbers the replica's
+	// applied position trails the primary's; absent when it has caught up.
+	HeaderReplicaLag = "X-Quaestor-Replica-Lag"
 	// HeaderMaxStaleness is the request header carrying the client's
 	// staleness bound in milliseconds. A replica whose provable staleness
 	// exceeds it (or is still unknown) rejects the read with 412.
@@ -406,12 +423,12 @@ func (s *Server) addReplicaHeaders(w http.ResponseWriter, id string) {
 		return
 	}
 	h := w.Header()
-	h.Set("X-Quaestor-Replica", string(st.State))
+	h.Set(HeaderReplica, string(st.State))
 	if st.StalenessMs >= 0 {
-		h.Set("X-Quaestor-Staleness-Ms", fmt.Sprintf("%.0f", st.StalenessMs))
+		h.Set(HeaderStaleness, fmt.Sprintf("%.0f", st.StalenessMs))
 	}
 	if st.LagSeq > 0 {
-		h.Set("X-Quaestor-Replica-Lag", strconv.FormatUint(st.LagSeq, 10))
+		h.Set(HeaderReplicaLag, strconv.FormatUint(st.LagSeq, 10))
 	}
 	if id != "" {
 		h.Set(HeaderAppliedSeq, strconv.FormatUint(s.router.StoreFor(id).LastSeq(), 10))

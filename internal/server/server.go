@@ -510,19 +510,13 @@ func (s *Server) Query(q *query.Query) (QueryResult, error) {
 // query is Query for a request served under the resource path servedAs,
 // which the active list remembers as what an invalidation must purge.
 func (s *Server) query(q *query.Query, servedAs string) (QueryResult, error) {
-	if s.closed.Load() {
-		return QueryResult{}, ErrClosed
-	}
-
 	// Capture the change-stream position before evaluating so activation
 	// can replay the gap (one floor per shard: Seq spaces are independent).
 	asOfs := s.router.LastSeqs()
-	docs, plan, err := s.router.QueryPlanned(q)
+	docs, err := s.evaluate(q)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	s.recordPlan(plan)
-	s.queries.Add(1)
 
 	key := q.Key()
 	ids := make([]string, len(docs))
@@ -594,24 +588,20 @@ func (s *Server) query(q *query.Query, servedAs string) (QueryResult, error) {
 	return res, nil
 }
 
-// QueryStream evaluates q on the streaming executor and returns the store
-// cursor, for consumers that emit results incrementally (the NDJSON
-// endpoint). Streamed results deliberately bypass the caching machinery —
-// no TTL estimation, EBF report or InvaliDB activation; the HTTP layer
-// serves them no-store — because a response consumed as a stream never
-// lands in a cache whole. Plan and row counters are still recorded.
-func (s *Server) QueryStream(q *query.Query) (*store.Cursor, error) {
+// evaluate runs q on the executor and records its plan and row counters:
+// the prologue Query and the NDJSON stream share. The documents are the
+// stored ones, read-only.
+func (s *Server) evaluate(q *query.Query) ([]*document.Document, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-
-	cur, err := s.router.QueryStream(q)
+	docs, plan, err := s.router.QueryPlanned(q)
 	if err != nil {
 		return nil, err
 	}
-	s.recordPlan(cur.Plan())
+	s.recordPlan(plan)
 	s.queries.Add(1)
-	return cur, nil
+	return docs, nil
 }
 
 // Choose applies the policy to a result of resultSize records whose write

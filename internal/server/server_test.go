@@ -352,7 +352,7 @@ func TestHTTPCRUDAndQuery(t *testing.T) {
 		if qr.Count != 2 {
 			t.Errorf("query count = %d", qr.Count)
 		}
-		if key := rec.Header().Get("X-Quaestor-Key"); key == "" {
+		if key := rec.Header().Get(HeaderKey); key == "" {
 			t.Error("missing X-Quaestor-Key")
 		}
 		// Delete.

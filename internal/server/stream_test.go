@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
 	"quaestor/internal/document"
@@ -14,19 +15,28 @@ import (
 )
 
 // TestQueryStreamNDJSON drives the streamed query endpoint end to end:
-// one document per line, newest plan report in stats, and explicitly
-// uncacheable headers.
+// one document per line, each byte for byte what json.Marshal makes of
+// the stored document (HTML escaping included), newest plan report in
+// stats, and explicitly uncacheable headers.
 func TestQueryStreamNDJSON(t *testing.T) {
 	srv := newTestServer(t, 1, nil)
 	for i := 0; i < 20; i++ {
 		insertPost(t, srv, fmt.Sprintf("p%02d", i), "a")
+	}
+	// Rated above the rest, so it leads the window.
+	if err := srv.Insert("posts", document.New("html", map[string]any{
+		"title":  "<b>fish & chips</b>\u2028next line",
+		"tags":   []any{"a", "<&>"},
+		"rating": int64(4),
+	})); err != nil {
+		t.Fatal(err)
 	}
 	if err := srv.CreateIndex("posts", "rating"); err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
 
-	// All posts share rating 3 (len("pNN")); sort by id via rating ties.
+	// The p posts share rating 3 (len("pNN")), below html's 4; ties sort by id.
 	path := "/v1/db/posts?q=" + url.QueryEscape(`{"rating":{"$gt":0}}`) +
 		"&sort=-rating&limit=5&stream=1"
 	req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -42,18 +52,21 @@ func TestQueryStreamNDJSON(t *testing.T) {
 	if cc := rec.Header().Get("Cache-Control"); cc != "no-store" {
 		t.Fatalf("streamed responses must be no-store, got %q", cc)
 	}
-	if rec.Header().Get("X-Quaestor-Key") == "" {
+	if rec.Header().Get(HeaderKey) == "" {
 		t.Fatal("missing query key header")
 	}
 
 	var streamed []*document.Document
-	sc := bufio.NewScanner(rec.Body)
+	var lines []string
+	body := rec.Body.String()
+	sc := bufio.NewScanner(strings.NewReader(body))
 	for sc.Scan() {
 		var d document.Document
 		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
 			t.Fatalf("line %d: %v", len(streamed), err)
 		}
 		streamed = append(streamed, &d)
+		lines = append(lines, sc.Text())
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -73,6 +86,19 @@ func TestQueryStreamNDJSON(t *testing.T) {
 			t.Fatalf("position %d: %s/v%d, want %s/v%d",
 				i, streamed[i].ID, streamed[i].Version, want[i].ID, want[i].Version)
 		}
+		marshaled, err := json.Marshal(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines[i] != string(marshaled) {
+			t.Fatalf("line %d:\n got %s\nwant %s", i, lines[i], marshaled)
+		}
+	}
+	if !strings.HasSuffix(body, "}\n") {
+		t.Fatalf("stream does not end in a newline-terminated document: %q", body)
+	}
+	if !strings.Contains(lines[0], `\u003cb\u003efish \u0026 chips\u003c/b\u003e\u2028next line`) {
+		t.Fatalf("line 0 is not HTML-escaped: %s", lines[0])
 	}
 
 	// The streamed execution is attributed in stats: a range plan ran, and

@@ -138,7 +138,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	flusher, canFlush := w.(http.Flusher)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Quaestor-Key", q.Key())
+	w.Header().Set(HeaderKey, q.Key())
 	// Replica-served streams are annotated like any other read: the
 	// staleness bound at attach time.
 	s.addReplicaHeaders(w, "")

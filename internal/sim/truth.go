@@ -138,12 +138,8 @@ func (t *truth) staleRecord(table, id string, version int64) (since time.Time, s
 // staleQuery judges an answer to q. It also records the store's current
 // content of q as seen now.
 func (t *truth) staleQuery(q *query.Query, res *client.Result) (since time.Time, stale bool) {
-	cur, err := t.db.QueryStream(q)
+	docs, err := t.db.Query(q)
 	must(err)
-	var docs []*document.Document
-	for d, ok := cur.Next(); ok; d, ok = cur.Next() {
-		docs = append(docs, d)
-	}
 	log := t.writes[q.Table]
 	key := q.Key()
 	curIDs, curVersions := members(docs)

@@ -1,67 +1,41 @@
-// Streaming query execution: the store-side iterator executor behind
-// QueryPlanned and QueryStream. Source iterators (index probe, ordered
+// Query execution: the store-side iterator executor behind QueryPlanned,
+// the store's one evaluation. Source iterators (index probe, ordered
 // range scan, table scan) feed one of three emission strategies — full
 // sort, bounded top-K, or an ordered index walk — chosen by the query
 // layer (query.ChooseStrategy). Conjuncts the index access already
 // guarantees are elided from the per-document predicate
 // (query.Residual).
 //
-// The executor collects and emits stored document pointers, never
-// copies: under document.Document's ownership rule they are read-only,
-// so pointers gathered under the table's read lock stay valid after the
+// The executor collects stored document pointers, never copies, and
+// QueryPlanned hands its result window back as is: under
+// document.Document's ownership rule the documents are read-only, so
+// pointers gathered under the table's read lock stay valid after the
 // lock is released. A LIMIT 10 over 100k matches touches 10 documents
 // where the materializing baseline cloned and sorted 100k.
 package store
 
 import (
+	"slices"
 	"sort"
 
 	"quaestor/internal/document"
 	"quaestor/internal/query"
 )
 
-// Cursor streams one query's results: the stored documents themselves,
-// read-only (document.Document's ownership rule).
-type Cursor struct {
-	plan query.Plan
-	docs []*document.Document
-	pos  int
-}
-
-// Plan returns the executed access plan, including the execution report
-// (strategy, residual elisions, rows examined/returned).
-func (c *Cursor) Plan() query.Plan { return c.plan }
-
-// Remaining returns how many documents are left to emit.
-func (c *Cursor) Remaining() int { return len(c.docs) - c.pos }
-
-// Next emits the next document.
-func (c *Cursor) Next() (*document.Document, bool) {
-	if c.pos >= len(c.docs) {
-		return nil, false
-	}
-	d := c.docs[c.pos]
-	c.pos++
-	return d, true
-}
-
-// NewCursor wraps an already-computed result window and its plan in a
-// cursor. The cross-shard gather path (internal/cluster) merges per-shard
-// cursors and re-wraps the merged window.
-func NewCursor(plan query.Plan, docs []*document.Document) *Cursor {
-	return &Cursor{plan: plan, docs: docs}
-}
-
-// QueryStream plans and executes q, returning a cursor over the result
-// window. Planning and execution share one read lock of the table, so the
-// index the plan names is there and exactly consistent with the
-// documents; the cursor itself is lock-free and single-consumer. The read
-// lock is released by defer, so a panicking execution cannot leave the
-// table locked against every later write.
-func (s *Store) QueryStream(q *query.Query) (*Cursor, error) {
+// QueryPlanned evaluates q and returns the matching stored documents,
+// read-only, in the query's order, plus the access plan the planner chose
+// with its execution report (strategy, residual pushdown, rows
+// examined/returned), so callers can attribute latency to plan kinds.
+// Planning and execution share one read lock of the table, so the index
+// the plan names is there and exactly consistent with the documents. The
+// read lock is released by defer, so a panicking execution cannot leave
+// the table locked against every later write. The result is the
+// executor's own window, capped (cap == len) so that a caller's append
+// never writes into the executor's backing array; an empty window is nil.
+func (s *Store) QueryPlanned(q *query.Query) ([]*document.Document, query.Plan, error) {
 	t, err := s.table(q.Table)
 	if err != nil {
-		return nil, err
+		return nil, query.Plan{}, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -77,7 +51,7 @@ func (s *Store) QueryStream(q *query.Query) (*Cursor, error) {
 	}
 	plan.RowsExamined = e.examined
 	plan.RowsReturned = len(e.out)
-	return &Cursor{plan: plan, docs: e.out}, nil
+	return slices.Clip(e.out), plan, nil
 }
 
 // executor carries one execution's state. Its methods run under t.mu's
@@ -232,7 +206,7 @@ func resultWindow(docs []*document.Document, offset, limit int) []*document.Docu
 
 // MergeOrdered merges per-source lists that are each sorted by q.Less
 // into the query's global OFFSET/LIMIT window — the cross-shard gather
-// path (internal/cluster) merging per-shard cursor outputs. With one list
+// path (internal/cluster) merging per-shard result windows. With one list
 // per shard a linear min-pick beats a heap.
 func MergeOrdered(q *query.Query, lists [][]*document.Document) []*document.Document {
 	total := 0

@@ -80,47 +80,39 @@ func TestStreamingMatchesScanBaseline(t *testing.T) {
 	}
 }
 
-func TestCursorSemantics(t *testing.T) {
+// TestQueryPlannedWindow checks the executor's result window as
+// QueryPlanned hands it back: the stored documents themselves, capped so
+// that an append cannot reach the executor's array, with the plan's row
+// counters; an empty window is nil.
+func TestQueryPlannedWindow(t *testing.T) {
 	s := execStore(t, 50)
 	q := query.New("docs", query.Eq("color", "red")).Sorted(query.Asc("rank")).Sliced(0, 3)
-	cur, err := s.QueryStream(q)
+	docs, p, err := s.QueryPlanned(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur.Remaining() != 3 {
-		t.Fatalf("remaining = %d, want 3", cur.Remaining())
+	if len(docs) != 3 || cap(docs) != 3 {
+		t.Fatalf("window len %d cap %d, want 3 and 3", len(docs), cap(docs))
 	}
-	p := cur.Plan()
 	if p.Strategy != query.StrategyTopK || p.RowsReturned != 3 || p.RowsExamined < 3 {
 		t.Fatalf("plan report = %+v", p)
 	}
-	// Next emits the stored documents themselves, then reports done.
-	d, ok := cur.Next()
-	if !ok {
-		t.Fatal("cursor empty")
-	}
-	if stored, _ := s.Get("docs", d.ID); stored != d {
-		t.Fatal("cursor emitted a copy, not the stored document")
-	}
-	for cur.Remaining() > 0 {
-		if _, ok := cur.Next(); !ok {
-			t.Fatal("Next ended early")
+	for _, d := range docs {
+		if stored, _ := s.Get("docs", d.ID); stored != d {
+			t.Fatalf("QueryPlanned handed out a copy of %s, not the stored document", d.ID)
 		}
-	}
-	if _, ok := cur.Next(); ok {
-		t.Fatal("Next past end")
 	}
 
 	// Empty result window.
-	cur, err = s.QueryStream(query.New("docs", query.Eq("color", "nope")))
+	docs, p, err = s.QueryPlanned(query.New("docs", query.Eq("color", "nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur.Remaining() != 0 {
-		t.Fatalf("remaining = %d, want 0", cur.Remaining())
+	if docs != nil {
+		t.Fatalf("empty window = %v, want nil", docs)
 	}
-	if cur.Plan().RowsReturned != 0 {
-		t.Fatalf("plan report = %+v", cur.Plan())
+	if p.RowsReturned != 0 {
+		t.Fatalf("plan report = %+v", p)
 	}
 }
 

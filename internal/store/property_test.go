@@ -15,7 +15,7 @@ import (
 // shapes, ORDER BY asc/desc, OFFSET/LIMIT windows) the iterator-composed
 // executor returns results byte-identical — content AND order — to the
 // materializing ScanQuery baseline. During each write storm concurrent
-// readers drive QueryStream against live shards (emission order must still
+// readers drive QueryPlanned against live shards (result order must still
 // respect the query order); after quiescing, every generated query is
 // checked for exact equivalence.
 func TestPropertyStreamingEqualsScanUnderConcurrentWrites(t *testing.T) {
@@ -106,7 +106,7 @@ func TestPropertyStreamingEqualsScanUnderConcurrentWrites(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
-		// Readers race the writers: each streamed result must already be in
+		// Readers race the writers: each result must already be in
 		// query order (the executor snapshots shards one at a time, so
 		// content can't be compared mid-storm — order and liveness can).
 		for rd := 0; rd < readers; rd++ {
@@ -121,19 +121,15 @@ func TestPropertyStreamingEqualsScanUnderConcurrentWrites(t *testing.T) {
 					default:
 					}
 					q := randomQuery(r)
-					cur, err := s.QueryStream(q)
+					docs, _, err := s.QueryPlanned(q)
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					var prev *document.Document
-					for {
-						d, ok := cur.Next()
-						if !ok {
-							break
-						}
+					for _, d := range docs {
 						if prev != nil && q.Less(d, prev) {
-							t.Errorf("round %d, %s: out-of-order emission %s before %s", round, q.Key(), prev.ID, d.ID)
+							t.Errorf("round %d, %s: out-of-order result %s before %s", round, q.Key(), prev.ID, d.ID)
 							return
 						}
 						prev = d

@@ -698,29 +698,6 @@ func (s *Store) Query(q *query.Query) ([]*document.Document, error) {
 	return docs, err
 }
 
-// QueryPlanned evaluates q and additionally reports the access plan the
-// planner chose — including its execution report (strategy, residual
-// pushdown, rows examined/returned) — so callers can attribute latency to
-// plan kinds. It drains the streaming executor (see exec.go).
-func (s *Store) QueryPlanned(q *query.Query) ([]*document.Document, query.Plan, error) {
-	cur, err := s.QueryStream(q)
-	if err != nil {
-		return nil, query.Plan{}, err
-	}
-	if cur.Remaining() == 0 {
-		return nil, cur.Plan(), nil
-	}
-	out := make([]*document.Document, 0, cur.Remaining())
-	for {
-		d, ok := cur.Next()
-		if !ok {
-			break
-		}
-		out = append(out, d)
-	}
-	return out, cur.Plan(), nil
-}
-
 func toIndexBound(b query.Bound) index.Bound {
 	return index.Bound{Value: b.Value, Inclusive: b.Inclusive, Unbounded: b.Unbounded}
 }
