@@ -9,11 +9,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -758,6 +760,74 @@ func BenchmarkDocumentDecode(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTxnIngest is the server's half of the benchmark's in-memory
+// load: each op decodes one 100-put /v1/transaction body and commits it
+// (store, index, TTL estimator, EBF report, change stream, InvaliDB) into
+// the benchmark's shape, 4 tables × 5 000 documents with a tags index.
+// Once the corpus is in, the server is rebuilt off the clock, so every
+// put inserts. ns/doc and allocs/doc count the timed ops only.
+func BenchmarkTxnIngest(b *testing.B) {
+	b.StopTimer()
+	const batch = 100
+	ds := workload.GenerateDataset(&workload.DatasetConfig{Tables: 4, DocsPerTable: 5000, Seed: 1})
+	var bodies [][]byte
+	for _, t := range ds.Tables {
+		docs := ds.Docs[t]
+		for i := 0; i < len(docs); i += batch {
+			var txn server.TxnRequest
+			for _, d := range docs[i:min(i+batch, len(docs))] {
+				txn.Writes = append(txn.Writes, server.TxnWriteOp{Op: "put", Table: t, ID: d.ID, Doc: d})
+			}
+			body, err := json.Marshal(txn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	var srv *server.Server
+	var db *store.Store
+	shutdown := func() {
+		if srv != nil {
+			srv.Close()
+			db.Close()
+		}
+	}
+	defer shutdown()
+	var ms runtime.MemStats
+	var mallocs uint64
+	for i := 0; i < b.N; i++ {
+		if i%len(bodies) == 0 {
+			shutdown()
+			db = store.MustOpen(nil)
+			for _, t := range ds.Tables {
+				if err := errors.Join(db.CreateTable(t), db.CreateIndex(t, "tags")); err != nil {
+					b.Fatal(err)
+				}
+			}
+			srv = server.New(db, nil)
+			runtime.GC()
+		}
+		runtime.ReadMemStats(&ms)
+		mallocs -= ms.Mallocs
+		b.StartTimer()
+		req, err := server.DecodeTxnRequest(bodies[i%len(bodies)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := srv.Commit(req)
+		if err != nil || !res.Committed {
+			b.Fatalf("commit: %v %+v", err, res)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs
+	}
+	docs := float64(b.N * batch)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/docs, "ns/doc")
+	b.ReportMetric(float64(mallocs)/docs, "allocs/doc")
 }
 
 // BenchmarkSimulatorEventRate measures raw simulator speed (events/s) —

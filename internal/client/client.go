@@ -361,7 +361,7 @@ func (c *Client) do(hc *http.Client, method, path string, body []byte, revalidat
 	}
 	if c.observeShardEpoch(resp.Header, base) && docID != "" {
 		if nb := c.nodeFor(docID); nb != base {
-			resp.Body.Close()
+			closeBody(resp)
 			c.count(&c.stats.ShardRetries)
 			base = nb
 			resp, err = c.send(hc, base, method, path, body, revalidate, extra)
@@ -372,7 +372,7 @@ func (c *Client) do(hc *http.Client, method, path string, body []byte, revalidat
 	}
 	if resp.StatusCode == http.StatusServiceUnavailable && method != http.MethodGet {
 		if primary := resp.Header.Get(server.HeaderPrimary); primary != "" && primary != base {
-			resp.Body.Close()
+			closeBody(resp)
 			c.count(&c.stats.PrimaryRedirects)
 			return c.send(hc, primary, method, path, body, revalidate, extra)
 		}
@@ -757,7 +757,7 @@ func (c *Client) write(method, path, table, id string, body any, want int, after
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != want {
 		return decodeError(resp)
 	}
@@ -779,11 +779,25 @@ func (c *Client) CreateTable(table string) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusCreated {
 		return decodeError(resp)
 	}
 	return nil
+}
+
+// maxDrain bounds what closeBody reads of a body nobody wants: more than
+// any acknowledgement or error body, so the connection goes back to the
+// pool; a larger body costs the connection instead of the reading.
+const maxDrain = 64 << 10
+
+// closeBody closes resp's body after reading what is left of it, up to
+// maxDrain: the transport reuses a connection only once its response
+// was read to the end, so a write whose acknowledgement went unread
+// would otherwise cost a new connection each time.
+func closeBody(resp *http.Response) {
+	_, _ = io.CopyN(io.Discard, resp.Body, maxDrain) // a failed read just loses the connection
+	resp.Body.Close()
 }
 
 func decodeError(resp *http.Response) error {

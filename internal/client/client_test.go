@@ -2,9 +2,13 @@ package client
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,6 +56,43 @@ func (s *stack) dial(t *testing.T, opts *Options) *Client {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestWritesKeepTheirConnection: every write reads its acknowledgement
+// to the end before closing it, so a session on a one-connection
+// transport makes all its writes over a single TCP connection.
+func TestWritesKeepTheirConnection(t *testing.T) {
+	s := newStack(t, nil)
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(s.srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	c := s.dial(t, &Options{Transport: tr, BaseURL: ts.URL, DisableEBF: true})
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("p%d", i)
+		if err := c.Insert("posts", document.New(id, map[string]any{"n": int64(i)})); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Put("posts", document.New(id, map[string]any{"n": int64(-i)})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Update("posts", id, store.UpdateSpec{Inc: map[string]float64{"n": 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Delete("posts", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Errorf("80 writes opened %d connections, want 1", n)
+	}
 }
 
 func TestDialFetchesEBF(t *testing.T) {

@@ -2,7 +2,6 @@ package client
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -369,8 +368,7 @@ func (c *Client) fetchRecordRouted(path, key string, revalidate bool, bound time
 		}
 		c.observeEndpoint(ep, resp.Header, c.opts.Clock().Sub(start))
 		if resp.StatusCode == http.StatusPreconditionFailed {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			closeBody(resp)
 			c.count(&c.stats.StalenessRetries)
 			// A rejection for a too-tight bound is not an unhealthy
 			// endpoint — the p2c score, just updated from the 412's own
@@ -383,7 +381,7 @@ func (c *Client) fetchRecordRouted(path, key string, revalidate bool, bound time
 			continue
 		}
 		if st, replica := responseStaleness(resp.Header); replica && resp.StatusCode == http.StatusOK && (st < 0 || st > boundMs) {
-			resp.Body.Close()
+			closeBody(resp)
 			c.count(&c.stats.StalenessRetries)
 			continue
 		}

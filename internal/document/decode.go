@@ -3,8 +3,12 @@ package document
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -154,6 +158,34 @@ func (d *Decoder) Skip() error {
 	return err
 }
 
+// Raw decodes the next value and returns its text: a slice of the
+// decoder's input, which the caller must not modify.
+func (d *Decoder) Raw() ([]byte, error) {
+	d.next()
+	start := d.off
+	if err := d.Skip(); err != nil {
+		return nil, err
+	}
+	return d.data[start:d.off], nil
+}
+
+// FieldName matches an object key to one of a struct's JSON field names
+// as encoding/json does: an exact match first, else a case-insensitive
+// one; "" when neither matches. Binders switch on it.
+func FieldName(key string, names ...string) string {
+	for _, n := range names {
+		if key == n {
+			return n
+		}
+	}
+	for _, n := range names {
+		if strings.EqualFold(key, n) {
+			return n
+		}
+	}
+	return ""
+}
+
 // Null consumes the next value if it is null and reports whether it was.
 func (d *Decoder) Null() bool {
 	return d.next() == 'n' && d.literal("null") == nil
@@ -164,7 +196,35 @@ func (d *Decoder) String() (string, error) {
 	if d.next() != '"' {
 		return "", d.typeError("a string")
 	}
-	return d.str()
+	return d.str(false)
+}
+
+// StringField decodes the next value into a string field as
+// encoding/json does: a string is stored in *dst, null leaves *dst as it
+// is.
+func (d *Decoder) StringField(dst *string) error {
+	if d.Null() {
+		return nil
+	}
+	s, err := d.String()
+	if err == nil {
+		*dst = s
+	}
+	return err
+}
+
+// DocumentField decodes the next value into a *Document field as
+// encoding/json does: null sets *dst to nil, and a document decodes into
+// *dst, a new Document when *dst is nil.
+func (d *Decoder) DocumentField(dst **Document) error {
+	if d.Null() {
+		*dst = nil
+		return nil
+	}
+	if *dst == nil {
+		*dst = &Document{}
+	}
+	return d.Document(*dst)
 }
 
 // Int64 decodes the next value, which must be an integer literal in
@@ -306,7 +366,7 @@ func (d *Decoder) member(first bool) (key string, ok bool, err error) {
 	if c != '"' {
 		return "", false, d.syntaxError("looking for beginning of object key string")
 	}
-	if key, err = d.str(); err != nil {
+	if key, err = d.str(true); err != nil {
 		return "", false, err
 	}
 	if d.next() != ':' {
@@ -342,7 +402,7 @@ func (d *Decoder) value() (any, error) {
 	case '[':
 		return d.array()
 	case '"':
-		return d.str()
+		return d.str(false)
 	case 't':
 		return true, d.literal("true")
 	case 'f':
@@ -490,8 +550,9 @@ func parseInt64(lit []byte, neg bool) (int64, bool) {
 }
 
 // str decodes the string literal whose opening quote is at the offset.
-// One without escapes or invalid UTF-8 is copied out as it stands.
-func (d *Decoder) str() (string, error) {
+// One without escapes or invalid UTF-8 is copied out as it stands, or,
+// for an object key, taken from the name table.
+func (d *Decoder) str(key bool) (string, error) {
 	data := d.data
 	start := d.off + 1
 	for i := start; i < len(data); {
@@ -502,6 +563,9 @@ func (d *Decoder) str() (string, error) {
 		}
 		if c == '"' {
 			d.off = i + 1
+			if key {
+				return intern(data[start:i]), nil
+			}
 			return string(data[start:i]), nil
 		}
 		if c >= utf8.RuneSelf {
@@ -585,6 +649,69 @@ func (d *Decoder) unquote(start, i int) (string, error) {
 	}
 	d.off = len(data)
 	return "", d.syntaxError("in string literal")
+}
+
+// The name table: object keys decode to one shared string each, so the
+// documents a store keeps share their field names instead of carrying a
+// copy per document. It is process-wide and bounded: at most maxNames
+// names of at most maxNameLen bytes, in an open-addressed set of twice as
+// many slots. A slot is filled once, under nameMu, and read with one
+// atomic load, so a hit takes no lock and allocates nothing. A miss once
+// the table is full or the probe window is, a longer key and a key with
+// escapes decode to a fresh string; no result depends on the table.
+const (
+	maxNames   = 4096
+	maxNameLen = 32
+	nameProbes = 8
+)
+
+var (
+	nameSeed  = maphash.MakeSeed()
+	nameSlots [2 * maxNames]atomic.Pointer[string]
+	nameCount atomic.Int32 // filled slots; written under nameMu
+	nameMu    sync.Mutex   // serializes filling slots
+)
+
+// intern returns b as a string, shared if it is or can become a name in
+// the table.
+func intern(b []byte) string {
+	if len(b) > maxNameLen {
+		return string(b)
+	}
+	h := maphash.Bytes(nameSeed, b)
+	for i := uint64(0); i < nameProbes; i++ {
+		p := nameSlots[(h+i)%uint64(len(nameSlots))].Load()
+		if p == nil {
+			return addName(string(b), h)
+		}
+		if *p == string(b) {
+			return *p
+		}
+	}
+	return string(b)
+}
+
+// addName enters s, whose hash is h, into the table unless it is there
+// or the table is full, and returns the table's copy.
+func addName(s string, h uint64) string {
+	if nameCount.Load() >= maxNames {
+		return s
+	}
+	nameMu.Lock()
+	defer nameMu.Unlock()
+	for i := uint64(0); i < nameProbes && nameCount.Load() < maxNames; i++ {
+		slot := &nameSlots[(h+i)%uint64(len(nameSlots))]
+		if p := slot.Load(); p != nil {
+			if *p == s {
+				return *p
+			}
+			continue
+		}
+		slot.Store(&s)
+		nameCount.Add(1)
+		return s
+	}
+	return s
 }
 
 // hex4 decodes the \uXXXX escape s begins with, or returns -1.

@@ -334,7 +334,9 @@ func GetPath(root any, path string) (any, bool) {
 		return root, true
 	}
 	cur := root
-	for _, seg := range strings.Split(path, ".") {
+	for rest, more := path, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, ".")
 		switch node := cur.(type) {
 		case map[string]any:
 			v, ok := node[seg]
@@ -358,10 +360,11 @@ func GetPath(root any, path string) (any, bool) {
 // SetPath assigns value at a dotted path inside root, creating intermediate
 // maps as required. Array segments must already exist and be in range.
 func SetPath(root map[string]any, path string, value any) error {
-	segs := strings.Split(path, ".")
 	var cur any = root
-	for i, seg := range segs {
-		last := i == len(segs)-1
+	for rest, more := path, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, ".")
+		last := !more
 		switch node := cur.(type) {
 		case map[string]any:
 			if last {
@@ -395,10 +398,11 @@ func SetPath(root map[string]any, path string, value any) error {
 
 // DeletePath removes the value at a dotted path. Missing paths are no-ops.
 func DeletePath(root map[string]any, path string) {
-	segs := strings.Split(path, ".")
 	var cur any = root
-	for i, seg := range segs {
-		last := i == len(segs)-1
+	for rest, more := path, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, ".")
+		last := !more
 		switch node := cur.(type) {
 		case map[string]any:
 			if last {
@@ -433,9 +437,8 @@ func DeletePath(root map[string]any, path string) {
 // float64, so e.g. 1<<60 and (1<<60)+1 are DeepEqual yet print differently.
 // Use MatchKey where the key must agree exactly with Compare equality.
 func Canonical(v any) string {
-	var sb strings.Builder
-	writeCanonical(&sb, v)
-	return sb.String()
+	var buf [64]byte
+	return string(appendCanonical(buf[:0], v, false))
 }
 
 // MatchKey returns a deterministic string encoding under which two values
@@ -445,82 +448,55 @@ func Canonical(v any) string {
 // postings and InvaliDB query postings use it so probe completeness
 // matches the document model's equality semantics.
 func MatchKey(v any) string {
-	var sb strings.Builder
-	writeMatchKey(&sb, v)
-	return sb.String()
+	var buf [64]byte
+	return string(AppendMatchKey(buf[:0], v))
 }
 
-func writeMatchKey(sb *strings.Builder, v any) {
-	switch t := v.(type) {
-	case int64:
-		writeCanonical(sb, float64(t))
-	case []any:
-		sb.WriteByte('[')
-		for i, e := range t {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			writeMatchKey(sb, e)
-		}
-		sb.WriteByte(']')
-	case map[string]any:
-		sb.WriteByte('{')
-		for i, k := range sortedKeys(t) {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(strconv.Quote(k))
-			sb.WriteByte(':')
-			writeMatchKey(sb, t[k])
-		}
-		sb.WriteByte('}')
-	default:
-		writeCanonical(sb, v)
-	}
-}
+// AppendMatchKey appends MatchKey(v) to dst. A caller that only looks a
+// key up (m[string(key)]) allocates nothing.
+func AppendMatchKey(dst []byte, v any) []byte { return appendCanonical(dst, v, true) }
 
-func writeCanonical(sb *strings.Builder, v any) {
+// appendCanonical appends Canonical(v), or MatchKey(v) when match is set.
+func appendCanonical(dst []byte, v any, match bool) []byte {
 	switch t := v.(type) {
 	case nil:
-		sb.WriteString("null")
+		return append(dst, "null"...)
 	case bool:
-		if t {
-			sb.WriteString("true")
-		} else {
-			sb.WriteString("false")
-		}
+		return strconv.AppendBool(dst, t)
 	case int64:
-		sb.WriteString(strconv.FormatInt(t, 10))
+		if match {
+			return appendCanonical(dst, float64(t), false)
+		}
+		return strconv.AppendInt(dst, t, 10)
 	case float64:
 		if t == float64(int64(t)) {
 			// Integral floats print like integers so 1.0 and 1 share a key.
-			sb.WriteString(strconv.FormatInt(int64(t), 10))
-		} else {
-			sb.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
+			return strconv.AppendInt(dst, int64(t), 10)
 		}
+		return strconv.AppendFloat(dst, t, 'g', -1, 64)
 	case string:
-		sb.WriteString(strconv.Quote(t))
+		return strconv.AppendQuote(dst, t)
 	case []any:
-		sb.WriteByte('[')
+		dst = append(dst, '[')
 		for i, e := range t {
 			if i > 0 {
-				sb.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			writeCanonical(sb, e)
+			dst = appendCanonical(dst, e, match)
 		}
-		sb.WriteByte(']')
+		return append(dst, ']')
 	case map[string]any:
-		sb.WriteByte('{')
+		dst = append(dst, '{')
 		for i, k := range sortedKeys(t) {
 			if i > 0 {
-				sb.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			sb.WriteString(strconv.Quote(k))
-			sb.WriteByte(':')
-			writeCanonical(sb, t[k])
+			dst = strconv.AppendQuote(dst, k)
+			dst = append(dst, ':')
+			dst = appendCanonical(dst, t[k], match)
 		}
-		sb.WriteByte('}')
+		return append(dst, '}')
 	default:
-		fmt.Fprintf(sb, "%v", t)
+		return fmt.Appendf(dst, "%v", t)
 	}
 }

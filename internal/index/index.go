@@ -78,6 +78,9 @@ type Field struct {
 	byKey  map[string]*entry
 	sorted []*entry // ascending by (document.Compare, key)
 	docs   int      // documents currently indexed (field present)
+	// scratch holds the match key Add and Remove look an entry up by;
+	// the owning shard's write lock serializes them.
+	scratch []byte
 }
 
 // NewField creates an empty index over the given dotted path.
@@ -111,11 +114,11 @@ func (f *Field) Add(doc *document.Document) {
 	f.docs++
 	if arr, isArr := v.([]any); isArr && len(arr) > 0 {
 		for _, el := range arr {
-			post(&f.entryFor(document.MatchKey(el), el).elem, doc.ID)
+			post(&f.entryFor(el).elem, doc.ID)
 		}
 		return
 	}
-	post(&f.entryFor(document.MatchKey(v), v).whole, doc.ID)
+	post(&f.entryFor(v).whole, doc.ID)
 }
 
 // post adds id to a posting map, allocating the map on its first posting.
@@ -137,18 +140,28 @@ func (f *Field) Remove(doc *document.Document) {
 	f.docs--
 	if arr, isArr := v.([]any); isArr && len(arr) > 0 {
 		for _, el := range arr {
-			f.dropPosting(document.MatchKey(el), doc.ID, true)
+			f.dropPosting(el, doc.ID, true)
 		}
 		return
 	}
-	f.dropPosting(document.MatchKey(v), doc.ID, false)
+	f.dropPosting(v, doc.ID, false)
 }
 
-func (f *Field) entryFor(key string, val any) *entry {
-	e, ok := f.byKey[key]
+// lookup returns val's entry, if it has one, with val's match key in
+// f.scratch.
+func (f *Field) lookup(val any) (*entry, bool) {
+	f.scratch = document.AppendMatchKey(f.scratch[:0], val)
+	e, ok := f.byKey[string(f.scratch)]
+	return e, ok
+}
+
+// entryFor returns val's entry, creating it (and allocating its key) for
+// a value not indexed yet.
+func (f *Field) entryFor(val any) *entry {
+	e, ok := f.lookup(val)
 	if !ok {
-		e = &entry{val: document.CloneValue(val), key: key}
-		f.byKey[key] = e
+		e = &entry{val: document.CloneValue(val), key: string(f.scratch)}
+		f.byKey[e.key] = e
 		i := f.searchEntry(e.val, e.key)
 		f.sorted = append(f.sorted, nil)
 		copy(f.sorted[i+1:], f.sorted[i:])
@@ -157,8 +170,8 @@ func (f *Field) entryFor(key string, val any) *entry {
 	return e
 }
 
-func (f *Field) dropPosting(key, id string, elem bool) {
-	e, ok := f.byKey[key]
+func (f *Field) dropPosting(val any, id string, elem bool) {
+	e, ok := f.lookup(val)
 	if !ok {
 		return
 	}
@@ -168,7 +181,7 @@ func (f *Field) dropPosting(key, id string, elem bool) {
 		delete(e.whole, id)
 	}
 	if e.empty() {
-		delete(f.byKey, key)
+		delete(f.byKey, e.key)
 		i := f.searchEntry(e.val, e.key)
 		for i < len(f.sorted) && f.sorted[i] != e {
 			i++

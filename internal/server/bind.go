@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"strings"
 
 	"quaestor/internal/document"
 	"quaestor/internal/store"
@@ -24,17 +23,24 @@ import (
 
 // decodeRequest reads r's body whole under maxRequestBody and binds it
 // with bind; nothing but whitespace may follow the value. what names the
-// body in a 400.
+// body in a 400. The body is read into a pooled buffer: what a Decoder
+// yields is copied out of its input, so nothing bound refers to the
+// buffer once bind returns.
 func decodeRequest(w http.ResponseWriter, r *http.Request, what string, bind func(*document.Decoder) error) error {
-	body, err := readBody(w, r)
-	if err != nil {
-		return err
+	bp := bodyPool.Get().(*[]byte)
+	body, err := readBody(w, r, *bp)
+	if err == nil {
+		dec := document.NewDecoder(body)
+		if err = bind(dec); err == nil {
+			err = dec.End()
+		}
+		err = bodyError(err, what)
 	}
-	dec := document.NewDecoder(body)
-	if err = bind(dec); err == nil {
-		err = dec.End()
+	if cap(body) <= maxPooledBody {
+		*bp = body[:0]
+		bodyPool.Put(bp)
 	}
-	return bodyError(err, what)
+	return err
 }
 
 // DecodeTxnRequest decodes a /v1/transaction body as the handler does.
@@ -54,7 +60,7 @@ func bindTxnRequest(dec *document.Decoder, req *TxnRequest) error {
 		return nil
 	}
 	return dec.Object(func(key string) error {
-		switch fieldFor(key, "reads", "writes") {
+		switch document.FieldName(key, "reads", "writes") {
 		case "reads":
 			return bindMap(dec, &req.Reads, dec.Int64)
 		case "writes":
@@ -69,22 +75,15 @@ func bindTxnWriteOp(dec *document.Decoder, op *TxnWriteOp) error {
 		return nil
 	}
 	return dec.Object(func(key string) error {
-		switch fieldFor(key, "op", "table", "id", "doc", "spec") {
+		switch document.FieldName(key, "op", "table", "id", "doc", "spec") {
 		case "op":
-			return bindString(dec, &op.Op)
+			return dec.StringField(&op.Op)
 		case "table":
-			return bindString(dec, &op.Table)
+			return dec.StringField(&op.Table)
 		case "id":
-			return bindString(dec, &op.ID)
+			return dec.StringField(&op.ID)
 		case "doc":
-			if dec.Null() {
-				op.Doc = nil
-				return nil
-			}
-			if op.Doc == nil {
-				op.Doc = &document.Document{}
-			}
-			return dec.Document(op.Doc)
+			return dec.DocumentField(&op.Doc)
 		case "spec":
 			if dec.Null() {
 				op.Spec = nil
@@ -105,11 +104,11 @@ func bindUpdateSpec(dec *document.Decoder, spec *store.UpdateSpec) error {
 		return nil
 	}
 	return dec.Object(func(key string) error {
-		switch fieldFor(key, "Set", "Unset", "Inc", "Push", "Pull", "IfVersion") {
+		switch document.FieldName(key, "Set", "Unset", "Inc", "Push", "Pull", "IfVersion") {
 		case "Set":
 			return bindMap(dec, &spec.Set, dec.Value)
 		case "Unset":
-			return bindSlice(dec, &spec.Unset, func(s *string) error { return bindString(dec, s) })
+			return bindSlice(dec, &spec.Unset, dec.StringField)
 		case "Inc":
 			return bindMap(dec, &spec.Inc, dec.Float64)
 		case "Push":
@@ -129,34 +128,6 @@ func bindUpdateSpec(dec *document.Decoder, spec *store.UpdateSpec) error {
 		}
 		return dec.Skip()
 	})
-}
-
-// fieldFor matches an object key to one of a struct's JSON field names
-// as encoding/json does: an exact match first, else a case-insensitive
-// one; "" when neither matches.
-func fieldFor(key string, names ...string) string {
-	for _, n := range names {
-		if key == n {
-			return n
-		}
-	}
-	for _, n := range names {
-		if strings.EqualFold(key, n) {
-			return n
-		}
-	}
-	return ""
-}
-
-func bindString(dec *document.Decoder, dst *string) error {
-	if dec.Null() {
-		return nil
-	}
-	s, err := dec.String()
-	if err == nil {
-		*dst = s
-	}
-	return err
 }
 
 // bindMap decodes an object into *dst, adding to a map already there; a

@@ -94,7 +94,7 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(content)
 	case http.MethodPut:
-		body, err := readBody(w, r)
+		body, err := readBody(w, r, nil) // the file keeps it
 		if err != nil {
 			writeError(w, err)
 			return

@@ -1,13 +1,18 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"quaestor/internal/store"
@@ -200,5 +205,147 @@ func TestRequestBodyOverLimitIsRefused(t *testing.T) {
 				t.Errorf("GET %s after the refused write = %d, want 404", tc.readBack, rec.Code)
 			}
 		})
+	}
+}
+
+// TestReadBody sends raw requests over the wire to a handler that reads
+// its body with readBody: an exact Content-Length is read into a buffer
+// of that size, a chunked body whole, a body shorter than its
+// Content-Length is a 400, and a length claimed but never sent costs at
+// most maxBodyPresize.
+func TestReadBody(t *testing.T) {
+	var capacity atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := readBody(w, r, nil)
+		capacity.Store(int64(cap(body)))
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		_, _ = w.Write(body)
+	}))
+	defer ts.Close()
+	for _, tc := range []struct {
+		name, head, body string
+		status           int
+		maxCap           int64
+	}{
+		{"exact", "Content-Length: 11", "hello world", http.StatusOK, 12},
+		{"empty", "Content-Length: 0", "", http.StatusOK, 1},
+		{"chunked", "Transfer-Encoding: chunked", "5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n", http.StatusOK, 1024},
+		{"short", "Content-Length: 100", "only ten b", http.StatusBadRequest, 101},
+		{"claimed", fmt.Sprintf("Content-Length: %d", maxRequestBody), "only ten b", http.StatusBadRequest, maxBodyPresize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := fmt.Fprintf(conn, "POST / HTTP/1.1\r\nHost: x\r\n%s\r\n\r\n%s", tc.head, tc.body); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d (%s), want %d", resp.StatusCode, got, tc.status)
+			}
+			if tc.status == http.StatusOK && string(got) != "hello world" && tc.name != "empty" {
+				t.Errorf("read %q, want %q", got, "hello world")
+			}
+			if c := capacity.Load(); c > tc.maxCap {
+				t.Errorf("the body's buffer holds %d bytes, want at most %d", c, tc.maxCap)
+			}
+		})
+	}
+}
+
+// TestDecodedBodiesOutliveTheirBuffer: request bodies are read into
+// pooled buffers, so a later body of the same size overwrites an earlier
+// one. What the earlier one stored must not change with it: no decoded
+// string may point into the body. Four writers at once (run with -race)
+// also share the pools.
+func TestDecodedBodiesOutliveTheirBuffer(t *testing.T) {
+	h := newTestServer(t, 1, nil).Handler()
+	send := func(method, path, body string) error {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code >= 300 {
+			return fmt.Errorf("%s %s: %d %s", method, path, rec.Code, rec.Body)
+		}
+		return nil
+	}
+	const letters = "abcdefghijklmnop"
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(letters); i += 4 {
+				s := strings.Repeat(letters[i:i+1], 8)
+				if err := errors.Join(
+					send(http.MethodPost, "/v1/transaction", `{"writes":[{"op":"put","table":"posts","id":"t`+s+`","doc":{"k`+s+`":"v`+s+`","a":["e`+s+`"]}}]}`),
+					send(http.MethodPut, "/v1/db/posts/p"+s, `{"k`+s+`":"v`+s+`"}`),
+					send(http.MethodPatch, "/v1/db/posts/p"+s, `{"Set":{"x`+s+`":"y`+s+`"}}`),
+				); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range letters {
+		s := strings.Repeat(letters[i:i+1], 8)
+		for path, want := range map[string]string{
+			"/v1/db/posts/t" + s: `{"_id":"t` + s + `","_version":1,"a":["e` + s + `"],"k` + s + `":"v` + s + `"}`,
+			"/v1/db/posts/p" + s: `{"_id":"p` + s + `","_version":2,"k` + s + `":"v` + s + `","x` + s + `":"y` + s + `"}`,
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if got := strings.TrimSpace(rec.Body.String()); got != want {
+				t.Errorf("GET %s = %s, want %s", path, got, want)
+			}
+		}
+	}
+}
+
+// TestInsertAckMatchesEncodingJSON: the 201 to an insert carries exactly
+// the bytes encoding/json wrote for map[string]string{"id": id},
+// HTML escaping and trailing newline included.
+func TestInsertAckMatchesEncodingJSON(t *testing.T) {
+	h := newTestServer(t, 1, nil).Handler()
+	for i, id := range []string{"p1", "<a&b>", `q"uo\te`, "tab\tnl\n\x01\x7f", "\u2028\u2029", "é😀", "\xff\xfe"} {
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusCreated, map[string]string{"id": id})
+		got := httptest.NewRecorder()
+		writeEncoded(got, http.StatusCreated, insertAck(id))
+		if got.Body.String() != want.Body.String() {
+			t.Errorf("insertAck(%q) = %q, encoding/json wrote %q", id, got.Body, want.Body)
+		}
+
+		// Through the handler: the id as the decoder stored it.
+		doc, err := json.Marshal(map[string]any{"_id": id, "n": i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/db/posts", bytes.NewReader(doc)))
+		var stored struct {
+			ID string `json:"_id"`
+		}
+		if err := json.Unmarshal(doc, &stored); err != nil {
+			t.Fatal(err)
+		}
+		ack, _ := json.Marshal(map[string]string{"id": stored.ID})
+		if rec.Code != http.StatusCreated || rec.Body.String() != string(ack)+"\n" {
+			t.Errorf("insert %q answered %d %q, want 201 %q", id, rec.Code, rec.Body, string(ack)+"\n")
+		}
 	}
 }

@@ -79,10 +79,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // bodyPool recycles the buffers document and query responses are encoded
-// into.
+// into, and the buffers decodeRequest reads request bodies into.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// maxPooledBody keeps one huge response from pinning its buffer forever.
+// maxPooledBody keeps one huge body from pinning its buffer forever.
 const maxPooledBody = 1 << 20
 
 // jsonAppender is a value with an append-style JSON encoder whose bytes
@@ -152,11 +152,44 @@ func badRequest(format string, args ...any) error {
 // document, an update spec, an index or schema definition, a transaction.
 const maxRequestBody = 64 << 20
 
-// readBody reads r's body whole. A body over maxRequestBody is refused
-// with 413, never cut short and applied.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+// maxBodyPresize caps what readBody allocates up front on the strength
+// of a request's Content-Length, which is a claim, not bytes: a body
+// larger than this grows as it arrives.
+const maxBodyPresize = 1 << 20
+
+// readBody reads r's body whole, into buf's array when that is large
+// enough for its Content-Length, else into a new buffer sized from it. A
+// body over maxRequestBody is refused with 413, never cut short and
+// applied; one shorter than its Content-Length is a 400.
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
+	size := int64(512) // io.ReadAll's start, for a body of unknown length
+	if r.ContentLength >= 0 {
+		// One byte past the length, so the read that finds the end
+		// needs no room of its own.
+		size = min(r.ContentLength+1, maxBodyPresize)
+	}
+	if int64(cap(buf)) < size {
+		buf = make([]byte, 0, size)
+	}
+	body, err := readAll(http.MaxBytesReader(w, r.Body, maxRequestBody), buf[:0])
 	return body, bodyError(err, "body")
+}
+
+// readAll is io.ReadAll reading into buf.
+func readAll(r io.Reader, buf []byte) ([]byte, error) {
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)] // let append pick the growth
+		}
+	}
 }
 
 // decodeBody decodes r's JSON body into v under readBody's bound; what
@@ -563,7 +596,17 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, table stri
 		return
 	}
 	s.addWriteSeq(w, doc.ID)
-	writeJSON(w, http.StatusCreated, map[string]string{"id": doc.ID})
+	writeEncoded(w, http.StatusCreated, insertAck(doc.ID))
+}
+
+// insertAck is the body of a 201 to POST /v1/db/{table}: {"id":…},
+// encoded as encoding/json encodes map[string]string{"id": id}.
+type insertAck string
+
+// AppendJSON appends the acknowledgement.
+func (id insertAck) AppendJSON(dst []byte) ([]byte, error) {
+	dst = document.AppendJSONString(append(dst, `{"id":`...), string(id))
+	return append(dst, '}'), nil
 }
 
 // addWriteSeq stamps a successful write response with the owning store's

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"sync"
 
 	"quaestor/internal/document"
 	"quaestor/internal/store"
@@ -122,7 +124,10 @@ func (s *Server) Commit(req TxnRequest) (TxnResult, error) {
 // id here and is validated only here.
 func (s *Server) dryRun(writes []TxnWriteOp) error {
 	type record struct{ table, id string }
-	after := make(map[record]*document.Document, len(writes)) // the transaction's writes so far; nil: deleted
+	var after map[record]*document.Document // the transaction's writes so far; nil: deleted
+	if slices.ContainsFunc(writes, func(w TxnWriteOp) bool { return w.Op == "patch" }) {
+		after = make(map[record]*document.Document, len(writes)) // only a patch reads it
+	}
 	for _, w := range writes {
 		rec := record{w.Table, w.ID}
 		switch w.Op {
@@ -134,7 +139,9 @@ func (s *Server) dryRun(writes []TxnWriteOp) error {
 			if err := s.validateDoc(w.Table, w.Doc); err != nil {
 				return err
 			}
-			after[rec] = w.Doc
+			if after != nil {
+				after[rec] = w.Doc
+			}
 		case "patch":
 			if w.Spec == nil {
 				return badRequest("server: patch without spec for %s/%s", w.Table, w.ID)
@@ -158,7 +165,9 @@ func (s *Server) dryRun(writes []TxnWriteOp) error {
 			}
 			after[rec] = next
 		case "delete":
-			after[rec] = nil
+			if after != nil {
+				after[rec] = nil
+			}
 		default:
 			return badRequest("server: unknown transactional op %q", w.Op)
 		}
@@ -179,23 +188,31 @@ func SplitRecordKey(key string) (table, id string, ok bool) {
 	return "", "", false
 }
 
+// txnWrites recycles the write lists transactions are decoded into: a
+// list is dead once its transaction has committed.
+var txnWrites = sync.Pool{New: func() any { return new([]TxnWriteOp) }}
+
+// maxPooledWrites keeps one huge transaction from pinning its list.
+const maxPooledWrites = 4096
+
 // handleTxn serves POST /v1/transaction.
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, &httpError{http.StatusMethodNotAllowed, "POST only"})
 		return
 	}
-	body, err := readBody(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
+	wp := txnWrites.Get().(*[]TxnWriteOp)
+	req := TxnRequest{Writes: *wp}
+	err := decodeRequest(w, r, "transaction", func(dec *document.Decoder) error { return bindTxnRequest(dec, &req) })
+	var res TxnResult
+	if err == nil {
+		res, err = s.Commit(req)
 	}
-	req, err := DecodeTxnRequest(body)
-	if err != nil {
-		writeError(w, bodyError(err, "transaction"))
-		return
+	if cap(req.Writes) <= maxPooledWrites {
+		clear(req.Writes[:cap(req.Writes)]) // the pooled list keeps no document alive
+		*wp = req.Writes[:0]
+		txnWrites.Put(wp)
 	}
-	res, err := s.Commit(req)
 	if err != nil {
 		writeError(w, err)
 		return

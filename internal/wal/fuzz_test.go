@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -365,4 +366,81 @@ func checkSnapshotStream(t *testing.T, data []byte) {
 			t.Fatalf("%q: doc %s/%+v read back as %s/%+v", data, ev.table, ev.doc, b.table, b.doc)
 		}
 	}
+}
+
+// FuzzDecodeFrame is differential: the one-pass binders of a log record
+// and of a snapshot frame must accept exactly the payloads json.Unmarshal
+// accepts into Record and snapFrame, and yield the same values (a
+// document's fields compared exactly, so an int64 read back as a float64
+// is a difference).
+func FuzzDecodeFrame(f *testing.F) {
+	for _, rec := range layoutRecords() {
+		frame, err := appendFrame(nil, &rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[frameHeaderSize:])
+	}
+	for _, seed := range []string{
+		`{"seq":7,"kind":"put","table":"posts","doc":{"_id":"p7","_version":3,"n":7}}`,
+		`{"kind":"table","table":"posts"}`,
+		`{"kind":"index","table":"posts","path":"tags.0"}`,
+		`{"Seq":18446744073709551615,"KIND":"delete","Id":"x","Version":-9223372036854775808}`,
+		`{"seq":18446744073709551616}`, `{"seq":-1}`, `{"seq":1.0}`, `{"seq":"1"}`, `{"seq":-0}`, `{"seq":1e2}`,
+		`{"version":1.5}`, `{"version":-0}`, `{"version":9223372036854775808}`,
+		`{"kind":null,"table":null,"doc":null,"seq":null,"version":null}`,
+		`{"doc":{"_id":"a","x":1},"doc":{"y":[1,2]}}`, `{"doc":{"_id":"a"},"doc":null}`,
+		`{"doc":{"big":1e400}}`, `{"doc":{"big":1e400,"big":1}}`, `{"other":1e400}`,
+		`{"doc":[]}`, `{"doc":"x"}`, `{"kind":5}`, `{"table":{}}`, `{"ſeq":3,"K":1,"tablE":"t"}`,
+		`null`, ` null `, `{}`, `[]`, `"x"`, `5`, ``, `{"seq":1} x`, `{"seq":1,}`,
+		`{"kind":"put","table":"t\ud800","doc":{"_id":"esc","s":"é\t"}}`,
+		`{"kind":"meta","meta":{"seq":1,"tables":[{"name":"t","indexes":["a"],"versionFloor":2}],"createdAt":"2024-01-02T03:04:05+01:00"}}`,
+		`{"kind":"meta","meta":{"seq":1},"meta":{"tables":[]}}`, `{"kind":"meta","meta":{"createdAt":"yesterday"}}`,
+		`{"kind":"meta","meta":null}`, `{"kind":"meta","meta":[1]}`,
+		`{"kind":"doc","table":"t","doc":{"_id":"😀 é","n":-0,"a":[1.5e300,true,null]}}`,
+		`{"kind":"end","docs":3}`, `{"kind":"end","docs":3.5}`, `{"kind":"end","Docs":null}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var got, want Record
+		gotErr, wantErr := decodeRecord(payload, &got), json.Unmarshal(payload, &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("record %q: decodeRecord err %v, json.Unmarshal err %v", payload, gotErr, wantErr)
+		}
+		if gotErr == nil && !sameRecordExactly(&got, &want) {
+			t.Fatalf("record %q: decodeRecord %+v, json.Unmarshal %+v", payload, got, want)
+		}
+		var gotSF, wantSF snapFrame
+		gotErr, wantErr = decodeSnapFrame(payload, &gotSF), json.Unmarshal(payload, &wantSF)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("snapshot frame %q: decodeSnapFrame err %v, json.Unmarshal err %v", payload, gotErr, wantErr)
+		}
+		if gotErr == nil && !sameSnapFrame(&gotSF, &wantSF) {
+			t.Fatalf("snapshot frame %q: decodeSnapFrame %+v, json.Unmarshal %+v", payload, gotSF, wantSF)
+		}
+	})
+}
+
+// sameRecordExactly is sameRecord with the documents' fields compared by
+// type as well as value.
+func sameRecordExactly(a, b *Record) bool {
+	return sameRecord(a, b) && sameDoc(a.Doc, b.Doc)
+}
+
+func sameSnapFrame(a, b *snapFrame) bool {
+	if a.Kind != b.Kind || a.Table != b.Table || a.Docs != b.Docs || !sameDoc(a.Doc, b.Doc) {
+		return false
+	}
+	if a.Meta == nil || b.Meta == nil {
+		return a.Meta == b.Meta
+	}
+	return sameMeta(a.Meta, b.Meta)
+}
+
+func sameDoc(a, b *document.Document) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.ID == b.ID && a.Version == b.Version && reflect.DeepEqual(a.Fields, b.Fields)
 }

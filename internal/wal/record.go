@@ -227,8 +227,32 @@ func (fr *frameReader) next(rec *Record) error {
 		return err
 	}
 	*rec = Record{}
-	if err := json.Unmarshal(payload, rec); err != nil {
+	if err := decodeRecord(payload, rec); err != nil {
 		return ErrTorn
 	}
 	return nil
+}
+
+// decodeRecord decodes a record payload in one pass (see bindObject);
+// its document decodes straight into its stored form.
+func decodeRecord(payload []byte, rec *Record) error {
+	return bindObject(payload, func(dec *document.Decoder, key string) error {
+		switch document.FieldName(key, "seq", "kind", "table", "doc", "id", "version", "path") {
+		case "seq":
+			return bindUint64(dec, &rec.Seq)
+		case "kind":
+			return dec.StringField((*string)(&rec.Kind))
+		case "table":
+			return dec.StringField(&rec.Table)
+		case "doc":
+			return dec.DocumentField(&rec.Doc)
+		case "id":
+			return dec.StringField(&rec.ID)
+		case "version":
+			return bindInt64(dec, &rec.Version)
+		case "path":
+			return dec.StringField(&rec.Path)
+		}
+		return dec.Skip()
+	})
 }

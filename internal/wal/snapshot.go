@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -43,6 +42,30 @@ type snapFrame struct {
 	Table string             `json:"table,omitempty"`
 	Doc   *document.Document `json:"doc,omitempty"`
 	Docs  int                `json:"docs,omitempty"` // end frame: expected doc count
+}
+
+// decodeSnapFrame decodes a snapshot frame's payload in one pass (see
+// bindObject); a document frame's document decodes straight into its
+// stored form.
+func decodeSnapFrame(payload []byte, sf *snapFrame) error {
+	return bindObject(payload, func(dec *document.Decoder, key string) error {
+		switch document.FieldName(key, "kind", "meta", "table", "doc", "docs") {
+		case "kind":
+			return dec.StringField((*string)(&sf.Kind))
+		case "meta":
+			return bindMeta(dec, &sf.Meta)
+		case "table":
+			return dec.StringField(&sf.Table)
+		case "doc":
+			return dec.DocumentField(&sf.Doc)
+		case "docs":
+			n := int64(sf.Docs)
+			err := bindInt64(dec, &n)
+			sf.Docs = int(n)
+			return err
+		}
+		return dec.Skip()
+	})
 }
 
 // SnapshotWriter streams a point-in-time snapshot to disk: a
@@ -139,7 +162,7 @@ func ReadSnapshotStream(r io.Reader, onMeta func(SnapshotMeta) error, onDoc func
 			return err
 		}
 		var sf snapFrame
-		if err := json.Unmarshal(payload, &sf); err != nil {
+		if err := decodeSnapFrame(payload, &sf); err != nil {
 			return fmt.Errorf("decoding snapshot frame: %w", err)
 		}
 		switch sf.Kind {
