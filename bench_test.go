@@ -1245,3 +1245,33 @@ func reportGroupCommit(b *testing.B, s *store.Store) {
 		b.ReportMetric(st.WAL.MeanBatch, "records/batch")
 	}
 }
+
+// BenchmarkIndexUpdateSharedValue measures one update of a document whose
+// indexed array shares an element with every other document — a
+// low-cardinality field — at two list lengths: the remove and re-post
+// cost stays flat as the shared posting list grows a hundredfold.
+func BenchmarkIndexUpdateSharedValue(b *testing.B) {
+	for _, n := range []int{200, 20000} {
+		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {
+			f := index.NewField("tags")
+			docs := make([][2]*document.Document, n)
+			for i := range docs {
+				id := fmt.Sprintf("d%05d", i)
+				docs[i] = [2]*document.Document{
+					document.New(id, map[string]any{"tags": []any{"common", "x"}}),
+					document.New(id, map[string]any{"tags": []any{"common", "y"}}),
+				}
+				f.Add(docs[i][0])
+			}
+			order := rand.New(rand.NewSource(1)).Perm(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := &docs[order[i%n]]
+				f.Remove(d[0])
+				f.Add(d[1])
+				d[0], d[1] = d[1], d[0]
+			}
+		})
+	}
+}

@@ -153,6 +153,36 @@ func (r *Router) Delete(table, id string) error {
 	return r.StoreFor(id).Delete(table, id)
 }
 
+// Apply commits writes as one unit per shard: each shard's writes, in
+// their order, through that shard's Store.Apply, which sets their After.
+// Shards commit one after another, so a unit is atomic within its shard
+// only: when a later shard refuses its unit, the earlier shards' units
+// stay committed.
+func (r *Router) Apply(writes []store.Write) error {
+	if len(r.stores) == 1 {
+		return r.stores[0].Apply(writes)
+	}
+	units := make([][]store.Write, len(r.stores))
+	from := make([][]int, len(r.stores)) // from[i][j]: units[i][j]'s index in writes
+	for i := range writes {
+		sh := r.smap.Shard(writes[i].ID)
+		units[sh] = append(units[sh], writes[i])
+		from[sh] = append(from[sh], i)
+	}
+	for sh, unit := range units {
+		if len(unit) == 0 {
+			continue
+		}
+		if err := r.stores[sh].Apply(unit); err != nil {
+			return err
+		}
+		for j := range unit {
+			writes[from[sh][j]].After = unit[j].After
+		}
+	}
+	return nil
+}
+
 // Get reads the document directly from its owning shard.
 func (r *Router) Get(table, id string) (*document.Document, error) {
 	return r.StoreFor(id).Get(table, id)

@@ -1,10 +1,12 @@
 // Package commitlog implements Quaestor's ordered commit pipeline: the
 // single place where committed writes become a change stream.
 //
-// The store decides write order once, in its stamp section: a write takes
-// its Seq and its place in a queue — the WAL's commit queue on durable
-// stores, an outbox on in-memory ones — under one lock, so the queue
-// drains in Seq order by construction and is appended to a Log as is.
+// The store decides write order once, in its stamp section: a unit of
+// writes (one write, or a transaction's) takes its contiguous Seqs and
+// its place in a queue — the WAL's commit queue on durable stores, an
+// outbox on in-memory ones — under one lock, so the queue drains in Seq
+// order by construction and is appended to a Log as is, unit by unit;
+// every subscriber receives a unit inside one delivery batch.
 // Nothing here re-sorts, and nothing waits for a Seq that never commits.
 // The Log retains recent events in one ring and fans them out to any
 // number of subscribers, each with its own delivery pump, so that every
@@ -23,6 +25,7 @@ package commitlog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -140,10 +143,12 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// entry is one ring slot: the event plus its publish time.
+// entry is one ring slot: the event, its publish time and whether it
+// closes its unit (see Append).
 type entry struct {
-	ev Event
-	at time.Time
+	ev  Event
+	at  time.Time
+	end bool
 }
 
 // Log is the ordered fan-out core. Append accepts events in strictly
@@ -203,41 +208,45 @@ func (l *Log) ringFullLocked() bool {
 	return false
 }
 
-// Append publishes a batch of events. The caller must deliver events in
-// strictly increasing Seq order across all Append calls and must not let
-// two calls overlap (a batch can yield the lock mid-way when the ring is
-// full) — the store serializes its appenders on one publish lock. (The
+// Append publishes units of events: each argument is one unit, such as
+// the writes of one transaction, which every subscriber receives inside
+// one delivery batch (see Subscription). The caller must deliver events
+// in strictly increasing Seq order across all Append calls and must not
+// let two calls overlap (a call can yield the lock mid-way when the ring
+// is full) — the store serializes its appenders on one publish lock. (The
 // one exception to increasing Seqs is a snapshot import's diff, whose
 // events share the snapshot floor as their Seq and are flagged
 // Synthetic.) Append blocks only when a subscriber is a full ring behind;
 // on a closed log it is a no-op.
-func (l *Log) Append(events []Event) {
-	if len(events) == 0 {
+func (l *Log) Append(units ...[]Event) {
+	if !slices.ContainsFunc(units, func(u []Event) bool { return len(u) > 0 }) {
 		return
 	}
 	now := l.opts.Clock()
 	l.mu.Lock()
-	for i := range events {
-		for !l.closed && l.ringFullLocked() {
-			// Wake pumps first so a full ring is actually being drained.
-			l.data.Broadcast()
-			l.space.Wait()
+	for _, events := range units {
+		for i := range events {
+			for !l.closed && l.ringFullLocked() {
+				// Wake pumps first so a full ring is actually being drained.
+				l.data.Broadcast()
+				l.space.Wait()
+			}
+			if l.closed {
+				l.mu.Unlock()
+				return
+			}
+			ev := &events[i]
+			slot := l.pos % uint64(len(l.ring))
+			if l.pos >= uint64(len(l.ring)) {
+				// Overwriting the oldest retained event moves the truncation
+				// horizon: floors below it can no longer be served gaplessly.
+				l.truncSeq = l.ring[slot].ev.Seq
+			}
+			l.ring[slot] = entry{ev: *ev, at: now, end: i == len(events)-1}
+			l.pos++
+			l.lastSeq = ev.Seq
+			l.published++
 		}
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		ev := events[i]
-		slot := l.pos % uint64(len(l.ring))
-		if l.pos >= uint64(len(l.ring)) {
-			// Overwriting the oldest retained event moves the truncation
-			// horizon: floors below it can no longer be served gaplessly.
-			l.truncSeq = l.ring[slot].ev.Seq
-		}
-		l.ring[slot] = entry{ev: ev, at: now}
-		l.pos++
-		l.lastSeq = ev.Seq
-		l.published++
 	}
 	l.mu.Unlock()
 	l.data.Broadcast()
@@ -426,7 +435,10 @@ func (l *Log) Stats() Stats {
 // Subscription is one consumer's ordered view of the commit log. Events
 // arrive as batches of contiguous, strictly Seq-ordered events — the
 // delivery shape a log-shipping replica wants — and Flatten adapts the
-// stream to a per-event channel for simpler consumers.
+// stream to a per-event channel for simpler consumers. A batch holds
+// whole units (see Append): up to batchMax events, or one unit that is
+// longer. Only a unit longer than the ring is split, into batches of at
+// most batchMax events, since the ring cannot hold it whole.
 type Subscription struct {
 	log   *Log
 	id    int
@@ -470,15 +482,18 @@ func (s *Subscription) run() {
 	l := s.log
 	for {
 		l.mu.Lock()
-		for s.cursor == l.pos && !l.closed && !s.cancelled {
+		var count uint64
+		for {
+			if s.cancelled || (l.closed && s.cursor == l.pos) {
+				s.exitLocked()
+				return
+			}
+			if count = s.cutLocked(); count > 0 {
+				break
+			}
 			l.data.Wait()
 		}
-		if s.cancelled || (l.closed && s.cursor == l.pos) {
-			s.exitLocked()
-			return
-		}
 		n := uint64(len(l.ring))
-		count := min(l.pos-s.cursor, batchMax)
 		start := s.cursor
 		at := l.ring[start%n].at
 		// The cursor gates the appender (ringFullLocked), so the slots in
@@ -507,6 +522,35 @@ func (s *Subscription) run() {
 		l.mu.Unlock()
 		l.space.Broadcast()
 	}
+}
+
+// cutLocked returns how many events the next batch takes from the
+// cursor: the whole units that fit in batchMax events, else the first
+// unit alone. It returns 0 — wait for more — while the first unit is
+// still being appended, unless the subscriber is a full ring behind (the
+// appender is then waiting on it, so the unit is longer than the ring and
+// goes out in pieces) or the log closed mid-unit. Caller holds log.mu.
+func (s *Subscription) cutLocked() uint64 {
+	l := s.log
+	n := uint64(len(l.ring))
+	avail := l.pos - s.cursor
+	var cut uint64
+	for i := uint64(0); i < avail; i++ {
+		if !l.ring[(s.cursor+i)%n].end {
+			continue
+		}
+		if i >= batchMax && cut > 0 {
+			break
+		}
+		cut = i + 1
+		if cut >= batchMax {
+			break
+		}
+	}
+	if cut == 0 && avail > 0 && (avail >= n || l.closed) {
+		cut = min(avail, batchMax)
+	}
+	return cut
 }
 
 // exitLocked removes the subscription and closes its channels. The

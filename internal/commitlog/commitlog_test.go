@@ -362,3 +362,111 @@ func seqs(evs []Event) []uint64 {
 	}
 	return out
 }
+
+// units appends the units of the given lengths, numbering events from
+// *next on.
+func units(l *Log, next *uint64, lengths ...int) {
+	us := make([][]Event, len(lengths))
+	for i, n := range lengths {
+		for range n {
+			*next++
+			us[i] = append(us[i], ev(*next))
+		}
+	}
+	l.Append(us...)
+}
+
+// collectBatches gathers every batch of sub until its channel closes.
+func collectBatches(sub *Subscription) <-chan [][]Event {
+	out := make(chan [][]Event, 1)
+	go func() {
+		var got [][]Event
+		for b := range sub.Events() {
+			got = append(got, b)
+		}
+		out <- got
+	}()
+	return out
+}
+
+// TestUnitsArriveWhole: a unit — one Append argument — reaches a
+// subscriber inside one batch with contiguous Seqs, also when it is
+// longer than batchMax, and a batch never ends mid-unit.
+func TestUnitsArriveWhole(t *testing.T) {
+	l := NewLog(&Options{Ring: 4096})
+	sub := l.SubscribeTail("s")
+	got := collectBatches(sub)
+	lengths := []int{1, 100, 3, batchMax + 44, 1, 1, 255, 2, 100}
+	var next uint64
+	for i, n := range lengths {
+		if i%3 == 0 {
+			units(l, &next, n) // one unit per call
+		} else {
+			units(l, &next, n, 1) // several units per call
+		}
+	}
+	l.Close()
+	ends := map[uint64]bool{} // Seq of each unit's last event
+	var seq uint64
+	for i, n := range lengths {
+		seq += uint64(n)
+		ends[seq] = true
+		if i%3 != 0 {
+			seq++
+			ends[seq] = true
+		}
+	}
+	var want uint64 = 1
+	for _, b := range <-got {
+		if len(b) > batchMax && slices.ContainsFunc(b[:len(b)-1], func(e Event) bool { return ends[e.Seq] }) {
+			t.Errorf("batch of %d events (seqs %d..%d) is longer than %d but not one unit", len(b), b[0].Seq, b[len(b)-1].Seq, batchMax)
+		}
+		if !ends[b[len(b)-1].Seq] {
+			t.Errorf("batch ends at seq %d, inside a unit", b[len(b)-1].Seq)
+		}
+		for _, e := range b {
+			if e.Seq != want {
+				t.Fatalf("seq %d, want %d", e.Seq, want)
+			}
+			want++
+		}
+	}
+	if want != seq+1 {
+		t.Fatalf("delivered through seq %d, want %d", want-1, seq)
+	}
+}
+
+// TestUnitLongerThanRing: a unit the ring cannot hold whole goes out in
+// pieces instead of stalling its appender, to a subscriber that is
+// caught up and to one that is a full ring behind.
+func TestUnitLongerThanRing(t *testing.T) {
+	l := NewLog(&Options{Ring: 8})
+	a, b := l.SubscribeTail("a"), l.SubscribeTail("b")
+	gotA, gotB := collectBatches(a), collectBatches(b)
+	var next uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		units(l, &next, 3, 50, 2, 9, 1)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("appending a unit longer than the ring stalled")
+	}
+	l.Close()
+	for name, got := range map[string]<-chan [][]Event{"a": gotA, "b": gotB} {
+		var all []Event
+		for _, batch := range <-got {
+			all = append(all, batch...)
+		}
+		if len(all) != 65 {
+			t.Fatalf("%s received %d events, want 65", name, len(all))
+		}
+		for i, e := range all {
+			if e.Seq != uint64(i+1) {
+				t.Fatalf("%s: event %d has seq %d", name, i, e.Seq)
+			}
+		}
+	}
+}

@@ -282,6 +282,28 @@ func (e *EBF) ReportWrite(key string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.expireLocked(now)
+	return e.reportWriteLocked(now, key)
+}
+
+// ReportWrites is ReportWrite for the written keys of one unit at time
+// now — a reading of the filter's clock — under one lock acquisition and
+// one expiry pass. It appends to flagged the position in keys of each key
+// it flagged (base is keys[0]'s position) and returns it.
+func (e *EBF) ReportWrites(now time.Time, keys []string, base int, flagged []int) []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.expireLocked(now)
+	for i, key := range keys {
+		if e.reportWriteLocked(now, key) {
+			flagged = append(flagged, base+i)
+		}
+	}
+	return flagged
+}
+
+// reportWriteLocked is ReportWrite after the expiry pass. Caller holds
+// e.mu.
+func (e *EBF) reportWriteLocked(now time.Time, key string) bool {
 	until, ok := e.exp[key]
 	if !ok || !until.After(now) {
 		e.stats.IgnoredWrites++

@@ -26,6 +26,7 @@
 package index
 
 import (
+	"slices"
 	"sort"
 
 	"quaestor/internal/document"
@@ -56,13 +57,74 @@ type entry struct {
 	// whole holds ids whose field deep-equals val, which is a scalar or
 	// the empty array; elem holds ids whose non-empty array field contains
 	// val. They are kept apart because range scans must see only whole
-	// values and containment probes only elements. Each map is allocated
-	// by the first posting of its kind: most entries only ever get one.
-	whole map[string]struct{}
-	elem  map[string]struct{}
+	// values and containment probes only elements. A document is posted
+	// one way or the other, never both. Each list is allocated by the
+	// first posting of its kind: most entries only ever get one. A
+	// posting appends; a removal moves the list's last id into the hole.
+	whole, elem []string
+	// pos gives each id's position in whichever list holds it, once the
+	// entry holds more than posAt ids, so that removing from a long list
+	// — a low-cardinality field's — costs O(1), not a scan.
+	pos map[string]int32
 }
 
+// posAt is the entry size past which an entry keeps pos.
+const posAt = 32
+
 func (e *entry) empty() bool { return len(e.whole) == 0 && len(e.elem) == 0 }
+
+// post appends id to one of e's lists — unless it already ends it: the
+// element postings of one document's array are made in a row, so a
+// repeated element posts once.
+func (e *entry) post(list *[]string, id string) {
+	if n := len(*list); n > 0 && (*list)[n-1] == id {
+		return
+	}
+	if e.pos != nil {
+		e.pos[id] = int32(len(*list))
+	}
+	*list = append(*list, id)
+	if e.pos == nil && len(e.whole)+len(e.elem) > posAt {
+		e.pos = make(map[string]int32, 2*posAt)
+		for _, l := range [][]string{e.whole, e.elem} {
+			for i, x := range l {
+				e.pos[x] = int32(i)
+			}
+		}
+	}
+}
+
+// unpost removes id from one of e's lists; an id it does not hold (a
+// repeated element's second removal) is a no-op.
+func (e *entry) unpost(list *[]string, id string) {
+	l := *list
+	i := -1
+	if e.pos != nil {
+		if at, ok := e.pos[id]; ok && int(at) < len(l) && l[at] == id {
+			i = int(at)
+			delete(e.pos, id)
+		}
+	} else {
+		for j, x := range l {
+			if x == id {
+				i = j
+				break
+			}
+		}
+	}
+	if i < 0 {
+		return
+	}
+	last := len(l) - 1
+	if i != last {
+		l[i] = l[last]
+		if e.pos != nil {
+			e.pos[l[i]] = int32(i)
+		}
+	}
+	l[last] = ""
+	*list = l[:last]
+}
 
 // Bound is one end of a range scan.
 type Bound struct {
@@ -114,19 +176,13 @@ func (f *Field) Add(doc *document.Document) {
 	f.docs++
 	if arr, isArr := v.([]any); isArr && len(arr) > 0 {
 		for _, el := range arr {
-			post(&f.entryFor(el).elem, doc.ID)
+			e := f.entryFor(el)
+			e.post(&e.elem, doc.ID)
 		}
 		return
 	}
-	post(&f.entryFor(v).whole, doc.ID)
-}
-
-// post adds id to a posting map, allocating the map on its first posting.
-func post(postings *map[string]struct{}, id string) {
-	if *postings == nil {
-		*postings = map[string]struct{}{}
-	}
-	(*postings)[id] = struct{}{}
+	e := f.entryFor(v)
+	e.post(&e.whole, doc.ID)
 }
 
 // Remove drops the document's postings. It must be called with the same
@@ -176,9 +232,9 @@ func (f *Field) dropPosting(val any, id string, elem bool) {
 		return
 	}
 	if elem {
-		delete(e.elem, id)
+		e.unpost(&e.elem, id)
 	} else {
-		delete(e.whole, id)
+		e.unpost(&e.whole, id)
 	}
 	if e.empty() {
 		delete(f.byKey, e.key)
@@ -212,7 +268,9 @@ func (f *Field) searchEntry(val any, key string) int {
 // an array value never matches by membership. A non-empty array value gets
 // the element postings of its first element: every document whose field
 // deep-equals the array carries that element, and the caller's residual
-// re-check drops the rest.
+// re-check drops the rest. Probes hand out the index's own list where one
+// list answers (read-only, valid until the next write: the caller holds
+// the table's read lock) and copy only to join two.
 func (f *Field) ProbeEq(value any) []string {
 	arr, isArr := value.([]any)
 	if isArr && len(arr) > 0 {
@@ -222,32 +280,26 @@ func (f *Field) ProbeEq(value any) []string {
 	if !ok {
 		return nil
 	}
-	ids := make([]string, 0, len(e.whole)+len(e.elem))
-	for id := range e.whole {
-		ids = append(ids, id)
+	switch {
+	case isArr || len(e.elem) == 0:
+		return slices.Clip(e.whole)
+	case len(e.whole) == 0:
+		return slices.Clip(e.elem)
 	}
-	if !isArr {
-		// A document is posted whole or by its elements, never both, so
-		// the two sets are disjoint.
-		for id := range e.elem {
-			ids = append(ids, id)
-		}
-	}
-	return ids
+	// A document is posted whole or by its elements, never both, so the
+	// two lists are disjoint.
+	return slices.Concat(e.whole, e.elem)
 }
 
 // ProbeContains returns candidate ids for {path: {$contains: value}}:
-// documents whose array field has value as an element.
+// documents whose array field has value as an element. The list is the
+// index's own, as for ProbeEq.
 func (f *Field) ProbeContains(value any) []string {
 	e, ok := f.byKey[document.MatchKey(value)]
 	if !ok {
 		return nil
 	}
-	ids := make([]string, 0, len(e.elem))
-	for id := range e.elem {
-		ids = append(ids, id)
-	}
-	return ids
+	return slices.Clip(e.elem)
 }
 
 // typeClass groups values the way the range operators' comparability guard
@@ -280,9 +332,7 @@ func classOf(v any) typeClass {
 func (f *Field) RangeScan(lo, hi Bound) []string {
 	var ids []string
 	f.scanRange(lo, hi, func(e *entry) {
-		for id := range e.whole {
-			ids = append(ids, id)
-		}
+		ids = append(ids, e.whole...)
 	})
 	return ids
 }
@@ -367,9 +417,7 @@ func (f *Field) RangeRuns(lo, hi Bound, desc bool, visit func(ids []string) bool
 		}
 		ids := make([]string, 0, n)
 		for _, e := range run {
-			for id := range e.whole {
-				ids = append(ids, id)
-			}
+			ids = append(ids, e.whole...)
 		}
 		sort.Strings(ids)
 		return visit(ids)

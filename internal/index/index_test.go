@@ -366,3 +366,62 @@ func TestValueKeys(t *testing.T) {
 		t.Fatalf("scalar must have no element keys, got %v", elems)
 	}
 }
+
+// TestRepeatedElementPostsOnce: an array that repeats an element posts
+// the document under it once, and removing the document removes it.
+func TestRepeatedElementPostsOnce(t *testing.T) {
+	f := NewField("tags")
+	d := doc("d", map[string]any{"tags": []any{"a", "b", "a", "a"}})
+	f.Add(d)
+	f.Add(doc("e", map[string]any{"tags": []any{"a"}}))
+	wantIDs(t, f.ProbeContains("a"), "d", "e")
+	wantIDs(t, f.ProbeEq("a"), "d", "e")
+	f.Remove(d)
+	wantIDs(t, f.ProbeContains("a"), "e")
+	wantIDs(t, f.ProbeContains("b"))
+	if st := f.Stats(); st.Docs != 1 || st.Distinct != 1 {
+		t.Fatalf("stats after removal = %+v, want 1 document under 1 value", st)
+	}
+}
+
+// TestSharedPostingListUpdates: 20 000 documents share one value, as a
+// low-cardinality field's do. Its entry keeps each id's position, so an
+// update of any of them removes and re-posts in O(1), not by a scan of
+// the list; after every document is updated in a shuffled order (some
+// repeating the shared element) the postings are exact.
+func TestSharedPostingListUpdates(t *testing.T) {
+	const n = 20000
+	f := NewField("tags")
+	docs := make([]*document.Document, n)
+	ids := make([]string, n)
+	for i := range docs {
+		ids[i] = fmt.Sprintf("d%05d", i)
+		docs[i] = doc(ids[i], map[string]any{"tags": []any{"common", fmt.Sprintf("t%d", i%7)}})
+		f.Add(docs[i])
+	}
+	e := f.byKey[document.MatchKey("common")]
+	if e == nil || e.pos == nil {
+		t.Fatal("an entry of 20 000 ids keeps no positions")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, i := range rng.Perm(n) {
+		tags := []any{"common", fmt.Sprintf("u%d", i%5)}
+		if i%3 == 0 {
+			tags = append(tags, "common")
+		}
+		next := doc(ids[i], map[string]any{"tags": tags})
+		f.Remove(docs[i])
+		f.Add(next)
+		docs[i] = next
+	}
+	wantIDs(t, f.ProbeContains("common"), ids...)
+	wantIDs(t, f.ProbeContains("t3"))
+	for i, id := range e.elem {
+		if int(e.pos[id]) != i {
+			t.Fatalf("%s sits at %d, its position says %d", id, i, e.pos[id])
+		}
+	}
+	if len(e.pos) != n {
+		t.Fatalf("%d positions for %d ids", len(e.pos), n)
+	}
+}

@@ -28,7 +28,6 @@ package invalidb
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,8 +199,11 @@ type Cluster struct {
 	out  chan Notification
 	done chan struct{}
 
-	mu        sync.Mutex
-	active    map[string]*activeQuery // by query key
+	mu     sync.Mutex
+	active map[string]*activeQuery // by query key
+	// queries is len(active), for the attached-store pumps to read
+	// without mu.
+	queries   atomic.Int64
 	attached  []*attachedStore
 	stopped   bool
 	wg        sync.WaitGroup
@@ -256,11 +258,15 @@ func NewCluster(cfg *Config) *Cluster {
 	return c
 }
 
-// hash32 routes strings to partitions.
+// hash32 routes strings to partitions: 32-bit FNV-1a, computed in place
+// (the ingest pump hashes every event's id).
 func hash32(s string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return h.Sum32()
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
 }
 
 func (c *Cluster) queryColumn(queryKey string) int {
@@ -324,6 +330,7 @@ func (c *Cluster) Activate(reg Registration) error {
 	}
 	col := c.queryColumn(key)
 	c.active[key] = &activeQuery{q: reg.Query, mask: reg.Mask, col: col}
+	c.queries.Store(int64(len(c.active)))
 	c.mu.Unlock()
 
 	// Install order state first so windowed events produced by replay have
@@ -356,14 +363,16 @@ func (c *Cluster) Activate(reg Registration) error {
 	// are already reflected in InitialMatches. Floors are per row: in a
 	// sharded deployment each row follows one shard's independent Seq
 	// space, so a single global floor would over- or under-replay.
+	var replay []store.ChangeEvent
 	for _, ev := range reg.Replay {
 		if ev.After == nil {
 			continue // sequenced DDL: no document to match
 		}
 		if ev.Seq > rowAsOf(c.objectRow(ev.After.ID)) {
-			c.Ingest(ev)
+			replay = append(replay, ev)
 		}
 	}
+	c.ingest(replay)
 	return nil
 }
 
@@ -376,6 +385,7 @@ func (c *Cluster) Deactivate(queryKey string) error {
 		return ErrNotRegistered
 	}
 	delete(c.active, queryKey)
+	c.queries.Store(int64(len(c.active)))
 	stopped := c.stopped
 	c.mu.Unlock()
 	if stopped {
@@ -390,25 +400,82 @@ func (c *Cluster) Deactivate(queryKey string) error {
 	return nil
 }
 
-// Ingest feeds one change event into the matching grid: it fans the
-// event out to every cell of its object-partition row. Callers that need
+// Ingest feeds one change event into the matching grid: it sends the
+// event to every cell of its object-partition row. Callers that need
 // end-to-end ordering must call Ingest from a single goroutine consuming
-// an ordered stream (AttachStore does); the routing-by-document-id
-// ingestion layer that used to reconstruct per-record order here is gone
-// now that the store's commit pipeline delivers events in strict global
-// Seq order.
+// an ordered stream; the routing-by-document-id ingestion layer that used
+// to reconstruct per-record order here is gone now that the store's
+// commit pipeline delivers events in strict global Seq order.
 func (c *Cluster) Ingest(ev store.ChangeEvent) {
-	if ev.After == nil {
-		return // sequenced DDL rides the stream but carries no document
-	}
-	c.ingested.Add(1)
-	row := c.objectRow(ev.After.ID)
-	for _, n := range c.nodes[row] {
-		c.inflight.Add(1)
-		if !c.sendMsg(n, nodeMsg{event: &ev}) {
-			c.inflight.Add(-1)
+	c.ingest([]store.ChangeEvent{ev})
+}
+
+// ingest feeds a batch of change events into the matching grid: every
+// cell of a row gets the batch's events of that row in one message, in
+// order. Sequenced DDL rides the stream but carries no document; the
+// cells skip it. The cells read events concurrently, so nothing may
+// write them afterwards.
+func (c *Cluster) ingest(events []store.ChangeEvent) {
+	for row, evs := range c.rowsOf(events) {
+		if len(evs) == 0 {
+			continue
+		}
+		for _, n := range c.nodes[row] {
+			c.inflight.Add(1)
+			if !c.sendMsg(n, nodeMsg{events: evs}) {
+				c.inflight.Add(-1)
+			}
 		}
 	}
+}
+
+// rowsOf counts the batch's document events as ingested and groups them
+// by object row, in order. When they all fall in one row — always with
+// one row, and with a shard map's placement, where a row follows one
+// shard's stream — that row gets the batch itself, uncopied. While no
+// query is registered it groups nothing: no cell holds a query to match
+// against, and a query activated later reflects these events in its
+// initial evaluation or replays them from the commit log's ring, like
+// every event before its activation.
+func (c *Cluster) rowsOf(events []store.ChangeEvent) [][]store.ChangeEvent {
+	docs := 0
+	for i := range events {
+		if events[i].After != nil {
+			docs++
+		}
+	}
+	c.ingested.Add(uint64(docs))
+	if docs == 0 || c.queries.Load() == 0 {
+		return nil
+	}
+	counts := make([]int, c.cfg.ObjectPartitions)
+	first := -1
+	for i := range events {
+		if events[i].After != nil {
+			row := c.objectRow(events[i].After.ID)
+			if first < 0 {
+				first = row
+			}
+			counts[row]++
+		}
+	}
+	rows := make([][]store.ChangeEvent, c.cfg.ObjectPartitions)
+	if counts[first] == docs {
+		rows[first] = events
+		return rows
+	}
+	for row, n := range counts {
+		if n > 0 {
+			rows[row] = make([]store.ChangeEvent, 0, n)
+		}
+	}
+	for i := range events {
+		if events[i].After != nil {
+			row := c.objectRow(events[i].After.ID)
+			rows[row] = append(rows[row], events[i])
+		}
+	}
+	return rows
 }
 
 // attachedStore tracks pump progress for one subscribed store so Quiesce
@@ -418,16 +485,17 @@ type attachedStore struct {
 	pumped atomic.Uint64
 }
 
-// AttachStore pumps a store's ordered change stream into the cluster
-// until the store closes or the cluster stops. It returns a cancel
-// function. The pump asserts the commit pipeline's contract — strictly
-// increasing Seq — and counts violations in OrderViolations. Synthetic
+// AttachStore pumps a store's ordered change stream into the cluster, a
+// delivered batch (one or more whole units) at a time, until the store
+// closes or the cluster stops. It returns a cancel function. The pump
+// asserts the commit pipeline's contract — strictly increasing Seq — and
+// counts violations in OrderViolations. Synthetic
 // events (a snapshot import's old-vs-imported diff) are exempt: they
 // share the snapshot floor as their Seq by design, so a floor-sequenced
 // run is not disorder — the batch as a whole still lands between the
 // pre-import tail and the first post-import event.
 func (c *Cluster) AttachStore(s *store.Store) func() {
-	ch, cancel := s.SubscribeNamed("invalidb")
+	sub := s.SubscribeTail("invalidb")
 	att := &attachedStore{st: s}
 	c.mu.Lock()
 	c.attached = append(c.attached, att)
@@ -436,19 +504,22 @@ func (c *Cluster) AttachStore(s *store.Store) func() {
 	go func() {
 		defer close(done)
 		var last uint64
-		for ev := range ch {
-			if ev.Seq <= last && !ev.Synthetic {
-				c.disorder.Add(1)
+		// Each delivered batch is the subscription's own: the cells share
+		// it read-only.
+		for batch := range sub.Events() {
+			for i := range batch {
+				if seq := batch[i].Seq; seq <= last && !batch[i].Synthetic {
+					c.disorder.Add(1)
+				} else if seq > last {
+					last = seq
+				}
 			}
-			if ev.Seq > last {
-				last = ev.Seq
-			}
-			c.Ingest(ev)
+			c.ingest(batch)
 			att.pumped.Store(last)
 		}
 	}()
 	return func() {
-		cancel()
+		sub.Cancel()
 		<-done
 		c.mu.Lock()
 		for i, a := range c.attached {

@@ -3,6 +3,7 @@ package invalidb
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"sync"
 	"testing"
@@ -399,5 +400,16 @@ func TestDifferentTablesDoNotCrossMatch(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	if evs := col.snapshot(); len(evs) != 0 {
 		t.Errorf("query matched a different table: %v", evs)
+	}
+}
+
+// TestHash32IsFNV1a pins partition routing to hash/fnv's 32-bit FNV-1a.
+func TestHash32IsFNV1a(t *testing.T) {
+	for _, s := range []string{"", "a", "doc-00042", "q:posts/{\"tags\":{\"$contains\":\"x\"}}", "ü/ß"} {
+		h := fnv.New32a()
+		h.Write([]byte(s))
+		if got, want := hash32(s), h.Sum32(); got != want {
+			t.Errorf("hash32(%q) = %#x, want %#x", s, got, want)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // nodeMsg is the union message type consumed by a matching task: exactly
 // one field is set.
 type nodeMsg struct {
-	event      *store.ChangeEvent
+	events     []store.ChangeEvent // read-only, shared with the row's other cells
 	activate   *nodeActivation
 	deactivate string
 }
@@ -58,6 +58,8 @@ type matchNode struct {
 	// result drop a document even when the after-image no longer carries
 	// the query's posting).
 	matchedBy map[string]map[string]*nodeQuery
+	// cands is match's candidate set, reused from event to event.
+	cands map[string]*nodeQuery
 }
 
 func newMatchNode(c *Cluster, row, col, buffer int) *matchNode {
@@ -68,6 +70,7 @@ func newMatchNode(c *Cluster, row, col, buffer int) *matchNode {
 		in:        make(chan nodeMsg, buffer),
 		queries:   map[string]*nodeQuery{},
 		matchedBy: map[string]map[string]*nodeQuery{},
+		cands:     map[string]*nodeQuery{},
 	}
 	if !c.cfg.DisableQueryIndex {
 		n.qidx = newQueryIndex()
@@ -89,8 +92,12 @@ func (n *matchNode) run(wg *sync.WaitGroup) {
 
 func (n *matchNode) handle(m nodeMsg) {
 	switch {
-	case m.event != nil:
-		n.match(*m.event)
+	case m.events != nil:
+		for i := range m.events {
+			if m.events[i].After != nil {
+				n.match(&m.events[i])
+			}
+		}
 		n.cluster.inflight.Add(-1)
 	case m.activate != nil:
 		key := m.activate.q.Key()
@@ -156,22 +163,26 @@ func (n *matchNode) clearMatched(docID, key string) {
 // covering every possible was-match — and (c) residual queries with no
 // derivable posting. Any query outside that union can produce neither
 // transition nor change, so skipping it is exact, not approximate.
-func (n *matchNode) match(ev store.ChangeEvent) {
+func (n *matchNode) match(ev *store.ChangeEvent) {
+	if len(n.queries) == 0 {
+		return
+	}
 	docID := ev.After.ID
 	if n.qidx == nil {
 		for key, nq := range n.queries {
-			n.matchOne(key, nq, &ev, docID)
+			n.matchOne(key, nq, ev, docID)
 		}
 		return
 	}
-	cands := make(map[string]*nodeQuery, 1+len(n.qidx.residual))
-	n.qidx.collect(&ev, cands)
+	cands := n.cands
+	n.qidx.collect(ev, cands)
 	for key, nq := range n.matchedBy[docID] {
 		cands[key] = nq
 	}
 	for key, nq := range cands {
-		n.matchOne(key, nq, &ev, docID)
+		n.matchOne(key, nq, ev, docID)
 	}
+	clear(cands)
 }
 
 func (n *matchNode) matchOne(key string, nq *nodeQuery, ev *store.ChangeEvent, docID string) {

@@ -149,6 +149,19 @@ func waitConverged(t *testing.T, repl *replication.Replica, p *store.Store, time
 	}
 }
 
+// waitPublished waits until st's commit log has published every write
+// st acknowledged: the fan-out ring then holds what a test counted on.
+func waitPublished(t *testing.T, st *store.Store, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for st.PipelineStats().Stream.LastSeq < st.LastSeq() {
+		if time.Now().After(deadline) {
+			t.Fatalf("commit log published through %d, store at %d", st.PipelineStats().Stream.LastSeq, st.LastSeq())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // assertStateEqual requires the replica's state to be byte-equal to the
 // primary's: documents, versions, index definitions, and LastSeq.
 func assertStateEqual(t *testing.T, p, r *store.Store) {
@@ -470,6 +483,10 @@ func TestReplicaRejoinPastRingRebootstraps(t *testing.T) {
 		return st.WAL.Segments
 	}
 	before := segments()
+	// Under FsyncNever an acknowledged put is only queued for the WAL
+	// committer, whose hook publishes it: the premise that seq 101 left the
+	// ring holds once the commit log has published the store's last write.
+	waitPublished(t, p.db, 15*time.Second)
 
 	// Rejoin: same store, new replication loop.
 	repl2 := replication.New(replication.Options{

@@ -427,8 +427,12 @@ func (s *Server) recordPlan(plan query.Plan) {
 // RecordKey is the EBF/cache key of a record.
 func RecordKey(table, id string) string { return table + "/" + id }
 
-// RecordPath is the REST resource path of a record.
-func RecordPath(table, id string) string { return "/v1/db/" + table + "/" + id }
+// RecordPath is the REST resource path of a record: recordPrefix followed
+// by its RecordKey.
+func RecordPath(table, id string) string { return recordPrefix + table + "/" + id }
+
+// recordPrefix is what a record's RecordPath puts before its RecordKey.
+const recordPrefix = "/v1/db/"
 
 // EBFSnapshot returns the current aggregated filter for piggybacking.
 func (s *Server) EBFSnapshot() ebf.Snapshot {
@@ -696,7 +700,7 @@ func (s *Server) Insert(table string, doc *document.Document) error {
 	if err := s.router.Insert(table, doc); err != nil {
 		return err
 	}
-	s.afterWrite(table, doc.ID)
+	s.afterWrites(RecordKey(table, doc.ID))
 	return nil
 }
 
@@ -707,15 +711,10 @@ func (s *Server) Put(table string, doc *document.Document) error {
 	if err := s.validateDoc(table, doc); err != nil {
 		return err
 	}
-	return s.putValidated(table, doc)
-}
-
-// putValidated is Put for a document the table's schema already accepted.
-func (s *Server) putValidated(table string, doc *document.Document) error {
 	if err := s.router.Put(table, doc); err != nil {
 		return err
 	}
-	s.afterWrite(table, doc.ID)
+	s.afterWrites(RecordKey(table, doc.ID))
 	return nil
 }
 
@@ -725,7 +724,7 @@ func (s *Server) Update(table, id string, spec store.UpdateSpec) (*document.Docu
 	if err != nil {
 		return nil, err
 	}
-	s.afterWrite(table, id)
+	s.afterWrites(RecordKey(table, id))
 	return doc, nil
 }
 
@@ -734,50 +733,64 @@ func (s *Server) Delete(table, id string) error {
 	if err := s.router.Delete(table, id); err != nil {
 		return err
 	}
-	s.afterWrite(table, id)
+	s.afterWrites(RecordKey(table, id))
 	return nil
 }
 
-// afterWrite samples the write rate and invalidates the record's own cache
-// entries. Query-level invalidation arrives asynchronously from InvaliDB.
-func (s *Server) afterWrite(table, id string) {
-	s.writes.Add(1)
-	key := RecordKey(table, id)
-	s.est.ObserveWrite(key)
-	if s.coh.ReportWrite(key) {
-		s.schedulePurge(RecordPath(table, id))
+// afterWrites samples the write rates of written records and invalidates
+// their own cache entries, reading the clock once for all of them.
+// Query-level invalidation arrives asynchronously from InvaliDB.
+func (s *Server) afterWrites(keys ...string) {
+	s.writes.Add(uint64(len(keys)))
+	s.observeWrites(keys)
+}
+
+// observeWrites is the bookkeeping every write to a record takes, whether
+// it arrives over HTTP or through replication: the TTL estimator's write
+// rate, the EBF flag (and the purge of invalidation-based caches when the
+// record may still be cached) and the EBF generation stamp. It takes each
+// lock once for all keys and reads the clock once, so the estimator and
+// the EBF see the server's Clock (their own default).
+func (s *Server) observeWrites(keys []string) {
+	if len(keys) == 0 {
+		return
 	}
-	s.ebfGen.Store(s.opts.Clock().UnixNano())
+	now := s.opts.Clock()
+	s.est.ObserveWrites(now, keys)
+	for _, i := range s.coh.ReportWrites(now, keys) {
+		s.schedulePurge(recordPrefix + keys[i]) // the record's RecordPath
+	}
+	s.ebfGen.Store(now.UnixNano())
 }
 
 // followCoherence subscribes to one store's ordered change stream and
 // feeds every replicated write into the TTL estimator and the EBF — the
-// same bookkeeping afterWrite does on the HTTP write path, which a
-// replica's writes never take (they arrive through replication). This is
-// what makes replica-served Cache-Control TTLs hot/cold-aware and the
-// replica's piggybacked EBF coherent. After a promote the HTTP write
-// path and this pump both observe a write; the double-counted write rate
-// only shortens TTL estimates, the conservative direction.
+// same bookkeeping afterWrites does on the HTTP write path, which a
+// replica's writes never take (they arrive through replication), once per
+// delivered batch. This is what makes replica-served Cache-Control TTLs
+// hot/cold-aware and the replica's piggybacked EBF coherent. After a
+// promote the HTTP write path and this pump both observe a write; the
+// double-counted write rate only shortens TTL estimates, the conservative
+// direction.
 func (s *Server) followCoherence(st *store.Store, name string) {
-	ch, cancel := st.SubscribeNamed(name)
+	sub := st.SubscribeTail(name)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for ev := range ch {
-			if ev.After == nil {
-				continue // DDL events carry no record key
+		var keys []string
+		for batch := range sub.Events() {
+			keys = keys[:0]
+			for i := range batch {
+				if batch[i].After != nil { // DDL events carry no record key
+					keys = append(keys, batch[i].Key())
+				}
 			}
-			key := ev.Key()
-			s.est.ObserveWrite(key)
-			if s.coh.ReportWrite(key) {
-				s.schedulePurge(RecordPath(ev.Table, ev.After.ID))
-			}
-			s.ebfGen.Store(s.opts.Clock().UnixNano())
-			s.replWrites.Add(1)
+			s.observeWrites(keys)
+			s.replWrites.Add(uint64(len(keys)))
 		}
 	}()
 	s.mu.Lock()
-	s.cohCancels = append(s.cohCancels, func() { cancel(); <-done })
+	s.cohCancels = append(s.cohCancels, func() { sub.Cancel(); <-done })
 	s.mu.Unlock()
 }
 

@@ -51,16 +51,44 @@ type TxnResult struct {
 	Conflicts []string `json:"conflicts,omitempty"`
 }
 
-// Commit validates and applies a transaction. On success every buffered
-// write is applied (each triggering normal record- and query-level
-// invalidation); on conflict nothing is applied and the conflicting keys
-// are reported so clients can retry. A write the server would refuse on
-// its own refuses the whole transaction before anything is written (see
-// dryRun). What can still leave a partial commit is an error while
-// writing, such as a storage failure or a put into a table that does not
-// exist, or a non-transactional write that changes a record between the
-// dry run and the apply so that a patch no longer fits it.
+// Commit validates and applies a transaction. On conflict nothing is
+// applied and the conflicting keys are reported so clients can retry. A
+// write the server would refuse on its own refuses the whole transaction
+// before anything is written (see dryRun). Otherwise the writes commit
+// through cluster.Router.Apply as one unit per shard, and within a shard
+// that unit is what everything downstream sees as one: a reader (a record
+// read, a query, an SSE feed) observes all of it or none of it, its
+// events take contiguous Seqs and reach every commit-log subscriber —
+// InvaliDB, replicas — in one batch, and on a durable store its records
+// go to the WAL as one group (one write call, one fsync, one Wait). A
+// unit the store refuses at apply time (a non-transactional write
+// changed a record after the dry run so that a patch no longer fits it)
+// leaves its shard untouched. What is not one unit: a transaction across
+// shards commits shard by shard, so a refusal on a later shard leaves the
+// earlier shards' writes in place; and a crash can leave a prefix of a
+// unit in the WAL, which recovery replays record by record (there is no
+// commit marker yet). Record-level invalidation, the TTL estimator's
+// write rates and the EBF are fed once per transaction, after txnMu is
+// released; query-level invalidation arrives from InvaliDB.
 func (s *Server) Commit(req TxnRequest) (TxnResult, error) {
+	res, writes, err := s.commit(req)
+	if err != nil || !res.Committed {
+		return res, err
+	}
+	keys := make([]string, 0, len(writes))
+	for i := range writes {
+		if writes[i].After != nil { // a delete that found nothing wrote nothing
+			keys = append(keys, RecordKey(writes[i].Table, writes[i].ID))
+		}
+	}
+	s.afterWrites(keys...)
+	return res, nil
+}
+
+// commit is Commit's serialized part: it validates the read set, dry-runs
+// the writes and applies them under txnMu. A committed transaction comes
+// back with its applied writes.
+func (s *Server) commit(req TxnRequest) (TxnResult, []store.Write, error) {
 	s.txnMu.Lock()
 	defer s.txnMu.Unlock()
 
@@ -68,7 +96,7 @@ func (s *Server) Commit(req TxnRequest) (TxnResult, error) {
 	for key, readVersion := range req.Reads {
 		table, id, ok := SplitRecordKey(key)
 		if !ok {
-			return TxnResult{}, fmt.Errorf("server: malformed read-set key %q", key)
+			return TxnResult{}, nil, fmt.Errorf("server: malformed read-set key %q", key)
 		}
 		// Routed per record: validation reads hit the owning shard. The
 		// process-wide txnMu still excludes concurrent commits, so BOCC
@@ -80,7 +108,7 @@ func (s *Server) Commit(req TxnRequest) (TxnResult, error) {
 				conflicts = append(conflicts, key) // read something now deleted
 			}
 		case err != nil:
-			return TxnResult{}, err
+			return TxnResult{}, nil, err
 		case doc.Version != readVersion:
 			conflicts = append(conflicts, key)
 		}
@@ -88,29 +116,27 @@ func (s *Server) Commit(req TxnRequest) (TxnResult, error) {
 	// Writes to records the transaction also read are already covered; a
 	// write-write race with a concurrent commit is excluded by txnMu.
 	if len(conflicts) > 0 {
-		return TxnResult{Conflicts: conflicts}, nil
+		return TxnResult{Conflicts: conflicts}, nil, nil
 	}
 	if err := s.dryRun(req.Writes); err != nil {
-		return TxnResult{}, err
+		return TxnResult{}, nil, err
 	}
-	for _, w := range req.Writes {
-		var err error
+	writes := make([]store.Write, len(req.Writes))
+	for i, w := range req.Writes {
+		writes[i] = store.Write{Table: w.Table, ID: w.ID}
 		switch w.Op {
 		case "put":
-			err = s.putValidated(w.Table, w.Doc)
+			writes[i].Kind, writes[i].Doc = store.WritePut, w.Doc
 		case "patch":
-			_, err = s.Update(w.Table, w.ID, *w.Spec)
+			writes[i].Kind, writes[i].Spec = store.WriteUpdate, *w.Spec
 		case "delete":
-			err = s.Delete(w.Table, w.ID)
-			if errors.Is(err, store.ErrNotFound) {
-				err = nil // deleting an absent record is a no-op inside a txn
-			}
-		}
-		if err != nil {
-			return TxnResult{}, fmt.Errorf("server: applying %s %s/%s: %w", w.Op, w.Table, w.ID, err)
+			writes[i].Kind = store.WriteDelete // of an absent record: a no-op
 		}
 	}
-	return TxnResult{Committed: true}, nil
+	if err := s.router.Apply(writes); err != nil {
+		return TxnResult{}, nil, fmt.Errorf("server: applying transaction: %w", err)
+	}
+	return TxnResult{Committed: true}, writes, nil
 }
 
 // dryRun refuses, before anything is written, every write the server

@@ -184,21 +184,23 @@ func (s *Store) recover() error {
 	// post-commit hook feeds it, so events hit the change stream only
 	// after their record is written (never for one the log rejected), in
 	// the commit queue's order — which the stamp section made Seq order.
-	// The hook's event buffer is committer-owned scratch (Append copies).
+	// Each payload is one unit's events (see encode); the hook's unit list
+	// is committer-owned scratch (Append copies the events).
 	s.openPipeline(lastSeq)
-	var hookEvents []ChangeEvent
+	var hookUnits [][]ChangeEvent
 	l, err := wal.Open(walDir, &wal.Options{
 		Fsync:         s.opts.Durability.Fsync,
 		FsyncInterval: s.opts.Durability.FsyncInterval,
 		SegmentBytes:  s.opts.Durability.SegmentBytes,
 		OnCommit: func(payloads []any) {
-			hookEvents = hookEvents[:0]
+			hookUnits = hookUnits[:0]
 			for _, p := range payloads {
-				hookEvents = append(hookEvents, *p.(*ChangeEvent))
+				hookUnits = append(hookUnits, p.(*unitEvents).evs)
 			}
 			s.pubMu.Lock()
-			s.pipeline.Append(hookEvents)
+			s.pipeline.Append(hookUnits...)
 			s.pubMu.Unlock()
+			clear(hookUnits)
 			s.maybeAutoSnapshot()
 		},
 	})

@@ -433,8 +433,8 @@ func writeDocs(tables []*table, doc func(table string, d *document.Document) err
 
 // ApplyReplicated applies one ordered batch of replicated log records —
 // the stream a primary's commit pipeline produces — through the same
-// mutation and stamp path as a local write, at the primary's sequence
-// numbers:
+// write path as a local write (a one-write unit per record), at the
+// primary's sequence numbers:
 //
 //   - records at or below the store's sequence are duplicates from a
 //     reconnect or a stream overlapping a snapshot bootstrap and are
@@ -534,9 +534,7 @@ func (s *Store) ApplyReplicated(recs []wal.Record) (applied int, err error) {
 			} else if doc == nil {
 				return applied, fmt.Errorf("store: replicated put seq %d has no document", rec.Seq)
 			}
-			_, w, err := s.mutate(t, doc.ID, rec.Seq, func(*table, *document.Document) (*document.Document, bool, error) {
-				return doc, deleted, nil // exactly as recorded
-			})
+			w, err := s.apply([]Write{{Kind: writeReplicated, Table: t.name, ID: doc.ID, Doc: doc, tombstone: deleted}}, rec.Seq)
 			if err != nil {
 				return applied, err
 			}

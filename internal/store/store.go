@@ -11,12 +11,15 @@
 // key") — happens one level up: internal/cluster routes across -shards N
 // stores, each with its own WAL and pipeline.
 //
-// There is one write path: every document change goes through one table
-// mutation (table.swap, via Store.mutate on a live store) and takes its
-// place in the write order in one stamp section (Store.stamp), which
-// makes queue order Seq order by construction — the WAL committer's hook
-// and the in-memory flush append their batches to the commit pipeline as
-// they are, and a write whose log group fails is simply never published.
+// There is one write path: Store.Apply commits a unit of writes — one for
+// Put, Insert, Update and Delete, a transaction's for Server.Commit — by
+// deciding every write under the touched tables' locks, changing each
+// document through one table mutation (table.swap), and taking the
+// unit's place in the write order in one stamp section (Store.stamp),
+// which makes queue order Seq order by construction — the WAL committer's
+// hook and the in-memory flush append their units to the commit pipeline
+// as they are, and a unit whose log group fails is simply never
+// published.
 // Change events carry the stored documents themselves (read-only, under
 // document.Document's ownership rule).
 package store
@@ -133,20 +136,24 @@ type Store struct {
 
 	// stampMu is the stamp section (see stamp): seq is only written under
 	// it (atomic so LastSeq reads it lock-free), together with the hand-off
-	// that fixes a write's position — the WAL's commit queue, or on
-	// in-memory stores the outbox of stamped, not yet published events.
-	stampMu sync.Mutex
-	seq     atomic.Uint64
-	outbox  []ChangeEvent
+	// that fixes a unit's position — the WAL's commit queue, or on
+	// in-memory stores the outbox of stamped, not yet published events,
+	// with each unit's end offset in outboxEnds.
+	stampMu    sync.Mutex
+	seq        atomic.Uint64
+	outbox     []ChangeEvent
+	outboxEnds []int
 
 	// pipeline is the fan-out log all change-stream consumers subscribe
 	// to. pubMu serializes its three appenders — the WAL committer's
 	// hook, flush and the snapshot import's synthetic diff — and is never
-	// taken with a table lock or stampMu held. spare is flush's second
-	// outbox buffer.
-	pubMu    sync.Mutex
-	pipeline *commitlog.Log
-	spare    []ChangeEvent
+	// taken with a table lock or stampMu held. spare, spareEnds and
+	// spareUnits are flush's second outbox and its unit list.
+	pubMu      sync.Mutex
+	pipeline   *commitlog.Log
+	spare      []ChangeEvent
+	spareEnds  []int
+	spareUnits [][]ChangeEvent
 
 	// wal is non-nil for durable stores (Options.DataDir set).
 	wal *wal.Log
@@ -383,64 +390,11 @@ func (s *Store) table(name string) (*table, error) {
 	return t, nil
 }
 
-// decideFunc is the part of a document write that differs between paths:
-// given the document stored under the id (nil when absent) it returns
-// what to store in its place — with deleted set, the tombstone {ID,
-// Version} to leave — or an error that leaves the table untouched.
-type decideFunc func(t *table, prev *document.Document) (next *document.Document, deleted bool, err error)
-
-// mutate is the one way a document changes on an open store. Under the
-// table lock it asks decide for the outcome, encodes the WAL record (an
-// unencodable document fails here, before anything changed), swaps the
-// stored document and stamps the event — at the next Seq, or at seq when
-// a replica replays its primary's. The event carries the stored
-// documents themselves; nothing is cloned for consumers.
-// Stamping inside the table's critical section makes the per-key order of
-// Seqs (and of log records) the order the table lock serialized.
-func (s *Store) mutate(t *table, id string, seq uint64, decide decideFunc) (*document.Document, *wal.Waiter, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	prev := t.docs[id]
-	next, deleted, err := decide(t, prev)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev := ChangeEvent{Table: t.name, Op: OpInsert, Deleted: deleted, Before: prev, After: next, Time: s.opts.Clock()}
-	if deleted {
-		ev.Op = OpDelete
-	} else if prev != nil {
-		ev.Op = OpUpdate
-	}
-	entry, pev, err := s.encode(&ev)
-	if err != nil {
-		return nil, nil, err
-	}
-	t.swap(next, deleted)
-	return next, s.stamp(pev, seq, entry), nil
-}
-
-// write is mutate for the public write methods: primary-only, next Seq,
-// committed before it returns.
-func (s *Store) write(tableName, id string, decide decideFunc) (*document.Document, error) {
-	if s.readOnly.Load() {
-		return nil, ErrReadOnly
-	}
-	t, err := s.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	after, w, err := s.mutate(t, id, 0, decide)
-	if err != nil {
-		return nil, err
-	}
-	return after, s.commit(w)
-}
-
 // Insert stores doc as a new document, stamping its version. It fails
 // with ErrExists when the id is already present. doc belongs to the store
 // from then on (document.Document's ownership rule).
 func (s *Store) Insert(tableName string, doc *document.Document) error {
-	return s.put(tableName, doc, true)
+	return s.put(tableName, doc, WriteInsert)
 }
 
 // Get returns the stored document, read-only, or ErrNotFound.
@@ -463,28 +417,14 @@ func (s *Store) Get(tableName, id string) (*document.Document, error) {
 // the table lock serializing writers. doc belongs to the store from then
 // on, as for Insert.
 func (s *Store) Put(tableName string, doc *document.Document) error {
-	return s.put(tableName, doc, false)
+	return s.put(tableName, doc, WritePut)
 }
 
-func (s *Store) put(tableName string, doc *document.Document, mustBeNew bool) error {
+func (s *Store) put(tableName string, doc *document.Document, kind WriteKind) error {
 	if doc == nil {
 		return ErrNilDocument
 	}
-	if doc.ID == "" {
-		return ErrEmptyID
-	}
-	_, err := s.write(tableName, doc.ID, func(t *table, prev *document.Document) (*document.Document, bool, error) {
-		switch {
-		case prev == nil:
-			doc.Version = t.firstVersion(doc.ID)
-		case mustBeNew:
-			return nil, false, fmt.Errorf("%w: %s/%s", ErrExists, tableName, doc.ID)
-		default:
-			doc.Version = prev.Version + 1
-		}
-		return doc, false, nil
-	})
-	return err
+	return s.Apply([]Write{{Kind: kind, Table: tableName, ID: doc.ID, Doc: doc}})
 }
 
 // UpdateSpec describes a partial update.
@@ -507,20 +447,11 @@ type UpdateSpec struct {
 // Update applies a partial update to a clone of the stored document,
 // stores the clone in its place and returns it, read-only.
 func (s *Store) Update(tableName, id string, spec UpdateSpec) (*document.Document, error) {
-	return s.write(tableName, id, func(_ *table, prev *document.Document) (*document.Document, bool, error) {
-		if prev == nil {
-			return nil, false, fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
-		}
-		if spec.IfVersion != 0 && prev.Version != spec.IfVersion {
-			return nil, false, fmt.Errorf("%w: have %d, want %d", ErrVersionCheck, prev.Version, spec.IfVersion)
-		}
-		next := prev.Clone()
-		if err := ApplySpec(next, spec); err != nil {
-			return nil, false, err
-		}
-		next.Version = prev.Version + 1
-		return next, false, nil
-	})
+	w := []Write{{Kind: WriteUpdate, Table: tableName, ID: id, Spec: spec}}
+	if err := s.Apply(w); err != nil {
+		return nil, err
+	}
+	return w[0].After, nil
 }
 
 // ApplySpec applies spec's Set, Unset, Inc, Push and Pull to doc in place,
@@ -599,13 +530,14 @@ func ApplySpec(doc *document.Document, spec UpdateSpec) error {
 
 // Delete removes a document, returning ErrNotFound if absent.
 func (s *Store) Delete(tableName, id string) error {
-	_, err := s.write(tableName, id, func(_ *table, prev *document.Document) (*document.Document, bool, error) {
-		if prev == nil {
-			return nil, false, fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
-		}
-		return &document.Document{ID: id, Version: prev.Version + 1}, true, nil
-	})
-	return err
+	w := []Write{{Kind: WriteDelete, Table: tableName, ID: id}}
+	if err := s.Apply(w); err != nil {
+		return err
+	}
+	if w[0].After == nil {
+		return fmt.Errorf("%w: %s/%s", ErrNotFound, tableName, id)
+	}
+	return nil
 }
 
 // CreateIndex builds a secondary index over a dotted field path and keeps
@@ -642,12 +574,12 @@ func (s *Store) CreateIndex(tableName, path string) error {
 // stampIndex stamps an index creation as an event of the write order —
 // at the next Seq, or at seq on a replica.
 func (s *Store) stampIndex(tableName, path string, seq uint64) (*wal.Waiter, error) {
-	ev := ChangeEvent{Table: tableName, Op: commitlog.OpCreateIndex, Path: path, Time: s.opts.Clock()}
-	entry, pev, err := s.encode(&ev)
+	ev := []ChangeEvent{{Table: tableName, Op: commitlog.OpCreateIndex, Path: path, Time: s.opts.Clock()}}
+	evs, entry, err := s.encode(ev)
 	if err != nil {
 		return nil, err
 	}
-	return s.stamp(pev, seq, entry), nil
+	return s.stamp(evs, seq, entry), nil
 }
 
 // buildIndex installs and backfills the index structure without logging
@@ -758,62 +690,86 @@ func (s *Store) Count(tableName string) (int, error) {
 	return len(t.docs), nil
 }
 
-// encode prepares ev's WAL record — everything but its Seq — on durable
-// stores, before the stamp section because its cost grows with the
-// document. It returns the event stamp has to fill in: a heap copy that
-// rides along as the committer's post-commit payload, or, on in-memory
-// stores, ev itself (which then never leaves the writer's stack).
-func (s *Store) encode(ev *ChangeEvent) (wal.Entry, *ChangeEvent, error) {
+// encode prepares the WAL records of a unit's events — everything but
+// their Seqs — on durable stores, before the stamp section because its
+// cost grows with the documents. It returns the events stamp has to fill
+// in: a heap copy that rides along as the committer's post-commit
+// payload, or, on in-memory stores, evs itself (which stamp copies into
+// the outbox).
+func (s *Store) encode(evs []ChangeEvent) ([]ChangeEvent, wal.Entry, error) {
 	if s.wal == nil {
-		return wal.Entry{}, ev, nil
+		return evs, wal.Entry{}, nil
 	}
-	payload := new(ChangeEvent)
-	*payload = *ev
-	rec := wal.Record{Table: ev.Table}
-	switch ev.Op {
-	case OpDelete:
-		rec.Kind, rec.ID, rec.Version = wal.KindDelete, ev.After.ID, ev.After.Version
-	case commitlog.OpCreateIndex:
-		rec.Kind, rec.Path = wal.KindCreateIndex, ev.Path
-	default:
-		rec.Kind, rec.Doc = wal.KindPut, ev.After
+	payload := new(unitEvents)
+	if len(evs) == 1 {
+		payload.evs = payload.one[:]
+	} else {
+		payload.evs = make([]ChangeEvent, len(evs))
 	}
-	entry, err := s.wal.Prepare(&rec, payload)
-	return entry, payload, err
+	copy(payload.evs, evs)
+	entry := s.wal.Begin(payload, len(evs))
+	for i := range payload.evs {
+		ev := &payload.evs[i]
+		rec := wal.Record{Table: ev.Table}
+		switch ev.Op {
+		case OpDelete:
+			rec.Kind, rec.ID, rec.Version = wal.KindDelete, ev.After.ID, ev.After.Version
+		case commitlog.OpCreateIndex:
+			rec.Kind, rec.Path = wal.KindCreateIndex, ev.Path
+		default:
+			rec.Kind, rec.Doc = wal.KindPut, ev.After
+		}
+		if err := entry.Add(&rec); err != nil {
+			return nil, wal.Entry{}, err
+		}
+	}
+	return payload.evs, entry, nil
 }
 
-// stamp is the store's one ordering point. Inside the stamp section ev
-// gets its Seq — the next one, or seq when a replica replays its
-// primary's — and is handed to the queue that fixes its position: the
-// WAL's commit queue (whose committer publishes each group that
-// committed, in queue order) or, on in-memory stores, the outbox flush
-// drains. Both queues hold events in Seq order by construction, and an
-// event whose record never commits is simply never published — no one
-// waits for its Seq. The section is Seq++, O(digits) of frame closing and
-// a queue send: no cloning, index maintenance or I/O.
-func (s *Store) stamp(ev *ChangeEvent, seq uint64, entry wal.Entry) *wal.Waiter {
+// unitEvents is the WAL payload of a unit: its events, kept in place for
+// a one-write unit so that a single write's payload is one allocation.
+type unitEvents struct {
+	evs []ChangeEvent
+	one [1]ChangeEvent
+}
+
+// stamp is the store's one ordering point. Inside the stamp section a
+// unit's events get contiguous Seqs — from the next one, or from seq when
+// a replica replays its primary's — and are handed, as one unit, to the
+// queue that fixes their position: the WAL's commit queue (whose
+// committer publishes each group that committed, in queue order) or, on
+// in-memory stores, the outbox flush drains. Both queues hold events in
+// Seq order by construction, and an event whose record never commits is
+// simply never published — no one waits for its Seq. The section is
+// O(len(evs)) of Seq assignment (or an outbox copy) and one queue send:
+// no encoding, cloning, index maintenance or I/O.
+func (s *Store) stamp(evs []ChangeEvent, seq uint64, entry wal.Entry) *wal.Waiter {
 	s.stampMu.Lock()
 	defer s.stampMu.Unlock()
 	if seq == 0 {
 		seq = s.seq.Load() + 1
 	}
-	s.seq.Store(seq)
-	ev.Seq = seq
+	for i := range evs {
+		evs[i].Seq = seq + uint64(i)
+	}
+	s.seq.Store(seq + uint64(len(evs)) - 1)
 	if s.wal == nil {
-		s.outbox = append(s.outbox, *ev)
+		s.outbox = append(s.outbox, evs...)
+		s.outboxEnds = append(s.outboxEnds, len(s.outbox))
 		return nil
 	}
 	return s.wal.Submit(entry, seq)
 }
 
-// commit finishes a write's journey onto the commit pipeline. Durable
-// stores wait for the record to become durable per the fsync policy; the
-// committer's hook has published it by the time an fsync-acknowledged Wait
-// returns. A WAL failure is returned to the writer; the in-memory mutation
-// has already happened, so a wedged log makes the store effectively
-// read-only for durable correctness. In-memory stores flush the outbox:
-// on return the write's event (and every earlier one) is on the pipeline.
-// w is nil there, and for a replicated batch that stamped nothing.
+// commit finishes a unit's journey onto the commit pipeline. Durable
+// stores wait once for the unit's records to become durable per the fsync
+// policy; the committer's hook has published them by the time an
+// fsync-acknowledged Wait returns. A WAL failure is returned to the
+// writer; the in-memory mutation has already happened, so a wedged log
+// makes the store effectively read-only for durable correctness.
+// In-memory stores flush the outbox: on return the unit's events (and
+// every earlier one) are on the pipeline. w is nil there, and for a unit
+// or a replicated batch that stamped nothing.
 func (s *Store) commit(w *wal.Waiter) error {
 	if s.wal == nil {
 		s.flush()
@@ -828,20 +784,26 @@ func (s *Store) commit(w *wal.Waiter) error {
 	return nil
 }
 
-// flush publishes the outbox. Flushers serialize on pubMu and each takes
-// everything stamped so far, so batches reach the pipeline in Seq order.
-// Called with no table lock held: Append blocks while a subscriber is a
-// full ring behind.
+// flush publishes the outbox, unit by unit. Flushers serialize on pubMu
+// and each takes everything stamped so far, so units reach the pipeline
+// in Seq order. Called with no table lock held: Append blocks while a
+// subscriber is a full ring behind.
 func (s *Store) flush() {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	s.stampMu.Lock()
-	batch := s.outbox
-	s.outbox = s.spare[:0]
+	batch, ends := s.outbox, s.outboxEnds
+	s.outbox, s.outboxEnds = s.spare[:0], s.spareEnds[:0]
 	s.stampMu.Unlock()
-	s.pipeline.Append(batch)
+	units, from := s.spareUnits[:0], 0
+	for _, end := range ends {
+		units = append(units, batch[from:end])
+		from = end
+	}
+	s.pipeline.Append(units...)
 	clear(batch) // drop the document references
-	s.spare = batch
+	clear(units)
+	s.spare, s.spareEnds, s.spareUnits = batch, ends, units
 }
 
 // Subscribe registers a change-stream consumer receiving every write's
@@ -856,6 +818,13 @@ func (s *Store) Subscribe() (<-chan ChangeEvent, func()) {
 // SubscribeNamed is Subscribe with a name reported in PipelineStats.
 func (s *Store) SubscribeNamed(name string) (<-chan ChangeEvent, func()) {
 	return s.pipeline.SubscribeTail(name).Flatten(s.opts.ChangeBuffer)
+}
+
+// SubscribeTail registers an ordered batch consumer of every event
+// published from now on, each batch one or more whole units (see
+// commitlog.Subscription); Cancel releases it.
+func (s *Store) SubscribeTail(name string) *commitlog.Subscription {
+	return s.pipeline.SubscribeTail(name)
 }
 
 // SubscribeFrom registers an ordered batch consumer starting after

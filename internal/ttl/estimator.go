@@ -94,32 +94,31 @@ func (c *Config) withDefaults() Config {
 
 // rateWindow tracks write timestamps for one record inside the sliding
 // window using two alternating buckets, giving O(1) updates and a smooth
-// estimate without storing every event.
+// estimate without storing every event. It is a plain value holding no
+// pointer (times are Unix nanoseconds), so the estimator keeps it in its
+// map by value: a new record costs no heap object and the GC has nothing
+// to scan in it.
 type rateWindow struct {
-	curStart time.Time
-	curCount int
-	prvCount int
+	curStart int64
+	curCount int64
+	prvCount int64
 }
 
 // observe registers one write at time now for a window of length w.
-func (r *rateWindow) observe(now time.Time, w time.Duration) {
+func (r *rateWindow) observe(now, w int64) {
 	r.roll(now, w)
 	r.curCount++
 }
 
-func (r *rateWindow) roll(now time.Time, w time.Duration) {
-	if r.curStart.IsZero() {
-		r.curStart = now
-		return
-	}
-	elapsed := now.Sub(r.curStart)
+func (r *rateWindow) roll(now, w int64) {
+	elapsed := now - r.curStart
 	switch {
 	case elapsed < w:
 		// still in current bucket
 	case elapsed < 2*w:
 		r.prvCount = r.curCount
 		r.curCount = 0
-		r.curStart = r.curStart.Add(w)
+		r.curStart += w
 	default:
 		r.prvCount = 0
 		r.curCount = 0
@@ -128,18 +127,18 @@ func (r *rateWindow) roll(now time.Time, w time.Duration) {
 }
 
 // rate estimates writes/second: current bucket plus the linearly decayed
-// fraction of the previous bucket.
-func (r *rateWindow) rate(now time.Time, w time.Duration) float64 {
+// fraction of the previous bucket. It rolls r forward to now.
+func (r *rateWindow) rate(now, w int64) float64 {
 	if r.idle(now, w) {
 		return 0
 	}
 	r.roll(now, w)
-	frac := float64(now.Sub(r.curStart)) / float64(w)
+	frac := float64(now-r.curStart) / float64(w)
 	if frac > 1 {
 		frac = 1
 	}
 	weighted := float64(r.curCount) + float64(r.prvCount)*(1-frac)
-	return weighted / w.Seconds()
+	return weighted / time.Duration(w).Seconds()
 }
 
 // idle reports whether the window saw no write for two window lengths:
@@ -147,8 +146,8 @@ func (r *rateWindow) rate(now time.Time, w time.Duration) float64 {
 // exactly like a window that never existed. Reading an idle window's rate
 // leaves it untouched, so dropping it (Estimator.sweepLocked) changes no
 // estimate, now or later.
-func (r *rateWindow) idle(now time.Time, w time.Duration) bool {
-	return now.Sub(r.curStart) >= 2*w
+func (r *rateWindow) idle(now, w int64) bool {
+	return now-r.curStart >= 2*w
 }
 
 // Estimator derives TTLs for records and queries. Safe for concurrent use.
@@ -163,9 +162,9 @@ type Estimator struct {
 	cfg Config
 
 	mu      sync.Mutex
-	rates   map[string]*rateWindow // record key -> write-rate window
-	sweepAt int                    // len(rates) at which the next sweep runs
-	ewma    map[string]float64     // query key -> EWMA TTL estimate (seconds)
+	rates   map[string]rateWindow // record key -> write-rate window
+	sweepAt int                   // len(rates) at which the next sweep runs
+	ewma    map[string]float64    // query key -> EWMA TTL estimate (seconds)
 }
 
 // minSweep is the rate-table size below which no sweep runs.
@@ -175,7 +174,7 @@ const minSweep = 1024
 func NewEstimator(cfg *Config) *Estimator {
 	return &Estimator{
 		cfg:     cfg.withDefaults(),
-		rates:   map[string]*rateWindow{},
+		rates:   map[string]rateWindow{},
 		sweepAt: minSweep,
 		ewma:    map[string]float64{},
 	}
@@ -188,41 +187,62 @@ func (e *Estimator) Config() Config { return e.cfg }
 // QUAESTOR can estimate (through sampling) the rate of incoming writes λw
 // in some time window t").
 func (e *Estimator) ObserveWrite(recordKey string) {
-	now := e.cfg.Clock()
+	e.ObserveWrites(e.cfg.Clock(), []string{recordKey})
+}
+
+// ObserveWrites samples one write to each record key at time now — a
+// reading of the estimator's clock — under one lock acquisition: what a
+// transaction's writes cost the estimator.
+func (e *Estimator) ObserveWrites(now time.Time, recordKeys []string) {
+	at, w := now.UnixNano(), int64(e.cfg.Window)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r, ok := e.rates[recordKey]
-	if !ok {
-		if len(e.rates) >= e.sweepAt {
-			e.sweepLocked(now)
+	for _, key := range recordKeys {
+		r, ok := e.rates[key]
+		if !ok {
+			if len(e.rates) >= e.sweepAt {
+				e.sweepLocked(now)
+			}
+			r = rateWindow{curStart: at}
 		}
-		r = &rateWindow{}
-		e.rates[recordKey] = r
+		r.observe(at, w)
+		e.rates[key] = r
 	}
-	r.observe(now, e.cfg.Window)
 }
 
 // sweepLocked drops every idle window. A sweep of n windows is paid for by
 // the ≥ n/2 insertions since the previous one.
 func (e *Estimator) sweepLocked(now time.Time) {
+	at := now.UnixNano()
 	for k, r := range e.rates {
-		if r.idle(now, e.cfg.Window) {
+		if r.idle(at, int64(e.cfg.Window)) {
 			delete(e.rates, k)
 		}
 	}
 	e.sweepAt = max(2*len(e.rates), minSweep)
 }
 
-// WriteRate returns the estimated writes/second for a record.
-func (e *Estimator) WriteRate(recordKey string) float64 {
-	now := e.cfg.Clock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// rateLocked returns a record's estimated writes/second at now and keeps
+// its window rolled forward. Caller holds e.mu.
+func (e *Estimator) rateLocked(recordKey string, now int64) float64 {
 	r, ok := e.rates[recordKey]
 	if !ok {
 		return 0
 	}
-	return r.rate(now, e.cfg.Window)
+	before := r
+	rate := r.rate(now, int64(e.cfg.Window))
+	if r != before {
+		e.rates[recordKey] = r
+	}
+	return rate
+}
+
+// WriteRate returns the estimated writes/second for a record.
+func (e *Estimator) WriteRate(recordKey string) float64 {
+	now := e.cfg.Clock().UnixNano()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.rateLocked(recordKey, now)
 }
 
 // clamp bounds a TTL into [MinTTL, MaxTTL].
@@ -266,13 +286,11 @@ func (e *Estimator) QueryTTL(queryKey string, resultRecordKeys []string) time.Du
 // estimate from previous invalidations wins if one exists; otherwise the
 // initial Poisson estimate applies (λmin = changeRate).
 func (e *Estimator) QueryEstimate(queryKey string, resultRecordKeys []string) (changeRate float64, ttl time.Duration) {
-	now := e.cfg.Clock()
+	now := e.cfg.Clock().UnixNano()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, k := range resultRecordKeys {
-		if r, ok := e.rates[k]; ok {
-			changeRate += r.rate(now, e.cfg.Window)
-		}
+		changeRate += e.rateLocked(k, now)
 	}
 	if est, ok := e.ewma[queryKey]; ok {
 		return changeRate, e.clamp(time.Duration(est * float64(time.Second)))

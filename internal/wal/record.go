@@ -113,8 +113,8 @@ const putFrameGuess = 512
 // sequence number: the header is reserved, and the payload stops before
 // the record's closing brace. closeFrame splices Seq in as the last key,
 // which lets the store assign Seq inside its stamp section (see
-// Log.Submit): the O(document) encoding runs outside it, closing costs
-// O(digits). Decoding is key-order agnostic, so segments written with
+// Log.Submit) while the O(document) encoding runs before it, in the
+// writer's goroutine, and the committer closes the frame in O(digits). Decoding is key-order agnostic, so segments written with
 // "seq" first (before the split), or with "_id" and "_version" ahead of
 // the document's fields (before puts embedded AppendJSON), read back the
 // same.

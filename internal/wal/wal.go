@@ -180,21 +180,30 @@ const (
 )
 
 type request struct {
-	// frame is the record pre-encoded by Prepare in the writer's
-	// goroutine, so encoding parallelizes across writers instead of
-	// serializing in the committer. Until Submit closes it, the frame
-	// lacks its sequence number and crc is the checksum of its payload
-	// so far.
-	frame []byte
-	crc   uint32
+	// frames holds the request's records, pre-encoded by Entry.Add in the
+	// writer's goroutine so encoding parallelizes across writers instead
+	// of serializing in the committer. Each frame lacks its sequence
+	// number; marks gives each one's end in frames and the checksum of
+	// its payload so far, and the committer closes the frames as it
+	// copies them into its write buffer, frame i at seq+i.
+	frames []byte
+	marks  []frameMark
+	one    [1]frameMark // marks' storage for a one-record request
+	seq    uint64
 	// payload is an opaque value handed to Options.OnCommit once the
-	// record's group commits (nil payloads are not reported).
+	// request's group commits (nil payloads are not reported).
 	payload any
 	// w is the handle Submit returns; under FsyncAlways its channel
 	// (buffered, 1) receives the commit outcome.
 	w     Waiter
 	ctl   ctl
 	reply chan ctlReply
+}
+
+// frameMark locates one open frame in request.frames.
+type frameMark struct {
+	end int
+	crc uint32
 }
 
 type ctlReply struct {
@@ -343,36 +352,61 @@ func (l *Log) createSegment() error {
 	return nil
 }
 
-// Entry is a record encoded for the log whose sequence number is still
-// open; see Prepare and Submit.
+// Entry is one or more records encoded for the log whose sequence numbers
+// are still open; see Begin, Add and Submit.
 type Entry struct{ req *request }
 
-// Prepare encodes rec — all of it but rec.Seq, which Submit supplies — in
-// the caller's goroutine and attaches an opaque payload: once the record's
-// group commits, Options.OnCommit receives the payload before the record's
-// waiter resolves. Everything whose cost grows with the record happens
-// here, so Submit is cheap enough for the store's stamp section.
-func (l *Log) Prepare(rec *Record, payload any) (Entry, error) {
-	frame, err := openFrame(nil, rec)
-	if err != nil {
-		return Entry{}, err
-	}
-	req := &request{frame: frame, crc: crc32.Checksum(frame[frameHeaderSize:], castagnoli), payload: payload}
+// Begin starts an entry that carries payload: once the entry's group
+// commits, Options.OnCommit receives the payload before the entry's
+// waiter resolves. Add encodes its records; Submit queues them as one
+// request, so they are written by one write call, covered by one fsync
+// and acknowledged by one Wait. records is how many records the caller
+// expects to add; it sizes the entry's buffer.
+func (l *Log) Begin(payload any, records int) Entry {
+	req := &request{frames: make([]byte, 0, records*(frameHeaderSize+putFrameGuess+seqSuffixMax)), payload: payload}
+	req.marks = req.one[:0]
 	if l.opts.Fsync == FsyncAlways {
 		req.w.ch = make(chan error, 1)
 	}
-	return Entry{req}, nil
+	return Entry{req}
 }
 
-// Submit writes seq into e's frame and queues it for group commit. The
-// queue is FIFO and the committer writes it in order, so records sit in
-// the log — and reach OnCommit — in the order of the Submit calls: a
-// caller that assigns seq and calls Submit under one lock gets a log whose
-// file order is Seq order. An entry is submitted once.
+// Add encodes rec — all of it but rec.Seq, which Submit supplies — onto
+// the entry, in the caller's goroutine. Everything whose cost grows with
+// the record happens here. A record that fails to encode leaves the
+// entry as it was.
+func (e Entry) Add(rec *Record) error {
+	req := e.req
+	start := len(req.frames)
+	frames, err := openFrame(req.frames, rec)
+	if err != nil {
+		return err
+	}
+	req.frames = frames
+	req.marks = append(req.marks, frameMark{end: len(frames), crc: crc32.Checksum(frames[start+frameHeaderSize:], castagnoli)})
+	return nil
+}
+
+// Prepare is Begin plus Add for a one-record entry.
+func (l *Log) Prepare(rec *Record, payload any) (Entry, error) {
+	e := l.Begin(payload, 1)
+	if err := e.Add(rec); err != nil {
+		return Entry{}, err
+	}
+	return e, nil
+}
+
+// Submit queues e for group commit with its records at seq, seq+1, …
+// (a seq of 0 leaves them unsequenced, as DDL records are). The queue is
+// FIFO and the committer writes it in order, so records sit in the log —
+// and reach OnCommit — in the order of the Submit calls: a caller that
+// assigns seq and calls Submit under one lock gets a log whose file order
+// is Seq order. The committer closes the frames; Submit itself is O(1).
+// An entry is submitted once.
 //
-// Under FsyncAlways the Waiter resolves after the record's batch is
+// Under FsyncAlways the Waiter resolves after the entry's batch is
 // fsynced; under FsyncInterval/FsyncNever it resolves as soon as the
-// record is in the committer's ordered queue (those policies already
+// entry is in the committer's ordered queue (those policies already
 // accept losing an acknowledged tail on crash), with any later write
 // failure latched and returned by subsequent calls. A Waiter that
 // resolves with an error means OnCommit never saw the payload.
@@ -381,7 +415,7 @@ func (l *Log) Submit(e Entry, seq uint64) *Waiter {
 		return resolvedWaiter(*errp)
 	}
 	req := e.req
-	req.frame = closeFrame(req.frame, 0, req.crc, seq)
+	req.seq = seq
 	l.closeMu.RLock()
 	if l.closed {
 		l.closeMu.RUnlock()
@@ -591,10 +625,14 @@ func (l *Log) processBatch(batch []*request) bool {
 // waiter.
 func (l *Log) commitGroup(group []*request) {
 	err := l.wedged
+	records := 0
+	for _, req := range group {
+		records += len(req.marks)
+	}
 	if err == nil {
 		l.wbuf = l.wbuf[:0]
 		for _, req := range group {
-			l.wbuf = append(l.wbuf, req.frame...)
+			l.wbuf = req.appendClosed(l.wbuf)
 		}
 		if l.segSize > 0 && l.segSize+int64(len(l.wbuf)) > l.opts.SegmentBytes {
 			_, err = l.rotate()
@@ -623,11 +661,11 @@ func (l *Log) commitGroup(group []*request) {
 	l.statsMu.Lock()
 	l.batches++
 	if err == nil {
-		l.appends += uint64(len(group))
+		l.appends += uint64(records)
 	}
 	// SearchInts lands on the first bucket whose bound covers the batch;
 	// len(batchBuckets) is the open-ended overflow slot.
-	l.batchSizes[sort.SearchInts(batchBuckets, len(group))]++
+	l.batchSizes[sort.SearchInts(batchBuckets, records)]++
 	l.statsMu.Unlock()
 	if l.opts.OnCommit != nil && err == nil {
 		l.pbuf = l.pbuf[:0]
@@ -648,6 +686,23 @@ func (l *Log) commitGroup(group []*request) {
 			req.w.ch <- err
 		}
 	}
+}
+
+// appendClosed appends the request's frames to buf, closing frame i at
+// seq+i (unsequenced when seq is 0).
+func (req *request) appendClosed(buf []byte) []byte {
+	from := 0
+	for i, m := range req.marks {
+		start := len(buf)
+		buf = append(buf, req.frames[from:m.end]...)
+		seq := req.seq
+		if seq != 0 {
+			seq += uint64(i)
+		}
+		buf = closeFrame(buf, start, m.crc, seq)
+		from = m.end
+	}
+	return buf
 }
 
 func (l *Log) fsync() error {
