@@ -141,7 +141,20 @@ func (e *executor) visit(yield func(*document.Document) bool) {
 		e.examined++
 		return !e.residual.Matches(d.Fields) || yield(d)
 	}
+	// A top-K execution walks a list from the end whose document sorts
+	// first. Posting lists are in insertion order, which often follows the
+	// sort key; offered worst-first, the heap would replace its root on
+	// every candidate.
+	topK := plan.Strategy == query.StrategyTopK
 	emit := func(ids []string) bool {
+		if topK && len(ids) > 1 && e.q.Less(t.docs[ids[len(ids)-1]], t.docs[ids[0]]) {
+			for i := len(ids) - 1; i >= 0; i-- {
+				if !emitID(ids[i]) {
+					return false
+				}
+			}
+			return true
+		}
 		for _, id := range ids {
 			if !emitID(id) {
 				return false
