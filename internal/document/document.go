@@ -475,7 +475,7 @@ func appendCanonical(dst []byte, v any, match bool) []byte {
 		}
 		return strconv.AppendFloat(dst, t, 'g', -1, 64)
 	case string:
-		return appendQuoted(dst, t)
+		return strconv.AppendQuote(dst, t)
 	case []any:
 		dst = append(dst, '[')
 		for i, e := range t {
@@ -491,7 +491,7 @@ func appendCanonical(dst []byte, v any, match bool) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendQuoted(dst, k)
+			dst = strconv.AppendQuote(dst, k)
 			dst = append(dst, ':')
 			dst = appendCanonical(dst, t[k], match)
 		}
@@ -499,19 +499,4 @@ func appendCanonical(dst []byte, v any, match bool) []byte {
 	default:
 		return fmt.Appendf(dst, "%v", t)
 	}
-}
-
-// appendQuoted is strconv.AppendQuote with a fast path for the common
-// id, tag and field name: a string of printable ASCII without '"' or
-// '\' quotes as itself, which is what AppendQuote writes for it, so it
-// skips the per-rune walk.
-func appendQuoted(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
-			return strconv.AppendQuote(dst, s)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }

@@ -341,17 +341,3 @@ func TestNameTableConcurrentDecoders(t *testing.T) {
 		}
 	}
 }
-
-// TestAppendQuotedMatchesStrconv: the canonical encoding's fast path
-// quotes every string as strconv.AppendQuote does.
-func TestAppendQuotedMatchesStrconv(t *testing.T) {
-	cases := []string{"", "tag00042", "p/1 ü", "a\"b", `a\b`, "tab\there", "\x7f", " ", "\xff", "日本"}
-	for c := 0; c < 256; c++ {
-		cases = append(cases, string([]byte{'x', byte(c), 'y'}))
-	}
-	for _, s := range cases {
-		if got, want := string(appendQuoted([]byte("k:"), s)), string(strconv.AppendQuote([]byte("k:"), s)); got != want {
-			t.Errorf("appendQuoted(%q) = %s, want %s", s, got, want)
-		}
-	}
-}
