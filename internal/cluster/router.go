@@ -157,7 +157,9 @@ func (r *Router) Delete(table, id string) error {
 // their order, through that shard's Store.Apply, which sets their After.
 // Shards commit one after another, so a unit is atomic within its shard
 // only: when a later shard refuses its unit, the earlier shards' units
-// stay committed.
+// stay committed. Whatever Apply returns, a write's After is non-nil
+// exactly when readers can see it (Write.After), so a caller that gets
+// an error still knows which writes to invalidate.
 func (r *Router) Apply(writes []store.Write) error {
 	if len(r.stores) == 1 {
 		return r.stores[0].Apply(writes)
@@ -173,11 +175,12 @@ func (r *Router) Apply(writes []store.Write) error {
 		if len(unit) == 0 {
 			continue
 		}
-		if err := r.stores[sh].Apply(unit); err != nil {
-			return err
-		}
+		err := r.stores[sh].Apply(unit)
 		for j := range unit {
 			writes[from[sh][j]].After = unit[j].After
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -69,12 +69,11 @@ type TxnResult struct {
 // unit in the WAL, which recovery replays record by record (there is no
 // commit marker yet). Record-level invalidation, the TTL estimator's
 // write rates and the EBF are fed once per transaction, after txnMu is
-// released; query-level invalidation arrives from InvaliDB.
+// released, for every write readers can see — also when the transaction
+// failed after some shard committed, or after its WAL group failed;
+// query-level invalidation arrives from InvaliDB.
 func (s *Server) Commit(req TxnRequest) (TxnResult, error) {
 	res, writes, err := s.commit(req)
-	if err != nil || !res.Committed {
-		return res, err
-	}
 	keys := make([]string, 0, len(writes))
 	for i := range writes {
 		if writes[i].After != nil { // a delete that found nothing wrote nothing
@@ -82,12 +81,13 @@ func (s *Server) Commit(req TxnRequest) (TxnResult, error) {
 		}
 	}
 	s.afterWrites(keys...)
-	return res, nil
+	return res, err
 }
 
 // commit is Commit's serialized part: it validates the read set, dry-runs
-// the writes and applies them under txnMu. A committed transaction comes
-// back with its applied writes.
+// the writes and applies them under txnMu. It returns the writes it gave
+// Router.Apply, whose After marks those readers can see, whether or not
+// the apply succeeded.
 func (s *Server) commit(req TxnRequest) (TxnResult, []store.Write, error) {
 	s.txnMu.Lock()
 	defer s.txnMu.Unlock()
@@ -134,7 +134,7 @@ func (s *Server) commit(req TxnRequest) (TxnResult, []store.Write, error) {
 		}
 	}
 	if err := s.router.Apply(writes); err != nil {
-		return TxnResult{}, nil, fmt.Errorf("server: applying transaction: %w", err)
+		return TxnResult{}, writes, fmt.Errorf("server: applying transaction: %w", err)
 	}
 	return TxnResult{Committed: true}, writes, nil
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -257,5 +259,50 @@ func TestDurableTransactionFsyncsOnce(t *testing.T) {
 	}
 	if d := after.WAL.Appends - before.WAL.Appends; d != size {
 		t.Errorf("the transaction appended %d records, want %d", d, size)
+	}
+}
+
+// TestPartialCommitIsInvalidated: a transaction across two shards whose
+// second shard refuses its unit after the dry run leaves the first
+// shard's writes committed, and those writes still take record-level
+// invalidation — the EBF flags a record some cache holds — although
+// Commit fails.
+func TestPartialCommitIsInvalidated(t *testing.T) {
+	srv := newTestServer(t, 2, nil)
+	var idA, idB string // idA on shard 0, which commits first; idB on shard 1
+	for i := 0; idA == "" || idB == ""; i++ {
+		id := fmt.Sprintf("p%d", i)
+		switch srv.router.ShardFor(id) {
+		case 0:
+			idA = cmp.Or(idA, id)
+		case 1:
+			idB = cmp.Or(idB, id)
+		}
+	}
+	insertPost(t, srv, idA, "x")
+	if _, err := srv.Read("posts", idA); err != nil { // a cache now holds idA
+		t.Fatal(err)
+	}
+	// The dry run checks a conditional patch of a record the transaction
+	// itself wrote only when it is applied, so shard 1 refuses it there.
+	_, err := srv.Commit(TxnRequest{Writes: []TxnWriteOp{
+		{Op: "put", Table: "posts", ID: idA, Doc: document.New(idA, map[string]any{"n": int64(1)})},
+		{Op: "put", Table: "posts", ID: idB, Doc: document.New(idB, map[string]any{"n": int64(1)})},
+		{Op: "patch", Table: "posts", ID: idB, Spec: &store.UpdateSpec{Set: map[string]any{"n": int64(2)}, IfVersion: 99}},
+	}})
+	if !errors.Is(err, store.ErrVersionCheck) {
+		t.Fatalf("commit: %v, want a version check from shard 1", err)
+	}
+	if doc, err := srv.router.Get("posts", idA); err != nil || doc.Version != 2 {
+		t.Fatalf("%s after the commit: %v, %v; want shard 0's write at version 2", idA, doc, err)
+	}
+	if _, err := srv.router.Get("posts", idB); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("%s after the commit: %v; shard 1's unit should have written nothing", idB, err)
+	}
+	if !srv.coh.Contains(RecordKey("posts", idA)) {
+		t.Errorf("the EBF does not flag %s, which the transaction wrote while a cache held it", idA)
+	}
+	if got := srv.Stats().Writes; got != 2 {
+		t.Errorf("Stats().Writes = %d, want 2 (the insert and the committed put)", got)
 	}
 }

@@ -43,9 +43,11 @@ type Write struct {
 	Doc *document.Document
 	// Spec is WriteUpdate's partial update.
 	Spec UpdateSpec
-	// After is set by a successful Apply to the stored after-image,
-	// read-only: the tombstone {ID, Version} for a delete, nil for a
-	// delete that found nothing.
+	// After is set by Apply to the stored after-image, read-only: the
+	// tombstone {ID, Version} for a delete, nil for a delete that found
+	// nothing. A refused unit leaves every After nil; a unit whose WAL
+	// group failed after it was installed keeps them, since readers can
+	// see those writes.
 	After *document.Document
 
 	tombstone bool
@@ -66,7 +68,7 @@ type Write struct {
 // and a unit spans one store — cluster.Router applies one unit per shard.
 func (s *Store) Apply(writes []Write) error {
 	if s.readOnly.Load() {
-		return ErrReadOnly
+		return refuse(writes, ErrReadOnly)
 	}
 	w, err := s.apply(writes, 0)
 	if err != nil {
@@ -83,7 +85,7 @@ func (s *Store) apply(writes []Write, seq uint64) (*wal.Waiter, error) {
 	u := unitPool.Get().(*unit)
 	defer u.release()
 	if err := u.resolve(s, writes); err != nil {
-		return nil, err
+		return nil, refuse(writes, err)
 	}
 	for _, t := range u.tabs {
 		t.mu.Lock()
@@ -96,7 +98,7 @@ func (s *Store) apply(writes []Write, seq uint64) (*wal.Waiter, error) {
 	now := s.opts.Clock()
 	for i := range writes {
 		if err := u.decide(&writes[i], u.of[i], now); err != nil {
-			return nil, err
+			return nil, refuse(writes, err)
 		}
 	}
 	if len(u.evs) == 0 {
@@ -105,7 +107,7 @@ func (s *Store) apply(writes []Write, seq uint64) (*wal.Waiter, error) {
 	// Encoding fails on an unencodable document, before anything changed.
 	evs, entry, err := s.encode(u.evs)
 	if err != nil {
-		return nil, err
+		return nil, refuse(writes, err)
 	}
 	for i := range u.evs {
 		u.at[i].swap(u.evs[i].After, u.evs[i].Deleted)
@@ -113,6 +115,15 @@ func (s *Store) apply(writes []Write, seq uint64) (*wal.Waiter, error) {
 	// Stamping inside the tables' critical sections makes the per-key
 	// order of Seqs (and of log records) the order the locks serialized.
 	return s.stamp(evs, seq, entry), nil
+}
+
+// refuse clears the After that decide set on a unit's earlier writes,
+// none of which was installed, and returns err.
+func refuse(writes []Write, err error) error {
+	for i := range writes {
+		writes[i].After = nil
+	}
+	return err
 }
 
 // unit is apply's scratch: the tables a unit touches and the events it

@@ -426,3 +426,34 @@ func TestTablesSorted(t *testing.T) {
 		t.Error("duplicate create changed table count")
 	}
 }
+
+// TestRefusedUnitLeavesAfterNil: Apply sets a write's After exactly when
+// readers can see the write, so a unit refused by its last write leaves
+// the After its earlier writes were decided with unset, and the store
+// unchanged.
+func TestRefusedUnitLeavesAfterNil(t *testing.T) {
+	s := openWithTable(t, "t")
+	writes := []Write{
+		{Kind: WritePut, Table: "t", ID: "a", Doc: document.New("a", map[string]any{"n": int64(1)})},
+		{Kind: WriteUpdate, Table: "t", ID: "missing", Spec: UpdateSpec{Set: map[string]any{"n": int64(2)}}},
+	}
+	if err := s.Apply(writes); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Apply: %v, want ErrNotFound", err)
+	}
+	for i, w := range writes {
+		if w.After != nil {
+			t.Errorf("writes[%d].After = %v after a refused unit", i, w.After)
+		}
+	}
+	if _, err := s.Get("t", "a"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get a: %v, want ErrNotFound", err)
+	}
+	writes[1] = Write{Kind: WriteDelete, Table: "t", ID: "missing"}
+	writes[0].Doc = document.New("a", map[string]any{"n": int64(1)})
+	if err := s.Apply(writes); err != nil {
+		t.Fatal(err)
+	}
+	if writes[0].After == nil || writes[0].After.Version != 1 || writes[1].After != nil {
+		t.Errorf("After = %v, %v; want a at version 1 and nil for the delete that found nothing", writes[0].After, writes[1].After)
+	}
+}
