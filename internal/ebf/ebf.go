@@ -285,11 +285,12 @@ func (e *EBF) ReportWrite(key string) bool {
 	return e.reportWriteLocked(now, key)
 }
 
-// ReportWrites is ReportWrite for the written keys of one unit at time
-// now — a reading of the filter's clock — under one lock acquisition and
-// one expiry pass. It appends to flagged the position in keys of each key
-// it flagged (base is keys[0]'s position) and returns it.
-func (e *EBF) ReportWrites(now time.Time, keys []string, base int, flagged []int) []int {
+// ReportWrites is ReportWrite for the written keys of one unit under one
+// clock reading, one lock acquisition and one expiry pass. It appends to
+// flagged the position in keys of each key it flagged (base is keys[0]'s
+// position) and returns it.
+func (e *EBF) ReportWrites(keys []string, base int, flagged []int) []int {
+	now := e.opts.Clock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.expireLocked(now)

@@ -104,19 +104,18 @@ func (p *Partitioned) ReportWrite(key string) bool {
 	return p.partition(key).ReportWrite(key)
 }
 
-// ReportWrites flags the written keys of one unit at time now — a
-// reading of the filter's clock — on their table partitions, one lock
-// acquisition per run of keys of one table, and returns the positions in
-// keys of those it flagged (nil when none was): each needs a purge, as
-// for ReportWrite.
-func (p *Partitioned) ReportWrites(now time.Time, keys []string) (flagged []int) {
+// ReportWrites flags the written keys of one unit on their table
+// partitions, one clock reading and one lock acquisition per run of keys
+// of one table, and returns the positions in keys of those it flagged
+// (nil when none was): each needs a purge, as for ReportWrite.
+func (p *Partitioned) ReportWrites(keys []string) (flagged []int) {
 	for base := 0; base < len(keys); {
 		table := TableOf(keys[base])
 		n := base + 1
 		for n < len(keys) && TableOf(keys[n]) == table {
 			n++
 		}
-		flagged = p.tablePartition(table).ReportWrites(now, keys[base:n], base, flagged)
+		flagged = p.tablePartition(table).ReportWrites(keys[base:n], base, flagged)
 		base = n
 	}
 	return flagged

@@ -738,7 +738,7 @@ func (s *Server) Delete(table, id string) error {
 }
 
 // afterWrites samples the write rates of written records and invalidates
-// their own cache entries, reading the clock once for all of them.
+// their own cache entries, reading each clock once for all of them.
 // Query-level invalidation arrives asynchronously from InvaliDB.
 func (s *Server) afterWrites(keys ...string) {
 	s.writes.Add(uint64(len(keys)))
@@ -749,18 +749,17 @@ func (s *Server) afterWrites(keys ...string) {
 // it arrives over HTTP or through replication: the TTL estimator's write
 // rate, the EBF flag (and the purge of invalidation-based caches when the
 // record may still be cached) and the EBF generation stamp. It takes each
-// lock once for all keys and reads the clock once, so the estimator and
-// the EBF see the server's Clock (their own default).
+// lock once for all keys; the estimator and the EBF each read their own
+// clock once.
 func (s *Server) observeWrites(keys []string) {
 	if len(keys) == 0 {
 		return
 	}
-	now := s.opts.Clock()
-	s.est.ObserveWrites(now, keys)
-	for _, i := range s.coh.ReportWrites(now, keys) {
+	s.est.ObserveWrites(keys)
+	for _, i := range s.coh.ReportWrites(keys) {
 		s.schedulePurge(recordPrefix + keys[i]) // the record's RecordPath
 	}
-	s.ebfGen.Store(now.UnixNano())
+	s.ebfGen.Store(s.opts.Clock().UnixNano())
 }
 
 // followCoherence subscribes to one store's ordered change stream and

@@ -187,13 +187,14 @@ func (e *Estimator) Config() Config { return e.cfg }
 // QUAESTOR can estimate (through sampling) the rate of incoming writes λw
 // in some time window t").
 func (e *Estimator) ObserveWrite(recordKey string) {
-	e.ObserveWrites(e.cfg.Clock(), []string{recordKey})
+	e.ObserveWrites([]string{recordKey})
 }
 
-// ObserveWrites samples one write to each record key at time now — a
-// reading of the estimator's clock — under one lock acquisition: what a
-// transaction's writes cost the estimator.
-func (e *Estimator) ObserveWrites(now time.Time, recordKeys []string) {
+// ObserveWrites samples one write to each record key under one clock
+// reading and one lock acquisition: what a transaction's writes cost the
+// estimator.
+func (e *Estimator) ObserveWrites(recordKeys []string) {
+	now := e.cfg.Clock()
 	at, w := now.UnixNano(), int64(e.cfg.Window)
 	e.mu.Lock()
 	defer e.mu.Unlock()
