@@ -352,6 +352,12 @@ func (l *Log) createSegment() error {
 	return nil
 }
 
+// maxEntryPresize caps the buffer Begin sizes from a record count, which
+// guesses every record at a put frame's starting size: a large unit of
+// small records grows its buffer by appending instead of reserving
+// hundreds of megabytes up front.
+const maxEntryPresize = 1 << 20
+
 // Entry is one or more records encoded for the log whose sequence numbers
 // are still open; see Begin, Add and Submit.
 type Entry struct{ req *request }
@@ -361,9 +367,10 @@ type Entry struct{ req *request }
 // waiter resolves. Add encodes its records; Submit queues them as one
 // request, so they are written by one write call, covered by one fsync
 // and acknowledged by one Wait. records is how many records the caller
-// expects to add; it sizes the entry's buffer.
+// expects to add; it sizes the entry's buffer, up to maxEntryPresize.
 func (l *Log) Begin(payload any, records int) Entry {
-	req := &request{frames: make([]byte, 0, records*(frameHeaderSize+putFrameGuess+seqSuffixMax)), payload: payload}
+	size := min(records*(frameHeaderSize+putFrameGuess+seqSuffixMax), maxEntryPresize)
+	req := &request{frames: make([]byte, 0, size), payload: payload}
 	req.marks = req.one[:0]
 	if l.opts.Fsync == FsyncAlways {
 		req.w.ch = make(chan error, 1)
