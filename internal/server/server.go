@@ -697,11 +697,8 @@ func (s *Server) Insert(table string, doc *document.Document) error {
 	if err := s.validateDoc(table, doc); err != nil {
 		return err
 	}
-	if err := s.router.Insert(table, doc); err != nil {
-		return err
-	}
-	s.afterWrites(RecordKey(table, doc.ID))
-	return nil
+	_, err := s.write(store.Write{Kind: store.WriteInsert, Table: table, ID: doc.ID, Doc: doc})
+	return err
 }
 
 // Put upserts a full document (after schema validation) and runs
@@ -711,30 +708,39 @@ func (s *Server) Put(table string, doc *document.Document) error {
 	if err := s.validateDoc(table, doc); err != nil {
 		return err
 	}
-	if err := s.router.Put(table, doc); err != nil {
-		return err
-	}
-	s.afterWrites(RecordKey(table, doc.ID))
-	return nil
+	_, err := s.write(store.Write{Kind: store.WritePut, Table: table, ID: doc.ID, Doc: doc})
+	return err
 }
 
 // Update applies a partial update and runs record-level invalidation.
 func (s *Server) Update(table, id string, spec store.UpdateSpec) (*document.Document, error) {
-	doc, err := s.router.Update(table, id, spec)
+	doc, err := s.write(store.Write{Kind: store.WriteUpdate, Table: table, ID: id, Spec: spec})
 	if err != nil {
 		return nil, err
 	}
-	s.afterWrites(RecordKey(table, id))
 	return doc, nil
 }
 
 // Delete removes a document and runs record-level invalidation.
 func (s *Server) Delete(table, id string) error {
-	if err := s.router.Delete(table, id); err != nil {
-		return err
+	doc, err := s.write(store.Write{Kind: store.WriteDelete, Table: table, ID: id})
+	if err == nil && doc == nil {
+		return fmt.Errorf("%w: %s/%s", store.ErrNotFound, table, id)
 	}
-	s.afterWrites(RecordKey(table, id))
-	return nil
+	return err
+}
+
+// write applies one write as a unit and returns its After. It runs
+// record-level invalidation whenever readers can see the write, also
+// when the store installed it and then reports a failed WAL group, as
+// Commit does for a transaction.
+func (s *Server) write(w store.Write) (*document.Document, error) {
+	ws := []store.Write{w}
+	err := s.router.Apply(ws)
+	if ws[0].After != nil {
+		s.afterWrites(RecordKey(w.Table, w.ID))
+	}
+	return ws[0].After, err
 }
 
 // afterWrites samples the write rates of written records and invalidates
