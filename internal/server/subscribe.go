@@ -19,6 +19,10 @@ import (
 // the semantics (a push stream of add/remove/change/changeIndex events per
 // subscribed query) are identical and stdlib-only.
 
+// subscriptionBuffer is how many notifications a subscription holds for
+// its consumer before it drops them.
+const subscriptionBuffer = 256
+
 // Subscription is a live feed of change notifications for one query.
 type Subscription struct {
 	ch     chan invalidb.Notification
@@ -53,7 +57,7 @@ func (s *Server) Subscribe(q *query.Query) (*Subscription, error) {
 	if !admitted {
 		return nil, invalidb.ErrAtCapacity
 	}
-	ch := make(chan invalidb.Notification, 256)
+	ch := make(chan invalidb.Notification, subscriptionBuffer)
 	s.mu.Lock()
 	if s.subscribers == nil {
 		s.subscribers = map[string]map[int]chan invalidb.Notification{}

@@ -63,11 +63,13 @@ func testTransfersAreSeenWhole(t *testing.T, durable bool) {
 	}
 	defer sub.Close()
 	var notes []invalidb.Notification
+	var received atomic.Int64
 	fed := make(chan struct{})
 	go func() {
 		defer close(fed)
 		for n := range sub.Events() {
 			notes = append(notes, n)
+			received.Add(1)
 		}
 	}()
 
@@ -120,6 +122,12 @@ func testTransfersAreSeenWhole(t *testing.T, durable bool) {
 		go func() {
 			defer writersWG.Done()
 			for i := 0; i < transfers; {
+				// A subscription drops what its buffer cannot hold, so the
+				// writers stay within half of it of the feed's consumer,
+				// which a busy host may otherwise not schedule in time.
+				for 2*committed.Load()-received.Load() > subscriptionBuffer/2 {
+					time.Sleep(50 * time.Microsecond)
+				}
 				a, err1 := srv.router.Get("accounts", "a")
 				b, err2 := srv.router.Get("accounts", "b")
 				if err1 != nil || err2 != nil {
