@@ -741,6 +741,35 @@ func BenchmarkDocumentDecode(b *testing.B) {
 			}
 		}
 	})
+	// doc/text is the server's stored-document path: a scan that builds
+	// no values and a copy of the text. doc/text+serve adds its first
+	// wire form once sealed, which is the text itself.
+	b.Run("doc/text", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(one)))
+		for i := 0; i < b.N; i++ {
+			var d document.Document
+			if err := document.NewDecoder(one).DocumentText(&d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("doc/text+serve", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(one)))
+		var out []byte
+		for i := 0; i < b.N; i++ {
+			var d document.Document
+			if err := document.NewDecoder(one).DocumentText(&d); err != nil {
+				b.Fatal(err)
+			}
+			d.Seal()
+			var err error
+			if out, err = d.AppendJSON(out[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("txn100/legacy", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))
@@ -767,7 +796,9 @@ func BenchmarkDocumentDecode(b *testing.B) {
 // (store, index, TTL estimator, EBF report, change stream, InvaliDB) into
 // the benchmark's shape, 4 tables × 5 000 documents with a tags index.
 // Once the corpus is in, the server is rebuilt off the clock, so every
-// put inserts. ns/doc and allocs/doc count the timed ops only.
+// put inserts. ns/doc and allocs/doc count the timed ops only; with
+// b.N past one corpus (200 ops), heapB/doc is the live heap a whole load
+// adds, per document.
 func BenchmarkTxnIngest(b *testing.B) {
 	b.StopTimer()
 	const batch = 100
@@ -798,8 +829,16 @@ func BenchmarkTxnIngest(b *testing.B) {
 	defer shutdown()
 	var ms runtime.MemStats
 	var mallocs uint64
+	// heapBase is the live heap before a load, heapLoad what one whole
+	// load added to it.
+	var heapBase, heapLoad uint64
 	for i := 0; i < b.N; i++ {
 		if i%len(bodies) == 0 {
+			if i > 0 {
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				heapLoad = ms.HeapAlloc - heapBase
+			}
 			shutdown()
 			db = store.MustOpen(nil)
 			for _, t := range ds.Tables {
@@ -809,6 +848,8 @@ func BenchmarkTxnIngest(b *testing.B) {
 			}
 			srv = server.New(db, nil)
 			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			heapBase = ms.HeapAlloc
 		}
 		runtime.ReadMemStats(&ms)
 		mallocs -= ms.Mallocs
@@ -828,6 +869,12 @@ func BenchmarkTxnIngest(b *testing.B) {
 	docs := float64(b.N * batch)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/docs, "ns/doc")
 	b.ReportMetric(float64(mallocs)/docs, "allocs/doc")
+	if heapLoad > 0 {
+		// Live heap per loaded, never-read document: the document with
+		// its share of the store's map, the tags index and the server's
+		// per-record state.
+		b.ReportMetric(float64(heapLoad)/float64(len(bodies)*batch), "heapB/doc")
+	}
 }
 
 // BenchmarkSimulatorEventRate measures raw simulator speed (events/s) —

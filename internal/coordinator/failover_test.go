@@ -94,7 +94,7 @@ func (sl *shadowLog) ackedMatches(table string, doc *document.Document) bool {
 	defer sl.mu.Unlock()
 	for _, ev := range sl.events {
 		if ev.Op != store.OpDelete && ev.Table == table && ev.After != nil && ev.After.ID == doc.ID &&
-			ev.After.Version == doc.Version && document.DeepEqual(ev.After.Fields, doc.Fields) {
+			ev.After.Version == doc.Version && document.DeepEqual(ev.After.Body(), doc.Body()) {
 			return true
 		}
 	}

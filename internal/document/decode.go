@@ -1,6 +1,7 @@
 package document
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -34,11 +35,12 @@ const maxDepth = 10000
 //   - whitespace is space, \t, \n and \r, and nesting deeper than 10 000
 //     is refused.
 //
-// Besides whole values (Value, Document) it hands a text out piece by
-// piece (Object, Array, String, Int64, Float64, Null, Skip), so a caller
-// can bind a request struct while the documents inside it decode in the
-// same pass. Every method decodes the next value; End checks that nothing
-// but whitespace follows the last one.
+// Besides whole values (Value, Document, DocumentText) it hands a text
+// out piece by piece (Object, Array, String, Int64, Float64, Null, Skip),
+// so a caller can bind a request struct while the documents inside it
+// decode in the same pass. Every method decodes the next value — Skip,
+// Raw and DocumentText check it by a scan that builds no values; End
+// checks that nothing but whitespace follows the last one.
 type Decoder struct {
 	data  []byte
 	off   int
@@ -54,6 +56,12 @@ type Decoder struct {
 	// field's value. bad counts the deferred numbers.
 	deferRange bool
 	bad        int
+
+	// canon is cleared by anything a scan meets that AppendJSON would
+	// write otherwise: whitespace, an escape it does not use, a byte it
+	// escapes, keys out of order, a number it prints otherwise.
+	// DocumentText sets it before its scan and keeps what is left.
+	canon bool
 }
 
 // outOfRange stands in for a deferred number beyond float64's range.
@@ -149,17 +157,13 @@ func findOutOfRange(v any) (outOfRange, bool) {
 // Value decodes the next value of any type.
 func (d *Decoder) Value() (any, error) { return d.value() }
 
-// Skip decodes the next value and drops it.
-func (d *Decoder) Skip() error {
-	outer, bad := d.deferRange, d.bad
-	d.deferRange = true
-	_, err := d.value()
-	d.deferRange, d.bad = outer, bad
-	return err
-}
+// Skip checks the next value as Value would decode it and steps over it,
+// building nothing: a scan, not a decode. Like encoding/json skipping an
+// unknown field, it refuses no number for its range.
+func (d *Decoder) Skip() error { return d.scan(false) }
 
-// Raw decodes the next value and returns its text: a slice of the
-// decoder's input, which the caller must not modify.
+// Raw checks the next value as Skip does and returns its text: a slice of
+// the decoder's input, which the caller must not modify.
 func (d *Decoder) Raw() ([]byte, error) {
 	d.next()
 	start := d.off
@@ -196,7 +200,7 @@ func (d *Decoder) String() (string, error) {
 	if d.next() != '"' {
 		return "", d.typeError("a string")
 	}
-	return d.str(false)
+	return d.str()
 }
 
 // StringField decodes the next value into a string field as
@@ -311,6 +315,7 @@ func (d *Decoder) next() byte {
 	for ; d.off < len(d.data); d.off++ {
 		switch c := d.data[d.off]; c {
 		case ' ', '\t', '\n', '\r':
+			d.canon = false
 		default:
 			return c
 		}
@@ -348,32 +353,109 @@ func (d *Decoder) open() error {
 
 // member steps to the next member of the object being read: it consumes
 // the comma before it (none before the first), its key and the colon, and
-// returns the key, or ok false once it consumed the closing brace.
+// returns the key, or ok false once it consumed the closing brace. A key
+// without escapes is taken from the name table.
 func (d *Decoder) member(first bool) (key string, ok bool, err error) {
+	b, rewritten, ok, err := d.memberKey(first)
+	if err != nil || !ok {
+		return "", false, err
+	}
+	if rewritten {
+		return string(b), true, nil
+	}
+	return intern(b), true, nil
+}
+
+// memberKey is member with the key left unquoted in a byte slice (see
+// strBytes) and whether unquoting rewrote it: no key string is made.
+func (d *Decoder) memberKey(first bool) (key []byte, rewritten, ok bool, err error) {
 	c := d.next()
 	if c == '}' {
 		d.off++
 		d.depth--
-		return "", false, nil
+		return nil, false, false, nil
 	}
 	if !first {
 		if c != ',' {
-			return "", false, d.syntaxError("after object key:value pair")
+			return nil, false, false, d.syntaxError("after object key:value pair")
 		}
 		d.off++
 		c = d.next()
 	}
 	if c != '"' {
-		return "", false, d.syntaxError("looking for beginning of object key string")
+		return nil, false, false, d.syntaxError("looking for beginning of object key string")
 	}
-	if key, err = d.str(true); err != nil {
-		return "", false, err
+	if key, rewritten, err = d.strBytes(); err != nil {
+		return nil, false, false, err
 	}
 	if d.next() != ':' {
-		return "", false, d.syntaxError("after object key")
+		return nil, false, false, d.syntaxError("after object key")
 	}
 	d.off++
-	return key, true, nil
+	return key, rewritten, true, nil
+}
+
+// scan steps over the next value, checking it exactly as value decodes
+// it but building nothing. With countRange set it counts in d.bad the
+// numbers beyond float64's range, which it otherwise lets pass.
+func (d *Decoder) scan(countRange bool) error {
+	switch c := d.next(); c {
+	case '{':
+		if err := d.open(); err != nil {
+			return err
+		}
+		var prev []byte
+		for first := true; ; first = false {
+			key, rewritten, ok, err := d.memberKey(first)
+			if err != nil || !ok {
+				return err
+			}
+			if rewritten || !first && bytes.Compare(prev, key) >= 0 {
+				d.canon = false
+			}
+			prev = key
+			if err := d.scan(countRange); err != nil {
+				return err
+			}
+		}
+	case '[':
+		if err := d.open(); err != nil {
+			return err
+		}
+		for first := true; ; first = false {
+			ok, err := d.element(first)
+			if err != nil || !ok {
+				return err
+			}
+			if err := d.scan(countRange); err != nil {
+				return err
+			}
+		}
+	case '"':
+		_, _, err := d.strBytes()
+		return err
+	case 't':
+		return d.literal("true")
+	case 'f':
+		return d.literal("false")
+	case 'n':
+		return d.literal("null")
+	default:
+		if c == '-' || isDigit(c) {
+			lit, isInt, err := d.numberLit()
+			if err != nil {
+				return err
+			}
+			if countRange && !inRange(lit, isInt) {
+				d.bad++
+			}
+			if d.canon && !canonNumber(lit, isInt) {
+				d.canon = false
+			}
+			return nil
+		}
+		return d.syntaxError("looking for beginning of value")
+	}
 }
 
 // element steps to the next element of the array being read: it consumes
@@ -402,7 +484,7 @@ func (d *Decoder) value() (any, error) {
 	case '[':
 		return d.array()
 	case '"':
-		return d.str(false)
+		return d.str()
 	case 't':
 		return true, d.literal("true")
 	case 'f':
@@ -469,48 +551,12 @@ func (d *Decoder) literal(lit string) error {
 // number decodes the number literal at the decoder's offset: as n when it
 // is an integer literal in int64's range, else as f.
 func (d *Decoder) number() (n int64, f float64, isInt bool, err error) {
-	data, start := d.data, d.off
-	i := start
-	neg := data[i] == '-'
-	if neg {
-		i++
+	lit, isInt, err := d.numberLit()
+	if err != nil {
+		return 0, 0, false, err
 	}
-	switch {
-	case i < len(data) && data[i] == '0':
-		i++
-	case i < len(data) && isDigit(data[i]):
-		for i++; i < len(data) && isDigit(data[i]); i++ {
-		}
-	default:
-		d.off = i
-		return 0, 0, false, d.syntaxError("in numeric literal")
-	}
-	isInt = true
-	if i < len(data) && data[i] == '.' {
-		isInt = false
-		if i++; i >= len(data) || !isDigit(data[i]) {
-			d.off = i
-			return 0, 0, false, d.syntaxError("after decimal point in numeric literal")
-		}
-		for i++; i < len(data) && isDigit(data[i]); i++ {
-		}
-	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		isInt = false
-		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		if i >= len(data) || !isDigit(data[i]) {
-			d.off = i
-			return 0, 0, false, d.syntaxError("in exponent of numeric literal")
-		}
-		for i++; i < len(data) && isDigit(data[i]); i++ {
-		}
-	}
-	d.off = i
-	lit := data[start:i]
 	if isInt {
-		if n, ok := parseInt64(lit, neg); ok {
+		if n, ok := parseInt64(lit, lit[0] == '-'); ok {
 			return n, 0, true, nil
 		}
 	}
@@ -522,6 +568,94 @@ func (d *Decoder) number() (n int64, f float64, isInt bool, err error) {
 		f = 0 // +0, whatever the sign was
 	}
 	return 0, f, false, nil
+}
+
+// numberLit steps over the number literal at the decoder's offset and
+// returns it, with whether it is an integer literal: no fraction, no
+// exponent.
+func (d *Decoder) numberLit() (lit []byte, isInt bool, err error) {
+	data, start := d.data, d.off
+	i := start
+	if data[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(data) && data[i] == '0':
+		i++
+	case i < len(data) && isDigit(data[i]):
+		for i++; i < len(data) && isDigit(data[i]); i++ {
+		}
+	default:
+		d.off = i
+		return nil, false, d.syntaxError("in numeric literal")
+	}
+	isInt = true
+	if i < len(data) && data[i] == '.' {
+		isInt = false
+		if i++; i >= len(data) || !isDigit(data[i]) {
+			d.off = i
+			return nil, false, d.syntaxError("after decimal point in numeric literal")
+		}
+		for i++; i < len(data) && isDigit(data[i]); i++ {
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		isInt = false
+		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if i >= len(data) || !isDigit(data[i]) {
+			d.off = i
+			return nil, false, d.syntaxError("in exponent of numeric literal")
+		}
+		for i++; i < len(data) && isDigit(data[i]); i++ {
+		}
+	}
+	d.off = i
+	return data[start:i], isInt, nil
+}
+
+// inRange reports whether a grammatical number literal lies within
+// float64's range, as number requires. One below 10^300 does, whatever
+// its digits, so only a longer literal, or one with a large exponent, is
+// parsed to tell.
+func inRange(lit []byte, isInt bool) bool {
+	i := 0
+	if lit[0] == '-' {
+		i++
+	}
+	intDigits := 0
+	for ; i < len(lit) && isDigit(lit[i]); i++ {
+		intDigits++
+	}
+	exp := 0
+	if !isInt {
+		for i < len(lit) && lit[i] != 'e' && lit[i] != 'E' {
+			i++
+		}
+		if i < len(lit) {
+			i++
+			neg := lit[i] == '-'
+			if neg || lit[i] == '+' {
+				i++
+			}
+			if len(lit)-i > 4 {
+				exp = 1000 // too long to sum, whatever its sign: parse
+			} else {
+				for ; i < len(lit); i++ {
+					exp = exp*10 + int(lit[i]-'0')
+				}
+				if neg {
+					exp = -exp
+				}
+			}
+		}
+	}
+	if intDigits+exp < 300 {
+		return true
+	}
+	_, err := strconv.ParseFloat(string(lit), 64)
+	return err == nil
 }
 
 // errOutOfRange is number's answer to a literal beyond float64's range.
@@ -550,39 +684,61 @@ func parseInt64(lit []byte, neg bool) (int64, bool) {
 }
 
 // str decodes the string literal whose opening quote is at the offset.
-// One without escapes or invalid UTF-8 is copied out as it stands, or,
-// for an object key, taken from the name table.
-func (d *Decoder) str(key bool) (string, error) {
+func (d *Decoder) str() (string, error) {
+	b, _, err := d.strBytes()
+	return string(b), err
+}
+
+// strBytes unquotes the string literal whose opening quote is at the
+// offset. The bytes are the input's own when the literal needs no
+// rewriting, else the decoder's scratch, valid until its next string.
+func (d *Decoder) strBytes() (b []byte, rewritten bool, err error) {
 	data := d.data
 	start := d.off + 1
 	for i := start; i < len(data); {
 		c := data[i]
-		if c >= ' ' && c != '"' && c != '\\' && c < utf8.RuneSelf {
+		if plainByte[c] {
 			i++
 			continue
 		}
-		if c == '"' {
+		switch {
+		case c == '"':
 			d.off = i + 1
-			if key {
-				return intern(data[start:i]), nil
+			return data[start:i], false, nil
+		case c == '<' || c == '>' || c == '&':
+			d.canon = false
+			i++
+			continue
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRune(data[i:])
+			if r == '\u2028' || r == '\u2029' {
+				d.canon = false
 			}
-			return string(data[start:i]), nil
-		}
-		if c >= utf8.RuneSelf {
-			if r, size := utf8.DecodeRune(data[i:]); r != utf8.RuneError || size != 1 {
+			if r != utf8.RuneError || size != 1 {
 				i += size
 				continue
 			}
 		}
-		return d.unquote(start, i)
+		b, err := d.unquote(start, i)
+		return b, true, err
 	}
 	d.off = len(data)
-	return "", d.syntaxError("in string literal")
+	return nil, false, d.syntaxError("in string literal")
 }
+
+// plainByte marks the bytes a string literal holds as they stand and
+// AppendJSONString writes as they stand: printable ASCII but for '"',
+// '\\', '<', '>' and '&'.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
 
 // unquote finishes a string literal that needs rewriting: data[start:i]
 // is plain, data[i] the first escape, control byte or invalid UTF-8.
-func (d *Decoder) unquote(start, i int) (string, error) {
+func (d *Decoder) unquote(start, i int) ([]byte, error) {
 	data := d.data
 	b := append(d.buf[:0], data[start:i]...)
 	defer func() { d.buf = b }()
@@ -590,14 +746,17 @@ func (d *Decoder) unquote(start, i int) (string, error) {
 		switch c := data[i]; {
 		case c == '"':
 			d.off = i + 1
-			return string(b), nil
+			return b, nil
 		case c < ' ':
 			d.off = i
-			return "", d.syntaxError("in string literal")
+			return nil, d.syntaxError("in string literal")
 		case c == '\\':
 			if i+1 >= len(data) {
 				d.off = len(data)
-				return "", d.syntaxError("in string escape code")
+				return nil, d.syntaxError("in string escape code")
+			}
+			if canonEscape(data[i:]) == 0 {
+				d.canon = false
 			}
 			switch e := data[i+1]; e {
 			case '"', '\\', '/':
@@ -616,7 +775,7 @@ func (d *Decoder) unquote(start, i int) (string, error) {
 				r := hex4(data[i:])
 				if r < 0 {
 					d.off = i
-					return "", d.syntaxError("in \\u hexadecimal character escape")
+					return nil, d.syntaxError("in \\u hexadecimal character escape")
 				}
 				i += 6
 				if utf16.IsSurrogate(r) {
@@ -631,14 +790,20 @@ func (d *Decoder) unquote(start, i int) (string, error) {
 				continue
 			default:
 				d.off = i + 1
-				return "", d.syntaxError("in string escape code")
+				return nil, d.syntaxError("in string escape code")
 			}
 			i += 2
 		case c < utf8.RuneSelf:
+			if c == '<' || c == '>' || c == '&' {
+				d.canon = false
+			}
 			b = append(b, c)
 			i++
 		default:
 			r, size := utf8.DecodeRune(data[i:])
+			if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+				d.canon = false
+			}
 			if r == utf8.RuneError && size == 1 {
 				b = append(b, "\uFFFD"...)
 			} else {
@@ -648,7 +813,7 @@ func (d *Decoder) unquote(start, i int) (string, error) {
 		}
 	}
 	d.off = len(data)
-	return "", d.syntaxError("in string literal")
+	return nil, d.syntaxError("in string literal")
 }
 
 // The name table: object keys decode to one shared string each, so the

@@ -24,6 +24,18 @@ import (
 // map[string]any (arbitrarily nested). Use Normalize to coerce arbitrary
 // numeric types (int, float32, json.Number, ...) into this canonical set.
 //
+// How the fields are held: a document built in Go (New, a Clone, an
+// update's after-image) or decoded by Decoder.Document (the SDK's
+// reads, UnmarshalJSON) holds them in Fields. A document the server
+// decodes from a request, a log record or a snapshot frame
+// (Decoder.DocumentText) is a text document: it keeps the JSON text it
+// arrived in, Fields stays nil, and its fields are decoded the first
+// time they are read — Body decodes them all and keeps the map, Get
+// decodes the one value a path names. Its first AppendJSON once sealed
+// yields the wire form, which replaces the text (usually it is the text),
+// so it holds one encoding. Readers that may meet either kind read
+// through Body and Get.
+//
 // Ownership: a document is mutable only until it is handed over. One
 // passed to a write (store.Store.Put/Insert, cluster.Router.Put/Insert,
 // server.Server.Put/Insert, client.Tx.Put) belongs to the callee from
@@ -45,11 +57,13 @@ type Document struct {
 	// Version is a monotonically increasing per-record version counter,
 	// used for ETags and monotonic-read tracking.
 	Version int64
-	// Fields holds the document body.
+	// Fields holds the document body, except for a text document's
+	// (nil): read it through Body.
 	Fields map[string]any
 
 	// wire is nil until Seal, then unencoded until the first AppendJSON
-	// installs the encoding (see json.go).
+	// installs the encoding (see json.go); a text document's holds its
+	// text from the start (see text.go).
 	wire atomic.Pointer[wireForm]
 }
 
@@ -58,21 +72,32 @@ func New(id string, fields map[string]any) *Document {
 	return &Document{ID: id, Version: 1, Fields: normalizeMap(fields)}
 }
 
-// Clone returns a deep copy of the document. Mutating the clone never
-// affects the original: it is how a writer derives a new version from a
-// read-only one (see Document's ownership rule).
+// Clone returns a deep copy of the document, with its fields in Fields.
+// Mutating the clone never affects the original: it is how a writer
+// derives a new version from a read-only one (see Document's ownership
+// rule). The clone of a text document is a decode of its text.
 func (d *Document) Clone() *Document {
 	if d == nil {
 		return nil
+	}
+	if w := d.textForm(); w != nil {
+		return &Document{ID: d.ID, Version: d.Version, Fields: cloneBody(w)}
 	}
 	return &Document{ID: d.ID, Version: d.Version, Fields: CloneValue(d.Fields).(map[string]any)}
 }
 
 // Get returns the value at a dotted field path ("author.name",
-// "comments.0.text"). The boolean reports whether the path exists.
+// "comments.0.text"). The boolean reports whether the path exists. A text
+// document whose fields were not decoded yet decodes that value alone.
 func (d *Document) Get(path string) (any, bool) {
 	if d == nil {
 		return nil, false
+	}
+	if w := d.textForm(); w != nil {
+		if w.fields == nil && path != "" {
+			return lookupText(w.bytes, path)
+		}
+		return GetPath(d.Body(), path)
 	}
 	return GetPath(d.Fields, path)
 }
@@ -80,6 +105,7 @@ func (d *Document) Get(path string) (any, bool) {
 // Set assigns a value at a dotted field path, creating intermediate maps as
 // needed. It returns an error when the path traverses a non-container value.
 func (d *Document) Set(path string, value any) error {
+	d.ownFields()
 	if d.Fields == nil {
 		d.Fields = map[string]any{}
 	}
@@ -88,6 +114,7 @@ func (d *Document) Set(path string, value any) error {
 
 // Delete removes the value at a dotted field path. Missing paths are no-ops.
 func (d *Document) Delete(path string) {
+	d.ownFields()
 	DeletePath(d.Fields, path)
 }
 
@@ -97,7 +124,7 @@ func (d *Document) Equal(other *Document) bool {
 	if d == nil || other == nil {
 		return d == other
 	}
-	return d.ID == other.ID && DeepEqual(d.Fields, other.Fields)
+	return d.ID == other.ID && DeepEqual(d.Body(), other.Body())
 }
 
 // Normalize coerces a value into the canonical type set:

@@ -6,13 +6,25 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"unicode/utf8"
 )
 
-// wireForm is a sealed document's encoding at one Version.
+// wireForm is a sealed document's encoding at one Version, or a text
+// document's state (see text.go). Every transition installs a new one,
+// but for the sealing of a raw text, which its owner does before anyone
+// else reads the document.
 type wireForm struct {
 	version int64
 	bytes   []byte
+	// text says the document's fields come from bytes, decoded into
+	// fields on first use; raw that bytes are still the text the document
+	// arrived in, canon that bytes are in wire form but perhaps for the
+	// values of "_id" and "_version", and sealed that the raw text's
+	// document was sealed.
+	text, raw, canon bool
+	sealed           atomic.Bool
+	fields           map[string]any
 }
 
 // unencoded marks a sealed document not yet encoded.
@@ -23,7 +35,21 @@ var unencoded = new(wireForm)
 // The store seals every document it keeps. Sealing twice is harmless: an
 // in-process replica seals the pointers it shares with its primary.
 func (d *Document) Seal() {
+	if w := d.textForm(); w != nil {
+		w.sealed.Store(true) // read only while the text is raw
+		return
+	}
 	d.wire.CompareAndSwap(nil, unencoded)
+}
+
+// EncodedLen returns the length of the encoding d holds — its wire form,
+// or a text document's text — or 0 when it holds none. Writers size
+// buffers by it.
+func (d *Document) EncodedLen() int {
+	if w := d.wire.Load(); w != nil {
+		return len(w.bytes)
+	}
+	return 0
 }
 
 // AppendJSON appends the document's wire representation to dst: the body
@@ -38,6 +64,8 @@ func (d *Document) Seal() {
 // A sealed document is walked once per Version; later calls copy the
 // bytes. The version is part of the key because a store stamps Version on
 // the document it is handed, which may have been sealed by another store.
+// A text document's wire form comes from its text, which is usually in
+// that form already, and replaces the text once the document is sealed.
 //
 // Like encoding/json, it fails on NaN and ±Inf; dst is then returned
 // unextended.
@@ -49,8 +77,20 @@ func (d *Document) AppendJSON(dst []byte) ([]byte, error) {
 	if w == nil {
 		return d.appendJSON(dst)
 	}
-	if w != unencoded && w.version == d.Version {
+	if w != unencoded && !w.raw && w.version == d.Version {
 		return append(dst, w.bytes...), nil
+	}
+	if w.text {
+		version := d.Version
+		out, same, err := appendText(dst, w, d.ID, version)
+		if err == nil && (w.sealed.Load() || !w.raw) {
+			wire := w.bytes
+			if !same {
+				wire = slices.Clone(out[len(dst):])
+			}
+			d.installWire(w, wire, version)
+		}
+		return out, err
 	}
 	out, err := d.appendJSON(dst)
 	if err == nil {

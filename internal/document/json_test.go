@@ -413,6 +413,7 @@ func decodeSeeds() []string {
 	nest := func(depth int) string { // depth counts the outer object
 		return `{"a":` + strings.Repeat("[", depth-1) + strings.Repeat("]", depth-1) + `}`
 	}
+	zeros := "1" + strings.Repeat("0", 399) // 400 digits
 	return []string{
 		``, ` `, `null`, ` null `, `nul`, `nullx`, `{}`, `[]`, `"s"`, `1`, `true`, `{"a":[]}`, `{"a":{}}`,
 		`{"a":"\"\\\/\b\f\n\r\t\u0000\u00e9\u00E9\u2028"}`, `{"a":"\x"}`, `{"a":"\u12"}`, `{"a":"\u12G4"}`,
@@ -430,6 +431,9 @@ func decodeSeeds() []string {
 		`{"a" 1}`, `{"a":1,}`, `{,}`, `{"a":[1,]}`, `{"a":[,1]}`, `{"a":[1 2]}`, `{"a":1 "b":2}`, `{1:2}`, `{"a":}`, `{"a"`, `{"a":"x`,
 		" \t\n\r{ \"a\" : [ 1 , 2 ] } \r\n", "\f{}", "{\"a\":\u00a01}", "\xef\xbb\xbf{}",
 		nest(maxDepth), nest(maxDepth + 1), `{"a":1} x`, `{"a":1}{}`, `{} []`, `{}}`, `{"a":1}` + "\n",
+		// Long literals and exponents with five or more digits, either sign.
+		`{"a":` + zeros + `e-00000}`, `{"a":` + zeros + `.5e-00012}`, `{"a":[` + zeros + `e-0012]}`, `{"a":1e00000400}`, `{"a":-1e+00308}`,
+		`{"a":1e-00000400}`, `{"a":1` + zeros[:308] + `}`, `{"a":-2` + zeros[:308] + `}`, `{"a":0.` + zeros + `1e00700}`,
 	}
 }
 

@@ -140,9 +140,10 @@ type Field struct {
 	byKey  map[string]*entry
 	sorted []*entry // ascending by (document.Compare, key)
 	docs   int      // documents currently indexed (field present)
-	// scratch holds the match key Add and Remove look an entry up by;
-	// the owning shard's write lock serializes them.
-	scratch []byte
+	// keys and ends hold the match keys Add and Remove look entries up
+	// by; the owning shard's write lock serializes them.
+	keys []byte
+	ends []int
 }
 
 // NewField creates an empty index over the given dotted path.
@@ -169,82 +170,85 @@ func (f *Field) Stats() Stats { return Stats{Docs: f.docs, Distinct: len(f.byKey
 // Add indexes the document's value at the field path. Documents without
 // the field are not indexed.
 func (f *Field) Add(doc *document.Document) {
-	v, ok := document.GetPath(doc.Fields, f.path)
+	elems, ok := f.keysOf(doc)
 	if !ok {
 		return
 	}
 	f.docs++
-	if arr, isArr := v.([]any); isArr && len(arr) > 0 {
-		for _, el := range arr {
-			e := f.entryFor(el)
-			e.post(&e.elem, doc.ID)
+	from := 0
+	for i, end := range f.ends {
+		key := f.keys[from:end]
+		from = end
+		e, found := f.byKey[string(key)]
+		if !found {
+			e = f.newEntry(doc, elems, i, string(key))
 		}
-		return
+		if elems {
+			e.post(&e.elem, doc.ID)
+		} else {
+			e.post(&e.whole, doc.ID)
+		}
 	}
-	e := f.entryFor(v)
-	e.post(&e.whole, doc.ID)
 }
 
 // Remove drops the document's postings. It must be called with the same
 // field value the document was indexed under (the store passes the
 // pre-image).
 func (f *Field) Remove(doc *document.Document) {
-	v, ok := document.GetPath(doc.Fields, f.path)
+	elems, ok := f.keysOf(doc)
 	if !ok {
 		return
 	}
 	f.docs--
-	if arr, isArr := v.([]any); isArr && len(arr) > 0 {
-		for _, el := range arr {
-			f.dropPosting(el, doc.ID, true)
+	from := 0
+	for _, end := range f.ends {
+		key := f.keys[from:end]
+		from = end
+		e, found := f.byKey[string(key)]
+		if !found {
+			continue
 		}
-		return
+		if elems {
+			e.unpost(&e.elem, doc.ID)
+		} else {
+			e.unpost(&e.whole, doc.ID)
+		}
+		if e.empty() {
+			f.dropEntry(e)
+		}
 	}
-	f.dropPosting(v, doc.ID, false)
 }
 
-// lookup returns val's entry, if it has one, with val's match key in
-// f.scratch.
-func (f *Field) lookup(val any) (*entry, bool) {
-	f.scratch = document.AppendMatchKey(f.scratch[:0], val)
-	e, ok := f.byKey[string(f.scratch)]
-	return e, ok
+// keysOf puts the match keys doc is posted under into f.keys and f.ends
+// (see document.Document.IndexKeys).
+func (f *Field) keysOf(doc *document.Document) (elems, ok bool) {
+	f.keys, f.ends, elems, ok = doc.IndexKeys(f.path, f.keys[:0], f.ends[:0])
+	return elems, ok
 }
 
-// entryFor returns val's entry, creating it (and allocating its key) for
-// a value not indexed yet.
-func (f *Field) entryFor(val any) *entry {
-	e, ok := f.lookup(val)
-	if !ok {
-		e = &entry{val: document.CloneValue(val), key: string(f.scratch)}
-		f.byKey[e.key] = e
-		i := f.searchEntry(e.val, e.key)
-		f.sorted = append(f.sorted, nil)
-		copy(f.sorted[i+1:], f.sorted[i:])
-		f.sorted[i] = e
+// newEntry creates the entry for key, the match key of doc's value at the
+// path or, with elems, of its element i.
+func (f *Field) newEntry(doc *document.Document, elems bool, i int, key string) *entry {
+	v, _ := doc.Get(f.path)
+	if elems {
+		v = v.([]any)[i]
 	}
+	e := &entry{val: document.CloneValue(v), key: key}
+	f.byKey[key] = e
+	at := f.searchEntry(e.val, e.key)
+	f.sorted = slices.Insert(f.sorted, at, e)
 	return e
 }
 
-func (f *Field) dropPosting(val any, id string, elem bool) {
-	e, ok := f.lookup(val)
-	if !ok {
-		return
+// dropEntry removes an entry that holds no posting.
+func (f *Field) dropEntry(e *entry) {
+	delete(f.byKey, e.key)
+	i := f.searchEntry(e.val, e.key)
+	for i < len(f.sorted) && f.sorted[i] != e {
+		i++
 	}
-	if elem {
-		e.unpost(&e.elem, id)
-	} else {
-		e.unpost(&e.whole, id)
-	}
-	if e.empty() {
-		delete(f.byKey, e.key)
-		i := f.searchEntry(e.val, e.key)
-		for i < len(f.sorted) && f.sorted[i] != e {
-			i++
-		}
-		if i < len(f.sorted) {
-			f.sorted = append(f.sorted[:i], f.sorted[i+1:]...)
-		}
+	if i < len(f.sorted) {
+		f.sorted = slices.Delete(f.sorted, i, i+1)
 	}
 }
 

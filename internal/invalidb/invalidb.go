@@ -123,10 +123,15 @@ type Registration struct {
 	// deployments, where each row follows one shard's independent Seq
 	// space (indexed by row; missing/short slices fall back to AsOfSeq).
 	AsOfSeqs []uint64
-	// Replay holds recent change events to re-process on activation
-	// ("all recently received objects are replayed for a query when it is
-	// installed").
-	Replay []store.ChangeEvent
+	// ReadReplay, when set, reads the recent change events to re-process
+	// on activation ("all recently received objects are replayed for a
+	// query when it is installed"), once the query is installed in its
+	// cells. Read any earlier, an event published between the read and
+	// the install could reach a cell before the query does and be matched
+	// by nothing; read after, an event is either replayed or delivered
+	// after the install — or both, which costs one spurious
+	// invalidation. An error deactivates the query and is Activate's.
+	ReadReplay func() ([]store.ChangeEvent, error)
 }
 
 // Common errors.
@@ -363,8 +368,16 @@ func (c *Cluster) Activate(reg Registration) error {
 	// are already reflected in InitialMatches. Floors are per row: in a
 	// sharded deployment each row follows one shard's independent Seq
 	// space, so a single global floor would over- or under-replay.
+	var recent []store.ChangeEvent
+	if reg.ReadReplay != nil {
+		var err error
+		if recent, err = reg.ReadReplay(); err != nil {
+			_ = c.Deactivate(key) // ErrNotRegistered: a racing Deactivate did it
+			return err
+		}
+	}
 	var replay []store.ChangeEvent
-	for _, ev := range reg.Replay {
+	for _, ev := range recent {
 		if ev.After == nil {
 			continue // sequenced DDL: no document to match
 		}

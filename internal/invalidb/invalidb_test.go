@@ -205,17 +205,13 @@ func TestReplayClosesActivationGap(t *testing.T) {
 	if err := db.Insert("posts", post("p1", "example")); err != nil {
 		t.Fatal(err)
 	}
-	replay, err := db.Replay("posts", asOf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Initial evaluation happened BEFORE the insert: empty result.
 	if err := cluster.Activate(Registration{
 		Query:          tagQuery("example"),
 		Mask:           MaskObjectList,
 		InitialMatches: nil,
 		AsOfSeq:        asOf,
-		Replay:         replay,
+		ReadReplay:     func() ([]store.ChangeEvent, error) { return db.Replay("posts", asOf) },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +219,50 @@ func TestReplayClosesActivationGap(t *testing.T) {
 	evs := col.wait(t, 1)
 	if evs[0].Type != EventAdd || evs[0].Doc.ID != "p1" {
 		t.Errorf("replay should surface the missed insert: %v", evs)
+	}
+}
+
+// TestReplayIsReadAfterInstall: a write published just after the
+// activation's replay was read, and delivered to the cells before
+// Activate goes on, is still matched. Were the replay read before the
+// query is installed in its cells, the write would be in neither the
+// replay nor the cells' view.
+func TestReplayIsReadAfterInstall(t *testing.T) {
+	db, cluster, col := newTestPipeline(t, nil)
+	asOf := db.LastSeq()
+	err := cluster.Activate(Registration{
+		Query:   tagQuery("example"),
+		Mask:    MaskObjectList,
+		AsOfSeq: asOf,
+		ReadReplay: func() ([]store.ChangeEvent, error) {
+			replay, err := db.Replay("posts", asOf)
+			if err == nil {
+				err = db.Insert("posts", post("p1", "example"))
+			}
+			cluster.Quiesce(5 * time.Second)
+			return replay, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Quiesce(5 * time.Second)
+	if evs := col.wait(t, 1); evs[0].Type != EventAdd || evs[0].Doc.ID != "p1" {
+		t.Errorf("the write after the replay's read was not matched: %v", evs)
+	}
+}
+
+// TestReplayReadErrorDeactivates: a replay that cannot be read fails the
+// activation and leaves no query behind.
+func TestReplayReadErrorDeactivates(t *testing.T) {
+	_, cluster, _ := newTestPipeline(t, nil)
+	gone := errors.New("ring overwritten")
+	err := cluster.Activate(Registration{
+		Query:      tagQuery("example"),
+		ReadReplay: func() ([]store.ChangeEvent, error) { return nil, gone },
+	})
+	if !errors.Is(err, gone) || cluster.ActiveQueries() != 0 {
+		t.Errorf("Activate = %v with %d active queries; want %v and none", err, cluster.ActiveQueries(), gone)
 	}
 }
 

@@ -195,7 +195,7 @@ func (n *matchNode) matchOne(key string, nq *nodeQuery, ev *store.ChangeEvent, d
 	}
 	n.cluster.evaluated.Add(1)
 	_, was := nq.wasMatch[docID]
-	is := !ev.Deleted && nq.q.Predicate.Matches(ev.After.Fields)
+	is := !ev.Deleted && query.Match(nq.q.Predicate, ev.After)
 	var evType EventType
 	switch {
 	case is && !was:

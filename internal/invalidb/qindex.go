@@ -1,7 +1,6 @@
 package invalidb
 
 import (
-	"quaestor/internal/document"
 	"quaestor/internal/index"
 	"quaestor/internal/query"
 	"quaestor/internal/store"
@@ -105,11 +104,11 @@ func (qi *queryIndex) collect(ev *store.ChangeEvent, out map[string]*nodeQuery) 
 		out[key] = nq
 	}
 	tp := qi.paths[ev.Table]
-	if len(tp) == 0 || ev.After == nil || ev.After.Fields == nil {
+	if len(tp) == 0 || ev.After == nil || ev.Deleted {
 		return
 	}
 	for path := range tp {
-		v, ok := document.GetPath(ev.After.Fields, path)
+		v, ok := ev.After.Get(path)
 		if !ok {
 			continue
 		}

@@ -312,7 +312,17 @@ func (q *Query) Matches(doc *document.Document) bool {
 	if doc == nil {
 		return false
 	}
-	return q.Predicate.Matches(doc.Fields)
+	return Match(q.Predicate, doc)
+}
+
+// Match reports whether doc satisfies p, reading doc's fields through
+// its accessor: True reads none, so a stored document it passes stays
+// undecoded.
+func Match(p Predicate, doc *document.Document) bool {
+	if _, all := p.(True); all {
+		return true
+	}
+	return p.Matches(doc.Body())
 }
 
 // Key returns the normalized query string: a deterministic canonical

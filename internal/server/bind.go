@@ -83,7 +83,7 @@ func bindTxnWriteOp(dec *document.Decoder, op *TxnWriteOp) error {
 		case "id":
 			return dec.StringField(&op.ID)
 		case "doc":
-			return dec.DocumentField(&op.Doc)
+			return dec.DocumentTextField(&op.Doc)
 		case "spec":
 			if dec.Null() {
 				op.Spec = nil

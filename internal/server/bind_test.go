@@ -118,7 +118,7 @@ func diffTxn(got, want TxnRequest) string {
 			return fmt.Sprintf("write %d: %+v, want %+v", i, g, w)
 		}
 		if (g.Doc == nil) != (w.Doc == nil) || g.Doc != nil &&
-			(g.Doc.ID != w.Doc.ID || g.Doc.Version != w.Doc.Version || !reflect.DeepEqual(g.Doc.Fields, w.Doc.Fields)) {
+			(g.Doc.ID != w.Doc.ID || g.Doc.Version != w.Doc.Version || !reflect.DeepEqual(g.Doc.Body(), w.Doc.Body())) {
 			return fmt.Sprintf("write %d: doc %+v, want %+v", i, g.Doc, w.Doc)
 		}
 		if (g.Spec == nil) != (w.Spec == nil) {

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -270,8 +271,10 @@ func TestReadBody(t *testing.T) {
 // TestDecodedBodiesOutliveTheirBuffer: request bodies are read into
 // pooled buffers, so a later body of the same size overwrites an earlier
 // one. What the earlier one stored must not change with it: no decoded
-// string may point into the body. Four writers at once (run with -race)
-// also share the pools.
+// string may point into the body, and a document stored as text keeps a
+// copy of it — a transaction's two, one with whitespace in its text,
+// are served and decoded by a scan only after every buffer was reused.
+// Four writers at once (run with -race) also share the pools.
 func TestDecodedBodiesOutliveTheirBuffer(t *testing.T) {
 	h := newTestServer(t, 1, nil).Handler()
 	send := func(method, path, body string) error {
@@ -291,7 +294,8 @@ func TestDecodedBodiesOutliveTheirBuffer(t *testing.T) {
 			for i := w; i < len(letters); i += 4 {
 				s := strings.Repeat(letters[i:i+1], 8)
 				if err := errors.Join(
-					send(http.MethodPost, "/v1/transaction", `{"writes":[{"op":"put","table":"posts","id":"t`+s+`","doc":{"k`+s+`":"v`+s+`","a":["e`+s+`"]}}]}`),
+					send(http.MethodPost, "/v1/transaction", `{"writes":[{"op":"put","table":"posts","id":"t`+s+`","doc":{"k`+s+`":"v`+s+`","a":["e`+s+`"]}},`+
+						`{"op":"put","table":"posts","id":"u`+s+`","doc":{"a":["f`+s+`"], "k`+s+`" : "v`+s+`"}}]}`),
 					send(http.MethodPut, "/v1/db/posts/p"+s, `{"k`+s+`":"v`+s+`"}`),
 					send(http.MethodPatch, "/v1/db/posts/p"+s, `{"Set":{"x`+s+`":"y`+s+`"}}`),
 				); err != nil {
@@ -305,7 +309,13 @@ func TestDecodedBodiesOutliveTheirBuffer(t *testing.T) {
 		s := strings.Repeat(letters[i:i+1], 8)
 		for path, want := range map[string]string{
 			"/v1/db/posts/t" + s: `{"_id":"t` + s + `","_version":1,"a":["e` + s + `"],"k` + s + `":"v` + s + `"}`,
+			"/v1/db/posts/u" + s: `{"_id":"u` + s + `","_version":1,"a":["f` + s + `"],"k` + s + `":"v` + s + `"}`,
 			"/v1/db/posts/p" + s: `{"_id":"p` + s + `","_version":2,"k` + s + `":"v` + s + `","x` + s + `":"y` + s + `"}`,
+			// A scan reads the transaction's documents' fields, decoded
+			// from the text each kept, after every buffer was reused.
+			"/v1/db/posts?q=" + url.QueryEscape(`{"k`+s+`":"v`+s+`","a":{"$exists":true}}`): `{"rep":"object-list","ids":["t` + s + `","u` + s + `"],"docs":[` +
+				`{"_id":"t` + s + `","_version":1,"a":["e` + s + `"],"k` + s + `":"v` + s + `"},` +
+				`{"_id":"u` + s + `","_version":1,"a":["f` + s + `"],"k` + s + `":"v` + s + `"}],"count":2}`,
 		} {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))

@@ -549,7 +549,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 		writeEncoded(w, http.StatusOK, res.Doc)
 	case http.MethodPut:
 		var doc document.Document
-		if err := decodeRequest(w, r, "document", func(dec *document.Decoder) error { return dec.Document(&doc) }); err != nil {
+		if err := decodeRequest(w, r, "document", func(dec *document.Decoder) error { return dec.DocumentText(&doc) }); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -587,7 +587,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request, table, id 
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, table string) {
 	var doc document.Document
-	if err := decodeRequest(w, r, "document", func(dec *document.Decoder) error { return dec.Document(&doc) }); err != nil {
+	if err := decodeRequest(w, r, "document", func(dec *document.Decoder) error { return dec.DocumentText(&doc) }); err != nil {
 		writeError(w, err)
 		return
 	}

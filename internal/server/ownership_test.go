@@ -32,7 +32,7 @@ type handOuts struct {
 }
 
 func fingerprint(d *document.Document) string {
-	return fmt.Sprintf("%s@%d %s", d.ID, d.Version, document.Canonical(d.Fields))
+	return fmt.Sprintf("%s@%d %s", d.ID, d.Version, document.Canonical(d.Body()))
 }
 
 func (h *handOuts) add(t *testing.T, where string, docs ...*document.Document) {
@@ -68,8 +68,8 @@ func (h *handOuts) follow(t *testing.T, name string, st *store.Store) (stop func
 // referenceJSON is a document's wire form as encoding/json writes it:
 // the fields with "_id" and "_version" added, as one map.
 func referenceJSON(d *document.Document) ([]byte, error) {
-	body := make(map[string]any, len(d.Fields)+2)
-	for k, v := range d.Fields {
+	body := make(map[string]any, len(d.Body())+2)
+	for k, v := range d.Body() {
 		body[k] = v
 	}
 	body["_id"], body["_version"] = d.ID, d.Version

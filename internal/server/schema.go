@@ -45,7 +45,7 @@ type Schema struct {
 // Validate checks a document against the schema.
 func (sc *Schema) Validate(doc *document.Document) error {
 	for name, spec := range sc.Fields {
-		v, ok := doc.Fields[name]
+		v, ok := doc.Body()[name]
 		if !ok {
 			if spec.Required {
 				return fmt.Errorf("schema: missing required field %q", name)

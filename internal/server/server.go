@@ -644,15 +644,20 @@ func (s *Server) activate(q *query.Query, matches []*document.Document, asOfs []
 		mask = invalidb.MaskIDList
 	}
 	// Each shard's replay closes that shard's activation gap; the per-row
-	// floors in AsOfSeqs gate replay per shard. A gap a shard's ring no
-	// longer covers fails the activation with commitlog.ErrSeqTruncated.
-	var replay []store.ChangeEvent
-	for i, st := range s.router.Stores() {
-		evs, err := st.Replay(q.Table, asOfs[i])
-		if err != nil {
-			return err
+	// floors in AsOfSeqs gate replay per shard. InvaliDB reads it once
+	// the query is installed, so no event falls between the two. A gap a
+	// shard's ring no longer covers fails the activation with
+	// commitlog.ErrSeqTruncated.
+	readReplay := func() ([]store.ChangeEvent, error) {
+		var replay []store.ChangeEvent
+		for i, st := range s.router.Stores() {
+			evs, err := st.Replay(q.Table, asOfs[i])
+			if err != nil {
+				return nil, err
+			}
+			replay = append(replay, evs...)
 		}
-		replay = append(replay, evs...)
+		return replay, nil
 	}
 	err := s.inv.Activate(invalidb.Registration{
 		Query:          q,
@@ -660,9 +665,9 @@ func (s *Server) activate(q *query.Query, matches []*document.Document, asOfs []
 		InitialMatches: matches,
 		// The fallback floor for grid rows beyond the vector: only a 1-shard
 		// node has any (its configured rows all follow the one store).
-		AsOfSeq:  asOfs[0],
-		AsOfSeqs: asOfs,
-		Replay:   replay,
+		AsOfSeq:    asOfs[0],
+		AsOfSeqs:   asOfs,
+		ReadReplay: readReplay,
 	})
 	if err != nil {
 		return err

@@ -166,7 +166,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			}
 			if n.Doc != nil {
 				ev.ID = n.Doc.ID
-				ev.Doc = n.Doc.Fields
+				ev.Doc = n.Doc.Body()
 			}
 			payload, err := json.Marshal(ev)
 			if err != nil {

@@ -627,7 +627,7 @@ func (s *Sim) write(c *simClient, op workload.Op) {
 	}
 	before, err := s.db.Get(op.Table, id)
 	must(err)
-	second := before.Fields["tags"].([]any)[1]
+	second := before.Body()["tags"].([]any)[1]
 	_, err = c.sdk.Update(op.Table, id, store.UpdateSpec{Set: map[string]any{"tags": []any{tag, second}}})
 	must(err)
 	if !s.srv.Settle(settleTimeout) {

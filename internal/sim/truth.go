@@ -86,7 +86,7 @@ func newTruth(db *store.Store, met *Metrics) *truth {
 // sees it: an id list changes with its membership, an object list also
 // with any member's state.
 func changes(q *query.Query, rep ttl.Representation, w write) bool {
-	was, is := q.Predicate.Matches(w.before.Fields), q.Predicate.Matches(w.after.Fields)
+	was, is := q.Matches(w.before), q.Matches(w.after)
 	return was != is || (was && rep == ttl.ObjectList)
 }
 

@@ -272,6 +272,11 @@ func (u *unit) decide(w *Write, t *table, now time.Time) error {
 	default:
 		return fmt.Errorf("store: unknown write kind %d", w.Kind)
 	}
+	if !deleted {
+		// The store owns next from here on: sealing it now lets the log's
+		// encoding of it be its wire form.
+		next.Seal()
+	}
 	ev := ChangeEvent{Table: t.name, Op: OpInsert, Deleted: deleted, Before: prev, After: next, Time: now}
 	if deleted {
 		ev.Op = OpDelete

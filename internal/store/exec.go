@@ -107,7 +107,7 @@ func (e *executor) runOrdered() {
 		for _, id := range ids {
 			d := e.t.docs[id]
 			e.examined++
-			if e.residual.Matches(d.Fields) {
+			if query.Match(e.residual, d) {
 				list = append(list, d)
 				if k > 0 && len(list) == k {
 					// Early termination: everything later in the scan
@@ -129,7 +129,7 @@ func (e *executor) visit(yield func(*document.Document) bool) {
 	if plan.Kind == query.PlanScan {
 		for _, d := range t.docs {
 			e.examined++
-			if e.residual.Matches(d.Fields) && !yield(d) {
+			if query.Match(e.residual, d) && !yield(d) {
 				return
 			}
 		}
@@ -139,7 +139,7 @@ func (e *executor) visit(yield func(*document.Document) bool) {
 	emitID := func(id string) bool {
 		d := t.docs[id]
 		e.examined++
-		return !e.residual.Matches(d.Fields) || yield(d)
+		return !query.Match(e.residual, d) || yield(d)
 	}
 	// A top-K execution walks a list from the end whose document sorts
 	// first. Posting lists are in insertion order, which often follows the

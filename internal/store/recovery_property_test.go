@@ -52,8 +52,8 @@ func checkAgainstShadow(t *testing.T, s *Store, tableName string, shadow map[str
 		if got.Version != sd.version {
 			t.Errorf("key %s: version %d, shadow %d", id, got.Version, sd.version)
 		}
-		if !document.DeepEqual(got.Fields, sd.fields) {
-			t.Errorf("key %s: fields %v, shadow %v", id, got.Fields, sd.fields)
+		if !document.DeepEqual(got.Body(), sd.fields) {
+			t.Errorf("key %s: fields %v, shadow %v", id, got.Body(), sd.fields)
 		}
 	}
 	if n, err := s.Count(tableName); err != nil || n != live {
@@ -179,7 +179,7 @@ func TestPropertyCrashRecoveryMatchesShadow(t *testing.T) {
 						t.Errorf("update %s: %v", id, err)
 						return
 					}
-					shadow[id] = &shadowDoc{fields: document.CloneValue(after.Fields).(map[string]any), version: after.Version}
+					shadow[id] = &shadowDoc{fields: document.CloneValue(after.Body()).(map[string]any), version: after.Version}
 				case 3: // delete
 					if !cur.live() {
 						continue

@@ -365,7 +365,7 @@ func (s *Store) publishImportDiff(old, imported map[string]*table, floor uint64)
 			// never saw this node's tail (failover), where the same
 			// version can carry different content. Equal versions fall
 			// through to a content comparison.
-			case ndoc.Version != odoc.Version || !document.DeepEqual(odoc.Fields, ndoc.Fields):
+			case ndoc.Version != odoc.Version || !document.DeepEqual(odoc.Body(), ndoc.Body()):
 				emit(name, OpUpdate, odoc, ndoc)
 				puts++
 			}

@@ -707,7 +707,11 @@ func (s *Store) encode(evs []ChangeEvent) ([]ChangeEvent, wal.Entry, error) {
 		payload.evs = make([]ChangeEvent, len(evs))
 	}
 	copy(payload.evs, evs)
-	entry := s.wal.Begin(payload, len(evs))
+	size := 0
+	for i := range evs {
+		size += frameSize(&evs[i])
+	}
+	entry := s.wal.Begin(payload, size)
 	for i := range payload.evs {
 		ev := &payload.evs[i]
 		rec := wal.Record{Table: ev.Table}
@@ -724,6 +728,21 @@ func (s *Store) encode(evs []ChangeEvent) ([]ChangeEvent, wal.Entry, error) {
 		}
 	}
 	return payload.evs, entry, nil
+}
+
+// frameSize estimates the log record of ev for wal.Log.Begin: a put by
+// its document's encoded length, which an update's after-image, not
+// encoded yet, takes from its before-image. Other records are small and
+// sized as they are added.
+func frameSize(ev *ChangeEvent) int {
+	if ev.Op == OpDelete || ev.Op == commitlog.OpCreateIndex {
+		return 0
+	}
+	n := ev.After.EncodedLen()
+	if n == 0 && ev.Before != nil {
+		n = ev.Before.EncodedLen()
+	}
+	return wal.PutFrameSize(ev.Table, n)
 }
 
 // unitEvents is the WAL payload of a unit: its events, kept in place for

@@ -246,7 +246,7 @@ func TestPutFrameLayoutsReplayTheSame(t *testing.T) {
 			t.Fatalf("%s layout: %d records (torn %v), want %d", name, len(got), res.TornTail, len(want))
 		}
 		for i := range want {
-			if !sameRecord(&got[i], &want[i]) || got[i].Doc != nil && !reflect.DeepEqual(got[i].Doc.Fields, want[i].Doc.Fields) {
+			if !sameRecord(&got[i], &want[i]) || got[i].Doc != nil && !reflect.DeepEqual(got[i].Doc.Body(), want[i].Doc.Body()) {
 				t.Errorf("%s layout, record %d: %+v (doc %+v), want %+v (doc %+v)", name, i, got[i], got[i].Doc, want[i], want[i].Doc)
 			}
 		}
@@ -362,7 +362,7 @@ func checkSnapshotStream(t *testing.T, data []byte) {
 		case ev.meta != nil && !sameMeta(ev.meta, b.meta):
 			t.Fatalf("%q: meta %+v read back as %+v", data, *ev.meta, *b.meta)
 		case ev.meta == nil && (ev.table != b.table || ev.doc.ID != b.doc.ID || ev.doc.Version != b.doc.Version ||
-			!reflect.DeepEqual(ev.doc.Fields, b.doc.Fields)):
+			!reflect.DeepEqual(ev.doc.Body(), b.doc.Body())):
 			t.Fatalf("%q: doc %s/%+v read back as %s/%+v", data, ev.table, ev.doc, b.table, b.doc)
 		}
 	}
@@ -442,5 +442,5 @@ func sameDoc(a, b *document.Document) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return a.ID == b.ID && a.Version == b.Version && reflect.DeepEqual(a.Fields, b.Fields)
+	return a.ID == b.ID && a.Version == b.Version && reflect.DeepEqual(a.Body(), b.Body())
 }

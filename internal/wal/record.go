@@ -104,10 +104,32 @@ func AppendFrame(buf, payload []byte) []byte {
 // seqSuffixMax bounds what closeFrame appends: `,"seq":` + 20 digits + `}`.
 const seqSuffixMax = 28
 
-// putFrameGuess is what a put frame's buffer starts at before its
-// document is encoded: a benchmark dataset document's frame is ≈ 300
-// bytes, so most frames never grow it.
+// putFrameGuess is what PutFrameSize counts for a put frame's payload
+// when the caller does not know its document's encoded length: a
+// benchmark dataset document's frame is ≈ 300 bytes.
 const putFrameGuess = 512
+
+// putPrefix and docPrefix are what a put frame's payload holds before its
+// table and before its document.
+const (
+	putPrefix = `{"kind":"put","table":`
+	docPrefix = `,"doc":`
+)
+
+// PutFrameSize is the bytes a put record of a document whose encoding is
+// docLen bytes long takes in an entry, for sizing Begin: exact but for a
+// table name that needs escapes, and for the sequence number, counted at
+// its longest. A docLen of 0, unknown, counts a guess.
+func PutFrameSize(table string, docLen int) int {
+	if docLen == 0 {
+		return frameHeaderSize + putFrameGuess + seqSuffixMax
+	}
+	return putFrameSize(table, docLen)
+}
+
+func putFrameSize(table string, docLen int) int {
+	return frameHeaderSize + len(putPrefix) + len(table) + 2 + len(docPrefix) + docLen + seqSuffixMax
+}
 
 // openFrame appends rec to buf as a frame that is complete except for its
 // sequence number: the header is reserved, and the payload stops before
@@ -123,10 +145,12 @@ func openFrame(buf []byte, rec *Record) ([]byte, error) {
 	if rec.Kind == KindPut && rec.Doc != nil {
 		// Put records are the write hot path: the document goes in as
 		// AppendJSON writes it, which is what encoding/json would embed.
-		buf = slices.Grow(buf, frameHeaderSize+putFrameGuess+seqSuffixMax)
-		buf = append(buf[:start+frameHeaderSize], `{"kind":"put","table":`...)
+		// The buffer grows here only by what the document is known to
+		// take, so an entry Begin sized holds it in place.
+		buf = slices.Grow(buf, putFrameSize(rec.Table, rec.Doc.EncodedLen()))
+		buf = append(buf[:start+frameHeaderSize], putPrefix...)
 		buf = document.AppendJSONString(buf, rec.Table)
-		buf = append(buf, `,"doc":`...)
+		buf = append(buf, docPrefix...)
 		var err error
 		if buf, err = rec.Doc.AppendJSON(buf); err != nil {
 			return buf[:start], fmt.Errorf("wal: encoding record: %w", err)
@@ -245,7 +269,7 @@ func decodeRecord(payload []byte, rec *Record) error {
 		case "table":
 			return dec.StringField(&rec.Table)
 		case "doc":
-			return dec.DocumentField(&rec.Doc)
+			return dec.DocumentTextField(&rec.Doc)
 		case "id":
 			return dec.StringField(&rec.ID)
 		case "version":

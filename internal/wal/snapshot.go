@@ -57,7 +57,7 @@ func decodeSnapFrame(payload []byte, sf *snapFrame) error {
 		case "table":
 			return dec.StringField(&sf.Table)
 		case "doc":
-			return dec.DocumentField(&sf.Doc)
+			return dec.DocumentTextField(&sf.Doc)
 		case "docs":
 			n := int64(sf.Docs)
 			err := bindInt64(dec, &n)

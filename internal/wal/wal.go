@@ -352,10 +352,9 @@ func (l *Log) createSegment() error {
 	return nil
 }
 
-// maxEntryPresize caps the buffer Begin sizes from a record count, which
-// guesses every record at a put frame's starting size: a large unit of
-// small records grows its buffer by appending instead of reserving
-// hundreds of megabytes up front.
+// maxEntryPresize caps the buffer Begin sizes: a large unit grows its
+// buffer by appending instead of reserving hundreds of megabytes up
+// front.
 const maxEntryPresize = 1 << 20
 
 // Entry is one or more records encoded for the log whose sequence numbers
@@ -366,11 +365,11 @@ type Entry struct{ req *request }
 // commits, Options.OnCommit receives the payload before the entry's
 // waiter resolves. Add encodes its records; Submit queues them as one
 // request, so they are written by one write call, covered by one fsync
-// and acknowledged by one Wait. records is how many records the caller
-// expects to add; it sizes the entry's buffer, up to maxEntryPresize.
-func (l *Log) Begin(payload any, records int) Entry {
-	size := min(records*(frameHeaderSize+putFrameGuess+seqSuffixMax), maxEntryPresize)
-	req := &request{frames: make([]byte, 0, size), payload: payload}
+// and acknowledged by one Wait. size is how many bytes the caller
+// expects its records to take (see PutFrameSize); it sizes the entry's
+// buffer, up to maxEntryPresize, and a record beyond it grows the buffer.
+func (l *Log) Begin(payload any, size int) Entry {
+	req := &request{frames: make([]byte, 0, min(size, maxEntryPresize)), payload: payload}
 	req.marks = req.one[:0]
 	if l.opts.Fsync == FsyncAlways {
 		req.w.ch = make(chan error, 1)
@@ -396,7 +395,11 @@ func (e Entry) Add(rec *Record) error {
 
 // Prepare is Begin plus Add for a one-record entry.
 func (l *Log) Prepare(rec *Record, payload any) (Entry, error) {
-	e := l.Begin(payload, 1)
+	size := 0
+	if rec.Kind == KindPut && rec.Doc != nil {
+		size = PutFrameSize(rec.Table, rec.Doc.EncodedLen())
+	}
+	e := l.Begin(payload, size)
 	if err := e.Add(rec); err != nil {
 		return Entry{}, err
 	}

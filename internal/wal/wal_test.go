@@ -384,3 +384,37 @@ func TestParseFsyncPolicy(t *testing.T) {
 		t.Error("bad policy accepted")
 	}
 }
+
+// TestEntrySizedFromEncodedLength: a put of a document that holds its
+// encoding — a stored text, or a sealed document encoded once — reserves
+// the frame's exact size up front, closed sequence number included, so
+// encoding the record and closing it grow nothing. A document of unknown
+// length still gets the guess.
+func TestEntrySizedFromEncodedLength(t *testing.T) {
+	l := openT(t, t.TempDir(), &Options{Fsync: FsyncNever})
+	defer l.Close()
+	text := `{"_id":"p1","_version":1,"body":"lorem ipsum dolor sit amet","tags":["a","b"]}`
+	var doc document.Document
+	if err := document.NewDecoder([]byte(text)).DocumentText(&doc); err != nil {
+		t.Fatal(err)
+	}
+	doc.Seal()
+	rec := Record{Kind: KindPut, Table: "posts", Doc: &doc}
+	e, err := l.Prepare(&rec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := PutFrameSize("posts", len(text))
+	if got := cap(e.req.frames); got != want {
+		t.Errorf("entry reserved %d bytes, want %d", got, want)
+	}
+	if got := len(e.req.frames) + seqSuffixMax; got > want {
+		t.Errorf("the closed frame takes up to %d bytes, more than the %d reserved", got, want)
+	}
+	if got, guess := PutFrameSize("posts", 0), frameHeaderSize+putFrameGuess+seqSuffixMax; got != guess {
+		t.Errorf("unknown length sized %d, want the guess %d", got, guess)
+	}
+	if err := l.Submit(e, 1).Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
