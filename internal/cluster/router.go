@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -153,37 +154,65 @@ func (r *Router) Delete(table, id string) error {
 	return r.StoreFor(id).Delete(table, id)
 }
 
-// Apply commits writes as one unit per shard: each shard's writes, in
-// their order, through that shard's Store.Apply, which sets their After.
-// Shards commit one after another, so a unit is atomic within its shard
-// only: when a later shard refuses its unit, the earlier shards' units
-// stay committed. Whatever Apply returns, a write's After is non-nil
-// exactly when readers can see it (Write.After), so a caller that gets
-// an error still knows which writes to invalidate.
+// Apply commits writes as one unit across shards: every shard's part (its
+// writes, in their order) is prepared before any is installed, so a
+// refusal anywhere writes nothing anywhere. Lock order: shards ascending,
+// and tables by name within a shard (Store.Prepare); every other path
+// holds one shard's table locks at a time. A reader may still see one
+// shard's part before another's. Whatever Apply returns, a write's After
+// is non-nil exactly when readers can see it (Write.After).
 func (r *Router) Apply(writes []store.Write) error {
 	if len(r.stores) == 1 {
 		return r.stores[0].Apply(writes)
 	}
-	units := make([][]store.Write, len(r.stores))
-	from := make([][]int, len(r.stores)) // from[i][j]: units[i][j]'s index in writes
+	parts := make([][]store.Write, len(r.stores))
+	from := make([][]int, len(r.stores)) // from[i][j]: parts[i][j]'s index in writes
 	for i := range writes {
 		sh := r.smap.Shard(writes[i].ID)
-		units[sh] = append(units[sh], writes[i])
+		parts[sh] = append(parts[sh], writes[i])
 		from[sh] = append(from[sh], i)
 	}
-	for sh, unit := range units {
-		if len(unit) == 0 {
+	var prepared []*store.Unit
+	var stale []string // a conflict outranks any other refusal and names every shard's keys
+	var err error
+	for sh, part := range parts {
+		if len(part) == 0 {
 			continue
 		}
-		err := r.stores[sh].Apply(unit)
-		for j := range unit {
-			writes[from[sh][j]].After = unit[j].After
-		}
-		if err != nil {
-			return err
+		u, perr := r.stores[sh].Prepare(part)
+		var conflict *store.ConflictError
+		switch {
+		case perr == nil:
+			prepared = append(prepared, u)
+		case errors.As(perr, &conflict):
+			stale = append(stale, conflict.Keys...)
+		case err == nil:
+			err = perr
 		}
 	}
-	return nil
+	if stale != nil {
+		err = &store.ConflictError{Keys: stale}
+	}
+	for _, u := range prepared {
+		if err != nil {
+			u.Abort()
+		} else {
+			u.Install()
+		}
+	}
+	if err == nil {
+		for _, u := range prepared {
+			if werr := u.Wait(); err == nil {
+				err = werr
+			}
+		}
+	}
+	for sh, part := range parts {
+		for j := range part {
+			writes[from[sh][j]].After = part[j].After
+		}
+	}
+	return err
 }
 
 // Get reads the document directly from its owning shard.

@@ -180,9 +180,6 @@ type Server struct {
 	// closed is set once by Close; the read path checks it without mu.
 	closed atomic.Bool
 
-	// txnMu serializes transaction validation+apply (single-node BOCC).
-	txnMu sync.Mutex
-
 	schemas *schemaRegistry
 	auth    authorizer
 
@@ -735,25 +732,29 @@ func (s *Server) Delete(table, id string) error {
 	return err
 }
 
-// write applies one write as a unit and returns its After. It runs
-// record-level invalidation whenever readers can see the write, also
-// when the store installed it and then reports a failed WAL group, as
-// Commit does for a transaction.
+// write applies one write as a unit and returns its After.
 func (s *Server) write(w store.Write) (*document.Document, error) {
 	ws := []store.Write{w}
-	err := s.router.Apply(ws)
-	if ws[0].After != nil {
-		s.afterWrites(RecordKey(w.Table, w.ID))
-	}
+	err := s.apply(ws)
 	return ws[0].After, err
 }
 
-// afterWrites samples the write rates of written records and invalidates
-// their own cache entries, reading each clock once for all of them.
-// Query-level invalidation arrives asynchronously from InvaliDB.
-func (s *Server) afterWrites(keys ...string) {
+// apply commits writes through the router, then counts the records
+// readers can see and runs their record-level bookkeeping
+// (observeWrites), also when the call failed: a refused unit sets no
+// After, but one whose WAL group failed after it was installed keeps
+// them. Query-level invalidation arrives asynchronously from InvaliDB.
+func (s *Server) apply(writes []store.Write) error {
+	err := s.router.Apply(writes)
+	keys := make([]string, 0, len(writes))
+	for i := range writes {
+		if writes[i].After != nil {
+			keys = append(keys, RecordKey(writes[i].Table, writes[i].ID))
+		}
+	}
 	s.writes.Add(uint64(len(keys)))
 	s.observeWrites(keys)
+	return err
 }
 
 // observeWrites is the bookkeeping every write to a record takes, whether
@@ -775,7 +776,7 @@ func (s *Server) observeWrites(keys []string) {
 
 // followCoherence subscribes to one store's ordered change stream and
 // feeds every replicated write into the TTL estimator and the EBF — the
-// same bookkeeping afterWrites does on the HTTP write path, which a
+// same bookkeeping apply does on the HTTP write path, which a
 // replica's writes never take (they arrive through replication), once per
 // delivered batch. This is what makes replica-served Cache-Control TTLs
 // hot/cold-aware and the replica's piggybacked EBF coherent. After a

@@ -16,6 +16,7 @@ import (
 // server refuses is refused whole, before its earlier, valid writes land.
 func TestTransactionRefusedWritesNothing(t *testing.T) {
 	const valid = `{"op":"put","table":"posts","id":"a-x","doc":{"title":"ok"}}`
+	reads := map[string]string{"malformed read-set key": `{"nokey":1}`} // the cases with a read set
 	for _, tc := range []struct {
 		name string
 		bad  string
@@ -29,6 +30,9 @@ func TestTransactionRefusedWritesNothing(t *testing.T) {
 		{"patch of a missing record", `{"op":"patch","table":"posts","id":"nope","spec":{"set":{"n":1}}}`, http.StatusNotFound},
 		{"patch after own delete", `{"op":"delete","table":"posts","id":"p1"},{"op":"patch","table":"posts","id":"p1","spec":{"set":{"n":1}}}`, http.StatusNotFound},
 		{"conditional patch, stale version", `{"op":"patch","table":"posts","id":"p1","spec":{"set":{"n":1},"ifVersion":7}}`, http.StatusPreconditionFailed},
+		{"inc through a scalar", `{"op":"patch","table":"posts","id":"p1","spec":{"inc":{"title.x":1}}}`, http.StatusBadRequest},
+		{"push through a scalar", `{"op":"patch","table":"posts","id":"p1","spec":{"push":{"title.x":1}}}`, http.StatusBadRequest},
+		{"malformed read-set key", `{"op":"delete","table":"posts","id":"p1"}`, http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := newTestServer(t, 1, nil)
@@ -40,6 +44,9 @@ func TestTransactionRefusedWritesNothing(t *testing.T) {
 				t.Fatalf("PUT = %d: %s", rec.Code, rec.Body)
 			}
 			body := `{"writes":[` + valid + `,` + tc.bad + `]}`
+			if r := reads[tc.name]; r != "" {
+				body = `{"reads":` + r + `,` + body[1:]
+			}
 			rec := serve(h, http.MethodPost, "/v1/transaction", body)
 			if rec.Code != tc.want || !strings.HasPrefix(rec.Body.String(), `{"error":`) {
 				t.Errorf("transaction = %d: %s, want %d and an error body", rec.Code, rec.Body, tc.want)
@@ -54,7 +61,7 @@ func TestTransactionRefusedWritesNothing(t *testing.T) {
 	}
 }
 
-// TestTransactionPatchSeesOwnPut: the dry run patches the record as the
+// TestTransactionPatchSeesOwnPut: the store patches the record as the
 // transaction's earlier writes leave it.
 func TestTransactionPatchSeesOwnPut(t *testing.T) {
 	srv := newTestServer(t, 1, nil)

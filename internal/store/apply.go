@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,12 +28,16 @@ const (
 	// WriteDelete removes the record. Deleting an absent record writes
 	// nothing and leaves After nil.
 	WriteDelete
+	// WriteCheck writes nothing: it refuses its unit, with a
+	// ConflictError, unless the record is at Version (0: absent). A
+	// unit's checks come before its writes.
+	WriteCheck
 	// writeReplicated installs Doc exactly as a primary recorded it: an
 	// after-image, or with tombstone set the tombstone {ID, Version}.
 	writeReplicated
 )
 
-// Write is one document write of a unit Store.Apply commits.
+// Write is one document write, or check, of a unit Store.Apply commits.
 type Write struct {
 	Kind  WriteKind
 	Table string
@@ -43,6 +48,8 @@ type Write struct {
 	Doc *document.Document
 	// Spec is WriteUpdate's partial update.
 	Spec UpdateSpec
+	// Version is the version WriteCheck expects.
+	Version int64
 	// After is set by Apply to the stored after-image, read-only: the
 	// tombstone {ID, Version} for a delete, nil for a delete that found
 	// nothing. A refused unit leaves every After nil; a unit whose WAL
@@ -53,10 +60,7 @@ type Write struct {
 	tombstone bool
 }
 
-// Apply commits writes as one unit. Every write is decided against the
-// state the unit's earlier writes leave, under the write locks of every
-// table the unit touches (taken in name order), before any is installed:
-// one that fails refuses the whole unit and changes nothing. The unit's
+// Apply commits writes as one unit: Prepare, Install, Wait. The unit's
 // events take contiguous Seqs in one stamp section, reach the WAL as one
 // request (one write call, one fsync under wal.FsyncAlways, one Wait) and
 // the commit log as one unit, so that within this store a reader — Get,
@@ -64,58 +68,96 @@ type Write struct {
 // Update and Delete are one-write units.
 //
 // Not atomic: a crash can leave a prefix of a unit in the log (recovery
-// replays record by record; no commit marker drops an unfinished unit),
-// and a unit spans one store — cluster.Router applies one unit per shard.
+// replays record by record; no commit marker drops an unfinished unit).
 func (s *Store) Apply(writes []Write) error {
-	if s.readOnly.Load() {
-		return refuse(writes, ErrReadOnly)
-	}
-	w, err := s.apply(writes, 0)
+	u, err := s.Prepare(writes)
 	if err != nil {
 		return err
 	}
-	return s.commit(w)
+	u.Install()
+	return u.Wait()
 }
 
-// apply decides, installs and stamps writes as one unit — at the next
-// Seqs, or from seq when a replica replays its primary's — and returns
-// the waiter commit takes (nil on in-memory stores, and when the unit
-// wrote nothing).
-func (s *Store) apply(writes []Write, seq uint64) (*wal.Waiter, error) {
-	u := unitPool.Get().(*unit)
-	defer u.release()
-	if err := u.resolve(s, writes); err != nil {
+// Prepare decides writes as one unit under the write locks of every table
+// they touch (taken in name order), each against the state the unit's
+// earlier writes leave, and encodes its log records. A write that fails,
+// or a stale WriteCheck, refuses the unit: nothing changes, no lock is
+// held and every After is nil. A prepared unit holds its locks until
+// Install or Abort.
+func (s *Store) Prepare(writes []Write) (*Unit, error) {
+	u := unitPool.Get().(*Unit)
+	u.s, u.writes = s, writes
+	if err := u.resolve(writes); err != nil {
+		u.release()
 		return nil, refuse(writes, err)
 	}
 	for _, t := range u.tabs {
 		t.mu.Lock()
 	}
-	defer func() {
-		for _, t := range u.tabs {
-			t.mu.Unlock()
-		}
-	}()
 	now := s.opts.Clock()
 	for i := range writes {
+		if u.stale != nil && writes[i].Kind != WriteCheck {
+			break // the unit is refused; its writes need no deciding
+		}
 		if err := u.decide(&writes[i], u.of[i], now); err != nil {
-			return nil, refuse(writes, err)
+			u.Abort()
+			return nil, err
 		}
 	}
-	if len(u.evs) == 0 {
-		return nil, nil
+	if stale := u.stale; stale != nil {
+		u.Abort()
+		return nil, &ConflictError{Keys: stale}
 	}
-	// Encoding fails on an unencodable document, before anything changed.
-	evs, entry, err := s.encode(u.evs)
-	if err != nil {
-		return nil, refuse(writes, err)
+	if len(u.evs) > 0 {
+		// Encoding fails on an unencodable document, before anything changed.
+		var err error
+		if u.stamped, u.entry, err = s.encode(u.evs); err != nil {
+			u.Abort()
+			return nil, err
+		}
 	}
+	return u, nil
+}
+
+// Install swaps a prepared unit's records in, stamps its events and
+// releases its locks. Wait follows, with no table lock held.
+func (u *Unit) Install() {
 	for i := range u.evs {
 		u.at[i].swap(u.evs[i].After, u.evs[i].Deleted)
 	}
-	// Stamping inside the tables' critical sections makes the per-key
-	// order of Seqs (and of log records) the order the locks serialized.
-	return s.stamp(evs, seq, entry), nil
+	if len(u.evs) > 0 {
+		// Stamping inside the tables' critical sections makes the per-key
+		// order of Seqs (and of log records) the order the locks serialized.
+		u.w = u.s.stamp(u.stamped, u.seq, u.entry)
+	}
+	for _, t := range u.tabs {
+		t.mu.Unlock()
+	}
 }
+
+// Wait returns once an installed unit is on the commit pipeline (see
+// Store.commit), or with its WAL group's error, and ends the unit.
+func (u *Unit) Wait() error {
+	err := u.s.commit(u.w)
+	u.release()
+	return err
+}
+
+// Abort refuses a prepared unit: it releases its locks, clears every
+// After and ends the unit.
+func (u *Unit) Abort() {
+	for _, t := range u.tabs {
+		t.mu.Unlock()
+	}
+	refuse(u.writes, nil)
+	u.release()
+}
+
+// ConflictError refuses a unit whose WriteChecks found their records at
+// other versions. Keys names each as "table/id", in the unit's order.
+type ConflictError struct{ Keys []string }
+
+func (e *ConflictError) Error() string { return "store: stale read of " + strings.Join(e.Keys, ", ") }
 
 // refuse clears the After that decide set on a unit's earlier writes,
 // none of which was installed, and returns err.
@@ -126,16 +168,24 @@ func refuse(writes []Write, err error) error {
 	return err
 }
 
-// unit is apply's scratch: the tables a unit touches and the events it
-// decided. Units are pooled, so a one-write unit allocates nothing here.
-type unit struct {
-	tabs []*table // distinct tables, sorted by name: the lock order
-	of   []*table // of[i] is writes[i]'s table
-	evs  []ChangeEvent
-	at   []*table // at[i] is evs[i]'s table
+// Unit is a unit of writes from Prepare to Wait or Abort. Units are
+// pooled, so a one-write unit allocates nothing here.
+type Unit struct {
+	s      *Store
+	writes []Write
+	seq    uint64   // a replayed unit's first Seq at its primary; 0: the next Seq
+	tabs   []*table // distinct tables, sorted by name: the lock order
+	of     []*table // of[i] is writes[i]'s table
+	evs    []ChangeEvent
+	at     []*table // at[i] is evs[i]'s table
 	// last maps a record to its newest event in evs, once the unit is
 	// long enough that a backward scan would cost more.
-	last map[recordRef]int
+	last  map[recordRef]int
+	stale []string // the keys of stale checks
+	// stamped and entry are encode's, w is stamp's.
+	stamped []ChangeEvent
+	entry   wal.Entry
+	w       *wal.Waiter
 }
 
 type recordRef struct {
@@ -150,13 +200,14 @@ const scanLimit = 8
 // maxPooledUnit is the longest unit whose scratch is pooled.
 const maxPooledUnit = 4096
 
-var unitPool = sync.Pool{New: func() any { return new(unit) }}
+var unitPool = sync.Pool{New: func() any { return new(Unit) }}
 
-func (u *unit) release() {
+func (u *Unit) release() {
 	if cap(u.evs) > maxPooledUnit {
-		unitPool.Put(new(unit)) // one huge unit does not pin its buffers
+		unitPool.Put(new(Unit)) // one huge unit does not pin its buffers
 		return
 	}
+	u.s, u.writes, u.seq, u.stale, u.stamped, u.entry, u.w = nil, nil, 0, nil, nil, wal.Entry{}, nil
 	clear(u.tabs)
 	clear(u.of)
 	clear(u.evs)
@@ -167,9 +218,12 @@ func (u *unit) release() {
 }
 
 // resolve checks each write's shape and finds its table.
-func (u *unit) resolve(s *Store, writes []Write) error {
+func (u *Unit) resolve(writes []Write) error {
 	for i := range writes {
 		w := &writes[i]
+		if w.Kind != writeReplicated && u.s.readOnly.Load() {
+			return ErrReadOnly
+		}
 		if w.ID == "" {
 			return ErrEmptyID
 		}
@@ -185,7 +239,7 @@ func (u *unit) resolve(s *Store, writes []Write) error {
 		}
 		if t == nil {
 			var err error
-			if t, err = s.table(w.Table); err != nil {
+			if t, err = u.s.table(w.Table); err != nil {
 				return err
 			}
 			at, _ := slices.BinarySearchFunc(u.tabs, t.name, func(x *table, name string) int {
@@ -207,7 +261,7 @@ func (u *unit) resolve(s *Store, writes []Write) error {
 // current returns what the record holds as the unit's earlier writes left
 // it: the document (nil when absent) and, when the unit deleted it, the
 // tombstone. Caller holds t.mu.
-func (u *unit) current(t *table, id string) (doc, tomb *document.Document) {
+func (u *Unit) current(t *table, id string) (doc, tomb *document.Document) {
 	i := -1
 	if len(u.evs) <= scanLimit {
 		for j := len(u.evs) - 1; j >= 0; j-- {
@@ -229,9 +283,10 @@ func (u *unit) current(t *table, id string) (doc, tomb *document.Document) {
 }
 
 // decide settles one write against the unit's view of its record and
-// queues its event; a delete of an absent record queues none. Caller
-// holds every table's lock.
-func (u *unit) decide(w *Write, t *table, now time.Time) error {
+// queues its event; a delete of an absent record and a check queue none,
+// and a stale check is noted in stale. It is the one place that decides
+// what a write does. Caller holds every table's lock.
+func (u *Unit) decide(w *Write, t *table, now time.Time) error {
 	prev, tomb := u.current(t, w.ID)
 	next, deleted := w.Doc, false
 	switch w.Kind {
@@ -267,6 +322,11 @@ func (u *unit) decide(w *Write, t *table, now time.Time) error {
 			return nil
 		}
 		next, deleted = &document.Document{ID: w.ID, Version: prev.Version + 1}, true
+	case WriteCheck:
+		if prev == nil && w.Version != 0 || prev != nil && prev.Version != w.Version {
+			u.stale = append(u.stale, t.name+"/"+w.ID)
+		}
+		return nil
 	case writeReplicated:
 		deleted = w.tombstone // exactly as recorded
 	default:

@@ -534,11 +534,14 @@ func (s *Store) ApplyReplicated(recs []wal.Record) (applied int, err error) {
 			} else if doc == nil {
 				return applied, fmt.Errorf("store: replicated put seq %d has no document", rec.Seq)
 			}
-			w, err := s.apply([]Write{{Kind: writeReplicated, Table: t.name, ID: doc.ID, Doc: doc, tombstone: deleted}}, rec.Seq)
+			u, err := s.Prepare([]Write{{Kind: writeReplicated, Table: t.name, ID: doc.ID, Doc: doc, tombstone: deleted}})
 			if err != nil {
 				return applied, err
 			}
-			last = w
+			u.seq = rec.Seq
+			u.Install()
+			last = u.w
+			u.release()
 			applied++
 		default:
 			return applied, fmt.Errorf("store: unknown replicated record kind %q", rec.Kind)

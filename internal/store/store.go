@@ -11,9 +11,10 @@
 // key") — happens one level up: internal/cluster routes across -shards N
 // stores, each with its own WAL and pipeline.
 //
-// There is one write path: Store.Apply commits a unit of writes — one for
-// Put, Insert, Update and Delete, a transaction's for Server.Commit — by
-// deciding every write under the touched tables' locks, changing each
+// There is one write path: Store.Prepare and Unit.Install (Store.Apply)
+// commit a unit of writes — one for Put, Insert, Update and Delete, a
+// transaction's checks and writes for cluster.Router.Apply — by deciding
+// each under the touched tables' locks, changing each
 // document through one table mutation (table.swap), and taking the
 // unit's place in the write order in one stamp section (Store.stamp),
 // which makes queue order Seq order by construction — the WAL committer's
@@ -481,13 +482,13 @@ func ApplySpec(doc *document.Document, spec UpdateSpec) error {
 		default:
 			return fmt.Errorf("%w: inc %q: field is %T", ErrBadUpdateSpec, path, cur)
 		}
-		nv := base + delta
-		if nv == float64(int64(nv)) {
-			if err := doc.Set(path, int64(nv)); err != nil {
-				return err
-			}
-		} else if err := doc.Set(path, nv); err != nil {
-			return err
+		sum := base + delta
+		var nv any = sum
+		if sum == float64(int64(sum)) {
+			nv = int64(sum)
+		}
+		if err := doc.Set(path, nv); err != nil {
+			return fmt.Errorf("%w: inc %q: %v", ErrBadUpdateSpec, path, err)
 		}
 	}
 	for path, v := range spec.Push {
@@ -502,7 +503,7 @@ func ApplySpec(doc *document.Document, spec UpdateSpec) error {
 		}
 		arr = append(arr, document.Normalize(v))
 		if err := doc.Set(path, arr); err != nil {
-			return err
+			return fmt.Errorf("%w: push %q: %v", ErrBadUpdateSpec, path, err)
 		}
 	}
 	for path, v := range spec.Pull {
@@ -522,7 +523,7 @@ func ApplySpec(doc *document.Document, spec UpdateSpec) error {
 			}
 		}
 		if err := doc.Set(path, append([]any(nil), out...)); err != nil {
-			return err
+			return fmt.Errorf("%w: pull %q: %v", ErrBadUpdateSpec, path, err)
 		}
 	}
 	return nil

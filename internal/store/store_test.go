@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"quaestor/internal/commitlog"
 	"quaestor/internal/document"
 	"quaestor/internal/query"
+	"quaestor/internal/wal"
 )
 
 func openWithTable(t *testing.T, table string) *Store {
@@ -158,6 +160,16 @@ func TestUpdateBadSpecs(t *testing.T) {
 	}
 	if _, err := s.Update("posts", "p1", UpdateSpec{Pull: map[string]any{"s": 1}}); !errors.Is(err, ErrBadUpdateSpec) {
 		t.Errorf("pull on string: %v", err)
+	}
+	// A path that runs through a scalar fits no op.
+	for name, spec := range map[string]UpdateSpec{
+		"set":  {Set: map[string]any{"s.x": 1}},
+		"inc":  {Inc: map[string]float64{"s.x": 1}},
+		"push": {Push: map[string]any{"s.x": 1}},
+	} {
+		if _, err := s.Update("posts", "p1", spec); !errors.Is(err, ErrBadUpdateSpec) {
+			t.Errorf("%s through a string: %v", name, err)
+		}
 	}
 	// Failed updates must not bump the version or mutate the document.
 	got, _ := s.Get("posts", "p1")
@@ -455,5 +467,64 @@ func TestRefusedUnitLeavesAfterNil(t *testing.T) {
 	}
 	if writes[0].After == nil || writes[0].After.Version != 1 || writes[1].After != nil {
 		t.Errorf("After = %v, %v; want a at version 1 and nil for the delete that found nothing", writes[0].After, writes[1].After)
+	}
+}
+
+// TestWriteChecksLogNothing: a WriteCheck is decided with the unit's
+// writes and adds no event and no log record. A unit of checks alone
+// logs nothing; stale checks refuse the unit, naming every stale record
+// in the unit's order, and its writes are not made.
+func TestWriteChecksLogNothing(t *testing.T) {
+	s := openDurable(t, t.TempDir(), wal.FsyncAlways)
+	defer s.Close()
+	if err := s.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("t", document.New("a", map[string]any{"n": int64(1)})); err != nil {
+		t.Fatal(err)
+	}
+	appends := func() uint64 {
+		st, _ := s.DurabilityStats()
+		return st.WAL.Appends
+	}
+	check := func(id string, version int64) Write {
+		return Write{Kind: WriteCheck, Table: "t", ID: id, Version: version}
+	}
+	put := func(id string) Write {
+		return Write{Kind: WritePut, Table: "t", ID: id, Doc: document.New(id, map[string]any{"n": int64(1)})}
+	}
+	for _, tc := range []struct {
+		name    string
+		writes  []Write
+		records uint64
+		stale   []string
+	}{
+		{"current checks and a put", []Write{check("a", 1), check("b", 0), put("c")}, 1, nil},
+		{"checks alone", []Write{check("a", 1), check("c", 1)}, 0, nil},
+		{"stale checks", []Write{check("a", 2), check("b", 0), check("c", 0), put("d")}, 0, []string{"t/a", "t/c"}},
+	} {
+		seq, before := s.LastSeq(), appends()
+		err := s.Apply(tc.writes)
+		var conflict *ConflictError
+		switch {
+		case tc.stale == nil && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.stale != nil && (!errors.As(err, &conflict) || !slices.Equal(conflict.Keys, tc.stale)):
+			t.Errorf("%s: %v, want a conflict naming %v", tc.name, err, tc.stale)
+		}
+		if got := appends() - before; got != tc.records {
+			t.Errorf("%s: %d log records, want %d", tc.name, got, tc.records)
+		}
+		if got := s.LastSeq() - seq; got != tc.records {
+			t.Errorf("%s: %d Seqs taken, want %d", tc.name, got, tc.records)
+		}
+		for i, w := range tc.writes {
+			if w.Kind == WriteCheck && w.After != nil {
+				t.Errorf("%s: check %d has After %v", tc.name, i, w.After)
+			}
+		}
+	}
+	if _, err := s.Get("t", "d"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get d: %v; the refused unit's put was made", err)
 	}
 }
