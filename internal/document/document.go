@@ -24,17 +24,18 @@ import (
 // map[string]any (arbitrarily nested). Use Normalize to coerce arbitrary
 // numeric types (int, float32, json.Number, ...) into this canonical set.
 //
-// How the fields are held: a document built in Go (New, a Clone, an
-// update's after-image) or decoded by Decoder.Document (the SDK's
-// reads, UnmarshalJSON) holds them in Fields. A document the server
-// decodes from a request, a log record or a snapshot frame
-// (Decoder.DocumentText) is a text document: it keeps the JSON text it
-// arrived in, Fields stays nil, and its fields are decoded the first
-// time they are read — Body decodes them all and keeps the map, Get
-// decodes the one value a path names. Its first AppendJSON once sealed
-// yields the wire form, which replaces the text (usually it is the text),
-// so it holds one encoding. Readers that may meet either kind read
-// through Body and Get.
+// How the fields are held: a document built in Go (New, a Clone) or
+// decoded by Decoder.Document (the SDK's reads, UnmarshalJSON) holds
+// them in Fields. A document the server decodes from a request, a log
+// record or a snapshot frame (Decoder.DocumentText), and an update's
+// after-image (Draft), is a text document: it keeps its JSON text,
+// Fields stays nil, and no field value is kept — Get decodes the one
+// value a path names, Holds and IndexKeys read match keys off the text,
+// and Body decodes the whole text on each call. A loaded text's first
+// AppendJSON once sealed yields the wire form, which replaces the text
+// (usually it is the text), and a Draft's text is the wire form from
+// the start, so a text document holds one encoding. Readers that may
+// meet either kind read through Get, Holds and Body.
 //
 // Ownership: a document is mutable only until it is handed over. One
 // passed to a write (store.Store.Put/Insert, cluster.Router.Put/Insert,
@@ -43,9 +44,9 @@ import (
 // store, the server or the SDK returns (reads, query results, cursor
 // emissions, an update's after-image, change events, browser-cache
 // copies) is shared and read-only. Writers are copy-on-write: they
-// Clone, change the clone and store it in the original's place. So a
-// pointer once handed out never changes, and it may be retained,
-// encoded and compared without a lock. The store Seals every document
+// Clone (or Draft), change the copy and store it in the original's
+// place. So a pointer once handed out never changes, and it may be
+// retained, encoded and compared without a lock. The store Seals every document
 // it keeps, so a stored document's wire form (AppendJSON) is built once
 // and then copied; a document that is not sealed still belongs to its
 // caller and is encoded afresh each time.
@@ -81,25 +82,22 @@ func (d *Document) Clone() *Document {
 		return nil
 	}
 	if w := d.textForm(); w != nil {
-		return &Document{ID: d.ID, Version: d.Version, Fields: cloneBody(w)}
+		return &Document{ID: d.ID, Version: d.Version, Fields: decodeText(w.bytes)}
 	}
 	return &Document{ID: d.ID, Version: d.Version, Fields: CloneValue(d.Fields).(map[string]any)}
 }
 
 // Get returns the value at a dotted field path ("author.name",
 // "comments.0.text"). The boolean reports whether the path exists. A text
-// document whose fields were not decoded yet decodes that value alone.
+// document decodes that value alone.
 func (d *Document) Get(path string) (any, bool) {
 	if d == nil {
 		return nil, false
 	}
-	if w := d.textForm(); w != nil {
-		if w.fields == nil && path != "" {
-			return lookupText(w.bytes, path)
-		}
-		return GetPath(d.Body(), path)
+	if w := d.textForm(); w != nil && path != "" {
+		return lookupText(w.bytes, path)
 	}
-	return GetPath(d.Fields, path)
+	return GetPath(d.Body(), path)
 }
 
 // Set assigns a value at a dotted field path, creating intermediate maps as
@@ -483,6 +481,15 @@ func MatchKey(v any) string {
 // key up (m[string(key)]) allocates nothing.
 func AppendMatchKey(dst []byte, v any) []byte { return appendCanonical(dst, v, true) }
 
+// appendCanonicalFloat appends Canonical(f).
+func appendCanonicalFloat(dst []byte, f float64) []byte {
+	if f == float64(int64(f)) {
+		// Integral floats print like integers so 1.0 and 1 share a key.
+		return strconv.AppendInt(dst, int64(f), 10)
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
 // appendCanonical appends Canonical(v), or MatchKey(v) when match is set.
 func appendCanonical(dst []byte, v any, match bool) []byte {
 	switch t := v.(type) {
@@ -492,15 +499,11 @@ func appendCanonical(dst []byte, v any, match bool) []byte {
 		return strconv.AppendBool(dst, t)
 	case int64:
 		if match {
-			return appendCanonical(dst, float64(t), false)
+			return appendCanonicalFloat(dst, float64(t))
 		}
 		return strconv.AppendInt(dst, t, 10)
 	case float64:
-		if t == float64(int64(t)) {
-			// Integral floats print like integers so 1.0 and 1 share a key.
-			return strconv.AppendInt(dst, int64(t), 10)
-		}
-		return strconv.AppendFloat(dst, t, 'g', -1, 64)
+		return appendCanonicalFloat(dst, t)
 	case string:
 		return strconv.AppendQuote(dst, t)
 	case []any:

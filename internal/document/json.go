@@ -17,14 +17,12 @@ import (
 type wireForm struct {
 	version int64
 	bytes   []byte
-	// text says the document's fields come from bytes, decoded into
-	// fields on first use; raw that bytes are still the text the document
-	// arrived in, canon that bytes are in wire form but perhaps for the
-	// values of "_id" and "_version", and sealed that the raw text's
-	// document was sealed.
+	// text says the document's fields come from bytes, read on each use;
+	// raw that bytes are still the text the document arrived in, canon
+	// that bytes are in wire form but perhaps for the values of "_id" and
+	// "_version", and sealed that the raw text's document was sealed.
 	text, raw, canon bool
 	sealed           atomic.Bool
-	fields           map[string]any
 }
 
 // unencoded marks a sealed document not yet encoded.

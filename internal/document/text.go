@@ -10,30 +10,31 @@ import (
 )
 
 // A text document is one the server decoded from the wire with
-// DocumentText: it keeps the JSON text it arrived in and builds no field
-// values until something reads them. Its state lives in its wire form,
-// whose text flag says that the fields come from the bytes:
+// DocumentText, or one the store built from an update (see Draft): it
+// keeps its JSON text and builds no field values. Its state lives in its
+// wire form, whose text flag says that the fields come from the bytes:
 //
 //   - raw: the bytes are the text as it arrived, and canon says whether
 //     its scan found it in wire form but perhaps for the values of "_id"
 //     and "_version". Until the document is sealed its ID and Version
 //     may still change, so AppendJSON encodes it afresh each time.
-//   - canonical: the first AppendJSON after Seal replaced the text by the
-//     wire form at Version, which is the text itself, uncopied, when the
-//     text already was that form (as an SDK's or a log's is).
+//   - canonical: the bytes are the wire form at version. The first
+//     AppendJSON after Seal replaces a raw text by it, which is the text
+//     itself, uncopied, when the text already was that form (as an SDK's
+//     or a log's is); a Draft's document starts out in it.
 //
-// Either state may also carry the decoded fields, installed by the first
-// Body and kept. Get decodes one value by path from the bytes until then,
-// IndexKeys reads an index's match keys off them always, and the executor
-// reads no field when its residual is True.
+// No state keeps decoded fields. Get decodes the one value a path names,
+// Holds and IndexKeys compare and read match keys off the bytes, and the
+// executor reads no field when its residual is True; Body decodes the
+// whole text on every call, for the readers that need all of it.
 
 // textDecodes counts the decodes of a text document's whole body.
 var textDecodes atomic.Int64
 
 // TextDecodes returns how many times, process-wide, a text document's
 // body was decoded into values (by Body, Clone, Equal, a write's Set or
-// Delete, or the encoding of a text that is not in wire form). Tests use
-// it to check that a path reads no fields.
+// Delete, a Draft that cannot splice, or the encoding of a text that is
+// not in wire form). Tests use it to check that a path reads no fields.
 func TextDecodes() int64 { return textDecodes.Load() }
 
 // DocumentText decodes a document's wire form into doc as Document does,
@@ -147,29 +148,16 @@ func (d *Document) textForm() *wireForm {
 
 // Body returns the document's fields, read-only: Fields for a document
 // built in Go or decoded by Document, and for a text document the fields
-// of its text, decoded on the first call and kept.
+// of its text, decoded afresh on every call. Readers that need a few
+// paths read them through Get or Holds instead.
 func (d *Document) Body() map[string]any {
 	if d == nil {
 		return nil
 	}
-	w := d.textForm()
-	if w == nil {
-		return d.Fields
+	if w := d.textForm(); w != nil {
+		return decodeText(w.bytes)
 	}
-	if w.fields != nil {
-		return w.fields
-	}
-	fields := decodeText(w.bytes)
-	for {
-		next := &wireForm{version: w.version, bytes: w.bytes, text: true, raw: w.raw, canon: w.canon, fields: fields}
-		next.sealed.Store(w.sealed.Load())
-		if d.wire.CompareAndSwap(w, next) {
-			return fields
-		}
-		if w = d.wire.Load(); w.fields != nil {
-			return w.fields
-		}
-	}
+	return d.Fields
 }
 
 // decodeText decodes the fields of a text the document's DocumentText or
@@ -190,18 +178,9 @@ func decodeText(text []byte) map[string]any {
 // copy of its body, for a writer that owns it (Set, Delete).
 func (d *Document) ownFields() {
 	if w := d.textForm(); w != nil {
-		d.Fields = cloneBody(w)
+		d.Fields = decodeText(w.bytes)
 		d.wire.Store(nil)
 	}
-}
-
-// cloneBody returns a private copy of the fields of the text document
-// whose wire form is w.
-func cloneBody(w *wireForm) map[string]any {
-	if w.fields != nil {
-		return CloneValue(w.fields).(map[string]any)
-	}
-	return decodeText(w.bytes)
 }
 
 // lookupText returns the value at a dotted path of a document's text, as
@@ -556,11 +535,10 @@ func canonNumber(lit []byte, isInt bool) bool {
 	return err == nil && bytes.Equal(out, lit)
 }
 
-// installWire records out as d's wire form at version, keeping whatever
-// fields the current form carries.
+// installWire records out as d's wire form at version.
 func (d *Document) installWire(w *wireForm, out []byte, version int64) {
 	for {
-		next := &wireForm{version: version, bytes: out, text: true, canon: true, fields: w.fields}
+		next := &wireForm{version: version, bytes: out, text: true, canon: true}
 		if d.wire.CompareAndSwap(w, next) {
 			return
 		}

@@ -27,6 +27,7 @@ func decodeStored(data []byte) (*Document, error) {
 // accept or both refuse; when they accept, the documents agree on ID and
 // Version, every top-level field a path names and the body are DeepEqual,
 // an index reads the same keys off the text as off the decoded value,
+// Holds judges equality and membership the same off the text,
 // the clone is equal, and the wire forms — before sealing, after, and
 // copied — are the same bytes. Once the wire form replaced the text, Get
 // and the index keys agree with its decode, before and after the body is
@@ -63,6 +64,17 @@ func FuzzDecodeStoredDocument(f *testing.F) {
 				}
 				if gv, ok := got.Get(k); !ok || !reflect.DeepEqual(gv, v) {
 					t.Fatalf("%q %s: Get(%q) = %#v, %v; want %#v", data, state, k, gv, ok, v)
+				}
+				probes := []any{v, nil, "x", int64(1), []any{}}
+				if arr, isArr := v.([]any); isArr {
+					probes = append(probes, arr...)
+				}
+				for _, probe := range probes {
+					gf, gEq, gEl := got.Holds(k, probe)
+					wf, wEq, wEl := want.Holds(k, probe)
+					if gf != wf || gEq != wEq || gEl != wEl {
+						t.Fatalf("%q %s: Holds(%q, %#v) = %v %v %v; want %v %v %v", data, state, k, probe, gf, gEq, gEl, wf, wEq, wEl)
+					}
 				}
 				gk, ge, gElems, gok := got.IndexKeys(k, nil, nil)
 				wk, we, wElems, wok := want.IndexKeys(k, nil, nil)
@@ -137,12 +149,13 @@ func TestStoredDocumentLookup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := TextDecodes()
 		got, gotOK := doc.Get(path)
 		want, wantOK := GetPath(ref.Fields, path)
 		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 			t.Errorf("Get(%q) = %#v, %v; want %#v, %v", path, got, gotOK, want, wantOK)
 		}
-		if doc.textForm().fields != nil {
+		if TextDecodes() != before {
 			t.Errorf("Get(%q) decoded the body", path)
 		}
 	}
@@ -230,8 +243,8 @@ func TestStoredDocumentWritesOwnACopy(t *testing.T) {
 
 // TestStoredDocumentFirstReadsRace: many goroutines read one sealed text
 // document for the first time at once — its body, its wire form, a path
-// — and all see the same fields and the same bytes; the body is decoded
-// into one kept map. Run under -race.
+// — and all see the same fields and the same bytes. Each Body is a
+// decode of its own. Run under -race.
 func TestStoredDocumentFirstReadsRace(t *testing.T) {
 	const readers = 16
 	text := `{"_id":"r","_version":1,"tags":["a","b"],"n":{"m":[1,2.5,"s"]},"title":"t <&>"}`
@@ -273,14 +286,10 @@ func TestStoredDocumentFirstReadsRace(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		kept := doc.Body()
 		for r := 0; r < readers; r += 3 {
-			if reflect.ValueOf(bodies[r]).UnsafePointer() != reflect.ValueOf(kept).UnsafePointer() {
-				t.Fatalf("round %d: reader %d got a body that was not kept", round, r)
+			if !DeepEqual(bodies[r], want.Fields) {
+				t.Fatalf("round %d: reader %d got body %#v, want %#v", round, r, bodies[r], want.Fields)
 			}
-		}
-		if !DeepEqual(kept, want.Fields) {
-			t.Fatalf("body %#v, want %#v", kept, want.Fields)
 		}
 		if b, _ := doc.AppendJSON(nil); !bytes.Equal(b, wantWire) {
 			t.Fatalf("wire form %s, want %s", b, wantWire)
@@ -308,6 +317,39 @@ func TestScanRefusesWhatDecodeRefuses(t *testing.T) {
 		counting := NewDecoder([]byte(s))
 		if counting.scan(true) == nil && (counting.bad > 0) != outOfRange {
 			t.Errorf("%q: the scan counted %d numbers out of range; Value err = %v", s, counting.bad, verr)
+		}
+	}
+}
+
+// TestHoldsReadsTextWithoutAllocating: the equality-like predicates'
+// question, asked of a text document, compares match keys read off the
+// text: no decode, no allocation.
+func TestHoldsReadsTextWithoutAllocating(t *testing.T) {
+	doc, err := decodeStored([]byte(`{"_id":"h","_version":1,"n":7,"o":{"p":"q"},"tags":["a","b"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path                  string
+		v                     any
+		found, equal, element bool
+	}{
+		{"tags", "b", true, false, true},
+		{"tags", "c", true, false, false},
+		{"tags", []any{"a", "b"}, true, true, false},
+		{"n", 7.0, true, true, false},
+		{"o.p", "q", true, true, false},
+		{"missing", "a", false, false, false},
+	} {
+		before := TextDecodes()
+		allocs := testing.AllocsPerRun(100, func() {
+			found, equal, element := doc.Holds(tc.path, tc.v)
+			if found != tc.found || equal != tc.equal || element != tc.element {
+				t.Fatalf("Holds(%q, %#v) = %v %v %v, want %v %v %v", tc.path, tc.v, found, equal, element, tc.found, tc.equal, tc.element)
+			}
+		})
+		if allocs != 0 || TextDecodes() != before {
+			t.Errorf("Holds(%q, %#v): %v allocations, %d decodes; want none", tc.path, tc.v, allocs, TextDecodes()-before)
 		}
 	}
 }

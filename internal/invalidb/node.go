@@ -53,11 +53,11 @@ type matchNode struct {
 	// cluster runs with DisableQueryIndex (the scan baseline).
 	qidx *queryIndex
 	// matchedBy is the reverse of the queries' wasMatch sets: document id
-	// → queries currently containing it. It supplies the was-match side of
-	// candidate generation (a query must see the event that makes its
-	// result drop a document even when the after-image no longer carries
-	// the query's posting).
-	matchedBy map[string]map[string]*nodeQuery
+	// → queries currently containing it, a few per record. It supplies the
+	// was-match side of candidate generation (a query must see the event
+	// that makes its result drop a document even when the after-image no
+	// longer carries the query's posting).
+	matchedBy map[string][]matchRef
 	// cands is match's candidate set, reused from event to event.
 	cands map[string]*nodeQuery
 }
@@ -69,7 +69,7 @@ func newMatchNode(c *Cluster, row, col, buffer int) *matchNode {
 		col:       col,
 		in:        make(chan nodeMsg, buffer),
 		queries:   map[string]*nodeQuery{},
-		matchedBy: map[string]map[string]*nodeQuery{},
+		matchedBy: map[string][]matchRef{},
 		cands:     map[string]*nodeQuery{},
 	}
 	if !c.cfg.DisableQueryIndex {
@@ -129,27 +129,44 @@ func (n *matchNode) handle(m nodeMsg) {
 	}
 }
 
+// matchRef is one query of a record's matchedBy list.
+type matchRef struct {
+	key string
+	nq  *nodeQuery
+}
+
 func (n *matchNode) setMatched(docID, key string, nq *nodeQuery) {
 	if n.qidx == nil {
 		return // scan baseline: nothing reads the reverse map
 	}
-	m := n.matchedBy[docID]
-	if m == nil {
-		m = map[string]*nodeQuery{}
-		n.matchedBy[docID] = m
+	refs := n.matchedBy[docID]
+	for i := range refs {
+		if refs[i].key == key {
+			refs[i].nq = nq
+			return
+		}
 	}
-	m[key] = nq
+	n.matchedBy[docID] = append(refs, matchRef{key: key, nq: nq})
 }
 
 func (n *matchNode) clearMatched(docID, key string) {
 	if n.qidx == nil {
 		return
 	}
-	if m, ok := n.matchedBy[docID]; ok {
-		delete(m, key)
-		if len(m) == 0 {
-			delete(n.matchedBy, docID)
+	refs := n.matchedBy[docID]
+	for i := range refs {
+		if refs[i].key != key {
+			continue
 		}
+		if len(refs) == 1 {
+			delete(n.matchedBy, docID)
+			return
+		}
+		last := len(refs) - 1
+		refs[i] = refs[last]
+		refs[last] = matchRef{}
+		n.matchedBy[docID] = refs[:last]
+		return
 	}
 }
 
@@ -176,8 +193,8 @@ func (n *matchNode) match(ev *store.ChangeEvent) {
 	}
 	cands := n.cands
 	n.qidx.collect(ev, cands)
-	for key, nq := range n.matchedBy[docID] {
-		cands[key] = nq
+	for _, ref := range n.matchedBy[docID] {
+		cands[ref.key] = ref.nq
 	}
 	for key, nq := range cands {
 		n.matchOne(key, nq, ev, docID)
@@ -195,7 +212,7 @@ func (n *matchNode) matchOne(key string, nq *nodeQuery, ev *store.ChangeEvent, d
 	}
 	n.cluster.evaluated.Add(1)
 	_, was := nq.wasMatch[docID]
-	is := !ev.Deleted && query.Match(nq.q.Predicate, ev.After)
+	is := !ev.Deleted && nq.q.Predicate.Matches(ev.After)
 	var evType EventType
 	switch {
 	case is && !was:

@@ -76,7 +76,7 @@ func (t *orderTask) handle(ev rawEvent) {
 	case rawActivate:
 		st := &orderState{q: ev.reg.Query, mask: ev.reg.Mask}
 		st.members = append(st.members, ev.reg.InitialMatches...)
-		sort.Slice(st.members, func(i, j int) bool { return st.q.Less(st.members[i], st.members[j]) })
+		st.q.Sort(st.members)
 		t.states[ev.queryKey] = st
 	case rawDeactivate:
 		delete(t.states, ev.queryKey)

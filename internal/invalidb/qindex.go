@@ -1,7 +1,6 @@
 package invalidb
 
 import (
-	"quaestor/internal/index"
 	"quaestor/internal/query"
 	"quaestor/internal/store"
 )
@@ -17,28 +16,27 @@ import (
 //
 // The index is owned by one matching task goroutine and needs no locking.
 type queryIndex struct {
-	// postings maps (table, path, canonical value) to the queries
-	// registered under that key.
-	postings map[postingKey]map[string]*nodeQuery
+	// tables maps a table to the field paths its registered queries post
+	// on, each to its postings. A path is listed while it holds a
+	// posting, so candidate lookup only extracts the paths in use.
+	tables map[string]map[string]pathPostings
 	// residual holds queries with no derivable posting set; they are
 	// candidates for every event of any table.
 	residual map[string]*nodeQuery
-	// paths tracks, per table, how many registered queries post on each
-	// field path, so candidate lookup only extracts the paths in use.
-	paths map[string]map[string]int
+	// keys and ends are collect's scratch: the match keys of one path of
+	// an after-image, and where each ends.
+	keys []byte
+	ends []int
 }
 
-type postingKey struct {
-	table string
-	path  string
-	key   string
-}
+// pathPostings maps a canonical value (match key) at one path to the
+// queries registered under it.
+type pathPostings map[string]map[string]*nodeQuery
 
 func newQueryIndex() *queryIndex {
 	return &queryIndex{
-		postings: map[postingKey]map[string]*nodeQuery{},
+		tables:   map[string]map[string]pathPostings{},
 		residual: map[string]*nodeQuery{},
-		paths:    map[string]map[string]int{},
 	}
 }
 
@@ -51,21 +49,23 @@ func (qi *queryIndex) add(key string, nq *nodeQuery) {
 		return
 	}
 	nq.postings = postings
-	table := nq.q.Table
+	paths := qi.tables[nq.q.Table]
+	if paths == nil {
+		paths = map[string]pathPostings{}
+		qi.tables[nq.q.Table] = paths
+	}
 	for _, p := range postings {
-		pk := postingKey{table: table, path: p.Path, key: p.Key}
-		m := qi.postings[pk]
+		byKey := paths[p.Path]
+		if byKey == nil {
+			byKey = pathPostings{}
+			paths[p.Path] = byKey
+		}
+		m := byKey[p.Key]
 		if m == nil {
 			m = map[string]*nodeQuery{}
-			qi.postings[pk] = m
+			byKey[p.Key] = m
 		}
 		m[key] = nq
-		tp := qi.paths[table]
-		if tp == nil {
-			tp = map[string]int{}
-			qi.paths[table] = tp
-		}
-		tp[p.Path]++
 	}
 }
 
@@ -76,52 +76,69 @@ func (qi *queryIndex) remove(key string, nq *nodeQuery) {
 		return
 	}
 	table := nq.q.Table
+	paths := qi.tables[table]
 	for _, p := range nq.postings {
-		pk := postingKey{table: table, path: p.Path, key: p.Key}
-		if m, ok := qi.postings[pk]; ok {
+		byKey := paths[p.Path]
+		if m, ok := byKey[p.Key]; ok {
 			delete(m, key)
 			if len(m) == 0 {
-				delete(qi.postings, pk)
+				delete(byKey, p.Key)
 			}
 		}
-		if tp, ok := qi.paths[table]; ok {
-			tp[p.Path]--
-			if tp[p.Path] <= 0 {
-				delete(tp, p.Path)
-			}
-			if len(tp) == 0 {
-				delete(qi.paths, table)
-			}
+		if len(byKey) == 0 {
+			delete(paths, p.Path)
 		}
+	}
+	if len(paths) == 0 {
+		delete(qi.tables, table)
 	}
 }
 
 // collect gathers the queries whose postings the after-image carries into
-// out. Deletes carry no fields and thus hit no postings — their candidates
-// come from was-match state, which the caller adds separately.
+// out: those under its value's match key at each path in use and, for a
+// non-empty array, under each element's — the keys index.ValueKeys gives.
+// The keys are read off the after-image into the index's scratch, so a
+// text document is not decoded. Deletes carry no fields and thus hit no
+// postings — their candidates come from was-match state, which the
+// caller adds separately.
 func (qi *queryIndex) collect(ev *store.ChangeEvent, out map[string]*nodeQuery) {
 	for key, nq := range qi.residual {
 		out[key] = nq
 	}
-	tp := qi.paths[ev.Table]
-	if len(tp) == 0 || ev.After == nil || ev.Deleted {
+	paths := qi.tables[ev.Table]
+	if len(paths) == 0 || ev.After == nil || ev.Deleted {
 		return
 	}
-	for path := range tp {
-		v, ok := ev.After.Get(path)
-		if !ok {
-			continue
+	for path, byKey := range paths {
+		keys, ends, elems, ok := ev.After.IndexKeys(path, qi.keys[:0], qi.ends[:0])
+		if ok {
+			from := 0
+			for _, end := range ends {
+				hits(byKey[string(keys[from:end])], out)
+				from = end
+			}
+			if elems {
+				// The whole array's key is its elements' keys, bracketed.
+				whole := len(keys)
+				keys = append(keys, '[')
+				from = 0
+				for i, end := range ends {
+					if i > 0 {
+						keys = append(keys, ',')
+					}
+					keys = append(keys, keys[from:end]...)
+					from = end
+				}
+				keys = append(keys, ']')
+				hits(byKey[string(keys[whole:])], out)
+			}
 		}
-		whole, elems := index.ValueKeys(v)
-		qi.hits(postingKey{table: ev.Table, path: path, key: whole}, out)
-		for _, el := range elems {
-			qi.hits(postingKey{table: ev.Table, path: path, key: el}, out)
-		}
+		qi.keys, qi.ends = keys, ends
 	}
 }
 
-func (qi *queryIndex) hits(pk postingKey, out map[string]*nodeQuery) {
-	for key, nq := range qi.postings[pk] {
+func hits(queries map[string]*nodeQuery, out map[string]*nodeQuery) {
+	for key, nq := range queries {
 		out[key] = nq
 	}
 }

@@ -2,11 +2,13 @@ package invalidb
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"testing"
 	"time"
 
 	"quaestor/internal/document"
+	"quaestor/internal/index"
 	"quaestor/internal/query"
 	"quaestor/internal/store"
 )
@@ -234,5 +236,79 @@ func TestQueryIndexEquivalentToScanBaseline(t *testing.T) {
 	if runs[0].cluster.EvaluatedMatches() >= runs[1].cluster.EvaluatedMatches() {
 		t.Fatalf("index evaluated %d candidates, baseline %d — no pruning",
 			runs[0].cluster.EvaluatedMatches(), runs[1].cluster.EvaluatedMatches())
+	}
+}
+
+// TestQueryIndexCollectReadsTextAsFields: an after-image held as text
+// and the same document held in Fields yield the same candidates, and
+// both yield exactly the queries posted under the keys index.ValueKeys
+// gives its value — whole and, for a non-empty array, each element's —
+// at every path in use.
+func TestQueryIndexCollectReadsTextAsFields(t *testing.T) {
+	qi := newQueryIndex()
+	queries := []*query.Query{
+		query.New("posts", query.Contains("tags", "a")),
+		query.New("posts", query.Contains("tags", "b")),
+		query.New("posts", query.Eq("tags", []any{"a", "b"})),
+		query.New("posts", query.Eq("tags", []any{})),
+		query.New("posts", query.In("n", 1, 2.0, "x")),
+		query.New("posts", query.Eq("o.p", map[string]any{"q": []any{int64(1), "s"}})),
+		query.New("posts", query.Contains("m", []any{int64(1), int64(2)})),
+		query.New("posts", query.OrOf(query.Eq("s", "x<y"), query.Eq("s", "é\n"))),
+		query.New("posts", query.Eq("big", int64(1)<<60)),
+		query.New("posts", query.Gt("n", 0)), // residual: a candidate for every event
+		query.New("other", query.Contains("tags", "a")),
+	}
+	for _, q := range queries {
+		qi.add(q.Key(), &nodeQuery{q: q})
+	}
+	docs := []map[string]any{
+		{"tags": []any{"a", "b"}, "n": 2, "s": "x<y"},
+		{"tags": []any{}, "n": 1.0, "o": map[string]any{"p": map[string]any{"q": []any{1, "s"}}}},
+		{"tags": "a", "m": []any{[]any{1, 2}, []any{3}}, "s": "é\n", "big": int64(1)<<60 + 1},
+		{"tags": []any{"b", "a", "a"}, "n": "x", "o": map[string]any{"p": nil}},
+		{"other": true},
+	}
+	for i, fields := range docs {
+		doc := document.New(fmt.Sprintf("d%d", i), fields)
+		wire, err := doc.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := new(document.Document)
+		if err := document.NewDecoder(wire).DocumentText(text); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]bool{}
+		for key := range qi.residual {
+			want[key] = true
+		}
+		for path, byKey := range qi.tables["posts"] {
+			v, ok := doc.Get(path)
+			if !ok {
+				continue
+			}
+			whole, elems := index.ValueKeys(v)
+			for _, k := range append(elems, whole) {
+				for key := range byKey[k] {
+					want[key] = true
+				}
+			}
+		}
+		for _, after := range []*document.Document{doc, text} {
+			out := map[string]*nodeQuery{}
+			before := document.TextDecodes()
+			qi.collect(&store.ChangeEvent{Table: "posts", After: after}, out)
+			if document.TextDecodes() != before {
+				t.Errorf("%s: collect decoded the after-image", wire)
+			}
+			got := map[string]bool{}
+			for key := range out {
+				got[key] = true
+			}
+			if !maps.Equal(got, want) {
+				t.Errorf("%s (text %v): candidates %v, want %v", wire, after == text, got, want)
+			}
+		}
 	}
 }

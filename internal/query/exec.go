@@ -218,12 +218,13 @@ const topKSeedCap = 1024
 // every match, then Sorted returns the k smallest (per the query's Less)
 // in query order. It retains at most k document pointers and never clones,
 // so a LIMIT 10 over 100k matches keeps 10 pointers instead of 100k deep
-// copies. Internally it is a max-heap: the root is the worst survivor, the
-// one a better candidate evicts in O(log k).
+// copies, and it reads each offered document's sort keys once. Internally
+// it is a max-heap: the root is the worst survivor, the one a better
+// candidate evicts in O(log k).
 type TopK struct {
-	q *Query
-	k int
-	h []*document.Document
+	rows    sortRows // the survivors and their sort keys
+	k       int
+	offered []any // the sort keys of the document being offered
 }
 
 // NewTopK builds a heap retaining the best k documents for q. k must be
@@ -233,32 +234,40 @@ func NewTopK(q *Query, k int) *TopK {
 	if seed > topKSeedCap {
 		seed = topKSeedCap
 	}
-	return &TopK{q: q, k: k, h: make([]*document.Document, 0, seed)}
+	n := len(q.OrderBy)
+	return &TopK{
+		rows: sortRows{q: q, n: n, docs: make([]*document.Document, 0, seed), keys: make([]any, 0, n*seed)},
+		k:    k,
+	}
 }
 
 // Len returns the number of retained documents.
-func (t *TopK) Len() int { return len(t.h) }
+func (t *TopK) Len() int { return len(t.rows.docs) }
 
 // Worst returns the current worst survivor (the next to be evicted), or
 // nil while the heap is not yet full.
 func (t *TopK) Worst() *document.Document {
-	if len(t.h) < t.k {
+	if len(t.rows.docs) < t.k {
 		return nil
 	}
-	return t.h[0]
+	return t.rows.docs[0]
 }
 
 // Offer considers one candidate, keeping it only if it beats the current
 // worst survivor of a full heap.
 func (t *TopK) Offer(d *document.Document) {
-	if len(t.h) < t.k {
-		t.h = append(t.h, d)
-		t.up(len(t.h) - 1)
+	r := &t.rows
+	if len(r.docs) < t.k {
+		r.docs = append(r.docs, d)
+		r.keys = r.q.appendSortKeys(r.keys, d)
+		t.up(len(r.docs) - 1)
 		return
 	}
-	if t.q.Less(d, t.h[0]) {
-		t.h[0] = d
-		t.down(0, len(t.h))
+	t.offered = r.q.appendSortKeys(t.offered[:0], d)
+	if r.q.lessKeys(d, t.offered, r.docs[0], r.row(0)) {
+		r.docs[0] = d
+		copy(r.row(0), t.offered)
+		t.down(0, len(r.docs))
 	}
 }
 
@@ -266,22 +275,22 @@ func (t *TopK) Offer(d *document.Document) {
 // (ascending by q.Less). The heap is consumed: an in-place heapsort
 // repeatedly swaps the worst remaining element to the tail.
 func (t *TopK) Sorted() []*document.Document {
-	h := t.h
+	h := t.rows.docs
 	for n := len(h) - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
+		t.rows.Swap(0, n)
 		t.down(0, n)
 	}
-	t.h = nil
+	t.rows = sortRows{}
 	return h
 }
 
 func (t *TopK) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !t.q.Less(t.h[parent], t.h[i]) {
+		if !t.rows.Less(parent, i) {
 			return
 		}
-		t.h[parent], t.h[i] = t.h[i], t.h[parent]
+		t.rows.Swap(parent, i)
 		i = parent
 	}
 }
@@ -289,16 +298,16 @@ func (t *TopK) up(i int) {
 func (t *TopK) down(i, n int) {
 	for {
 		worst := i
-		if l := 2*i + 1; l < n && t.q.Less(t.h[worst], t.h[l]) {
+		if l := 2*i + 1; l < n && t.rows.Less(worst, l) {
 			worst = l
 		}
-		if r := 2*i + 2; r < n && t.q.Less(t.h[worst], t.h[r]) {
+		if r := 2*i + 2; r < n && t.rows.Less(worst, r) {
 			worst = r
 		}
 		if worst == i {
 			return
 		}
-		t.h[i], t.h[worst] = t.h[worst], t.h[i]
+		t.rows.Swap(i, worst)
 		i = worst
 	}
 }

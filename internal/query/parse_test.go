@@ -14,7 +14,7 @@ func TestParseFilterEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Matches(map[string]any{"title": "Hello"}) {
+	if !p.Matches(fieldMap{"title": "Hello"}) {
 		t.Error("plain equality filter failed")
 	}
 }
@@ -28,10 +28,10 @@ func TestParseFilterOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	match := map[string]any{"rating": int64(30), "tags": []any{"example"}}
-	if !p.Matches(match) {
+	if !p.Matches(fieldMap(match)) {
 		t.Error("operator filter should match")
 	}
-	if p.Matches(map[string]any{"rating": int64(60), "tags": []any{"example"}}) {
+	if p.Matches(fieldMap{"rating": int64(60), "tags": []any{"example"}}) {
 		t.Error("range violation matched")
 	}
 }
@@ -46,10 +46,10 @@ func TestParseFilterBooleans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Matches(map[string]any{"a": int64(1)}) || !p.Matches(map[string]any{"b": int64(9)}) {
+	if !p.Matches(fieldMap{"a": int64(1)}) || !p.Matches(fieldMap{"b": int64(9)}) {
 		t.Error("$or arm failed")
 	}
-	if p.Matches(map[string]any{"a": int64(2), "b": int64(2)}) {
+	if p.Matches(fieldMap{"a": int64(2), "b": int64(2)}) {
 		t.Error("$or matched with no true arm")
 	}
 
@@ -57,7 +57,7 @@ func TestParseFilterBooleans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pn.Matches(map[string]any{"a": int64(1)}) {
+	if pn.Matches(fieldMap{"a": int64(1)}) {
 		t.Error("$not failed")
 	}
 }
@@ -67,10 +67,10 @@ func TestParseFilterTopLevelSiblingsAreAnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Matches(map[string]any{"a": int64(1), "b": int64(2)}) {
+	if !p.Matches(fieldMap{"a": int64(1), "b": int64(2)}) {
 		t.Error("both siblings should be required")
 	}
-	if p.Matches(map[string]any{"a": int64(1), "b": int64(3)}) {
+	if p.Matches(fieldMap{"a": int64(1), "b": int64(3)}) {
 		t.Error("sibling AND violated")
 	}
 }
@@ -143,14 +143,14 @@ func TestParseJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Matches(map[string]any{"tags": []any{"example"}, "rating": int64(11)}) {
+	if !p.Matches(fieldMap{"tags": []any{"example"}, "rating": int64(11)}) {
 		t.Error("parsed JSON filter should match")
 	}
 	if _, err := ParseJSON([]byte(`{`)); err == nil {
 		t.Error("invalid JSON must error")
 	}
 	p2, err := ParseJSON(nil)
-	if err != nil || !p2.Matches(map[string]any{}) {
+	if err != nil || !p2.Matches(fieldMap{}) {
 		t.Error("empty filter should be True")
 	}
 	// Large integers must survive (UseNumber path).
@@ -158,7 +158,7 @@ func TestParseJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p3.Matches(map[string]any{"n": int64(9007199254740993)}) {
+	if !p3.Matches(fieldMap{"n": int64(9007199254740993)}) {
 		t.Error("large int64 lost precision in parsing")
 	}
 }
@@ -230,7 +230,7 @@ func TestFilterDocumentRoundTrip(t *testing.T) {
 		if q.Key() != q2.Key() {
 			return false
 		}
-		return q.Predicate.Matches(fields) == back.Matches(fields)
+		return q.Predicate.Matches(fieldMap(fields)) == back.Matches(fieldMap(fields))
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)

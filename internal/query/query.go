@@ -10,6 +10,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,10 +20,23 @@ import (
 
 // Predicate is a boolean condition over a document.
 type Predicate interface {
-	// Matches reports whether the document's fields satisfy the predicate.
-	Matches(fields map[string]any) bool
+	// Matches reports whether the document's fields satisfy the
+	// predicate, reading only the paths it names.
+	Matches(doc Fields) bool
 	// canonical writes a deterministic representation used for query keys.
 	canonical(sb *strings.Builder)
+}
+
+// Fields is what a predicate reads a document's fields through:
+// *document.Document, whose text documents answer both methods off their
+// text without decoding the body.
+type Fields interface {
+	// Get returns the value at a dotted path, as document.Document.Get.
+	Get(path string) (any, bool)
+	// Holds reports whether the path exists, whether its value equals v,
+	// and whether it is an array with an element equal to v, as
+	// document.Document.Holds.
+	Holds(path string, v any) (found, equal, element bool)
 }
 
 // Op enumerates the supported comparison operators.
@@ -51,37 +65,37 @@ type Field struct {
 	Value any // normalized canonical value ([]any for $in/$nin)
 }
 
-// Matches implements Predicate.
-func (f *Field) Matches(fields map[string]any) bool {
-	v, ok := document.GetPath(fields, f.Path)
+// Matches implements Predicate. $eq, $ne and $contains ask Holds, which
+// a text document answers off its text; the others read the value once
+// through Get.
+func (f *Field) Matches(doc Fields) bool {
+	switch f.Op {
+	case OpEq, OpNe:
+		found, equal, element := doc.Holds(f.Path, f.Value)
+		// Mongo semantics: a missing field satisfies $ne.
+		return (found && eqLike(f.Value, equal, element)) == (f.Op == OpEq)
+	case OpContains:
+		_, _, element := doc.Holds(f.Path, f.Value)
+		return element
+	}
+	v, ok := doc.Get(f.Path)
 	switch f.Op {
 	case OpExists:
 		want, _ := f.Value.(bool)
 		return ok == want
-	case OpNe:
-		// Mongo semantics: a missing field satisfies $ne.
-		if !ok {
-			return true
-		}
-		return !matchEqLike(v, f.Value)
-	case OpNin:
-		if !ok {
-			return true
-		}
+	case OpIn, OpNin:
+		in := false
 		list, _ := f.Value.([]any)
-		for _, cand := range list {
-			if matchEqLike(v, cand) {
-				return false
-			}
+		for i := 0; ok && !in && i < len(list); i++ {
+			equal, element := document.ValueHolds(v, list[i])
+			in = eqLike(list[i], equal, element)
 		}
-		return true
+		return in == (f.Op == OpIn)
 	}
 	if !ok {
 		return false
 	}
 	switch f.Op {
-	case OpEq:
-		return matchEqLike(v, f.Value)
 	case OpGt:
 		return comparableTypes(v, f.Value) && document.Compare(v, f.Value) > 0
 	case OpGte:
@@ -90,25 +104,6 @@ func (f *Field) Matches(fields map[string]any) bool {
 		return comparableTypes(v, f.Value) && document.Compare(v, f.Value) < 0
 	case OpLte:
 		return comparableTypes(v, f.Value) && document.Compare(v, f.Value) <= 0
-	case OpIn:
-		list, _ := f.Value.([]any)
-		for _, cand := range list {
-			if matchEqLike(v, cand) {
-				return true
-			}
-		}
-		return false
-	case OpContains:
-		arr, isArr := v.([]any)
-		if !isArr {
-			return false
-		}
-		for _, e := range arr {
-			if document.DeepEqual(e, f.Value) {
-				return true
-			}
-		}
-		return false
 	case OpSize:
 		arr, isArr := v.([]any)
 		if !isArr {
@@ -125,23 +120,16 @@ func (f *Field) Matches(fields map[string]any) bool {
 	}
 }
 
-// matchEqLike implements Mongo equality: either deep equality, or — when the
-// stored value is an array and the query value is a scalar — array
-// membership ({tags: "example"} matches tags:["example","music"]).
-func matchEqLike(stored, queried any) bool {
-	if document.DeepEqual(stored, queried) {
+// eqLike implements Mongo equality from Holds' answer about the queried
+// value: either deep equality, or — when the stored value is an array
+// and the query value is a scalar — array membership ({tags: "example"}
+// matches tags:["example","music"]).
+func eqLike(queried any, equal, element bool) bool {
+	if equal {
 		return true
 	}
-	if arr, ok := stored.([]any); ok {
-		if _, qIsArr := queried.([]any); !qIsArr {
-			for _, e := range arr {
-				if document.DeepEqual(e, queried) {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	_, qIsArr := queried.([]any)
+	return element && !qIsArr
 }
 
 // comparableTypes guards range operators against cross-type comparisons
@@ -184,9 +172,9 @@ func (f *Field) canonical(sb *strings.Builder) {
 type And struct{ Children []Predicate }
 
 // Matches implements Predicate.
-func (a *And) Matches(fields map[string]any) bool {
+func (a *And) Matches(doc Fields) bool {
 	for _, c := range a.Children {
-		if !c.Matches(fields) {
+		if !c.Matches(doc) {
 			return false
 		}
 	}
@@ -201,9 +189,9 @@ func (a *And) canonical(sb *strings.Builder) {
 type Or struct{ Children []Predicate }
 
 // Matches implements Predicate.
-func (o *Or) Matches(fields map[string]any) bool {
+func (o *Or) Matches(doc Fields) bool {
 	for _, c := range o.Children {
-		if c.Matches(fields) {
+		if c.Matches(doc) {
 			return true
 		}
 	}
@@ -218,7 +206,7 @@ func (o *Or) canonical(sb *strings.Builder) {
 type Not struct{ Child Predicate }
 
 // Matches implements Predicate.
-func (n *Not) Matches(fields map[string]any) bool { return !n.Child.Matches(fields) }
+func (n *Not) Matches(doc Fields) bool { return !n.Child.Matches(doc) }
 
 func (n *Not) canonical(sb *strings.Builder) {
 	sb.WriteString("$not(")
@@ -230,7 +218,7 @@ func (n *Not) canonical(sb *strings.Builder) {
 type True struct{}
 
 // Matches implements Predicate.
-func (True) Matches(map[string]any) bool { return true }
+func (True) Matches(Fields) bool { return true }
 
 func (True) canonical(sb *strings.Builder) { sb.WriteString("$true") }
 
@@ -307,22 +295,13 @@ func (q *Query) Stateful() bool {
 }
 
 // Matches reports whether a single document satisfies the predicate,
-// ignoring order/limit clauses.
+// ignoring order/limit clauses. It reads only the paths the predicate
+// names (True reads none), so a text document is never decoded whole.
 func (q *Query) Matches(doc *document.Document) bool {
 	if doc == nil {
 		return false
 	}
-	return Match(q.Predicate, doc)
-}
-
-// Match reports whether doc satisfies p, reading doc's fields through
-// its accessor: True reads none, so a stored document it passes stays
-// undecoded.
-func Match(p Predicate, doc *document.Document) bool {
-	if _, all := p.(True); all {
-		return true
-	}
-	return p.Matches(doc.Body())
+	return q.Predicate.Matches(doc)
 }
 
 // Key returns the normalized query string: a deterministic canonical
@@ -366,20 +345,84 @@ func (q *Query) String() string { return q.Key() }
 
 // Less orders two documents according to the query's ORDER BY clause, with
 // the document id as the final tie-breaker so result order is total and
-// deterministic.
+// deterministic. It reads each sort key of both documents; Sort and TopK,
+// which compare one document many times, read its keys once.
 func (q *Query) Less(a, b *document.Document) bool {
 	for _, k := range q.OrderBy {
 		av, _ := a.Get(k.Path)
 		bv, _ := b.Get(k.Path)
-		c := document.Compare(av, bv)
-		if c != 0 {
-			if k.Desc {
-				return c > 0
-			}
+		if c := k.compare(av, bv); c != 0 {
 			return c < 0
 		}
 	}
 	return a.ID < b.ID
+}
+
+// compare orders two values of the key's path in the key's direction.
+func (k SortKey) compare(a, b any) int {
+	c := document.Compare(a, b)
+	if k.Desc {
+		return -c
+	}
+	return c
+}
+
+// appendSortKeys appends the values of d at the query's ORDER BY paths.
+func (q *Query) appendSortKeys(keys []any, d *document.Document) []any {
+	for _, k := range q.OrderBy {
+		v, _ := d.Get(k.Path)
+		keys = append(keys, v)
+	}
+	return keys
+}
+
+// lessKeys is Less for documents whose sort keys were read already.
+func (q *Query) lessKeys(a *document.Document, ak []any, b *document.Document, bk []any) bool {
+	for i, k := range q.OrderBy {
+		if c := k.compare(ak[i], bk[i]); c != 0 {
+			return c < 0
+		}
+	}
+	return a.ID < b.ID
+}
+
+// Sort sorts docs in the query's order (see Less), reading each
+// document's sort keys once.
+func (q *Query) Sort(docs []*document.Document) {
+	n := len(q.OrderBy)
+	if n == 0 {
+		slices.SortFunc(docs, func(a, b *document.Document) int { return strings.Compare(a.ID, b.ID) })
+		return
+	}
+	rows := sortRows{q: q, docs: docs, n: n, keys: make([]any, 0, n*len(docs))}
+	for _, d := range docs {
+		rows.keys = q.appendSortKeys(rows.keys, d)
+	}
+	sort.Sort(&rows)
+}
+
+// sortRows sorts documents by their sort keys, n per document in keys.
+type sortRows struct {
+	q    *Query
+	docs []*document.Document
+	keys []any
+	n    int
+}
+
+func (r *sortRows) row(i int) []any { return r.keys[i*r.n : (i+1)*r.n] }
+
+func (r *sortRows) Len() int { return len(r.docs) }
+
+func (r *sortRows) Less(i, j int) bool {
+	return r.q.lessKeys(r.docs[i], r.row(i), r.docs[j], r.row(j))
+}
+
+func (r *sortRows) Swap(i, j int) {
+	r.docs[i], r.docs[j] = r.docs[j], r.docs[i]
+	a, b := r.row(i), r.row(j)
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
+	}
 }
 
 // Apply evaluates the full query against a set of candidate documents:
@@ -392,7 +435,7 @@ func (q *Query) Apply(docs []*document.Document) []*document.Document {
 			out = append(out, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return q.Less(out[i], out[j]) })
+	q.Sort(out)
 	if q.Offset > 0 {
 		if q.Offset >= len(out) {
 			return nil

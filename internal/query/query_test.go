@@ -10,6 +10,35 @@ func doc(fields map[string]any) *document.Document {
 	return document.New("d1", fields)
 }
 
+// textDoc returns d as the server holds it: a text document of its wire
+// form.
+func textDoc(t *testing.T, d *document.Document) *document.Document {
+	t.Helper()
+	wire, err := d.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out document.Document
+	if err := document.NewDecoder(wire).DocumentText(&out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
+// fieldMap reads a decoded body the way a predicate reads a document.
+type fieldMap map[string]any
+
+func (m fieldMap) Get(path string) (any, bool) { return document.GetPath(map[string]any(m), path) }
+
+func (m fieldMap) Holds(path string, v any) (found, equal, element bool) {
+	stored, ok := m.Get(path)
+	if !ok {
+		return false, false, false
+	}
+	equal, element = document.ValueHolds(stored, v)
+	return true, equal, element
+}
+
 func TestFieldOperators(t *testing.T) {
 	post := doc(map[string]any{
 		"title":  "Hello",
@@ -47,10 +76,14 @@ func TestFieldOperators(t *testing.T) {
 		{"prefix miss", Prefix("title", "he"), false},
 		{"numeric cross-type eq", Eq("rating", 42.0), true},
 	}
+	text := textDoc(t, post)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.pred.Matches(post.Fields); got != tc.want {
+			if got := tc.pred.Matches(post); got != tc.want {
 				t.Errorf("got %v, want %v", got, tc.want)
+			}
+			if got := tc.pred.Matches(text); got != tc.want {
+				t.Errorf("text document: got %v, want %v", got, tc.want)
 			}
 		})
 	}
@@ -58,21 +91,21 @@ func TestFieldOperators(t *testing.T) {
 
 func TestNinMissingFieldMatches(t *testing.T) {
 	p := &Field{Path: "missing", Op: OpNin, Value: []any{int64(1)}}
-	if !p.Matches(map[string]any{}) {
+	if !p.Matches(fieldMap{}) {
 		t.Error("$nin on missing field should match (Mongo semantics)")
 	}
 	p2 := &Field{Path: "x", Op: OpNin, Value: []any{int64(1)}}
-	if p2.Matches(map[string]any{"x": int64(1)}) {
+	if p2.Matches(fieldMap{"x": int64(1)}) {
 		t.Error("$nin containing the value must not match")
 	}
 }
 
 func TestSizeOperator(t *testing.T) {
 	p := &Field{Path: "tags", Op: OpSize, Value: int64(2)}
-	if !p.Matches(map[string]any{"tags": []any{"a", "b"}}) {
+	if !p.Matches(fieldMap{"tags": []any{"a", "b"}}) {
 		t.Error("$size should match")
 	}
-	if p.Matches(map[string]any{"tags": []any{"a"}}) {
+	if p.Matches(fieldMap{"tags": []any{"a"}}) {
 		t.Error("$size mismatch matched")
 	}
 }
@@ -80,22 +113,22 @@ func TestSizeOperator(t *testing.T) {
 func TestBooleanCombinators(t *testing.T) {
 	fields := map[string]any{"a": int64(1), "b": int64(2)}
 	and := AndOf(Eq("a", 1), Eq("b", 2))
-	if !and.Matches(fields) {
+	if !and.Matches(fieldMap(fields)) {
 		t.Error("and should match")
 	}
-	if AndOf(Eq("a", 1), Eq("b", 3)).Matches(fields) {
+	if AndOf(Eq("a", 1), Eq("b", 3)).Matches(fieldMap(fields)) {
 		t.Error("and with false child matched")
 	}
-	if !OrOf(Eq("a", 9), Eq("b", 2)).Matches(fields) {
+	if !OrOf(Eq("a", 9), Eq("b", 2)).Matches(fieldMap(fields)) {
 		t.Error("or should match")
 	}
-	if OrOf(Eq("a", 9), Eq("b", 9)).Matches(fields) {
+	if OrOf(Eq("a", 9), Eq("b", 9)).Matches(fieldMap(fields)) {
 		t.Error("or with no true child matched")
 	}
-	if !NotOf(Eq("a", 9)).Matches(fields) {
+	if !NotOf(Eq("a", 9)).Matches(fieldMap(fields)) {
 		t.Error("not should match")
 	}
-	if (True{}).Matches(fields) != true {
+	if (True{}).Matches(fieldMap(fields)) != true {
 		t.Error("True must match everything")
 	}
 }

@@ -76,7 +76,7 @@ func (sl *shadowLog) ackedMatches(table string, doc *document.Document) bool {
 	defer sl.mu.Unlock()
 	for _, ev := range sl.events {
 		if ev.Op != store.OpDelete && ev.Table == table && ev.After != nil && ev.After.ID == doc.ID &&
-			ev.After.Version == doc.Version && document.DeepEqual(ev.After.Fields, doc.Fields) {
+			ev.After.Version == doc.Version && document.DeepEqual(ev.After.Body(), doc.Body()) {
 			return true
 		}
 	}
@@ -226,7 +226,7 @@ func TestFailoverPromote(t *testing.T) {
 		}
 		for _, got := range docs {
 			if !shadow.ackedMatches(tbl, got) {
-				t.Errorf("%s/%s v%d %v on promoted node was never acknowledged by the primary", tbl, got.ID, got.Version, got.Fields)
+				t.Errorf("%s/%s v%d %v on promoted node was never acknowledged by the primary", tbl, got.ID, got.Version, got.Body())
 			}
 		}
 	}

@@ -219,10 +219,11 @@ func checkExactSpecNumbers(t *testing.T, srv *Server, id string, version int64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	nested, _ := doc.Fields["nested"].(map[string]any)
-	arr, _ := doc.Fields["arr"].([]any)
-	if doc.Fields["n"] != bigInt || doc.Fields["small"] != int64(3) || nested["m"] != bigInt || len(arr) != 1 || arr[0] != bigInt {
-		t.Errorf("stored fields %#v: want the spec's integers as exact int64s", doc.Fields)
+	body := doc.Body()
+	nested, _ := body["nested"].(map[string]any)
+	arr, _ := body["arr"].([]any)
+	if body["n"] != bigInt || body["small"] != int64(3) || nested["m"] != bigInt || len(arr) != 1 || arr[0] != bigInt {
+		t.Errorf("stored fields %#v: want the spec's integers as exact int64s", body)
 	}
 }
 

@@ -44,8 +44,12 @@ type Schema struct {
 
 // Validate checks a document against the schema.
 func (sc *Schema) Validate(doc *document.Document) error {
+	if len(sc.Fields) == 0 {
+		return nil
+	}
+	body := doc.Body() // a text document's is decoded afresh
 	for name, spec := range sc.Fields {
-		v, ok := doc.Body()[name]
+		v, ok := body[name]
 		if !ok {
 			if spec.Required {
 				return fmt.Errorf("schema: missing required field %q", name)

@@ -21,9 +21,9 @@ const (
 	WritePut WriteKind = iota
 	// WriteInsert stores Doc under ID; ErrExists when the record exists.
 	WriteInsert
-	// WriteUpdate applies Spec to a copy of the record; ErrNotFound when
-	// it does not exist, ErrVersionCheck when Spec.IfVersion is not its
-	// version.
+	// WriteUpdate applies Spec to a draft of the record's next version
+	// (see updated); ErrNotFound when it does not exist, ErrVersionCheck
+	// when Spec.IfVersion is not its version.
 	WriteUpdate
 	// WriteDelete removes the record. Deleting an absent record writes
 	// nothing and leaves After nil.
@@ -311,11 +311,10 @@ func (u *Unit) decide(w *Write, t *table, now time.Time) error {
 		if v := w.Spec.IfVersion; v != 0 && prev.Version != v {
 			return fmt.Errorf("%w: have %d, want %d", ErrVersionCheck, prev.Version, v)
 		}
-		next = prev.Clone()
-		if err := ApplySpec(next, w.Spec); err != nil {
+		var err error
+		if next, err = updated(prev, w.Spec); err != nil {
 			return err
 		}
-		next.Version = prev.Version + 1
 	case WriteDelete:
 		if prev == nil {
 			w.After = nil

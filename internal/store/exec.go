@@ -16,7 +16,6 @@ package store
 
 import (
 	"slices"
-	"sort"
 
 	"quaestor/internal/document"
 	"quaestor/internal/query"
@@ -74,7 +73,7 @@ func (e *executor) runSortAll() {
 		return true
 	})
 	q := e.q
-	sort.Slice(matches, func(i, j int) bool { return q.Less(matches[i], matches[j]) })
+	q.Sort(matches)
 	e.out = resultWindow(matches, q.Offset, q.Limit)
 }
 
@@ -107,7 +106,7 @@ func (e *executor) runOrdered() {
 		for _, id := range ids {
 			d := e.t.docs[id]
 			e.examined++
-			if query.Match(e.residual, d) {
+			if e.residual.Matches(d) {
 				list = append(list, d)
 				if k > 0 && len(list) == k {
 					// Early termination: everything later in the scan
@@ -129,7 +128,7 @@ func (e *executor) visit(yield func(*document.Document) bool) {
 	if plan.Kind == query.PlanScan {
 		for _, d := range t.docs {
 			e.examined++
-			if query.Match(e.residual, d) && !yield(d) {
+			if e.residual.Matches(d) && !yield(d) {
 				return
 			}
 		}
@@ -139,7 +138,7 @@ func (e *executor) visit(yield func(*document.Document) bool) {
 	emitID := func(id string) bool {
 		d := t.docs[id]
 		e.examined++
-		return !query.Match(e.residual, d) || yield(d)
+		return !e.residual.Matches(d) || yield(d)
 	}
 	// A top-K execution walks a list from the end whose document sorts
 	// first. Posting lists are in insertion order, which often follows the

@@ -182,7 +182,7 @@ func TestPropertyStreamingEqualsScanUnderConcurrentWrites(t *testing.T) {
 			for j := range streamed {
 				a, b := streamed[j], scanned[j]
 				if a.ID != b.ID || a.Version != b.Version ||
-					document.Canonical(a.Fields) != document.Canonical(b.Fields) {
+					document.Canonical(a.Body()) != document.Canonical(b.Body()) {
 					t.Fatalf("round %d, %s (%s/%s): position %d differs: %s/v%d vs %s/v%d",
 						round, q.Key(), plan.Kind, plan.Strategy, j,
 						a.ID, a.Version, b.ID, b.Version)

@@ -445,8 +445,9 @@ type UpdateSpec struct {
 	IfVersion int64
 }
 
-// Update applies a partial update to a clone of the stored document,
-// stores the clone in its place and returns it, read-only.
+// Update applies a partial update to a draft of the stored document's
+// next version, stores it in the document's place and returns it,
+// read-only.
 func (s *Store) Update(tableName, id string, spec UpdateSpec) (*document.Document, error) {
 	w := []Write{{Kind: WriteUpdate, Table: tableName, ID: id, Spec: spec}}
 	if err := s.Apply(w); err != nil {
@@ -455,21 +456,40 @@ func (s *Store) Update(tableName, id string, spec UpdateSpec) (*document.Documen
 	return w[0].After, nil
 }
 
+// fieldWriter is what an update reads and changes: a *document.Document,
+// or the store's *document.Draft of a record's next version.
+type fieldWriter interface {
+	Get(path string) (any, bool)
+	Set(path string, value any) error
+	Delete(path string)
+}
+
+// updated returns prev's next version under spec: a text document whose
+// text the draft spliced, or encoded once (see document.Draft).
+func updated(prev *document.Document, spec UpdateSpec) (*document.Document, error) {
+	draft := prev.Draft(prev.Version + 1)
+	if err := ApplySpec(draft, spec); err != nil {
+		return nil, err
+	}
+	return draft.Document(), nil
+}
+
 // ApplySpec applies spec's Set, Unset, Inc, Push and Pull to doc in place,
 // in that order: the one definition of what an update does to a document.
 // IfVersion is the caller's to check. A spec that does not fit the
 // document returns an error and may leave doc half-updated, so callers
 // apply it to a copy.
-func ApplySpec(doc *document.Document, spec UpdateSpec) error {
-	for path, v := range spec.Set {
-		if err := doc.Set(path, v); err != nil {
+func ApplySpec(doc fieldWriter, spec UpdateSpec) error {
+	for _, path := range inOrder(spec.Set) {
+		if err := doc.Set(path, spec.Set[path]); err != nil {
 			return fmt.Errorf("%w: set %q: %v", ErrBadUpdateSpec, path, err)
 		}
 	}
 	for _, path := range spec.Unset {
 		doc.Delete(path)
 	}
-	for path, delta := range spec.Inc {
+	for _, path := range inOrder(spec.Inc) {
+		delta := spec.Inc[path]
 		cur, _ := doc.Get(path)
 		var base float64
 		switch n := cur.(type) {
@@ -491,7 +511,8 @@ func ApplySpec(doc *document.Document, spec UpdateSpec) error {
 			return fmt.Errorf("%w: inc %q: %v", ErrBadUpdateSpec, path, err)
 		}
 	}
-	for path, v := range spec.Push {
+	for _, path := range inOrder(spec.Push) {
+		v := spec.Push[path]
 		cur, ok := doc.Get(path)
 		var arr []any
 		if ok {
@@ -506,7 +527,8 @@ func ApplySpec(doc *document.Document, spec UpdateSpec) error {
 			return fmt.Errorf("%w: push %q: %v", ErrBadUpdateSpec, path, err)
 		}
 	}
-	for path, v := range spec.Pull {
+	for _, path := range inOrder(spec.Pull) {
+		v := spec.Pull[path]
 		cur, ok := doc.Get(path)
 		if !ok {
 			continue
@@ -527,6 +549,21 @@ func ApplySpec(doc *document.Document, spec UpdateSpec) error {
 		}
 	}
 	return nil
+}
+
+// inOrder returns m's paths sorted, so that a spec whose paths overlap
+// ("a" and "a.b") does the same every time it is applied: by the store,
+// and by an SDK transaction reading its own patch.
+func inOrder[V any](m map[string]V) []string {
+	if len(m) == 0 {
+		return nil
+	}
+	paths := make([]string, 0, len(m))
+	for path := range m {
+		paths = append(paths, path)
+	}
+	slices.Sort(paths)
+	return paths
 }
 
 // Delete removes a document, returning ErrNotFound if absent.
@@ -732,7 +769,7 @@ func (s *Store) encode(evs []ChangeEvent) ([]ChangeEvent, wal.Entry, error) {
 }
 
 // frameSize estimates the log record of ev for wal.Log.Begin: a put by
-// its document's encoded length, which an update's after-image, not
+// its document's encoded length, which a document built in Go, not
 // encoded yet, takes from its before-image. Other records are small and
 // sized as they are added.
 func frameSize(ev *ChangeEvent) int {
